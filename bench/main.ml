@@ -299,26 +299,24 @@ let figure11 () =
   | Some p ->
     let prog = Corpus.Types.parse p in
     let dsg = Dsa.Dsg.build prog in
+    let show (_, ts) = List.iter (Fmt.pr "%a@." Analysis.Trace.pp) ts in
+    (* a function's own traces, call marks unexpanded: collect it as the
+       only function of a program, so there is no callee to splice *)
     let intra_of name =
       match Nvmir.Prog.find_func prog name with
-      | Some f -> Analysis.Trace.collect_function Analysis.Config.default dsg f
-      | None -> []
+      | None -> ()
+      | Some f ->
+        let alone = Nvmir.Prog.create () in
+        Nvmir.Prog.add_func alone f;
+        List.iter show (Analysis.Trace.collect dsg alone)
     in
     Fmt.pr "-- callee trace (nvm_free_blk):@.";
-    List.iter
-      (fun t -> Fmt.pr "%a@." Analysis.Trace.pp t)
-      (intra_of "nvm_free_blk");
+    intra_of "nvm_free_blk";
     Fmt.pr "-- caller trace before merging (nvm_free_callback):@.";
-    List.iter
-      (fun t -> Fmt.pr "%a@." Analysis.Trace.pp t)
-      (intra_of "nvm_free_callback");
+    intra_of "nvm_free_callback";
     Fmt.pr "-- merged trace from the driver root:@.";
-    let merged =
-      Analysis.Trace.collect dsg prog ~roots:[ "nvm_heap_driver_free" ]
-    in
-    List.iter
-      (fun (_, ts) -> List.iter (fun t -> Fmt.pr "%a@." Analysis.Trace.pp t) ts)
-      merged
+    List.iter show
+      (Analysis.Trace.collect dsg prog ~roots:[ "nvm_heap_driver_free" ])
 
 (* ------------------------------------------------------------------ *)
 (* Figure 12: runtime overhead of the dynamic analysis *)
@@ -880,8 +878,10 @@ let micro () =
         (Staged.stage (fun () -> ignore (Dsa.Dsg.build prog)));
       Test.make ~name:"trace-collect-40f"
         (Staged.stage (fun () ->
-             ignore
-               (Analysis.Trace.collect dsg prog
+             List.iter
+               (fun (src : Analysis.Trace.source) ->
+                 Seq.iter ignore src.Analysis.Trace.traces)
+               (Analysis.Trace.stream dsg prog
                   ~roots:(Corpus.Synth.roots cfg_small))));
       Test.make ~name:"full-check-40f"
         (Staged.stage (fun () ->
@@ -928,9 +928,9 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Static-checker throughput: streaming engine + domain pool vs the
-   legacy materialize-then-check pipeline.  `perf --json` additionally
-   writes BENCH_checker.json for EXPERIMENTS.md / CI. *)
+(* Static-checker throughput at 1 domain and at the host's recommended
+   domain count.  `perf --json` additionally writes BENCH_checker.json
+   for EXPERIMENTS.md / CI. *)
 
 let perf ?(json = false) () =
   section "Checker throughput: streaming engine + persistent domain pool";
@@ -949,22 +949,21 @@ let perf ?(json = false) () =
       [ 21; 22; 23 ]
   in
   let jobs = corpus_jobs @ synth_jobs in
-  let sweep engine =
+  let sweep () =
     List.fold_left
       (fun (ev, pk) (model, prog, roots) ->
-        let config = { Analysis.Config.default with Analysis.Config.engine } in
-        let r = Analysis.Checker.check ~config ~roots ~model prog in
+        let r = Analysis.Checker.check ~roots ~model prog in
         (ev + r.Analysis.Checker.event_count,
          max pk r.Analysis.Checker.peak_paths))
       (0, 0) jobs
   in
-  let measure ~engine ~domains =
+  let measure ~domains =
     Pool.set_default_size domains;
-    ignore (sweep engine) (* warm up: pool domains, parser, minor heap *);
+    ignore (sweep ()) (* warm up: pool domains, parser, minor heap *);
     let best = ref infinity and events = ref 0 and peak = ref 0 in
     for _ = 1 to 3 do
       let t0 = Deepmc.Clock.now () in
-      let ev, pk = sweep engine in
+      let ev, pk = sweep () in
       let dt = Deepmc.Clock.elapsed_s t0 in
       if dt < !best then best := dt;
       events := ev;
@@ -973,19 +972,11 @@ let perf ?(json = false) () =
     (!best, !events, !peak)
   in
   let saved = Pool.default_size () in
-  let domains = Pool.recommended_size () in
-  let legacy_s, legacy_ev, legacy_peak =
-    measure ~engine:Analysis.Config.Materialized ~domains:1
-  in
-  let s1_s, s1_ev, s1_peak =
-    measure ~engine:Analysis.Config.Streaming ~domains:1
-  in
-  let sd_s, sd_ev, sd_peak =
-    (* on a single-core host the default-domain config IS the 1-domain
-       config; re-measuring would just print noise *)
-    if domains = 1 then (s1_s, s1_ev, s1_peak)
-    else measure ~engine:Analysis.Config.Streaming ~domains
-  in
+  (* set explicitly: [Pool.recommended_size] keeps one core free, which
+     on a 2-core host is 1 domain — the baseline row over again *)
+  let domains = Domain.recommended_domain_count () in
+  let s1_s, s1_ev, s1_peak = measure ~domains:1 in
+  let sd_s, sd_ev, sd_peak = measure ~domains in
   Pool.set_default_size saved;
   let rate ev s = float_of_int ev /. s in
   let row label ev s peak =
@@ -993,28 +984,23 @@ let perf ?(json = false) () =
       (s *. 1000.) (rate ev s) peak
   in
   Fmt.pr "workload: %d programs, %d events per sweep, best of 3@."
-    (List.length jobs) legacy_ev;
+    (List.length jobs) s1_ev;
   hr ();
-  row "legacy (materialized, 1 domain)" legacy_ev legacy_s legacy_peak;
   row "streaming (1 domain)" s1_ev s1_s s1_peak;
   row (Fmt.str "streaming (%d domains)" domains) sd_ev sd_s sd_peak;
   hr ();
-  let speedup_legacy = legacy_s /. sd_s in
   let speedup_1d = s1_s /. sd_s in
-  Fmt.pr "speedup vs legacy: %.2fx; speedup vs 1 domain: %.2fx@."
-    speedup_legacy speedup_1d;
-  Fmt.pr "peak live paths: %d streaming vs %d materialized@." sd_peak
-    legacy_peak;
-  if sd_ev <> legacy_ev || s1_ev <> legacy_ev then
-    Fmt.pr "WARNING: engines disagree on event counts (%d/%d/%d)@." legacy_ev
-      s1_ev sd_ev;
+  Fmt.pr "speedup vs 1 domain: %.2fx@." speedup_1d;
+  if sd_ev <> s1_ev then
+    Fmt.pr "WARNING: domain counts disagree on event counts (%d/%d)@." s1_ev
+      sd_ev;
   if json then begin
-    (* one untimed telemetry-enabled streaming sweep; kept out of the
-       measured runs so instrument cost never touches the numbers *)
+    (* one untimed telemetry-enabled sweep; kept out of the measured
+       runs so instrument cost never touches the numbers *)
     let telemetry =
       Obs.Metrics.reset ();
       Obs.set_enabled true;
-      ignore (sweep Analysis.Config.Streaming);
+      ignore (sweep ());
       Obs.set_enabled false;
       Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ())
     in
@@ -1031,16 +1017,13 @@ let perf ?(json = false) () =
        \  \"domains\": %d,\n\
        %s,\n\
        %s,\n\
-       %s,\n\
-       \  \"speedup_vs_legacy\": %.2f,\n\
        \  \"speedup_vs_1_domain\": %.2f,\n\
        \  \"telemetry\": %s\n\
        }\n"
-      (List.length jobs) legacy_ev domains
-      (bench "legacy_materialized_1_domain" legacy_ev legacy_s legacy_peak)
+      (List.length jobs) s1_ev domains
       (bench "streaming_1_domain" s1_ev s1_s s1_peak)
-      (bench "streaming_default_domains" sd_ev sd_s sd_peak)
-      speedup_legacy speedup_1d
+      (bench "streaming_recommended_domains" sd_ev sd_s sd_peak)
+      speedup_1d
       (Deepmc.Json_report.to_string telemetry);
     close_out oc;
     Fmt.pr "wrote BENCH_checker.json@."

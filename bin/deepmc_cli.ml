@@ -200,16 +200,8 @@ let stats_term =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print checker statistics (engine, traces, events, peak live \
-           paths, pool activity) on stderr.")
-
-let materialized_term =
-  Arg.(
-    value & flag
-    & info [ "materialized" ]
-        ~doc:
-          "Use the materialized trace engine (the streaming engine's \
-           differential oracle) instead of the default streaming engine.")
+          "Print checker statistics (traces, events, peak live paths, \
+           pool activity) on stderr.")
 
 (* Client path: ship the program text to a resident `deepmc serve`
    daemon instead of analyzing in-process. Static checking only — the
@@ -292,7 +284,7 @@ let check_cmd =
           ~doc:"Maximum images per crash point for --explore-crash-images.")
   in
   let run () model file entry clients no_dynamic field_insensitive
-      suppressions json pmem_roots html domains stats materialized explore
+      suppressions json pmem_roots html domains stats explore
       crash_bound seed metrics_json trace_out connect =
     let ( let* ) = Result.bind in
     match connect with
@@ -307,16 +299,8 @@ let check_cmd =
     let* prog = validated prog in
     Option.iter Pool.set_default_size domains;
     obs_setup ~metrics_json ~trace_out;
-    let config =
-      {
-        Analysis.Config.default with
-        Analysis.Config.engine =
-          (if materialized then Analysis.Config.Materialized
-           else Analysis.Config.Streaming);
-      }
-    in
     let driver =
-      Deepmc.Driver.make ~config ~field_sensitive:(not field_insensitive)
+      Deepmc.Driver.make ~field_sensitive:(not field_insensitive)
         ~run_dynamic:(not no_dynamic) model
     in
     let report =
@@ -327,9 +311,8 @@ let check_cmd =
       let s = report.Deepmc.Driver.static in
       let ps = Pool.stats (Pool.default ()) in
       Fmt.epr
-        "engine: %s@.traces: %d (%d events)@.peak live paths: %d@.static \
-         time: %.1f ms@.pool: %d domain(s), %d job(s), %d chunk(s)@."
-        (Analysis.Config.engine_name config.Analysis.Config.engine)
+        "traces: %d (%d events)@.peak live paths: %d@.static time: %.1f \
+         ms@.pool: %d domain(s), %d job(s), %d chunk(s)@."
         s.Analysis.Checker.trace_count s.Analysis.Checker.event_count
         s.Analysis.Checker.peak_paths
         (report.Deepmc.Driver.elapsed_static *. 1000.)
@@ -374,7 +357,7 @@ let check_cmd =
         (const run $ setup_logs_term $ model_term $ file_arg $ entry_term
        $ clients_term $ no_dynamic_term $ field_insensitive_term
        $ suppressions_term $ json_term $ pmem_roots_term $ html_term
-       $ domains_term $ stats_term $ materialized_term $ explore_term
+       $ domains_term $ stats_term $ explore_term
        $ crash_bound_term $ seed_term $ metrics_json_term $ trace_out_term
        $ connect_term))
 

@@ -3,16 +3,10 @@
    for the selected persistency model, and reports deduplicated
    warnings.
 
-   Two engines produce the same warnings (a differential test enforces
-   it on the whole corpus):
-
-   - [Config.Streaming] (default): traces are enumerated lazily per
-     root; each path is fed through [Rules.Incremental] and discarded as
-     soon as its warnings are out, so peak memory is O(live paths), and
-     independent roots are checked concurrently on the shared domain
-     pool.
-   - [Config.Materialized]: the original collect-everything-then-check
-     pipeline, kept as the oracle. *)
+   Traces are enumerated lazily per root; each path is fed through
+   [Rules.Incremental] and discarded as soon as its warnings are out, so
+   peak memory is O(live paths), and independent roots are checked
+   concurrently on the shared domain pool. *)
 
 type result = {
   model : Model.t;
@@ -135,44 +129,13 @@ let merge_roots ~model ~dsg (per_root : per_root list) : result =
   if Obs.enabled () then Obs.Metrics.set_max m_peak peak_paths;
   { model; warnings; trace_count; event_count; peak_paths; dsg }
 
-let check ?(config = Config.default) ?(field_sensitive = true)
-    ?(offset_sensitive = true) ?(persistent_roots = []) ?roots ~model
-    (prog : Nvmir.Prog.t) : result =
-  let dsg =
-    Dsa.Dsg.build ~field_sensitive ~offset_sensitive ~persistent_roots prog
+let check ?config ?field_sensitive ?offset_sensitive ?persistent_roots ?roots
+    ~model (prog : Nvmir.Prog.t) : result =
+  let per_root, dsg =
+    check_roots ?config ?field_sensitive ?offset_sensitive ?persistent_roots
+      ?roots ~model prog
   in
-  let ctx = { Rules.model; dsg; tenv = Nvmir.Prog.tenv prog } in
-  match config.Config.engine with
-  | Config.Materialized ->
-    let per_root = Trace.collect ~config ?roots dsg prog in
-    let traces = List.concat_map snd per_root in
-    let warnings =
-      List.concat_map (Rules.check_trace ctx) traces
-      |> Warning.dedup |> Warning.sort
-    in
-    note_warnings warnings;
-    let event_count =
-      List.fold_left (fun acc t -> acc + Trace.length t) 0 traces
-    in
-    (* every materialized trace is live at once *)
-    if Obs.enabled () then begin
-      Obs.Metrics.incr m_roots;
-      Obs.Metrics.set_max m_peak (List.length traces)
-    end;
-    {
-      model;
-      warnings;
-      trace_count = List.length traces;
-      event_count;
-      peak_paths = List.length traces;
-      dsg;
-    }
-  | Config.Streaming ->
-    let per_root, dsg =
-      check_roots ~config ~field_sensitive ~offset_sensitive ~persistent_roots
-        ~dsg ?roots ~model prog
-    in
-    merge_roots ~model ~dsg per_root
+  merge_roots ~model ~dsg per_root
 
 (* Mixed-model checking — lifting the limitation §4.5 states ("DeepMC
    currently does not support the scenario that part of a program uses
@@ -187,25 +150,30 @@ type mixed_result = {
   mixed_dsg : Dsa.Dsg.t;
 }
 
-let check_mixed ?(config = Config.default) ?(field_sensitive = true)
-    ?(offset_sensitive = true) ?(persistent_roots = []) ~model_of ~roots
-    (prog : Nvmir.Prog.t) : mixed_result =
+let check_mixed ?config ?(field_sensitive = true) ?(offset_sensitive = true)
+    ?(persistent_roots = []) ~model_of ~roots (prog : Nvmir.Prog.t) :
+    mixed_result =
   let dsg =
     Dsa.Dsg.build ~field_sensitive ~offset_sensitive ~persistent_roots prog
   in
-  let per_root_traces = Trace.collect ~config ~roots dsg prog in
-  let tenv = Nvmir.Prog.tenv prog in
+  (* one check per model over the shared DSG, results reassembled in
+     the caller's root order *)
+  let models = List.sort_uniq compare (List.map model_of roots) in
+  let checked =
+    List.concat_map
+      (fun model ->
+        let group =
+          List.filter (fun r -> Model.equal (model_of r) model) roots
+        in
+        fst (check_roots ?config ~dsg ~roots:group ~model prog)
+        |> List.map (fun pr -> (pr.pr_root, pr.pr_warnings)))
+      models
+  in
   let per_root =
     List.map
-      (fun (root, traces) ->
-        let model = model_of root in
-        let ctx = { Rules.model; dsg; tenv } in
-        let warnings =
-          List.concat_map (Rules.check_trace ctx) traces
-          |> Warning.dedup |> Warning.sort
-        in
-        (root, model, warnings))
-      per_root_traces
+      (fun root ->
+        (root, model_of root, Warning.sort (List.assoc root checked)))
+      roots
   in
   let mixed_warnings =
     Warning.sort

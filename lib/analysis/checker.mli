@@ -2,10 +2,8 @@
     interprocedural traces, apply the rule set for the selected model,
     and report deduplicated warnings.
 
-    [Config.engine] selects between the streaming engine (lazy path
-    enumeration checked incrementally, roots fanned out on the shared
-    domain pool; the default) and the materialized oracle. Both emit
-    identical warning sets. *)
+    Paths are enumerated lazily and checked incrementally as each one
+    completes; roots fan out on the shared domain pool. *)
 
 type result = {
   model : Model.t;
@@ -13,9 +11,8 @@ type result = {
   trace_count : int;
   event_count : int;
   peak_paths : int;
-      (** max simultaneously-live paths: equals [trace_count] under the
-          materialized engine, the live-frame high-water mark when
-          streaming *)
+      (** max simultaneously-live paths: the live-frame high-water mark
+          across roots *)
   dsg : Dsa.Dsg.t;
 }
 
@@ -55,7 +52,7 @@ val check_roots :
   model:Model.t ->
   Nvmir.Prog.t ->
   per_root list * Dsa.Dsg.t
-(** Streaming-engine check of [roots] (default: all call-graph roots),
+(** Check of [roots] (default: {!Trace.default_roots}),
     fanned out on the shared pool. [dsg] skips the DSG build when the
     caller already holds one for exactly this program. *)
 

@@ -3,39 +3,19 @@
    default); [max_paths] caps path enumeration per function so branchy
    code cannot explode trace collection. *)
 
-(* [Streaming] enumerates root paths lazily and checks each as it
-   completes — O(live paths) peak memory. [Materialized] is the original
-   collect-everything-then-check pipeline, kept as a differential oracle
-   for the streaming engine. Both produce identical warning sets. *)
-type engine = Streaming | Materialized
-
 type t = {
   loop_bound : int; (* times a back edge may be taken per path *)
   recursion_bound : int; (* times a function may appear on the call chain *)
   max_paths : int; (* paths enumerated per function *)
   expansion_fanout : int; (* callee traces spliced per call site *)
-  engine : engine; (* trace-checking engine *)
 }
 
 (* loop_bound and recursion_bound follow §4.3; the path and fan-out caps
    bound the interprocedural cross-product of merged traces, which the
    paper leaves implicit. *)
 let default =
-  {
-    loop_bound = 10;
-    recursion_bound = 5;
-    max_paths = 64;
-    expansion_fanout = 3;
-    engine = Streaming;
-  }
-
-let engine_name = function
-  | Streaming -> "streaming"
-  | Materialized -> "materialized"
+  { loop_bound = 10; recursion_bound = 5; max_paths = 64; expansion_fanout = 3 }
 
 let pp ppf t =
-  Fmt.pf ppf
-    "loop_bound=%d recursion_bound=%d max_paths=%d expansion_fanout=%d \
-     engine=%s"
+  Fmt.pf ppf "loop_bound=%d recursion_bound=%d max_paths=%d expansion_fanout=%d"
     t.loop_bound t.recursion_bound t.max_paths t.expansion_fanout
-    (engine_name t.engine)

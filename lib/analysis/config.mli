@@ -2,18 +2,12 @@
     follow §4.3; [max_paths] and [expansion_fanout] cap the
     interprocedural cross-product of merged traces. *)
 
-type engine =
-  | Streaming  (** lazy path enumeration, check as each path completes *)
-  | Materialized  (** collect every trace first (differential oracle) *)
-
 type t = {
   loop_bound : int;  (** times a back edge may be taken per path *)
   recursion_bound : int;  (** recursion unrolling depth *)
   max_paths : int;  (** paths enumerated per function *)
   expansion_fanout : int;  (** callee traces spliced per call site *)
-  engine : engine;  (** trace-checking engine (default [Streaming]) *)
 }
 
 val default : t
-val engine_name : engine -> string
 val pp : t Fmt.t

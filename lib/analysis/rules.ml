@@ -23,54 +23,6 @@ type scoped = {
   strand : int; (* enclosing strand id, -1 outside strands *)
 }
 
-let scope_trace (trace : Trace.t) : scoped list =
-  let tx_counter = ref 0 in
-  let epoch_counter = ref 0 in
-  let rec go idx tx_stack epoch unit_ strand = function
-    | [] -> []
-    | (e : Event.t) :: rest ->
-      let mk tx_stack epoch strand =
-        {
-          ev = e;
-          idx;
-          tx_depth = List.length tx_stack;
-          tx_id = (match tx_stack with [] -> -1 | t :: _ -> t);
-          tx_stack;
-          epoch;
-          unit_;
-          strand;
-        }
-      in
-      (match e.kind with
-      | Event.Tx_begin ->
-        let id = !tx_counter in
-        incr tx_counter;
-        let stack = id :: tx_stack in
-        mk stack epoch strand :: go (idx + 1) stack epoch unit_ strand rest
-      | Event.Tx_end ->
-        let popped = match tx_stack with [] -> [] | _ :: t -> t in
-        (* the Tx_end event itself belongs to the transaction it closes *)
-        mk tx_stack epoch strand :: go (idx + 1) popped epoch unit_ strand rest
-      | Event.Epoch_begin ->
-        let id = !epoch_counter in
-        incr epoch_counter;
-        mk tx_stack id strand :: go (idx + 1) tx_stack id unit_ strand rest
-      | Event.Epoch_end ->
-        mk tx_stack epoch strand :: go (idx + 1) tx_stack (-1) unit_ strand rest
-      | Event.Strand_begin n ->
-        mk tx_stack epoch n :: go (idx + 1) tx_stack epoch unit_ n rest
-      | Event.Strand_end _ ->
-        mk tx_stack epoch strand
-        :: go (idx + 1) tx_stack epoch unit_ (-1) rest
-      | Event.Fence ->
-        mk tx_stack epoch strand
-        :: go (idx + 1) tx_stack epoch (unit_ + 1) strand rest
-      | Event.Write _ | Event.Flush _ | Event.Log _ | Event.Call_mark _
-      | Event.Ret_mark _ ->
-        mk tx_stack epoch strand :: go (idx + 1) tx_stack epoch unit_ strand rest)
-  in
-  go 0 [] (-1) 0 (-1) trace
-
 let has_marked_epochs scoped =
   List.exists
     (fun s -> match s.ev.Event.kind with Event.Epoch_begin -> true | _ -> false)
@@ -766,9 +718,8 @@ let meta_of id = List.find (fun m -> m.id = id) catalog
 let applicable_rules model =
   List.filter (fun m -> List.exists (Model.equal model) m.models) catalog
 
-(* One [run_all] serves both engines ([check_trace] and
-   [Incremental.finish]), so this counter covers every rule evaluation
-   the checker performs regardless of engine. *)
+(* Every rule evaluation the checker performs goes through [run_all],
+   so this counter covers them all. *)
 let m_rules_fired =
   Obs.Metrics.counter "rules.fired"
     ~desc:"rule evaluations (one per rule per completed trace)"
@@ -940,23 +891,14 @@ let run_all ctx scoped =
   if warnings <> [] && Witness.enabled () then attach_witnesses scoped warnings
   else warnings
 
-(* Run every applicable rule over one trace. *)
-let check_trace ctx (trace : Trace.t) : Warning.t list =
-  run_all ctx (scope_trace trace)
-
 (* ------------------------------------------------------------------ *)
-(* Incremental checking (streaming engine).
+(* Incremental checking: the scoper.
 
-   The streaming trace engine feeds events into a per-path state as the
-   path is enumerated; the state is a persistent value, so forking an
-   in-flight path at a branch point is one pointer copy and siblings
-   share their common scoped prefix. When a path completes, [finish]
-   runs the rule set over its scoped events and the warnings stream out
-   — no second pass over a materialized trace.
-
-   [step] is an independent reimplementation of [scope_trace] (kept
-   deliberately separate: the Materialized/Streaming differential tests
-   cross-check the two scopings against each other). *)
+   Events are fed into a per-path state as the path is enumerated; the
+   state is a persistent value, so forking an in-flight path at a branch
+   point is one pointer copy and siblings share their common scoped
+   prefix. When a path completes, [finish] runs the rule set over its
+   scoped events. *)
 
 module Incremental = struct
   type state = {
@@ -1026,3 +968,6 @@ module Incremental = struct
   let feed st trace = List.fold_left step st trace
   let finish ctx st = run_all ctx (List.rev st.rev_scoped)
 end
+
+let scope_trace trace =
+  List.rev (Incremental.feed Incremental.start trace).rev_scoped

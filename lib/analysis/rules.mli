@@ -18,8 +18,6 @@ type scoped = {
   strand : int;  (** enclosing strand id, -1 outside strands *)
 }
 
-val scope_trace : Trace.t -> scoped list
-
 (** {1 Individual rules} — exposed for targeted testing *)
 
 val check_unflushed_write : ctx -> scoped list -> Warning.t list
@@ -44,16 +42,11 @@ val catalog : rule_meta list
 val meta_of : Warning.rule_id -> rule_meta
 val applicable_rules : Model.t -> rule_meta list
 
-val check_trace : ctx -> Trace.t -> Warning.t list
-(** Run every applicable rule over one trace. *)
-
-(** {1 Incremental checking} — the streaming engine's per-path state.
+(** {1 Incremental checking} — the scoper's per-path state.
 
     A persistent scoping state: fork an in-flight path by reusing the
-    value, share scoped prefixes structurally. Implemented independently
-    of {!scope_trace} so the engine differential also cross-checks the
-    two scopings: for any trace,
-    [finish ctx (feed start trace) = check_trace ctx trace]. *)
+    value, share scoped prefixes structurally. [finish] runs every
+    applicable rule over the path fed so far. *)
 module Incremental : sig
   type state
 
@@ -62,3 +55,6 @@ module Incremental : sig
   val feed : state -> Event.t list -> state
   val finish : ctx -> state -> Warning.t list
 end
+
+val scope_trace : Trace.t -> scoped list
+(** A whole trace's scoped events: [feed start trace], unwrapped. *)

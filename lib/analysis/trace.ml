@@ -12,22 +12,18 @@
    and [Config.expansion_fanout] callee traces per site. Call/return
    provenance markers are kept in the merged trace.
 
-   Two engines share these phases. [collect] is the original
-   materializing pipeline: every root trace exists as a list before any
-   rule runs. [stream] enumerates a root's paths lazily — the DFS is a
-   [Seq] whose suspended branch frames share their event-prefix storage,
-   and call-site expansion is a lazy cross-product over memoized callee
-   suffixes — so peak memory is O(live paths), and the checker can
-   consume (and discard) each path as it completes. Both enumerate
-   identical traces in identical order; [collect] survives as the
-   differential oracle behind [Config.Materialized]. *)
+   Both phases are demand-driven: [stream] enumerates a root's paths
+   lazily — the DFS is a [Seq] whose suspended branch frames share their
+   event-prefix storage, and call-site expansion is a lazy cross-product
+   over memoized callee suffixes — so peak memory is O(live paths), and
+   the checker consumes (and discards) each path as it completes.
+   [collect] forces the same sequences into lists. *)
 
 type t = Event.t list
 
-(* Registry instruments, shared by both engines. "Paths expanded" are
-   fully-merged root paths (what the rules consume); memo hits/misses
-   count call-site lookups against the interprocedural memo, eager and
-   lazy alike. *)
+(* Registry instruments. "Paths expanded" are fully-merged root paths
+   (what the rules consume); memo hits/misses count call-site lookups
+   against the interprocedural memo. *)
 let m_paths =
   Obs.Metrics.counter "trace.paths_expanded"
     ~desc:"fully-expanded root paths handed to the rules"
@@ -75,24 +71,15 @@ let events_of_instr dsg ~fname (i : Nvmir.Instr.t) : Event.t list =
   | Nvmir.Instr.Alloc _ | Nvmir.Instr.Addr_of _ | Nvmir.Instr.Crc_of _
   | Nvmir.Instr.Crc_check _ | Nvmir.Instr.Comment _ -> []
 
-(* First [n] elements, stopping as soon as they are found — the caller's
-   lists are capped cross-products, so scanning past [n] is wasted. *)
-let take n l =
-  let rec go n acc = function
-    | x :: rest when n > 0 -> go (n - 1) (x :: acc) rest
-    | _ -> List.rev acc
-  in
-  go n [] l
-
 (* ------------------------------------------------------------------ *)
-(* Per-block event precomputation (streaming engine).
+(* Per-block event precomputation.
 
-   The materializing walk below re-resolves every instruction through
-   the DSG once per path that crosses its block — for a function with P
-   paths over B shared blocks that is P×B resolutions of identical
-   results (resolution is idempotent after the DSG build: every operand
-   was already resolved during the local phase). The streaming engine
-   resolves each block once up front and replays the cached events.
+   Resolving every instruction through the DSG once per path that
+   crosses its block would cost P×B resolutions of identical results for
+   a function with P paths over B shared blocks (resolution is
+   idempotent after the DSG build: every operand was already resolved
+   during the local phase). Each block is resolved once up front and
+   the walk replays the cached events.
 
    Abstract addresses are hash-consed through [pool] while caching, so
    the thousands of structurally-equal addresses a hot block contributes
@@ -138,79 +125,17 @@ let precompute_block_events dsg prog : block_events =
   tables
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1, materialized: enumerate bounded paths through [func],
-   accumulating events. Paths containing persistent operations are
-   explored first when a cap cut is needed — we achieve this cheaply by
-   enumerating in CFG order and capping, which suffices for corpus-scale
-   functions. [events] (streaming prepare) substitutes the precomputed
-   per-block cache for instruction-by-instruction resolution. *)
-let collect_function ?events (config : Config.t) dsg (func : Nvmir.Func.t) :
-    t list =
-  let cfg = Graphs.Cfg.of_func func in
-  let loops = Graphs.Loops.compute cfg in
-  let fname = Nvmir.Func.name func in
-  let block_evs =
-    match events with
-    | Some (tbl : block_events) ->
-      let per_block = Hashtbl.find_opt tbl fname in
-      fun (block : Nvmir.Func.block) ->
-        Option.value ~default:[]
-          (Option.bind per_block (fun t -> Hashtbl.find_opt t block.label))
-    | None ->
-      fun block ->
-        List.concat_map (events_of_instr dsg ~fname) block.Nvmir.Func.instrs
-  in
-  let traces = ref [] in
-  let count = ref 0 in
-  (* per-(back-)edge traversal counts for the path being walked; the
-     count is undone after each branch returns, so sibling paths see
-     the state their common prefix established — the same per-path
-     semantics the old immutable assoc list gave, without its O(edges)
-     lookups *)
-  let edge_counts : (string * string, int) Hashtbl.t = Hashtbl.create 8 in
-  let rec walk label acc =
-    if !count >= config.max_paths then ()
-    else
-      match Graphs.Cfg.block cfg label with
-      | None -> ()
-      | Some block ->
-        let acc = List.rev_append (block_evs block) acc in
-        let follow target =
-          if Graphs.Loops.is_back_edge loops ~source:label ~target then begin
-            let key = (label, target) in
-            let taken = Option.value ~default:0 (Hashtbl.find_opt edge_counts key) in
-            if taken < config.loop_bound then begin
-              Hashtbl.replace edge_counts key (taken + 1);
-              walk target acc;
-              Hashtbl.replace edge_counts key taken
-            end
-          end
-          else walk target acc
-        in
-        (match block.term with
-        | Nvmir.Func.Ret _ ->
-          if !count < config.max_paths then begin
-            incr count;
-            traces := List.rev acc :: !traces
-          end
-        | Nvmir.Func.Br l -> follow l
-        | Nvmir.Func.Cond_br { then_lbl; else_lbl; _ } ->
-          follow then_lbl;
-          follow else_lbl)
-  in
-  walk (Graphs.Cfg.entry cfg) [];
-  List.rev !traces
+(* Phase 1: enumerate bounded paths through a function's CFG, on demand.
 
-(* ------------------------------------------------------------------ *)
-(* Phase 1, streaming: the same DFS as [collect_function], demand-driven.
-
-   The explicit frame stack replaces the recursion; pushing the else
-   frame below the then frame reproduces the recursive order (the whole
-   then subtree completes before the else branch starts). Suspended
-   frames keep their event accumulator as a shared-tail list, so N live
+   The DFS runs over an explicit frame stack; pushing the else frame
+   below the then frame gives the recursive order (the whole then
+   subtree completes before the else branch starts). Suspended frames
+   keep their event accumulator as a shared-tail list, so N live
    branches off one prefix store the prefix once. [stats] observes the
-   high-water mark of live frames — the O(live paths) the engine holds
-   instead of the O(all paths) the materialized engine does. *)
+   high-water mark of live frames — the O(live paths) a root holds
+   instead of O(all paths). The [max_paths] cap is applied by the
+   consumer, after call-site expansion (every path expands to at least
+   one trace, so capping there equals capping here). *)
 
 type stats = {
   mutable peak_live : int;  (* max simultaneously-live path frames *)
@@ -229,21 +154,14 @@ type frame = {
   fr_edges : ((string * string) * int) list;
 }
 
-let stream_function ?events (config : Config.t) dsg ~stats (func : Nvmir.Func.t)
-    : t Seq.t =
+let stream_function (events : block_events) (config : Config.t) ~stats
+    (func : Nvmir.Func.t) : t Seq.t =
   let cfg = Graphs.Cfg.of_func func in
   let loops = Graphs.Loops.compute cfg in
-  let fname = Nvmir.Func.name func in
-  let block_evs =
-    match events with
-    | Some (tbl : block_events) ->
-      let per_block = Hashtbl.find_opt tbl fname in
-      fun (block : Nvmir.Func.block) ->
-        Option.value ~default:[]
-          (Option.bind per_block (fun t -> Hashtbl.find_opt t block.label))
-    | None ->
-      fun block ->
-        List.concat_map (events_of_instr dsg ~fname) block.Nvmir.Func.instrs
+  let per_block = Hashtbl.find_opt events (Nvmir.Func.name func) in
+  let block_evs (block : Nvmir.Func.block) =
+    Option.value ~default:[]
+      (Option.bind per_block (fun t -> Hashtbl.find_opt t block.label))
   in
   let note_live depth = if depth > stats.peak_live then stats.peak_live <- depth in
   (* [depth] tracks the stack length so the high-water mark costs O(1)
@@ -287,8 +205,7 @@ let stream_function ?events (config : Config.t) dsg ~stats (func : Nvmir.Func.t)
           let stack, depth = follow l (stack, depth) in
           next stack depth ()
         | Nvmir.Func.Cond_br { then_lbl; else_lbl; _ } ->
-          (* else below then: then's subtree drains first, as in the
-             recursive walk *)
+          (* else below then: then's subtree drains first *)
           let stack, depth =
             follow then_lbl (follow else_lbl (stack, depth))
           in
@@ -300,48 +217,15 @@ let stream_function ?events (config : Config.t) dsg ~stats (func : Nvmir.Func.t)
 (* ------------------------------------------------------------------ *)
 (* Phase 2: splice callee traces into caller traces at call sites.
 
-   Expansion is memoized bottom-up over the call graph (callees first,
-   the Figure 11 merge order), so each function's merged traces are
-   computed once. Call marks whose callee expansion is not yet available
-   — the back edges of recursive cycles — stay unexpanded; functions in
-   cyclic SCCs are then re-expanded [Config.recursion_bound] times, each
-   pass splicing the previous pass's results, which bounds recursion
-   unrolling exactly like §4.3 describes. *)
-
-let expand_with (config : Config.t) ~memo (trace : t) : t list =
-  (* the path cap is applied at every combination point — the
-     cross-product of call-site expansions would otherwise materialize
-     exponentially many traces before any cap could trim them *)
-  let cap = config.max_paths in
-  let rec expand_trace trace =
-    match trace with
-    | [] -> [ [] ]
-    | ({ Event.kind = Event.Call_mark callee; fname; loc } as ev) :: rest -> (
-      let rests = take cap (expand_trace rest) in
-      match Hashtbl.find_opt memo callee with
-      | Some callee_traces when callee_traces <> [] ->
-        Obs.Metrics.incr m_memo_hits;
-        let callee_traces = take config.expansion_fanout callee_traces in
-        take cap
-          (List.concat_map
-             (fun ct ->
-               List.map
-                 (fun r ->
-                   (ev :: ct)
-                   @ (Event.make ~fname ~loc (Event.Ret_mark callee) :: r))
-                 rests)
-             callee_traces)
-      | Some _ | None ->
-        Obs.Metrics.incr m_memo_misses;
-        List.map (fun r -> ev :: r) rests)
-    | ev :: rest -> List.map (fun r -> ev :: r) (expand_trace rest)
-  in
-  take cap (expand_trace trace)
-
-(* The lazy mirror of [expand_with]: the same caps at the same points,
-   the same callee-major enumeration order, but callee trace sets come
-   from a [lookup] returning re-traversable sequences forced on demand —
-   a spliced trace exists only while the consumer looks at it. *)
+   Each call mark is replaced by the cross-product of (at most
+   [expansion_fanout]) callee traces with the expansions of the rest of
+   the trace, callee-major, each spliced between the call mark and a
+   matching return mark. The [max_paths] cap is applied at every
+   combination point, so the cross-product never grows past it. Callee
+   trace sets come from a [lookup] returning re-traversable sequences
+   forced on demand — a spliced trace exists only while the consumer
+   looks at it. A call whose callee has no traces (undefined, or a
+   recursive cycle's not-yet-built entry) keeps its bare call mark. *)
 let expand_lookup (config : Config.t) ~lookup (trace : t) : t Seq.t =
   let cap = config.max_paths in
   let rec expand trace : t Seq.t =
@@ -367,24 +251,22 @@ let expand_lookup (config : Config.t) ~lookup (trace : t) : t Seq.t =
   Seq.take cap (expand trace)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy memo (streaming engine).
+(* The interprocedural memo.
 
-   The eager memo above materializes up to [max_paths] merged traces for
-   EVERY function, yet a caller splices only [expansion_fanout] of them
-   per call site — most of that work is computed and then never read.
-   The lazy memo gives each function a memoized [Seq] instead: forcing a
-   caller's traces forces just the demanded prefix of each callee's.
+   Each function's merged traces are a memoized [Seq]: a caller splices
+   only [expansion_fanout] of a callee's traces per call site, so
+   forcing a caller forces just the demanded prefix of each callee's.
 
-   Cyclic SCCs keep the eager treatment (their bounded re-expansion
-   passes need the previous pass materialized). Two snapshots preserve
-   the eager engine's exact view:
+   Functions in recursive SCCs are materialized instead, which bounds
+   recursion unrolling as §4.3 describes. Pass 1 expands them in
+   call-graph postorder (callees first, the Figure 11 merge order), each
+   splicing the pass-1 entries built so far — a cycle's back edge finds
+   no entry and keeps its call mark. Passes 2..[recursion_bound] then
+   re-expand every cyclic function from the previous pass's table:
 
-   - [lz_cyclic] is the first-pass (postorder) expansion of the cyclic
-     functions. Acyclic consumers splice THIS — in the eager build their
-     entries were materialized during the postorder pass, before any
-     re-expansion replaced a cyclic entry.
-   - the re-expansion passes themselves read the current cyclic table
-     ([materialize]'s [cur]), as the eager loop does.
+   - [lz_cyclic] is the pass-1 table. Acyclic consumers splice THIS.
+   - the re-expansion passes read the current cyclic table
+     ([materialize]'s [cur]); a cyclic root reads the last pass.
 
    [lz_seqs] holds suspended computation, so a [lazy_memo] must stay
    confined to one domain; the tables it shares ([lz_intra],
@@ -409,9 +291,9 @@ let rec lazy_entry lm name : t Seq.t option =
       Obs.Metrics.incr m_memo_hits;
       Some (List.to_seq ts)
     | None when Hashtbl.mem lm.lz_cyc_set name ->
-      (* cyclic entry not built yet (later in the postorder pass): the
-         eager build would find no memo entry and keep the call mark —
-         expanding lazily here would recurse through the cycle forever *)
+      (* cyclic entry not built yet (later in the postorder pass): keep
+         the call mark — expanding lazily here would recurse through the
+         cycle forever *)
       Obs.Metrics.incr m_memo_misses;
       None
     | None -> (
@@ -443,18 +325,18 @@ let cyclic_funcs cg =
 (* Intra traces for everything but [skip], plus the materialized cyclic
    tables: [cyclic_pass1] (what acyclic consumers splice) and
    [cyclic_cur] (the bounded-unrolling fixpoint, what a cyclic root
-   reads). Mirrors [build_memo]'s postorder pass and re-expansion loop
-   restricted to the cyclic functions — the only ones whose entries the
-   eager build ever overwrites. *)
-let build_lazy ?events (config : Config.t) dsg prog ~skip =
+   reads). *)
+let build_lazy events (config : Config.t) prog cg ~skip =
   let intra = Hashtbl.create 64 in
   List.iter
     (fun f ->
       let fname = Nvmir.Func.name f in
       if not (List.mem fname skip) then
-        Hashtbl.replace intra fname (collect_function ?events config dsg f))
+        Hashtbl.replace intra fname
+          (List.of_seq
+             (Seq.take config.max_paths
+                (stream_function events config ~stats:(fresh_stats ()) f))))
     (Nvmir.Prog.funcs prog);
-  let cg = Graphs.Callgraph.of_prog prog in
   let cyclic = cyclic_funcs cg in
   let cyc_set : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun f -> Hashtbl.replace cyc_set f ()) cyclic;
@@ -495,47 +377,7 @@ let build_lazy ?events (config : Config.t) dsg prog ~skip =
             Hashtbl.replace cyclic_cur fname (materialize cyclic_cur fname))
         cyclic
     done;
-  (cg, intra, cyclic_pass1, cyclic_cur, cyc_set)
-
-(* Shared phase-2 driver: intra-procedural traces for the functions in
-   [skip_intra]'s complement, then bottom-up memoized expansion for
-   everything not in [skip_memo]. *)
-let build_memo ?events (config : Config.t) dsg prog ~skip =
-  let intra = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let fname = Nvmir.Func.name f in
-      if not (List.mem fname skip) then
-        Hashtbl.replace intra fname (collect_function ?events config dsg f))
-    (Nvmir.Prog.funcs prog);
-  let cg = Graphs.Callgraph.of_prog prog in
-  let memo : (string, t list) Hashtbl.t = Hashtbl.create 64 in
-  let expand_function fname =
-    let own = Option.value ~default:[] (Hashtbl.find_opt intra fname) in
-    List.concat_map (expand_with config ~memo) own
-    |> take config.max_paths
-  in
-  List.iter
-    (fun fname ->
-      if not (List.mem fname skip) then
-        Hashtbl.replace memo fname (expand_function fname))
-    (Graphs.Callgraph.postorder cg);
-  (* bounded unrolling for recursive components *)
-  let cyclic =
-    List.concat_map
-      (fun scc ->
-        match scc with
-        | [ f ] when not (List.mem f (Graphs.Callgraph.callees cg f)) -> []
-        | fs -> fs)
-      (Graphs.Callgraph.sccs cg)
-  in
-  if cyclic <> [] then
-    for _ = 2 to config.recursion_bound do
-      List.iter
-        (fun fname -> Hashtbl.replace memo fname (expand_function fname))
-        cyclic
-    done;
-  (cg, memo, cyclic)
+  (intra, cyclic_pass1, cyclic_cur, cyc_set)
 
 let resolve_roots ~roots cg prog =
   match roots with
@@ -545,23 +387,10 @@ let resolve_roots ~roots cg prog =
     | [] -> Nvmir.Prog.func_names prog
     | rs -> rs)
 
-(* The root list a rootless [collect]/[stream] would enumerate, in that
+(* The root list a rootless [stream] would enumerate, in that
    same order — the serve cache keys its per-root entries off this. *)
 let default_roots prog =
   resolve_roots ~roots:None (Graphs.Callgraph.of_prog prog) prog
-
-(* Collect fully expanded traces for the given root functions (defaults
-   to the call-graph roots: functions never called from the program). *)
-let collect ?(config = Config.default) ?roots dsg prog :
-    (string * t list) list =
-  let cg, memo, _ = build_memo config dsg prog ~skip:[] in
-  let roots = resolve_roots ~roots cg prog in
-  List.map
-    (fun r ->
-      let ts = Option.value ~default:[] (Hashtbl.find_opt memo r) in
-      if Obs.enabled () then Obs.Metrics.add m_paths (List.length ts);
-      (r, ts))
-    roots
 
 (* ------------------------------------------------------------------ *)
 (* Streaming entry point: one lazy trace sequence per root.
@@ -580,6 +409,10 @@ let collect ?(config = Config.default) ?roots dsg prog :
 
 type source = { root : string; s_stats : stats; traces : t Seq.t }
 
+(* Number of non-marker events. *)
+let length trace =
+  List.fold_left (fun n e -> if Event.is_marker e then n else n + 1) 0 trace
+
 let stream ?(config = Config.default) ?roots dsg prog : source list =
   let events = precompute_block_events dsg prog in
   let cg = Graphs.Callgraph.of_prog prog in
@@ -588,8 +421,8 @@ let stream ?(config = Config.default) ?roots dsg prog : source list =
   let cyclic = cyclic_funcs cg in
   let streamable r = List.mem r never_called && not (List.mem r cyclic) in
   let streamed = List.filter streamable requested in
-  let _, intra, cyclic_pass1, cyclic_cur, cyc_set =
-    build_lazy ~events config dsg prog ~skip:streamed
+  let intra, cyclic_pass1, cyclic_cur, cyc_set =
+    build_lazy events config prog cg ~skip:streamed
   in
   let funcs = Nvmir.Prog.funcs prog in
   List.map
@@ -598,11 +431,7 @@ let stream ?(config = Config.default) ?roots dsg prog : source list =
       let count tr =
         Obs.Metrics.incr m_paths;
         s_stats.paths <- s_stats.paths + 1;
-        s_stats.events <-
-          s_stats.events
-          + List.fold_left
-              (fun n e -> if Event.is_marker e then n else n + 1)
-              0 tr;
+        s_stats.events <- s_stats.events + length tr;
         tr
       in
       (* one consumer per root: [lz_seqs] holds suspended state, so
@@ -624,7 +453,7 @@ let stream ?(config = Config.default) ?roots dsg prog : source list =
             Seq.map count
               (Seq.take config.max_paths
                  (Seq.concat_map (expand_lazy lm)
-                    (stream_function ~events config dsg ~stats:s_stats f)))
+                    (stream_function events config ~stats:s_stats f)))
         else if Hashtbl.mem cyc_set r then begin
           (* a recursive root needs its bounded-unrolling fixpoint,
              materialized during prepare *)
@@ -646,10 +475,13 @@ let stream ?(config = Config.default) ?roots dsg prog : source list =
       { root = r; s_stats; traces })
     requested
 
+(* Every root's traces, forced into lists. *)
+let collect ?config ?roots dsg prog : (string * t list) list =
+  List.map
+    (fun src -> (src.root, List.of_seq src.traces))
+    (stream ?config ?roots dsg prog)
+
 let pp ppf (trace : t) =
   Fmt.pf ppf "@[<v 2>trace (%d events)@ %a@]" (List.length trace)
     Fmt.(list ~sep:(any "@ ") Event.pp)
     trace
-
-(* Number of non-marker events; used by bench reporting. *)
-let length trace = List.length (List.filter (fun e -> not (Event.is_marker e)) trace)

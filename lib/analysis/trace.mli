@@ -1,8 +1,7 @@
 (** Trace collection (§4.3): bounded depth-first path enumeration per
-    function, then memoized bottom-up splicing of callee traces into
-    callers at call sites (Figure 11). [collect] materializes every
-    trace (the differential oracle); [stream] enumerates a root's paths
-    lazily with O(live paths) peak memory. *)
+    function, then memoized splicing of callee traces into callers at
+    call sites (Figure 11). [stream] enumerates a root's paths lazily
+    with O(live paths) peak memory; [collect] forces them into lists. *)
 
 type t = Event.t list
 
@@ -10,35 +9,10 @@ val events_of_instr : Dsa.Dsg.t -> fname:string -> Nvmir.Instr.t -> Event.t list
 (** The events one instruction contributes; writes and flushes the DSG
     proves volatile contribute nothing. *)
 
-type block_events
-(** Per-(function, block) cache of resolved events with hash-consed
-    abstract addresses: each block is resolved through the DSG once
-    instead of once per path crossing it. *)
-
-val precompute_block_events : Dsa.Dsg.t -> Nvmir.Prog.t -> block_events
-
-val collect_function :
-  ?events:block_events -> Config.t -> Dsa.Dsg.t -> Nvmir.Func.t -> t list
-(** Phase 1: intra-procedural traces, with unexpanded call marks.
-    [events] substitutes the precomputed per-block cache for
-    instruction-by-instruction resolution. *)
-
-val collect :
-  ?config:Config.t ->
-  ?roots:string list ->
-  Dsa.Dsg.t ->
-  Nvmir.Prog.t ->
-  (string * t list) list
-(** Fully-expanded traces per root, all materialized. [roots] defaults
-    to the call-graph roots (functions never called within the
-    program). *)
-
 val default_roots : Nvmir.Prog.t -> string list
-(** The roots a rootless {!collect}/{!stream} enumerates, in the same
-    order: call-graph roots, or every function when all are called.
+(** The roots a rootless {!stream} enumerates, in the same order:
+    call-graph roots, or every function when all are called.
     Incremental callers use this to key per-root cache entries. *)
-
-(** {1 Streaming engine} *)
 
 type stats = {
   mutable peak_live : int;
@@ -59,13 +33,21 @@ val stream :
   Dsa.Dsg.t ->
   Nvmir.Prog.t ->
   source list
-(** One lazy trace sequence per root, enumerating exactly the traces
-    {!collect} returns, in the same order. All DSG resolution happens
-    before this returns; forcing the sequences only reads shared state,
-    so distinct roots may be consumed from distinct domains (compress
-    the arena first — see {!Dsa.Arena.compress}). Each sequence is
+(** One lazy trace sequence per root; [roots] defaults to
+    {!default_roots}. All DSG resolution happens before this returns;
+    forcing the sequences only reads shared state, so distinct roots may
+    be consumed from distinct domains (compress the arena first — see
+    {!Dsa.Arena.compress}). Each sequence is
     single-shot per domain: it shares memoized suffixes internally but
     the intra-procedural walk restarts if re-forced from the head. *)
+
+val collect :
+  ?config:Config.t ->
+  ?roots:string list ->
+  Dsa.Dsg.t ->
+  Nvmir.Prog.t ->
+  (string * t list) list
+(** {!stream}, every root's sequence forced into a list. *)
 
 val pp : t Fmt.t
 

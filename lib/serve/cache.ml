@@ -61,11 +61,10 @@ let default_params ?(config = Analysis.Config.default)
 (* Canonical parameter signature folded into every cache key: anything
    that can change the checker's output must appear here. *)
 let params_sig p =
-  Fmt.str "%s|%d,%d,%d,%d,%s|%b|%a"
+  Fmt.str "%s|%d,%d,%d,%d|%b|%a"
     (Analysis.Model.to_string p.model)
     p.config.Analysis.Config.loop_bound p.config.Analysis.Config.recursion_bound
     p.config.Analysis.Config.max_paths p.config.Analysis.Config.expansion_fanout
-    (Analysis.Config.engine_name p.config.Analysis.Config.engine)
     p.field_sensitive
     Fmt.(list ~sep:(any ";") (pair ~sep:(any ".") string string))
     (List.sort compare p.persistent_roots)
@@ -116,9 +115,8 @@ type slot = {
 }
 
 type t = {
-  requests : (string, summary * cache_level ref) Hashtbl.t;
-      (* level A: text+params digest -> stored summary. The level ref
-         remembers how the stored run was produced, for reporting. *)
+  requests : (string, summary) Hashtbl.t;
+      (* level A: text+params digest -> stored summary *)
   slots : (string, slot) Hashtbl.t; (* level B: name+params -> slot *)
   max_requests : int; (* level-A bound; reset wholesale past it *)
 }
@@ -141,9 +139,8 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
   let psig = params_sig params in
   let rkey = request_key ~psig text in
   match Hashtbl.find_opt t.requests rkey with
-  | Some (summary, stored_level) ->
+  | Some summary ->
     Obs.Metrics.incr m_hits;
-    ignore stored_level;
     Ok { summary; level = Hit; invalidated = []; stale = []; reused = [] }
   | None -> (
     Obs.Metrics.incr m_misses;
@@ -228,7 +225,7 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
         in
         if Hashtbl.length t.requests >= t.max_requests then
           Hashtbl.reset t.requests;
-        Hashtbl.replace t.requests rkey (summary, ref level);
+        Hashtbl.replace t.requests rkey summary;
         Ok
           {
             summary;

@@ -111,31 +111,17 @@ let test_disabled_allocates_nothing () =
   check Alcotest.bool "empty snapshot" true (Obs.Metrics.snapshot () = []);
   check Alcotest.bool "no span events" true (Obs.Span.events () = [])
 
-(* Telemetry must be observationally inert: both engines report
+(* Telemetry must be observationally inert: the checker reports
    byte-identical warnings whether it is on or off. *)
-let test_engines_invariant_under_telemetry () =
+let test_checker_invariant_under_telemetry () =
   let prog, model, roots = corpus_prog () in
-  let warnings engine =
-    let config = { Analysis.Config.default with Analysis.Config.engine } in
-    let r = Analysis.Checker.check ~config ~roots ~model prog in
+  let warnings () =
+    let r = Analysis.Checker.check ~roots ~model prog in
     List.map (Fmt.str "%a" Analysis.Warning.pp) r.Analysis.Checker.warnings
   in
-  let run enabled engine =
-    if enabled then with_telemetry (fun () -> warnings engine)
-    else warnings engine
-  in
-  List.iter
-    (fun engine ->
-      check
-        Alcotest.(list string)
-        "telemetry on = off"
-        (run false engine) (run true engine))
-    [ Analysis.Config.Materialized; Analysis.Config.Streaming ];
   check
     Alcotest.(list string)
-    "engines agree under telemetry"
-    (with_telemetry (fun () -> warnings Analysis.Config.Materialized))
-    (with_telemetry (fun () -> warnings Analysis.Config.Streaming))
+    "telemetry on = off" (warnings ()) (with_telemetry warnings)
 
 (* ------------------------------------------------------------------ *)
 (* Pool worker stats *)
@@ -368,8 +354,8 @@ let suite =
     tc "registry basics" `Quick test_registry_basics;
     tc "catalog registration" `Quick test_catalog_registration;
     tc "disabled path allocates nothing" `Quick test_disabled_allocates_nothing;
-    tc "engines invariant under telemetry" `Quick
-      test_engines_invariant_under_telemetry;
+    tc "checker invariant under telemetry" `Quick
+      test_checker_invariant_under_telemetry;
     tc "pool worker stats" `Quick test_pool_worker_stats;
     test_qcheck_concurrent_spans;
     tc "blind-spot corpus round-trip" `Quick test_blind_spot_corpus_roundtrip;

@@ -1,133 +1,185 @@
-(* Streaming-engine differential tests: the lazy trace engine and the
-   incremental rule machine must be observationally identical to the
-   materialized oracle — same traces, same order, same deduplicated
-   warning sets — plus behavioural tests for the persistent domain
-   pool. *)
+(* Reference differential tests: the streaming trace engine must
+   enumerate exactly the traces of the naive enumerator in [Ref_trace] —
+   same traces, same order — and the checker must report exactly the
+   warnings the rules give over those traces; plus behavioural tests
+   for the persistent domain pool. *)
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
-let engine_config engine = { Analysis.Config.default with engine }
+let warning_strings ws = List.map (Fmt.str "%a" Analysis.Warning.pp) ws
 
-let check_with engine ~roots ~model prog =
-  Analysis.Checker.check ~config:(engine_config engine) ~roots ~model prog
+let streamed ?config prog roots =
+  List.map
+    (fun (src : Analysis.Trace.source) ->
+      (src.Analysis.Trace.root, List.of_seq src.Analysis.Trace.traces))
+    (Analysis.Trace.stream ?config ~roots (Dsa.Dsg.build prog) prog)
 
-let warning_strings (r : Analysis.Checker.result) =
-  List.map (Fmt.str "%a" Analysis.Warning.pp) r.Analysis.Checker.warnings
+(* The checker's warnings, recomputed the plain way: every rule over
+   every reference trace, root by root, deduplicated and sorted. *)
+let reference_warnings ~model prog per_root =
+  let ctx =
+    { Analysis.Rules.model; dsg = Dsa.Dsg.build prog; tenv = Nvmir.Prog.tenv prog }
+  in
+  List.concat_map
+    (fun (_, ts) ->
+      List.concat_map
+        (fun t ->
+          Analysis.Rules.Incremental.(finish ctx (feed start t)))
+        ts)
+    per_root
+  |> Analysis.Warning.dedup |> Analysis.Warning.sort
 
-(* Warnings of both engines, rendered, for every corpus program. *)
-let test_corpus_warning_sets () =
-  List.iter
+(* Stream = reference on [roots], trace for trace; then the checker's
+   warnings and counts match the reference's under [models]. *)
+let agrees ?(config = Analysis.Config.default) ~models prog roots =
+  let reference =
+    Ref_trace.collect ~config (Dsa.Dsg.build prog) prog roots
+  in
+  reference = streamed ~config prog roots
+  && List.for_all
+       (fun model ->
+         let r = Analysis.Checker.check ~config ~roots ~model prog in
+         let traces = List.concat_map snd reference in
+         warning_strings r.Analysis.Checker.warnings
+         = warning_strings (reference_warnings ~model prog reference)
+         && r.Analysis.Checker.trace_count = List.length traces
+         && r.Analysis.Checker.event_count
+            = List.fold_left (fun n t -> n + Analysis.Trace.length t) 0 traces)
+       models
+
+(* Every corpus function whose call graph is acyclic, as a root: the
+   scenario drivers, and the callees the memo serves to them. *)
+let corpus_acyclic () =
+  List.filter_map
     (fun (p : Corpus.Types.program) ->
       let prog = Corpus.Types.parse p in
+      match Ref_trace.acyclic_roots prog (Nvmir.Prog.func_names prog) with
+      | [] -> None
+      | roots -> Some (p, prog, roots))
+    Corpus.Registry.all
+
+(* Warnings and counts on every acyclic corpus root. *)
+let test_corpus_warning_sets () =
+  let programs = corpus_acyclic () in
+  if programs = [] then Alcotest.fail "no acyclic corpus root";
+  List.iter
+    (fun ((p : Corpus.Types.program), prog, roots) ->
       let model = Corpus.Types.model p in
-      let roots = p.Corpus.Types.roots in
-      let s = check_with Analysis.Config.Streaming ~roots ~model prog in
-      let m = check_with Analysis.Config.Materialized ~roots ~model prog in
+      let r = Analysis.Checker.check ~roots ~model prog in
+      let reference = Ref_trace.collect (Dsa.Dsg.build prog) prog roots in
+      let traces = List.concat_map snd reference in
       check
         Alcotest.(list string)
         (p.Corpus.Types.name ^ " warning set")
-        (warning_strings m) (warning_strings s);
+        (warning_strings (reference_warnings ~model prog reference))
+        (warning_strings r.Analysis.Checker.warnings);
       check Alcotest.int
         (p.Corpus.Types.name ^ " trace count")
-        m.Analysis.Checker.trace_count s.Analysis.Checker.trace_count;
+        (List.length traces) r.Analysis.Checker.trace_count;
       check Alcotest.int
         (p.Corpus.Types.name ^ " event count")
-        m.Analysis.Checker.event_count s.Analysis.Checker.event_count)
-    Corpus.Registry.all
+        (List.fold_left (fun n t -> n + Analysis.Trace.length t) 0 traces)
+        r.Analysis.Checker.event_count)
+    programs
 
-(* Trace-level equality: [Trace.stream] must enumerate exactly the
-   traces [Trace.collect] materializes, in the same order. *)
+(* Trace-level equality on every acyclic corpus root. *)
 let test_corpus_trace_streams () =
   List.iter
-    (fun (p : Corpus.Types.program) ->
-      let prog = Corpus.Types.parse p in
-      let roots = p.Corpus.Types.roots in
-      let dsg = Dsa.Dsg.build prog in
-      let collected = Analysis.Trace.collect ~roots dsg prog in
-      let dsg' = Dsa.Dsg.build prog in
-      let sources = Analysis.Trace.stream ~roots dsg' prog in
+    (fun ((p : Corpus.Types.program), prog, roots) ->
+      let reference = Ref_trace.collect (Dsa.Dsg.build prog) prog roots in
       List.iter2
-        (fun (root, traces) (src : Analysis.Trace.source) ->
-          check Alcotest.string "root order" root src.Analysis.Trace.root;
-          let streamed = List.of_seq src.Analysis.Trace.traces in
-          check Alcotest.bool
-            (p.Corpus.Types.name ^ "/" ^ root ^ " identical traces")
-            true (collected = [] || traces = streamed);
-          if traces <> streamed then
-            Alcotest.failf "%s/%s: %d materialized vs %d streamed traces"
-              p.Corpus.Types.name root (List.length traces)
-              (List.length streamed))
-        collected sources)
-    Corpus.Registry.all
+        (fun (root, expected) (root', got) ->
+          check Alcotest.string "root order" root root';
+          if expected <> got then
+            Alcotest.failf "%s/%s: %d reference vs %d streamed traces"
+              p.Corpus.Types.name root (List.length expected)
+              (List.length got))
+        reference (streamed prog roots))
+    (corpus_acyclic ())
 
-(* The incremental scoping machine agrees with [scope_trace]-based
-   checking on every corpus trace. *)
+(* The scoping state is persistent: feeding a shared prefix once and
+   forking it into two sibling suffixes gives each sibling the warnings
+   of feeding its whole path from the start. *)
 let test_incremental_rules_agree () =
+  let rec split_common a b =
+    match (a, b) with
+    | x :: a', y :: b' when x = y ->
+      let prefix, a, b = split_common a' b' in
+      (x :: prefix, a, b)
+    | _ -> ([], a, b)
+  in
   List.iter
-    (fun (p : Corpus.Types.program) ->
-      let prog = Corpus.Types.parse p in
-      let dsg = Dsa.Dsg.build prog in
+    (fun ((p : Corpus.Types.program), prog, roots) ->
       let ctx =
         {
           Analysis.Rules.model = Corpus.Types.model p;
-          dsg;
+          dsg = Dsa.Dsg.build prog;
           tenv = Nvmir.Prog.tenv prog;
         }
       in
+      let open Analysis.Rules.Incremental in
+      let rendered st = warning_strings (finish ctx st) in
       List.iter
         (fun (_, traces) ->
-          List.iter
-            (fun t ->
-              let direct = Analysis.Rules.check_trace ctx t in
-              let inc =
-                Analysis.Rules.Incremental.(feed start t |> finish ctx)
-              in
+          List.iteri
+            (fun i t ->
+              (* fork against the previous sibling *)
+              let sib = if i = 0 then t else List.nth traces (i - 1) in
+              let prefix, rest, sib_rest = split_common t sib in
+              let shared = feed start prefix in
+              let whole = feed start t in
               check
                 Alcotest.(list string)
-                (p.Corpus.Types.name ^ " incremental rules")
-                (List.map (Fmt.str "%a" Analysis.Warning.pp) direct)
-                (List.map (Fmt.str "%a" Analysis.Warning.pp) inc))
+                (p.Corpus.Types.name ^ " forked path")
+                (rendered whole) (rendered (feed shared rest));
+              check
+                Alcotest.(list string)
+                (p.Corpus.Types.name ^ " forked sibling")
+                (rendered (feed start sib)) (rendered (feed shared sib_rest)))
             traces)
-        (Analysis.Trace.collect ~roots:p.Corpus.Types.roots dsg prog))
-    Corpus.Registry.all
+        (Ref_trace.collect (Dsa.Dsg.build prog) prog roots))
+    (corpus_acyclic ())
 
-(* QCheck property: on generated programs of varying shape, both engines
-   emit the same deduplicated warning set under all three models. *)
-let test_qcheck_engine_equivalence =
-  let gen =
-    QCheck.make
-      ~print:(fun (seed, nfuncs, buggy) ->
-        Printf.sprintf "seed=%d nfuncs=%d buggy=%d%%" seed nfuncs buggy)
-      QCheck.Gen.(
-        triple (int_bound 1000) (int_range 2 40) (int_bound 100))
+let synth_gen ~nfuncs =
+  QCheck.make
+    ~print:(fun (seed, nfuncs, buggy) ->
+      Printf.sprintf "seed=%d nfuncs=%d buggy=%d%%" seed nfuncs buggy)
+    QCheck.Gen.(triple (int_bound 1000) nfuncs (int_bound 100))
+
+let synth_agrees ?config ~models (seed, nfuncs, buggy_fraction_pct) =
+  let cfg =
+    { Corpus.Synth.default_config with seed; nfuncs; buggy_fraction_pct }
+  in
+  let prog, _ = Corpus.Synth.generate cfg in
+  agrees ?config ~models prog (Nvmir.Prog.func_names prog)
+
+(* QCheck: on generated programs of varying shape, with every function
+   as a root (the never-called [main] streams; the rest come from the
+   memo), the stream equals the reference and the checker's warnings
+   equal the rules over the reference traces. [main] calls every
+   driver, so its thousands-of-events paths reach the default path cap;
+   one model keeps the rules' share of the time small. *)
+let test_qcheck_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:12 ~name:"stream = reference (synth)"
+       (synth_gen ~nfuncs:(QCheck.Gen.int_range 2 12))
+       (synth_agrees ~models:[ Analysis.Model.Strict ]))
+
+(* The same with caps small enough to fire on most workers and drivers:
+   a worker with a branch and two helper calls already has more than 4
+   merged paths. *)
+let test_qcheck_reference_small_caps =
+  let config =
+    { Analysis.Config.default with max_paths = 4; expansion_fanout = 2 }
   in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:12 ~name:"streaming = materialized (synth)" gen
-       (fun (seed, nfuncs, buggy_fraction_pct) ->
-         let cfg =
-           {
-             Corpus.Synth.default_config with
-             seed;
-             nfuncs;
-             buggy_fraction_pct;
-           }
-         in
-         let prog, _ = Corpus.Synth.generate cfg in
-         let roots = Corpus.Synth.roots cfg in
-         List.for_all
-           (fun model ->
-             let s = check_with Analysis.Config.Streaming ~roots ~model prog in
-             let m =
-               check_with Analysis.Config.Materialized ~roots ~model prog
-             in
-             warning_strings s = warning_strings m
-             && s.Analysis.Checker.event_count
-                = m.Analysis.Checker.event_count)
-           Analysis.Model.all))
+    (QCheck.Test.make ~count:12 ~name:"stream = reference, small caps (synth)"
+       (synth_gen ~nfuncs:(QCheck.Gen.int_range 4 20))
+       (synth_agrees ~config ~models:[ Analysis.Model.Strict ]))
 
-(* Streaming peak-live-paths is genuinely smaller than the materialized
-   trace count on a branchy program (the engine's reason to exist). *)
+(* Streaming holds fewer live paths than it checks on a branchy
+   program (the engine's reason to exist). *)
 let branchy_source =
   String.concat "\n"
     ([ "struct s { a: int, b: int, c: int, d: int, e: int, f: int }";
@@ -153,21 +205,13 @@ let branchy_source =
 
 let test_streaming_peak_paths () =
   let prog = Nvmir.Parser.parse branchy_source in
-  let model = Analysis.Model.Strict in
-  let s = check_with Analysis.Config.Streaming ~roots:[ "main" ] ~model prog in
-  let m =
-    check_with Analysis.Config.Materialized ~roots:[ "main" ] ~model prog
+  let r =
+    Analysis.Checker.check ~roots:[ "main" ] ~model:Analysis.Model.Strict prog
   in
-  check Alcotest.int "same traces" m.Analysis.Checker.trace_count
-    s.Analysis.Checker.trace_count;
-  check
-    Alcotest.(list string)
-    "same warnings" (warning_strings m) (warning_strings s);
-  check Alcotest.int "materialized holds every path"
-    m.Analysis.Checker.trace_count m.Analysis.Checker.peak_paths;
-  if s.Analysis.Checker.peak_paths >= m.Analysis.Checker.peak_paths then
-    Alcotest.failf "streaming peak %d not below materialized %d"
-      s.Analysis.Checker.peak_paths m.Analysis.Checker.peak_paths
+  check Alcotest.int "every path checked" 32 r.Analysis.Checker.trace_count;
+  if r.Analysis.Checker.peak_paths >= r.Analysis.Checker.trace_count then
+    Alcotest.failf "streaming peak %d not below the %d paths checked"
+      r.Analysis.Checker.peak_paths r.Analysis.Checker.trace_count
 
 (* ------------------------------------------------------------------ *)
 (* Pool behaviour *)
@@ -226,7 +270,8 @@ let suite =
     tc "corpus warning sets" `Quick test_corpus_warning_sets;
     tc "corpus trace streams" `Quick test_corpus_trace_streams;
     tc "incremental rules agree" `Quick test_incremental_rules_agree;
-    test_qcheck_engine_equivalence;
+    test_qcheck_reference;
+    test_qcheck_reference_small_caps;
     tc "streaming peak paths" `Quick test_streaming_peak_paths;
     tc "pool reuse" `Quick test_pool_reuse;
     tc "pool raising worker" `Quick test_pool_raising_worker;

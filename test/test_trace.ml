@@ -229,6 +229,92 @@ b10:
   let ts = traces_of ~config src "main" in
   check Alcotest.int "capped" 16 (List.length ts)
 
+(* A callee with five paths, one per field written, in DFS order a..e
+   (each branch's then side returns first). *)
+let five_path_src ~calls =
+  Fmt.str
+    {|
+struct s { a: int, b: int, c: int, d: int, e: int }
+func callee(p: ptr s, n: int) {
+entry:
+  c0 = n > 0
+  br c0, w0, r1
+w0:
+  store p->a, 1
+  ret
+r1:
+  c1 = n > 1
+  br c1, w1, r2
+w1:
+  store p->b, 1
+  ret
+r2:
+  c2 = n > 2
+  br c2, w2, r3
+w2:
+  store p->c, 1
+  ret
+r3:
+  c3 = n > 3
+  br c3, w3, w4
+w3:
+  store p->d, 1
+  ret
+w4:
+  store p->e, 1
+  ret
+}
+func main() {
+entry:
+  p = alloc pmem s
+%s
+  ret
+}
+|}
+    (String.concat "\n" (List.init calls (fun _ -> "  call callee(p, 3)")))
+
+let written_fields trace =
+  List.filter_map
+    (fun (e : Analysis.Event.t) ->
+      match e.Analysis.Event.kind with
+      | Analysis.Event.Write a -> a.Dsa.Aaddr.field
+      | _ -> None)
+    trace
+
+let test_expansion_fanout () =
+  let src = five_path_src ~calls:1 in
+  check
+    Alcotest.(list (list string))
+    "callee's own paths"
+    [ [ "a" ]; [ "b" ]; [ "c" ]; [ "d" ]; [ "e" ] ]
+    (List.map written_fields (traces_of ~roots:[ "callee" ] src "callee"));
+  let config =
+    { Analysis.Config.default with Analysis.Config.expansion_fanout = 3 }
+  in
+  check
+    Alcotest.(list (list string))
+    "first three spliced, in DFS order"
+    [ [ "a" ]; [ "b" ]; [ "c" ] ]
+    (List.map written_fields (traces_of ~config ~roots:[ "main" ] src "main"))
+
+(* Two call sites: the cross-product is callee-major and stops at
+   [max_paths], so every merged path keeps the first callee path at the
+   first site. *)
+let test_max_paths_at_call_sites () =
+  let config =
+    {
+      Analysis.Config.default with
+      Analysis.Config.max_paths = 4;
+      expansion_fanout = 5;
+    }
+  in
+  check
+    Alcotest.(list (list string))
+    "capped cross-product"
+    [ [ "a"; "a" ]; [ "a"; "b" ]; [ "a"; "c" ]; [ "a"; "d" ] ]
+    (List.map written_fields
+       (traces_of ~config ~roots:[ "main" ] (five_path_src ~calls:2) "main"))
+
 let test_roots_selection () =
   let per_root =
     collect ~roots:[ "callee" ] call_src
@@ -270,6 +356,8 @@ let suite =
     tc "interprocedural merge (Fig. 11)" `Quick test_interprocedural_merge;
     tc "recursion bounded" `Quick test_recursion_bounded;
     tc "max-paths cap" `Quick test_max_paths_cap;
+    tc "expansion fanout" `Quick test_expansion_fanout;
+    tc "max-paths cap at call sites" `Quick test_max_paths_at_call_sites;
     tc "explicit roots" `Quick test_roots_selection;
     QCheck_alcotest.to_alcotest prop_traces_end_balanced;
   ]
