@@ -587,7 +587,8 @@ let falsepos () =
 let ablation () =
   section "Ablation: field sensitivity";
   let run ~field_sensitive =
-    let totals = Corpus.Registry.table1 ~field_sensitive () in
+    let config = { Analysis.Config.default with field_sensitive } in
+    let totals = Corpus.Registry.table1 ~config () in
     List.fold_left
       (fun (v, w) t ->
         (v + t.Corpus.Registry.validated, w + t.Corpus.Registry.warnings))
@@ -761,10 +762,7 @@ let parallel () =
   let jobs =
     List.map
       (fun (p : Corpus.Types.program) ->
-        ( p.Corpus.Types.name,
-          Corpus.Types.model p,
-          Corpus.Types.parse p,
-          p.Corpus.Types.roots ))
+        (Corpus.Types.model p, Corpus.Types.parse p, p.Corpus.Types.roots))
       Corpus.Registry.all
   in
   let jobs = List.concat (List.init 8 (fun _ -> jobs)) in
@@ -772,15 +770,14 @@ let parallel () =
     (List.length Corpus.Registry.all);
   let time domains =
     let t0 = Deepmc.Clock.now () in
-    let rs = Deepmc.Parallel.check_many ~domains jobs in
-    let dt = Deepmc.Clock.elapsed_s t0 in
     let warnings =
-      List.fold_left
-        (fun a (r : Deepmc.Parallel.corpus_result) ->
-          a + List.length r.Deepmc.Parallel.warnings)
-        0 rs
+      Pool.map ~domains (Pool.default ())
+        (fun (model, prog, roots) ->
+          let r = Analysis.Checker.check ~roots ~model prog in
+          List.length r.Analysis.Checker.warnings)
+        jobs
     in
-    (dt, warnings)
+    (Deepmc.Clock.elapsed_s t0, List.fold_left ( + ) 0 warnings)
   in
   let base, base_w = time 1 in
   Fmt.pr "%2d domain(s): %6.1f ms (%d warnings)  speedup 1.00x@." 1
@@ -1139,8 +1136,9 @@ let fuzz_bench ?(json = false) () =
      historical §5.4 blind-spot population — the fuzzer's benchmark —
      only exists under the legacy configuration *)
   let bases =
-    Inject.Evaluate.corpus_bases ~offset_sensitive:false ()
-    @ Inject.Evaluate.exemplar_bases ~offset_sensitive:false ()
+    let config = { Analysis.Config.default with offset_sensitive = false } in
+    Inject.Evaluate.corpus_bases ~config ()
+    @ Inject.Evaluate.exemplar_bases ~config ()
   in
   (* mutants the expected tier's detector misses (the crash explorer is
      irrelevant to tier misses and only costs time here) *)

@@ -84,12 +84,6 @@ let clients_term =
            executing the entry on its own heap under one checker (default \
            1: single-domain).")
 
-let field_insensitive_term =
-  Arg.(
-    value & flag
-    & info [ "field-insensitive" ]
-        ~doc:"Disable field sensitivity in the DSA (ablation mode).")
-
 let load file =
   try Ok (Nvmir.Parser.parse_file file) with
   | Nvmir.Parser.Parse_error (m, line) ->
@@ -168,9 +162,17 @@ let html_term =
     & opt (some string) None
     & info [ "html" ] ~docv:"FILE" ~doc:"Also write an HTML report here.")
 
-(* The §4.1 interface annotations: mark externally-created variables as
-   referencing NVM, e.g. --pmem-root nvm_lock:omutex. *)
-let pmem_roots_term =
+(* The analysis options the CLI exposes, built into one record: the DSA
+   ablation flag and the §4.1 interface annotations, which mark
+   externally-created variables as referencing NVM, e.g. --pmem-root
+   nvm_lock:omutex. *)
+let config_term =
+  let field_insensitive =
+    Arg.(
+      value & flag
+      & info [ "field-insensitive" ]
+          ~doc:"Disable field sensitivity in the DSA (ablation mode).")
+  in
   let parse s =
     match String.index_opt s ':' with
     | Some i ->
@@ -179,12 +181,22 @@ let pmem_roots_term =
   in
   let print ppf (f, v) = Fmt.pf ppf "%s:%s" f v in
   let root_conv = Arg.conv (parse, print) in
-  Arg.(
-    value & opt_all root_conv []
-    & info [ "pmem-root" ] ~docv:"FUNC:VAR"
-        ~doc:
-          "Annotate a variable as referencing persistent memory (interface \
-           annotation; repeatable).")
+  let pmem_roots =
+    Arg.(
+      value & opt_all root_conv []
+      & info [ "pmem-root" ] ~docv:"FUNC:VAR"
+          ~doc:
+            "Annotate a variable as referencing persistent memory (interface \
+             annotation; repeatable).")
+  in
+  let make field_insensitive persistent_roots =
+    {
+      Analysis.Config.default with
+      field_sensitive = not field_insensitive;
+      persistent_roots;
+    }
+  in
+  Term.(const make $ field_insensitive $ pmem_roots)
 
 let domains_term =
   Arg.(
@@ -216,7 +228,7 @@ let connect_term =
            --socket) SOCK) instead of analyzing in-process. Static analysis \
            only; incompatible with --entry.")
 
-let run_connected ~sock ~file ~model ~field_sensitive ~pmem_roots ~json =
+let run_connected ~sock ~file ~model ~config ~json =
   let ( let* ) = Result.bind in
   let* text =
     try
@@ -230,8 +242,7 @@ let run_connected ~sock ~file ~model ~field_sensitive ~pmem_roots ~json =
   let* resp =
     Result.map_error
       (fun m -> `Msg m)
-      (Serve.Client.check ~sock ~name:file ~model ~field_sensitive
-         ~pmem_roots ~text ())
+      (Serve.Client.check ~sock ~name:file ~model ~config ~text ())
   in
   if json then Fmt.pr "%a@." Deepmc.Json_report.pp resp
   else begin
@@ -283,28 +294,26 @@ let check_cmd =
       & info [ "crash-bound" ] ~docv:"N"
           ~doc:"Maximum images per crash point for --explore-crash-images.")
   in
-  let run () model file entry clients no_dynamic field_insensitive
-      suppressions json pmem_roots html domains stats explore
-      crash_bound seed metrics_json trace_out connect =
+  let run () model file entry clients no_dynamic config suppressions json
+      html domains stats explore crash_bound seed metrics_json trace_out
+      connect =
     let ( let* ) = Result.bind in
     match connect with
     | Some sock ->
       if entry <> None then
         Error (`Msg "--connect serves static checks only; drop --entry")
       else
-        run_connected ~sock ~file ~model
-          ~field_sensitive:(not field_insensitive) ~pmem_roots ~json
+        run_connected ~sock ~file ~model ~config ~json
     | None ->
     let* prog = load file in
     let* prog = validated prog in
     Option.iter Pool.set_default_size domains;
     obs_setup ~metrics_json ~trace_out;
     let driver =
-      Deepmc.Driver.make ~field_sensitive:(not field_insensitive)
-        ~run_dynamic:(not no_dynamic) model
+      Deepmc.Driver.make ~config ~run_dynamic:(not no_dynamic) model
     in
     let report =
-      Deepmc.Driver.analyze driver ~persistent_roots:pmem_roots ?entry ~clients
+      Deepmc.Driver.analyze driver ?entry ~clients
         ~explore_crash_images:explore ?crash_bound ~seed prog
     in
     if stats then begin
@@ -355,8 +364,8 @@ let check_cmd =
     Term.(
       term_result
         (const run $ setup_logs_term $ model_term $ file_arg $ entry_term
-       $ clients_term $ no_dynamic_term $ field_insensitive_term
-       $ suppressions_term $ json_term $ pmem_roots_term $ html_term
+       $ clients_term $ no_dynamic_term $ config_term
+       $ suppressions_term $ json_term $ html_term
        $ domains_term $ stats_term $ explore_term
        $ crash_bound_term $ seed_term $ metrics_json_term $ trace_out_term
        $ connect_term))
@@ -950,9 +959,11 @@ let inject_cmd =
             | None -> Error (`Msg (Fmt.str "unknown operator %S" n)))
           names (Ok [])
     in
-    let offset_sensitive = not ablate_offsets in
+    let config =
+      { Analysis.Config.default with offset_sensitive = not ablate_offsets }
+    in
     let corpus =
-      Inject.Evaluate.corpus_bases ~offset_sensitive ?framework ?name ()
+      Inject.Evaluate.corpus_bases ~config ?framework ?name ()
     in
     let* () =
       if corpus = [] && name <> None then
@@ -962,11 +973,11 @@ let inject_cmd =
     let bases =
       corpus
       @ (if framework = None && name = None then
-           Inject.Evaluate.exemplar_bases ~offset_sensitive ()
+           Inject.Evaluate.exemplar_bases ~config ()
          else [])
       @
       if synth > 0 then
-        Inject.Evaluate.synth_bases ~offset_sensitive ~seed ~count:synth
+        Inject.Evaluate.synth_bases ~config ~seed ~count:synth
           ~nfuncs:8 ()
       else []
     in
@@ -1323,13 +1334,19 @@ let serve_cmd =
       & info [ "max-requests" ] ~docv:"N"
           ~doc:"Exit after N requests (watch re-checks included).")
   in
-  let run () model socket stdio watch once interval max_requests
-      field_insensitive pmem_roots domains metrics_json trace_out =
+  let run () model socket stdio watch once interval max_requests config
+      domains metrics_json trace_out =
     Option.iter Pool.set_default_size domains;
     obs_setup ~metrics_json ~trace_out;
     let t = Serve.Daemon.create () in
     let r =
       match (socket, stdio, watch) with
+      | (Some _, false, None | None, true, None)
+        when config <> Analysis.Config.default ->
+        Error
+          (`Msg
+             "--field-insensitive and --pmem-root apply to --watch only; \
+              socket and stdio clients set them per request")
       | None, true, None ->
         Serve.Daemon.serve_stdio ?max_requests t;
         Ok ()
@@ -1337,11 +1354,7 @@ let serve_cmd =
         Serve.Daemon.serve_socket ?max_requests t ~path;
         Ok ()
       | None, false, Some dir ->
-        let params =
-          Serve.Cache.default_params
-            ~field_sensitive:(not field_insensitive)
-            ~persistent_roots:pmem_roots model
-        in
+        let params = Serve.Cache.default_params ~config model in
         Serve.Daemon.serve_watch ?max_requests ~interval_ms:interval ~once t
           ~dir ~params;
         Ok ()
@@ -1363,7 +1376,7 @@ let serve_cmd =
       term_result
         (const run $ setup_logs_term $ model_term $ socket_term $ stdio_term
        $ watch_term $ once_term $ interval_term $ max_requests_term
-       $ field_insensitive_term $ pmem_roots_term $ domains_term
+       $ config_term $ domains_term
        $ metrics_json_term $ trace_out_term))
 
 let main_cmd =

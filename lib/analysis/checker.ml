@@ -85,14 +85,10 @@ type per_root = {
   pr_peak : int;
 }
 
-let check_roots ?(config = Config.default) ?(field_sensitive = true)
-    ?(offset_sensitive = true) ?(persistent_roots = []) ?dsg ?roots ~model
+let check_roots ?(config = Config.default) ?dsg ?roots ~model
     (prog : Nvmir.Prog.t) : per_root list * Dsa.Dsg.t =
   let dsg =
-    match dsg with
-    | Some d -> d
-    | None ->
-      Dsa.Dsg.build ~field_sensitive ~offset_sensitive ~persistent_roots prog
+    match dsg with Some d -> d | None -> Config.build_dsg config prog
   in
   let ctx = { Rules.model; dsg; tenv = Nvmir.Prog.tenv prog } in
   let sources = Trace.stream ~config ?roots dsg prog in
@@ -129,12 +125,8 @@ let merge_roots ~model ~dsg (per_root : per_root list) : result =
   if Obs.enabled () then Obs.Metrics.set_max m_peak peak_paths;
   { model; warnings; trace_count; event_count; peak_paths; dsg }
 
-let check ?config ?field_sensitive ?offset_sensitive ?persistent_roots ?roots
-    ~model (prog : Nvmir.Prog.t) : result =
-  let per_root, dsg =
-    check_roots ?config ?field_sensitive ?offset_sensitive ?persistent_roots
-      ?roots ~model prog
-  in
+let check ?config ?roots ~model (prog : Nvmir.Prog.t) : result =
+  let per_root, dsg = check_roots ?config ?roots ~model prog in
   merge_roots ~model ~dsg per_root
 
 (* Mixed-model checking — lifting the limitation §4.5 states ("DeepMC
@@ -150,12 +142,9 @@ type mixed_result = {
   mixed_dsg : Dsa.Dsg.t;
 }
 
-let check_mixed ?config ?(field_sensitive = true) ?(offset_sensitive = true)
-    ?(persistent_roots = []) ~model_of ~roots (prog : Nvmir.Prog.t) :
-    mixed_result =
-  let dsg =
-    Dsa.Dsg.build ~field_sensitive ~offset_sensitive ~persistent_roots prog
-  in
+let check_mixed ?(config = Config.default) ~model_of ~roots
+    (prog : Nvmir.Prog.t) : mixed_result =
+  let dsg = Config.build_dsg config prog in
   (* one check per model over the shared DSG, results reassembled in
      the caller's root order *)
   let models = List.sort_uniq compare (List.map model_of roots) in
@@ -165,7 +154,7 @@ let check_mixed ?config ?(field_sensitive = true) ?(offset_sensitive = true)
         let group =
           List.filter (fun r -> Model.equal (model_of r) model) roots
         in
-        fst (check_roots ?config ~dsg ~roots:group ~model prog)
+        fst (check_roots ~config ~dsg ~roots:group ~model prog)
         |> List.map (fun pr -> (pr.pr_root, pr.pr_warnings)))
       models
   in

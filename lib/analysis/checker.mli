@@ -18,9 +18,6 @@ type result = {
 
 val check :
   ?config:Config.t ->
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
-  ?persistent_roots:(string * string) list ->
   ?roots:string list ->
   model:Model.t ->
   Nvmir.Prog.t ->
@@ -44,9 +41,6 @@ type per_root = {
 
 val check_roots :
   ?config:Config.t ->
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
-  ?persistent_roots:(string * string) list ->
   ?dsg:Dsa.Dsg.t ->
   ?roots:string list ->
   model:Model.t ->
@@ -75,9 +69,6 @@ type mixed_result = {
 
 val check_mixed :
   ?config:Config.t ->
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
-  ?persistent_roots:(string * string) list ->
   model_of:(string -> Model.t) ->
   roots:string list ->
   Nvmir.Prog.t ->

@@ -226,14 +226,9 @@ let apply prog (warnings : Analysis.Warning.t list) : result =
 (* Fix-and-recheck loop: repair, re-run the checker, repeat until no fix
    applies or the round limit is reached. Returns the final program, the
    accumulated outcomes, and the remaining warnings. *)
-let fix_until_clean ?(max_rounds = 4) ?(config = Analysis.Config.default)
-    ?(field_sensitive = true) ?(offset_sensitive = true) ?persistent_roots
-    ?roots ~model prog =
+let fix_until_clean ?(max_rounds = 4) ?config ?roots ~model prog =
   let rec go round prog acc =
-    let checked =
-      Analysis.Checker.check ~config ~field_sensitive ~offset_sensitive
-        ?persistent_roots ?roots ~model prog
-    in
+    let checked = Analysis.Checker.check ?config ?roots ~model prog in
     let warnings = checked.Analysis.Checker.warnings in
     if warnings = [] || round >= max_rounds then (prog, List.rev acc, warnings)
     else

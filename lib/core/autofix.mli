@@ -24,9 +24,6 @@ val apply : Nvmir.Prog.t -> Analysis.Warning.t list -> result
 val fix_until_clean :
   ?max_rounds:int ->
   ?config:Analysis.Config.t ->
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
-  ?persistent_roots:(string * string) list ->
   ?roots:string list ->
   model:Analysis.Model.t ->
   Nvmir.Prog.t ->

@@ -12,8 +12,8 @@
    - is object-granular rather than field-sensitive.
 
    Implementation: run the shared trace/rule machinery field-insensitive
-   with the rule output filtered to the generic subset and to the
-   annotated functions. *)
+   (whatever [config] says) with the rule output filtered to the generic
+   subset and to the annotated functions. *)
 
 let generic_rules =
   [ Analysis.Warning.Unflushed_write; Analysis.Warning.Missing_persist_barrier ]
@@ -23,10 +23,10 @@ type result = {
   annotated : string list;
 }
 
-let check ?(config = Analysis.Config.default) ?(persistent_roots = [])
-    ~annotated prog : result =
+let check ?(config = Analysis.Config.default) ~annotated prog : result =
   let static =
-    Analysis.Checker.check ~config ~field_sensitive:false ~persistent_roots
+    Analysis.Checker.check
+      ~config:{ config with Analysis.Config.field_sensitive = false }
       ~model:Analysis.Model.Strict prog
   in
   let warnings =

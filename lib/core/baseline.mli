@@ -12,7 +12,6 @@ type result = {
 
 val check :
   ?config:Analysis.Config.t ->
-  ?persistent_roots:(string * string) list ->
   annotated:string list ->
   Nvmir.Prog.t ->
   result

@@ -1,7 +1,7 @@
 (* Parallel crash-image exploration. [Runtime.Crash_space] is kept free
    of any core dependency, so the domain fan-out lives here: each
    (program, crash point) pair is an independent re-execution, which is
-   exactly the shape [Parallel.map] wants. *)
+   exactly the shape [Pool.map] wants. *)
 
 type job = {
   name : string;
@@ -26,7 +26,7 @@ let explore_program ?domains ?config ?bound ?seed ?oracle ?(entry = "main")
     ?(args = []) prog =
   let total, tasks = tasks_of ?config ~entry ~args prog in
   let points =
-    Parallel.map ?domains
+    Pool.map ?domains (Pool.default ())
       (fun task ->
         Runtime.Crash_space.explore_task ?config ~entry ~args ?bound ?seed
           ?oracle ~task prog)
@@ -46,7 +46,7 @@ let sweep ?domains ?config ?bound ?seed ?oracle (jobs : job list) :
       jobs
   in
   let done_work =
-    Parallel.map ?domains
+    Pool.map ?domains (Pool.default ())
       (fun (j, task) ->
         let t0 = Clock.now () in
         let r =

@@ -1,7 +1,7 @@
 (** Parallel crash-image exploration: fans {!Runtime.Crash_space} tasks
-    (one per crash point, per program) out over the {!Parallel} domain
-    pool. Each task re-executes its program independently, so nothing is
-    shared between domains beyond the (read-only) program. *)
+    (one per crash point, per program) out over the shared {!Pool}. Each
+    task re-executes its program independently, so nothing is shared
+    between domains beyond the (read-only) program. *)
 
 type job = {
   name : string;

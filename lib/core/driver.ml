@@ -18,14 +18,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type t = {
   model : Analysis.Model.t;
   config : Analysis.Config.t;
-  field_sensitive : bool;
-  offset_sensitive : bool;
   run_dynamic : bool;
 }
 
-let make ?(config = Analysis.Config.default) ?(field_sensitive = true)
-    ?(offset_sensitive = true) ?(run_dynamic = true) model =
-  { model; config; field_sensitive; offset_sensitive; run_dynamic }
+let make ?(config = Analysis.Config.default) ?(run_dynamic = true) model =
+  { model; config; run_dynamic }
 
 type dynamic_outcome =
   | Dynamic_ok of Runtime.Dynamic.summary * Analysis.Warning.t list
@@ -104,10 +101,8 @@ let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
       | [] -> (Dynamic_ok (Runtime.Dynamic.summary checker, ws), ws)
       | first :: _ -> (Dynamic_skipped first, ws)))
 
-(* Analyze a program. [persistent_roots] are the user's interface
-   annotations: (function, variable) pairs known to reference NVM.
-   [entry]/[args] drive the optional dynamic run. *)
-let analyze (t : t) ?(persistent_roots = []) ?roots ?entry ?args ?clients
+(* Analyze a program. [entry]/[args] drive the optional dynamic run. *)
+let analyze (t : t) ?roots ?entry ?args ?clients
     ?(explore_crash_images = false) ?crash_bound ?seed
     ?(verify_recovery = false) ?recovery_entry prog : report =
   Log.info (fun m ->
@@ -117,10 +112,7 @@ let analyze (t : t) ?(persistent_roots = []) ?roots ?entry ?args ?clients
   let t0 = Clock.now () in
   let static =
     Obs.Span.with_ ~name:"static-check" (fun () ->
-        Analysis.Checker.check ~config:t.config
-          ~field_sensitive:t.field_sensitive
-          ~offset_sensitive:t.offset_sensitive ~persistent_roots ?roots
-          ~model:t.model prog)
+        Analysis.Checker.check ~config:t.config ?roots ~model:t.model prog)
   in
   let t1 = Clock.now () in
   Log.info (fun m ->

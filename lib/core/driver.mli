@@ -6,12 +6,7 @@
 type t
 
 val make :
-  ?config:Analysis.Config.t ->
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
-  ?run_dynamic:bool ->
-  Analysis.Model.t ->
-  t
+  ?config:Analysis.Config.t -> ?run_dynamic:bool -> Analysis.Model.t -> t
 
 type dynamic_outcome =
   | Dynamic_ok of Runtime.Dynamic.summary * Analysis.Warning.t list
@@ -32,7 +27,6 @@ type report = {
 
 val analyze :
   t ->
-  ?persistent_roots:(string * string) list ->
   ?roots:string list ->
   ?entry:string ->
   ?args:int list ->
@@ -44,8 +38,7 @@ val analyze :
   ?recovery_entry:string ->
   Nvmir.Prog.t ->
   report
-(** [persistent_roots] are the user's interface annotations;
-    [roots] selects static-analysis roots; [entry]/[args] drive the
+(** [roots] selects static-analysis roots; [entry]/[args] drive the
     dynamic run (skipped when absent). [clients] (default 1) executes
     the entry from that many concurrent client domains, each on its own
     heap, under one dynamic checker — warnings stay deterministically

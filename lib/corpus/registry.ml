@@ -11,13 +11,9 @@ let find name = List.find_opt (fun p -> String.equal p.name name) all
 let by_framework fw = List.filter (fun p -> p.framework = fw) all
 
 (* Analyze one corpus program with the full pipeline and score it. *)
-let analyze ?(field_sensitive = true) ?(offset_sensitive = true)
-    ?(run_dynamic = true) ?(config = Analysis.Config.default) (p : program) =
+let analyze ?run_dynamic ?config (p : program) =
   let prog = parse p in
-  let driver =
-    Deepmc.Driver.make ~config ~field_sensitive ~offset_sensitive ~run_dynamic
-      (model p)
-  in
+  let driver = Deepmc.Driver.make ?config ?run_dynamic (model p) in
   let report =
     Deepmc.Driver.analyze driver ~roots:p.roots ~entry:p.entry
       ~args:p.entry_args prog
@@ -34,12 +30,12 @@ type framework_totals = {
 }
 
 (* Aggregate checker results per framework: the cells of Table 1. *)
-let table1 ?field_sensitive ?run_dynamic ?config () : framework_totals list =
+let table1 ?run_dynamic ?config () : framework_totals list =
   List.map
     (fun fw ->
       let scores =
         List.map
-          (fun p -> snd (analyze ?field_sensitive ?run_dynamic ?config p))
+          (fun p -> snd (analyze ?run_dynamic ?config p))
           (by_framework fw)
       in
       let validated =

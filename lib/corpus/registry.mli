@@ -8,8 +8,6 @@ val find : string -> program option
 val by_framework : framework -> program list
 
 val analyze :
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
   ?run_dynamic:bool ->
   ?config:Analysis.Config.t ->
   program ->
@@ -26,7 +24,6 @@ type framework_totals = {
 }
 
 val table1 :
-  ?field_sensitive:bool ->
   ?run_dynamic:bool ->
   ?config:Analysis.Config.t ->
   unit ->

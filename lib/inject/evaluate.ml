@@ -11,17 +11,16 @@ type base = {
   roots : string list;
   entry : string option;
   entry_args : int list;
-  offset_sensitive : bool;
+  config : Analysis.Config.t;
   static_baseline : (W.rule_id * string * int) list;
   dynamic_baseline : (W.rule_id * string) list;
 }
 
 let opt_roots = function [] -> None | rs -> Some rs
 
-let static_warnings ?(offset_sensitive = true) ~model ~roots prog =
+let static_warnings ~config ~model ~roots prog =
   let res =
-    Analysis.Checker.check ~offset_sensitive ?roots:(opt_roots roots) ~model
-      prog
+    Analysis.Checker.check ~config ?roots:(opt_roots roots) ~model prog
   in
   res.Analysis.Checker.warnings
 
@@ -34,11 +33,9 @@ let dynamic_warnings ~model ~entry ~args prog =
   | Runtime.Interp.Runtime_error _ | Runtime.Interp.Out_of_fuel -> ());
   Runtime.Dynamic.warnings checker
 
-let make_base ?(offset_sensitive = true) ~bname ~model ~roots ~entry
-    ~entry_args prog =
+let make_base ~config ~bname ~model ~roots ~entry ~entry_args prog =
   let static_baseline =
-    List.map W.dedup_key
-      (static_warnings ~offset_sensitive ~model ~roots prog)
+    List.map W.dedup_key (static_warnings ~config ~model ~roots prog)
   in
   let dynamic_baseline =
     match entry with
@@ -49,18 +46,18 @@ let make_base ?(offset_sensitive = true) ~bname ~model ~roots ~entry
            (fun (w : W.t) -> (w.W.rule, w.W.loc.Nvmir.Loc.file))
            (dynamic_warnings ~model ~entry ~args:entry_args prog))
   in
-  { bname; model; prog; roots; entry; entry_args; offset_sensitive;
-    static_baseline; dynamic_baseline }
+  { bname; model; prog; roots; entry; entry_args; config; static_baseline;
+    dynamic_baseline }
 
-(* [offset_sensitive] configures the whole pipeline for each base:
-   autofix, baselines, mutation-site admission and static scoring all
-   agree on one DSG configuration. Ablating it regenerates the exact
-   pre-offset-lattice population and results — including the 10
+(* [config] configures the whole pipeline for each base: autofix,
+   baselines, mutation-site admission and static scoring all agree on
+   one DSG configuration. Ablating [offset_sensitive] regenerates the
+   exact pre-offset-lattice population and results — including the 10
    blind-spot false negatives the fuzz bench scores against. Note the
    offset-aware pipeline admits MORE mutation sites (stores and flushes
    reached through pointer-arithmetic aliases are persistent-visible
    now), so the static-tier denominator grows with it. *)
-let corpus_bases ?(offset_sensitive = true) ?framework ?name () =
+let corpus_bases ?(config = Analysis.Config.default) ?framework ?name () =
   let progs =
     match (name, framework) with
     | Some n, _ -> Option.to_list (Corpus.Registry.find n)
@@ -71,17 +68,17 @@ let corpus_bases ?(offset_sensitive = true) ?framework ?name () =
     (fun (p : Corpus.Types.program) ->
       let model = Corpus.Types.model p in
       let fixed, _, _ =
-        Deepmc.Autofix.fix_until_clean ~offset_sensitive
+        Deepmc.Autofix.fix_until_clean ~config
           ?roots:(opt_roots p.Corpus.Types.roots) ~model
           (Corpus.Types.parse p)
       in
-      make_base ~offset_sensitive ~bname:p.Corpus.Types.name ~model
+      make_base ~config ~bname:p.Corpus.Types.name ~model
         ~roots:p.Corpus.Types.roots
         ~entry:(Some p.Corpus.Types.entry)
         ~entry_args:p.Corpus.Types.entry_args fixed)
     progs
 
-let synth_bases ?(offset_sensitive = true) ~seed ~count ~nfuncs () =
+let synth_bases ?(config = Analysis.Config.default) ~seed ~count ~nfuncs () =
   List.init count (fun k ->
       let cfg =
         {
@@ -92,14 +89,14 @@ let synth_bases ?(offset_sensitive = true) ~seed ~count ~nfuncs () =
         }
       in
       let prog, _ = Corpus.Synth.generate cfg in
-      make_base ~offset_sensitive
+      make_base ~config
         ~bname:(Fmt.str "synth%d" (seed + k))
         ~model:Analysis.Model.Strict ~roots:(Corpus.Synth.roots cfg)
         ~entry:(Some "main") ~entry_args:[] prog)
 
-let exemplar_bases ?(offset_sensitive = true) () =
+let exemplar_bases ?(config = Analysis.Config.default) () =
   [
-    make_base ~offset_sensitive ~bname:Exemplar.name ~model:Exemplar.model
+    make_base ~config ~bname:Exemplar.name ~model:Exemplar.model
       ~roots:Exemplar.roots ~entry:(Some Exemplar.entry) ~entry_args:[]
       (Exemplar.program ());
   ]
@@ -134,8 +131,8 @@ let classify ~matches (truth : Mutation.truth) delta =
 
 let eval_static (b : base) (m : Mutation.mutant) =
   let ws =
-    static_warnings ~offset_sensitive:b.offset_sensitive ~model:b.model
-      ~roots:b.roots m.Mutation.prog
+    static_warnings ~config:b.config ~model:b.model ~roots:b.roots
+      m.Mutation.prog
   in
   let delta =
     List.filter
@@ -259,8 +256,8 @@ let run ?domains ?(operators = Mutation.all_operators) ?(seed = 1)
       (fun b ->
         List.map
           (fun m -> (b, m))
-          (Mutation.mutate ~operators ~offset_sensitive:b.offset_sensitive
-             ~base:b.bname ~model:b.model ~roots:b.roots b.prog))
+          (Mutation.mutate ~operators ~config:b.config ~base:b.bname
+             ~model:b.model ~roots:b.roots b.prog))
       bases
   in
   (* static + dynamic detectors, one pool task per mutant *)
@@ -606,10 +603,10 @@ let recovery_operators =
     Mutation.Drift_recovery_store;
   ]
 
-let recovery_bases ?(offset_sensitive = true) () =
+let recovery_bases ?(config = Analysis.Config.default) () =
   List.map
     (fun (p : Corpus.Types.program) ->
-      make_base ~offset_sensitive ~bname:p.Corpus.Types.name
+      make_base ~config ~bname:p.Corpus.Types.name
         ~model:(Corpus.Types.model p) ~roots:p.Corpus.Types.roots
         ~entry:(Some p.Corpus.Types.entry)
         ~entry_args:p.Corpus.Types.entry_args
@@ -669,8 +666,8 @@ let run_recovery ?domains ?(operators = recovery_operators) ?(seed = 1)
       (fun (b, _) ->
         List.map
           (fun m -> (b, m))
-          (Mutation.mutate ~operators ~offset_sensitive:b.offset_sensitive
-             ~base:b.bname ~model:b.model ~roots:b.roots b.prog))
+          (Mutation.mutate ~operators ~config:b.config ~base:b.bname
+             ~model:b.model ~roots:b.roots b.prog))
       prepared
   in
   let results =

@@ -22,16 +22,16 @@ type base = {
   roots : string list;
   entry : string option;
   entry_args : int list;
-  offset_sensitive : bool;
-      (** whether the static tier ran with the {!Dsa.Aaddr.offset}
-          lattice; [false] reproduces the historical pointer-arith
+  config : Analysis.Config.t;
+      (** the analysis options every static step ran under; clearing
+          [offset_sensitive] reproduces the historical pointer-arith
           blind spot for ablation benches *)
   static_baseline : (Analysis.Warning.rule_id * string * int) list;
   dynamic_baseline : (Analysis.Warning.rule_id * string) list;
 }
 
 val corpus_bases :
-  ?offset_sensitive:bool ->
+  ?config:Analysis.Config.t ->
   ?framework:Corpus.Types.framework ->
   ?name:string ->
   unit ->
@@ -39,18 +39,24 @@ val corpus_bases :
 (** Corpus programs (optionally one framework or one program), each
     parsed and pushed through [Autofix.fix_until_clean] under its
     framework's model; refused repairs stay in [static_baseline].
-    [offset_sensitive] (default true) configures autofix, baselines,
-    mutation-site admission and static scoring alike — one DSG
-    configuration end to end. Pass [false] to reproduce the exact
-    legacy §5.4 blind-spot population and results (the fuzz bench's
-    false-negative corpus). The offset-aware pipeline admits more
-    mutation sites, so the static-tier denominator grows with it. *)
+    [config] (default {!Analysis.Config.default}) configures autofix,
+    baselines, mutation-site admission and static scoring alike — one
+    DSG configuration end to end. Clear its [offset_sensitive] to
+    reproduce the exact legacy §5.4 blind-spot population and results
+    (the fuzz bench's false-negative corpus). The offset-aware pipeline
+    admits more mutation sites, so the static-tier denominator grows
+    with it. *)
 
 val synth_bases :
-  ?offset_sensitive:bool -> seed:int -> count:int -> nfuncs:int -> unit -> base list
+  ?config:Analysis.Config.t ->
+  seed:int ->
+  count:int ->
+  nfuncs:int ->
+  unit ->
+  base list
 (** [count] clean generator programs seeded [seed, seed+1, ...]. *)
 
-val exemplar_bases : ?offset_sensitive:bool -> unit -> base list
+val exemplar_bases : ?config:Analysis.Config.t -> unit -> base list
 (** The hand-written strand-model program ({!Exemplar}). *)
 
 (** Per-detector outcome for one mutant. *)
@@ -141,7 +147,7 @@ val pp_summary : summary Fmt.t
 
 val recovery_operators : Mutation.operator list
 
-val recovery_bases : ?offset_sensitive:bool -> unit -> base list
+val recovery_bases : ?config:Analysis.Config.t -> unit -> base list
 (** The {!Corpus.Recovery} programs as evaluation bases. No autofix:
     the guarded base is recovery-clean by construction and the
     unguarded base's warnings become its baseline (its mutants must add

@@ -197,9 +197,9 @@ type site = {
 
 let expect ?(rules = []) loc = { rules; file = loc.L.file; line = loc.L.line }
 
-let mutate ?(operators = all_operators) ?(field_sensitive = true)
-    ?(offset_sensitive = true) ~base ~model ~roots prog =
-  let dsg = Dsa.Dsg.build ~field_sensitive ~offset_sensitive prog in
+let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
+    ~base ~model ~roots prog =
+  let dsg = Analysis.Config.build_dsg config prog in
   let tenv = Nvmir.Prog.tenv prog in
   let live = reachable prog roots in
   let resolve fname p = Dsa.Dsg.resolve dsg ~fname p in

@@ -68,8 +68,7 @@ type mutant = {
 
 val mutate :
   ?operators:operator list ->
-  ?field_sensitive:bool ->
-  ?offset_sensitive:bool ->
+  ?config:Analysis.Config.t ->
   base:string ->
   model:Analysis.Model.t ->
   roots:string list ->
@@ -79,4 +78,5 @@ val mutate :
     [roots] and apply each operator, one mutation per mutant. The input
     program must already be warning-clean under [model] (see
     {!Evaluate.bases}); sites are deterministic, so the mutant list is a
-    pure function of the program. *)
+    pure function of the program. [config] selects the DSG that admits
+    sites. *)

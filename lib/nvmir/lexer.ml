@@ -70,6 +70,14 @@ let read_while t pred =
   done;
   String.sub t.src start (t.pos - start)
 
+(* [digits] carries its sign, so [min_int] lexes; a literal outside the
+   native int range is a lexical error, not an [int_of_string] crash. *)
+let int_literal t digits =
+  match int_of_string_opt digits with
+  | Some n -> INT n
+  | None ->
+    raise (Error (Fmt.str "integer literal %s out of range" digits, t.line))
+
 let scan t : token =
   skip_ws t;
   if t.pos >= String.length t.src then EOF
@@ -82,8 +90,7 @@ let scan t : token =
     in
     if is_ident_start c then IDENT (read_while t is_ident_char)
     else if is_digit c then
-      let digits = read_while t is_digit in
-      INT (int_of_string digits)
+      int_literal t (read_while t is_digit)
     else
       match two with
       | "->" ->
@@ -108,8 +115,7 @@ let scan t : token =
         | '-' ->
           (* '-' followed by a digit with no space is a negative literal *)
           if t.pos < String.length t.src && is_digit t.src.[t.pos] then
-            let digits = read_while t is_digit in
-            INT (-int_of_string digits)
+            int_literal t ("-" ^ read_while t is_digit)
           else OP "-"
         | '@' ->
           skip_ws t;

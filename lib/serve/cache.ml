@@ -47,27 +47,15 @@ let m_latency =
   Obs.Metrics.histogram "serve.request_latency_ns"
     ~desc:"wall-clock latency per served check request, nanoseconds"
 
-type params = {
-  model : Analysis.Model.t;
-  config : Analysis.Config.t;
-  field_sensitive : bool;
-  persistent_roots : (string * string) list;
-}
+type params = { model : Analysis.Model.t; config : Analysis.Config.t }
 
-let default_params ?(config = Analysis.Config.default)
-    ?(field_sensitive = true) ?(persistent_roots = []) model =
-  { model; config; field_sensitive; persistent_roots }
+let default_params ?(config = Analysis.Config.default) model = { model; config }
 
 (* Canonical parameter signature folded into every cache key: anything
-   that can change the checker's output must appear here. *)
+   that can change the checker's output must appear here, and
+   [Config.signature] covers every field of the record by construction. *)
 let params_sig p =
-  Fmt.str "%s|%d,%d,%d,%d|%b|%a"
-    (Analysis.Model.to_string p.model)
-    p.config.Analysis.Config.loop_bound p.config.Analysis.Config.recursion_bound
-    p.config.Analysis.Config.max_paths p.config.Analysis.Config.expansion_fanout
-    p.field_sensitive
-    Fmt.(list ~sep:(any ";") (pair ~sep:(any ".") string string))
-    (List.sort compare p.persistent_roots)
+  Analysis.Model.to_string p.model ^ "|" ^ Analysis.Config.signature p.config
 
 (* What a response needs from a check: [Checker.result] minus the DSG
    (which is rebuilt per program build and never replayed). *)
@@ -118,14 +106,14 @@ type t = {
   requests : (string, summary) Hashtbl.t;
       (* level A: text+params digest -> stored summary *)
   slots : (string, slot) Hashtbl.t; (* level B: name+params -> slot *)
-  max_requests : int; (* level-A bound; reset wholesale past it *)
+  max_entries : int; (* bound on each level; reset wholesale past it *)
 }
 
 let create ?(max_request_entries = 4096) () =
   {
     requests = Hashtbl.create 64;
     slots = Hashtbl.create 16;
-    max_requests = max_request_entries;
+    max_entries = max_request_entries;
   }
 
 let request_key ~psig text =
@@ -153,10 +141,7 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
         Error
           (Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Nvmir.Prog.pp_error) errs)
       | [] ->
-        let dsg =
-          Dsa.Dsg.build ~field_sensitive:params.field_sensitive
-            ~persistent_roots:params.persistent_roots prog
-        in
+        let dsg = Analysis.Config.build_dsg params.config prog in
         let table = Analysis.Fingerprint.build dsg prog in
         let roots = Analysis.Fingerprint.roots table in
         let skey = name ^ "\x00" ^ psig in
@@ -172,6 +157,8 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
             let slot =
               { s_table = table; s_entries = Hashtbl.create 8 }
             in
+            if Hashtbl.length t.slots >= t.max_entries then
+              Hashtbl.reset t.slots;
             Hashtbl.replace t.slots skey slot;
             (slot, List.sort String.compare (Nvmir.Prog.func_names prog))
         in
@@ -193,10 +180,8 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
         let fresh, _ =
           if stale = [] then ([], dsg)
           else
-            Analysis.Checker.check_roots ~config:params.config
-              ~field_sensitive:params.field_sensitive
-              ~persistent_roots:params.persistent_roots ~dsg ~roots:stale
-              ~model:params.model prog
+            Analysis.Checker.check_roots ~config:params.config ~dsg
+              ~roots:stale ~model:params.model prog
         in
         List.iter
           (fun (pr : Analysis.Checker.per_root) ->
@@ -223,7 +208,7 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
         let level =
           if reused = [] then Miss else if stale = [] then Hit else Partial
         in
-        if Hashtbl.length t.requests >= t.max_requests then
+        if Hashtbl.length t.requests >= t.max_entries then
           Hashtbl.reset t.requests;
         Hashtbl.replace t.requests rkey summary;
         Ok

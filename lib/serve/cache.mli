@@ -9,23 +9,15 @@
     merged warnings are byte-identical to a cold [Checker.check] of
     the same text. *)
 
-type params = {
-  model : Analysis.Model.t;
-  config : Analysis.Config.t;
-  field_sensitive : bool;
-  persistent_roots : (string * string) list;
-}
+type params = { model : Analysis.Model.t; config : Analysis.Config.t }
 
-val default_params :
-  ?config:Analysis.Config.t ->
-  ?field_sensitive:bool ->
-  ?persistent_roots:(string * string) list ->
-  Analysis.Model.t ->
-  params
+val default_params : ?config:Analysis.Config.t -> Analysis.Model.t -> params
+(** [config] defaults to {!Analysis.Config.default}. *)
 
 val params_sig : params -> string
-(** Canonical signature of everything that can change checker output;
-    folded into every cache key. *)
+(** Canonical signature of everything that can change checker output —
+    the model plus {!Analysis.Config.signature}; folded into every cache
+    key. *)
 
 type summary = {
   sm_model : Analysis.Model.t;
@@ -56,8 +48,9 @@ type outcome = {
 type t
 
 val create : ?max_request_entries:int -> unit -> t
-(** [max_request_entries] bounds the level-A table (default 4096);
-    past it the table is dropped wholesale — sound, merely colder. *)
+(** [max_request_entries] bounds the level-A table of summaries and the
+    level-B table of per-program slots alike (default 4096); past it a
+    table is dropped wholesale — sound, merely colder. *)
 
 val check :
   t -> name:string -> params:params -> text:string -> (outcome, string) result

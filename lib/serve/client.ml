@@ -20,8 +20,8 @@ let request ~sock (req : Protocol.json) : (Protocol.json, string) result =
           | exception End_of_file -> Error "connection closed before response"
           | line -> Protocol.parse line))
 
-let check ~sock ~name ~model ?(field_sensitive = true) ?(pmem_roots = []) ~text
-    () : (Protocol.json, string) result =
+let check ~sock ~name ~model ?(config = Analysis.Config.default) ~text () :
+    (Protocol.json, string) result =
   let req =
     Protocol.Obj
       ([
@@ -30,10 +30,10 @@ let check ~sock ~name ~model ?(field_sensitive = true) ?(pmem_roots = []) ~text
          ("model", Protocol.String (Analysis.Model.to_string model));
          ("program", Protocol.String text);
        ]
-      @ (if field_sensitive then []
+      @ (if config.Analysis.Config.field_sensitive then []
          else [ ("field_sensitive", Protocol.Bool false) ])
       @
-      match pmem_roots with
+      match config.Analysis.Config.persistent_roots with
       | [] -> []
       | roots ->
         [

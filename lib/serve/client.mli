@@ -7,12 +7,13 @@ val check :
   sock:string ->
   name:string ->
   model:Analysis.Model.t ->
-  ?field_sensitive:bool ->
-  ?pmem_roots:(string * string) list ->
+  ?config:Analysis.Config.t ->
   text:string ->
   unit ->
   (Protocol.json, string) result
 (** Submit a check request; [Ok] is the full ok-status response
-    object, [Error] carries the server's (or transport's) message. *)
+    object, [Error] carries the server's (or transport's) message. Of
+    [config], the protocol carries field sensitivity and persistent
+    roots; the daemon checks under default bounds. *)
 
 val shutdown : sock:string -> (unit, string) result

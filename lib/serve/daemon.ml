@@ -97,7 +97,10 @@ let handle_check t ?id req =
     let field_sensitive =
       Option.value ~default:true (Protocol.bool_member "field_sensitive" req)
     in
-    let params = Cache.default_params ~field_sensitive ~persistent_roots model in
+    let config =
+      { Analysis.Config.default with field_sensitive; persistent_roots }
+    in
+    let params = Cache.default_params ~config model in
     Cache.check t.cache ~name ~params ~text
   in
   match r with

@@ -134,7 +134,9 @@ let test_dynamic_discovery_bugs_and_offset_lattice () =
       if dyn_expectations <> [] then begin
         let _, offset_score = Corpus.Registry.analyze ~run_dynamic:false p in
         let _, ablated_score =
-          Corpus.Registry.analyze ~offset_sensitive:false ~run_dynamic:false p
+          Corpus.Registry.analyze
+            ~config:{ Analysis.Config.default with offset_sensitive = false }
+            ~run_dynamic:false p
         in
         List.iter
           (fun ((e : Deepmc.Report.expectation), _) ->

@@ -155,8 +155,9 @@ let resurrected_pins =
 
 let test_resurrected_blind_spot_mutants () =
   let bases =
-    Inject.Evaluate.corpus_bases ~offset_sensitive:false ()
-    @ Inject.Evaluate.exemplar_bases ~offset_sensitive:false ()
+    let config = { Analysis.Config.default with offset_sensitive = false } in
+    Inject.Evaluate.corpus_bases ~config ()
+    @ Inject.Evaluate.exemplar_bases ~config ()
   in
   let s =
     Inject.Evaluate.run

@@ -94,7 +94,9 @@ let test_persistent_roots_enable_library_checking () =
   check Alcotest.int "parameter persistence unknown: silent" 0
     (List.length unannotated.Analysis.Checker.warnings);
   let annotated =
-    Analysis.Checker.check ~persistent_roots:[ ("update", "p") ]
+    Analysis.Checker.check
+      ~config:
+        { Analysis.Config.default with persistent_roots = [ ("update", "p") ] }
       ~model:Analysis.Model.Strict prog
   in
   check Alcotest.int "annotated parameter: unflushed write found" 1

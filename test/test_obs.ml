@@ -256,7 +256,8 @@ let test_blind_spot_corpus_roundtrip () =
      metric plumbing under the ablated (legacy) configuration, where the
      pmfs delete-fence blind spot still exists *)
   let bases =
-    Inject.Evaluate.corpus_bases ~offset_sensitive:false
+    Inject.Evaluate.corpus_bases
+      ~config:{ Analysis.Config.default with offset_sensitive = false }
       ~framework:Corpus.Types.Pmfs ()
   in
   let s =

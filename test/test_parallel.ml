@@ -1,7 +1,9 @@
-(* Tests for the multicore analysis driver. *)
+(* Tests for fanning work out over the shared domain pool: [Pool.map]
+   itself, and whole-program checks run as pool jobs. *)
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
+let pmap ?domains f items = Pool.map ?domains (Pool.default ()) f items
 
 let test_map_preserves_order () =
   let items = List.init 100 Fun.id in
@@ -9,29 +11,29 @@ let test_map_preserves_order () =
     Alcotest.(list int)
     "order kept"
     (List.map (fun x -> x * x) items)
-    (Deepmc.Parallel.map ~domains:4 (fun x -> x * x) items)
+    (pmap ~domains:4 (fun x -> x * x) items)
 
 let test_map_edge_cases () =
-  check Alcotest.(list int) "empty" [] (Deepmc.Parallel.map (fun x -> x) []);
+  check Alcotest.(list int) "empty" [] (pmap (fun x -> x) []);
   check Alcotest.(list int) "single" [ 7 ]
-    (Deepmc.Parallel.map ~domains:8 (fun x -> x) [ 7 ]);
+    (pmap ~domains:8 (fun x -> x) [ 7 ]);
   check Alcotest.(list int) "one domain" [ 1; 2; 3 ]
-    (Deepmc.Parallel.map ~domains:1 Fun.id [ 1; 2; 3 ])
+    (pmap ~domains:1 Fun.id [ 1; 2; 3 ])
 
 let test_map_more_domains_than_items () =
   check Alcotest.(list int) "domains capped to items" [ 2; 4 ]
-    (Deepmc.Parallel.map ~domains:16 (fun x -> x * 2) [ 1; 2 ])
+    (pmap ~domains:16 (fun x -> x * 2) [ 1; 2 ])
 
 (* a raising worker must propagate the exception from the join, not
    leave spawned domains hanging or return partial results *)
 let test_map_propagates_exceptions () =
   let boom x = if x = 37 then failwith "boom" else x in
   let items = List.init 100 Fun.id in
-  (match Deepmc.Parallel.map ~domains:4 boom items with
+  (match pmap ~domains:4 boom items with
   | _ -> Alcotest.fail "expected the worker's exception"
   | exception Failure m -> check Alcotest.string "original message" "boom" m);
   (* the single-domain path raises too *)
-  match Deepmc.Parallel.map ~domains:1 boom items with
+  match pmap ~domains:1 boom items with
   | _ -> Alcotest.fail "expected the worker's exception (1 domain)"
   | exception Failure m -> check Alcotest.string "original message" "boom" m
 
@@ -39,53 +41,38 @@ let test_map_propagates_exceptions () =
 let test_map_usable_after_failure () =
   (try
      ignore
-       (Deepmc.Parallel.map ~domains:4
+       (pmap ~domains:4
           (fun x -> if x = 5 then raise Exit else x)
           (List.init 50 Fun.id))
    with Exit -> ());
   check
     Alcotest.(list int)
     "subsequent map is unaffected" [ 2; 4; 6 ]
-    (Deepmc.Parallel.map ~domains:4 (fun x -> x * 2) [ 1; 2; 3 ])
+    (pmap ~domains:4 (fun x -> x * 2) [ 1; 2; 3 ])
 
 let corpus_jobs () =
   List.map
     (fun (p : Corpus.Types.program) ->
-      ( p.Corpus.Types.name,
-        Corpus.Types.model p,
-        Corpus.Types.parse p,
-        p.Corpus.Types.roots ))
+      (Corpus.Types.model p, Corpus.Types.parse p, p.Corpus.Types.roots))
     Corpus.Registry.all
 
-let test_check_many_matches_sequential () =
-  let jobs = corpus_jobs () in
-  let parallel = Deepmc.Parallel.check_many ~domains:4 jobs in
-  let sequential =
-    List.map
-      (fun (name, model, prog, roots) ->
-        let r = Analysis.Checker.check ~roots ~model prog in
-        (name, List.length r.Analysis.Checker.warnings))
-      jobs
-  in
-  let got =
-    List.map
-      (fun (r : Deepmc.Parallel.corpus_result) ->
-        (r.Deepmc.Parallel.program, List.length r.Deepmc.Parallel.warnings))
-      parallel
-  in
-  check Alcotest.(list (pair string int)) "same results" sequential got
+let warning_count (model, prog, roots) =
+  List.length
+    (Analysis.Checker.check ~roots ~model prog).Analysis.Checker.warnings
 
-let test_check_many_total_static_warnings () =
+let test_check_fanout_matches_sequential () =
+  let jobs = corpus_jobs () in
+  check
+    Alcotest.(list int)
+    "same results"
+    (List.map warning_count jobs)
+    (pmap ~domains:4 warning_count jobs)
+
+let test_check_fanout_total_static_warnings () =
   (* the static side of Table 1: all 48 warnings — the offset lattice
      made the historically dynamic-only catches statically visible *)
-  let results = Deepmc.Parallel.check_many ~domains:4 (corpus_jobs ()) in
-  let total =
-    List.fold_left
-      (fun a (r : Deepmc.Parallel.corpus_result) ->
-        a + List.length r.Deepmc.Parallel.warnings)
-      0 results
-  in
-  check Alcotest.int "48 static warnings" 48 total
+  check Alcotest.int "48 static warnings" 48
+    (List.fold_left ( + ) 0 (pmap ~domains:4 warning_count (corpus_jobs ())))
 
 let suite =
   [
@@ -95,8 +82,8 @@ let suite =
     tc "map: worker exception propagates" `Quick
       test_map_propagates_exceptions;
     tc "map: pool usable after a failure" `Quick test_map_usable_after_failure;
-    tc "check_many: matches sequential" `Quick
-      test_check_many_matches_sequential;
-    tc "check_many: static warning total" `Quick
-      test_check_many_total_static_warnings;
+    tc "check fan-out: matches sequential" `Quick
+      test_check_fanout_matches_sequential;
+    tc "check fan-out: static warnings" `Quick
+      test_check_fanout_total_static_warnings;
   ]

@@ -174,6 +174,28 @@ let test_parse_errors () =
   expect_error "blah";
   expect_error "func f() { entry: flush wrong p }"
 
+(* An integer literal outside the native range is a parse error carrying
+   its line, not an [int_of_string] failure; [min_int] itself lexes. *)
+let test_parse_int_literal_range () =
+  (match
+     Nvmir.Parser.parse "func f() {\nentry:\n  x = 99999999999999999999999\n}"
+   with
+  | exception Nvmir.Parser.Parse_error (_, line) ->
+    check Alcotest.int "error line" 3 line
+  | _ -> Alcotest.fail "overflowing literal accepted");
+  let prog =
+    parses
+      (Fmt.str "func f() {\nentry:\n  x = %d\n  ret\n}" min_int)
+  in
+  match Nvmir.Prog.find_func prog "f" with
+  | Some f -> (
+    match (Nvmir.Func.entry_block f).Nvmir.Func.instrs with
+    | { Nvmir.Instr.kind =
+          Nvmir.Instr.Assign { src = Nvmir.Operand.Const n; _ }; _ } :: _ ->
+      check Alcotest.int "min_int" min_int n
+    | _ -> Alcotest.fail "unexpected instruction shape")
+  | None -> Alcotest.fail "missing"
+
 (* Pretty-print then re-parse: the structural content survives. *)
 let roundtrip_structurally_equal (p1 : Nvmir.Prog.t) =
   let text = Fmt.str "%a" Nvmir.Prog.pp p1 in
@@ -238,6 +260,8 @@ let suite =
     tc "parse: comments" `Quick test_parse_comments;
     tc "parse: negative literals" `Quick test_parse_negative_literal;
     tc "parse: malformed inputs rejected" `Quick test_parse_errors;
+    tc "parse: out-of-range integer literal" `Quick
+      test_parse_int_literal_range;
     tc "roundtrip: whole corpus" `Quick test_roundtrip_corpus;
     QCheck_alcotest.to_alcotest prop_roundtrip_synth;
     QCheck_alcotest.to_alcotest prop_synth_validates;

@@ -140,6 +140,85 @@ let test_edit_invalidates_dependents () =
   Obs.Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
+(* Cache bounds and keys *)
+
+(* [inv_src] plus a root with an unflushed store, so the compared
+   warning lists are not empty *)
+let warn_src store_val =
+  inv_src store_val
+  ^ {|
+func bug() {
+entry:
+  r = alloc pmem rec_t
+  store r->a, 1      @ bug.c:1
+  ret
+}
+|}
+
+let cold_render ?config ~name text =
+  List.map render
+    (Analysis.Checker.check ?config ~model:Analysis.Model.Strict
+       (Nvmir.Parser.parse ~file:name text))
+      .Analysis.Checker.warnings
+
+let cache_run cache ~name ~params text =
+  match Serve.Cache.check cache ~name ~params ~text with
+  | Ok o -> o
+  | Error e -> Alcotest.fail ("check failed: " ^ e)
+
+(* The level-B slot table obeys [max_request_entries] as level A does:
+   with room for one slot, checking B drops A's slot, so an edit of A
+   is a cold miss — and still byte-identical to a cold check. *)
+let test_slot_table_bounded () =
+  let cache = Serve.Cache.create ~max_request_entries:1 () in
+  let params = Serve.Cache.default_params Analysis.Model.Strict in
+  let run ~name text = cache_run cache ~name ~params text in
+  ignore (run ~name:"a.nvmir" (warn_src 1));
+  ignore (run ~name:"b.nvmir" (warn_src 5));
+  let o = run ~name:"a.nvmir" (warn_src 2) in
+  check Alcotest.string "A's slot was dropped" "miss"
+    (Serve.Cache.cache_level_name o.Serve.Cache.level);
+  check (Alcotest.list Alcotest.string) "warnings equal a cold check"
+    (cold_render ~name:"a.nvmir" (warn_src 2))
+    (List.map render o.Serve.Cache.summary.Serve.Cache.sm_warnings)
+
+(* Every [Config.t] field is part of the cache key: a text cached under
+   the default record is never a level-A hit under a record differing in
+   one field, and the answer equals a cold check under that record. *)
+let test_cache_key_covers_config () =
+  let d = Analysis.Config.default in
+  let variants =
+    [
+      ("loop_bound", { d with loop_bound = 1 });
+      ("recursion_bound", { d with recursion_bound = 1 });
+      ("max_paths", { d with max_paths = 1 });
+      ("expansion_fanout", { d with expansion_fanout = 1 });
+      ("field_sensitive", { d with field_sensitive = false });
+      ("offset_sensitive", { d with offset_sensitive = false });
+      ("persistent_roots", { d with persistent_roots = [ ("leaf", "p") ] });
+    ]
+  in
+  let cache = Serve.Cache.create () in
+  let text = warn_src 1 in
+  let run config =
+    cache_run cache ~name:"k.nvmir"
+      ~params:(Serve.Cache.default_params ~config Analysis.Model.Strict)
+      text
+  in
+  ignore (run d);
+  check Alcotest.string "default record replays" "hit"
+    (Serve.Cache.cache_level_name (run d).Serve.Cache.level);
+  List.iter
+    (fun (field, config) ->
+      let o = run config in
+      check Alcotest.bool (field ^ ": not a level-A hit") true
+        (o.Serve.Cache.level <> Serve.Cache.Hit);
+      check (Alcotest.list Alcotest.string) (field ^ ": equals a cold check")
+        (cold_render ~config ~name:"k.nvmir" text)
+        (List.map render o.Serve.Cache.summary.Serve.Cache.sm_warnings))
+    variants
+
+(* ------------------------------------------------------------------ *)
 (* Raw request memo (crash-explore / inject requests) *)
 
 let test_memo_replays () =
@@ -251,6 +330,9 @@ let suite =
       `Quick test_edit_invalidates_dependents;
     tc "cache: raw memo replays byte-identical payloads" `Quick
       test_memo_replays;
+    tc "cache: level-B slots are bounded" `Quick test_slot_table_bounded;
+    tc "cache: key covers every Config field" `Quick
+      test_cache_key_covers_config;
     tc "pool: idle workers park and wake for new work" `Quick
       test_pool_parks_and_wakes;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
