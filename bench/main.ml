@@ -850,8 +850,8 @@ let crashspace () =
           [ 16; 256; 1024 ])
       variants;
     Fmt.pr
-      "(the prefix oracle walks one image per crash point; the explorer \
-       covers every reachable write-back subset up to the bound, and \
+      "(the explorer covers every reachable write-back subset up to the \
+       bound, starting with the prefix image at every crash point, and \
        persistence-equivalence hashing collapses subsets that differ only \
        in clean or overlapping lines)@."
 

@@ -9,7 +9,6 @@
      deepmc check prog.nvmir --strict [--entry main] [--json] [--html r.html]
      deepmc check-mixed prog.nvmir --model-map models.txt
      deepmc fix prog.nvmir --strict [-o fixed.nvmir]
-     deepmc crash prog.nvmir [--entry main] [--summary]
      deepmc crash-explore prog.nvmir [--bound 256] [--recover] [--json]
      deepmc recover prog.nvmir [--recovery-entry recover] [--json]
      deepmc fuzz prog.nvmir | --workload memslap [--budget N] [--random]
@@ -630,55 +629,10 @@ let corpus_cmd =
     (Cmd.info "corpus" ~doc)
     Term.(term_result (const run $ name_term $ corpus_json_term))
 
-let crash_cmd =
-  let entry_req =
-    Arg.(
-      value
-      & opt string "main"
-      & info [ "entry" ] ~docv:"FUNC" ~doc:"Entry point (default main).")
-  in
-  let summary_term =
-    Arg.(value & flag & info [ "summary" ] ~doc:"Totals only, no per-point rows.")
-  in
-  let run file entry summary =
-    let ( let* ) = Result.bind in
-    let* prog = load file in
-    let* prog = validated prog in
-    match Nvmir.Prog.find_func prog entry with
-    | None -> Error (`Msg (Fmt.str "entry %s not defined" entry))
-    | Some _ ->
-      let r = Runtime.Crash.explore ~entry prog in
-      if summary then begin
-        let peak =
-          List.fold_left
-            (fun a (e : Runtime.Crash.exposure) ->
-              max a e.Runtime.Crash.at_risk_slots)
-            0 r.Runtime.Crash.points
-        in
-        Fmt.pr
-          "crash points: %d; peak in-flight exposure: %d slot(s); never \
-           durable: %d slot(s)@."
-          (List.length r.Runtime.Crash.points)
-          peak r.Runtime.Crash.final_at_risk
-      end
-      else Fmt.pr "%a@." Runtime.Crash.pp_exposure_report r;
-      if r.Runtime.Crash.final_at_risk > 0 then
-        Error
-          (`Msg
-             (Fmt.str "%d slot(s) never became durable"
-                r.Runtime.Crash.final_at_risk))
-      else Ok ()
-  in
-  let doc =
-    "Inject a crash after every persistent-memory event and report how much \
-     durable state is at risk at each point."
-  in
-  Cmd.v (Cmd.info "crash" ~doc)
-    Term.(term_result (const run $ file_arg $ entry_req $ summary_term))
-
-(* Reachable-image exploration: where `deepmc crash` walks the single
-   prefix image per point, `crash-explore` enumerates the durable images
-   any write-back order could leave behind. *)
+(* Reachable-image exploration: at every crash point (and at exit)
+   enumerate the durable images any write-back order could leave
+   behind, starting with the prefix image in which nothing in flight
+   persisted. *)
 let crash_explore_cmd =
   let entry_req =
     Arg.(
@@ -1384,7 +1338,7 @@ let main_cmd =
   let info = Cmd.info "deepmc" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      check_cmd; check_mixed_cmd; explain_cmd; fix_cmd; crash_cmd;
+      check_cmd; check_mixed_cmd; explain_cmd; fix_cmd;
       crash_explore_cmd; recover_cmd; inject_cmd; fuzz_cmd; serve_cmd;
       fmt_cmd; dsg_cmd; cfg_cmd; trace_cmd; corpus_cmd; rules_cmd; stats_cmd;
     ]

@@ -53,30 +53,10 @@ entry:
 |}
 
 (* The hashmap object is the first persistent allocation: object id 0.
-   Slot 0 is nbuckets, slot 1 is buckets[0]. *)
-let invariant pmem =
-  let nbuckets =
-    Runtime.Value.to_int
-      (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot = 0 })
-  in
-  let bucket0 =
-    Runtime.Value.to_int
-      (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot = 1 })
-  in
-  if nbuckets <> 0 && bucket0 = 0 then
-    Error
-      (Fmt.str
-         "nbuckets=%d is durable but the bucket array is not initialized"
-         nbuckets)
-  else Ok ()
-
-(* The same invariant phrased over a value lookup, for the image-space
-   oracle (which hands the invariant a materialized durable image
-   rather than the live heap). *)
-let image_invariant read =
-  let v slot =
-    Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot })
-  in
+   Slot 0 is nbuckets, slot 1 is buckets[0]. The explorer hands the
+   invariant a reader over one materialized durable image. *)
+let invariant read =
+  let v slot = Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot }) in
   if v 0 <> 0 && v 1 = 0 then
     Error
       (Fmt.str "nbuckets=%d is durable but the bucket array is not initialized"
@@ -85,30 +65,21 @@ let image_invariant read =
 
 let run label src =
   let prog = Nvmir.Parser.parse src in
-  let report = Runtime.Crash.test ~entry:"main" ~invariant prog in
-  Fmt.pr "%-18s %a@." label Runtime.Crash.pp_report report
-
-let run_space label src =
-  let prog = Nvmir.Parser.parse src in
   let report =
-    Runtime.Crash_space.test ~entry:"main" ~invariant:image_invariant prog
+    Deepmc.Crash_sweep.explore_program ~oracle:(Invariant invariant) prog
   in
   Fmt.pr "@[<v 2>%-18s@ %a@]@." label Runtime.Crash_space.pp_report report
 
 let () =
   Fmt.pr
-    "Injecting a crash after every persistent-memory event and checking@.the \
-     durable state (only fenced data and committed transactions survive):@.@.";
+    "Injecting a crash after every persistent-memory event and checking@.\
+     every durable image a write-back order can leave (the first one per@.\
+     point is the prefix image: only fenced data and committed@.\
+     transactions survive):@.@.";
   run "buggy hashmap:" buggy;
   run "fixed hashmap:" fixed;
   Fmt.pr
-    "@.The buggy version has crash points where the map says it has buckets@.\
-     but the bucket array never became durable; the transactional version@.\
-     rolls back to the empty map at every crash point.@.";
-  Fmt.pr
-    "@.The prefix oracle above checks one image per crash point. The@.\
-     crash-image explorer enumerates every reachable write-back subset@.\
-     of the in-flight cache lines and checks each image, reporting the@.\
-     persisted-subset witness for every inconsistency:@.@.";
-  run_space "buggy hashmap:" buggy;
-  run_space "fixed hashmap:" fixed
+    "@.The buggy version has crash images where the map says it has@.\
+     buckets but the bucket array never became durable; each is reported@.\
+     with the in-flight lines that reached NVM. The transactional version@.\
+     rolls back to the empty map in every image.@."

@@ -47,12 +47,9 @@ entry:
 |}
 
 (* Invariant: every published slot (index < tail) holds a non-zero
-   element in the durable state. The demo enqueues 11/22/33, never 0. *)
-let invariant pmem =
-  let v slot =
-    Runtime.Value.to_int
-      (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot })
-  in
+   element in the durable image. The demo enqueues 11/22/33, never 0. *)
+let invariant read =
+  let v slot = Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot }) in
   let tail = v 0 in
   let rec scan i =
     if i >= tail then Ok ()
@@ -64,8 +61,10 @@ let invariant pmem =
 
 let crash_test label src =
   let prog = Nvmir.Parser.parse src in
-  let report = Runtime.Crash.test ~entry:"main" ~invariant prog in
-  Fmt.pr "%-18s %a@." label Runtime.Crash.pp_report report
+  let report =
+    Deepmc.Crash_sweep.explore_program ~oracle:(Invariant invariant) prog
+  in
+  Fmt.pr "@[<v 2>%-18s@ %a@]@." label Runtime.Crash_space.pp_report report
 
 let () =
   Fmt.pr "Static check of the correct queue:@.";
@@ -90,7 +89,7 @@ let () =
   Fmt.pr "%s@." (Deepmc.Suppress.to_string db);
   Fmt.pr "after suppression: %d kept, %d suppressed@.@." (List.length kept)
     (List.length suppressed);
-  Fmt.pr "Crash-injection over every persistent-memory event:@.";
+  Fmt.pr "Crash images reachable after every persistent-memory event:@.";
   crash_test "correct queue:" correct_src;
   crash_test "buggy queue:" buggy_src;
   Fmt.pr

@@ -1,7 +1,9 @@
-(** Parallel crash-image exploration: fans {!Runtime.Crash_space} tasks
-    (one per crash point, per program) out over the shared {!Pool}. Each
-    task re-executes its program independently, so nothing is shared
-    between domains beyond the (read-only) program. *)
+(** Crash-image exploration of whole programs: fans
+    {!Runtime.Crash_space} tasks (one per crash point plus exit, per
+    program) out over the shared {!Pool}. Each task re-executes its
+    program independently, so nothing is shared between domains beyond
+    the (read-only) program. This is the only program-level crash
+    explorer; with [~domains:1] it runs sequentially. *)
 
 type job = {
   name : string;
@@ -13,7 +15,6 @@ type job = {
 type program_report = {
   name : string;
   report : Runtime.Crash_space.report;
-  elapsed_s : float;  (** summed per-task CPU seconds, not wall clock *)
 }
 
 val explore_program :
@@ -26,8 +27,9 @@ val explore_program :
   ?args:int list ->
   Nvmir.Prog.t ->
   Runtime.Crash_space.report
-(** Parallel equivalent of {!Runtime.Crash_space.explore}; [entry]
-    defaults to ["main"]. *)
+(** Explore every crash point of one program plus its exit and
+    summarize them; [entry] defaults to ["main"] and [oracle] to
+    [Sequential]. *)
 
 val sweep :
   ?domains:int ->
@@ -38,6 +40,6 @@ val sweep :
   job list ->
   program_report list
 (** Explore many programs at once, interleaving their crash points over
-    one pool; results are returned in job order. *)
-
-val pp_program_report : program_report Fmt.t
+    one pool; results are returned in job order, one per job. Each
+    report equals {!explore_program} on that job alone, even when job
+    names repeat. *)

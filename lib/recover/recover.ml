@@ -260,10 +260,6 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
         (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
   in
   let crash_points = Crash_space.count_points ?config ?entry ?args prog in
-  let tasks =
-    List.init crash_points (fun i -> Crash_space.Point (i + 1))
-    @ [ Crash_space.Exit ]
-  in
   let counter = ref 0 in
   let heap_names = Hashtbl.create 8 in
   let checks, sampled =
@@ -290,7 +286,8 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
             images
         in
         (acc @ checks, sampled || s))
-      ([], false) tasks
+      ([], false)
+      (Crash_space.tasks ~crash_points)
   in
   let heap_name id =
     match Hashtbl.find_opt heap_names id with

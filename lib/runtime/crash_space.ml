@@ -1,37 +1,39 @@
-(* Crash-image state-space exploration.
+(* Crash-image state-space exploration: the repo's one crash model.
 
-   The prefix oracle in [Crash] injects a crash after the k-th
-   persistent-memory event and inspects ONE durable image per point: the
-   state in which nothing in flight persisted. Real hardware is less
-   kind — at a crash, ANY subset of the cache lines still in flight
-   (Dirty, or flushed but not yet fenced) may have reached NVM, decided
-   by eviction and write-back completion order rather than by the
-   program. The deep write-back reorderings that make persistency bugs
-   "deep" live exactly in those other images, which is why enumerating
-   reachable post-crash images is the standard ground-truth oracle for
+   A crash is injected after the k-th persistent-memory event (or at
+   program exit). At that point ANY subset of the cache lines still in
+   flight (Dirty, or flushed but not yet fenced) may have reached NVM,
+   decided by eviction and write-back completion order rather than by
+   the program. The deep write-back reorderings that make persistency
+   bugs "deep" live in those images, which is why enumerating reachable
+   post-crash images is the standard ground-truth oracle for
    crash-consistency detectors (WITCHER, PMRace).
 
    At every crash point (and at program exit, where still-volatile lines
-   are simply lost) this module:
+   are simply lost) one walk, [walk]:
 
-   - takes the candidate lines from [Pmem.inflight_lines];
+   - re-executes the program up to the task and takes the candidate
+     lines from [Pmem.inflight_lines];
    - materializes each persisted-subset via [Pmem.materialize], with
      open transactions rolled back;
    - prunes by a persistence-equivalence digest — many subsets collapse
      to the same durable state (flushing clean data, overlapping lines),
      and the pruning ratio is reported;
    - enumerates exhaustively when 2^candidates fits the [bound], and
-     otherwise draws a deterministic sample that always contains the
-     empty and full subsets, so the prefix image is never lost and
-     corpus-wide sweeps stay tractable.
+     otherwise draws a deterministic sample that always starts with the
+     empty subset (and, when the bound is at least 2, the full one).
 
-   Consistency of an image is judged by an [oracle]: a user invariant
-   over the materialized heap, or the built-in [Sequential] oracle that
-   accepts an image iff it equals some program-order prefix of the
-   recorded write sequence (the states strict persistency allows) and,
-   at exit, iff no write is left volatile. Because the empty subset is
-   always explored, every violation the prefix oracle reports is also
-   found here — the differential test suite checks that inclusion. *)
+   The empty subset is the prefix image — exactly [Pmem.durable_snapshot]
+   of the crashed heap, what survives when nothing in flight persisted —
+   and it is always the first image walked, so the prefix image is never
+   lost under sampling.
+
+   [explore_task] judges each distinct image against an [oracle]: a user
+   invariant over the materialized heap, or the built-in [Sequential]
+   oracle that accepts an image iff it equals some program-order prefix
+   of the recorded write sequence (the states strict persistency allows)
+   and, at exit, iff no write is left volatile. [crash_images] hands the
+   same images to the recovery tier. *)
 
 type oracle =
   | Sequential
@@ -64,10 +66,14 @@ type report = {
 }
 
 let default_bound = 256
-let count_points = Crash.count_events
+
+exception Crashed
 
 (* Re-execute up to [task] (a crash point, or completion for [Exit]),
-   recording the persistent write sequence for the Sequential oracle. *)
+   recording the persistent write sequence for the Sequential oracle.
+   Every persistent-memory event (write, flush, fence, tx begin/end)
+   counts, so crash points cover each interesting intermediate state;
+   the count is returned with the crashed heap. *)
 let run_to ?config ?entry ?args ~task prog =
   let pmem = Pmem.create ?config () in
   let writes = ref [] in
@@ -75,7 +81,7 @@ let run_to ?config ?entry ?args ~task prog =
   let at = match task with Point k -> k | Exit -> max_int in
   let bump _loc =
     incr n;
-    if !n = at then raise Crash.Crashed
+    if !n = at then raise Crashed
   in
   let listener =
     {
@@ -94,13 +100,15 @@ let run_to ?config ?entry ?args ~task prog =
   in
   Pmem.add_listener pmem listener;
   let interp = Interp.create ~pmem prog in
-  let crashed =
-    try
-      ignore (Interp.run ?entry ?args interp);
-      false
-    with Crash.Crashed -> true
-  in
-  (pmem, List.rev !writes, crashed)
+  (try ignore (Interp.run ?entry ?args interp) with Crashed -> ());
+  (pmem, List.rev !writes, !n)
+
+let count_points ?config ?entry ?args prog =
+  let _, _, n = run_to ?config ?entry ?args ~task:Exit prog in
+  n
+
+let tasks ~crash_points =
+  List.init crash_points (fun i -> Point (i + 1)) @ [ Exit ]
 
 (* Persistence-equivalence digest: an injective rendering of the durable
    image, so images are compared (and pruned) by exact state, not by the
@@ -141,8 +149,9 @@ let prefix_digests pmem writes =
   set
 
 (* Subsets of [ncand] candidate lines as bool arrays: exhaustive while
-   2^ncand fits the bound, otherwise a deterministic LCG sample that
-   always includes the empty and full subsets. *)
+   2^ncand fits the bound, otherwise a deterministic LCG sample whose
+   first draw is the empty subset and, from a bound of 2, whose second
+   is the full one. *)
 let enumerate ~bound ~seed ncand =
   if ncand = 0 then ([ [||] ], false)
   else if ncand <= 20 && 1 lsl ncand <= bound then
@@ -164,6 +173,55 @@ let enumerate ~bound ~seed ncand =
       true )
   end
 
+(* The Sequential oracle's references for one crash task, built lazily
+   so invariant oracles and image collection never pay for them. *)
+type reference = {
+  prefixes : (string, unit) Hashtbl.t Lazy.t;
+      (* digests of the program-order prefixes of the write sequence *)
+  complete : string Lazy.t;
+      (* digest of the image with every in-flight line persisted *)
+}
+
+(* The one distinct-image walk: re-execute to [task], seed the sampler
+   per task, enumerate persisted-subsets of the in-flight lines,
+   materialize and digest each, and call [on_image] once per distinct
+   durable image, in enumeration order. Images are not retained here;
+   the callback decides what to keep. Returns the crashed heap and the
+   task's counts (with no witnesses). *)
+let walk ?config ?entry ?args ~bound ~seed ~task prog on_image =
+  let heap, writes, _ = run_to ?config ?entry ?args ~task prog in
+  let candidates = Pmem.inflight_lines heap in
+  let ncand = List.length candidates in
+  let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
+  let subs, sampled = enumerate ~bound ~seed ncand in
+  let image persist = Pmem.materialize heap ~persist in
+  let reference =
+    {
+      prefixes = lazy (prefix_digests heap writes);
+      complete = lazy (digest (image candidates));
+    }
+  in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun sub ->
+      let persist = List.filteri (fun i _ -> sub.(i)) candidates in
+      let img = image persist in
+      let dg = digest img in
+      if not (Hashtbl.mem seen dg) then begin
+        Hashtbl.replace seen dg ();
+        on_image reference ~persist img dg
+      end)
+    subs;
+  ( heap,
+    {
+      task;
+      candidate_lines = ncand;
+      subsets_enumerated = List.length subs;
+      distinct_images = Hashtbl.length seen;
+      sampled;
+      witnesses = [];
+    } )
+
 let m_enumerated =
   Obs.Metrics.counter "crash.images_enumerated"
     ~desc:"write-back subsets enumerated across crash points"
@@ -179,77 +237,52 @@ let m_sampled =
 let m_points =
   Obs.Metrics.counter "crash.points_explored" ~desc:"crash points explored"
 
+(* Reads of a materialized image; unknown addresses read as [Vnull]. *)
+let reader img { Pmem.obj_id; slot } =
+  match Hashtbl.find_opt img obj_id with
+  | Some arr when slot >= 0 && slot < Array.length arr -> arr.(slot)
+  | _ -> Value.Vnull
+
+let verdict oracle ~task reference img dg =
+  match oracle with
+  | Invariant f -> f (reader img)
+  | Sequential -> (
+    match task with
+    | Point _ ->
+      if Hashtbl.mem (Lazy.force reference.prefixes) dg then Ok ()
+      else
+        Error
+          "durable image matches no program-order prefix of the write \
+           sequence"
+    | Exit ->
+      if String.equal dg (Lazy.force reference.complete) then Ok ()
+      else Error "writes still volatile at program exit are lost")
+
 let explore_task ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
     ?(oracle = Sequential) ~task prog : point_result =
   Obs.Span.with_ ~name:"crash-point" (fun () ->
-  let pmem, writes, _crashed = run_to ?config ?entry ?args ~task prog in
-  let candidates = Pmem.inflight_lines pmem in
-  let cand = Array.of_list candidates in
-  let ncand = Array.length cand in
-  let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
-  let subs, sampled = enumerate ~bound ~seed ncand in
-  let prefixes = lazy (prefix_digests pmem writes) in
-  (* the exit reference: nothing in flight is lost *)
-  let complete = lazy (digest (Pmem.materialize pmem ~persist:candidates)) in
-  let seen = Hashtbl.create 64 in
   let witnesses = ref [] in
-  let enumerated = ref 0 in
-  List.iter
-    (fun sub ->
-      incr enumerated;
-      let persist = ref [] in
-      Array.iteri (fun i c -> if sub.(i) then persist := c :: !persist) cand;
-      let persist = List.rev !persist in
-      let img = Pmem.materialize pmem ~persist in
-      let dg = digest img in
-      if not (Hashtbl.mem seen dg) then begin
-        Hashtbl.replace seen dg ();
-        let verdict =
-          match oracle with
-          | Invariant f ->
-            f (fun { Pmem.obj_id; slot } ->
-                match Hashtbl.find_opt img obj_id with
-                | Some arr when slot >= 0 && slot < Array.length arr ->
-                  arr.(slot)
-                | _ -> Value.Vnull)
-          | Sequential -> (
-            match task with
-            | Point _ ->
-              if Hashtbl.mem (Lazy.force prefixes) dg then Ok ()
-              else
-                Error
-                  "durable image matches no program-order prefix of the \
-                   write sequence"
-            | Exit ->
-              if String.equal dg (Lazy.force complete) then Ok ()
-              else Error "writes still volatile at program exit are lost")
-        in
-        match verdict with
+  let _, pt =
+    walk ?config ?entry ?args ~bound ~seed ~task prog
+      (fun reference ~persist img dg ->
+        match verdict oracle ~task reference img dg with
         | Ok () -> ()
         | Error d ->
           witnesses :=
             { w_task = task; w_persisted = persist; w_detail = d }
-            :: !witnesses
-      end)
-    subs;
+            :: !witnesses)
+  in
   if Obs.enabled () then begin
     Obs.Metrics.incr m_points;
-    Obs.Metrics.add m_enumerated !enumerated;
-    Obs.Metrics.add m_pruned (!enumerated - Hashtbl.length seen);
-    if sampled then Obs.Metrics.incr m_sampled
+    Obs.Metrics.add m_enumerated pt.subsets_enumerated;
+    Obs.Metrics.add m_pruned (pt.subsets_enumerated - pt.distinct_images);
+    if pt.sampled then Obs.Metrics.incr m_sampled
   end;
-  {
-    task;
-    candidate_lines = ncand;
-    subsets_enumerated = !enumerated;
-    distinct_images = Hashtbl.length seen;
-    sampled;
-    witnesses = List.rev !witnesses;
-  })
+  { pt with witnesses = List.rev !witnesses })
 
 (* ------------------------------------------------------------------ *)
-(* Image enumeration for the recovery tier: the same subset walk as
-   [explore_task], but returning the crashed pmem and the distinct
+(* Image enumeration for the recovery tier: the same walk as
+   [explore_task], returning the crashed pmem and the distinct
    materialized images instead of judging them against an oracle. The
    recovery executor corrupts and restores each image separately. *)
 
@@ -261,29 +294,14 @@ type crash_image = {
 
 let crash_images ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
     ~task prog =
-  let pmem, _writes, _crashed = run_to ?config ?entry ?args ~task prog in
-  let candidates = Pmem.inflight_lines pmem in
-  let cand = Array.of_list candidates in
-  let ncand = Array.length cand in
-  let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
-  let subs, sampled = enumerate ~bound ~seed ncand in
-  let seen = Hashtbl.create 64 in
   let images = ref [] in
-  List.iter
-    (fun sub ->
-      let persist = ref [] in
-      Array.iteri (fun i c -> if sub.(i) then persist := c :: !persist) cand;
-      let persist = List.rev !persist in
-      let img = Pmem.materialize pmem ~persist in
-      let dg = digest img in
-      if not (Hashtbl.mem seen dg) then begin
-        Hashtbl.replace seen dg ();
+  let heap, pt =
+    walk ?config ?entry ?args ~bound ~seed ~task prog
+      (fun _ ~persist img _ ->
         images :=
-          { ci_task = task; ci_persisted = persist; ci_image = img }
-          :: !images
-      end)
-    subs;
-  (pmem, List.rev !images, sampled)
+          { ci_task = task; ci_persisted = persist; ci_image = img } :: !images)
+  in
+  (heap, List.rev !images, pt.sampled)
 
 let summarize ~crash_points (points : point_result list) : report =
   let images_enumerated =
@@ -301,18 +319,6 @@ let summarize ~crash_points (points : point_result list) : report =
     inconsistent = List.length witnesses;
     witnesses;
   }
-
-let explore ?config ?entry ?args ?bound ?seed ?oracle prog : report =
-  let total = Crash.count_events ?config ?entry ?args prog in
-  let tasks = List.init total (fun i -> Point (i + 1)) @ [ Exit ] in
-  summarize ~crash_points:total
-    (List.map
-       (fun task ->
-         explore_task ?config ?entry ?args ?bound ?seed ?oracle ~task prog)
-       tasks)
-
-let test ?config ?entry ?args ?bound ?seed ~invariant prog =
-  explore ?config ?entry ?args ?bound ?seed ~oracle:(Invariant invariant) prog
 
 let consistent r = r.inconsistent = 0
 

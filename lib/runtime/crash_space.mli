@@ -1,14 +1,19 @@
-(** Crash-image state-space exploration.
+(** Crash-image state-space exploration: the one crash model.
 
-    Where {!Crash} inspects one durable image per crash point (nothing
-    in flight persisted), this module enumerates the set of durable
-    images reachable under the cache-line write-back model: at a crash,
-    any subset of the in-flight lines ([Dirty], or [Flushed] but not yet
+    A crash is injected after the k-th persistent-memory event, or at
+    program exit. This module enumerates the set of durable images
+    reachable under the cache-line write-back model: at a crash, any
+    subset of the in-flight lines ([Dirty], or [Flushed] but not yet
     fenced) may have reached NVM, with open transactions rolled back.
     Images are pruned by persistence-equivalence hashing and the subset
     space is capped by a bound — exhaustive below it, deterministic
-    sampling above it (always including the empty and full subsets, so
-    the prefix image is never lost). *)
+    sampling above it. A sample always starts with the empty subset, so
+    the prefix image ({!Pmem.durable_snapshot} of the crashed heap) is
+    never lost; the full subset is drawn second, so at [bound = 1] only
+    the empty subset is explored.
+
+    [Deepmc.Crash_sweep.explore_program] drives {!explore_task} over
+    every task of a program. *)
 
 (** How an image is judged consistent. *)
 type oracle =
@@ -55,8 +60,11 @@ val default_bound : int
 
 val count_points :
   ?config:Config.t -> ?entry:string -> ?args:int list -> Nvmir.Prog.t -> int
-(** Alias of {!Crash.count_events}: how many [Point] tasks a program
-    has. *)
+(** How many [Point] tasks a program has: the persistent-memory events
+    (write, flush, fence, tx begin/end) of a completed run. *)
+
+val tasks : crash_points:int -> task list
+(** [Point 1 .. Point crash_points] followed by {!Exit}. *)
 
 val explore_task :
   ?config:Config.t ->
@@ -70,7 +78,9 @@ val explore_task :
   point_result
 (** Explore one crash point (re-executes the program up to it). Pure
     per-task, so callers may fan tasks out across domains and
-    {!summarize} the results. *)
+    {!summarize} the results. Invariant oracles read the image through
+    the function they are passed; the first image judged is always the
+    prefix image. *)
 
 (** {1 Image enumeration} — the recovery tier's entry point. *)
 
@@ -92,36 +102,18 @@ val crash_images :
   task:task ->
   Nvmir.Prog.t ->
   Pmem.t * crash_image list * bool
-(** The crashed heap, the distinct durable images it can leave (same
-    enumeration, pruning and bound as {!explore_task}), and whether the
-    subset space was sampled. The pmem is what {!Pmem.corrupt_image}
-    seeds from and {!Pmem.restore} copies object metadata from. *)
+(** The crashed heap, the distinct durable images it can leave (the
+    same walk as {!explore_task}: one enumeration, pruning and bound),
+    and whether the subset space was sampled. The first image has
+    [ci_persisted = []] and equals {!Pmem.durable_snapshot} of the heap.
+    The pmem is what {!Pmem.corrupt_image} seeds from and
+    {!Pmem.restore} copies object metadata from. *)
+
+val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
+(** Reads of a materialized image, as an {!Invariant} oracle sees them:
+    unknown addresses read as {!Value.Vnull}. *)
 
 val summarize : crash_points:int -> point_result list -> report
-
-val explore :
-  ?config:Config.t ->
-  ?entry:string ->
-  ?args:int list ->
-  ?bound:int ->
-  ?seed:int ->
-  ?oracle:oracle ->
-  Nvmir.Prog.t ->
-  report
-(** Sequential exploration of every crash point plus {!Exit}. *)
-
-val test :
-  ?config:Config.t ->
-  ?entry:string ->
-  ?args:int list ->
-  ?bound:int ->
-  ?seed:int ->
-  invariant:((Pmem.addr -> Value.t) -> (unit, string) result) ->
-  Nvmir.Prog.t ->
-  report
-(** [explore] with [oracle = Invariant invariant]. Because the empty
-    persisted-subset is always enumerated, any violation {!Crash.test}
-    reports with the same invariant is also found here. *)
 
 val consistent : report -> bool
 val pruning_ratio : report -> float

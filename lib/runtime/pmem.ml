@@ -10,8 +10,8 @@
                         +---- write -----+   (re-dirtied before drain)
 
    The durable view ([durable_value]) reflects only fenced data, plus
-   undo-log rollback for transactions that have not committed — exactly
-   what survives the crash simulation in [Crash]. *)
+   undo-log rollback for transactions that have not committed — the
+   prefix image [Crash_space] walks first at every crash point. *)
 
 type slot_state = Clean | Dirty | Flushed
 

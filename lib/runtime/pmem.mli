@@ -5,8 +5,8 @@
     which the dynamic checker observes execution (§4.4).
 
     The durable view ({!durable_value}) reflects only fenced data, with
-    open transactions rolled back — exactly what survives the crash
-    simulation in {!Crash}. *)
+    open transactions rolled back — the prefix image {!Crash_space}
+    walks first at every crash point. *)
 
 type slot_state = Clean | Dirty | Flushed
 

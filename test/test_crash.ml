@@ -1,6 +1,7 @@
-(* Tests for the crash-simulation oracle: buggy corpus patterns really
-   do have inconsistent crash windows, and the corrected variants do
-   not. *)
+(* Tests for crash simulation over reachable crash images: buggy corpus
+   patterns really do have inconsistent crash windows, and the corrected
+   variants do not. Invariants read one materialized durable image
+   through the reader the image oracle passes in. *)
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
@@ -36,28 +37,42 @@ entry:
 |}
 
 (* invariant: if nbuckets is durable, bucket0 must be initialized *)
-let invariant pmem =
-  let v slot =
-    Runtime.Value.to_int
-      (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot })
-  in
+let invariant read =
+  let v slot = Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot }) in
   if v 0 <> 0 && v 1 = 0 then Error "nbuckets durable before buckets"
   else Ok ()
 
+let crash_test ?entry invariant prog =
+  Deepmc.Crash_sweep.explore_program ?entry
+    ~oracle:(Runtime.Crash_space.Invariant invariant) prog
+
+(* The prefix image of [task]: what survives when nothing in flight
+   reached NVM, read slot by slot. *)
+let prefix_image ~task ~entry prog =
+  let _, images, _ = Runtime.Crash_space.crash_images ~entry ~task prog in
+  match images with
+  | ci :: _ -> fun obj_id slot ->
+    Runtime.Value.to_int
+      (Runtime.Crash_space.reader ci.Runtime.Crash_space.ci_image
+         { Runtime.Pmem.obj_id; slot })
+  | [] -> Alcotest.fail "a crash task has at least one image"
+
 let test_buggy_hashmap_has_window () =
   let prog = Nvmir.Parser.parse (hashmap_src ~transactional:false) in
-  let report = Runtime.Crash.test ~entry:"main" ~invariant prog in
-  check Alcotest.bool "violations found" true (report.Runtime.Crash.violations > 0);
-  match Runtime.Crash.first_violation report with
-  | Some o -> check Alcotest.bool "detail given" true (o.Runtime.Crash.detail <> "")
+  let report = crash_test invariant prog in
+  check Alcotest.bool "violations found" true
+    (report.Runtime.Crash_space.inconsistent > 0);
+  match Runtime.Crash_space.first_witness report with
+  | Some w ->
+    check Alcotest.bool "detail given" true (w.Runtime.Crash_space.w_detail <> "")
   | None -> Alcotest.fail "expected a violating crash point"
 
 let test_transactional_hashmap_safe () =
   let prog = Nvmir.Parser.parse (hashmap_src ~transactional:true) in
-  let report = Runtime.Crash.test ~entry:"main" ~invariant prog in
-  check Alcotest.bool "no violations" true (Runtime.Crash.consistent report);
+  let report = crash_test invariant prog in
+  check Alcotest.bool "no violations" true (Runtime.Crash_space.consistent report);
   check Alcotest.bool "crash points exercised" true
-    (report.Runtime.Crash.total_points > 0)
+    (report.Runtime.Crash_space.crash_points > 0)
 
 (* ordering matters: writing the dependent field first closes the
    window even without a transaction *)
@@ -77,9 +92,9 @@ entry:
 }
 |}
   in
-  let report = Runtime.Crash.test ~entry:"main" ~invariant prog in
+  let report = crash_test invariant prog in
   check Alcotest.bool "dependency-ordered init is crash safe" true
-    (Runtime.Crash.consistent report)
+    (Runtime.Crash_space.consistent report)
 
 (* the unflushed-write bug of Figure 9: the final value is never
    durable, so the invariant "state is never left mid-transition"
@@ -100,15 +115,9 @@ entry:
 |}
   in
   (* run to completion: the level update never becomes durable *)
-  let pmem = Runtime.Pmem.create () in
-  let interp = Runtime.Interp.create ~pmem prog in
-  ignore (Runtime.Interp.run ~entry:"main" interp);
-  check Alcotest.int "level lost on crash" 0
-    (Runtime.Value.to_int
-       (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot = 1 }));
-  check Alcotest.int "state durable" 1
-    (Runtime.Value.to_int
-       (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot = 0 }))
+  let durable = prefix_image ~task:Runtime.Crash_space.Exit ~entry:"main" prog in
+  check Alcotest.int "level lost on crash" 0 (durable 0 1);
+  check Alcotest.int "state durable" 1 (durable 0 0)
 
 (* the crash oracle on corpus programs: buggy hashmap (Fig. 1 example)
    must expose the window; the fixed variant must not *)
@@ -123,26 +132,23 @@ let test_corpus_hashmap_crash_oracle () =
     in
     (* the fixed hashmap creates the map transactionally: every crash
        point must leave nbuckets and bucket[0] consistent *)
-    let invariant pmem =
+    let invariant read =
       let v slot =
-        Runtime.Value.to_int
-          (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id = 0; slot })
+        Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot })
       in
       (* slot 0 = nbuckets, slot 1 = buckets[0] *)
       if v 0 <> 0 && v 1 = 0 then Error "half-initialized map" else Ok ()
     in
-    let report =
-      Runtime.Crash.test ~entry:"hashmap_driver_all" ~invariant fixed
-    in
+    let report = crash_test ~entry:"hashmap_driver_all" invariant fixed in
     check Alcotest.bool "fixed hashmap crash-consistent" true
-      (Runtime.Crash.consistent report)
+      (Runtime.Crash_space.consistent report)
 
 let test_crash_report_counts () =
   let prog = Nvmir.Parser.parse (hashmap_src ~transactional:false) in
-  let report = Runtime.Crash.test ~entry:"main" ~invariant prog in
-  check Alcotest.int "an outcome per crash point"
-    report.Runtime.Crash.total_points
-    (List.length report.Runtime.Crash.outcomes)
+  let report = crash_test invariant prog in
+  check Alcotest.int "a result per crash point, plus exit"
+    (report.Runtime.Crash_space.crash_points + 1)
+    (List.length report.Runtime.Crash_space.points)
 
 let suite =
   [

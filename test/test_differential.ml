@@ -187,7 +187,7 @@ let prop_crash_space_implies_static_warning =
           calls_per_func = 1; buggy_fraction_pct = 50; ptr_arith = true }
       in
       let prog, _ = Corpus.Synth.generate cfg in
-      let space = Runtime.Crash_space.explore ~entry:"main" ~bound:64 prog in
+      let space = Deepmc.Crash_sweep.explore_program ~bound:64 prog in
       if space.Runtime.Crash_space.inconsistent = 0 then true
       else begin
         let r =

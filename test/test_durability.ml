@@ -16,27 +16,29 @@ let crash_fixed name ~entry ~invariant =
   | Some p -> (
     match Corpus.Types.parse_fixed p with
     | None -> Alcotest.fail (name ^ " has no fixed variant")
-    | Some fixed -> Runtime.Crash.test ~entry ~invariant fixed)
+    | Some fixed ->
+      Deepmc.Crash_sweep.explore_program ~entry
+        ~oracle:(Runtime.Crash_space.Invariant invariant) fixed)
 
-let durable pmem obj_id slot =
-  Runtime.Value.to_int
-    (Runtime.Pmem.durable_value pmem { Runtime.Pmem.obj_id; slot })
+(* One slot of a durable image, through the image oracle's reader. *)
+let durable read obj_id slot =
+  Runtime.Value.to_int (read { Runtime.Pmem.obj_id; slot })
 
 let test_fixed_pmemlog_atomic () =
   (* obj_pmemlog fixed: len and tail commit transactionally after the
      header flush is fenced. Invariant: tail is only durable when len
      is (tail set => header written first). Object 0 is the log:
      slot 0 = len, slot 1 = tail. *)
-  let invariant pmem =
-    if durable pmem 0 1 <> 0 && durable pmem 0 0 = 0 then
+  let invariant read =
+    if durable read 0 1 <> 0 && durable read 0 0 = 0 then
       Error "tail durable before the header"
     else Ok ()
   in
   let report = crash_fixed "obj_pmemlog" ~entry:"pmemlog_driver" ~invariant in
   check Alcotest.bool "no inconsistent crash point" true
-    (Runtime.Crash.consistent report);
+    (Runtime.Crash_space.consistent report);
   check Alcotest.bool "crash points exercised" true
-    (report.Runtime.Crash.total_points > 3)
+    (report.Runtime.Crash_space.crash_points > 3)
 
 let test_fixed_btree_split_atomic () =
   (* btree fixed: the split is fully logged, so at any crash point the
@@ -45,14 +47,14 @@ let test_fixed_btree_split_atomic () =
      companion write instead: if m.n is durable as 5, the tx committed,
      which also covers the item). Object layout: node = obj 0
      (n at slot 0), m = obj 1 (n at slot 0). *)
-  let invariant pmem =
-    let m_n = durable pmem 1 0 in
+  let invariant read =
+    let m_n = durable read 1 0 in
     if m_n <> 0 && m_n <> 5 then Error (Fmt.str "torn tx value %d" m_n)
     else Ok ()
   in
   let report = crash_fixed "btree_map" ~entry:"btree_driver_all" ~invariant in
   check Alcotest.bool "transactional split is atomic" true
-    (Runtime.Crash.consistent report)
+    (Runtime.Crash_space.consistent report)
 
 let test_buggy_btree_split_loses_item () =
   (* the buggy split (Figure 2) runs to completion with the unlogged
@@ -62,16 +64,23 @@ let test_buggy_btree_split_loses_item () =
   | None -> Alcotest.fail "btree_map missing"
   | Some p ->
     let prog = Corpus.Types.parse p in
-    let pmem = Runtime.Pmem.create () in
-    let interp = Runtime.Interp.create ~pmem prog in
-    ignore (Runtime.Interp.run ~entry:"btree_driver_split" interp);
+    (* the prefix image at exit: nothing in flight reached NVM *)
+    let pmem, images, _ =
+      Runtime.Crash_space.crash_images ~entry:"btree_driver_split"
+        ~task:Runtime.Crash_space.Exit prog
+    in
+    let read =
+      match images with
+      | ci :: _ -> Runtime.Crash_space.reader ci.Runtime.Crash_space.ci_image
+      | [] -> Alcotest.fail "exit has at least one image"
+    in
     (* node = obj 0: n slot 0, items slots 1..8; driver stored n=4 and
        the split wrote items[3] (slot 4); m = obj 1 with n logged *)
-    check Alcotest.int "logged write committed" 5 (durable pmem 1 0);
+    check Alcotest.int "logged write committed" 5 (durable read 1 0);
     check Alcotest.int "unlogged write still volatile" 0
       (Runtime.Pmem.read pmem { Runtime.Pmem.obj_id = 0; slot = 4 }
        |> Runtime.Value.to_int |> fun cached ->
-       if cached = 0 then 0 else durable pmem 0 4 * 0)
+       if cached = 0 then 0 else durable read 0 4 * 0)
 
 (* ------------------------------------------------------------------ *)
 (* Native crash-recovery of the log store at every injection point *)

@@ -120,16 +120,23 @@ entry:
 }
 |}
   in
-  let r = Runtime.Crash.explore ~entry:"main" prog in
-  check Alcotest.int "g never becomes durable" 1 r.Runtime.Crash.final_at_risk;
-  check Alcotest.bool "crash points explored" true (r.Runtime.Crash.points <> []);
-  (* right after the fence, f is durable: exposure shrinks *)
-  let min_risk =
-    List.fold_left
-      (fun a (e : Runtime.Crash.exposure) -> min a e.Runtime.Crash.at_risk_slots)
-      max_int r.Runtime.Crash.points
-  in
-  check Alcotest.bool "some point has minimal exposure" true (min_risk <= 1)
+  let r = Deepmc.Crash_sweep.explore_program prog in
+  (* the only inconsistent image: g lost at exit with nothing persisted *)
+  check Alcotest.int "g never becomes durable" 1
+    r.Runtime.Crash_space.inconsistent;
+  check Alcotest.bool "lost at exit" true
+    (List.for_all
+       (fun (w : Runtime.Crash_space.witness) ->
+         w.Runtime.Crash_space.w_task = Runtime.Crash_space.Exit)
+       r.Runtime.Crash_space.witnesses);
+  check Alcotest.bool "crash points explored" true
+    (r.Runtime.Crash_space.crash_points > 0);
+  (* right after the fence, f is durable and nothing is in flight *)
+  check Alcotest.bool "some point has no exposure" true
+    (List.exists
+       (fun (pt : Runtime.Crash_space.point_result) ->
+         pt.Runtime.Crash_space.candidate_lines = 0)
+       r.Runtime.Crash_space.points)
 
 let test_crash_explore_safe_program () =
   let prog =
@@ -145,8 +152,9 @@ entry:
 }
 |}
   in
-  let r = Runtime.Crash.explore ~entry:"main" prog in
-  check Alcotest.int "everything durable at end" 0 r.Runtime.Crash.final_at_risk
+  let r = Deepmc.Crash_sweep.explore_program prog in
+  check Alcotest.int "everything durable at end" 0
+    r.Runtime.Crash_space.inconsistent
 
 (* ------------------------------------------------------------------ *)
 (* JSON floats and model metadata *)

@@ -16,8 +16,7 @@ let unguarded () = Corpus.Types.parse Corpus.Recovery.unguarded
 (* every crash task of [prog], so properties sweep the whole image
    space rather than one hand-picked point *)
 let tasks prog =
-  let n = Crash_space.count_points prog in
-  List.init n (fun k -> Crash_space.Point (k + 1)) @ [ Crash_space.Exit ]
+  Crash_space.tasks ~crash_points:(Crash_space.count_points prog)
 
 let corrupted_images ~seed prog =
   List.concat_map
