@@ -1,8 +1,7 @@
-(** Crash-image exploration of whole programs: fans
-    {!Runtime.Crash_space} tasks (one per crash point plus exit, per
-    program) out over the shared {!Pool}. Each task re-executes its
-    program independently, so nothing is shared between domains beyond
-    the (read-only) program. This is the only program-level crash
+(** Crash-image exploration of whole programs: runs each program once
+    into a {!Runtime.Crash_space.recording} and fans its tasks (one per
+    crash point plus exit) out over the shared {!Pool}. Domains share
+    only the immutable recordings. This is the only program-level crash
     explorer; with [~domains:1] it runs sequentially. *)
 
 type job = {

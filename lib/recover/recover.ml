@@ -67,16 +67,14 @@ let m_verdicts =
    the surviving persistent objects, in id order; missing ones read as
    null so a partial heap still types. *)
 let recovery_args heap (fn : Nvmir.Func.t) =
-  let persistent =
-    List.filter (Pmem.is_persistent heap) (Pmem.live_objects heap)
-    |> List.sort Int.compare
+  let rec bind params ids =
+    match (params, ids) with
+    | [], _ -> []
+    | _ :: params, id :: ids -> Value.vref id :: bind params ids
+    | _ :: params, [] -> Value.Vnull :: bind params []
   in
-  List.mapi
-    (fun i _ ->
-      match List.nth_opt persistent i with
-      | Some id -> Value.vref id
-      | None -> Value.Vnull)
-    fn.Nvmir.Func.params
+  bind fn.Nvmir.Func.params
+    (List.filter (Pmem.is_persistent heap) (Pmem.live_objects heap))
 
 (* Persistent cache state, the fix-point the idempotence rule compares:
    durable snapshots would miss repairs recovery wrote but has not yet
@@ -259,15 +257,15 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
       invalid_arg
         (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
   in
-  let crash_points = Crash_space.count_points ?config ?entry ?args prog in
+  let recording = Crash_space.record ?config ?entry ?args prog in
+  let crash_points = Crash_space.count_points recording in
   let counter = ref 0 in
   let heap_names = Hashtbl.create 8 in
-  let checks, sampled =
+  let rev_checks, sampled =
     List.fold_left
       (fun (acc, sampled) task ->
         let from, images, s =
-          Crash_space.crash_images ?config ?entry ?args ?bound ~seed ~task
-            prog
+          Crash_space.task_images ?bound ~seed ~task recording
         in
         List.iter
           (fun id ->
@@ -275,20 +273,22 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
             | Some n -> Hashtbl.replace heap_names id n
             | None -> ())
           (Pmem.live_objects from);
-        let checks =
-          List.map
-            (fun ci ->
+        let acc =
+          List.fold_left
+            (fun acc ci ->
               incr counter;
               let seed =
                 if corrupt then Some (seed + (137 * !counter)) else None
               in
-              check_image ?config ~recovery_entry ~fn ~seed prog ci ~from)
-            images
+              check_image ?config ~recovery_entry ~fn ~seed prog ci ~from
+              :: acc)
+            acc images
         in
-        (acc @ checks, sampled || s))
+        (acc, sampled || s))
       ([], false)
       (Crash_space.tasks ~crash_points)
   in
+  let checks = List.rev rev_checks in
   let heap_name id =
     match Hashtbl.find_opt heap_names id with
     | Some n -> n

@@ -58,29 +58,40 @@ type report = {
 val default_bound : int
 (** 256 subsets per crash point. *)
 
-val count_points :
-  ?config:Config.t -> ?entry:string -> ?args:int list -> Nvmir.Prog.t -> int
+type recording
+(** One execution of a program, recorded: per persistent slot, the
+    timeline of its cached, fenced, line and rollback state across the
+    persistent-memory events, plus the write sequence's prefix-image
+    hashes. Immutable once built, so tasks may read it from any
+    domain. *)
+
+val record :
+  ?config:Config.t -> ?entry:string -> ?args:int list -> Nvmir.Prog.t ->
+  recording
+(** Run the program once ([entry] defaults to [main]). With eviction
+    modeling on, the recording holds the evictions this run's seeded
+    draws made. Counted by the [crash.executions] metric.
+    @raise Interp.Runtime_error and the interpreter's other failures. *)
+
+val count_points : recording -> int
 (** How many [Point] tasks a program has: the persistent-memory events
-    (write, flush, fence, tx begin/end) of a completed run. *)
+    (write, flush, fence, tx begin/end) of the recorded run. *)
 
 val tasks : crash_points:int -> task list
 (** [Point 1 .. Point crash_points] followed by {!Exit}. *)
 
 val explore_task :
-  ?config:Config.t ->
-  ?entry:string ->
-  ?args:int list ->
   ?bound:int ->
   ?seed:int ->
   ?oracle:oracle ->
   task:task ->
-  Nvmir.Prog.t ->
+  recording ->
   point_result
-(** Explore one crash point (re-executes the program up to it). Pure
-    per-task, so callers may fan tasks out across domains and
-    {!summarize} the results. Invariant oracles read the image through
-    the function they are passed; the first image judged is always the
-    prefix image. *)
+(** Explore one crash point of a recorded run. Pure per-task, so
+    callers may fan tasks out across domains and {!summarize} the
+    results. Invariant oracles read the image through the function
+    they are passed; the first image judged is always the prefix
+    image. *)
 
 (** {1 Image enumeration} — the recovery tier's entry point. *)
 
@@ -93,6 +104,21 @@ type crash_image = {
   ci_image : (int, Value.t array) Hashtbl.t;
 }
 
+val task_images :
+  ?bound:int ->
+  ?seed:int ->
+  task:task ->
+  recording ->
+  Pmem.t * crash_image list * bool
+(** The crashed heap of a recorded run at [task], the distinct durable
+    images it can leave (the same walk as {!explore_task}: one
+    enumeration, pruning and bound), and whether the subset space was
+    sampled. The first image has [ci_persisted = []] and equals
+    {!Pmem.durable_snapshot} of the heap. The heap holds the persistent
+    objects as the crash left them ({!Pmem.crashed}); it is what
+    {!Pmem.corrupt_image} seeds from and {!Pmem.restore} copies object
+    metadata from. *)
+
 val crash_images :
   ?config:Config.t ->
   ?entry:string ->
@@ -102,12 +128,7 @@ val crash_images :
   task:task ->
   Nvmir.Prog.t ->
   Pmem.t * crash_image list * bool
-(** The crashed heap, the distinct durable images it can leave (the
-    same walk as {!explore_task}: one enumeration, pruning and bound),
-    and whether the subset space was sampled. The first image has
-    [ci_persisted = []] and equals {!Pmem.durable_snapshot} of the heap.
-    The pmem is what {!Pmem.corrupt_image} seeds from and
-    {!Pmem.restore} copies object metadata from. *)
+(** {!task_images} of a fresh {!record}ing of the program. *)
 
 val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
 (** Reads of a materialized image, as an {!Invariant} oracle sees them:

@@ -109,6 +109,10 @@ type t = {
   mutable pending_drain : (int * int) list;
       (* (obj, slot) pairs in Flushed state, drained at the next fence;
          keeps fences O(outstanding flushes) instead of O(heap) *)
+  mutable journaling : bool;
+  mutable journal : addr list;
+      (* with [journaling] on, every slot whose cached, fenced, line or
+         rollback state may have changed since the last [take_journal] *)
 }
 
 let create ?(config = Config.default) ?(first_obj_id = 0) ?obj_id_limit () =
@@ -132,6 +136,8 @@ let create ?(config = Config.default) ?(first_obj_id = 0) ?obj_id_limit () =
     rng = config.Config.eviction_seed;
     in_commit = false;
     pending_drain = [];
+    journaling = false;
+    journal = [];
   }
 
 let stats t = t.stats
@@ -140,6 +146,18 @@ let add_listener t l = t.listeners <- l :: t.listeners
 let remove_listeners t = t.listeners <- []
 let notify t f = List.iter f t.listeners
 let charge t c = t.stats.cycles <- t.stats.cycles + c
+
+let touch t obj_id slot =
+  if t.journaling then t.journal <- { obj_id; slot } :: t.journal
+
+let start_journal t =
+  t.journaling <- true;
+  t.journal <- []
+
+let take_journal t =
+  let j = t.journal in
+  t.journal <- [];
+  j
 
 let obj t id =
   match Hashtbl.find_opt t.objects id with
@@ -199,6 +217,7 @@ let evict_line t (o : obj) line =
     if o.state.(s) <> Clean then begin
       o.nvm.(s) <- o.cache.(s);
       o.state.(s) <- Clean;
+      touch t o.id s;
       t.stats.nvm_writes <- t.stats.nvm_writes + 1
     end
   done
@@ -229,7 +248,10 @@ let write t ?(loc = Nvmir.Loc.none) { obj_id; slot } v =
   | _ -> ());
   o.cache.(slot) <- v;
   o.corrupt.(slot) <- false;
-  if o.persistent then o.state.(slot) <- Dirty;
+  if o.persistent then begin
+    o.state.(slot) <- Dirty;
+    touch t obj_id slot
+  end;
   t.stats.stores <- t.stats.stores + 1;
   charge t t.config.Config.cost.Config.store_cost;
   if o.persistent then begin
@@ -265,6 +287,7 @@ let flush_range t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
       for s = lo to hi - 1 do
         if o.state.(s) = Dirty then begin
           o.state.(s) <- Flushed;
+          touch t obj_id s;
           t.pending_drain <- (obj_id, s) :: t.pending_drain;
           any_dirty := true
         end
@@ -294,6 +317,7 @@ let fence t ?(loc = Nvmir.Loc.none) () =
       if o.state.(s) = Flushed then begin
         o.nvm.(s) <- o.cache.(s);
         o.state.(s) <- Clean;
+        touch t obj_id s;
         t.stats.nvm_writes <- t.stats.nvm_writes + 1
       end)
     t.pending_drain;
@@ -332,7 +356,10 @@ let tx_add t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
     let last = min (Array.length o.cache - 1) (first_slot + max 1 nslots - 1) in
     for s = first_slot to last do
       if not (List.exists (fun u -> u.u_obj = obj_id && u.u_slot = s) tx.undo)
-      then tx.undo <- { u_obj = obj_id; u_slot = s; u_value = o.nvm.(s) } :: tx.undo
+      then begin
+        tx.undo <- { u_obj = obj_id; u_slot = s; u_value = o.nvm.(s) } :: tx.undo;
+        touch t obj_id s
+      end
     done;
     t.stats.log_copies <- t.stats.log_copies + 1;
     charge t t.config.Config.cost.Config.log_cost
@@ -359,6 +386,8 @@ let tx_end t ?(loc = Nvmir.Loc.none) () =
     fence t ~loc ();
     charge t t.config.Config.cost.Config.tx_overhead;
     t.tx_stack <- rest;
+    (* closing the log changes which rollback each logged slot takes *)
+    if t.journaling then List.iter (fun u -> touch t u.u_obj u.u_slot) tx.undo;
     (* a nested transaction's log folds into its parent so an aborted
        outer transaction can still roll everything back *)
     (match rest with
@@ -394,29 +423,80 @@ let strand_end t ?(loc = Nvmir.Loc.none) n =
 (* ------------------------------------------------------------------ *)
 (* Crash semantics *)
 
+(* The undo value recovery restores a slot to: the innermost open
+   transaction's log entry for it, if any. *)
+let rollback_value t { obj_id; slot } =
+  List.find_map
+    (fun tx ->
+      List.find_map
+        (fun u ->
+          if u.u_obj = obj_id && u.u_slot = slot then Some u.u_value else None)
+        tx.undo)
+    t.tx_stack
+
 (* The value a slot would hold after a crash right now: the durable
    (fenced) value, with open transactions rolled back via their undo
    logs. *)
-let durable_value t { obj_id; slot } =
-  let o = obj t obj_id in
-  let rolled_back =
-    List.fold_left
-      (fun acc tx ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          List.find_map
-            (fun u ->
-              if u.u_obj = obj_id && u.u_slot = slot then Some u.u_value
-              else None)
-            tx.undo)
-      None t.tx_stack
-  in
-  match rolled_back with Some v -> v | None -> o.nvm.(slot)
+let durable_value t ({ obj_id; slot } as a) =
+  match rollback_value t a with
+  | Some v -> v
+  | None -> (obj t obj_id).nvm.(slot)
 
 let cached_value t { obj_id; slot } = (obj t obj_id).cache.(slot)
 
 let slot_state t { obj_id; slot } = (obj t obj_id).state.(slot)
+
+type slot_view = {
+  cached : Value.t;
+  fenced : Value.t;
+  state : slot_state;
+  rollback : Value.t option;
+}
+
+let slot_view t ({ obj_id; slot } as a) =
+  let o = obj t obj_id in
+  {
+    cached = o.cache.(slot);
+    fenced = o.nvm.(slot);
+    state = o.state.(slot);
+    rollback = rollback_value t a;
+  }
+
+(* A heap of persistent objects in the given per-slot states. Rollback
+   values become the undo log of one open transaction: materialization
+   and durable reads resolve each slot to its innermost log entry, so
+   one merged log is indistinguishable from the nest it came from. *)
+let crashed ?(config = Config.default) objects =
+  let t = create ~config () in
+  let undo = ref [] in
+  List.iter
+    (fun (id, ty, name, views) ->
+      let size = Array.length views in
+      Hashtbl.replace t.objects id
+        {
+          id;
+          ty;
+          persistent = true;
+          name;
+          cache = Array.map (fun v -> v.cached) views;
+          nvm = Array.map (fun v -> v.fenced) views;
+          state = Array.map (fun v -> v.state) views;
+          corrupt = Array.make size false;
+        };
+      Array.iteri
+        (fun slot v ->
+          Option.iter
+            (fun u_value ->
+              undo := { u_obj = id; u_slot = slot; u_value } :: !undo)
+            v.rollback)
+        views;
+      if id >= t.next_id then t.next_id <- id + 1)
+    objects;
+  if !undo <> [] then begin
+    t.tx_stack <- [ { tx_id = 0; undo = !undo } ];
+    t.next_tx <- 1
+  end;
+  t
 
 (* Snapshot of the whole durable state: obj id -> values. *)
 let durable_snapshot t =
@@ -437,22 +517,20 @@ let durable_snapshot t =
    line width comes from the configuration. *)
 
 let lines_matching t pred =
-  Hashtbl.fold
-    (fun id o acc ->
-      if not o.persistent then acc
-      else begin
-        let lines = ref [] in
-        Array.iteri
-          (fun s st ->
-            if pred st then begin
-              let line = line_of t s in
-              if not (List.mem line !lines) then lines := line :: !lines
-            end)
-          o.state;
-        List.fold_left (fun acc l -> (id, l) :: acc) acc !lines
-      end)
-    t.objects []
-  |> List.sort compare
+  let w = t.config.Config.cacheline_slots in
+  List.concat_map
+    (fun id ->
+      let o = obj t id in
+      let size = Array.length o.state in
+      let rec any s hi = s < hi && (pred o.state.(s) || any (s + 1) hi) in
+      let rec from line =
+        let lo = line * w in
+        if lo >= size then []
+        else if any lo (min size (lo + w)) then (id, line) :: from (line + 1)
+        else from (line + 1)
+      in
+      if o.persistent then from 0 else [])
+    (live_objects t)
 
 let dirty_lines t = lines_matching t (fun st -> st = Dirty)
 let unfenced_lines t = lines_matching t (fun st -> st = Flushed)
@@ -499,16 +577,15 @@ let volatile_slot_count t =
   Hashtbl.fold
     (fun id o acc ->
       if not o.persistent then acc
-      else
-        acc
-        + Array.length
-            (Array.of_list
-               (List.filter
-                  (fun slot ->
-                    not
-                      (Value.equal o.cache.(slot)
-                         (durable_value t { obj_id = id; slot })))
-                  (List.init (Array.length o.cache) Fun.id))))
+      else begin
+        let n = ref acc in
+        Array.iteri
+          (fun slot v ->
+            if not (Value.equal v (durable_value t { obj_id = id; slot })) then
+              incr n)
+          o.cache;
+        !n
+      end)
     t.objects 0
 
 (* ------------------------------------------------------------------ *)

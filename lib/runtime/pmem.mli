@@ -138,6 +138,39 @@ val durable_value : t -> addr -> Value.t
 val cached_value : t -> addr -> Value.t
 val slot_state : t -> addr -> slot_state
 
+(** Everything a crash image depends on in one slot. *)
+type slot_view = {
+  cached : Value.t;
+  fenced : Value.t;  (** the durable value before any rollback *)
+  state : slot_state;
+  rollback : Value.t option;
+      (** the innermost open transaction's undo value for the slot *)
+}
+
+val slot_view : t -> addr -> slot_view
+
+val crashed :
+  ?config:Config.t ->
+  (int * Nvmir.Ty.t * string option * slot_view array) list ->
+  t
+(** [crashed objs] is a heap holding exactly the persistent objects
+    [(id, ty, name, slots)] in the given slot states. Its crash
+    semantics ({!durable_value}, {!inflight_lines}, {!materialize},
+    {!corrupt_image}) match those of any heap whose persistent slots
+    have these views; the rollback values form one open transaction. *)
+
+(** {2 Change journal}
+
+    With journaling on, a heap lists every slot whose {!slot_view} may
+    have changed: stores, flushes, drains, evictions and undo-log
+    updates. {!Crash_space} records an execution this way. *)
+
+val start_journal : t -> unit
+
+val take_journal : t -> addr list
+(** The slots touched since the last call, newest first, possibly
+    repeated; empties the journal. *)
+
 val durable_snapshot : t -> (int, Value.t array) Hashtbl.t
 (** Durable view of every persistent object. *)
 

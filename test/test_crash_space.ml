@@ -16,7 +16,9 @@ let explore ?bound ?seed ?invariant ?entry ?args prog =
 (* Every task of a program: its crash points, then exit. *)
 let tasks ?entry ?args prog =
   Runtime.Crash_space.tasks
-    ~crash_points:(Runtime.Crash_space.count_points ?entry ?args prog)
+    ~crash_points:
+      (Runtime.Crash_space.count_points
+         (Runtime.Crash_space.record ?entry ?args prog))
 
 let buggy_hashmap_src =
   {|

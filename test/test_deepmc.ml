@@ -14,6 +14,7 @@ let () =
       ("dynamic", Test_dynamic.suite);
       ("crash", Test_crash.suite);
       ("crash-space", Test_crash_space.suite);
+      ("crash-oracle", Test_crash_oracle.suite);
       ("corpus", Test_corpus.suite);
       ("workloads", Test_workloads.suite);
       ("concurrent", Test_concurrent.suite);

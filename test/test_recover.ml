@@ -16,7 +16,8 @@ let unguarded () = Corpus.Types.parse Corpus.Recovery.unguarded
 (* every crash task of [prog], so properties sweep the whole image
    space rather than one hand-picked point *)
 let tasks prog =
-  Crash_space.tasks ~crash_points:(Crash_space.count_points prog)
+  Crash_space.tasks
+    ~crash_points:(Crash_space.count_points (Crash_space.record prog))
 
 let corrupted_images ~seed prog =
   List.concat_map
