@@ -1,6 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus the ablations DESIGN.md calls out and a bechamel
-   microbenchmark suite for the analysis stages.
+   evaluation (Tables 1-9, Figures 10-12, 5.1/5.3/5.4), the ablations
+   DESIGN.md calls out, and the injection, recovery and fuzzing
+   campaigns whose artifacts the `make verify` gates check. Speed claims
+   come from the repo benchmark in bench/e2e, not from here.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1     # one experiment
@@ -9,18 +11,25 @@
    Paper numbers are printed next to measured ones where the paper
    reports concrete values; EXPERIMENTS.md records the comparison. *)
 
-let txs =
-  match Sys.getenv_opt "DEEPMC_BENCH_TXS" with
-  | Some s -> (try int_of_string s with _ -> 60_000)
-  | None -> 60_000
+(* Every environment knob is read here: unset gives the caller's
+   default, and a value that is not an integer stops the run (exit 2)
+   naming the variable instead of silently running the default. *)
+let env_int name ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n -> n
+    | None ->
+      Fmt.epr "%s: expected an integer, got %S@." name s;
+      exit 2)
 
-(* One seed for every randomized path of the harness (client request
-   streams) and the injection campaign; DEEPMC_BENCH_SEED reproduces a
-   whole bench run. *)
-let bench_seed =
-  match Sys.getenv_opt "DEEPMC_BENCH_SEED" with
-  | Some s -> (try int_of_string s with _ -> Workloads.Harness.default_seed)
-  | None -> Workloads.Harness.default_seed
+let txs = env_int "DEEPMC_BENCH_TXS" ~default:60_000
+
+(* DEEPMC_BENCH_SEED reproduces a randomized section: Figure 12's client
+   request streams default to the harness seed, the injection, recovery
+   and fuzzing campaigns to 1. *)
+let bench_seed ~default = env_int "DEEPMC_BENCH_SEED" ~default
 
 let section title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -333,12 +342,12 @@ let bar pct =
    and transaction count at 1 client vs N. On a single-core host the
    pool degrades to sequential in-submitter execution and the speedup
    stays ~1x; the measurement is recorded either way. *)
-let figure12_scaling () =
+let figure12_scaling ~seed =
   let mix = List.hd Workloads.Memslap.mixes in
   let label, _ = mix in
   let clients = 4 in
   let run n =
-    (Workloads.Memslap.comparison ~seed:bench_seed ~clients:n ~txs mix)
+    (Workloads.Memslap.comparison ~seed ~clients:n ~txs mix)
       .Workloads.Harness.baseline
       .Workloads.Harness.throughput
   in
@@ -347,6 +356,7 @@ let figure12_scaling () =
   (label, clients, tps1, tpsn, tpsn /. tps1)
 
 let figure12 ?(json = false) () =
+  let seed = bench_seed ~default:Workloads.Harness.default_seed in
   section "Figure 12: throughput impact of the dynamic analysis";
   Fmt.pr "execution: concurrent client domains on the shared pool (%d)@."
     (Pool.default_size ());
@@ -354,16 +364,16 @@ let figure12 ?(json = false) () =
     [
       ( "Memcached", 4,
         List.map
-          (fun m -> Workloads.Memslap.comparison ~seed:bench_seed ~clients:4 ~txs m)
+          (fun m -> Workloads.Memslap.comparison ~seed ~clients:4 ~txs m)
           Workloads.Memslap.mixes );
       ( "Redis", 50,
         List.map
           (fun m ->
-            Workloads.Redis_bench.comparison ~seed:bench_seed ~clients:50 ~txs m)
+            Workloads.Redis_bench.comparison ~seed ~clients:50 ~txs m)
           Workloads.Redis_bench.mixes );
       ( "NStore", 4,
         List.map
-          (fun m -> Workloads.Ycsb.comparison ~seed:bench_seed ~clients:4 ~txs m)
+          (fun m -> Workloads.Ycsb.comparison ~seed ~clients:4 ~txs m)
           Workloads.Ycsb.mixes );
     ]
   in
@@ -389,7 +399,7 @@ let figure12 ?(json = false) () =
         "  measured overhead band: %.1f%% .. %.1f%% (paper: %.1f%% .. %.1f%%)@."
         (max 0. lo) hi plo phi)
     series;
-  let scale_mix, scale_clients, tps1, tpsn, speedup = figure12_scaling () in
+  let scale_mix, scale_clients, tps1, tpsn, speedup = figure12_scaling ~seed in
   Fmt.pr "@.client-domain scaling (%s, %d tx baseline, no checker):@."
     scale_mix txs;
   Fmt.pr "  1 client:  %10.0f tx/s@." tps1;
@@ -413,7 +423,7 @@ let figure12 ?(json = false) () =
       Obs.Metrics.reset ();
       Obs.set_enabled true;
       ignore
-        (Workloads.Memslap.comparison ~seed:bench_seed ~clients:4
+        (Workloads.Memslap.comparison ~seed ~clients:4
            ~txs:(min txs 2000) (List.hd Workloads.Memslap.mixes));
       Obs.set_enabled false;
       Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ())
@@ -753,291 +763,13 @@ let strand () =
      relative cost stays in the Figure 12 band)@."
 
 (* ------------------------------------------------------------------ *)
-(* Multicore scaling of the analysis driver *)
-
-let parallel () =
-  section "Parallel analysis: corpus sweep across OCaml 5 domains";
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "host reports %d available core(s)@." cores;
-  let jobs =
-    List.map
-      (fun (p : Corpus.Types.program) ->
-        (Corpus.Types.model p, Corpus.Types.parse p, p.Corpus.Types.roots))
-      Corpus.Registry.all
-  in
-  let jobs = List.concat (List.init 8 (fun _ -> jobs)) in
-  Fmt.pr "%d analysis jobs (%d corpus programs x 8)@." (List.length jobs)
-    (List.length Corpus.Registry.all);
-  let time domains =
-    let t0 = Deepmc.Clock.now () in
-    let warnings =
-      Pool.map ~domains (Pool.default ())
-        (fun (model, prog, roots) ->
-          let r = Analysis.Checker.check ~roots ~model prog in
-          List.length r.Analysis.Checker.warnings)
-        jobs
-    in
-    (Deepmc.Clock.elapsed_s t0, List.fold_left ( + ) 0 warnings)
-  in
-  let base, base_w = time 1 in
-  Fmt.pr "%2d domain(s): %6.1f ms (%d warnings)  speedup 1.00x@." 1
-    (base *. 1000.) base_w;
-  if cores <= 1 then
-    Fmt.pr
-      "single-core host: the domain pool degrades gracefully to sequential \
-       execution; run on a multicore machine to observe scaling (results are \
-       identical either way -- see the parallel test suite)@."
-  else
-    List.iter
-      (fun domains ->
-        let dt, w = time domains in
-        Fmt.pr "%2d domain(s): %6.1f ms (%d warnings)  speedup %.2fx@." domains
-          (dt *. 1000.) w (base /. dt))
-      (List.sort_uniq compare [ 2; 4; cores - 1 ])
-
-(* ------------------------------------------------------------------ *)
-(* Crash-image exploration: throughput and pruning of Crash_space *)
-
-let crashspace () =
-  section "Crash-image exploration: images/sec and pruning (Crash_space)";
-  match Corpus.Registry.find "hashmap" with
-  | None -> Fmt.pr "corpus program hashmap missing@."
-  | Some p ->
-    let fixed =
-      match Corpus.Types.parse_fixed p with
-      | Some f -> f
-      | None -> Corpus.Types.parse p
-    in
-    let synth pct =
-      let cfg =
-        {
-          Corpus.Synth.default_config with
-          Corpus.Synth.nfuncs = 6;
-          seed = 2;
-          buggy_fraction_pct = pct;
-        }
-      in
-      fst (Corpus.Synth.generate cfg)
-    in
-    let variants =
-      [
-        ("hashmap (buggy)", p.Corpus.Types.entry, p.Corpus.Types.entry_args,
-         Corpus.Types.parse p);
-        ("hashmap (fixed)", p.Corpus.Types.entry, p.Corpus.Types.entry_args,
-         fixed);
-        ("synth-6f (buggy)", "main", [], synth 100);
-        ("synth-6f (fixed)", "main", [], synth 0);
-      ]
-    in
-    Fmt.pr "%-18s %6s %8s %9s %8s %12s %8s@." "variant" "bound" "images"
-      "distinct" "pruning" "images/sec" "incons.";
-    hr ();
-    List.iter
-      (fun (name, entry, args, prog) ->
-        List.iter
-          (fun bound ->
-            let t0 = Deepmc.Clock.now () in
-            let r =
-              Deepmc.Crash_sweep.explore_program ~bound ~entry ~args prog
-            in
-            let dt = Deepmc.Clock.elapsed_s t0 in
-            Fmt.pr "%-18s %6d %8d %9d %7.0f%% %12.0f %8d  (%.1f ms)@." name
-              bound r.Runtime.Crash_space.images_enumerated
-              r.Runtime.Crash_space.images_distinct
-              (100. *. Runtime.Crash_space.pruning_ratio r)
-              (float_of_int r.Runtime.Crash_space.images_enumerated /. dt)
-              r.Runtime.Crash_space.inconsistent (dt *. 1000.))
-          [ 16; 256; 1024 ])
-      variants;
-    Fmt.pr
-      "(the explorer covers every reachable write-back subset up to the \
-       bound, starting with the prefix image at every crash point, and \
-       persistence-equivalence hashing collapses subsets that differ only \
-       in clean or overlapping lines)@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the analysis stages *)
-
-let micro () =
-  section "Microbenchmarks (bechamel): analysis stages and runtime ops";
-  let open Bechamel in
-  let cfg_small = { Corpus.Synth.default_config with nfuncs = 40; seed = 5 } in
-  let prog, _ = Corpus.Synth.generate cfg_small in
-  let dsg = Dsa.Dsg.build prog in
-  let tests =
-    [
-      Test.make ~name:"parse-nvm_locks"
-        (Staged.stage (fun () ->
-             match Corpus.Registry.find "nvm_locks" with
-             | Some p -> ignore (Corpus.Types.parse p)
-             | None -> ()));
-      Test.make ~name:"dsa-build-40f"
-        (Staged.stage (fun () -> ignore (Dsa.Dsg.build prog)));
-      Test.make ~name:"trace-collect-40f"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (src : Analysis.Trace.source) ->
-                 Seq.iter ignore src.Analysis.Trace.traces)
-               (Analysis.Trace.stream dsg prog
-                  ~roots:(Corpus.Synth.roots cfg_small))));
-      Test.make ~name:"full-check-40f"
-        (Staged.stage (fun () ->
-             ignore
-               (Analysis.Checker.check ~roots:(Corpus.Synth.roots cfg_small)
-                  ~model:Analysis.Model.Strict prog)));
-      Test.make ~name:"pmem-set-flush-fence"
-        (let pmem = Runtime.Pmem.create () in
-         let tenv = Nvmir.Ty.env_create () in
-         let obj =
-           Runtime.Pmem.alloc pmem ~tenv ~persistent:true
-             (Nvmir.Ty.Array (Nvmir.Ty.Int, 64))
-         in
-         Staged.stage (fun () ->
-             Runtime.Pmem.write pmem { Runtime.Pmem.obj_id = obj; slot = 3 }
-               (Runtime.Value.Vint 1);
-             Runtime.Pmem.flush_range pmem ~obj_id:obj ~first_slot:3 ~nslots:1
-               ();
-             Runtime.Pmem.fence pmem ()));
-      Test.make ~name:"kvstore-set"
-        (let pmem = Runtime.Pmem.create () in
-         let kv = Workloads.Kvstore.create ~capacity:1024 pmem in
-         let k = ref 0 in
-         Staged.stage (fun () ->
-             incr k;
-             ignore (Workloads.Kvstore.set kv (1 + (!k land 511)) !k)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] -> Fmt.pr "%-24s %14.1f ns/run@." name ns
-          | Some _ | None -> Fmt.pr "%-24s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Static-checker throughput at 1 domain and at the host's recommended
-   domain count.  `perf --json` additionally writes BENCH_checker.json
-   for EXPERIMENTS.md / CI. *)
-
-let perf ?(json = false) () =
-  section "Checker throughput: streaming engine + persistent domain pool";
-  let corpus_jobs =
-    List.map
-      (fun (p : Corpus.Types.program) ->
-        (Corpus.Types.model p, Corpus.Types.parse p, p.Corpus.Types.roots))
-      Corpus.Registry.all
-  in
-  let synth_jobs =
-    List.map
-      (fun seed ->
-        let cfg = { Corpus.Synth.default_config with nfuncs = 80; seed } in
-        let prog, _ = Corpus.Synth.generate cfg in
-        (Analysis.Model.Strict, prog, Corpus.Synth.roots cfg))
-      [ 21; 22; 23 ]
-  in
-  let jobs = corpus_jobs @ synth_jobs in
-  let sweep () =
-    List.fold_left
-      (fun (ev, pk) (model, prog, roots) ->
-        let r = Analysis.Checker.check ~roots ~model prog in
-        (ev + r.Analysis.Checker.event_count,
-         max pk r.Analysis.Checker.peak_paths))
-      (0, 0) jobs
-  in
-  let measure ~domains =
-    Pool.set_default_size domains;
-    ignore (sweep ()) (* warm up: pool domains, parser, minor heap *);
-    let best = ref infinity and events = ref 0 and peak = ref 0 in
-    for _ = 1 to 3 do
-      let t0 = Deepmc.Clock.now () in
-      let ev, pk = sweep () in
-      let dt = Deepmc.Clock.elapsed_s t0 in
-      if dt < !best then best := dt;
-      events := ev;
-      peak := pk
-    done;
-    (!best, !events, !peak)
-  in
-  let saved = Pool.default_size () in
-  (* set explicitly: [Pool.recommended_size] keeps one core free, which
-     on a 2-core host is 1 domain — the baseline row over again *)
-  let domains = Domain.recommended_domain_count () in
-  let s1_s, s1_ev, s1_peak = measure ~domains:1 in
-  let sd_s, sd_ev, sd_peak = measure ~domains in
-  Pool.set_default_size saved;
-  let rate ev s = float_of_int ev /. s in
-  let row label ev s peak =
-    Fmt.pr "%-34s %9.1f ms %12.0f events/s %6d peak paths@." label
-      (s *. 1000.) (rate ev s) peak
-  in
-  Fmt.pr "workload: %d programs, %d events per sweep, best of 3@."
-    (List.length jobs) s1_ev;
-  hr ();
-  row "streaming (1 domain)" s1_ev s1_s s1_peak;
-  row (Fmt.str "streaming (%d domains)" domains) sd_ev sd_s sd_peak;
-  hr ();
-  let speedup_1d = s1_s /. sd_s in
-  Fmt.pr "speedup vs 1 domain: %.2fx@." speedup_1d;
-  if sd_ev <> s1_ev then
-    Fmt.pr "WARNING: domain counts disagree on event counts (%d/%d)@." s1_ev
-      sd_ev;
-  if json then begin
-    (* one untimed telemetry-enabled sweep; kept out of the measured
-       runs so instrument cost never touches the numbers *)
-    let telemetry =
-      Obs.Metrics.reset ();
-      Obs.set_enabled true;
-      ignore (sweep ());
-      Obs.set_enabled false;
-      Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ())
-    in
-    let oc = open_out "BENCH_checker.json" in
-    let bench label ev s peak =
-      Fmt.str
-        "  \"%s\": {\"elapsed_ms\": %.1f, \"events_per_sec\": %.0f, \
-         \"peak_paths\": %d}"
-        label (s *. 1000.) (rate ev s) peak
-    in
-    Printf.fprintf oc
-      "{\n\
-       \  \"workload\": {\"programs\": %d, \"events\": %d},\n\
-       \  \"domains\": %d,\n\
-       %s,\n\
-       %s,\n\
-       \  \"speedup_vs_1_domain\": %.2f,\n\
-       \  \"telemetry\": %s\n\
-       }\n"
-      (List.length jobs) s1_ev domains
-      (bench "streaming_1_domain" s1_ev s1_s s1_peak)
-      (bench "streaming_recommended_domains" sd_ev sd_s sd_peak)
-      speedup_1d
-      (Deepmc.Json_report.to_string telemetry);
-    close_out oc;
-    Fmt.pr "wrote BENCH_checker.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Injection recall/precision: the mutation-based evaluation of all
    three detectors (lib/inject).  `recall --json` writes
    BENCH_inject.json for EXPERIMENTS.md / CI. *)
 
 let recall ?(json = false) () =
+  let seed = bench_seed ~default:1 in
   section "Injection campaign: per-operator x per-detector recall/precision";
-  let seed =
-    match Sys.getenv_opt "DEEPMC_BENCH_SEED" with
-    | Some s -> (try int_of_string s with _ -> 1)
-    | None -> 1
-  in
   let bases =
     Inject.Evaluate.corpus_bases () @ Inject.Evaluate.exemplar_bases ()
   in
@@ -1078,12 +810,8 @@ let recall ?(json = false) () =
    the per-operator recall row the `make verify` gate checks. *)
 
 let recover_bench ?(json = false) () =
+  let seed = bench_seed ~default:1 in
   section "Recovery tier: corruption-operator recall via lib/recover";
-  let seed =
-    match Sys.getenv_opt "DEEPMC_BENCH_SEED" with
-    | Some s -> (try int_of_string s with _ -> 1)
-    | None -> 1
-  in
   if json then begin
     Obs.Metrics.reset ();
     Obs.set_enabled true
@@ -1119,17 +847,9 @@ let recover_bench ?(json = false) () =
    under the same budget. *)
 
 let fuzz_bench ?(json = false) () =
+  let seed = bench_seed ~default:1 in
+  let budget = env_int "DEEPMC_FUZZ_BUDGET" ~default:24 in
   section "Interleaving fuzzer: recovery of known misses, guided vs random";
-  let seed =
-    match Sys.getenv_opt "DEEPMC_BENCH_SEED" with
-    | Some s -> (try int_of_string s with _ -> 1)
-    | None -> 1
-  in
-  let budget =
-    match Sys.getenv_opt "DEEPMC_FUZZ_BUDGET" with
-    | Some s -> (try int_of_string s with _ -> 24)
-    | None -> 24
-  in
   (* re-derive the false-negative corpus with the offset lattice
      ABLATED: the static tier no longer misses these mutants (the
      offset-aware DSG resolves the pointer-arith aliases), so the
@@ -1260,223 +980,6 @@ let fuzz_bench ?(json = false) () =
     Fmt.pr "wrote BENCH_fuzz.json@."
   end
 
-(* ------------------------------------------------------------------ *)
-(* Resident analyzer (lib/serve): the re-check-after-small-edit
-   workload.  Each round mutates one function of one corpus program
-   (lib/inject operators, so the edit is a real single-site change),
-   then re-checks the whole corpus twice: cold (parse + full check per
-   program) and warm (through one persistent [Serve.Cache], where the
-   untouched programs are request-cache hits and the edited program
-   re-runs only its stale roots).  Warnings must be byte-identical on
-   both paths every round.  `serve --json` writes BENCH_serve.json. *)
-
-let serve_bench ?(json = false) () =
-  section "Resident analyzer: re-check after a one-function edit";
-  let seed =
-    match Sys.getenv_opt "DEEPMC_BENCH_SEED" with
-    | Some s -> (try int_of_string s with _ -> 1)
-    | None -> 1
-  in
-  let rounds =
-    match Sys.getenv_opt "DEEPMC_SERVE_ROUNDS" with
-    | Some s -> (try int_of_string s with _ -> 5)
-    | None -> 5
-  in
-  let bases =
-    Inject.Evaluate.corpus_bases ()
-    @ Inject.Evaluate.synth_bases ~seed ~count:2 ~nfuncs:60 ()
-  in
-  let basea = Array.of_list bases in
-  let n = Array.length basea in
-  let text_of prog = Fmt.str "%a" Nvmir.Prog.pp prog in
-  let texts =
-    Array.map (fun (b : Inject.Evaluate.base) -> text_of b.prog) basea
-  in
-  let cache = Serve.Cache.create () in
-  let params (b : Inject.Evaluate.base) =
-    Serve.Cache.default_params b.Inject.Evaluate.model
-  in
-  let warm_sweep () =
-    Array.mapi
-      (fun i text ->
-        let b = basea.(i) in
-        Serve.Cache.check cache ~name:b.Inject.Evaluate.bname ~params:(params b)
-          ~text)
-      texts
-  in
-  let cold_sweep () =
-    Array.mapi
-      (fun i text ->
-        let b = basea.(i) in
-        let prog = Nvmir.Parser.parse ~file:b.Inject.Evaluate.bname text in
-        Analysis.Checker.check ~model:b.Inject.Evaluate.model prog)
-      texts
-  in
-  let render (w : Analysis.Warning.t) = Fmt.str "%a" Analysis.Warning.pp w in
-  let rng = Random.State.make [| seed; 0x5e7e |] in
-  let pick_mutation () =
-    (* rejection-sample a base that admits at least one sound injection
-       site; every corpus base does, so this terminates immediately *)
-    let rec go attempts =
-      if attempts > 4 * n then None
-      else
-        let i = Random.State.int rng n in
-        let b = basea.(i) in
-        match
-          Inject.Mutation.mutate ~base:b.Inject.Evaluate.bname
-            ~model:b.Inject.Evaluate.model ~roots:b.Inject.Evaluate.roots
-            b.Inject.Evaluate.prog
-        with
-        | [] -> go (attempts + 1)
-        | ms -> Some (i, List.nth ms (Random.State.int rng (List.length ms)))
-    in
-    go 0
-  in
-  ignore (warm_sweep ()) (* prime: first sight of every program is a miss *);
-  let cold_total = ref 0. and warm_total = ref 0. in
-  let mismatches = ref 0 in
-  let rows = ref [] in
-  Fmt.pr "workload: %d programs, %d edit/re-check rounds, seed %d@." n rounds
-    seed;
-  Fmt.pr "%-5s %-28s %9s %9s %8s %-8s %5s %5s %5s@." "round" "edit" "cold ms"
-    "warm ms" "speedup" "level" "inval" "stale" "reuse";
-  hr ();
-  for round = 1 to rounds do
-    match pick_mutation () with
-    | None -> Fmt.pr "%-5d no sound injection site found; skipped@." round
-    | Some (i, m) ->
-      texts.(i) <- text_of m.Inject.Mutation.prog;
-      let t0 = Deepmc.Clock.now () in
-      let colds = cold_sweep () in
-      let cold_dt = Deepmc.Clock.elapsed_s t0 in
-      let t1 = Deepmc.Clock.now () in
-      let warms = warm_sweep () in
-      let warm_dt = Deepmc.Clock.elapsed_s t1 in
-      cold_total := !cold_total +. cold_dt;
-      warm_total := !warm_total +. warm_dt;
-      Array.iteri
-        (fun j outcome ->
-          match outcome with
-          | Error _ -> incr mismatches
-          | Ok (o : Serve.Cache.outcome) ->
-            let cold_w = List.map render colds.(j).Analysis.Checker.warnings in
-            let warm_w = List.map render o.Serve.Cache.summary.sm_warnings in
-            if not (List.equal String.equal cold_w warm_w) then
-              incr mismatches)
-        warms;
-      let level, inval, stale, reused =
-        match warms.(i) with
-        | Ok (o : Serve.Cache.outcome) ->
-          ( Serve.Cache.cache_level_name o.Serve.Cache.level,
-            List.length o.Serve.Cache.invalidated,
-            List.length o.Serve.Cache.stale,
-            List.length o.Serve.Cache.reused )
-        | Error _ -> ("error", 0, 0, 0)
-      in
-      Fmt.pr "%-5d %-28s %9.1f %9.1f %7.1fx %-8s %5d %5d %5d@." round
-        m.Inject.Mutation.id (cold_dt *. 1000.) (warm_dt *. 1000.)
-        (cold_dt /. warm_dt) level inval stale reused;
-      rows :=
-        (round, m, cold_dt, warm_dt, level, inval, stale, reused) :: !rows
-  done;
-  let rows = List.rev !rows in
-  hr ();
-  let speedup = !cold_total /. !warm_total in
-  let parks =
-    (* a dedicated 2-domain pool makes parking observable even on a
-       single-core host, where the default pool keeps zero workers *)
-    let p = Pool.create ~size:2 () in
-    ignore (Pool.map p (fun x -> x) [ 1; 2; 3; 4 ]);
-    Pool.quiesce p;
-    let total =
-      List.fold_left
-        (fun acc (w : Pool.worker_stat) -> acc + w.Pool.parks)
-        0 (Pool.worker_stats p)
-    in
-    Pool.shutdown p;
-    total
-  in
-  Fmt.pr
-    "totals: cold %.1f ms, warm %.1f ms -> %.1fx speedup (target >= 10x)@."
-    (!cold_total *. 1000.) (!warm_total *. 1000.) speedup;
-  Fmt.pr "warnings byte-identical on both paths: %b (%d mismatches)@."
-    (!mismatches = 0) !mismatches;
-  Fmt.pr "idle workers park on a blocking wait: %d parks (2-domain probe)@."
-    parks;
-  if json then begin
-    (* untimed instrumented probe on a fresh cache: one miss sweep, one
-       hit sweep — the counters tell the cache story without their cost
-       ever touching the measured rounds *)
-    let telemetry =
-      Obs.Metrics.reset ();
-      Obs.set_enabled true;
-      let probe = Serve.Cache.create () in
-      let probe_n = min 3 n in
-      let probe_sweep () =
-        for i = 0 to probe_n - 1 do
-          let b = basea.(i) in
-          ignore
-            (Serve.Cache.check probe ~name:b.Inject.Evaluate.bname
-               ~params:(params b) ~text:texts.(i))
-        done
-      in
-      probe_sweep ();
-      probe_sweep ();
-      Obs.set_enabled false;
-      Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ())
-    in
-    let j =
-      Deepmc.Json_report.Obj
-        [
-          ("seed", Deepmc.Json_report.Int seed);
-          ("rounds", Deepmc.Json_report.Int rounds);
-          ("programs", Deepmc.Json_report.Int n);
-          ("cold_ms_total", Deepmc.Json_report.Float (!cold_total *. 1000.));
-          ("warm_ms_total", Deepmc.Json_report.Float (!warm_total *. 1000.));
-          ("speedup", Deepmc.Json_report.Float speedup);
-          ("target_speedup", Deepmc.Json_report.Float 10.);
-          ("identical_warnings", Deepmc.Json_report.Bool (!mismatches = 0));
-          ("mismatches", Deepmc.Json_report.Int !mismatches);
-          ("worker_parks", Deepmc.Json_report.Int parks);
-          ( "rounds_detail",
-            Deepmc.Json_report.List
-              (List.map
-                 (fun ( round,
-                        (m : Inject.Mutation.mutant),
-                        cold_dt,
-                        warm_dt,
-                        level,
-                        inval,
-                        stale,
-                        reused ) ->
-                   Deepmc.Json_report.Obj
-                     [
-                       ("round", Deepmc.Json_report.Int round);
-                       ("edit", Deepmc.Json_report.String m.Inject.Mutation.id);
-                       ( "operator",
-                         Deepmc.Json_report.String
-                           (Inject.Mutation.operator_name
-                              m.Inject.Mutation.truth.operator) );
-                       ("cold_ms", Deepmc.Json_report.Float (cold_dt *. 1000.));
-                       ("warm_ms", Deepmc.Json_report.Float (warm_dt *. 1000.));
-                       ( "speedup",
-                         Deepmc.Json_report.Float (cold_dt /. warm_dt) );
-                       ("cache", Deepmc.Json_report.String level);
-                       ("functions_invalidated", Deepmc.Json_report.Int inval);
-                       ("roots_rechecked", Deepmc.Json_report.Int stale);
-                       ("roots_reused", Deepmc.Json_report.Int reused);
-                     ])
-                 rows) );
-          ("telemetry", telemetry);
-        ]
-    in
-    let oc = open_out "BENCH_serve.json" in
-    let ppf = Format.formatter_of_out_channel oc in
-    Fmt.pf ppf "%a@." Deepmc.Json_report.pp j;
-    close_out oc;
-    Fmt.pr "wrote BENCH_serve.json@."
-  end
-
 let sections : (string * (unit -> unit)) list =
   [
     ("table1", table1);
@@ -1496,25 +999,18 @@ let sections : (string * (unit -> unit)) list =
     ("falsepos", falsepos);
     ("ablation", ablation);
     ("strand", strand);
-    ("parallel", parallel);
-    ("crashspace", crashspace);
-    ("perf", perf ?json:None);
     ("recall", recall ?json:None);
     ("recover", recover_bench ?json:None);
     ("fuzz", fuzz_bench ?json:None);
-    ("serve", serve_bench ?json:None);
-    ("micro", micro);
   ]
 
 let () =
   match Sys.argv with
   | [| _ |] -> List.iter (fun (_, f) -> f ()) sections
-  | [| _; "perf"; "--json" |] -> perf ~json:true ()
   | [| _; "figure12"; "--json" |] -> figure12 ~json:true ()
   | [| _; "recall"; "--json" |] -> recall ~json:true ()
   | [| _; "recover"; "--json" |] -> recover_bench ~json:true ()
   | [| _; "fuzz"; "--json" |] -> fuzz_bench ~json:true ()
-  | [| _; "serve"; "--json" |] -> serve_bench ~json:true ()
   | [| _; name |] -> (
     match List.assoc_opt name sections with
     | Some f -> f ()

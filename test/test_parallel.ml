@@ -74,6 +74,44 @@ let test_check_fanout_total_static_warnings () =
   check Alcotest.int "48 static warnings" 48
     (List.fold_left ( + ) 0 (pmap ~domains:4 warning_count (corpus_jobs ())))
 
+(* The checker's answer does not depend on the pool size: the corpus and
+   three 80-function synth programs give the same warnings and the same
+   trace, event and peak-path counts at 1 domain and at 4. *)
+let test_check_domain_count_invariant () =
+  let synth_jobs =
+    List.map
+      (fun seed ->
+        let cfg = { Corpus.Synth.default_config with nfuncs = 80; seed } in
+        (Analysis.Model.Strict, fst (Corpus.Synth.generate cfg),
+         Corpus.Synth.roots cfg))
+      [ 21; 22; 23 ]
+  in
+  let sweep domains =
+    Pool.set_default_size domains;
+    List.map
+      (fun (model, prog, roots) ->
+        let r = Analysis.Checker.check ~roots ~model prog in
+        ( List.map (Fmt.str "%a" Analysis.Warning.pp) r.Analysis.Checker.warnings,
+          r.Analysis.Checker.trace_count,
+          r.Analysis.Checker.event_count,
+          r.Analysis.Checker.peak_paths ))
+      (corpus_jobs () @ synth_jobs)
+  in
+  let saved = Pool.default_size () in
+  let one, four =
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_size saved)
+      (fun () -> (sweep 1, sweep 4))
+  in
+  List.iteri
+    (fun i ((w1, t1, e1, p1), (w4, t4, e4, p4)) ->
+      let job what = Fmt.str "job %d: %s" i what in
+      check Alcotest.(list string) (job "warnings") w1 w4;
+      check Alcotest.int (job "traces") t1 t4;
+      check Alcotest.int (job "events") e1 e4;
+      check Alcotest.int (job "peak paths") p1 p4)
+    (List.combine one four)
+
 let suite =
   [
     tc "map: preserves order" `Quick test_map_preserves_order;
@@ -86,4 +124,6 @@ let suite =
       test_check_fanout_matches_sequential;
     tc "check fan-out: static warnings" `Quick
       test_check_fanout_total_static_warnings;
+    tc "check: results independent of the domain count" `Quick
+      test_check_domain_count_invariant;
   ]

@@ -249,6 +249,68 @@ let prop_synth_validates =
       let prog, _ = Corpus.Synth.generate cfg in
       Nvmir.Prog.validate prog = [])
 
+(* ------------------------------------------------------------------ *)
+(* Hostile input *)
+
+(* [s] with one to four random byte edits (overwrite, insert, insert a
+   run of up to 32 copies, or delete); half the inserted bytes come from
+   the NVMIR/JSON punctuation, so the edits reach the structural paths,
+   and runs reach long literals and deep nesting. *)
+let mutate_text st s =
+  let punct = "{}[]():,\"\\-+.eE0123456789@#/;*>=\n\t u" in
+  let byte () =
+    if Random.State.bool st then
+      punct.[Random.State.int st (String.length punct)]
+    else Char.chr (Random.State.int st 256)
+  in
+  let edit s =
+    let n = String.length s in
+    let i = Random.State.int st (n + 1) in
+    let pre = String.sub s 0 i in
+    let after = if i < n then String.sub s (i + 1) (n - i - 1) else "" in
+    match Random.State.int st 4 with
+    | 0 -> pre ^ String.make 1 (byte ()) ^ after
+    | 1 -> pre ^ String.make 1 (byte ()) ^ String.sub s i (n - i)
+    | 2 ->
+      pre ^ String.make (1 + Random.State.int st 32) (byte ())
+      ^ String.sub s i (n - i)
+    | _ -> pre ^ after
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (1 + Random.State.int st 4) s
+
+(* Random bytes, or one of [seeds] after [mutate_text]. *)
+let hostile_text seeds =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:char (0 -- 64);
+          (fun st ->
+            let seed = List.nth seeds (int_bound (List.length seeds - 1) st) in
+            mutate_text st seed);
+        ])
+
+let example_sources =
+  Sys.readdir Test_crash_oracle.examples_dir
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".nvmir")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         In_channel.with_open_bin
+           (Filename.concat Test_crash_oracle.examples_dir f)
+           In_channel.input_all)
+
+let prop_parse_raises_only_parse_error =
+  QCheck.Test.make ~name:"hostile text raises only Parse_error" ~count:1000
+    (hostile_text example_sources)
+    (fun src ->
+      match Nvmir.Parser.parse src with
+      | _ -> true
+      | exception Nvmir.Parser.Parse_error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let suite =
   [
     tc "parse: struct" `Quick test_parse_struct;
@@ -265,4 +327,5 @@ let suite =
     tc "roundtrip: whole corpus" `Quick test_roundtrip_corpus;
     QCheck_alcotest.to_alcotest prop_roundtrip_synth;
     QCheck_alcotest.to_alcotest prop_synth_validates;
+    QCheck_alcotest.to_alcotest prop_parse_raises_only_parse_error;
   ]

@@ -270,6 +270,25 @@ let test_pool_parks_and_wakes () =
    to a cold [Checker.check] of the mutant text, and agree on the
    trace/event counts. *)
 
+(* Prime a fresh cache with base [b]'s clean text, re-check [text]
+   through it, and check [text] cold: rendered warnings, trace count and
+   event count of the warm and the cold answer. *)
+let warm_and_cold (b : E.base) text =
+  let cache = Serve.Cache.create () in
+  let params = Serve.Cache.default_params b.E.model in
+  ignore (cache_run cache ~name:b.E.bname ~params (text_of b.E.prog));
+  let w = (cache_run cache ~name:b.E.bname ~params text).Serve.Cache.summary in
+  let c =
+    Analysis.Checker.check ~model:b.E.model
+      (Nvmir.Parser.parse ~file:b.E.bname text)
+  in
+  ( ( List.map render w.Serve.Cache.sm_warnings,
+      w.Serve.Cache.sm_trace_count,
+      w.Serve.Cache.sm_event_count ),
+    ( List.map render c.Analysis.Checker.warnings,
+      c.Analysis.Checker.trace_count,
+      c.Analysis.Checker.event_count ) )
+
 let prop_warm_equals_cold =
   QCheck.Test.make ~name:"incremental re-check byte-identical to cold check"
     ~count:10
@@ -285,26 +304,9 @@ let prop_warm_equals_cold =
         | [] -> true (* no sound injection site: nothing to differentiate *)
         | ms ->
           let m = List.nth ms (seed mod List.length ms) in
-          let cache = Serve.Cache.create () in
-          let params = Serve.Cache.default_params b.E.model in
-          let run text =
-            match Serve.Cache.check cache ~name:b.E.bname ~params ~text with
-            | Ok o -> o
-            | Error e ->
-              QCheck.Test.fail_reportf "cache check failed on %s: %s"
-                b.E.bname e
+          let ((ws, _, _) as warm), ((cs, _, _) as cold) =
+            warm_and_cold b (text_of m.Inject.Mutation.prog)
           in
-          ignore (run (text_of b.E.prog)) (* prime with the clean base *);
-          let mtext = text_of m.Inject.Mutation.prog in
-          let warm = run mtext in
-          let cold =
-            Analysis.Checker.check ~model:b.E.model
-              (Nvmir.Parser.parse ~file:b.E.bname mtext)
-          in
-          let ws =
-            List.map render warm.Serve.Cache.summary.Serve.Cache.sm_warnings
-          in
-          let cs = List.map render cold.Analysis.Checker.warnings in
           if not (List.equal String.equal ws cs) then
             QCheck.Test.fail_reportf
               "warnings diverge on %s (seed %d):@.warm:@.%a@.cold:@.%a"
@@ -313,12 +315,58 @@ let prop_warm_equals_cold =
               ws
               Fmt.(list ~sep:cut string)
               cs
-          else
-            warm.Serve.Cache.summary.Serve.Cache.sm_trace_count
-              = cold.Analysis.Checker.trace_count
-            && warm.Serve.Cache.summary.Serve.Cache.sm_event_count
-               = cold.Analysis.Checker.event_count)
+          else warm = cold)
       | _ -> true)
+
+(* The same differential, deterministic over every corpus base: re-check
+   the base's first injection mutant, or its clean text when it admits
+   none. *)
+let test_warm_equals_cold_corpus () =
+  let bases = E.corpus_bases () in
+  check Alcotest.bool "corpus bases found" true (List.length bases >= 18);
+  let mutated = ref 0 in
+  List.iter
+    (fun (b : E.base) ->
+      let id, text =
+        match
+          Inject.Mutation.mutate ~base:b.E.bname ~model:b.E.model
+            ~roots:b.E.roots b.E.prog
+        with
+        | [] -> (b.E.bname, text_of b.E.prog)
+        | m :: _ ->
+          incr mutated;
+          (m.Inject.Mutation.id, text_of m.Inject.Mutation.prog)
+      in
+      let warm, cold = warm_and_cold b text in
+      check
+        Alcotest.(triple (list string) int int)
+        (id ^ ": warnings, traces, events")
+        cold warm)
+    bases;
+  check Alcotest.bool "most bases re-checked a mutant" true
+    (2 * !mutated > List.length bases)
+
+(* ------------------------------------------------------------------ *)
+(* Hostile input: random bytes and byte-mutated well-formed request
+   lines parse to [Ok] or [Error], never an exception. *)
+
+let request_lines =
+  [
+    {|{"cmd":"check","name":"t.nvmir","model":"strict","program":"struct r { a: int }\nfunc main() {\nentry:\n  p = alloc pmem r\n  store p->a, 1 @ m.c:10\n  ret\n}\n"}|};
+    {|{"cmd":"stats"}|};
+    {|{"cmd":"shutdown"}|};
+    {|{"n":-12,"f":1.5e-3,"l":[true,false,null,"\u2014",{}],"o":{"k":[]}}|};
+  ]
+
+let prop_protocol_never_raises =
+  QCheck.Test.make ~name:"protocol: hostile lines never raise"
+    ~count:2000
+    (Test_parser.hostile_text request_lines)
+    (fun line ->
+      match P.parse line with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let suite =
   [
@@ -336,4 +384,7 @@ let suite =
     tc "pool: idle workers park and wake for new work" `Quick
       test_pool_parks_and_wakes;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    tc "cache: warm equals cold on every corpus base" `Quick
+      test_warm_equals_cold_corpus;
+    QCheck_alcotest.to_alcotest prop_protocol_never_raises;
   ]
