@@ -3,10 +3,11 @@
    for the selected persistency model, and reports deduplicated
    warnings.
 
-   Traces are enumerated lazily per root; each path is fed through
-   [Rules.Incremental] and discarded as soon as its warnings are out, so
-   peak memory is O(live paths), and independent roots are checked
-   concurrently on the shared domain pool. *)
+   Traces are enumerated lazily per root; each path is stepped through
+   the rule fold ([Rules.Fold]) from the prefix it shares with the
+   previous path and discarded as soon as its warnings are out, so peak
+   memory is O(live paths + one path), and independent roots are
+   checked concurrently on the shared domain pool. *)
 
 type result = {
   model : Model.t;
@@ -44,31 +45,86 @@ let note_warnings warnings =
           1)
       warnings
 
-(* Deduplicate as warnings stream out: first occurrence wins, order
-   kept — the same result [Warning.dedup] computes on the concatenated
-   list, without retaining duplicates in the meantime. *)
+let m_stepped =
+  Obs.Metrics.counter "rules.events_stepped"
+    ~desc:"events stepped through the rule fold"
+
+let m_reused =
+  Obs.Metrics.counter "rules.events_reused"
+    ~desc:"events whose rule-fold state was resumed from the previous path"
+
+(* One root's paths through the rule fold. The previous path is kept,
+   with the fold states after every [stride]-th of its events: a path
+   resumes from the last kept state within the prefix it shares with
+   the previous one, re-steps at most [stride - 1] shared events, and
+   steps the rest — consecutive DFS paths share most of their events.
+   A state per event would keep every path's rule states alive for a
+   gain of a few events per path. Dedup keeps the first occurrence,
+   path by path in [Incremental.finish]'s order: the same result
+   [Warning.dedup] computes on the concatenated per-path lists,
+   formatting only the warnings it keeps. *)
+let stride = 8
+
+let check_paths ctx (paths : Trace.t Seq.t) =
+  let seen = Hashtbl.create 16 in
+  let rev_warnings = ref [] in
+  (* the previous path, and its kept states, latest first: one per
+     multiple of [stride] up to its length *)
+  let prev = ref [] and prev_len = ref 0 and kept = ref [ Rules.Fold.start ] in
+  Seq.iter
+    (fun path ->
+      (* the shared prefix's length, and the path from its last kept
+         state on; expansion allocates a fresh Ret_mark per spliced
+         path, so equal events need not be physically equal *)
+      let rec shared i from path prev =
+        match (path, prev) with
+        | e :: rest, p :: prev when e == p || e = p ->
+          let i = i + 1 in
+          shared i (if i mod stride = 0 then rest else from) rest prev
+        | _ -> (i, from)
+      in
+      let k, from = shared 0 path path !prev in
+      let resumed = k / stride * stride in
+      let rec step i st kept = function
+        | [] -> (i, st, kept)
+        | e :: rest ->
+          let st = Rules.Fold.step ctx st e in
+          let i = i + 1 in
+          step i st (if i mod stride = 0 then st :: kept else kept) rest
+      in
+      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+      let valid = drop ((!prev_len - resumed) / stride) !kept in
+      let n, st, kept' = step resumed (List.hd valid) valid from in
+      prev := path;
+      prev_len := n;
+      kept := kept';
+      Obs.Metrics.add m_reused resumed;
+      Obs.Metrics.add m_stepped (n - resumed);
+      let fresh =
+        List.filter
+          (fun f ->
+            let key = Rules.Fold.key f in
+            if Hashtbl.mem seen key then false
+            else begin
+              Hashtbl.add seen key ();
+              true
+            end)
+          (Rules.Fold.close st)
+      in
+      rev_warnings :=
+        List.rev_append (Rules.Fold.warnings ctx path fresh) !rev_warnings)
+    paths;
+  List.rev !rev_warnings
+
 let check_root_streaming ctx (src : Trace.source) =
   Obs.Span.with_ ~name:"check-root" (fun () ->
       Obs.Metrics.incr m_roots;
       let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
-      let seen = Hashtbl.create 16 in
-      let rev_warnings = ref [] in
-      Seq.iter
-        (fun trace ->
-          let st = Rules.Incremental.feed Rules.Incremental.start trace in
-          List.iter
-            (fun w ->
-              let k = Warning.dedup_key w in
-              if not (Hashtbl.mem seen k) then begin
-                Hashtbl.add seen k ();
-                rev_warnings := w :: !rev_warnings
-              end)
-            (Rules.Incremental.finish ctx st))
-        src.Trace.traces;
+      let ws = check_paths ctx src.Trace.traces in
       if Obs.enabled () then
         Obs.Metrics.observe m_root_ns
           (Int64.to_int (Int64.sub (Obs.now_ns ()) t0));
-      List.rev !rev_warnings)
+      ws)
 
 (* Per-root streaming results: the unit of incremental reuse. A root's
    warnings and stats depend only on its own call-graph closure, so a

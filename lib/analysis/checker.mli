@@ -23,6 +23,13 @@ val check :
   Nvmir.Prog.t ->
   result
 
+val check_paths : Rules.ctx -> Trace.t Seq.t -> Warning.t list
+(** One root's paths through the rule fold, deduplicated by
+    {!Warning.dedup_key} with the first occurrence kept, path by path
+    in {!Rules.Incremental.finish}'s order. Each path resumes from a
+    fold state kept within the prefix it shares with the previous
+    one. *)
+
 (** {1 Per-root streaming results}
 
     The unit of incremental reuse: a root's warnings and stats depend

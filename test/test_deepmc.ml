@@ -9,6 +9,7 @@ let () =
       ("dsa", Test_dsa.suite);
       ("trace", Test_trace.suite);
       ("rules", Test_rules.suite);
+      ("rules-oracle", Test_rules_oracle.suite);
       ("pmem", Test_pmem.suite);
       ("interp", Test_interp.suite);
       ("dynamic", Test_dynamic.suite);

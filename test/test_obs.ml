@@ -87,6 +87,7 @@ let test_catalog_registration () =
       if not (List.mem n names) then Alcotest.failf "%s not in catalog" n)
     [
       "pool.steals"; "trace.paths_expanded"; "rules.fired";
+      "rules.events_stepped"; "rules.events_reused";
       "checker.warning_total"; "shadow.lock_contention"; "crash.points_explored";
       "inject.blind_spot_fns";
     ];

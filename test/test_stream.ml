@@ -1,8 +1,8 @@
 (* Reference differential tests: the streaming trace engine must
    enumerate exactly the traces of the naive enumerator in [Ref_trace] —
    same traces, same order — and the checker must report exactly the
-   warnings the rules give over those traces; plus behavioural tests
-   for the persistent domain pool. *)
+   warnings the reference rules ([Ref_rules]) give over those traces;
+   plus behavioural tests for the persistent domain pool. *)
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
@@ -15,8 +15,9 @@ let streamed ?config prog roots =
       (src.Analysis.Trace.root, List.of_seq src.Analysis.Trace.traces))
     (Analysis.Trace.stream ?config ~roots (Dsa.Dsg.build prog) prog)
 
-(* The checker's warnings, recomputed the plain way: every rule over
-   every reference trace, root by root, deduplicated and sorted. *)
+(* The checker's warnings, recomputed the plain way: every rule of the
+   reference evaluator over every reference trace, root by root,
+   deduplicated and sorted. *)
 let reference_warnings ~model prog per_root =
   let ctx =
     { Analysis.Rules.model; dsg = Dsa.Dsg.build prog; tenv = Nvmir.Prog.tenv prog }
@@ -24,8 +25,7 @@ let reference_warnings ~model prog per_root =
   List.concat_map
     (fun (_, ts) ->
       List.concat_map
-        (fun t ->
-          Analysis.Rules.Incremental.(finish ctx (feed start t)))
+        (fun t -> Ref_rules.run_all ctx (Analysis.Rules.scope_trace t))
         ts)
     per_root
   |> Analysis.Warning.dedup |> Analysis.Warning.sort
