@@ -934,6 +934,39 @@ let fuzz_bench ?(json = false) () =
     guided_n (List.length rows) random_n (List.length rows)
     (guided_n > random_n);
   if json then begin
+    (* The ablation row behind keeping the coverage feedback: every known
+       miss above is single-client, where the probe sweep alone covers
+       each boundary; on the multi-client application workloads the
+       feedback is what finds more warnings. *)
+    let clients = 2 and ablation_budget = 128 in
+    let workload_ablation =
+      List.map
+        (fun (name, (gen : Workloads.Fuzz_targets.gen)) ->
+          let target =
+            {
+              Fuzz.Campaign.tname = name;
+              prog = gen ~clients ~seed ();
+              model = Analysis.Model.Strict;
+              entry = "main";
+              entry_args = [];
+              clients;
+            }
+          in
+          let found mode =
+            Deepmc.Json_report.Int
+              (List.length
+                 (Fuzz.Campaign.new_warnings
+                    (Fuzz.Campaign.run ~seed ~budget:ablation_budget ~mode
+                       target)))
+          in
+          Deepmc.Json_report.Obj
+            [
+              ("workload", Deepmc.Json_report.String name);
+              ("guided_new_warnings", found Fuzz.Campaign.Guided);
+              ("random_new_warnings", found Fuzz.Campaign.Random);
+            ])
+        Workloads.Fuzz_targets.all
+    in
     let j =
       Deepmc.Json_report.Obj
         [
@@ -969,6 +1002,13 @@ let fuzz_bench ?(json = false) () =
                        );
                      ])
                  rows) );
+          ( "workload_ablation",
+            Deepmc.Json_report.Obj
+              [
+                ("clients", Deepmc.Json_report.Int clients);
+                ("budget", Deepmc.Json_report.Int ablation_budget);
+                ("workloads", Deepmc.Json_report.List workload_ablation);
+              ] );
           ( "telemetry",
             Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ()) );
         ]

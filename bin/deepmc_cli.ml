@@ -629,33 +629,33 @@ let corpus_cmd =
     (Cmd.info "corpus" ~doc)
     Term.(term_result (const run $ name_term $ corpus_json_term))
 
+(* The crash and recovery commands' shared arguments. *)
+let entry_req =
+  Arg.(
+    value
+    & opt string "main"
+    & info [ "entry" ] ~docv:"FUNC"
+        ~doc:"Forward entry point whose crash images are enumerated.")
+
+let bound_term =
+  Arg.(
+    value
+    & opt int Runtime.Crash_space.default_bound
+    & info [ "bound" ] ~docv:"N"
+        ~doc:"Maximum images per crash point: exhaustive below, sampled above.")
+
+let recovery_entry_term =
+  Arg.(
+    value
+    & opt string "recover"
+    & info [ "recovery-entry" ] ~docv:"FUNC"
+        ~doc:"Recovery function to execute on each image.")
+
 (* Reachable-image exploration: at every crash point (and at exit)
    enumerate the durable images any write-back order could leave
    behind, starting with the prefix image in which nothing in flight
    persisted. *)
 let crash_explore_cmd =
-  let entry_req =
-    Arg.(
-      value
-      & opt string "main"
-      & info [ "entry" ] ~docv:"FUNC" ~doc:"Entry point (default main).")
-  in
-  let bound_term =
-    Arg.(
-      value
-      & opt int Runtime.Crash_space.default_bound
-      & info [ "bound" ] ~docv:"N"
-          ~doc:
-            "Maximum images per crash point: exhaustive below, sampled \
-             above.")
-  in
-  let domains_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for the crash-point fan-out.")
-  in
   let recover_flag =
     Arg.(
       value & flag
@@ -730,29 +730,6 @@ let crash_explore_cmd =
    recovery entry on the reconstituted heap, classifying each outcome
    and reporting the recovery-tier rules. *)
 let recover_cmd =
-  let entry_req =
-    Arg.(
-      value
-      & opt string "main"
-      & info [ "entry" ] ~docv:"FUNC"
-          ~doc:"Forward entry point whose crash images are enumerated.")
-  in
-  let recovery_entry_term =
-    Arg.(
-      value
-      & opt string "recover"
-      & info [ "recovery-entry" ] ~docv:"FUNC"
-          ~doc:"Recovery function to execute on each image.")
-  in
-  let bound_term =
-    Arg.(
-      value
-      & opt int Runtime.Crash_space.default_bound
-      & info [ "bound" ] ~docv:"N"
-          ~doc:
-            "Maximum images per crash point: exhaustive below, sampled \
-             above.")
-  in
   let no_corrupt_term =
     Arg.(
       value & flag
@@ -1074,15 +1051,7 @@ let fuzz_cmd =
     in
     let mode = if random then Fuzz.Campaign.Random else Fuzz.Campaign.Guided in
     let o = Fuzz.Campaign.run ~seed ~budget ?domains ~mode target in
-    let baseline_keys =
-      List.map Analysis.Warning.dedup_key o.Fuzz.Campaign.baseline_warnings
-    in
-    let new_warnings =
-      List.filter
-        (fun w ->
-          not (List.mem (Analysis.Warning.dedup_key w) baseline_keys))
-        o.Fuzz.Campaign.warnings
-    in
+    let new_warnings = Fuzz.Campaign.new_warnings o in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp
         (Deepmc.Json_report.Obj
@@ -1170,13 +1139,6 @@ let explain_cmd =
             "Additionally verify the recovery path over the crash images \
              and bundle its witnesses (requires --entry and a recovery \
              function).")
-  in
-  let recovery_entry_term =
-    Arg.(
-      value
-      & opt string "recover"
-      & info [ "recovery-entry" ] ~docv:"FUNC"
-          ~doc:"Recovery function for --recover.")
   in
   let run () model file entry clients fuzz_budget crash recover
       recovery_entry seed json html metrics_json trace_out =

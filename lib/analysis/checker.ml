@@ -198,8 +198,8 @@ type mixed_result = {
   mixed_dsg : Dsa.Dsg.t;
 }
 
-let check_mixed ?(config = Config.default) ~model_of ~roots
-    (prog : Nvmir.Prog.t) : mixed_result =
+let check_mixed ~model_of ~roots (prog : Nvmir.Prog.t) : mixed_result =
+  let config = Config.default in
   let dsg = Config.build_dsg config prog in
   (* one check per model over the shared DSG, results reassembled in
      the caller's root order *)

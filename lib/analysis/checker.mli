@@ -75,7 +75,6 @@ type mixed_result = {
 }
 
 val check_mixed :
-  ?config:Config.t ->
   model_of:(string -> Model.t) ->
   roots:string list ->
   Nvmir.Prog.t ->

@@ -31,7 +31,6 @@ type table = {
   roots : string list; (* cold-run enumeration order *)
 }
 
-let func_fp table fname = Hashtbl.find_opt table.fps fname
 let root_key table root = Hashtbl.find_opt table.keys root
 let roots table = table.roots
 
@@ -86,16 +85,3 @@ let changed_functions ~old table =
       | _ -> fname :: acc)
     table.fps []
   |> List.sort String.compare
-
-(* Roots needing re-analysis: closure key absent or changed. Exactly
-   the edited functions plus their memo-dependent callers — an
-   untouched root whose closure misses every changed function keeps
-   its key and is replayed from cache. *)
-let stale_roots ~old table =
-  List.filter
-    (fun r ->
-      match (root_key table r, root_key old r) with
-      | Some k, Some k' -> not (Nvmir.Chash.equal k k')
-      | _, None -> true
-      | None, _ -> true)
-    table.roots

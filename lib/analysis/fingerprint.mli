@@ -18,13 +18,8 @@ val build : Dsa.Dsg.t -> Nvmir.Prog.t -> table
 val roots : table -> string list
 (** {!Trace.default_roots} order — the cold run's enumeration order. *)
 
-val func_fp : table -> string -> Nvmir.Chash.t option
 val root_key : table -> string -> Nvmir.Chash.t option
 
 val changed_functions : old:table -> table -> string list
 (** Functions whose fingerprint differs from (or is absent in) [old];
     sorted. The invalidation front an edit pushes. *)
-
-val stale_roots : old:table -> table -> string list
-(** Roots (in {!roots} order) whose closure key changed: the edited
-    functions' memo-dependent callers and nothing else. *)

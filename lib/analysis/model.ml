@@ -26,18 +26,6 @@ let of_string = function
 let flag t = "-" ^ to_string t
 let pp ppf t = Fmt.string ppf (to_string t)
 
-let description = function
-  | Strict ->
-    "All persistent stores become durable in program order; every store is \
-     individually flushed and fenced before the next persistent operation."
-  | Epoch ->
-    "Stores within an epoch may persist concurrently; a persist barrier at \
-     each epoch boundary orders stores of consecutive epochs."
-  | Strand ->
-    "Strands relax epoch ordering further: strands without WAW/RAW data \
-     dependences may persist concurrently; dependent strands must be merged \
-     or explicitly ordered."
-
 (* The model a relaxation refines: used by the report to explain which
    guarantees a violation endangers. *)
 let relaxes = function

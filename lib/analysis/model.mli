@@ -12,7 +12,6 @@ val flag : t -> string
 (** The compiler flag spelling: ["-strict"], ["-epoch"], ["-strand"]. *)
 
 val pp : t Fmt.t
-val description : t -> string
 
 val relaxes : t -> t option
 (** The model this one relaxes (epoch relaxes strict, strand relaxes

@@ -903,8 +903,6 @@ let catalog =
     };
   ]
 
-let meta_of id = List.find (fun m -> m.id = id) catalog
-
 let applicable_rules model =
   List.filter (fun m -> List.exists (Model.equal model) m.models) catalog
 

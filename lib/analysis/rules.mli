@@ -29,7 +29,6 @@ type rule_meta = {
 }
 
 val catalog : rule_meta list
-val meta_of : Warning.rule_id -> rule_meta
 val applicable_rules : Model.t -> rule_meta list
 
 (** {1 Incremental checking} — the scoper's per-path state.

@@ -223,10 +223,12 @@ let apply prog (warnings : Analysis.Warning.t list) : result =
   in
   { program = prog; outcomes = List.rev outcomes }
 
+let max_rounds = 4
+
 (* Fix-and-recheck loop: repair, re-run the checker, repeat until no fix
    applies or the round limit is reached. Returns the final program, the
    accumulated outcomes, and the remaining warnings. *)
-let fix_until_clean ?(max_rounds = 4) ?config ?roots ~model prog =
+let fix_until_clean ?config ?roots ~model prog =
   let rec go round prog acc =
     let checked = Analysis.Checker.check ?config ?roots ~model prog in
     let warnings = checked.Analysis.Checker.warnings in

@@ -22,13 +22,12 @@ val fix_one :
 val apply : Nvmir.Prog.t -> Analysis.Warning.t list -> result
 
 val fix_until_clean :
-  ?max_rounds:int ->
   ?config:Analysis.Config.t ->
   ?roots:string list ->
   model:Analysis.Model.t ->
   Nvmir.Prog.t ->
   Nvmir.Prog.t * outcome list * Analysis.Warning.t list
-(** Repair, re-check, repeat (up to [max_rounds], default 4). Returns
+(** Repair, re-check, repeat (up to 4 rounds). Returns
     the final program, all outcomes, and the remaining warnings. *)
 
 val pp_outcome : outcome Fmt.t

@@ -10,11 +10,7 @@ type result = {
   annotated : string list;
 }
 
-val check :
-  ?config:Analysis.Config.t ->
-  annotated:string list ->
-  Nvmir.Prog.t ->
-  result
+val check : annotated:string list -> Nvmir.Prog.t -> result
 
 val annotation_sites : Nvmir.Prog.t -> annotated:string list -> int
 (** The annotation burden: one checker call per persistent operation in

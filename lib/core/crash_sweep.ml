@@ -20,9 +20,9 @@ let tasks_of recording =
   Runtime.Crash_space.tasks
     ~crash_points:(Runtime.Crash_space.count_points recording)
 
-let explore_program ?domains ?config ?bound ?seed ?oracle ?(entry = "main")
+let explore_program ?domains ?bound ?seed ?oracle ?(entry = "main")
     ?(args = []) prog =
-  let recording = Runtime.Crash_space.record ?config ~entry ~args prog in
+  let recording = Runtime.Crash_space.record ~entry ~args prog in
   let points =
     Pool.map ?domains (Pool.default ())
       (fun task ->
@@ -33,7 +33,7 @@ let explore_program ?domains ?config ?bound ?seed ?oracle ?(entry = "main")
     ~crash_points:(Runtime.Crash_space.count_points recording)
     points
 
-let sweep ?domains ?config ?bound ?seed ?oracle (jobs : job list) :
+let sweep ?domains ?bound ?seed (jobs : job list) :
     program_report list =
   (* Record every job, flatten to (job position, task) pairs so small
      programs don't serialize behind large ones, then regroup by
@@ -41,13 +41,13 @@ let sweep ?domains ?config ?bound ?seed ?oracle (jobs : job list) :
   let recordings =
     Pool.map ?domains (Pool.default ())
       (fun (j : job) ->
-        Runtime.Crash_space.record ?config ~entry:j.entry ~args:j.args j.prog)
+        Runtime.Crash_space.record ~entry:j.entry ~args:j.args j.prog)
       jobs
   in
   let done_work =
     Pool.map ?domains (Pool.default ())
       (fun (i, r, task) ->
-        (i, Runtime.Crash_space.explore_task ?bound ?seed ?oracle ~task r))
+        (i, Runtime.Crash_space.explore_task ?bound ?seed ~task r))
       (List.concat
          (List.mapi
             (fun i r -> List.map (fun t -> (i, r, t)) (tasks_of r))

@@ -18,7 +18,6 @@ type program_report = {
 
 val explore_program :
   ?domains:int ->
-  ?config:Runtime.Config.t ->
   ?bound:int ->
   ?seed:int ->
   ?oracle:Runtime.Crash_space.oracle ->
@@ -32,13 +31,11 @@ val explore_program :
 
 val sweep :
   ?domains:int ->
-  ?config:Runtime.Config.t ->
   ?bound:int ->
   ?seed:int ->
-  ?oracle:Runtime.Crash_space.oracle ->
   job list ->
   program_report list
-(** Explore many programs at once, interleaving their crash points over
-    one pool; results are returned in job order, one per job. Each
-    report equals {!explore_program} on that job alone, even when job
-    names repeat. *)
+(** Explore many programs at once under the [Sequential] oracle,
+    interleaving their crash points over one pool; results are returned
+    in job order, one per job. Each report equals {!explore_program} on
+    that job alone, even when job names repeat. *)

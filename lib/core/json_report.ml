@@ -50,8 +50,8 @@ let to_string j = Fmt.str "%a" pp j
 (* ------------------------------------------------------------------ *)
 (* Encoders *)
 
-(* Witness encoding: the decoder lives in [Explain.witness_of_json];
-   the QCheck round-trip property pins the two against each other. *)
+(* Witness encoding. Encode-only: consumers read the JSON, nothing in
+   the tree decodes it back into a [Witness.t]. *)
 let of_witness (wit : Analysis.Witness.t) =
   let lines ls =
     List.map (fun (obj, line) -> Obj [ ("obj", Int obj); ("line", Int line) ]) ls
@@ -292,18 +292,4 @@ let of_score (s : Report.score) =
       ("recall", Float (Report.recall s));
     ]
 
-let of_fix_outcome = function
-  | Autofix.Fixed { warning; description } ->
-    Obj
-      [
-        ("status", String "fixed");
-        ("warning", of_warning warning);
-        ("description", String description);
-      ]
-  | Autofix.Skipped { warning; reason } ->
-    Obj
-      [
-        ("status", String "skipped");
-        ("warning", of_warning warning);
-        ("reason", String reason);
-      ]
+

@@ -19,8 +19,7 @@ val of_metrics : (string * Obs.Metrics.value) list -> json
 
 val of_witness : Analysis.Witness.t -> json
 (** Witness encoding, with the tier tag first and the content
-    fingerprint appended. [Explain.witness_of_json] is the inverse
-    (modulo the fingerprint, which is recomputed). *)
+    fingerprint appended. Encode-only: nothing parses witnesses back. *)
 
 val of_warning : Analysis.Warning.t -> json
 (** When the warning carries a witness, the object additionally holds its
@@ -31,4 +30,3 @@ val of_crash_space : Runtime.Crash_space.report -> json
 val of_recovery : Recover.report -> json
 val of_report : Driver.report -> json
 val of_score : Report.score -> json
-val of_fix_outcome : Autofix.outcome -> json

@@ -122,8 +122,3 @@ let load path =
   let s = really_input_string ic len in
   close_in ic;
   of_string s
-
-let save t path =
-  let oc = open_out_bin path in
-  output_string oc (to_string t);
-  close_out oc

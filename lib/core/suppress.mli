@@ -38,4 +38,3 @@ exception Parse_error of string * int
 val to_string : t -> string
 val of_string : string -> t
 val load : string -> t
-val save : t -> string -> unit

@@ -30,13 +30,11 @@ type framework_totals = {
 }
 
 (* Aggregate checker results per framework: the cells of Table 1. *)
-let table1 ?run_dynamic ?config () : framework_totals list =
+let table1 ?config () : framework_totals list =
   List.map
     (fun fw ->
       let scores =
-        List.map
-          (fun p -> snd (analyze ?run_dynamic ?config p))
-          (by_framework fw)
+        List.map (fun p -> snd (analyze ?config p)) (by_framework fw)
       in
       let validated =
         List.fold_left (fun a s -> a + Deepmc.Report.validated_count s) 0 scores

@@ -23,11 +23,7 @@ type framework_totals = {
       (** rule -> validated/warnings *)
 }
 
-val table1 :
-  ?run_dynamic:bool ->
-  ?config:Analysis.Config.t ->
-  unit ->
-  framework_totals list
+val table1 : ?config:Analysis.Config.t -> unit -> framework_totals list
 (** The cells of Table 1, measured. *)
 
 val studied_bugs :

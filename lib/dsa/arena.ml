@@ -109,12 +109,6 @@ let rec unify t a b =
   end
 
 (* Follow (or create) the points-to edge for a field. *)
-let edge_target t id key =
-  let n = canonical t id in
-  match List.assoc_opt key n.edges with
-  | Some target -> Some (find t target)
-  | None -> None
-
 let ensure_edge t id key =
   let n = canonical t id in
   match List.assoc_opt key n.edges with

@@ -50,8 +50,6 @@ val unify : t -> int -> int -> unit
 (** Merge two nodes, their attributes, and (recursively) the targets of
     matching field edges. *)
 
-val edge_target : t -> int -> field_key -> int option
-
 val ensure_edge : t -> int -> field_key -> int
 (** Follow the field edge, creating an unknown target if missing. *)
 

@@ -558,7 +558,6 @@ let may_alias t ~fname p1 p2 =
   Aaddr.may_overlap (resolve t ~fname p1) (resolve t ~fname p2)
 
 let modified_fields t node = (Arena.canonical t.arena node).Arena.mod_fields
-let referenced_fields t node = (Arena.canonical t.arena node).Arena.ref_fields
 
 (* Nodes a function's variables can reach, persistent ones only: the
    per-function DSG view of Figure 10. *)

@@ -45,7 +45,6 @@ val node_of_var : t -> fname:string -> string -> int option
 
 val may_alias : t -> fname:string -> Nvmir.Place.t -> Nvmir.Place.t -> bool
 val modified_fields : t -> int -> Arena.field_key list
-val referenced_fields : t -> int -> Arena.field_key list
 
 val function_view : t -> fname:string -> int list
 (** The persistent nodes a function's variables can reach: the

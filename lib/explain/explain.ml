@@ -348,128 +348,3 @@ let to_json ~file ~model bundles : Deepmc.Json_report.json =
       ("model", String (Analysis.Model.to_string model));
       ("bundles", List (List.map of_bundle bundles));
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Witness decoding — the inverse of [Json_report.of_witness], used by
-   clients consuming serve/report output and pinned against the encoder
-   by a QCheck round-trip property. *)
-
-let member k = function
-  | Deepmc.Json_report.Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let string_member k j =
-  match member k j with
-  | Some (Deepmc.Json_report.String s) -> Some s
-  | _ -> None
-
-let int_member k j =
-  match member k j with
-  | Some (Deepmc.Json_report.Int n) -> Some n
-  | _ -> None
-
-let list_member k j =
-  match member k j with
-  | Some (Deepmc.Json_report.List l) -> Some l
-  | _ -> None
-
-let lines_of_json l =
-  List.filter_map
-    (fun item ->
-      match (int_member "obj" item, int_member "line" item) with
-      | Some obj, Some line -> Some (obj, line)
-      | _ -> None)
-    l
-
-let witness_of_json (j : Deepmc.Json_report.json) : Analysis.Witness.t option =
-  let ( let* ) = Option.bind in
-  let* tier = string_member "tier" j in
-  match tier with
-  | "static" ->
-    let slice =
-      match list_member "slice" j with
-      | Some items ->
-        List.filter_map
-          (fun item ->
-            let* role = string_member "role" item in
-            let* what = string_member "what" item in
-            let* file = string_member "file" item in
-            let* line = int_member "line" item in
-            let* fname = string_member "function" item in
-            Some
-              (Analysis.Witness.event_ref ~role ~what
-                 ~loc:(Nvmir.Loc.make ~file ~line) ~fname))
-          items
-      | None -> []
-    in
-    let call_path =
-      match list_member "call_path" j with
-      | Some items ->
-        List.filter_map
-          (function Deepmc.Json_report.String s -> Some s | _ -> None)
-          items
-      | None -> []
-    in
-    Some (Analysis.Witness.Static { s_slice = slice; s_call_path = call_path })
-  | "dynamic" ->
-    let* transition = string_member "transition" j in
-    let* strand = int_member "strand" j in
-    let* fences = int_member "fences" j in
-    Some
-      (Analysis.Witness.Dynamic
-         { d_transition = transition; d_strand = strand; d_fences = fences })
-  | "fuzz" ->
-    let* genome = string_member "genome" j in
-    let* schedule = string_member "schedule" j in
-    let* transition = string_member "transition" j in
-    Some
-      (Analysis.Witness.Fuzz
-         { f_genome = genome; f_schedule = schedule; f_transition = transition })
-  | "crash" ->
-    let* task = string_member "at" j in
-    let* image = string_member "image" j in
-    let* detail = string_member "detail" j in
-    let persisted =
-      match list_member "persisted" j with
-      | Some l -> lines_of_json l
-      | None -> []
-    in
-    Some
-      (Analysis.Witness.Crash
-         {
-           c_task = task;
-           c_image = image;
-           c_persisted = persisted;
-           c_detail = detail;
-         })
-  | "recover" ->
-    let* task = string_member "at" j in
-    let* image = string_member "image" j in
-    let* verdict = string_member "verdict" j in
-    let persisted =
-      match list_member "persisted" j with
-      | Some l -> lines_of_json l
-      | None -> []
-    in
-    let corruptions =
-      match list_member "corruptions" j with
-      | Some l ->
-        List.filter_map
-          (fun item ->
-            let* obj = int_member "obj" item in
-            let* slot = int_member "slot" item in
-            let* kind = string_member "kind" item in
-            Some (obj, slot, kind))
-          l
-      | None -> []
-    in
-    Some
-      (Analysis.Witness.Recover
-         {
-           r_task = task;
-           r_image = image;
-           r_persisted = persisted;
-           r_corruptions = corruptions;
-           r_verdict = verdict;
-         })
-  | _ -> None

@@ -46,7 +46,3 @@ val render :
 val to_json :
   file:string -> model:Analysis.Model.t -> bundle list ->
   Deepmc.Json_report.json
-
-val witness_of_json : Deepmc.Json_report.json -> Analysis.Witness.t option
-(** Inverse of {!Deepmc.Json_report.of_witness} (the encoder's
-    ["fingerprint"] field is ignored and recomputable). *)

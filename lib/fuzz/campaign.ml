@@ -190,6 +190,12 @@ let run ?(seed = 1) ?(budget = 16) ?domains ~mode target =
    produces under the same mode/seed/budget, so pre-existing noise
    never counts as a catch. *)
 
+let new_warnings o =
+  let baseline_keys = List.map Analysis.Warning.dedup_key o.baseline_warnings in
+  List.filter
+    (fun w -> not (List.mem (Analysis.Warning.dedup_key w) baseline_keys))
+    o.warnings
+
 let lenient_matches (e : Inject.Mutation.expect) (w : Analysis.Warning.t) =
   List.mem w.Analysis.Warning.rule e.Inject.Mutation.rules
   && String.equal w.Analysis.Warning.loc.Nvmir.Loc.file e.Inject.Mutation.file

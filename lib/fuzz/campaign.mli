@@ -36,6 +36,11 @@ type outcome = {
 val run :
   ?seed:int -> ?budget:int -> ?domains:int -> mode:mode -> target -> outcome
 
+val new_warnings : outcome -> Analysis.Warning.t list
+(** The campaign's warnings minus those the fixed-schedule baseline
+    replay already reports (matched by {!Analysis.Warning.dedup_key}):
+    what the schedule search itself found. *)
+
 val recovers :
   truth:Inject.Mutation.truth -> base:outcome -> outcome -> bool
 (** Lenient dynamic-tier match (rule in expected set, expected file),

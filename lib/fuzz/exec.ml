@@ -48,8 +48,10 @@ let boundary_kind = function
   | Runtime.Interp.Bstrand_begin -> 7
   | Runtime.Interp.Bstrand_end -> 8
 
-let run ~prog ~model ?(entry = "main") ?(entry_args = []) ?(fuel = 2_000_000)
-    ~clients ~genome () =
+(* Interpreter step budget per client. *)
+let fuel = 2_000_000
+
+let run ~prog ~model ?(entry = "main") ?(entry_args = []) ~clients ~genome () =
   Obs.Metrics.incr m_execs;
   let clients = max 1 clients in
   let pmem = Runtime.Pmem.create () in

@@ -21,7 +21,6 @@ val run :
   model:Analysis.Model.t ->
   ?entry:string ->
   ?entry_args:int list ->
-  ?fuel:int ->
   clients:int ->
   genome:Genome.t ->
   unit ->

@@ -61,17 +61,7 @@ let reverse_postorder t =
   go t.entry;
   !post
 
-let reachable t =
-  let order = dfs_preorder t in
-  let set = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace set l ()) order;
-  set
-
-let is_reachable t label = Hashtbl.mem (reachable t) label
-
 let block_count t = List.length t.func.blocks
-let edge_count t =
-  Hashtbl.fold (fun _ ss acc -> acc + List.length ss) t.succs 0
 
 let pp ppf t =
   let pp_edge ppf label =

@@ -18,8 +18,5 @@ val reverse_postorder : t -> string list
 (** The canonical iteration order for forward dataflow and dominator
     computation. *)
 
-val reachable : t -> (string, unit) Hashtbl.t
-val is_reachable : t -> string -> bool
 val block_count : t -> int
-val edge_count : t -> int
 val pp : t Fmt.t

@@ -63,13 +63,3 @@ let dominates t a b =
       | Some p -> up p
   in
   up b
-
-let dominator_chain t label =
-  let rec up acc b =
-    if String.equal b t.entry then List.rev (b :: acc)
-    else
-      match Hashtbl.find_opt t.idom b with
-      | None -> List.rev (b :: acc)
-      | Some p -> up (b :: acc) p
-  in
-  up [] label

@@ -10,6 +10,3 @@ val idom : t -> string -> string option
 
 val dominates : t -> string -> string -> bool
 (** [dominates t a b]: does [a] dominate [b]? Reflexive. *)
-
-val dominator_chain : t -> string -> string list
-(** The block, its idom, and so on up to the entry. *)

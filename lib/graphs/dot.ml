@@ -15,7 +15,7 @@ let escape s =
   Buffer.contents buf
 
 (* One CFG as a dot digraph; block bodies become record-ish labels. *)
-let of_cfg ?(instructions = true) (cfg : Cfg.t) : string =
+let of_cfg (cfg : Cfg.t) : string =
   let buf = Buffer.create 1024 in
   let fname = (Cfg.func cfg).Nvmir.Func.fname in
   Buffer.add_string buf (Fmt.str "digraph \"%s\" {\n" (escape fname));
@@ -23,14 +23,12 @@ let of_cfg ?(instructions = true) (cfg : Cfg.t) : string =
   List.iter
     (fun (b : Nvmir.Func.block) ->
       let body =
-        if instructions then
-          String.concat "\\l"
-            (List.map
-               (fun i -> escape (Fmt.str "%a" Nvmir.Instr.pp i))
-               b.Nvmir.Func.instrs
-            @ [ escape (Fmt.str "%a" Nvmir.Func.pp_terminator b.Nvmir.Func.term) ])
-          ^ "\\l"
-        else ""
+        String.concat "\\l"
+          (List.map
+             (fun i -> escape (Fmt.str "%a" Nvmir.Instr.pp i))
+             b.Nvmir.Func.instrs
+          @ [ escape (Fmt.str "%a" Nvmir.Func.pp_terminator b.Nvmir.Func.term) ])
+        ^ "\\l"
       in
       Buffer.add_string buf
         (Fmt.str "  \"%s\" [label=\"%s:\\l%s\"];\n" (escape b.Nvmir.Func.label)

@@ -603,10 +603,10 @@ let recovery_operators =
     Mutation.Drift_recovery_store;
   ]
 
-let recovery_bases ?(config = Analysis.Config.default) () =
+let recovery_bases () =
   List.map
     (fun (p : Corpus.Types.program) ->
-      make_base ~config ~bname:p.Corpus.Types.name
+      make_base ~config:Analysis.Config.default ~bname:p.Corpus.Types.name
         ~model:(Corpus.Types.model p) ~roots:p.Corpus.Types.roots
         ~entry:(Some p.Corpus.Types.entry)
         ~entry_args:p.Corpus.Types.entry_args
@@ -644,8 +644,8 @@ type recovery_summary = {
   r_results : recovery_result list;
 }
 
-let run_recovery ?domains ?(operators = recovery_operators) ?(seed = 1)
-    ?(bound = 96) bases =
+let run_recovery ?(seed = 1) bases =
+  let bound = 96 (* crash images per recovery verification *) in
   (* one baseline verification per base: its residual recovery warnings
      are excluded from every mutant's delta, exactly as the static tier
      treats refused-autofix residue *)
@@ -666,12 +666,12 @@ let run_recovery ?domains ?(operators = recovery_operators) ?(seed = 1)
       (fun (b, _) ->
         List.map
           (fun m -> (b, m))
-          (Mutation.mutate ~operators ~config:b.config ~base:b.bname
-             ~model:b.model ~roots:b.roots b.prog))
+          (Mutation.mutate ~operators:recovery_operators ~config:b.config
+             ~base:b.bname ~model:b.model ~roots:b.roots b.prog))
       prepared
   in
   let results =
-    Pool.map ?domains ~chunk:1 (Pool.default ())
+    Pool.map ~chunk:1 (Pool.default ())
       (fun (b, (m : Mutation.mutant)) ->
         let baseline =
           Option.value ~default:[] (List.assoc_opt b.bname baseline_keys)
@@ -691,25 +691,19 @@ let run_recovery ?domains ?(operators = recovery_operators) ?(seed = 1)
       mutants
   in
   let rows =
-    List.filter_map
+    List.map
       (fun op ->
-        if not (List.memq op operators) then None
-        else
-          let rs =
-            List.filter
-              (fun r ->
-                r.r_mutant.Mutation.truth.Mutation.operator = op)
-              results
-          in
-          Some
-            {
-              r_operator = op;
-              r_mutants = List.length rs;
-              r_cell =
-                List.fold_left
-                  (fun c r -> add_cell c r.r_detection)
-                  empty_cell rs;
-            })
+        let rs =
+          List.filter
+            (fun r -> r.r_mutant.Mutation.truth.Mutation.operator = op)
+            results
+        in
+        {
+          r_operator = op;
+          r_mutants = List.length rs;
+          r_cell =
+            List.fold_left (fun c r -> add_cell c r.r_detection) empty_cell rs;
+        })
       recovery_operators
   in
   let applicable =

@@ -147,7 +147,7 @@ val pp_summary : summary Fmt.t
 
 val recovery_operators : Mutation.operator list
 
-val recovery_bases : ?config:Analysis.Config.t -> unit -> base list
+val recovery_bases : unit -> base list
 (** The {!Corpus.Recovery} programs as evaluation bases. No autofix:
     the guarded base is recovery-clean by construction and the
     unguarded base's warnings become its baseline (its mutants must add
@@ -177,17 +177,11 @@ type recovery_summary = {
   r_results : recovery_result list;
 }
 
-val run_recovery :
-  ?domains:int ->
-  ?operators:Mutation.operator list ->
-  ?seed:int ->
-  ?bound:int ->
-  base list ->
-  recovery_summary
+val run_recovery : ?seed:int -> base list -> recovery_summary
 (** Mutate every base with the recovery operators and score each mutant
-    by the delta of its {!Recover.verify} warnings over the unmutated
-    base's, matched against the mutant's ground truth. Deterministic
-    for fixed (bases, operators, seed, bound). *)
+    by the delta of its {!Recover.verify} warnings (crash-image bound
+    96) over the unmutated base's, matched against the mutant's ground
+    truth. Deterministic for fixed (bases, seed). *)
 
 val recovery_to_json : recovery_summary -> Deepmc.Json_report.json
 val pp_recovery_summary : recovery_summary Fmt.t

@@ -45,5 +45,4 @@ let combine a b =
 
 let to_hex = Fmt.str "%016Lx"
 let equal = Int64.equal
-let compare = Int64.compare
 let pp ppf h = Fmt.string ppf (to_hex h)

@@ -22,5 +22,4 @@ val to_hex : t -> string
 (** 16-digit lowercase hex, zero-padded; stable across runs. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : t Fmt.t

@@ -326,14 +326,6 @@ let quiesce pool =
   done;
   Mutex.unlock pool.q_mutex
 
-(* Pre-warm: spawn any missing workers and kick parked ones so the
-   first post-idle submission doesn't pay domain-spawn latency. *)
-let wake pool =
-  ensure_workers pool;
-  Mutex.lock pool.q_mutex;
-  Condition.broadcast pool.q_cond;
-  Mutex.unlock pool.q_mutex
-
 (* Parallel map preserving submission order. [domains] caps the number
    of domains cooperating on this job (submitter included); it defaults
    to the pool size. [chunk] is the number of consecutive items per

@@ -73,10 +73,6 @@ val quiesce : t -> unit
     unspawned pool quiesces immediately. The daemon calls this between
     requests; tests use it to assert ~0% idle CPU via park counts. *)
 
-val wake : t -> unit
-(** Pre-warm: spawn missing workers up to the target and kick parked
-    ones, so the next submission pays no domain-spawn latency. *)
-
 val default : unit -> t
 (** The process-wide shared pool (created on first use; joined in an
     [at_exit] hook). *)

@@ -108,7 +108,7 @@ let run_recovery ~recovery_entry ~args heap prog =
   in
   (outcome, Interp.corrupt_reads interp)
 
-let check_image ?config ~recovery_entry ~fn ~seed prog
+let check_image ~recovery_entry ~fn ~seed prog
     (ci : Crash_space.crash_image) ~from =
   let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
   let corruptions =
@@ -117,7 +117,7 @@ let check_image ?config ~recovery_entry ~fn ~seed prog
     | None -> []
   in
   let corrupt = List.map (fun c -> c.Pmem.c_addr) corruptions in
-  let heap = Pmem.restore ?config ~from ~image:ci.Crash_space.ci_image ~corrupt () in
+  let heap = Pmem.restore ~from ~image:ci.Crash_space.ci_image ~corrupt () in
   let args = recovery_args heap fn in
   let outcome, corrupt_reads = run_recovery ~recovery_entry ~args heap prog in
   let residual_corrupt = Pmem.corrupt_slot_count heap in
@@ -246,7 +246,7 @@ let warnings_of ~model ~recovery_entry ~fn heap_name checks =
 (* ------------------------------------------------------------------ *)
 (* Driver *)
 
-let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
+let verify ?entry ?args ?(recovery_entry = "recover") ?bound
     ?(seed = 1) ?(corrupt = true) ?(model = Analysis.Model.Strict) prog =
   Obs.Span.with_ ~name:"recover-verify" ~args:[ ("entry", recovery_entry) ]
   @@ fun () ->
@@ -257,7 +257,7 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
       invalid_arg
         (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
   in
-  let recording = Crash_space.record ?config ?entry ?args prog in
+  let recording = Crash_space.record ?entry ?args prog in
   let crash_points = Crash_space.count_points recording in
   let counter = ref 0 in
   let heap_names = Hashtbl.create 8 in
@@ -280,7 +280,7 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
               let seed =
                 if corrupt then Some (seed + (137 * !counter)) else None
               in
-              check_image ?config ~recovery_entry ~fn ~seed prog ci ~from
+              check_image ~recovery_entry ~fn ~seed prog ci ~from
               :: acc)
             acc images
         in

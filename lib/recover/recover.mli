@@ -56,7 +56,6 @@ type report = {
 }
 
 val verify :
-  ?config:Runtime.Config.t ->
   ?entry:string ->
   ?args:int list ->
   ?recovery_entry:string ->

@@ -430,8 +430,8 @@ let task_images ?(bound = default_bound) ?(seed = 1) ~task r =
   in
   (heap, List.rev !images, pt.sampled)
 
-let crash_images ?config ?entry ?args ?bound ?seed ~task prog =
-  task_images ?bound ?seed ~task (record ?config ?entry ?args prog)
+let crash_images ?entry ?args ?bound ?seed ~task prog =
+  task_images ?bound ?seed ~task (record ?entry ?args prog)
 
 let summarize ~crash_points (points : point_result list) : report =
   let images_enumerated =
@@ -455,15 +455,6 @@ let consistent r = r.inconsistent = 0
 let pruning_ratio r =
   if r.images_enumerated = 0 then 0.
   else 1. -. (float_of_int r.images_distinct /. float_of_int r.images_enumerated)
-
-let violation_points r =
-  List.filter_map
-    (fun p ->
-      match (p.task, p.witnesses) with
-      | Point k, _ :: _ -> Some k
-      | _ -> None)
-    r.points
-  |> List.sort_uniq Int.compare
 
 let first_witness r = match r.witnesses with [] -> None | w :: _ -> Some w
 

@@ -120,7 +120,6 @@ val task_images :
     metadata from. *)
 
 val crash_images :
-  ?config:Config.t ->
   ?entry:string ->
   ?args:int list ->
   ?bound:int ->
@@ -139,9 +138,6 @@ val summarize : crash_points:int -> point_result list -> report
 val consistent : report -> bool
 val pruning_ratio : report -> float
 (** [1 - distinct/enumerated]; 0 when nothing was enumerated. *)
-
-val violation_points : report -> int list
-(** Crash points (excluding exit) with at least one witness, sorted. *)
 
 val first_witness : report -> witness option
 

@@ -89,13 +89,13 @@ let fresh_thread id =
     pmem = None;
   }
 
-let create ?(max_warnings = 10_000) ?shards ~model () =
+let create ?(max_warnings = 10_000) ~model () =
   let t0 = fresh_thread 0 in
   let threads = Hashtbl.create 8 in
   Hashtbl.replace threads 0 t0;
   {
     model;
-    shadow = Shadow.create ?shards ();
+    shadow = Shadow.create ();
     max_warnings;
     threads;
     threads_lock = Mutex.create ();

@@ -14,10 +14,9 @@
 type t
 
 val create :
-  ?max_warnings:int -> ?shards:int -> model:Analysis.Model.t -> unit -> t
+  ?max_warnings:int -> model:Analysis.Model.t -> unit -> t
 (** [max_warnings] caps stored warnings (default 10000); occurrences
-    beyond the cap are still counted in the summary. [shards] is the
-    shadow-segment stripe count (see {!Shadow.create}). *)
+    beyond the cap are still counted in the summary. *)
 
 val attach : t -> Pmem.t -> unit
 (** Register the checker as a listener; subsequent operations are

@@ -9,13 +9,6 @@
 exception Runtime_error of string * Nvmir.Loc.t
 exception Out_of_fuel
 
-exception Corrupt_read of Pmem.addr * Nvmir.Loc.t
-(* The typed outcome of an unguarded read hitting a media-corrupt slot,
-   raised only under [trap_corrupt_reads]. The default mode records the
-   read instead, so recovery code that silently accepts corrupt state
-   runs to completion — which is itself the bug the recovery tier
-   reports. *)
-
 let error loc fmt = Fmt.kstr (fun m -> raise (Runtime_error (m, loc))) fmt
 
 type frame = { func : Nvmir.Func.t; vars : (string, Value.t) Hashtbl.t }
@@ -53,14 +46,11 @@ type t = {
   mutable fuel : int;
   mutable steps : int;
   boundary_hook : (boundary -> Nvmir.Loc.t -> unit) option;
-  trap_corrupt : bool;
   mutable corrupt_reads : (Pmem.addr * Nvmir.Loc.t) list; (* reversed *)
 }
 
-let create ?(fuel = 5_000_000) ?boundary_hook ?(trap_corrupt_reads = false)
-    ~pmem prog =
-  { prog; pmem; fuel; steps = 0; boundary_hook;
-    trap_corrupt = trap_corrupt_reads; corrupt_reads = [] }
+let create ?(fuel = 5_000_000) ?boundary_hook ~pmem prog =
+  { prog; pmem; fuel; steps = 0; boundary_hook; corrupt_reads = [] }
 
 let pmem t = t.pmem
 let steps t = t.steps
@@ -68,13 +58,13 @@ let corrupt_reads t = List.rev t.corrupt_reads
 
 (* Every unguarded read funnels through here: loads, and pointer
    dereferences inside place resolution. CRC primitives do not — they
-   are the guard. *)
+   are the guard. A corrupt read is recorded, not raised, so recovery
+   code that silently accepts corrupt state runs to completion — which
+   is itself the bug the recovery tier reports. *)
 let read_unguarded t loc addr =
   let v = Pmem.read t.pmem ~loc addr in
-  if Pmem.is_corrupt t.pmem addr then begin
-    if t.trap_corrupt then raise (Corrupt_read (addr, loc));
-    t.corrupt_reads <- (addr, loc) :: t.corrupt_reads
-  end;
+  if Pmem.is_corrupt t.pmem addr then
+    t.corrupt_reads <- (addr, loc) :: t.corrupt_reads;
   v
 
 let tick t loc =

@@ -6,15 +6,6 @@
 exception Runtime_error of string * Nvmir.Loc.t
 exception Out_of_fuel
 
-exception Corrupt_read of Pmem.addr * Nvmir.Loc.t
-(** Typed outcome of an unguarded read (a load, or a pointer deref
-    during place resolution) hitting a media-corrupt slot. Raised only
-    under [trap_corrupt_reads]; the default mode records the read in
-    {!corrupt_reads} so silently-accepting recovery code runs to
-    completion — the very bug the recovery tier classifies. CRC
-    primitives ({!Nvmir.Instr.Crc_of}/[Crc_check]) are guarded reads
-    and never trigger this. *)
-
 (** Persistence-ordering boundaries — the instruction classes at which
     an interleaving scheduler may preempt the executing thread. *)
 type boundary =
@@ -35,7 +26,6 @@ type t
 val create :
   ?fuel:int ->
   ?boundary_hook:(boundary -> Nvmir.Loc.t -> unit) ->
-  ?trap_corrupt_reads:bool ->
   pmem:Pmem.t ->
   Nvmir.Prog.t ->
   t
@@ -51,8 +41,13 @@ val pmem : t -> Pmem.t
 val steps : t -> int
 
 val corrupt_reads : t -> (Pmem.addr * Nvmir.Loc.t) list
-(** Unguarded reads that hit corrupt slots, in execution order (empty
-    unless the heap was {!Pmem.restore}d from a corrupted image). *)
+(** Unguarded reads (a load, or a pointer deref during place
+    resolution) that hit media-corrupt slots, in execution order (empty
+    unless the heap was {!Pmem.restore}d from a corrupted image). Such a
+    read is recorded, never raised, so silently-accepting recovery code
+    runs to completion — the very bug the recovery tier classifies. CRC
+    primitives ({!Nvmir.Instr.Crc_of}/[Crc_check]) are guarded reads
+    and never appear here. *)
 
 val run : ?entry:string -> ?args:int list -> t -> Value.t
 (** Execute [entry] (default ["main"]) with integer arguments.

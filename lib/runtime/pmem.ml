@@ -168,7 +168,6 @@ let obj_size t id = Array.length (obj t id).cache
 let is_persistent t id = (obj t id).persistent
 let obj_ty t id = (obj t id).ty
 let obj_name t id = (obj t id).name
-let object_count t = Hashtbl.length t.objects
 
 let live_objects t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.objects [] |> List.sort Int.compare
@@ -516,13 +515,13 @@ let durable_snapshot t =
    subset of them reaches NVM. Lines are (obj_id, line index) pairs;
    line width comes from the configuration. *)
 
-let lines_matching t pred =
+let inflight_lines t =
   let w = t.config.Config.cacheline_slots in
   List.concat_map
     (fun id ->
       let o = obj t id in
       let size = Array.length o.state in
-      let rec any s hi = s < hi && (pred o.state.(s) || any (s + 1) hi) in
+      let rec any s hi = s < hi && (o.state.(s) <> Clean || any (s + 1) hi) in
       let rec from line =
         let lo = line * w in
         if lo >= size then []
@@ -531,10 +530,6 @@ let lines_matching t pred =
       in
       if o.persistent then from 0 else [])
     (live_objects t)
-
-let dirty_lines t = lines_matching t (fun st -> st = Dirty)
-let unfenced_lines t = lines_matching t (fun st -> st = Flushed)
-let inflight_lines t = lines_matching t (fun st -> st <> Clean)
 
 (* The durable image if exactly the [persist] lines were written back
    before the crash: chosen lines carry their cached slots, everything
@@ -682,9 +677,8 @@ let corrupt_image t ~seed image =
    the slots [corrupt_image] changed. [from] supplies object metadata
    (types, names); only the image's objects — the persistent ones — are
    restored, so recovery allocates its volatile state afresh. *)
-let restore ?config ~from ~image ~corrupt () =
-  let config = match config with Some c -> c | None -> from.config in
-  let t = create ~config () in
+let restore ~from ~image ~corrupt () =
+  let t = create ~config:from.config () in
   Hashtbl.iter
     (fun id arr ->
       let o = obj from id in

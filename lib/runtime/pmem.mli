@@ -77,7 +77,6 @@ val obj_size : t -> int -> int
 val is_persistent : t -> int -> bool
 val obj_ty : t -> int -> Nvmir.Ty.t
 val obj_name : t -> int -> string option
-val object_count : t -> int
 val live_objects : t -> int list
 
 (** {1 Memory operations} *)
@@ -180,16 +179,10 @@ val durable_snapshot : t -> (int, Value.t array) Hashtbl.t
     width. At a crash, any subset of the in-flight lines may have
     reached NVM; {!Crash_space} enumerates those images. *)
 
-val dirty_lines : t -> (int * int) list
-(** Lines with at least one [Dirty] slot, sorted. *)
-
-val unfenced_lines : t -> (int * int) list
-(** Lines with at least one [Flushed] (written back but not yet fenced)
-    slot, sorted. *)
-
 val inflight_lines : t -> (int * int) list
-(** Union of {!dirty_lines} and {!unfenced_lines}: every line whose
-    persistence at a crash is undetermined. *)
+(** Lines with at least one [Dirty] or [Flushed] (written back but not
+    yet fenced) slot, sorted: every line whose persistence at a crash is
+    undetermined. *)
 
 val materialize : t -> persist:(int * int) list -> (int, Value.t array) Hashtbl.t
 (** The durable image if exactly the [persist] lines were written back
@@ -237,15 +230,15 @@ val corrupt_image :
     order. Deterministic for a fixed heap and seed. *)
 
 val restore :
-  ?config:Config.t ->
   from:t ->
   image:(int, Value.t array) Hashtbl.t ->
   corrupt:addr list ->
   unit ->
   t
 (** A fresh heap holding exactly the image: every object durable and
-    [Clean], with the [corrupt] slots flagged. [from] supplies object
-    metadata (types, names); volatile objects are not restored. *)
+    [Clean], with the [corrupt] slots flagged. [from] supplies the
+    configuration and object metadata (types, names); volatile objects
+    are not restored. *)
 
 val is_corrupt : t -> addr -> bool
 

@@ -11,9 +11,8 @@
    the global barrier count at the time it executed, every region with
    the barrier count at which it began. An earlier access (s, f)
    happens-before a later access by a region begun at barrier count b
-   iff they are by the same strand or b > f (a barrier intervened). The
-   general vector-clock machinery lives in [Vclock] and is exercised by
-   the test suite; the checker uses the scalar form for speed.
+   iff they are by the same strand or b > f (a barrier intervened). No
+   vector clocks are kept: the scalar form is the whole ordering.
 
    Concurrency: the segment is sharded into lock-striped sub-tables so
    listeners running on different client domains can record accesses
@@ -81,43 +80,27 @@ let lock_shard (m : Mutex.t) =
   end
 
 type t = {
-  shards : shard array; (* length is a power of two *)
-  mask : int;
+  shards : shard array;
   tracked_writes : int Atomic.t;
   tracked_reads : int Atomic.t;
 }
 
-let default_shards = 16
+(* A power of two, so a stripe is picked by masking. *)
+let shard_count = 16
 
-let create ?(shards = default_shards) () =
-  let n =
-    let rec pow2 n = if n >= shards then n else pow2 (n * 2) in
-    pow2 1
-  in
+let create () =
   {
     shards =
-      Array.init n (fun _ ->
+      Array.init shard_count (fun _ ->
           { lock = Mutex.create (); cells = Hashtbl.create 64 });
-    mask = n - 1;
     tracked_writes = Atomic.make 0;
     tracked_reads = Atomic.make 0;
   }
 
-let shard_count t = Array.length t.shards
-
 (* Mix the object id into the low bits so one object's slots — and
    different objects — both spread across stripes. *)
-let shard_of t key = t.shards.((key lxor (key lsr slot_bits)) land t.mask)
-
-let clear t =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      Hashtbl.reset s.cells;
-      Mutex.unlock s.lock)
-    t.shards;
-  Atomic.set t.tracked_writes 0;
-  Atomic.set t.tracked_reads 0
+let shard_of t key =
+  t.shards.((key lxor (key lsr slot_bits)) land (shard_count - 1))
 
 let cell_locked shard key =
   match Hashtbl.find_opt shard.cells key with
@@ -201,6 +184,6 @@ let tracked_cells t =
 
 let pp ppf t =
   Fmt.pf ppf "shadow: %d cells in %d shard(s), %d writes, %d reads tracked"
-    (tracked_cells t) (shard_count t)
+    (tracked_cells t) shard_count
     (Atomic.get t.tracked_writes)
     (Atomic.get t.tracked_reads)

@@ -30,11 +30,8 @@ val max_obj_id : int
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** [shards] is rounded up to a power of two (default 16). *)
-
-val shard_count : t -> int
-val clear : t -> unit
+val create : unit -> t
+(** A segment of 16 lock stripes. *)
 
 val record_write :
   t ->

@@ -70,7 +70,9 @@ let finish ~label ~txs ~clients ~checked ~checker ~pmems ~elapsed_s =
    0xC0FFEE) so one CLI/bench --seed reproduces the whole run. *)
 let default_seed = 0xC0FFEE
 
-let run_interleaved ~label ~model ~seed ~clients ~txs ~checked ~setup ~op =
+let model = Analysis.Model.Epoch
+
+let run_interleaved ~label ~seed ~clients ~txs ~checked ~setup ~op =
   let pmem = Runtime.Pmem.create () in
   let checker =
     if checked then begin
@@ -97,7 +99,7 @@ let run_interleaved ~label ~model ~seed ~clients ~txs ~checked ~setup ~op =
    burns through its share of the transactions as one pool task, so the
    measured interval contains genuine multicore execution (on a 1-core
    host the pool degrades to running the tasks on the submitter). *)
-let run_concurrent ~label ~model ~seed ~clients ~txs ~checked ~setup ~op =
+let run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op =
   let checker =
     if checked then Some (Runtime.Dynamic.create ~model ()) else None
   in
@@ -130,22 +132,19 @@ let run_concurrent ~label ~model ~seed ~clients ~txs ~checked ~setup ~op =
   let pmems = List.map (fun (_, pm, _, _) -> pm) contexts in
   finish ~label ~txs ~clients ~checked ~checker ~pmems ~elapsed_s
 
-let run_once ~execution ~label ~model ~seed ~clients ~txs ~checked ~setup ~op =
+let run_once ~execution ~label ~seed ~clients ~txs ~checked ~setup ~op =
   match execution with
   | Interleaved ->
-    run_interleaved ~label ~model ~seed ~clients ~txs ~checked ~setup ~op
-  | Concurrent ->
-    run_concurrent ~label ~model ~seed ~clients ~txs ~checked ~setup ~op
+    run_interleaved ~label ~seed ~clients ~txs ~checked ~setup ~op
+  | Concurrent -> run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op
 
 (* Best of [repeats] runs: wall-clock noise (GC pauses, scheduler) only
    ever slows a run down, so the fastest run is the cleanest signal. *)
-let measure ~label ?(model = Analysis.Model.Epoch) ?(repeats = 3)
-    ?(execution = Concurrent) ?(seed = default_seed) ~clients ~txs ~checked
-    ~setup ~op () =
+let measure ~label ?(repeats = 3) ?(execution = Concurrent)
+    ?(seed = default_seed) ~clients ~txs ~checked ~setup ~op () =
   let runs =
     List.init (max 1 repeats) (fun _ ->
-        run_once ~execution ~label ~model ~seed ~clients ~txs ~checked ~setup
-          ~op)
+        run_once ~execution ~label ~seed ~clients ~txs ~checked ~setup ~op)
   in
   List.fold_left
     (fun best r -> if r.elapsed_s < best.elapsed_s then r else best)
@@ -159,15 +158,12 @@ type comparison = {
   overhead_pct : float;
 }
 
-let compare_checked ~label ?model ?repeats ?execution ?seed ~clients ~txs
-    ~setup ~op () =
+let compare_checked ~label ?seed ~clients ~txs ~setup ~op () =
   let baseline =
-    measure ~label ?model ?repeats ?execution ?seed ~clients ~txs
-      ~checked:false ~setup ~op ()
+    measure ~label ?seed ~clients ~txs ~checked:false ~setup ~op ()
   in
   let with_checker =
-    measure ~label ?model ?repeats ?execution ?seed ~clients ~txs
-      ~checked:true ~setup ~op ()
+    measure ~label ?seed ~clients ~txs ~checked:true ~setup ~op ()
   in
   let overhead_pct =
     100. *. (1. -. (with_checker.throughput /. baseline.throughput))

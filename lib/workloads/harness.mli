@@ -34,7 +34,6 @@ type result = {
 
 val measure :
   label:string ->
-  ?model:Analysis.Model.t ->
   ?repeats:int ->
   ?execution:execution ->
   ?seed:int ->
@@ -61,9 +60,6 @@ type comparison = {
 
 val compare_checked :
   label:string ->
-  ?model:Analysis.Model.t ->
-  ?repeats:int ->
-  ?execution:execution ->
   ?seed:int ->
   clients:int ->
   txs:int ->
@@ -71,7 +67,8 @@ val compare_checked :
   op:('st -> Gen.rng -> client:int -> unit) ->
   unit ->
   comparison
-(** One Figure 12 data point. *)
+(** One Figure 12 data point: {!measure} with and without the checker,
+    [Concurrent], best of 3. *)
 
 val pp_result : result Fmt.t
 val pp_comparison : comparison Fmt.t

@@ -37,7 +37,7 @@ let run_op mix kv rng ~client =
   | Rmw -> ignore (Kvstore.rmw kv key (fun v -> v + 1))
 
 (* One Figure 12 Memcached data point. *)
-let comparison ?execution ?seed ?(clients = 4) ?(txs = 100_000) (label, mix) =
-  Harness.compare_checked ~label ?execution ?seed ~clients ~txs ~setup
+let comparison ?seed ?(clients = 4) ?(txs = 100_000) (label, mix) =
+  Harness.compare_checked ~label ?seed ~clients ~txs ~setup
     ~op:(fun kv rng ~client -> run_op mix kv rng ~client)
     ()

@@ -10,7 +10,6 @@ val setup : Runtime.Pmem.t -> Kvstore.t
 val run_op : op Gen.mix -> Kvstore.t -> Gen.rng -> client:int -> unit
 
 val comparison :
-  ?execution:Harness.execution ->
   ?seed:int ->
   ?clients:int -> ?txs:int -> string * op Gen.mix -> Harness.comparison
 (** One Figure 12 Memcached data point (default 4 clients). *)

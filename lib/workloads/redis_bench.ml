@@ -38,7 +38,7 @@ let run_op mix st rng ~client =
   | Lpush -> Logstore.set st (key lor 0x10000) client
   | Sadd -> Logstore.set st (key lor 0x20000) 1
 
-let comparison ?execution ?seed ?(clients = 50) ?(txs = 100_000) (label, mix) =
-  Harness.compare_checked ~label ?execution ?seed ~clients ~txs ~setup
+let comparison ?seed ?(clients = 50) ?(txs = 100_000) (label, mix) =
+  Harness.compare_checked ~label ?seed ~clients ~txs ~setup
     ~op:(fun st rng ~client -> run_op mix st rng ~client)
     ()

@@ -10,7 +10,6 @@ val setup : Runtime.Pmem.t -> Logstore.t
 val run_op : op Gen.mix -> Logstore.t -> Gen.rng -> client:int -> unit
 
 val comparison :
-  ?execution:Harness.execution ->
   ?seed:int ->
   ?clients:int -> ?txs:int -> string * op Gen.mix -> Harness.comparison
 (** One Figure 12 Redis data point (default 50 clients). *)

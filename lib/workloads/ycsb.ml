@@ -37,7 +37,7 @@ let run_op mix st rng ~client =
   | Scan -> ignore (Txstore.scan st key 10)
   | Rmw -> Txstore.read_modify_write st key (fun v -> v + 1)
 
-let comparison ?execution ?seed ?(clients = 4) ?(txs = 100_000) (label, mix) =
-  Harness.compare_checked ~label ?execution ?seed ~clients ~txs ~setup
+let comparison ?seed ?(clients = 4) ?(txs = 100_000) (label, mix) =
+  Harness.compare_checked ~label ?seed ~clients ~txs ~setup
     ~op:(fun st rng ~client -> run_op mix st rng ~client)
     ()

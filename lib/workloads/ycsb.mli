@@ -10,7 +10,6 @@ val setup : Runtime.Pmem.t -> Txstore.t
 val run_op : op Gen.mix -> Txstore.t -> Gen.rng -> client:int -> unit
 
 val comparison :
-  ?execution:Harness.execution ->
   ?seed:int ->
   ?clients:int -> ?txs:int -> string * op Gen.mix -> Harness.comparison
 (** One Figure 12 NStore data point (default 4 clients). *)

@@ -1,37 +1,9 @@
-(* Tests for the dynamic checker: vector clocks, the shadow segment's
-   happens-before logic, race detection between strands, epoch-end
-   volatility reporting, and redundant-flush classification. *)
+(* Tests for the dynamic checker: the shadow segment's happens-before
+   logic, race detection between strands, epoch-end volatility
+   reporting, and redundant-flush classification. *)
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
-
-(* ------------------------------------------------------------------ *)
-(* Vclock *)
-
-let test_vclock_basics () =
-  let open Runtime.Vclock in
-  let a = tick empty 1 in
-  let b = tick a 1 in
-  check Alcotest.int "get" 2 (get b 1);
-  check Alcotest.bool "a hb b" true (hb a b);
-  check Alcotest.bool "b not hb a" false (hb b a);
-  check Alcotest.bool "not concurrent" false (concurrent a b)
-
-let test_vclock_concurrency () =
-  let open Runtime.Vclock in
-  let a = tick empty 1 and b = tick empty 2 in
-  check Alcotest.bool "independent ticks concurrent" true (concurrent a b);
-  let j = join a b in
-  check Alcotest.bool "join after both" true (le a j && le b j);
-  check Alcotest.bool "join not concurrent with parts" false (concurrent a j)
-
-let test_vclock_join_pointwise_max () =
-  let open Runtime.Vclock in
-  let a = set (set empty 1 5) 2 1 in
-  let b = set (set empty 1 2) 2 7 in
-  let j = join a b in
-  check Alcotest.int "max of 1" 5 (get j 1);
-  check Alcotest.int "max of 2" 7 (get j 2)
 
 (* ------------------------------------------------------------------ *)
 (* Shadow ordering *)
@@ -343,9 +315,6 @@ let test_dynamic_warning_count_exact () =
 
 let suite =
   [
-    tc "vclock: basics" `Quick test_vclock_basics;
-    tc "vclock: concurrency and join" `Quick test_vclock_concurrency;
-    tc "vclock: pointwise max" `Quick test_vclock_join_pointwise_max;
     tc "shadow: scalar ordering" `Quick test_shadow_ordering;
     tc "shadow: WAW detection" `Quick test_shadow_waw_detection;
     tc "shadow: RAW detection" `Quick test_shadow_raw_detection;

@@ -1,105 +1,7 @@
-(* The provenance engine (lib/explain): witness JSON round-trips
-   through the report encoder, and independent tier observations of one
-   bug correlate to one evidence bundle. *)
+(* The provenance engine (lib/explain): independent tier observations
+   of one bug correlate to one evidence bundle. *)
 
 let check = Alcotest.check
-
-(* ------------------------------------------------------------------ *)
-(* Witness generator over all five variants *)
-
-let short_string =
-  QCheck.Gen.(
-    map
-      (fun cs -> String.concat "" (List.map (String.make 1) cs))
-      (list_size (int_range 0 12)
-         (oneof [ char_range 'a' 'z'; char_range '0' '9'; return ' ' ])))
-
-let gen_loc =
-  QCheck.Gen.(
-    map2
-      (fun f l -> Nvmir.Loc.make ~file:(Fmt.str "f%s.c" f) ~line:l)
-      short_string (int_range 0 999))
-
-let gen_event_ref =
-  QCheck.Gen.(
-    map
-      (fun (((role, what), loc), fname) ->
-        Analysis.Witness.event_ref ~role ~what ~loc ~fname)
-      (pair (pair (pair short_string short_string) gen_loc) short_string))
-
-let gen_lines = QCheck.Gen.(list_size (int_range 0 5) (pair nat nat))
-
-let gen_witness =
-  QCheck.Gen.(
-    oneof
-      [
-        map2
-          (fun slice path ->
-            Analysis.Witness.Static { s_slice = slice; s_call_path = path })
-          (list_size (int_range 0 6) gen_event_ref)
-          (list_size (int_range 0 4) short_string);
-        map
-          (fun ((t, s), f) ->
-            Analysis.Witness.Dynamic
-              { d_transition = t; d_strand = s; d_fences = f })
-          (pair (pair short_string nat) nat);
-        map
-          (fun ((g, s), t) ->
-            Analysis.Witness.Fuzz
-              { f_genome = g; f_schedule = s; f_transition = t })
-          (pair (pair short_string short_string) short_string);
-        map
-          (fun ((task, persisted), detail) ->
-            Analysis.Witness.Crash
-              {
-                c_task = task;
-                c_image = Analysis.Witness.image_id persisted;
-                c_persisted = persisted;
-                c_detail = detail;
-              })
-          (pair (pair short_string gen_lines) short_string);
-        map
-          (fun (((task, persisted), corr), verdict) ->
-            Analysis.Witness.Recover
-              {
-                r_task = task;
-                r_image = Analysis.Witness.image_id persisted;
-                r_persisted = persisted;
-                r_corruptions = corr;
-                r_verdict = verdict;
-              })
-          (pair
-             (pair
-                (pair short_string gen_lines)
-                (list_size (int_range 0 4)
-                   (map
-                      (fun ((o, s), k) -> (o, s, k))
-                      (pair (pair nat nat) short_string))))
-             short_string);
-      ])
-
-let arb_witness =
-  QCheck.make
-    ~print:(fun w -> Fmt.str "%a" Analysis.Witness.pp w)
-    gen_witness
-
-(* ------------------------------------------------------------------ *)
-(* Round-trip property: decode (encode w) = w *)
-
-let prop_witness_roundtrip =
-  QCheck.Test.make ~name:"witness JSON round-trips" ~count:500 arb_witness
-    (fun w ->
-      match Explain.witness_of_json (Deepmc.Json_report.of_witness w) with
-      | Some w' -> w = w'
-      | None -> false)
-
-let prop_fingerprint_stable =
-  QCheck.Test.make ~name:"fingerprint survives the JSON round-trip"
-    ~count:200 arb_witness (fun w ->
-      match Explain.witness_of_json (Deepmc.Json_report.of_witness w) with
-      | Some w' ->
-        Analysis.Witness.fingerprint w = Analysis.Witness.fingerprint w'
-      | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Directed: two tiers, one bundle *)
@@ -177,8 +79,6 @@ let test_disabled_capture_attaches_nothing () =
 let suite =
   let tc = Alcotest.test_case in
   [
-    QCheck_alcotest.to_alcotest prop_witness_roundtrip;
-    QCheck_alcotest.to_alcotest prop_fingerprint_stable;
     tc "cross-tier correlation: static+dynamic -> one bundle" `Quick
       test_cross_tier_correlation;
     tc "disabled capture attaches no witnesses" `Quick

@@ -308,6 +308,33 @@ let workload_targets_convention () =
         a.Fuzz.Campaign.coverage b.Fuzz.Campaign.coverage)
     Workloads.Fuzz_targets.all
 
+(* Why the coverage feedback stays: on a multi-client workload target
+   its switch-point search finds more schedule-dependent warnings than a
+   uniform draw of the same budget. The single-client known misses of
+   the bench cannot show this: there the probe sweep alone covers every
+   boundary. *)
+let guided_beats_random_multi_client () =
+  let target =
+    {
+      Fuzz.Campaign.tname = "memslap";
+      prog = Workloads.Fuzz_targets.memslap ~clients:2 ~seed:1 ();
+      model = Analysis.Model.Strict;
+      entry = "main";
+      entry_args = [];
+      clients = 2;
+    }
+  in
+  let run mode = Fuzz.Campaign.run ~seed:1 ~budget:128 ~mode target in
+  let guided = run Fuzz.Campaign.Guided and random = run Fuzz.Campaign.Random in
+  let found o = List.length (Fuzz.Campaign.new_warnings o) in
+  check Alcotest.bool
+    (Fmt.str "guided finds more new warnings (%d) than random (%d)"
+       (found guided) (found random))
+    true
+    (found guided > found random);
+  check Alcotest.bool "guided explores novel schedules" true
+    (guided.Fuzz.Campaign.novel_schedules > 0)
+
 let suite =
   [
     tc "gen: purpose-split streams" `Quick gen_stream_split;
@@ -315,6 +342,8 @@ let suite =
     tc "workload targets: convention and determinism" `Quick
       workload_targets_convention;
     tc "campaign: domain-count independence" `Quick campaign_domain_independence;
+    tc "campaign: guided beats random on multi-client memslap" `Quick
+      guided_beats_random_multi_client;
     tc "directed: inter-thread inconsistency" `Quick directed_interthread;
     tc "directed: synchronization boundary" `Quick directed_sync;
     tc "directed: validation kills safe interleavings" `Quick

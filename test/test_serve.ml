@@ -254,7 +254,6 @@ let test_pool_parks_and_wakes () =
   in
   let p1 = parks p in
   check Alcotest.bool "worker parked after draining" true (p1 >= 1);
-  Pool.wake p;
   let cu = Pool.map p (fun x -> x * x * x) [ 1; 2; 3 ] in
   check (Alcotest.list Alcotest.int) "map after wake" [ 1; 8; 27 ] cu;
   Pool.quiesce p;
