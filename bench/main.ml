@@ -36,6 +36,28 @@ let section title =
 
 let hr () = Fmt.pr "%s@." (String.make 96 '-')
 
+module J = Deepmc.Json_report
+
+(* The --json sections: [with_telemetry ~json f] runs [f] with the
+   metric registry reset and live when [json] is set, and [write_json]
+   writes a section's fields plus that registry's snapshot as a
+   "telemetry" block to [file]. *)
+let with_telemetry ~json f =
+  if json then begin
+    Obs.Metrics.reset ();
+    Obs.set_enabled true
+  end;
+  Fun.protect ~finally:(fun () -> if json then Obs.set_enabled false) f
+
+let write_json file fields =
+  let j =
+    J.Obj (fields @ [ ("telemetry", J.of_metrics (Obs.Metrics.snapshot ())) ])
+  in
+  let oc = open_out file in
+  Fmt.pf (Format.formatter_of_out_channel oc) "%a@." J.pp j;
+  close_out oc;
+  Fmt.pr "wrote %s@." file
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: detected persistency bugs per framework and bug class *)
 
@@ -409,61 +431,62 @@ let figure12 ?(json = false) () =
       "  (single-core host: the pool runs client tasks sequentially, so \
        ~1x is expected here)@.";
   if json then begin
-    let all_overheads =
+    let overheads =
       List.concat_map
         (fun (_, _, comps) ->
           List.map (fun c -> c.Workloads.Harness.overhead_pct) comps)
         series
     in
-    let band_lo = List.fold_left min infinity all_overheads
-    and band_hi = List.fold_left max neg_infinity all_overheads in
+    let band ?(floor = neg_infinity) xs =
+      J.Obj
+        [
+          ("min", J.Float (max floor (List.fold_left min infinity xs)));
+          ("max", J.Float (List.fold_left max neg_infinity xs));
+        ]
+    in
+    let tps x = J.Int (Float.to_int (Float.round x)) in
+    let mix app (c : Workloads.Harness.comparison) =
+      let b = c.Workloads.Harness.baseline in
+      J.Obj
+        [
+          ("app", J.String app);
+          ("label", J.String b.Workloads.Harness.label);
+          ("clients", J.Int b.Workloads.Harness.clients);
+          ("baseline_tps", tps b.Workloads.Harness.throughput);
+          ( "checked_tps",
+            tps c.Workloads.Harness.with_checker.Workloads.Harness.throughput );
+          ("overhead_pct", J.Float c.Workloads.Harness.overhead_pct);
+        ]
+    in
     (* a small telemetry-enabled probe run, separate from the measured
        comparisons above so the shadow/lock counters cost nothing there *)
-    let telemetry =
-      Obs.Metrics.reset ();
-      Obs.set_enabled true;
-      ignore
-        (Workloads.Memslap.comparison ~seed ~clients:4
-           ~txs:(min txs 2000) (List.hd Workloads.Memslap.mixes));
-      Obs.set_enabled false;
-      Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ())
-    in
-    let oc = open_out "BENCH_dynamic.json" in
-    let mix_obj app (c : Workloads.Harness.comparison) =
-      Fmt.str
-        "    {\"app\": \"%s\", \"label\": \"%s\", \"clients\": %d, \
-         \"baseline_tps\": %.0f, \"checked_tps\": %.0f, \"overhead_pct\": \
-         %.2f}"
-        app c.Workloads.Harness.baseline.Workloads.Harness.label
-        c.Workloads.Harness.baseline.Workloads.Harness.clients
-        c.Workloads.Harness.baseline.Workloads.Harness.throughput
-        c.Workloads.Harness.with_checker.Workloads.Harness.throughput
-        c.Workloads.Harness.overhead_pct
-    in
-    let mixes_json =
-      List.concat_map
-        (fun (app, _, comps) -> List.map (mix_obj app) comps)
-        series
-      |> String.concat ",\n"
-    in
-    Printf.fprintf oc
-      "{\n\
-       \  \"txs\": %d,\n\
-       \  \"pool_domains\": %d,\n\
-       \  \"mixes\": [\n\
-       %s\n\
-       \  ],\n\
-       \  \"overhead_band_pct\": {\"min\": %.2f, \"max\": %.2f},\n\
-       \  \"paper_band_pct\": {\"min\": 1.7, \"max\": 16.1},\n\
-       \  \"scaling\": {\"mix\": \"%s\", \"txs\": %d, \"clients\": %d, \
-       \"baseline_tps\": [%.0f, %.0f], \"speedup\": %.2f},\n\
-       \  \"telemetry\": %s\n\
-       }\n"
-      txs (Pool.default_size ()) mixes_json (max 0. band_lo) band_hi scale_mix
-      txs scale_clients tps1 tpsn speedup
-      (Deepmc.Json_report.to_string telemetry);
-    close_out oc;
-    Fmt.pr "wrote BENCH_dynamic.json@."
+    with_telemetry ~json (fun () ->
+        ignore
+          (Workloads.Memslap.comparison ~seed ~clients:4
+             ~txs:(min txs 2000) (List.hd Workloads.Memslap.mixes)));
+    write_json "BENCH_dynamic.json"
+      [
+        ("txs", J.Int txs);
+        ("pool_domains", J.Int (Pool.default_size ()));
+        ( "mixes",
+          J.List
+            (List.concat_map
+               (fun (app, _, comps) -> List.map (mix app) comps)
+               series) );
+        ("overhead_band_pct", band ~floor:0. overheads);
+        ( "paper_band_pct",
+          band (List.concat_map (fun (_, (lo, hi)) -> [ lo; hi ]) paper_bands)
+        );
+        ( "scaling",
+          J.Obj
+            [
+              ("mix", J.String scale_mix);
+              ("txs", J.Int txs);
+              ("clients", J.Int scale_clients);
+              ("baseline_tps", J.List [ tps tps1; tps tpsn ]);
+              ("speedup", J.Float speedup);
+            ] );
+      ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -763,81 +786,38 @@ let strand () =
      relative cost stays in the Figure 12 band)@."
 
 (* ------------------------------------------------------------------ *)
-(* Injection recall/precision: the mutation-based evaluation of all
-   three detectors (lib/inject).  `recall --json` writes
-   BENCH_inject.json for EXPERIMENTS.md / CI. *)
+(* The injection matrix (lib/inject): every mutant of [bases] through
+   the four detector tiers, scored against its ground truth. With
+   [json] the summary goes to [file] for EXPERIMENTS.md and the
+   `make verify` gates. *)
+
+let matrix ~json ~title ~file ?operators bases =
+  let seed = bench_seed ~default:1 in
+  section title;
+  let bases = bases () in
+  let s =
+    with_telemetry ~json (fun () -> Inject.Evaluate.run ?operators ~seed bases)
+  in
+  Fmt.pr "%a" Inject.Evaluate.pp_summary s;
+  if json then
+    match Inject.Evaluate.to_json s with
+    | J.Obj fields -> write_json file fields
+    | j -> write_json file [ ("matrix", j) ]
 
 let recall ?(json = false) () =
-  let seed = bench_seed ~default:1 in
-  section "Injection campaign: per-operator x per-detector recall/precision";
-  let bases =
-    Inject.Evaluate.corpus_bases () @ Inject.Evaluate.exemplar_bases ()
-  in
-  if json then begin
-    (* telemetry rides along with the measured campaign: the scoring
-       latency histograms only exist if the instruments are live *)
-    Obs.Metrics.reset ();
-    Obs.set_enabled true
-  end;
-  let s = Inject.Evaluate.run ~seed bases in
-  if json then Obs.set_enabled false;
-  Fmt.pr "%a" Inject.Evaluate.pp_summary s;
-  if json then begin
-    let j =
-      match Inject.Evaluate.to_json s with
-      | Deepmc.Json_report.Obj fields ->
-        Deepmc.Json_report.Obj
-          (fields
-          @ [
-              ( "telemetry",
-                Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ()) );
-            ])
-      | j -> j
-    in
-    let oc = open_out "BENCH_inject.json" in
-    let ppf = Format.formatter_of_out_channel oc in
-    Fmt.pf ppf "%a@." Deepmc.Json_report.pp j;
-    close_out oc;
-    Fmt.pr "wrote BENCH_inject.json@."
-  end
+  matrix ~json ~file:"BENCH_inject.json"
+    ~title:"Injection campaign: per-operator x per-detector recall/precision"
+    (fun () ->
+      Inject.Evaluate.corpus_bases () @ Inject.Evaluate.exemplar_bases ())
 
-(* ------------------------------------------------------------------ *)
-(* Recovery-tier recall: the media-corruption mutation operators
-   scored against the recovery executor (lib/recover) over the
-   dedicated recovery corpus.  `recover --json` writes
-   BENCH_recover.json for EXPERIMENTS.md / CI: the base-verification
-   rows (unguarded base warns, CRC-guarded base verifies clean) plus
-   the per-operator recall row the `make verify` gate checks. *)
-
+(* The same matrix restricted to the media-corruption operators, over
+   the recovery corpus: the unguarded base warns, the CRC-guarded base
+   verifies clean, and the recovery column must detect every mutant. *)
 let recover_bench ?(json = false) () =
-  let seed = bench_seed ~default:1 in
-  section "Recovery tier: corruption-operator recall via lib/recover";
-  if json then begin
-    Obs.Metrics.reset ();
-    Obs.set_enabled true
-  end;
-  let bases = Inject.Evaluate.recovery_bases () in
-  let s = Inject.Evaluate.run_recovery ~seed bases in
-  if json then Obs.set_enabled false;
-  Fmt.pr "%a" Inject.Evaluate.pp_recovery_summary s;
-  if json then begin
-    let j =
-      match Inject.Evaluate.recovery_to_json s with
-      | Deepmc.Json_report.Obj fields ->
-        Deepmc.Json_report.Obj
-          (fields
-          @ [
-              ( "telemetry",
-                Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ()) );
-            ])
-      | j -> j
-    in
-    let oc = open_out "BENCH_recover.json" in
-    let ppf = Format.formatter_of_out_channel oc in
-    Fmt.pf ppf "%a@." Deepmc.Json_report.pp j;
-    close_out oc;
-    Fmt.pr "wrote BENCH_recover.json@."
-  end
+  matrix ~json ~file:"BENCH_recover.json"
+    ~title:"Recovery tier: corruption-operator recall via lib/recover"
+    ~operators:Inject.Evaluate.recovery_operators
+    Inject.Evaluate.recovery_bases
 
 (* ------------------------------------------------------------------ *)
 (* Interleaving fuzzer vs random scheduling over the false-negative
@@ -864,11 +844,8 @@ let fuzz_bench ?(json = false) () =
      irrelevant to tier misses and only costs time here) *)
   let s = Inject.Evaluate.run ~crash:false ~seed bases in
   let fns = Inject.Evaluate.false_negatives s in
-  if json then begin
-    Obs.Metrics.reset ();
-    Obs.set_enabled true
-  end;
   let rows =
+    with_telemetry ~json @@ fun () ->
     List.filter_map
       (fun (mr : Inject.Evaluate.mutant_result) ->
         let m = mr.Inject.Evaluate.mutant in
@@ -911,7 +888,6 @@ let fuzz_bench ?(json = false) () =
         | _ -> None)
       fns
   in
-  if json then Obs.set_enabled false;
   Fmt.pr "budget: %d schedules per campaign, seed %d@." budget seed;
   Fmt.pr "%-34s %-14s %6s %8s %8s@." "mutant" "operator" "bnds" "guided"
     "random";
@@ -953,71 +929,58 @@ let fuzz_bench ?(json = false) () =
             }
           in
           let found mode =
-            Deepmc.Json_report.Int
+            J.Int
               (List.length
                  (Fuzz.Campaign.new_warnings
                     (Fuzz.Campaign.run ~seed ~budget:ablation_budget ~mode
                        target)))
           in
-          Deepmc.Json_report.Obj
+          J.Obj
             [
-              ("workload", Deepmc.Json_report.String name);
+              ("workload", J.String name);
               ("guided_new_warnings", found Fuzz.Campaign.Guided);
               ("random_new_warnings", found Fuzz.Campaign.Random);
             ])
         Workloads.Fuzz_targets.all
     in
-    let j =
-      Deepmc.Json_report.Obj
-        [
-          ("seed", Deepmc.Json_report.Int seed);
-          ("budget", Deepmc.Json_report.Int budget);
-          ("fn_corpus", Deepmc.Json_report.Int (List.length fns));
-          ("fuzzed", Deepmc.Json_report.Int (List.length rows));
-          ("guided_recovered", Deepmc.Json_report.Int guided_n);
-          ("random_recovered", Deepmc.Json_report.Int random_n);
-          ("strictly_more", Deepmc.Json_report.Bool (guided_n > random_n));
-          ( "mutants",
-            Deepmc.Json_report.List
-              (List.map
-                 (fun ((m : Inject.Mutation.mutant), g, go, r, ro) ->
-                   Deepmc.Json_report.Obj
-                     [
-                       ("id", Deepmc.Json_report.String m.Inject.Mutation.id);
-                       ( "operator",
-                         Deepmc.Json_report.String
-                           (Inject.Mutation.operator_name
-                              m.Inject.Mutation.truth.operator) );
-                       ( "nboundaries",
-                         Deepmc.Json_report.Int go.Fuzz.Campaign.nboundaries );
-                       ("guided", Deepmc.Json_report.Bool g);
-                       ("random", Deepmc.Json_report.Bool r);
-                       ( "guided_novel_schedules",
-                         Deepmc.Json_report.Int go.Fuzz.Campaign.novel_schedules
-                       );
-                       ( "guided_pair_bits",
-                         Deepmc.Json_report.Int go.Fuzz.Campaign.pair_bits );
-                       ( "random_novel_schedules",
-                         Deepmc.Json_report.Int ro.Fuzz.Campaign.novel_schedules
-                       );
-                     ])
-                 rows) );
-          ( "workload_ablation",
-            Deepmc.Json_report.Obj
-              [
-                ("clients", Deepmc.Json_report.Int clients);
-                ("budget", Deepmc.Json_report.Int ablation_budget);
-                ("workloads", Deepmc.Json_report.List workload_ablation);
-              ] );
-          ( "telemetry",
-            Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ()) );
-        ]
-    in
-    let oc = open_out "BENCH_fuzz.json" in
-    let ppf = Format.formatter_of_out_channel oc in
-    Fmt.pf ppf "%a@." Deepmc.Json_report.pp j;
-    close_out oc;
-    Fmt.pr "wrote BENCH_fuzz.json@."
+    write_json "BENCH_fuzz.json"
+      [
+        ("seed", J.Int seed);
+        ("budget", J.Int budget);
+        ("fn_corpus", J.Int (List.length fns));
+        ("fuzzed", J.Int (List.length rows));
+        ("guided_recovered", J.Int guided_n);
+        ("random_recovered", J.Int random_n);
+        ("strictly_more", J.Bool (guided_n > random_n));
+        ( "mutants",
+          J.List
+            (List.map
+               (fun ((m : Inject.Mutation.mutant), g, go, r, ro) ->
+                 J.Obj
+                   [
+                     ("id", J.String m.Inject.Mutation.id);
+                     ( "operator",
+                       J.String
+                         (Inject.Mutation.operator_name
+                            m.Inject.Mutation.truth.operator) );
+                     ("nboundaries", J.Int go.Fuzz.Campaign.nboundaries);
+                     ("guided", J.Bool g);
+                     ("random", J.Bool r);
+                     ( "guided_novel_schedules",
+                       J.Int go.Fuzz.Campaign.novel_schedules );
+                     ("guided_pair_bits", J.Int go.Fuzz.Campaign.pair_bits);
+                     ( "random_novel_schedules",
+                       J.Int ro.Fuzz.Campaign.novel_schedules );
+                   ])
+               rows) );
+        ( "workload_ablation",
+          J.Obj
+            [
+              ("clients", J.Int clients);
+              ("budget", J.Int ablation_budget);
+              ("workloads", J.List workload_ablation);
+            ] );
+      ]
   end
 
 let sections : (string * (unit -> unit)) list =

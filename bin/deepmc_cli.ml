@@ -913,7 +913,7 @@ let inject_cmd =
       else []
     in
     let summary =
-      Inject.Evaluate.run ?domains ~operators ~seed ~dynamic:(not no_dynamic)
+      Inject.Evaluate.run ~operators ~seed ~dynamic:(not no_dynamic)
         ~crash:(not no_crash) ~crash_bound bases
     in
     (match save_fn with

@@ -25,13 +25,14 @@ let make ?(config = Analysis.Config.default) ?(run_dynamic = true) model =
   { model; config; run_dynamic }
 
 type dynamic_outcome =
-  | Dynamic_ok of Runtime.Dynamic.summary * Analysis.Warning.t list
+  | Dynamic_ok of Runtime.Dynamic.summary
   | Dynamic_skipped of string
 
 type report = {
   model : Analysis.Model.t;
   static : Analysis.Checker.result;
   dynamic : dynamic_outcome;
+  dynamic_warnings : Analysis.Warning.t list;
   warnings : Analysis.Warning.t list; (* merged, deduplicated *)
   crash_space : Runtime.Crash_space.report option;
   recovery : Recover.report option;
@@ -39,8 +40,10 @@ type report = {
   elapsed_dynamic : float;
 }
 
-(* Per-client object-id offset for multi-client dynamic runs; keeps
-   shadow-segment keys distinct across client heaps. *)
+(* Disjoint per-client object-id ranges keep shadow-segment keys
+   distinct across client heaps; a client allocating a million objects
+   would overflow into the next range, which no workload here approaches
+   (and Shadow.key rejects ids beyond its field width). *)
 let client_obj_id_stride = 1 lsl 20
 
 let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
@@ -56,8 +59,8 @@ let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
       let interp = Runtime.Interp.create ~pmem prog in
       try
         ignore (Runtime.Interp.run ~entry ?args interp);
-        let ws = Runtime.Dynamic.warnings checker in
-        (Dynamic_ok (Runtime.Dynamic.summary checker, ws), ws)
+        (Dynamic_ok (Runtime.Dynamic.summary checker),
+         Runtime.Dynamic.warnings checker)
       with
       | Runtime.Interp.Runtime_error (m, loc) ->
         ( Dynamic_skipped
@@ -98,7 +101,7 @@ let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
       in
       let ws = Runtime.Dynamic.warnings checker in
       (match failures with
-      | [] -> (Dynamic_ok (Runtime.Dynamic.summary checker, ws), ws)
+      | [] -> (Dynamic_ok (Runtime.Dynamic.summary checker), ws)
       | first :: _ -> (Dynamic_skipped first, ws)))
 
 (* Analyze a program. [entry]/[args] drive the optional dynamic run. *)
@@ -128,10 +131,10 @@ let analyze (t : t) ?roots ?entry ?args ?clients
   in
   let t2 = Clock.now () in
   (match dynamic with
-  | Dynamic_ok (s, ws) ->
+  | Dynamic_ok s ->
     Log.info (fun m ->
         m "dynamic: %a; %d warning(s) in %.1f ms" Runtime.Dynamic.pp_summary s
-          (List.length ws)
+          (List.length dyn_warnings)
           (Clock.span_s t1 t2 *. 1000.))
   | Dynamic_skipped reason -> Log.debug (fun m -> m "dynamic skipped: %s" reason));
   (* The recovery tier: every reachable crash image, corrupted under
@@ -184,6 +187,7 @@ let analyze (t : t) ?roots ?entry ?args ?clients
     model = t.model;
     static;
     dynamic;
+    dynamic_warnings = dyn_warnings;
     warnings;
     crash_space;
     recovery;
@@ -218,7 +222,7 @@ let performance_bugs r =
 
 let pp_report ppf r =
   let pp_dynamic ppf = function
-    | Dynamic_ok (s, _) -> Runtime.Dynamic.pp_summary ppf s
+    | Dynamic_ok s -> Runtime.Dynamic.pp_summary ppf s
     | Dynamic_skipped reason -> Fmt.pf ppf "skipped (%s)" reason
   in
   let pp_crash_space ppf = function

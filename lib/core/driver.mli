@@ -1,7 +1,9 @@
 (** The DeepMC toolkit driver: the end-to-end pipeline of Figure 8.
     Given a program and the persistency-model flag, runs the static
-    checker and (optionally) the instrumented execution with the dynamic
-    checker, merging both warning streams into one report. *)
+    checker and, optionally, the instrumented execution with the dynamic
+    checker, crash-image exploration and recovery verification, merging
+    the warning streams into one report. This is the one place that
+    sequences the tiers on a program. *)
 
 type t
 
@@ -9,13 +11,17 @@ val make :
   ?config:Analysis.Config.t -> ?run_dynamic:bool -> Analysis.Model.t -> t
 
 type dynamic_outcome =
-  | Dynamic_ok of Runtime.Dynamic.summary * Analysis.Warning.t list
+  | Dynamic_ok of Runtime.Dynamic.summary
   | Dynamic_skipped of string
+      (** disabled, no entry, or the run failed (runtime error, fuel) *)
 
 type report = {
   model : Analysis.Model.t;
   static : Analysis.Checker.result;
   dynamic : dynamic_outcome;
+  dynamic_warnings : Analysis.Warning.t list;
+      (** the dynamic tier's warnings, including those stored before a
+          failed run stopped *)
   warnings : Analysis.Warning.t list;  (** merged, deduplicated *)
   crash_space : Runtime.Crash_space.report option;
       (** reachable crash-image exploration, when requested *)
@@ -50,6 +56,9 @@ val analyze :
     crash images with the media-corruption model, using
     [recovery_entry] (default ["recover"]); its warnings join the
     merged stream. Skipped silently when either entry is absent. *)
+
+val client_obj_id_stride : int
+(** Object ids reserved per client heap in multi-client runs. *)
 
 val baseline_compile : Nvmir.Prog.t -> float
 (** The Table 9 baseline: a full front-end pass (emit, re-parse,

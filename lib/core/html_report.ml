@@ -134,9 +134,14 @@ let render ?(title = "DeepMC report") prog (report : Driver.report) : string =
        report.Driver.static.Analysis.Checker.trace_count
        report.Driver.static.Analysis.Checker.event_count
        (match report.Driver.dynamic with
-       | Driver.Dynamic_ok (s, _) ->
+       | Driver.Dynamic_ok s ->
          Fmt.str "ran (%s)" (escape (Fmt.str "%a" Runtime.Dynamic.pp_summary s))
-       | Driver.Dynamic_skipped r -> Fmt.str "skipped (%s)" (escape r)));
+       | Driver.Dynamic_skipped r -> (
+         match report.Driver.dynamic_warnings with
+         | [] -> Fmt.str "skipped (%s)" (escape r)
+         | ws ->
+           Fmt.str "stopped (%s) after %d warning(s)" (escape r)
+             (List.length ws))));
   let card cls label n =
     Fmt.str
       "<div class=\"card %s\"><div class=\"num\">%d</div><div>%s</div></div>\n"

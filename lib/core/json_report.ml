@@ -267,9 +267,13 @@ let of_report (r : Driver.report) =
           ] );
       ( "dynamic",
         match r.Driver.dynamic with
-        | Driver.Dynamic_ok (s, _) -> of_dynamic_summary s
+        | Driver.Dynamic_ok s -> of_dynamic_summary s
         | Driver.Dynamic_skipped reason ->
-          Obj [ ("skipped", String reason) ] );
+          Obj
+            [
+              ("skipped", String reason);
+              ("warning_count", Int (List.length r.Driver.dynamic_warnings));
+            ] );
       ( "crash_space",
         match r.Driver.crash_space with
         | Some cs -> of_crash_space cs

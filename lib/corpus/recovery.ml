@@ -1,8 +1,9 @@
 (* Recovery corpus: base programs for the recovery tier (media
    corruption + recovery-path verification). These are NOT part of
    [Registry.all] — the static recall matrix and Table benches are
-   pinned to the paper's corpus — but feed the recovery-recall
-   evaluation ([Evaluate.run_recovery]) and its cram-pinned bench.
+   pinned to the paper's corpus — but feed the recovery column of the
+   injection matrix ([Evaluate.recovery_bases]) and its cram-pinned
+   bench.
 
    Both bases share the same forward path: stage a two-field data
    region, checksum it, persist, then publish a generation marker.

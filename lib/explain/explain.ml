@@ -89,10 +89,9 @@ let build ?fuzz (report : Deepmc.Driver.report) : bundle list =
         List.filter_map
           (evidence_of_warning ~tier:"static")
           report.Deepmc.Driver.static.Analysis.Checker.warnings;
-        (match report.Deepmc.Driver.dynamic with
-        | Deepmc.Driver.Dynamic_ok (_, ws) ->
-          List.filter_map (evidence_of_warning ~tier:"dynamic") ws
-        | Deepmc.Driver.Dynamic_skipped _ -> []);
+        List.filter_map
+          (evidence_of_warning ~tier:"dynamic")
+          report.Deepmc.Driver.dynamic_warnings;
         (match fuzz with
         | Some (o : Fuzz.Campaign.outcome) ->
           List.filter_map

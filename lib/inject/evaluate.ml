@@ -18,36 +18,34 @@ type base = {
 
 let opt_roots = function [] -> None | rs -> Some rs
 
-let static_warnings ~config ~model ~roots prog =
-  let res =
-    Analysis.Checker.check ~config ?roots:(opt_roots roots) ~model prog
-  in
-  res.Analysis.Checker.warnings
+(* Every tier runs through the one pipeline, [Driver.analyze]; a tier
+   runs only when asked for. *)
+let analyze ?(dynamic = false) ?(crash = false) ?(recovery = false)
+    ?crash_bound ?seed (b : base) prog =
+  Deepmc.Driver.analyze
+    (Deepmc.Driver.make ~config:b.config ~run_dynamic:dynamic b.model)
+    ?roots:(opt_roots b.roots) ?entry:b.entry ~args:b.entry_args
+    ~explore_crash_images:crash ?crash_bound ?seed ~verify_recovery:recovery
+    prog
 
-let dynamic_warnings ~model ~entry ~args prog =
-  let pmem = Runtime.Pmem.create () in
-  let checker = Runtime.Dynamic.create ~model () in
-  Runtime.Dynamic.attach checker pmem;
-  let interp = Runtime.Interp.create ~pmem prog in
-  (try ignore (Runtime.Interp.run ~entry ~args interp) with
-  | Runtime.Interp.Runtime_error _ | Runtime.Interp.Out_of_fuel -> ());
-  Runtime.Dynamic.warnings checker
+(* The online checker reports at observation sites, so dynamic warnings
+   are keyed by rule and file only. *)
+let dynamic_key (w : W.t) = (w.W.rule, w.W.loc.Nvmir.Loc.file)
 
 let make_base ~config ~bname ~model ~roots ~entry ~entry_args prog =
-  let static_baseline =
-    List.map W.dedup_key (static_warnings ~config ~model ~roots prog)
+  let b =
+    { bname; model; prog; roots; entry; entry_args; config;
+      static_baseline = []; dynamic_baseline = [] }
   in
-  let dynamic_baseline =
-    match entry with
-    | None -> []
-    | Some entry ->
+  let r = analyze ~dynamic:true b prog in
+  {
+    b with
+    static_baseline =
+      List.map W.dedup_key r.Deepmc.Driver.static.Analysis.Checker.warnings;
+    dynamic_baseline =
       List.sort_uniq compare
-        (List.map
-           (fun (w : W.t) -> (w.W.rule, w.W.loc.Nvmir.Loc.file))
-           (dynamic_warnings ~model ~entry ~args:entry_args prog))
-  in
-  { bname; model; prog; roots; entry; entry_args; config; static_baseline;
-    dynamic_baseline }
+        (List.map dynamic_key r.Deepmc.Driver.dynamic_warnings);
+  }
 
 (* [config] configures the whole pipeline for each base: autofix,
    baselines, mutation-site admission and static scoring all agree on
@@ -101,6 +99,24 @@ let exemplar_bases ?(config = Analysis.Config.default) () =
       (Exemplar.program ());
   ]
 
+(* The corruption operators admit no site on the paper corpus, so the
+   recovery tier is scored over the dedicated {!Corpus.Recovery}
+   bases. *)
+let recovery_operators =
+  List.filter
+    (fun op -> Mutation.operator_tier op = Mutation.Recovery_tier)
+    Mutation.all_operators
+
+let recovery_bases () =
+  List.map
+    (fun (p : Corpus.Types.program) ->
+      make_base ~config:Analysis.Config.default ~bname:p.Corpus.Types.name
+        ~model:(Corpus.Types.model p) ~roots:p.Corpus.Types.roots
+        ~entry:(Some p.Corpus.Types.entry)
+        ~entry_args:p.Corpus.Types.entry_args
+        (Corpus.Types.parse p))
+    Corpus.Recovery.programs
+
 (* ------------------------------------------------------------------ *)
 
 type detection = { applicable : bool; hit : bool; fp : int }
@@ -112,6 +128,7 @@ type mutant_result = {
   static_d : detection;
   dynamic_d : detection;
   crash_d : detection;
+  recovery_d : detection;
 }
 
 let classify ~matches (truth : Mutation.truth) delta =
@@ -129,17 +146,8 @@ let classify ~matches (truth : Mutation.truth) delta =
   in
   { applicable = true; hit; fp }
 
-let eval_static (b : base) (m : Mutation.mutant) =
-  let ws =
-    static_warnings ~config:b.config ~model:b.model ~roots:b.roots
-      m.Mutation.prog
-  in
-  let delta =
-    List.filter
-      (fun w -> not (List.mem (W.dedup_key w) b.static_baseline))
-      ws
-  in
-  classify ~matches:Mutation.expect_matches m.Mutation.truth delta
+let delta ~key baseline ws =
+  List.filter (fun w -> not (List.mem (key w) baseline)) ws
 
 (* The online checker reports at observation sites (e.g. an unflushed
    line is reported where it was written, a race at the second access),
@@ -165,24 +173,6 @@ let has_regions prog =
             blk.Nvmir.Func.instrs)
         f.Nvmir.Func.blocks)
     (Nvmir.Prog.funcs prog)
-
-let eval_dynamic (b : base) (m : Mutation.mutant) =
-  match b.entry with
-  | None -> not_applicable
-  | Some _ when not (has_regions m.Mutation.prog) -> not_applicable
-  | Some entry ->
-    let ws =
-      dynamic_warnings ~model:b.model ~entry ~args:b.entry_args
-        m.Mutation.prog
-    in
-    let delta =
-      List.filter
-        (fun (w : W.t) ->
-          not
-            (List.mem (w.W.rule, w.W.loc.Nvmir.Loc.file) b.dynamic_baseline))
-        ws
-    in
-    classify ~matches:lenient_matches m.Mutation.truth delta
 
 (* ------------------------------------------------------------------ *)
 
@@ -213,6 +203,7 @@ type row = {
   static_c : cell;
   dynamic_c : cell;
   crash_c : cell;
+  recovery_c : cell;
 }
 
 type summary = {
@@ -224,6 +215,7 @@ type summary = {
   static_tier_detected : int;
   static_tier_recall : float;
   known_blind_spot : int;
+  bases_verified : (string * Recover.report) list;
   results : mutant_result list;
 }
 
@@ -243,115 +235,90 @@ let is_known_blind_spot (r : mutant_result) =
 
 let m_score_ns =
   Obs.Metrics.histogram "inject.scoring_latency_ns"
-    ~desc:"per-mutant static+dynamic scoring latency (labelled op=O)"
+    ~desc:"per-mutant analysis and scoring latency (labelled op=O)"
 
 let m_blind_spot =
   Obs.Metrics.gauge "inject.blind_spot_fns"
     ~desc:"static-tier fence FNs behind pointer-arith aliases (0 since the offset lattice)"
 
-let run ?domains ?(operators = Mutation.all_operators) ?(seed = 1)
-    ?(dynamic = true) ?(crash = true) ?(crash_bound = 192) bases =
-  let mutants =
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun m -> (b, m))
-          (Mutation.mutate ~operators ~config:b.config ~base:b.bname
-             ~model:b.model ~roots:b.roots b.prog))
+let run ?(operators = Mutation.all_operators) ?(seed = 1) ?(dynamic = true)
+    ?(crash = true) ?(crash_bound = 192) bases =
+  (* one crash + recovery analysis per base: its inconsistent-image
+     count and recovery warnings are the baselines of its mutants'
+     crash and recovery deltas *)
+  let base_reports =
+    Pool.map ~chunk:1 (Pool.default ())
+      (fun b -> analyze ~crash ~recovery:true ~crash_bound ~seed b b.prog)
       bases
   in
-  (* static + dynamic detectors, one pool task per mutant *)
-  let sd =
-    Pool.map ?domains ~chunk:1 (Pool.default ())
-      (fun (b, m) ->
+  let mutants =
+    List.concat_map
+      (fun (b, (r : Deepmc.Driver.report)) ->
+        let crash_base =
+          match r.crash_space with
+          | Some cs -> cs.Runtime.Crash_space.inconsistent
+          | None -> 0
+        in
+        let recovery_base =
+          match r.recovery with
+          | Some rv -> List.map W.dedup_key rv.Recover.warnings
+          | None -> []
+        in
+        List.map
+          (fun m -> (b, crash_base, recovery_base, m))
+          (Mutation.mutate ~operators ~config:b.config ~base:b.bname
+             ~model:b.model ~roots:b.roots b.prog))
+      (List.combine bases base_reports)
+  in
+  (* every tier of one mutant in one analysis, one pool task per mutant *)
+  let results =
+    Pool.map ~chunk:1 (Pool.default ())
+      (fun (b, crash_base, recovery_base, (m : Mutation.mutant)) ->
         let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
-        let s = eval_static b m in
-        let d = if dynamic then eval_dynamic b m else not_applicable in
+        let prog = m.Mutation.prog in
+        let dynamic = dynamic && b.entry <> None && has_regions prog in
+        let r =
+          analyze ~dynamic ~crash ~recovery:true ~crash_bound ~seed b prog
+        in
+        let truth = m.Mutation.truth in
+        let static_d =
+          classify ~matches:Mutation.expect_matches truth
+            (delta ~key:W.dedup_key b.static_baseline
+               r.Deepmc.Driver.static.Analysis.Checker.warnings)
+        in
+        let dynamic_d =
+          if not dynamic then not_applicable
+          else
+            classify ~matches:lenient_matches truth
+              (delta ~key:dynamic_key b.dynamic_baseline
+                 r.Deepmc.Driver.dynamic_warnings)
+        in
+        let crash_d =
+          match r.Deepmc.Driver.crash_space with
+          | None -> not_applicable
+          | Some cs ->
+            {
+              applicable = true;
+              hit = cs.Runtime.Crash_space.inconsistent > crash_base;
+              fp = 0;
+            }
+        in
+        let recovery_d =
+          match r.Deepmc.Driver.recovery with
+          | None -> not_applicable
+          | Some rv ->
+            classify ~matches:Mutation.expect_matches truth
+              (delta ~key:W.dedup_key recovery_base rv.Recover.warnings)
+        in
         if Obs.enabled () then begin
           let dt = Int64.to_int (Int64.sub (Obs.now_ns ()) t0) in
           Obs.Metrics.observe m_score_ns dt;
           Obs.Metrics.observe_labelled m_score_ns
-            ("op=" ^ Mutation.operator_name m.Mutation.truth.Mutation.operator)
+            ("op=" ^ Mutation.operator_name truth.Mutation.operator)
             dt
         end;
-        (s, d))
+        { mutant = m; static_d; dynamic_d; crash_d; recovery_d })
       mutants
-  in
-  (* crash-space explorer: the whole population in one sweep, plus one
-     baseline sweep to compare inconsistent-image counts against *)
-  let crash_ds =
-    if not crash then List.map (fun _ -> not_applicable) mutants
-    else begin
-      let baseline_jobs =
-        List.filter_map
-          (fun b ->
-            match b.entry with
-            | Some entry ->
-              Some
-                {
-                  Deepmc.Crash_sweep.name = b.bname;
-                  prog = b.prog;
-                  entry;
-                  args = b.entry_args;
-                }
-            | None -> None)
-          bases
-      in
-      let baseline_counts =
-        List.map
-          (fun (r : Deepmc.Crash_sweep.program_report) ->
-            ( r.Deepmc.Crash_sweep.name,
-              r.Deepmc.Crash_sweep.report.Runtime.Crash_space.inconsistent ))
-          (Deepmc.Crash_sweep.sweep ?domains ~bound:crash_bound ~seed
-             baseline_jobs)
-      in
-      let jobs =
-        List.filter_map
-          (fun (b, (m : Mutation.mutant)) ->
-            match b.entry with
-            | Some entry ->
-              Some
-                {
-                  Deepmc.Crash_sweep.name = m.Mutation.id;
-                  prog = m.Mutation.prog;
-                  entry;
-                  args = b.entry_args;
-                }
-            | None -> None)
-          mutants
-      in
-      let reports =
-        Deepmc.Crash_sweep.sweep ?domains ~bound:crash_bound ~seed jobs
-      in
-      let by_id =
-        List.map
-          (fun (r : Deepmc.Crash_sweep.program_report) ->
-            (r.Deepmc.Crash_sweep.name, r))
-          reports
-      in
-      List.map
-        (fun (b, (m : Mutation.mutant)) ->
-          match (b.entry, List.assoc_opt m.Mutation.id by_id) with
-          | Some _, Some r ->
-            let base_n =
-              Option.value ~default:0 (List.assoc_opt b.bname baseline_counts)
-            in
-            {
-              applicable = true;
-              hit =
-                r.Deepmc.Crash_sweep.report.Runtime.Crash_space.inconsistent
-                > base_n;
-              fp = 0;
-            }
-          | _ -> not_applicable)
-        mutants
-    end
-  in
-  let results =
-    List.map2
-      (fun ((_, m), (s, d)) c ->
-        { mutant = m; static_d = s; dynamic_d = d; crash_d = c })
-      (List.combine mutants sd) crash_ds
   in
   let rows =
     List.filter_map
@@ -363,20 +330,17 @@ let run ?domains ?(operators = Mutation.all_operators) ?(seed = 1)
               (fun r -> r.mutant.Mutation.truth.Mutation.operator = op)
               results
           in
+          let column d =
+            List.fold_left (fun c r -> add_cell c (d r)) empty_cell rs
+          in
           Some
             {
               operator = op;
               mutants = List.length rs;
-              static_c =
-                List.fold_left
-                  (fun c r -> add_cell c r.static_d)
-                  empty_cell rs;
-              dynamic_c =
-                List.fold_left
-                  (fun c r -> add_cell c r.dynamic_d)
-                  empty_cell rs;
-              crash_c =
-                List.fold_left (fun c r -> add_cell c r.crash_d) empty_cell rs;
+              static_c = column (fun r -> r.static_d);
+              dynamic_c = column (fun r -> r.dynamic_d);
+              crash_c = column (fun r -> r.crash_d);
+              recovery_c = column (fun r -> r.recovery_d);
             })
       Mutation.all_operators
   in
@@ -400,6 +364,11 @@ let run ?domains ?(operators = Mutation.all_operators) ?(seed = 1)
     static_tier_recall =
       (if nt = 0 then 1.0 else float_of_int nd /. float_of_int nt);
     known_blind_spot = blind;
+    bases_verified =
+      List.filter_map
+        (fun (b, (r : Deepmc.Driver.report)) ->
+          Option.map (fun rv -> (b.bname, rv)) r.recovery)
+        (List.combine bases base_reports);
     results;
   }
 
@@ -411,9 +380,7 @@ let expected_detector_missed (r : mutant_result) =
   | Mutation.Dynamic_tier ->
     if r.dynamic_d.applicable then not r.dynamic_d.hit
     else not r.static_d.hit
-  (* recovery-tier mutants are scored by [run_recovery], never by the
-     static/dynamic matrix, so they cannot be blind spots here *)
-  | Mutation.Recovery_tier -> false
+  | Mutation.Recovery_tier -> not r.recovery_d.hit
 
 let false_negatives s = List.filter expected_detector_missed s.results
 
@@ -516,6 +483,18 @@ let to_json s =
       ("seed", J.Int s.seed);
       ("bases", J.Int s.bases);
       ("total_mutants", J.Int s.total_mutants);
+      ( "bases_verified",
+        J.List
+          (List.map
+             (fun (name, (rep : Recover.report)) ->
+               J.Obj
+                 [
+                   ("base", J.String name);
+                   ("clean", J.Bool (Recover.consistent rep));
+                   ("warnings", J.Int (List.length rep.Recover.warnings));
+                   ("report", J.of_recovery rep);
+                 ])
+             s.bases_verified) );
       ( "rows",
         J.List
           (List.map
@@ -531,6 +510,7 @@ let to_json s =
                    ("static", json_of_cell r.static_c);
                    ("dynamic", json_of_cell r.dynamic_c);
                    ("crash", json_of_cell r.crash_c);
+                   ("recovery", json_of_cell r.recovery_c);
                  ])
              s.rows) );
       ("static_tier_mutants", J.Int s.static_tier_mutants);
@@ -557,6 +537,7 @@ let to_json s =
                    ("line", J.Int t.Mutation.primary.Mutation.line);
                  ])
              (false_negatives s)) );
+      ("all_detected", J.Bool (false_negatives s = []));
     ]
 
 let cell_to_string c =
@@ -569,15 +550,22 @@ let pp_summary ppf s =
     "Injection recall/precision matrix (seed %d, %d base program(s), %d \
      mutant(s))@."
     s.seed s.bases s.total_mutants;
-  Fmt.pf ppf "%-16s %-6s %-5s %-22s %-22s %-22s@." "operator" "tier" "n"
-    "static" "dynamic" "crash";
+  List.iter
+    (fun (name, (rep : Recover.report)) ->
+      Fmt.pf ppf "base %-22s %s@." name
+        (if Recover.consistent rep then "verified clean"
+         else
+           Fmt.str "%d recovery warning(s)" (List.length rep.Recover.warnings)))
+    s.bases_verified;
+  Fmt.pf ppf "%-16s %-6s %-5s %-22s %-22s %-22s %-22s@." "operator" "tier" "n"
+    "static" "dynamic" "crash" "recovery";
   List.iter
     (fun r ->
-      Fmt.pf ppf "%-16s %-6s %-5d %-22s %-22s %-22s@."
+      Fmt.pf ppf "%-16s %-6s %-5d %-22s %-22s %-22s %-22s@."
         (Mutation.operator_name r.operator)
         (Mutation.tier_name (Mutation.operator_tier r.operator))
         r.mutants (cell_to_string r.static_c) (cell_to_string r.dynamic_c)
-        (cell_to_string r.crash_c))
+        (cell_to_string r.crash_c) (cell_to_string r.recovery_c))
     s.rows;
   Fmt.pf ppf "static-tier recall: %d/%d = %.3f (target 0.90 %s)@."
     s.static_tier_detected s.static_tier_mutants s.static_tier_recall
@@ -588,205 +576,3 @@ let pp_summary ppf s =
   if fns <> [] then
     Fmt.pf ppf "false negatives: %s@."
       (String.concat ", " (List.map (fun r -> r.mutant.Mutation.id) fns))
-
-(* ------------------------------------------------------------------ *)
-(* Recovery tier: the corruption operators scored by the recovery
-   executor. Kept out of [run]'s matrix — the paper-corpus recall
-   numbers are pinned, and no trace rule can see a recovery-path
-   defect anyway — and fed by the dedicated {!Corpus.Recovery}
-   bases. *)
-
-let recovery_operators =
-  [
-    Mutation.Strip_crc_guard;
-    Mutation.Silence_recovery;
-    Mutation.Drift_recovery_store;
-  ]
-
-let recovery_bases () =
-  List.map
-    (fun (p : Corpus.Types.program) ->
-      make_base ~config:Analysis.Config.default ~bname:p.Corpus.Types.name
-        ~model:(Corpus.Types.model p) ~roots:p.Corpus.Types.roots
-        ~entry:(Some p.Corpus.Types.entry)
-        ~entry_args:p.Corpus.Types.entry_args
-        (Corpus.Types.parse p))
-    Corpus.Recovery.programs
-
-let recovery_report ~seed ~bound (b : base) prog =
-  match (b.entry, Nvmir.Prog.find_func prog "recover") with
-  | Some entry, Some _ ->
-    Some
-      (Recover.verify ~entry ~args:b.entry_args ~bound ~seed ~model:b.model
-         prog)
-  | _ -> None
-
-type recovery_result = {
-  r_mutant : Mutation.mutant;
-  r_detection : detection;
-}
-
-type recovery_row = {
-  r_operator : Mutation.operator;
-  r_mutants : int;
-  r_cell : cell;
-}
-
-type recovery_summary = {
-  r_seed : int;
-  r_bases : int;
-  r_total_mutants : int;
-  r_applicable : int;
-  r_detected : int;
-  r_recall : float;
-  r_rows : recovery_row list;
-  r_base_reports : (string * Recover.report) list;
-  r_results : recovery_result list;
-}
-
-let run_recovery ?(seed = 1) bases =
-  let bound = 96 (* crash images per recovery verification *) in
-  (* one baseline verification per base: its residual recovery warnings
-     are excluded from every mutant's delta, exactly as the static tier
-     treats refused-autofix residue *)
-  let prepared =
-    List.map (fun b -> (b, recovery_report ~seed ~bound b b.prog)) bases
-  in
-  let baseline_keys =
-    List.map
-      (fun (b, rep) ->
-        ( b.bname,
-          match rep with
-          | None -> []
-          | Some rep -> List.map W.dedup_key rep.Recover.warnings ))
-      prepared
-  in
-  let mutants =
-    List.concat_map
-      (fun (b, _) ->
-        List.map
-          (fun m -> (b, m))
-          (Mutation.mutate ~operators:recovery_operators ~config:b.config
-             ~base:b.bname ~model:b.model ~roots:b.roots b.prog))
-      prepared
-  in
-  let results =
-    Pool.map ~chunk:1 (Pool.default ())
-      (fun (b, (m : Mutation.mutant)) ->
-        let baseline =
-          Option.value ~default:[] (List.assoc_opt b.bname baseline_keys)
-        in
-        let d =
-          match recovery_report ~seed ~bound b m.Mutation.prog with
-          | None -> not_applicable
-          | Some rep ->
-            let delta =
-              List.filter
-                (fun w -> not (List.mem (W.dedup_key w) baseline))
-                rep.Recover.warnings
-            in
-            classify ~matches:Mutation.expect_matches m.Mutation.truth delta
-        in
-        { r_mutant = m; r_detection = d })
-      mutants
-  in
-  let rows =
-    List.map
-      (fun op ->
-        let rs =
-          List.filter
-            (fun r -> r.r_mutant.Mutation.truth.Mutation.operator = op)
-            results
-        in
-        {
-          r_operator = op;
-          r_mutants = List.length rs;
-          r_cell =
-            List.fold_left (fun c r -> add_cell c r.r_detection) empty_cell rs;
-        })
-      recovery_operators
-  in
-  let applicable =
-    List.length (List.filter (fun r -> r.r_detection.applicable) results)
-  in
-  let detected =
-    List.length (List.filter (fun r -> r.r_detection.hit) results)
-  in
-  {
-    r_seed = seed;
-    r_bases = List.length bases;
-    r_total_mutants = List.length results;
-    r_applicable = applicable;
-    r_detected = detected;
-    r_recall =
-      (if applicable = 0 then 1.0
-       else float_of_int detected /. float_of_int applicable);
-    r_rows = rows;
-    r_base_reports =
-      List.filter_map
-        (fun (b, rep) -> Option.map (fun r -> (b.bname, r)) rep)
-        prepared;
-    r_results = results;
-  }
-
-let recovery_to_json s =
-  J.Obj
-    [
-      ("seed", J.Int s.r_seed);
-      ("bases", J.Int s.r_bases);
-      ("total_mutants", J.Int s.r_total_mutants);
-      ( "bases_verified",
-        J.List
-          (List.map
-             (fun (name, (rep : Recover.report)) ->
-               J.Obj
-                 [
-                   ("base", J.String name);
-                   ("clean", J.Bool (Recover.consistent rep));
-                   ("warnings", J.Int (List.length rep.Recover.warnings));
-                   ("report", J.of_recovery rep);
-                 ])
-             s.r_base_reports) );
-      ( "rows",
-        J.List
-          (List.map
-             (fun r ->
-               J.Obj
-                 [
-                   ("operator", J.String (Mutation.operator_name r.r_operator));
-                   ( "tier",
-                     J.String
-                       (Mutation.tier_name
-                          (Mutation.operator_tier r.r_operator)) );
-                   ("mutants", J.Int r.r_mutants);
-                   ("recovery", json_of_cell r.r_cell);
-                 ])
-             s.r_rows) );
-      ("applicable", J.Int s.r_applicable);
-      ("detected", J.Int s.r_detected);
-      ("recall", J.Float s.r_recall);
-      ("all_detected", J.Bool (s.r_detected = s.r_applicable));
-    ]
-
-let pp_recovery_summary ppf s =
-  Fmt.pf ppf
-    "Recovery-tier recall (seed %d, %d base program(s), %d mutant(s))@."
-    s.r_seed s.r_bases s.r_total_mutants;
-  List.iter
-    (fun (name, (rep : Recover.report)) ->
-      Fmt.pf ppf "base %-22s %s@." name
-        (if Recover.consistent rep then "verified clean"
-         else
-           Fmt.str "%d recovery warning(s)"
-             (List.length rep.Recover.warnings)))
-    s.r_base_reports;
-  Fmt.pf ppf "%-22s %-9s %-5s %s@." "operator" "tier" "n" "recovery";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-22s %-9s %-5d %s@."
-        (Mutation.operator_name r.r_operator)
-        (Mutation.tier_name (Mutation.operator_tier r.r_operator))
-        r.r_mutants (cell_to_string r.r_cell))
-    s.r_rows;
-  Fmt.pf ppf "recovery-tier recall: %d/%d = %.3f@." s.r_detected
-    s.r_applicable s.r_recall

@@ -4,16 +4,20 @@
     Base programs are made warning-clean first (corpus programs via
     {!Deepmc.Autofix.fix_until_clean}; synthetic programs are generated
     clean), every {!Mutation.operator} is applied at every sound site,
-    and the static checker, the dynamic checker and the crash-space
-    explorer run over the population in parallel on {!Pool}. Detection
-    is measured against the mutants' machine-readable ground truth:
+    and each mutant goes through one {!Deepmc.Driver.analyze} with every
+    enabled tier, one pool task per mutant. This module only scores the
+    driver's reports. Detection is measured against the mutants'
+    machine-readable ground truth:
 
     - static: a delta warning (not in the base program's residual
       warning set) matching the truth's rule set at its file:line;
     - dynamic: a delta warning matching rule and file (the online
       checker reports at observation sites, so lines are not pinned);
     - crash explorer: strictly more inconsistent crash images than the
-      base program under the same seed and bound. *)
+      base program under the same seed and bound;
+    - recovery: a delta recovery warning (not in the base program's
+      recovery warnings) matching the truth's rule set at its
+      file:line. Applicable when the program defines [recover]. *)
 
 type base = {
   bname : string;
@@ -59,6 +63,17 @@ val synth_bases :
 val exemplar_bases : ?config:Analysis.Config.t -> unit -> base list
 (** The hand-written strand-model program ({!Exemplar}). *)
 
+val recovery_operators : Mutation.operator list
+(** The corruption operators ({!Mutation.Recovery_tier}). They damage
+    the {e backward} path, so no trace rule can see them. *)
+
+val recovery_bases : unit -> base list
+(** The {!Corpus.Recovery} programs as evaluation bases; the recovery
+    operators admit no site on the paper corpus. No autofix: the
+    guarded base is recovery-clean by construction and the unguarded
+    base's warnings become its baseline (its mutants must add something
+    new to count as detected). *)
+
 (** Per-detector outcome for one mutant. *)
 type detection = {
   applicable : bool;  (** detector could run (e.g. entry point exists) *)
@@ -71,6 +86,7 @@ type mutant_result = {
   static_d : detection;
   dynamic_d : detection;
   crash_d : detection;
+  recovery_d : detection;
 }
 
 type cell = { applicable : int; detected : int; fp : int }
@@ -78,13 +94,14 @@ type cell = { applicable : int; detected : int; fp : int }
 val cell_recall : cell -> float option
 val cell_precision : cell -> float option
 
-(** One matrix row: an operator crossed with the three detectors. *)
+(** One matrix row: an operator crossed with the four detectors. *)
 type row = {
   operator : Mutation.operator;
   mutants : int;
   static_c : cell;
   dynamic_c : cell;
   crash_c : cell;
+  recovery_c : cell;
 }
 
 type summary = {
@@ -101,13 +118,15 @@ type summary = {
           pointer-arith alias gap (10 mutants); the {!Dsa.Aaddr.offset}
           lattice closed it, so this is 0 unless offsets are ablated —
           pinned so regressions in either direction are visible *)
+  bases_verified : (string * Recover.report) list;
+      (** the recovery report of every base that defines [recover],
+          keyed by base name *)
   results : mutant_result list;
 }
 
 val is_known_blind_spot : mutant_result -> bool
 
 val run :
-  ?domains:int ->
   ?operators:Mutation.operator list ->
   ?seed:int ->
   ?dynamic:bool ->
@@ -116,9 +135,15 @@ val run :
   base list ->
   summary
 (** Mutate every base and evaluate the enabled detectors over the whole
-    population on the domain pool. [seed] (default 1) drives crash-image
-    sampling; static and dynamic evaluation are deterministic, so the
-    summary is a pure function of (bases, operators, seed, bound). *)
+    population on the default pool. Each base is analysed once with
+    crash exploration and recovery verification, for the crash and
+    recovery baselines; each mutant is analysed once with every enabled
+    tier. Recovery verification is always on and applies
+    to programs that define [recover]. [seed] (default 1) drives
+    crash-image sampling and the corruption model, and [crash_bound]
+    (default 192) caps the images per crash point for both; static and
+    dynamic evaluation are deterministic, so the summary is a pure
+    function of (bases, operators, seed, bound). *)
 
 val false_negatives : summary -> mutant_result list
 (** Mutants missed by their expected tier's detector. *)
@@ -134,54 +159,8 @@ val known_blind_spot_of_corpus : dir:string -> int
     against. 0 when [dir] does not exist. *)
 
 val to_json : summary -> Deepmc.Json_report.json
+(** The matrix, the campaign-level fields the gates read
+    ([static_tier_*], [known_blind_spot], [false_negatives],
+    [all_detected]: no false negatives) and [bases_verified]. *)
+
 val pp_summary : summary Fmt.t
-
-(** {1 Recovery tier}
-
-    The corruption operators ({!Mutation.Strip_crc_guard},
-    {!Mutation.Silence_recovery}, {!Mutation.Drift_recovery_store}) are
-    invisible to every trace rule: they damage the {e backward} path.
-    They are scored separately against the recovery executor
-    ({!Recover.verify}) over the dedicated {!Corpus.Recovery} bases,
-    with the same delta-vs-baseline discipline as the static tier. *)
-
-val recovery_operators : Mutation.operator list
-
-val recovery_bases : unit -> base list
-(** The {!Corpus.Recovery} programs as evaluation bases. No autofix:
-    the guarded base is recovery-clean by construction and the
-    unguarded base's warnings become its baseline (its mutants must add
-    something new to count as detected). *)
-
-type recovery_result = {
-  r_mutant : Mutation.mutant;
-  r_detection : detection;
-}
-
-type recovery_row = {
-  r_operator : Mutation.operator;
-  r_mutants : int;
-  r_cell : cell;
-}
-
-type recovery_summary = {
-  r_seed : int;
-  r_bases : int;
-  r_total_mutants : int;
-  r_applicable : int;
-  r_detected : int;
-  r_recall : float;  (** 1.0 when no mutant was applicable *)
-  r_rows : recovery_row list;
-  r_base_reports : (string * Recover.report) list;
-      (** unmutated-base verification, keyed by base name *)
-  r_results : recovery_result list;
-}
-
-val run_recovery : ?seed:int -> base list -> recovery_summary
-(** Mutate every base with the recovery operators and score each mutant
-    by the delta of its {!Recover.verify} warnings (crash-image bound
-    96) over the unmutated base's, matched against the mutant's ground
-    truth. Deterministic for fixed (bases, seed). *)
-
-val recovery_to_json : recovery_summary -> Deepmc.Json_report.json
-val pp_recovery_summary : recovery_summary Fmt.t

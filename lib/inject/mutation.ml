@@ -11,6 +11,7 @@
 module W = Analysis.Warning
 module I = Nvmir.Instr
 module L = Nvmir.Loc
+module R = Deepmc.Rewrite
 
 type operator =
   | Delete_flush
@@ -148,19 +149,9 @@ let reachable prog roots =
 (* Block surgery: every mutation is a single [map_block] *)
 
 let edit_block prog ~fname ~label f =
-  Deepmc.Rewrite.map_block prog ~in_func:fname ~in_block:label f
+  R.map_block prog ~in_func:fname ~in_block:label f
 
-let remove_index prog ~fname ~label j =
-  edit_block prog ~fname ~label (fun l ->
-      List.filteri (fun k _ -> k <> j) l)
-
-let insert_after_index prog ~fname ~label j news =
-  edit_block prog ~fname ~label (fun l ->
-      List.concat (List.mapi (fun k ins -> if k = j then ins :: news else [ ins ]) l))
-
-let replace_index prog ~fname ~label j ins' =
-  edit_block prog ~fname ~label (fun l ->
-      List.mapi (fun k ins -> if k = j then ins' else ins) l)
+let at ~fname ~label j = { R.in_func = fname; in_block = label; index = j }
 
 (* move instruction [i] to just after [j] (i < j) *)
 let hoist_index prog ~fname ~label ~from:i ~past:j =
@@ -329,7 +320,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                   push
                     {
                       op = Delete_flush;
-                      apply = (fun p -> remove_index p ~fname ~label j);
+                      apply = (fun p -> R.remove_at p (at ~fname ~label j));
                       s_primary =
                         expect ~rules:[ W.Unflushed_write ] arr.(i0).I.loc;
                       s_collateral =
@@ -435,7 +426,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                         op = Duplicate_flush;
                         apply =
                           (fun p ->
-                            insert_after_index p ~fname ~label j [ arr.(j) ]);
+                            R.insert_after p (at ~fname ~label j) [ arr.(j) ]);
                         s_primary =
                           expect
                             ~rules:
@@ -486,7 +477,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                                     I.Persist { target; extent = I.Object }
                                   | k -> k
                                 in
-                                replace_index p ~fname ~label j
+                                R.replace_at p (at ~fname ~label j)
                                   { arr.(j) with I.kind = kind' });
                             s_primary =
                               expect ~rules:[ W.Flush_unmodified ] floc;
@@ -546,7 +537,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                       push
                         {
                           op = Delete_fence;
-                          apply = (fun p -> remove_index p ~fname ~label j);
+                          apply = (fun p -> R.remove_at p (at ~fname ~label j));
                           s_primary =
                             expect
                               ~rules:[ W.Missing_persist_barrier ]
@@ -584,7 +575,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                       push
                         {
                           op = Delete_fence;
-                          apply = (fun p -> remove_index p ~fname ~label j);
+                          apply = (fun p -> R.remove_at p (at ~fname ~label j));
                           s_primary =
                             expect
                               ~rules:
@@ -656,7 +647,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                       push
                         {
                           op = Drop_tx_add;
-                          apply = (fun p -> remove_index p ~fname ~label j);
+                          apply = (fun p -> R.remove_at p (at ~fname ~label j));
                           s_primary =
                             expect ~rules:[ W.Unflushed_write ] arr.(i0).I.loc;
                           s_collateral =
@@ -715,7 +706,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                           op = Split_strand;
                           apply =
                             (fun p ->
-                              insert_after_index p ~fname ~label p1
+                              R.insert_after p (at ~fname ~label p1)
                                 [
                                   I.make (I.Strand_end sid);
                                   I.make (I.Strand_begin fresh);
@@ -741,7 +732,7 @@ let mutate ?(operators = all_operators) ?(config = Analysis.Config.default)
                       op = Strip_crc_guard;
                       apply =
                         (fun p ->
-                          replace_index p ~fname ~label j
+                          R.replace_at p (at ~fname ~label j)
                             {
                               arr.(j) with
                               I.kind =

@@ -30,8 +30,8 @@ val pp_operator : operator Fmt.t
 
 (** The detector tier expected to catch the operator's mutants: every
     class except strand splitting is in the static rules' scope, and
-    the corruption operators are visible only to the recovery executor
-    ({!Evaluate.run_recovery}). *)
+    the corruption operators are visible only to the recovery executor,
+    the fourth column of {!Evaluate.run}'s matrix. *)
 type tier = Static_tier | Dynamic_tier | Recovery_tier
 
 val tier_name : tier -> string

@@ -17,11 +17,6 @@
 
 type execution = Interleaved | Concurrent
 
-(* Disjoint per-client object-id ranges; a client allocating a million
-   objects would overflow into the next range, which no workload here
-   approaches (and Shadow.key rejects ids beyond its field width). *)
-let obj_id_stride = 1 lsl 20
-
 type result = {
   label : string;
   txs : int;
@@ -106,8 +101,9 @@ let run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op =
   let contexts =
     List.init clients (fun c ->
         let pmem =
-          Runtime.Pmem.create ~first_obj_id:(c * obj_id_stride)
-            ~obj_id_limit:((c + 1) * obj_id_stride) ()
+          let stride = Deepmc.Driver.client_obj_id_stride in
+          Runtime.Pmem.create ~first_obj_id:(c * stride)
+            ~obj_id_limit:((c + 1) * stride) ()
         in
         (match checker with
         | Some ck -> Runtime.Dynamic.attach_client ck ~thread:c pmem

@@ -12,9 +12,6 @@
     transaction). *)
 type execution = Interleaved | Concurrent
 
-val obj_id_stride : int
-(** Object-id range reserved per client in [Concurrent] mode. *)
-
 val default_seed : int
 (** Seed used when [?seed] is omitted (the historical 0xC0FFEE). *)
 

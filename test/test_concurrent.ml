@@ -61,8 +61,8 @@ let run ~parallel ops_per_client =
       (fun c ops ->
         let pmem =
           Runtime.Pmem.create
-            ~first_obj_id:(c * Workloads.Harness.obj_id_stride)
-            ~obj_id_limit:((c + 1) * Workloads.Harness.obj_id_stride)
+            ~first_obj_id:(c * Deepmc.Driver.client_obj_id_stride)
+            ~obj_id_limit:((c + 1) * Deepmc.Driver.client_obj_id_stride)
             ()
         in
         Runtime.Dynamic.attach_client checker ~thread:c pmem;
@@ -175,7 +175,7 @@ entry:
   let r1 = Deepmc.Driver.analyze driver ~entry:"main" prog in
   let r4 = Deepmc.Driver.analyze driver ~entry:"main" ~clients:4 prog in
   (match r4.Deepmc.Driver.dynamic with
-  | Deepmc.Driver.Dynamic_ok (s, _) ->
+  | Deepmc.Driver.Dynamic_ok s ->
     check Alcotest.bool "cells tracked in all client heaps" true
       (s.Runtime.Dynamic.tracked_cells > 0)
   | Deepmc.Driver.Dynamic_skipped reason ->

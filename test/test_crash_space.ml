@@ -345,45 +345,6 @@ let test_prefix_image_first () =
         [ 1; 2; 8; 256 ])
     (corpus @ synth)
 
-(* [sweep] regroups results by job position, not by name: two jobs that
-   share a name each get exactly their own program's report. *)
-let test_sweep_shared_names () =
-  let lossy =
-    Nvmir.Parser.parse
-      {|
-struct s { f: int, g: int }
-func main() {
-entry:
-  p = alloc pmem s
-  store p->f, 1
-  persist exact p->f
-  store p->g, 2
-  ret
-}
-|}
-  and clean =
-    Nvmir.Parser.parse
-      {|
-struct s { f: int }
-func main() {
-entry:
-  p = alloc pmem s
-  store p->f, 1
-  persist exact p->f
-  ret
-}
-|}
-  in
-  let job prog = { Deepmc.Crash_sweep.name = "x"; prog; entry = "main"; args = [] } in
-  let reports = Deepmc.Crash_sweep.sweep [ job lossy; job clean ] in
-  check Alcotest.int "one report per job" 2 (List.length reports);
-  List.iter2
-    (fun prog (r : Deepmc.Crash_sweep.program_report) ->
-      check Alcotest.string "report equals the job explored alone"
-        (Fmt.str "%a" Runtime.Crash_space.pp_report (explore prog))
-        (Fmt.str "%a" Runtime.Crash_space.pp_report r.Deepmc.Crash_sweep.report))
-    [ lossy; clean ] reports
-
 let suite =
   [
     tc "prefix violations are a subset of image-space violations" `Quick
@@ -401,5 +362,4 @@ let suite =
     tc "materialize [] = durable snapshot" `Quick
       test_materialize_empty_is_snapshot;
     tc "prefix image is first at any bound" `Quick test_prefix_image_first;
-    tc "sweep keeps same-named jobs apart" `Quick test_sweep_shared_names;
   ]

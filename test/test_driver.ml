@@ -65,6 +65,48 @@ entry:
       (String.length reason > 0)
   | Deepmc.Driver.Dynamic_ok _ -> Alcotest.fail "expected runtime failure"
 
+(* A dynamic run that fails part-way keeps the warnings the checker
+   stored before it stopped: they reach the report's dynamic tier, not
+   only the merged list, so Explain still sees their witnesses. *)
+let test_driver_failed_run_keeps_dynamic_warnings () =
+  let prog =
+    Nvmir.Parser.parse
+      {|
+struct s { f: int, g: int }
+func main() {
+entry:
+  p = alloc pmem s
+  epoch_begin
+  store p->f, 1
+  epoch_end
+  store q->f, 1
+  ret
+}
+|}
+  in
+  Analysis.Witness.set_enabled true;
+  Fun.protect ~finally:(fun () -> Analysis.Witness.set_enabled false)
+  @@ fun () ->
+  let d = Deepmc.Driver.make Analysis.Model.Epoch in
+  let report = Deepmc.Driver.analyze d ~entry:"main" prog in
+  (match report.Deepmc.Driver.dynamic with
+  | Deepmc.Driver.Dynamic_skipped _ -> ()
+  | Deepmc.Driver.Dynamic_ok _ -> Alcotest.fail "expected runtime failure");
+  let unflushed (w : Analysis.Warning.t) =
+    w.Analysis.Warning.rule = Analysis.Warning.Unflushed_write
+  in
+  check Alcotest.bool "dynamic tier keeps the unflushed write" true
+    (List.exists unflushed report.Deepmc.Driver.dynamic_warnings);
+  check Alcotest.bool "explain bundles it with a dynamic witness" true
+    (List.exists
+       (fun (b : Explain.bundle) ->
+         List.exists
+           (fun (e : Explain.evidence) ->
+             e.Explain.ev_tier = "dynamic"
+             && Option.fold ~none:false ~some:unflushed e.Explain.ev_warning)
+           b.Explain.b_evidence)
+       (Explain.build report))
+
 (* ------------------------------------------------------------------ *)
 (* Report scoring *)
 
@@ -191,6 +233,8 @@ let suite =
     tc "driver: dynamic disabled" `Quick test_driver_dynamic_disabled;
     tc "driver: runtime errors surfaced" `Quick
       test_driver_runtime_error_reported;
+    tc "driver: failed run keeps dynamic warnings" `Quick
+      test_driver_failed_run_keeps_dynamic_warnings;
     tc "report: scoring" `Quick test_report_scoring;
     tc "baseline: annotation-driven" `Quick test_baseline_needs_annotations;
     tc "baseline: misses model-specific bugs" `Quick

@@ -201,6 +201,34 @@ let test_resurrected_blind_spot_mutants () =
   check quad "offset-aware checker catches all 10 with pinned warnings"
     (nest resurrected_pins) (nest caught)
 
+(* ------------------------------------------------------------------ *)
+(* Directed: the recovery column. The corruption operators damage the
+   backward path, so only the recovery tier sees them: every mutant is a
+   recovery hit and none a static hit, and the CRC-guarded base verifies
+   clean while its unguarded twin does not. *)
+
+let test_recovery_column () =
+  let s =
+    Inject.Evaluate.run ~operators:Inject.Evaluate.recovery_operators
+      (Inject.Evaluate.recovery_bases ())
+  in
+  let results = s.Inject.Evaluate.results in
+  let count f = List.length (List.filter f results) in
+  check Alcotest.int "three recovery mutants" 3 (List.length results);
+  check Alcotest.int "every recovery cell hits" 3
+    (count (fun r -> r.Inject.Evaluate.recovery_d.Inject.Evaluate.hit));
+  check Alcotest.int "no static-column hit" 0
+    (count (fun r -> r.Inject.Evaluate.static_d.Inject.Evaluate.hit));
+  check Alcotest.int "no false negatives" 0
+    (List.length (Inject.Evaluate.false_negatives s));
+  let clean name =
+    Recover.consistent (List.assoc name s.Inject.Evaluate.bases_verified)
+  in
+  check Alcotest.bool "guarded base verifies clean" true
+    (clean Corpus.Recovery.guarded.Corpus.Types.name);
+  check Alcotest.bool "unguarded base does not" false
+    (clean Corpus.Recovery.unguarded.Corpus.Types.name)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_mutants_roundtrip;
@@ -211,4 +239,6 @@ let suite =
       test_split_strand_detected;
     tc "resurrected blind-spot mutants caught with offsets" `Quick
       test_resurrected_blind_spot_mutants;
+    tc "recovery column detects every corruption mutant" `Quick
+      test_recovery_column;
   ]
