@@ -1,7 +1,7 @@
 # Developer entry points. The benches write their JSON artifacts into
 # the directory they run from, so bench-json runs from the repo root.
 
-.PHONY: all build test verify recall-gate recover-gate fuzz bench-json stats-drift trace clean
+.PHONY: all build test verify recall-gate recover-gate fuzz bench-json bench-pairs stats-drift trace clean
 
 all: build
 
@@ -64,6 +64,42 @@ bench-json:
 	  BENCH_fuzz.json; do \
 	  [ -s $$f ] || { echo "bench-json: $$f missing or empty" >&2; exit 1; }; \
 	done
+
+# Alternating base/change runs of one end-to-end workload:
+#   make bench-pairs BASE=<rev> W=<workload> N=<pairs> S=<seconds>
+# builds BASE's bench/e2e/main.exe in a temporary git worktree under
+# _artifacts/, then runs BASE's binary and this tree's N times each,
+# S seconds a run, alternating which side runs first, and prints
+# `main.exe compare` of the two result files (BASE is A, this tree
+# is B). SEED (default 1) picks the workload's input stream, so a
+# claim can be checked on a seed not used while writing the change.
+BASE ?= HEAD
+W ?= synth-wide
+N ?= 3
+S ?= 8
+SEED ?= 1
+PAIRS := _artifacts/bench-pairs
+
+bench-pairs:
+	dune build --cache=disabled ./bench/e2e/main.exe
+	rm -rf $(PAIRS) && mkdir -p $(PAIRS) && git worktree prune
+	git worktree add --detach $(PAIRS)/base $(BASE)
+	@dune build --root $(PAIRS)/base --cache=disabled ./bench/e2e/main.exe \
+	  && cp $(PAIRS)/base/_build/default/bench/e2e/main.exe $(PAIRS)/base.exe; \
+	  status=$$?; git worktree remove --force $(PAIRS)/base; exit $$status
+	@for i in $$(seq $(N)); do \
+	  echo "bench-pairs: pair $$i/$(N)"; \
+	  if [ $$((i % 2)) -eq 1 ]; then order="base change"; \
+	  else order="change base"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = base ]; then exe=$(PAIRS)/base.exe; \
+	    else exe=_build/default/bench/e2e/main.exe; fi; \
+	    $$exe --workload $(W) --seed $(SEED) --seconds $(S) \
+	      --out $(PAIRS)/$$side.jsonl > /dev/null || exit 1; \
+	  done; \
+	done
+	_build/default/bench/e2e/main.exe compare $(PAIRS)/base.jsonl \
+	  $(PAIRS)/change.jsonl
 
 # Instrument-catalog drift gate: regenerate `deepmc stats` and diff it
 # against the catalog pinned in test/cram/obs.t. A new or renamed

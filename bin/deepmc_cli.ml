@@ -99,6 +99,14 @@ let validated prog =
             Fmt.(list ~sep:(any "@ ") Nvmir.Prog.pp_error)
             errs))
 
+(* Analysis roots must name defined functions: an undefined root has no
+   paths, so its "0 warnings" would mean nothing was checked. *)
+let defined_roots prog roots =
+  match List.find_opt (fun r -> Nvmir.Prog.find_func prog r = None) roots with
+  | Some r ->
+    Error (`Msg (Fmt.str "root %s: no such function in the program" r))
+  | None -> Ok roots
+
 let suppressions_term =
   Arg.(
     value
@@ -415,7 +423,7 @@ let check_mixed_cmd =
     let* prog = load file in
     let* prog = validated prog in
     let* map = parse_map map_file in
-    let roots = List.map fst map in
+    let* roots = defined_roots prog (List.map fst map) in
     let model_of root =
       Option.value ~default:Analysis.Model.Strict (List.assoc_opt root map)
     in
@@ -551,8 +559,12 @@ let trace_cmd =
     let ( let* ) = Result.bind in
     let* prog = load file in
     let* prog = validated prog in
+    let* roots =
+      match root with
+      | None -> Ok None
+      | Some r -> Result.map Option.some (defined_roots prog [ r ])
+    in
     let dsg = Dsa.Dsg.build prog in
-    let roots = Option.map (fun r -> [ r ]) root in
     let per_root = Analysis.Trace.collect ?roots dsg prog in
     List.iter
       (fun (r, traces) ->
@@ -1283,9 +1295,8 @@ let serve_cmd =
   in
   let doc =
     "Run the resident incremental analyzer: a long-lived daemon that keeps \
-     DSG summaries, interprocedural memo results and per-root warnings \
-     cached across requests, invalidating only the functions whose IR \
-     content hash changed."
+     DSG summaries and per-root warnings cached across requests, \
+     invalidating only the functions whose IR content hash changed."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(

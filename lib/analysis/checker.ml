@@ -3,11 +3,11 @@
    for the selected persistency model, and reports deduplicated
    warnings.
 
-   Traces are enumerated lazily per root; each path is stepped through
-   the rule fold ([Rules.Fold]) from the prefix it shares with the
-   previous path and discarded as soon as its warnings are out, so peak
-   memory is O(live paths + one path), and independent roots are
-   checked concurrently on the shared domain pool. *)
+   Each root's expansion tree is walked once ([Trace.walk]) with the
+   rule fold ([Rules.Fold]) as the walk's state: a prefix shared by many
+   paths is stepped once, each path's warnings are out when the walk
+   reaches its end, and independent roots are checked concurrently on
+   the shared domain pool. *)
 
 type result = {
   model : Model.t;
@@ -28,7 +28,7 @@ let m_warnings =
 
 let m_root_ns =
   Obs.Metrics.histogram "checker.root_latency_ns"
-    ~desc:"per-root check latency (streaming engine), nanoseconds"
+    ~desc:"per-root check latency, nanoseconds"
 
 let m_peak =
   Obs.Metrics.gauge "trace.peak_live_paths"
@@ -45,88 +45,7 @@ let note_warnings warnings =
           1)
       warnings
 
-let m_stepped =
-  Obs.Metrics.counter "rules.events_stepped"
-    ~desc:"events stepped through the rule fold"
-
-let m_reused =
-  Obs.Metrics.counter "rules.events_reused"
-    ~desc:"events whose rule-fold state was resumed from the previous path"
-
-(* One root's paths through the rule fold. The previous path is kept,
-   with the fold states after every [stride]-th of its events: a path
-   resumes from the last kept state within the prefix it shares with
-   the previous one, re-steps at most [stride - 1] shared events, and
-   steps the rest — consecutive DFS paths share most of their events.
-   A state per event would keep every path's rule states alive for a
-   gain of a few events per path. Dedup keeps the first occurrence,
-   path by path in [Incremental.finish]'s order: the same result
-   [Warning.dedup] computes on the concatenated per-path lists,
-   formatting only the warnings it keeps. *)
-let stride = 8
-
-let check_paths ctx (paths : Trace.t Seq.t) =
-  let seen = Hashtbl.create 16 in
-  let rev_warnings = ref [] in
-  (* the previous path, and its kept states, latest first: one per
-     multiple of [stride] up to its length *)
-  let prev = ref [] and prev_len = ref 0 and kept = ref [ Rules.Fold.start ] in
-  Seq.iter
-    (fun path ->
-      (* the shared prefix's length, and the path from its last kept
-         state on; expansion allocates a fresh Ret_mark per spliced
-         path, so equal events need not be physically equal *)
-      let rec shared i from path prev =
-        match (path, prev) with
-        | e :: rest, p :: prev when e == p || e = p ->
-          let i = i + 1 in
-          shared i (if i mod stride = 0 then rest else from) rest prev
-        | _ -> (i, from)
-      in
-      let k, from = shared 0 path path !prev in
-      let resumed = k / stride * stride in
-      let rec step i st kept = function
-        | [] -> (i, st, kept)
-        | e :: rest ->
-          let st = Rules.Fold.step ctx st e in
-          let i = i + 1 in
-          step i st (if i mod stride = 0 then st :: kept else kept) rest
-      in
-      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
-      let valid = drop ((!prev_len - resumed) / stride) !kept in
-      let n, st, kept' = step resumed (List.hd valid) valid from in
-      prev := path;
-      prev_len := n;
-      kept := kept';
-      Obs.Metrics.add m_reused resumed;
-      Obs.Metrics.add m_stepped (n - resumed);
-      let fresh =
-        List.filter
-          (fun f ->
-            let key = Rules.Fold.key f in
-            if Hashtbl.mem seen key then false
-            else begin
-              Hashtbl.add seen key ();
-              true
-            end)
-          (Rules.Fold.close st)
-      in
-      rev_warnings :=
-        List.rev_append (Rules.Fold.warnings ctx path fresh) !rev_warnings)
-    paths;
-  List.rev !rev_warnings
-
-let check_root_streaming ctx (src : Trace.source) =
-  Obs.Span.with_ ~name:"check-root" (fun () ->
-      Obs.Metrics.incr m_roots;
-      let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
-      let ws = check_paths ctx src.Trace.traces in
-      if Obs.enabled () then
-        Obs.Metrics.observe m_root_ns
-          (Int64.to_int (Int64.sub (Obs.now_ns ()) t0));
-      ws)
-
-(* Per-root streaming results: the unit of incremental reuse. A root's
+(* Per-root results: the unit of incremental reuse. A root's
    warnings and stats depend only on its own call-graph closure, so a
    resident analyzer can replay cached [per_root] values for untouched
    roots and re-run only the stale ones, then [merge_roots] — the merge
@@ -141,31 +60,81 @@ type per_root = {
   pr_peak : int;
 }
 
+let m_stepped =
+  Obs.Metrics.counter "rules.events_stepped"
+    ~desc:"events stepped through the rule fold"
+
+let m_reused =
+  Obs.Metrics.counter "rules.events_reused"
+    ~desc:"path events a sibling path had already stepped through the rule fold"
+
+(* The walk's state: the rule fold, and the path so far, reversed, for
+   the witnesses of the warnings found at its end. *)
+type path = { fold : Rules.Fold.t; rev : Event.t list }
+
+(* One root through the rule fold. Dedup keeps the first occurrence,
+   path by path in [Incremental.finish]'s order: the same result
+   [Warning.dedup] computes on the concatenated per-path lists,
+   formatting only the warnings it keeps. *)
+let check_root ctx plan root =
+  Obs.Span.with_ ~name:"check-root" (fun () ->
+      Obs.Metrics.incr m_roots;
+      let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
+      let seen = Hashtbl.create 16 in
+      let rev_warnings = ref [] and stepped = ref 0 and walked = ref 0 in
+      let step p e =
+        incr stepped;
+        { fold = Rules.Fold.step ctx p.fold e; rev = e :: p.rev }
+      in
+      let leaf p =
+        if Obs.enabled () then walked := !walked + List.length p.rev;
+        let fresh =
+          List.filter
+            (fun f ->
+              let key = Rules.Fold.key f in
+              if Hashtbl.mem seen key then false
+              else begin
+                Hashtbl.add seen key ();
+                true
+              end)
+            (Rules.Fold.close p.fold)
+        in
+        if fresh <> [] then
+          rev_warnings :=
+            List.rev_append
+              (Rules.Fold.warnings ctx (lazy (List.rev p.rev)) fresh)
+              !rev_warnings
+      in
+      let stats =
+        Trace.walk plan root ~step { fold = Rules.Fold.start; rev = [] } ~leaf
+      in
+      Obs.Metrics.add m_stepped !stepped;
+      Obs.Metrics.add m_reused (!walked - !stepped);
+      if Obs.enabled () then
+        Obs.Metrics.observe m_root_ns
+          (Int64.to_int (Int64.sub (Obs.now_ns ()) t0));
+      {
+        pr_root = root;
+        pr_warnings = List.rev !rev_warnings;
+        pr_paths = stats.Trace.paths;
+        pr_events = stats.Trace.events;
+        pr_peak = stats.Trace.peak_live;
+      })
+
 let check_roots ?(config = Config.default) ?dsg ?roots ~model
     (prog : Nvmir.Prog.t) : per_root list * Dsa.Dsg.t =
   let dsg =
     match dsg with Some d -> d | None -> Config.build_dsg config prog
   in
   let ctx = { Rules.model; dsg; tenv = Nvmir.Prog.tenv prog } in
-  let sources = Trace.stream ~config ?roots dsg prog in
-  (* freeze the union-find: forcing the sources from worker domains
-     must not race on path compression *)
+  let plan = Trace.plan ~config dsg prog in
+  (* freeze the union-find: walks on worker domains must not race on
+     path compression *)
   Dsa.Arena.compress (Dsa.Dsg.arena dsg);
-  let per_root =
-    Pool.map (Pool.default ())
-      (fun (src : Trace.source) ->
-        let ws = check_root_streaming ctx src in
-        (* the source is fully forced now, so its stats are final *)
-        {
-          pr_root = src.Trace.root;
-          pr_warnings = ws;
-          pr_paths = src.Trace.s_stats.Trace.paths;
-          pr_events = src.Trace.s_stats.Trace.events;
-          pr_peak = src.Trace.s_stats.Trace.peak_live;
-        })
-      sources
-  in
-  (per_root, dsg)
+  ( Pool.map (Pool.default ())
+      (check_root ctx plan)
+      (Option.value ~default:(Trace.roots plan) roots),
+    dsg )
 
 let merge_roots ~model ~dsg (per_root : per_root list) : result =
   let warnings =

@@ -2,8 +2,8 @@
     interprocedural traces, apply the rule set for the selected model,
     and report deduplicated warnings.
 
-    Paths are enumerated lazily and checked incrementally as each one
-    completes; roots fan out on the shared domain pool. *)
+    Each root's expansion tree is walked once with the rule fold as the
+    walk's state; roots fan out on the shared domain pool. *)
 
 type result = {
   model : Model.t;
@@ -23,14 +23,7 @@ val check :
   Nvmir.Prog.t ->
   result
 
-val check_paths : Rules.ctx -> Trace.t Seq.t -> Warning.t list
-(** One root's paths through the rule fold, deduplicated by
-    {!Warning.dedup_key} with the first occurrence kept, path by path
-    in {!Rules.Incremental.finish}'s order. Each path resumes from a
-    fold state kept within the prefix it shares with the previous
-    one. *)
-
-(** {1 Per-root streaming results}
+(** {1 Per-root results}
 
     The unit of incremental reuse: a root's warnings and stats depend
     only on its own call-graph closure, so a resident analyzer replays

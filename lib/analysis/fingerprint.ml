@@ -12,7 +12,7 @@
    Combining the two gives a per-function fingerprint; digesting the
    fingerprints of a root's call-graph closure (sorted, so digest
    order is edit-independent) gives the root's closure key. Equal
-   closure key => every input the streaming checker reads while
+   closure key => every input the checker reads while
    enumerating that root is identical => the cached per-root result
    (warning text included — raw node ids were digested) may be
    replayed verbatim.

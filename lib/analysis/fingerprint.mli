@@ -4,7 +4,7 @@
     combined with the function's DSG slice ({!Dsa.Dsg.summary_hash});
     per-root closure key = order-independent digest of the root's
     call-graph closure fingerprints. Equal closure key means every
-    input the streaming checker reads for that root is byte-identical,
+    input the checker reads for that root is byte-identical,
     so a cached {!Checker.per_root} may be replayed verbatim. Tables
     are rebuilt per program build (parse + DSG are linear); comparing
     against the previous table yields the invalidation front. *)

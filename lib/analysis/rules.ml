@@ -7,9 +7,9 @@
    unflushed writes, flushes since the last fence, the open regions,
    ...) and settles a warning at the event that decides it; what
    depends on the rest of the path is settled when the path ends.
-   Every step is a pure function of the state and the next event, so a
-   checker that keeps the states along one path resumes the next path
-   from their shared prefix ([Checker.check_paths]).
+   Every step is a pure function of the state and the next event, so
+   the checker walks each root's expansion tree with the fold as its
+   state ([Trace.walk]) and steps a prefix many paths share once.
    Messages are formatted only on demand. Rule metadata (which models a
    rule applies to, its formal statement) lives in [catalog] so the
    toolkit can print Tables 4 and 5 from the registry itself. *)
@@ -1256,5 +1256,6 @@ module Fold = struct
   let key f =
     (f.rule, f.at.ev.Event.loc.Nvmir.Loc.file, f.at.ev.Event.loc.Nvmir.Loc.line)
 
-  let warnings ctx path founds = to_warnings ctx (lazy (scope_trace path)) founds
+  let warnings ctx path founds =
+    to_warnings ctx (lazy (scope_trace (Lazy.force path))) founds
 end

@@ -2,8 +2,8 @@
     Table 5 (performance bugs). Rule metadata lives in {!catalog} so the
     toolkit can print the tables from the registry itself; the rules run
     as one forward fold over a path's scoped events ({!Fold}), whose
-    persistent state lets a checker resume a path from the prefix it
-    shares with the previous one. *)
+    persistent state lets a walk over many paths step their shared
+    prefixes once. *)
 
 type ctx = { model : Model.t; dsg : Dsa.Dsg.t; tenv : Nvmir.Ty.env }
 
@@ -51,8 +51,7 @@ end
 
     The scoper and every rule's state in one persistent value: the state
     after a path's first [k] events is all the rules need from them, so
-    a checker that keeps states along one path checks the next path by
-    stepping on from their common prefix. *)
+    paths that share those events share that state ({!Trace.walk}). *)
 module Fold : sig
   type t
 
@@ -69,9 +68,9 @@ module Fold : sig
   val key : found -> Warning.rule_id * string * int
   (** {!Warning.dedup_key} of the warning, without formatting it. *)
 
-  val warnings : ctx -> Trace.t -> found list -> Warning.t list
+  val warnings : ctx -> Trace.t Lazy.t -> found list -> Warning.t list
   (** Formats [found]s of the given path, attaching their witnesses
-      from it when capture is on. *)
+      from it when capture is on (the path is forced only then). *)
 end
 
 val scope_trace : Trace.t -> scoped list

@@ -1,40 +1,32 @@
 (* Trace collection (§4.3).
 
-   Phase 1 (intra-procedural): depth-first path enumeration over each
-   function's CFG, bounded by [Config.loop_bound] back-edge traversals
-   and [Config.max_paths] paths. Each path yields one trace whose events
-   are resolved through the DSG; writes and flushes that the DSG proves
-   volatile are dropped, so traces contain only persistent operations.
+   A root's merged traces are the leaves of its expansion tree, which
+   one depth-first walk enumerates. The walk follows the root's CFG —
+   the then branch before the else branch, each back edge taken at most
+   [Config.loop_bound] times per path — and, at each call site, walks
+   the callee the same way and resumes the caller after each of the
+   callee's first [Config.expansion_fanout] complete traces: the
+   callee-major cross-product of Figure 11, each callee trace between
+   a call mark and a return mark. It stops after [Config.max_paths]
+   root leaves. A callee with no path (undefined, or every path cut by
+   the loop bound) keeps its bare call mark.
 
-   Phase 2 (inter-procedural): the call graph is traversed so that
-   callee traces are spliced into caller traces at call sites
-   (Figure 11), bounded by [Config.recursion_bound] on the call chain
-   and [Config.expansion_fanout] callee traces per site. Call/return
-   provenance markers are kept in the merged trace.
+   The walk steps a caller-supplied persistent state once per tree
+   edge, so paths that share a prefix share its steps, and no path
+   exists as a list unless the state builds one ([collect] conses the
+   events; the checker steps the rule fold). The walk recurses at branch
+   points and call sites only; straight-line steps are tail calls.
 
-   Both phases are demand-driven: [stream] enumerates a root's paths
-   lazily — the DFS is a [Seq] whose suspended branch frames share their
-   event-prefix storage, and call-site expansion is a lazy cross-product
-   over memoized callee suffixes — so peak memory is O(live paths), and
-   the checker consumes (and discards) each path as it completes.
-   [collect] forces the same sequences into lists. *)
+   Functions on call cycles are unrolled [Config.recursion_bound] times
+   into materialized trace tables instead (see [plan]). Everything the
+   walk reads is built by [plan] and never written afterwards, so
+   distinct roots may be walked from distinct domains. *)
 
 type t = Event.t list
 
-(* Registry instruments. "Paths expanded" are fully-merged root paths
-   (what the rules consume); memo hits/misses count call-site lookups
-   against the interprocedural memo. *)
 let m_paths =
   Obs.Metrics.counter "trace.paths_expanded"
     ~desc:"fully-expanded root paths handed to the rules"
-
-let m_memo_hits =
-  Obs.Metrics.counter "trace.memo_hits"
-    ~desc:"call-site expansions served from the interprocedural memo"
-
-let m_memo_misses =
-  Obs.Metrics.counter "trace.memo_misses"
-    ~desc:"call-site lookups that had to build (or lacked) a memo entry"
 
 (* Events of one instruction, in order. [Persist] lowers to flush;fence. *)
 let events_of_instr dsg ~fname (i : Nvmir.Instr.t) : Event.t list =
@@ -72,20 +64,25 @@ let events_of_instr dsg ~fname (i : Nvmir.Instr.t) : Event.t list =
   | Nvmir.Instr.Crc_check _ | Nvmir.Instr.Comment _ -> []
 
 (* ------------------------------------------------------------------ *)
-(* Per-block event precomputation.
+(* The shared tables.
 
-   Resolving every instruction through the DSG once per path that
-   crosses its block would cost P×B resolutions of identical results for
-   a function with P paths over B shared blocks (resolution is
-   idempotent after the DSG build: every operand was already resolved
-   during the local phase). Each block is resolved once up front and
-   the walk replays the cached events.
+   Each block is resolved through the DSG once, not once per path that
+   crosses it, and its abstract addresses are hash-consed through a
+   program-wide pool, so the structurally-equal addresses a hot block
+   contributes collapse to one allocation each. Calls are split out of
+   the block's events, each with its call site's return mark. *)
 
-   Abstract addresses are hash-consed through [pool] while caching, so
-   the thousands of structurally-equal addresses a hot block contributes
-   across paths collapse to one allocation each. *)
+type item =
+  | Ev of Event.t
+  | Call of { callee : string; call : Event.t; ret : Event.t }
 
-type block_events = (string, (string, Event.t list) Hashtbl.t) Hashtbl.t
+(* [dst] is the target block's index, -1 when no block has its label *)
+type edge = { dst : int; back : bool }
+type exit = Exit_ret | Goto of edge | Branch of edge * edge
+type node = { items : item list; exit : exit }
+
+(* [nodes.(0)] is the entry block *)
+type fn = { nodes : node array; has_path : bool }
 
 let intern_event pool (e : Event.t) : Event.t =
   let intern a =
@@ -103,214 +100,189 @@ let intern_event pool (e : Event.t) : Event.t =
   | Event.Epoch_end | Event.Strand_begin _ | Event.Strand_end _
   | Event.Call_mark _ | Event.Ret_mark _ -> e
 
-let precompute_block_events dsg prog : block_events =
-  let tables = Hashtbl.create 64 in
-  let pool : (Dsa.Aaddr.t, Dsa.Aaddr.t) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun f ->
-      let fname = Nvmir.Func.name f in
-      let per_block = Hashtbl.create 16 in
-      List.iter
-        (fun (b : Nvmir.Func.block) ->
-          let evs =
-            List.concat_map
-              (fun i ->
-                List.map (intern_event pool) (events_of_instr dsg ~fname i))
-              b.instrs
-          in
-          Hashtbl.replace per_block b.label evs)
-        f.Nvmir.Func.blocks;
-      Hashtbl.replace tables fname per_block)
-    (Nvmir.Prog.funcs prog);
-  tables
-
-(* ------------------------------------------------------------------ *)
-(* Phase 1: enumerate bounded paths through a function's CFG, on demand.
-
-   The DFS runs over an explicit frame stack; pushing the else frame
-   below the then frame gives the recursive order (the whole then
-   subtree completes before the else branch starts). Suspended frames
-   keep their event accumulator as a shared-tail list, so N live
-   branches off one prefix store the prefix once. [stats] observes the
-   high-water mark of live frames — the O(live paths) a root holds
-   instead of O(all paths). The [max_paths] cap is applied by the
-   consumer, after call-site expansion (every path expands to at least
-   one trace, so capping there equals capping here). *)
-
-type stats = {
-  mutable peak_live : int;  (* max simultaneously-live path frames *)
-  mutable paths : int;
-  mutable events : int;  (* non-marker events across yielded paths *)
-}
-
-let fresh_stats () = { peak_live = 0; paths = 0; events = 0 }
-
-(* A frame: CFG label to continue from, reversed events so far, and the
-   back-edge counts this path has used (immutable here — frames outlive
-   the walk that created them, so undo-style sharing cannot work). *)
-type frame = {
-  fr_label : string;
-  fr_acc : Event.t list;
-  fr_edges : ((string * string) * int) list;
-}
-
-let stream_function (events : block_events) (config : Config.t) ~stats
-    (func : Nvmir.Func.t) : t Seq.t =
-  let cfg = Graphs.Cfg.of_func func in
+let node_table dsg pool (f : Nvmir.Func.t) =
+  let fname = Nvmir.Func.name f in
+  let index = Hashtbl.create 16 in
+  List.iteri
+    (fun i (b : Nvmir.Func.block) ->
+      if not (Hashtbl.mem index b.label) then Hashtbl.add index b.label i)
+    f.blocks;
+  let cfg = Graphs.Cfg.of_func f in
   let loops = Graphs.Loops.compute cfg in
-  let per_block = Hashtbl.find_opt events (Nvmir.Func.name func) in
-  let block_evs (block : Nvmir.Func.block) =
-    Option.value ~default:[]
-      (Option.bind per_block (fun t -> Hashtbl.find_opt t block.label))
-  in
-  let note_live depth = if depth > stats.peak_live then stats.peak_live <- depth in
-  (* [depth] tracks the stack length so the high-water mark costs O(1)
-     per push instead of a length scan *)
-  let rec next stack depth () =
-    match stack with
-    | [] -> Seq.Nil
-    | fr :: stack -> (
-      (* live paths right now: the in-flight frame plus the suspended ones *)
-      note_live depth;
-      let depth = depth - 1 in
-      match Graphs.Cfg.block cfg fr.fr_label with
-      | None -> next stack depth ()
-      | Some block ->
-        let acc = List.rev_append (block_evs block) fr.fr_acc in
-        let follow target (stack, depth) =
-          if Graphs.Loops.is_back_edge loops ~source:fr.fr_label ~target then begin
-            let key = (fr.fr_label, target) in
-            let taken =
-              Option.value ~default:0 (List.assoc_opt key fr.fr_edges)
-            in
-            if taken < config.loop_bound then
-              ( {
-                  fr_label = target;
-                  fr_acc = acc;
-                  fr_edges =
-                    (key, taken + 1) :: List.remove_assoc key fr.fr_edges;
-                }
-                :: stack,
-                depth + 1 )
-            else (stack, depth)
-          end
-          else
-            ( { fr_label = target; fr_acc = acc; fr_edges = fr.fr_edges }
-              :: stack,
-              depth + 1 )
-        in
-        (match block.term with
-        | Nvmir.Func.Ret _ -> Seq.Cons (List.rev acc, next stack depth)
-        | Nvmir.Func.Br l ->
-          let stack, depth = follow l (stack, depth) in
-          next stack depth ()
+  let node (b : Nvmir.Func.block) =
+    let edge target =
+      {
+        dst = Option.value ~default:(-1) (Hashtbl.find_opt index target);
+        back = Graphs.Loops.is_back_edge loops ~source:b.label ~target;
+      }
+    in
+    let item (e : Event.t) =
+      match e.kind with
+      | Event.Call_mark callee ->
+        Call
+          {
+            callee;
+            call = e;
+            ret = Event.make ~fname ~loc:e.loc (Event.Ret_mark callee);
+          }
+      | _ -> Ev (intern_event pool e)
+    in
+    {
+      items =
+        List.concat_map
+          (fun i -> List.map item (events_of_instr dsg ~fname i))
+          b.instrs;
+      exit =
+        (match b.term with
+        | Nvmir.Func.Ret _ -> Exit_ret
+        | Nvmir.Func.Br l -> Goto (edge l)
         | Nvmir.Func.Cond_br { then_lbl; else_lbl; _ } ->
-          (* else below then: then's subtree drains first *)
-          let stack, depth =
-            follow then_lbl (follow else_lbl (stack, depth))
-          in
-          next stack depth ()))
+          Branch (edge then_lbl, edge else_lbl));
+    }
   in
-  let entry = { fr_label = Graphs.Cfg.entry cfg; fr_acc = []; fr_edges = [] } in
-  next [ entry ] 1
+  Array.of_list (List.map node f.blocks)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2: splice callee traces into caller traces at call sites.
+(* The walker. *)
 
-   Each call mark is replaced by the cross-product of (at most
-   [expansion_fanout]) callee traces with the expansions of the rest of
-   the trace, callee-major, each spliced between the call mark and a
-   matching return mark. The [max_paths] cap is applied at every
-   combination point, so the cross-product never grows past it. Callee
-   trace sets come from a [lookup] returning re-traversable sequences
-   forced on demand — a spliced trace exists only while the consumer
-   looks at it. A call whose callee has no traces (undefined, or a
-   recursive cycle's not-yet-built entry) keeps its bare call mark. *)
-let expand_lookup (config : Config.t) ~lookup (trace : t) : t Seq.t =
-  let cap = config.max_paths in
-  let rec expand trace : t Seq.t =
-    match trace with
-    | [] -> Seq.return []
-    | ({ Event.kind = Event.Call_mark callee; fname; loc } as ev) :: rest -> (
-      let rests = Seq.memoize (Seq.take cap (expand rest)) in
-      match lookup callee with
-      | Some callee_traces when callee_traces () <> Seq.Nil ->
-        let callee_traces = Seq.take config.expansion_fanout callee_traces in
-        Seq.take cap
-          (Seq.concat_map
-             (fun ct ->
-               Seq.map
-                 (fun r ->
-                   (ev :: ct)
-                   @ (Event.make ~fname ~loc (Event.Ret_mark callee) :: r))
-                 rests)
-             callee_traces)
-      | Some _ | None -> Seq.map (fun r -> ev :: r) rests)
-    | ev :: rest -> Seq.map (fun r -> ev :: r) (expand rest)
-  in
-  Seq.take cap (expand trace)
+(* How a call site expands its callee. *)
+type callee = Bare | Walk of fn | Table of t list
 
-(* ------------------------------------------------------------------ *)
-(* The interprocedural memo.
-
-   Each function's merged traces are a memoized [Seq]: a caller splices
-   only [expansion_fanout] of a callee's traces per call site, so
-   forcing a caller forces just the demanded prefix of each callee's.
-
-   Functions in recursive SCCs are materialized instead, which bounds
-   recursion unrolling as §4.3 describes. Pass 1 expands them in
-   call-graph postorder (callees first, the Figure 11 merge order), each
-   splicing the pass-1 entries built so far — a cycle's back edge finds
-   no entry and keeps its call mark. Passes 2..[recursion_bound] then
-   re-expand every cyclic function from the previous pass's table:
-
-   - [lz_cyclic] is the pass-1 table. Acyclic consumers splice THIS.
-   - the re-expansion passes read the current cyclic table
-     ([materialize]'s [cur]); a cyclic root reads the last pass.
-
-   [lz_seqs] holds suspended computation, so a [lazy_memo] must stay
-   confined to one domain; the tables it shares ([lz_intra],
-   [lz_cyclic]) are frozen before any sequence escapes [stream]. *)
-
-type lazy_memo = {
-  lz_config : Config.t;
-  lz_intra : (string, t list) Hashtbl.t;  (* shared, frozen *)
-  lz_cyclic : (string, t list) Hashtbl.t;  (* shared, frozen *)
-  lz_cyc_set : (string, unit) Hashtbl.t;  (* shared, frozen *)
-  lz_seqs : (string, t Seq.t) Hashtbl.t;  (* per-consumer *)
+type 'a walker = {
+  step : 'a -> Event.t -> 'a;
+  resolve : string -> callee;
+  fanout : int;  (* callee traces per call site *)
+  loop_bound : int;
+  on_visit : int -> unit;
+      (* each visited block, with the frames live at that point: the
+         block's own and the else branches pending above it *)
 }
 
-let rec lazy_entry lm name : t Seq.t option =
-  match Hashtbl.find_opt lm.lz_seqs name with
-  | Some s ->
-    Obs.Metrics.incr m_memo_hits;
-    Some s
-  | None -> (
-    match Hashtbl.find_opt lm.lz_cyclic name with
-    | Some ts ->
-      Obs.Metrics.incr m_memo_hits;
-      Some (List.to_seq ts)
-    | None when Hashtbl.mem lm.lz_cyc_set name ->
-      (* cyclic entry not built yet (later in the postorder pass): keep
-         the call mark — expanding lazily here would recurse through the
-         cycle forever *)
-      Obs.Metrics.incr m_memo_misses;
-      None
-    | None -> (
-      match Hashtbl.find_opt lm.lz_intra name with
-      | None -> None
-      | Some own ->
-        Obs.Metrics.incr m_memo_misses;
-        let s =
-          Seq.memoize
-            (Seq.take lm.lz_config.Config.max_paths
-               (Seq.concat_map (expand_lazy lm) (List.to_seq own)))
-        in
-        Hashtbl.add lm.lz_seqs name s;
-        Some s))
+(* [leaf st n] is called at the end of each of the walked function's
+   paths, [n] counting its non-marker events, and returns false to end
+   the walk; every walk function returns false once a leaf has. [inner]
+   walks the callees. [edges] counts the back edges the path took. *)
+let rec visit w inner fn edges pending i st n leaf =
+  w.on_visit (pending + 1);
+  i < 0 || items w inner fn edges pending i fn.nodes.(i).items st n leaf
 
-and expand_lazy lm (trace : t) : t Seq.t =
-  expand_lookup lm.lz_config ~lookup:(lazy_entry lm) trace
+and items w inner fn edges pending i its st n leaf =
+  match its with
+  | Ev e :: rest -> items w inner fn edges pending i rest (w.step st e) (n + 1) leaf
+  | Call c :: rest -> (
+    let after st n =
+      items w inner fn edges pending i rest (w.step st c.ret) n leaf
+    in
+    match w.resolve c.callee with
+    | Bare -> items w inner fn edges pending i rest (w.step st c.call) n leaf
+    | Walk _ when w.fanout <= 0 -> true
+    | Walk callee ->
+      let taken = ref 0 and stopped = ref false in
+      ignore
+        (visit inner inner callee [] 0 0 (w.step st c.call) n
+           (fun st n ->
+             if after st n then begin
+               incr taken;
+               !taken < w.fanout
+             end
+             else begin
+               stopped := true;
+               false
+             end));
+      not !stopped
+    | Table ts ->
+      let st = w.step st c.call in
+      let rec replay k ts =
+        match ts with
+        | t :: ts when k > 0 ->
+          let rec go st n = function
+            | [] -> after st n
+            | e :: rest ->
+              go (w.step st e) (if Event.is_marker e then n else n + 1) rest
+          in
+          go st n t && replay (k - 1) ts
+        | _ -> true
+      in
+      replay w.fanout ts)
+  | [] -> (
+    let follow e =
+      if not e.back then Some edges
+      else
+        let key = (i, e.dst) in
+        let taken = Option.value ~default:0 (List.assoc_opt key edges) in
+        if taken < w.loop_bound then
+          Some ((key, taken + 1) :: List.remove_assoc key edges)
+        else None
+    in
+    match fn.nodes.(i).exit with
+    | Exit_ret -> leaf st n
+    | Goto e -> (
+      match follow e with
+      | Some edges -> visit w inner fn edges pending e.dst st n leaf
+      | None -> true)
+    | Branch (t, e) -> (
+      match (follow t, follow e) with
+      | Some te, Some ee ->
+        visit w inner fn te (pending + 1) t.dst st n leaf
+        && visit w inner fn ee pending e.dst st n leaf
+      | Some te, None -> visit w inner fn te pending t.dst st n leaf
+      | None, Some ee -> visit w inner fn ee pending e.dst st n leaf
+      | None, None -> true))
+
+(* [fn]'s first [cap] paths, each passed to [leaf] with its non-marker
+   event count. [resolve] expands [fn]'s own call sites, [pass1] its
+   callees'. *)
+let walk_fn (config : Config.t) ~cap ~pass1 ~resolve ~on_visit fn ~step init
+    leaf =
+  let inner =
+    {
+      step;
+      resolve = pass1;
+      fanout = min config.expansion_fanout config.max_paths;
+      loop_bound = config.loop_bound;
+      on_visit = ignore;
+    }
+  in
+  let k = ref 0 in
+  if cap > 0 then
+    ignore
+      (visit { inner with resolve; on_visit } inner fn [] 0 0 init 0
+         (fun st n ->
+           leaf st n;
+           incr k;
+           !k < cap))
+
+(* The number of [fn]'s own CFG paths, up to [cap]: calls left bare. *)
+let count_paths config fn cap =
+  let count = ref 0 in
+  let bare _ = Bare in
+  walk_fn config ~cap ~pass1:bare ~resolve:bare ~on_visit:ignore fn
+    ~step:(fun () _ -> ())
+    ()
+    (fun () _ -> incr count);
+  !count
+
+(* ------------------------------------------------------------------ *)
+(* The plan: every table the walks read, built before any walk.
+
+   Recursion is unrolled [recursion_bound] times. Pass 1 walks the
+   functions on call cycles in call-graph postorder (callees first,
+   the Figure 11 merge order) into trace tables, each reading the pass-1
+   tables built so far — a cycle's back edge finds none and keeps its
+   call mark. Passes 2..[recursion_bound] re-walk every cyclic function,
+   in SCC order, reading the tables as they stand. Call sites in acyclic
+   functions read the pass-1 tables; a cyclic function's own call sites
+   read the tables its last pass saw, which [own] keeps, so a cyclic
+   root walks to exactly its last-pass table. *)
+
+type plan = {
+  config : Config.t;
+  fns : (string, fn) Hashtbl.t;
+  cg : Graphs.Callgraph.t;
+  pass1 : string -> callee;
+  own : (string, string -> callee) Hashtbl.t;  (* cyclic functions *)
+  roots : string list;  (* the default roots *)
+}
 
 (* Functions in recursive SCCs (singleton SCCs only count when
    self-calling). *)
@@ -322,90 +294,110 @@ let cyclic_funcs cg =
       | fs -> fs)
     (Graphs.Callgraph.sccs cg)
 
-(* Intra traces for everything but [skip], plus the materialized cyclic
-   tables: [cyclic_pass1] (what acyclic consumers splice) and
-   [cyclic_cur] (the bounded-unrolling fixpoint, what a cyclic root
-   reads). *)
-let build_lazy events (config : Config.t) prog cg ~skip =
-  let intra = Hashtbl.create 64 in
+let resolve_roots cg prog =
+  match Graphs.Callgraph.roots cg with
+  | [] -> Nvmir.Prog.func_names prog
+  | rs -> rs
+
+(* The roots a rootless [stream] enumerates, in that same order — the
+   serve cache keys its per-root entries off this. *)
+let default_roots prog = resolve_roots (Graphs.Callgraph.of_prog prog) prog
+
+let plan ?(config = Config.default) dsg prog =
+  let pool : (Dsa.Aaddr.t, Dsa.Aaddr.t) Hashtbl.t = Hashtbl.create 256 in
+  let fns = Hashtbl.create 64 in
   List.iter
     (fun f ->
-      let fname = Nvmir.Func.name f in
-      if not (List.mem fname skip) then
-        Hashtbl.replace intra fname
-          (List.of_seq
-             (Seq.take config.max_paths
-                (stream_function events config ~stats:(fresh_stats ()) f))))
+      let fn = { nodes = node_table dsg pool f; has_path = false } in
+      Hashtbl.replace fns (Nvmir.Func.name f)
+        { fn with has_path = count_paths config fn 1 > 0 })
     (Nvmir.Prog.funcs prog);
+  let cg = Graphs.Callgraph.of_prog prog in
   let cyclic = cyclic_funcs cg in
-  let cyc_set : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun f -> Hashtbl.replace cyc_set f ()) cyclic;
-  let cyclic_pass1 : (string, t list) Hashtbl.t = Hashtbl.create 8 in
-  (* shared acyclic consumer: reused across cyclic builds so their
-     acyclic callees expand once; always splices pass-1 cyclic entries *)
-  let shared =
-    {
-      lz_config = config;
-      lz_intra = intra;
-      lz_cyclic = cyclic_pass1;
-      lz_cyc_set = cyc_set;
-      lz_seqs = Hashtbl.create 32;
-    }
+  let is_cyclic = Hashtbl.create 8 in
+  List.iter (fun f -> Hashtbl.replace is_cyclic f ()) cyclic;
+  let acyclic name =
+    match Hashtbl.find_opt fns name with
+    | Some fn when fn.has_path -> Walk fn
+    | Some _ | None -> Bare
   in
-  let materialize cur fname =
-    let lookup name =
-      match Hashtbl.find_opt cur name with
-      | Some ts -> Some (List.to_seq ts)
-      | None -> lazy_entry shared name
+  let reading find name =
+    if Hashtbl.mem is_cyclic name then
+      match find name with Some (_ :: _ as ts) -> Table ts | Some [] | None -> Bare
+    else acyclic name
+  in
+  let pass1_tables = Hashtbl.create 8 in
+  let pass1 = reading (Hashtbl.find_opt pass1_tables) in
+  let own = Hashtbl.create 8 in
+  let walk tables fname =
+    (* the callees' tables as they stand now *)
+    let seen =
+      List.filter_map
+        (fun c ->
+          if Hashtbl.mem is_cyclic c then Some (c, Hashtbl.find_opt tables c)
+          else None)
+        (Graphs.Callgraph.callees cg fname)
     in
-    let own = Option.value ~default:[] (Hashtbl.find_opt intra fname) in
-    List.of_seq
-      (Seq.take config.max_paths
-         (Seq.concat_map (expand_lookup config ~lookup) (List.to_seq own)))
+    let resolve = reading (fun c -> Option.join (List.assoc_opt c seen)) in
+    Hashtbl.replace own fname resolve;
+    let acc = ref [] in
+    walk_fn config ~cap:config.max_paths ~pass1 ~resolve ~on_visit:ignore
+      (Hashtbl.find fns fname)
+      ~step:(fun rev e -> e :: rev)
+      []
+      (fun rev _ -> acc := List.rev rev :: !acc);
+    Hashtbl.replace tables fname (List.rev !acc)
   in
   List.iter
-    (fun fname ->
-      if List.mem fname cyclic && not (List.mem fname skip) then
-        Hashtbl.replace cyclic_pass1 fname (materialize cyclic_pass1 fname))
+    (fun f -> if Hashtbl.mem is_cyclic f then walk pass1_tables f)
     (Graphs.Callgraph.postorder cg);
-  let cyclic_cur = Hashtbl.copy cyclic_pass1 in
-  if cyclic <> [] then
-    for _ = 2 to config.recursion_bound do
-      List.iter
-        (fun fname ->
-          if not (List.mem fname skip) then
-            Hashtbl.replace cyclic_cur fname (materialize cyclic_cur fname))
-        cyclic
-    done;
-  (intra, cyclic_pass1, cyclic_cur, cyc_set)
+  let last = Hashtbl.copy pass1_tables in
+  for _ = 2 to config.recursion_bound do
+    List.iter (walk last) cyclic
+  done;
+  { config; fns; cg; pass1; own; roots = resolve_roots cg prog }
 
-let resolve_roots ~roots cg prog =
-  match roots with
-  | Some rs -> rs
-  | None -> (
-    match Graphs.Callgraph.roots cg with
-    | [] -> Nvmir.Prog.func_names prog
-    | rs -> rs)
-
-(* The root list a rootless [stream] would enumerate, in that
-   same order — the serve cache keys its per-root entries off this. *)
-let default_roots prog =
-  resolve_roots ~roots:None (Graphs.Callgraph.of_prog prog) prog
+let roots p = p.roots
 
 (* ------------------------------------------------------------------ *)
-(* Streaming entry point: one lazy trace sequence per root.
+(* Walking a root. *)
 
-   A root is streamable when nothing calls it (its memo entry would
-   never be read) and it is not part of a recursive cycle (cyclic
-   functions need their materialized previous-pass expansion). Such a
-   root's paths never exist as a list: its intra DFS and call-site
-   expansion are both demand-driven. Non-streamable roots fall back to
-   reading the memo — correct, just not lazy.
+type stats = {
+  mutable peak_live : int;
+  mutable paths : int;
+  mutable events : int;
+}
 
-   Everything mutable (DSG resolution, memo tables, per-block event
-   caches) is built here, before any sequence is returned; forcing the
-   sequences only reads, so distinct roots can be consumed from
-   distinct domains concurrently (after [Dsa.Arena.compress]). *)
+let fresh_stats () = { peak_live = 0; paths = 0; events = 0 }
+
+(* [peak_live] is the high-water mark of live root-CFG frames: the
+   block being walked and the else branches pending above it. A root
+   that is also a callee counts its own paths instead, and a cyclic
+   root its table's traces, as the tables they were read from did. *)
+let walk p root ~step init ~leaf =
+  let config = p.config in
+  let stats = fresh_stats () in
+  (match Hashtbl.find_opt p.fns root with
+  | Some fn ->
+    let own = Hashtbl.find_opt p.own root in
+    walk_fn config ~cap:config.max_paths ~pass1:p.pass1
+      ~resolve:(Option.value ~default:p.pass1 own)
+      ~on_visit:(fun live ->
+        if live > stats.peak_live then stats.peak_live <- live)
+      fn ~step init
+      (fun st n ->
+        Obs.Metrics.incr m_paths;
+        stats.paths <- stats.paths + 1;
+        stats.events <- stats.events + n;
+        leaf st);
+    if own <> None then stats.peak_live <- stats.paths
+    else if Graphs.Callgraph.callers p.cg root <> [] then
+      stats.peak_live <- count_paths config fn config.max_paths
+  | None -> ());
+  stats
+
+(* ------------------------------------------------------------------ *)
+(* The list-level views. *)
 
 type source = { root : string; s_stats : stats; traces : t Seq.t }
 
@@ -413,73 +405,33 @@ type source = { root : string; s_stats : stats; traces : t Seq.t }
 let length trace =
   List.fold_left (fun n e -> if Event.is_marker e then n else n + 1) 0 trace
 
-let stream ?(config = Config.default) ?roots dsg prog : source list =
-  let events = precompute_block_events dsg prog in
-  let cg = Graphs.Callgraph.of_prog prog in
-  let requested = resolve_roots ~roots cg prog in
-  let never_called = Graphs.Callgraph.roots cg in
-  let cyclic = cyclic_funcs cg in
-  let streamable r = List.mem r never_called && not (List.mem r cyclic) in
-  let streamed = List.filter streamable requested in
-  let intra, cyclic_pass1, cyclic_cur, cyc_set =
-    build_lazy events config prog cg ~skip:streamed
+let paths p root =
+  let acc = ref [] in
+  let stats =
+    walk p root ~step:(fun rev e -> e :: rev) [] ~leaf:(fun rev ->
+        acc := List.rev rev :: !acc)
   in
-  let funcs = Nvmir.Prog.funcs prog in
-  List.map
-    (fun r ->
-      let s_stats = fresh_stats () in
-      let count tr =
-        Obs.Metrics.incr m_paths;
-        s_stats.paths <- s_stats.paths + 1;
-        s_stats.events <- s_stats.events + length tr;
-        tr
-      in
-      (* one consumer per root: [lz_seqs] holds suspended state, so
-         distinct roots must not share it across domains *)
-      let lm =
-        {
-          lz_config = config;
-          lz_intra = intra;
-          lz_cyclic = cyclic_pass1;
-          lz_cyc_set = cyc_set;
-          lz_seqs = Hashtbl.create 32;
-        }
-      in
-      let traces =
-        if List.mem r streamed then
-          match List.find_opt (fun f -> Nvmir.Func.name f = r) funcs with
-          | None -> Seq.empty
-          | Some f ->
-            Seq.map count
-              (Seq.take config.max_paths
-                 (Seq.concat_map (expand_lazy lm)
-                    (stream_function events config ~stats:s_stats f)))
-        else if Hashtbl.mem cyc_set r then begin
-          (* a recursive root needs its bounded-unrolling fixpoint,
-             materialized during prepare *)
-          let ts = Option.value ~default:[] (Hashtbl.find_opt cyclic_cur r) in
-          s_stats.peak_live <- List.length ts;
-          Seq.map count (List.to_seq ts)
-        end
-        else begin
-          (* called-from-elsewhere root: lazily expanded like a callee;
-             its intra traces are materialized, so count those as live *)
-          s_stats.peak_live <-
-            List.length
-              (Option.value ~default:[] (Hashtbl.find_opt intra r));
-          match lazy_entry lm r with
-          | None -> Seq.empty
-          | Some s -> Seq.map count s
-        end
-      in
-      { root = r; s_stats; traces })
-    requested
+  (List.rev !acc, stats)
 
-(* Every root's traces, forced into lists. *)
-let collect ?config ?roots dsg prog : (string * t list) list =
+let stream ?config ?roots dsg prog : source list =
+  let p = plan ?config dsg prog in
   List.map
-    (fun src -> (src.root, List.of_seq src.traces))
-    (stream ?config ?roots dsg prog)
+    (fun root ->
+      let s_stats = fresh_stats () in
+      let traces =
+        lazy
+          (let ts, st = paths p root in
+           s_stats.peak_live <- st.peak_live;
+           s_stats.paths <- st.paths;
+           s_stats.events <- st.events;
+           ts)
+      in
+      { root; s_stats; traces = (fun () -> List.to_seq (Lazy.force traces) ()) })
+    (Option.value ~default:p.roots roots)
+
+let collect ?config ?roots dsg prog : (string * t list) list =
+  let p = plan ?config dsg prog in
+  List.map (fun root -> (root, fst (paths p root))) (Option.value ~default:p.roots roots)
 
 let pp ppf (trace : t) =
   Fmt.pf ppf "@[<v 2>trace (%d events)@ %a@]" (List.length trace)

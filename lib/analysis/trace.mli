@@ -1,7 +1,8 @@
-(** Trace collection (§4.3): bounded depth-first path enumeration per
-    function, then memoized splicing of callee traces into callers at
-    call sites (Figure 11). [stream] enumerates a root's paths lazily
-    with O(live paths) peak memory; [collect] forces them into lists. *)
+(** Trace collection (§4.3): one depth-first walk per root over its
+    expansion tree — the root's bounded CFG paths with callee traces
+    spliced in at call sites (Figure 11) — stepping a caller-supplied
+    persistent state once per tree edge. [collect] and [stream] are
+    the list-level views of the same walk. *)
 
 type t = Event.t list
 
@@ -14,16 +15,37 @@ val default_roots : Nvmir.Prog.t -> string list
     call-graph roots, or every function when all are called.
     Incremental callers use this to key per-root cache entries. *)
 
+type plan
+(** Every table a walk reads: per-block events, per-function CFGs and
+    whether each function has a path, and the bounded-unrolling tables
+    of the functions on call cycles. Built once per program; walks
+    only read it, so distinct roots may be walked from distinct domains
+    (compress the arena first — see {!Dsa.Arena.compress}). *)
+
+val plan : ?config:Config.t -> Dsa.Dsg.t -> Nvmir.Prog.t -> plan
+
+val roots : plan -> string list
+(** {!default_roots} of the planned program. *)
+
 type stats = {
   mutable peak_live : int;
-      (** high-water mark of simultaneously-live path frames *)
-  mutable paths : int;  (** paths yielded so far *)
-  mutable events : int;  (** non-marker events across yielded paths *)
+      (** high-water mark of live root-CFG frames: the block walked and
+          the else branches pending above it (a root that is also a
+          callee counts its own CFG paths; a cyclic root its traces) *)
+  mutable paths : int;  (** paths walked *)
+  mutable events : int;  (** non-marker events across walked paths *)
 }
+
+val walk :
+  plan -> string -> step:('a -> Event.t -> 'a) -> 'a -> leaf:('a -> unit) -> stats
+(** [walk plan root ~step init ~leaf] steps [init] along every path of
+    [root]'s expansion tree, in order, and calls [leaf] with the state
+    at the end of each of its first [max_paths] paths. Paths that share
+    a prefix share its steps. An undefined root has no paths. *)
 
 type source = {
   root : string;
-  s_stats : stats;  (** updated as [traces] is forced *)
+  s_stats : stats;  (** filled when [traces] is first forced *)
   traces : t Seq.t;
 }
 
@@ -33,13 +55,9 @@ val stream :
   Dsa.Dsg.t ->
   Nvmir.Prog.t ->
   source list
-(** One lazy trace sequence per root; [roots] defaults to
-    {!default_roots}. All DSG resolution happens before this returns;
-    forcing the sequences only reads shared state, so distinct roots may
-    be consumed from distinct domains (compress the arena first — see
-    {!Dsa.Arena.compress}). Each sequence is
-    single-shot per domain: it shares memoized suffixes internally but
-    the intra-procedural walk restarts if re-forced from the head. *)
+(** One trace sequence per root; [roots] defaults to {!default_roots}.
+    The plan is built before this returns; forcing a sequence walks its
+    root and lists the paths. *)
 
 val collect :
   ?config:Config.t ->
@@ -47,7 +65,7 @@ val collect :
   Dsa.Dsg.t ->
   Nvmir.Prog.t ->
   (string * t list) list
-(** {!stream}, every root's sequence forced into a list. *)
+(** Every root's paths, as lists. *)
 
 val pp : t Fmt.t
 

@@ -1,15 +1,10 @@
 (* A naive reference for trace collection (§4.3), the oracle the
-   streaming engine ([Analysis.Trace.stream]) is checked against: the
-   same bounds applied at the same points, written the plainest way —
-   lists, direct recursion over the call graph, every instruction
-   resolved through the DSG on every path. No memo, no hash-consing, no
-   per-block cache, no recursion unrolling: a call graph with a cycle
-   reachable from the root raises [Cyclic]. *)
-
-exception Cyclic of string
+   walker ([Analysis.Trace]) is checked against: the same bounds applied
+   at the same points, written the plainest way — lists, direct
+   recursion over the call graph, every instruction resolved through the
+   DSG on every path. No per-block cache, no hash-consing, no walker. *)
 
 let take n l = List.filteri (fun i _ -> i < n) l
-
 (* Phase 1: the first [max_paths] paths through [f]'s CFG, depth first
    with the then branch before the else branch, each back edge taken at
    most [loop_bound] times per path. [walk k] returns at most [k]
@@ -49,18 +44,25 @@ let intra (config : Analysis.Config.t) dsg (f : Nvmir.Func.t) =
    the cross-product of the callee's first [expansion_fanout] traces with
    the expansions of the rest of the path, callee-major, the callee
    trace spliced between the call mark and a return mark; a callee
-   without traces (undefined) leaves the bare call mark. [max_paths]
-   caps every combination point. Each callee is expanded once per
-   caller expansion. *)
-let rec expand (config : Analysis.Config.t) dsg prog ~stack fname =
-  if List.mem fname stack then raise (Cyclic fname);
+   without traces (undefined, pathless, or a recursive function whose
+   entry [cur] lacks) leaves the bare call mark. [max_paths] caps every
+   combination point. An acyclic callee is expanded afresh at each of
+   its call sites; a callee on a call cycle is read from [cur] at
+   [fname]'s own call sites, and from [pass1] at the call sites of the
+   acyclic callees it reaches. *)
+let rec expand (config : Analysis.Config.t) dsg prog ~cyclic ~pass1 ~cur fname
+    =
   match Nvmir.Prog.find_func prog fname with
   | None -> []
   | Some f ->
     let cap = config.max_paths in
+    let callee_traces c =
+      if List.mem c cyclic then Option.value ~default:[] (Hashtbl.find_opt cur c)
+      else expand config dsg prog ~cyclic ~pass1 ~cur:pass1 c
+    in
     let callees =
       List.map
-        (fun c -> (c, expand config dsg prog ~stack:(fname :: stack) c))
+        (fun c -> (c, callee_traces c))
         (List.sort_uniq compare (Nvmir.Func.callees f))
     in
     let rec splice = function
@@ -83,17 +85,38 @@ let rec expand (config : Analysis.Config.t) dsg prog ~stack fname =
     in
     take cap (List.concat_map splice (intra config dsg f))
 
-(* Merged traces per root, in the order given. *)
+(* Recursion is unrolled [recursion_bound] times. Pass 1 expands the
+   functions on call cycles in call-graph postorder (callees first),
+   each reading the pass-1 traces built so far, so a cycle's back edge
+   finds none and keeps its call mark. Passes 2..[recursion_bound]
+   re-expand every cyclic function, in SCC order, from the table as it
+   stands. A cyclic root reads the last pass; everything else reads
+   pass 1. *)
 let collect ?(config = Analysis.Config.default) dsg prog roots =
-  List.map (fun r -> (r, expand config dsg prog ~stack:[] r)) roots
-
-(* The roots whose reachable call graph is acyclic. *)
-let acyclic_roots prog roots =
-  let dsg = Dsa.Dsg.build prog in
-  let config = { Analysis.Config.default with max_paths = 1 } in
-  List.filter
+  let cg = Graphs.Callgraph.of_prog prog in
+  let cyclic =
+    List.concat_map
+      (function
+        | [ f ] when not (List.mem f (Graphs.Callgraph.callees cg f)) -> []
+        | fs -> fs)
+      (Graphs.Callgraph.sccs cg)
+  in
+  let expand = expand config dsg prog ~cyclic in
+  let pass1 = Hashtbl.create 8 in
+  List.iter
+    (fun f ->
+      if List.mem f cyclic then
+        Hashtbl.replace pass1 f (expand ~pass1 ~cur:pass1 f))
+    (Graphs.Callgraph.postorder cg);
+  let last = Hashtbl.copy pass1 in
+  for _ = 2 to config.recursion_bound do
+    List.iter
+      (fun f -> Hashtbl.replace last f (expand ~pass1 ~cur:last f))
+      cyclic
+  done;
+  List.map
     (fun r ->
-      match expand config dsg prog ~stack:[] r with
-      | _ -> true
-      | exception Cyclic _ -> false)
+      ( r,
+        if List.mem r cyclic then Option.value ~default:[] (Hashtbl.find_opt last r)
+        else expand ~pass1 ~cur:pass1 r ))
     roots

@@ -1,5 +1,5 @@
 (* Differential suite for the rule fold: [Analysis.Rules] (one forward
-   fold, resumed by the checker from each path's shared prefix) must
+   fold, which the checker steps along each root's expansion tree) must
    report exactly what the whole-path reference evaluator [Ref_rules]
    reports — per path as lists, and per root after first-occurrence
    dedup as full records, witnesses included. *)
@@ -21,6 +21,21 @@ let reference_path ctx t = Ref_rules.run_all ctx (Rules.scope_trace t)
    first occurrence of each dedup key *)
 let reference_root ctx paths =
   Warning.dedup (List.concat_map (reference_path ctx) paths)
+
+(* The fold over a list of paths, each folded from the start, first
+   occurrence of each dedup key kept *)
+let check_paths ctx paths =
+  let seen = Hashtbl.create 16 in
+  List.concat_map
+    (fun path ->
+      let fold = List.fold_left (Rules.Fold.step ctx) Rules.Fold.start path in
+      Rules.Fold.warnings ctx (lazy path)
+        (List.filter
+           (fun f ->
+             let key = Rules.Fold.key f in
+             (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+           (Rules.Fold.close fold)))
+    paths
 
 (* Every function of [prog] as a root under [model]: each path's
    [Incremental.finish] equals the reference's list, and each root's
@@ -153,28 +168,19 @@ let gen_event =
   Event.make ~fname:"main" ~loc:(Nvmir.Loc.make ~file:"random.nvmir" ~line) kind
 
 (* Paths in DFS style: each keeps a random prefix of the one before and
-   continues with fresh events; sometimes the prefix is copied, as the
-   expansion does with its return marks. *)
+   continues with fresh events, so dedup keys recur across paths. *)
 let gen_paths =
   let open QCheck.Gen in
   let* first = list_size (int_range 0 30) gen_event in
   let* rest =
     list_size (int_range 0 5)
-      (triple (int_range 0 30) bool (list_size (int_range 0 15) gen_event))
+      (pair (int_range 0 30) (list_size (int_range 0 15) gen_event))
   in
   return
     (List.rev
        (List.fold_left
-          (fun acc (keep, copy, suffix) ->
-            let prev = List.hd acc in
-            let prefix = List.filteri (fun i _ -> i < keep) prev in
-            let prefix =
-              if copy then
-                List.map
-                  (fun (e : Event.t) -> { e with Event.loc = e.Event.loc })
-                  prefix
-              else prefix
-            in
+          (fun acc (keep, suffix) ->
+            let prefix = List.filteri (fun i _ -> i < keep) (List.hd acc) in
             (prefix @ suffix) :: acc)
           [ first ] rest))
 
@@ -203,16 +209,11 @@ let random_agrees =
                      reference_path ctx t
                      = Rules.Incremental.(finish ctx (feed start t)))
                    paths
-                 && reference_root ctx paths
-                    = Checker.check_paths ctx (List.to_seq paths))
+                 && reference_root ctx paths = check_paths ctx paths)
                Model.all)))
 
 (* ------------------------------------------------------------------ *)
-(* Resuming from the shared prefix *)
-
-let loc line = Nvmir.Loc.make ~file:"resume.nvmir" ~line
-let ev line kind = Event.make ~fname:"main" ~loc:(loc line) kind
-let fld f = Dsa.Aaddr.field 0 f
+(* Stepping shared prefixes once *)
 
 let contains s sub =
   let n = String.length sub in
@@ -221,20 +222,21 @@ let contains s sub =
   in
   at 0
 
-let ctx_of model =
-  let prog = Nvmir.Parser.parse "func main() {\nentry:\n  ret\n}" in
-  { Rules.model; dsg = Dsa.Dsg.build prog; tenv = Nvmir.Prog.tenv prog }
-
-(* [check_paths] on [paths] equals the reference, and reports the
-   events it stepped and resumed *)
-let resumed ~model paths =
-  let ctx = ctx_of model in
+(* The checker on [root] of [prog] equals the reference, and reports
+   the reference's paths, the events it stepped through the fold and
+   the path events it reused from a sibling *)
+let walked ~model prog root =
+  let dsg = Config.build_dsg Config.default prog in
+  let ctx = { Rules.model; dsg; tenv = Nvmir.Prog.tenv prog } in
   Obs.set_enabled true;
   Obs.Metrics.reset ();
   let got =
     Fun.protect
       ~finally:(fun () -> Obs.set_enabled false)
-      (fun () -> Checker.check_paths ctx (List.to_seq paths))
+      (fun () ->
+        match fst (Checker.check_roots ~dsg ~roots:[ root ] ~model prog) with
+        | [ pr ] -> pr.Checker.pr_warnings
+        | _ -> Alcotest.fail "one root checked")
   in
   let counts = Obs.Metrics.snapshot () in
   Obs.Metrics.reset ();
@@ -242,62 +244,39 @@ let resumed ~model paths =
     Option.fold ~none:0 ~some:Obs.Metrics.int_of_value
       (Obs.Metrics.find counts name)
   in
+  let paths = List.assoc root (Ref_trace.collect dsg prog [ root ]) in
   Alcotest.check warnings "checked = reference" (reference_root ctx paths) got;
-  (got, count "rules.events_stepped", count "rules.events_reused")
-
-(* Two paths through a run of calls that diverge right after the last
-   return: the expansion allocates each path's Ret_marks afresh, so
-   only the structural comparison sees that the prefix runs through
-   them. The first path leaves its flush unfenced before the next
-   write; the second fences it. *)
-let test_diverge_after_ret_mark () =
-  let calls () =
-    List.concat
-      (List.init 12 (fun i ->
-           [
-             ev i (Event.Call_mark "g");
-             ev i (Event.Write (fld "a"));
-             ev i (Event.Flush (fld "a", Event.Plain));
-             ev i (Event.Ret_mark "g");
-           ]))
-  in
-  let tail =
-    [
-      ev 20 (Event.Write (fld "b"));
-      ev 21 (Event.Flush (fld "b", Event.Plain));
-    ]
-  in
-  let first = ev 0 (Event.Write (fld "z")) in
-  let p1 = (first :: calls ()) @ tail in
-  let p2 = (first :: calls ()) @ (ev 19 Event.Fence :: tail) in
-  let got, stepped, reused = resumed ~model:Model.Strict [ p1; p2 ] in
-  Alcotest.(check bool) "resumed past a Ret_mark" true (reused > 0);
-  Alcotest.(check int) "every event stepped or resumed"
-    (List.length p1 + List.length p2)
+  let stepped = count "rules.events_stepped"
+  and reused = count "rules.events_reused" in
+  Alcotest.(check int) "every path event stepped or reused"
+    (List.fold_left (fun n p -> n + List.length p) 0 paths)
     (stepped + reused);
-  Alcotest.(check bool) "first path's missing barrier kept" true
-    (List.exists
-       (fun (w : Warning.t) ->
-         w.Warning.rule = Warning.Missing_persist_barrier
-         && w.Warning.loc.Nvmir.Loc.line = 11)
-       got)
+  (got, paths, stepped, reused)
 
-(* A root with a single path resumes nothing. *)
+(* A root with a single path reuses nothing. *)
 let test_single_path () =
-  let p =
-    [
-      ev 1 Event.Tx_begin;
-      ev 2 (Event.Write (fld "a"));
-      ev 3 (Event.Flush (fld "a", Event.Plain));
-      ev 4 (Event.Flush (fld "a", Event.Plain));
-      ev 5 Event.Tx_end;
-      ev 6 (Event.Write (fld "b"));
-    ]
+  let prog =
+    Nvmir.Parser.parse
+      {|
+struct s { a: int, b: int }
+func main() {
+entry:
+  p = alloc pmem s
+  tx_begin           @ resume.nvmir:1
+  store p->a, 1      @ resume.nvmir:2
+  flush exact p->a   @ resume.nvmir:3
+  flush exact p->a   @ resume.nvmir:4
+  tx_end             @ resume.nvmir:5
+  store p->b, 1      @ resume.nvmir:6
+  ret
+}
+|}
   in
   List.iter
     (fun model ->
-      let got, stepped, reused = resumed ~model [ p ] in
-      Alcotest.(check int) "stepped" (List.length p) stepped;
+      let got, paths, stepped, reused = walked ~model prog "main" in
+      Alcotest.(check int) "one path" 1 (List.length paths);
+      Alcotest.(check int) "stepped" (List.length (List.hd paths)) stepped;
       Alcotest.(check int) "reused" 0 reused;
       Alcotest.(check bool) "warned" true (got <> []))
     Model.all
@@ -305,46 +284,60 @@ let test_single_path () =
 (* A warning the fold settles early (the flush of b, the first late
    flush on line 7) shares its dedup key with one it settles later on
    the same line (the late flush of a). The rule lists them by write,
-   so the reference keeps a's, and so must the checker — alone and
-   after a previous path that shares the prefix. *)
+   so the reference keeps a's, and so must the checker — alone, and
+   after a sibling path that shares the prefix and settles b's. *)
+let settled_src ~sibling =
+  Printf.sprintf
+    {|
+struct s { a: int, b: int, c: int }
+func main(n: int) {
+entry:
+  p = alloc pmem s
+  epoch_begin        @ resume.nvmir:1
+  store p->a, 1      @ resume.nvmir:2
+  store p->b, 1      @ resume.nvmir:3
+  epoch_end          @ resume.nvmir:4
+  epoch_begin        @ resume.nvmir:5
+  flush exact p->b   @ resume.nvmir:7
+  %s
+late:
+  flush exact p->a   @ resume.nvmir:7
+  fence              @ resume.nvmir:8
+  ret
+sibling:
+  store p->c, 1      @ resume.nvmir:9
+  ret
+}
+|}
+    (if sibling then "c = n > 0
+  br c, sibling, late" else "br late")
+
 let test_settled_duplicate () =
-  let prefix =
-    [
-      ev 1 Event.Epoch_begin;
-      ev 2 (Event.Write (fld "a"));
-      ev 3 (Event.Write (fld "b"));
-      ev 4 Event.Epoch_end;
-      ev 5 Event.Epoch_begin;
-      ev 7 (Event.Flush (fld "b", Event.Plain));
-    ]
-  in
-  let p =
-    prefix @ [ ev 7 (Event.Flush (fld "a", Event.Plain)); ev 8 Event.Fence ]
-  in
   let late_a (ws : Warning.t list) =
     List.exists
       (fun (w : Warning.t) ->
         w.Warning.rule = Warning.Multiple_writes_at_once
-        && contains w.Warning.message "write to n0.a")
+        && contains w.Warning.message ".a")
       ws
   in
   List.iter
     (fun model ->
-      let got, _, _ = resumed ~model [ p ] in
-      Alcotest.(check bool) "reference duplicate wins" true (late_a got);
-      let got, _, _ =
-        resumed ~model [ prefix @ [ ev 9 (Event.Write (fld "c")) ]; p ]
+      let got, _, _, _ =
+        walked ~model (Nvmir.Parser.parse (settled_src ~sibling:false)) "main"
       in
+      Alcotest.(check bool) "reference duplicate wins" true (late_a got);
+      let got, paths, _, reused =
+        walked ~model (Nvmir.Parser.parse (settled_src ~sibling:true)) "main"
+      in
+      Alcotest.(check int) "two paths" 2 (List.length paths);
+      Alcotest.(check bool) "prefix stepped once" true (reused > 0);
       Alcotest.(check bool) "first path's key kept" false (late_a got))
     [ Model.Epoch; Model.Strand ]
 
-(* A cyclic root (self- or mutually recursive) is read from the
-   materialized unrolling table rather than a lazy expansion; its paths
-   resume all the same. *)
-let test_cyclic_root () =
-  let prog =
-    Nvmir.Parser.parse
-      {|
+(* A self-recursive function and a mutually recursive pair, called
+   from an acyclic driver. *)
+let cyclic_src =
+  {|
 struct s { f: int, g: int }
 func rec_f(p: ptr s, n: int) {
 entry:
@@ -393,13 +386,15 @@ entry:
   ret
 }
 |}
-  in
+
+(* A cyclic root walks its own CFG, reading its callees' unrolling
+   tables, so its paths share their prefix steps like any other root's. *)
+let test_cyclic_root () =
+  let prog = Nvmir.Parser.parse cyclic_src in
   List.iter (fun model -> agree ~what:"rec_f" ~model prog) Model.all;
-  let dsg = Config.build_dsg Config.default prog in
-  let paths = List.assoc "rec_f" (Trace.collect ~roots:[ "rec_f" ] dsg prog) in
+  let _, paths, _, reused = walked ~model:Model.Strict prog "rec_f" in
   Alcotest.(check bool) "several paths" true (List.length paths > 1);
-  let _, _, reused = resumed ~model:Model.Strict paths in
-  Alcotest.(check bool) "prefix resumed" true (reused > 0)
+  Alcotest.(check bool) "prefix stepped once" true (reused > 0)
 
 let suite =
   [
@@ -407,7 +402,6 @@ let suite =
     tc "corpus, capture on" `Quick (corpus_agrees ~witness:true);
     synth_agrees;
     random_agrees;
-    tc "resume: diverge after Ret_mark" `Quick test_diverge_after_ret_mark;
     tc "resume: single path" `Quick test_single_path;
     tc "resume: settled duplicate key" `Quick test_settled_duplicate;
     tc "resume: cyclic root" `Quick test_cyclic_root;

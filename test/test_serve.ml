@@ -1,6 +1,7 @@
 (* The resident analyzer (lib/serve): wire-protocol round-trips, the
    two-level cache's invalidation discipline (a one-function edit
-   re-checks that function's memo-dependent callers and nothing else),
+   re-checks the roots whose call-graph closure holds it and nothing
+   else),
    worker parking, and the QCheck differential that pins the headline
    guarantee — a warm incremental re-check produces warnings
    byte-identical to a cold [Checker.check] of the same text. *)
@@ -124,7 +125,7 @@ let test_edit_invalidates_dependents () =
   check (Alcotest.list Alcotest.string) "only the edited function invalidated"
     [ "leaf" ] o3.Serve.Cache.invalidated;
   check (Alcotest.list Alcotest.string)
-    "only the memo-dependent caller root re-checked" [ "main" ]
+    "only the root that reaches the edit re-checked" [ "main" ]
     o3.Serve.Cache.stale;
   check (Alcotest.list Alcotest.string) "the unrelated root replays" [ "iso" ]
     o3.Serve.Cache.reused;

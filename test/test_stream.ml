@@ -1,5 +1,5 @@
-(* Reference differential tests: the streaming trace engine must
-   enumerate exactly the traces of the naive enumerator in [Ref_trace] —
+(* Reference differential tests: the trace walker must enumerate
+   exactly the traces of the naive enumerator in [Ref_trace] —
    same traces, same order — and the checker must report exactly the
    warnings the reference rules ([Ref_rules]) give over those traces;
    plus behavioural tests for the persistent domain pool. *)
@@ -48,21 +48,18 @@ let agrees ?(config = Analysis.Config.default) ~models prog roots =
             = List.fold_left (fun n t -> n + Analysis.Trace.length t) 0 traces)
        models
 
-(* Every corpus function whose call graph is acyclic, as a root: the
-   scenario drivers, and the callees the memo serves to them. *)
-let corpus_acyclic () =
-  List.filter_map
+(* Every corpus function as a root: the scenario drivers, the callees
+   they reach, and the functions on call cycles. *)
+let corpus_roots () =
+  List.map
     (fun (p : Corpus.Types.program) ->
       let prog = Corpus.Types.parse p in
-      match Ref_trace.acyclic_roots prog (Nvmir.Prog.func_names prog) with
-      | [] -> None
-      | roots -> Some (p, prog, roots))
+      (p, prog, Nvmir.Prog.func_names prog))
     Corpus.Registry.all
 
-(* Warnings and counts on every acyclic corpus root. *)
+(* Warnings and counts on every corpus root. *)
 let test_corpus_warning_sets () =
-  let programs = corpus_acyclic () in
-  if programs = [] then Alcotest.fail "no acyclic corpus root";
+  let programs = corpus_roots () in
   List.iter
     (fun ((p : Corpus.Types.program), prog, roots) ->
       let model = Corpus.Types.model p in
@@ -83,7 +80,7 @@ let test_corpus_warning_sets () =
         r.Analysis.Checker.event_count)
     programs
 
-(* Trace-level equality on every acyclic corpus root. *)
+(* Trace-level equality on every corpus root. *)
 let test_corpus_trace_streams () =
   List.iter
     (fun ((p : Corpus.Types.program), prog, roots) ->
@@ -96,7 +93,7 @@ let test_corpus_trace_streams () =
               p.Corpus.Types.name root (List.length expected)
               (List.length got))
         reference (streamed prog roots))
-    (corpus_acyclic ())
+    (corpus_roots ())
 
 (* The scoping state is persistent: feeding a shared prefix once and
    forking it into two sibling suffixes gives each sibling the warnings
@@ -139,7 +136,30 @@ let test_incremental_rules_agree () =
                 (rendered (feed start sib)) (rendered (feed shared sib_rest)))
             traces)
         (Ref_trace.collect (Dsa.Dsg.build prog) prog roots))
-    (corpus_acyclic ())
+    (corpus_roots ())
+
+(* Recursive programs, every function a root: the bounded unrolling of
+   call cycles matches the reference's, under the default caps and
+   under caps small enough to cut the cyclic tables. *)
+let test_recursive_roots () =
+  let small =
+    { Analysis.Config.default with max_paths = 4; expansion_fanout = 2 }
+  in
+  List.iter
+    (fun (what, src) ->
+      let prog = Nvmir.Parser.parse src in
+      List.iter
+        (fun (caps, config) ->
+          if
+            not
+              (agrees ~config ~models:Analysis.Model.all prog
+                 (Nvmir.Prog.func_names prog))
+          then Alcotest.failf "%s, %s caps: stream differs from reference" what caps)
+        [ ("default", Analysis.Config.default); ("small", small) ])
+    [
+      ("recursion bounded", Test_trace.recursion_src);
+      ("cyclic root", Test_rules_oracle.cyclic_src);
+    ]
 
 let synth_gen ~nfuncs =
   QCheck.make
@@ -155,8 +175,8 @@ let synth_agrees ?config ~models (seed, nfuncs, buggy_fraction_pct) =
   agrees ?config ~models prog (Nvmir.Prog.func_names prog)
 
 (* QCheck: on generated programs of varying shape, with every function
-   as a root (the never-called [main] streams; the rest come from the
-   memo), the stream equals the reference and the checker's warnings
+   as a root (the never-called [main] and the callees it walks into),
+   the stream equals the reference and the checker's warnings
    equal the rules over the reference traces. [main] calls every
    driver, so its thousands-of-events paths reach the default path cap;
    one model keeps the rules' share of the time small. *)
@@ -178,8 +198,8 @@ let test_qcheck_reference_small_caps =
        (synth_gen ~nfuncs:(QCheck.Gen.int_range 4 20))
        (synth_agrees ~config ~models:[ Analysis.Model.Strict ]))
 
-(* Streaming holds fewer live paths than it checks on a branchy
-   program (the engine's reason to exist). *)
+(* The walk holds fewer live frames than the paths it checks on a
+   branchy program: paths exist one at a time, as a branch of the walk. *)
 let branchy_source =
   String.concat "\n"
     ([ "struct s { a: int, b: int, c: int, d: int, e: int, f: int }";
@@ -212,6 +232,82 @@ let test_streaming_peak_paths () =
   if r.Analysis.Checker.peak_paths >= r.Analysis.Checker.trace_count then
     Alcotest.failf "streaming peak %d not below the %d paths checked"
       r.Analysis.Checker.peak_paths r.Analysis.Checker.trace_count
+
+(* The walker recurses at branch points and call sites only: a root
+   with a 20,000-event straight-line body, and one whose path runs
+   through a chain of 8 nested callees with a branch each, are checked
+   on a pool worker domain without exhausting its stack, with the
+   reference's path counts. *)
+let long_body_src =
+  let body =
+    List.init 6667 (fun i ->
+        Printf.sprintf "  store p->a, %d\n  persist exact p->a" i)
+  in
+  String.concat "\n"
+    ([ "struct s { a: int }"; "func main() {"; "entry:"; "  p = alloc pmem s" ]
+    @ body @ [ "  ret"; "}" ])
+
+let nested_calls_src =
+  let func i =
+    [
+      Printf.sprintf "func f%d(p: ptr s, n: int) {" i;
+      "entry:";
+      Printf.sprintf "  store p->a, %d" i;
+      Printf.sprintf "  c = n > %d" i;
+      "  br c, t, e";
+      "t:";
+      (if i < 7 then Printf.sprintf "  call f%d(p, n)" (i + 1) else "  fence");
+      "  persist exact p->a";
+      "  ret";
+      "e:";
+      Printf.sprintf "  store p->b, %d" i;
+      "  persist exact p->b";
+      "  ret";
+      "}";
+    ]
+  in
+  String.concat "\n"
+    (("struct s { a: int, b: int }" :: List.concat_map func (List.init 8 Fun.id))
+    @ [ "func main() {"; "entry:"; "  p = alloc pmem s"; "  call f0(p, 3)";
+        "  ret"; "}" ])
+
+let test_deep_paths_on_worker () =
+  let pool = Pool.create ~size:2 () in
+  let finished = Atomic.make false in
+  let on_worker prog =
+    (* the main domain holds its chunk until a worker has checked *)
+    Pool.map ~chunk:1 pool
+      (fun () ->
+        if Domain.is_main_domain () then begin
+          while not (Atomic.get finished) do
+            Domain.cpu_relax ()
+          done;
+          None
+        end
+        else
+          let r =
+            Analysis.Checker.check ~roots:[ "main" ] ~model:Analysis.Model.Strict
+              prog
+          in
+          Atomic.set finished true;
+          Some r)
+      [ (); () ]
+    |> List.find_map Fun.id
+  in
+  List.iter
+    (fun (what, src) ->
+      Atomic.set finished false;
+      let prog = Nvmir.Parser.parse src in
+      let expected =
+        List.length
+          (List.assoc "main"
+             (Ref_trace.collect (Dsa.Dsg.build prog) prog [ "main" ]))
+      in
+      match on_worker prog with
+      | None -> Alcotest.failf "%s: not checked on a worker" what
+      | Some r -> check Alcotest.int (what ^ " paths") expected r.Analysis.Checker.trace_count)
+    [ ("long body", long_body_src); ("nested calls", nested_calls_src) ];
+  Pool.shutdown pool
 
 (* ------------------------------------------------------------------ *)
 (* Pool behaviour *)
@@ -270,9 +366,11 @@ let suite =
     tc "corpus warning sets" `Quick test_corpus_warning_sets;
     tc "corpus trace streams" `Quick test_corpus_trace_streams;
     tc "incremental rules agree" `Quick test_incremental_rules_agree;
+    tc "recursive roots" `Quick test_recursive_roots;
     test_qcheck_reference;
     test_qcheck_reference_small_caps;
     tc "streaming peak paths" `Quick test_streaming_peak_paths;
+    tc "deep paths on a worker domain" `Quick test_deep_paths_on_worker;
     tc "pool reuse" `Quick test_pool_reuse;
     tc "pool raising worker" `Quick test_pool_raising_worker;
     tc "pool nested submission" `Quick test_pool_nested_submission;

@@ -169,9 +169,10 @@ let test_interprocedural_merge () =
          | _ -> false)
        t)
 
-let test_recursion_bounded () =
-  let src =
-    {|
+(* A self-recursive function whose recursion depth depends on data:
+   only the recursion bound stops its expansion. *)
+let recursion_src =
+  {|
 struct s { f: int, g: int }
 func rec_f(p: ptr s, n: int) {
 entry:
@@ -193,6 +194,9 @@ entry:
   ret
 }
 |}
+
+let test_recursion_bounded () =
+  let src = recursion_src
   in
   (* must terminate and produce bounded traces *)
   let ts = traces_of src "main" in
