@@ -51,9 +51,10 @@ fuzz:
 	dune exec bench/main.exe -- fuzz
 
 # Regenerate the committed benchmark artifacts. Figure 12's numbers are
-# timing-dependent; the inject, recover and fuzz matrices are
-# deterministic for a fixed DEEPMC_BENCH_SEED (default 1). Speed is
-# measured by bench/e2e, not here.
+# timing-dependent. The inject, recover and fuzz matrices are
+# deterministic for a fixed DEEPMC_BENCH_SEED (default 1), and so are
+# their telemetry blocks, which leave out timings and the pool's
+# scheduling counts. Speed is measured by bench/e2e, not here.
 bench-json:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- figure12 --json

@@ -41,7 +41,10 @@ module J = Deepmc.Json_report
 (* The --json sections: [with_telemetry ~json f] runs [f] with the
    metric registry reset and live when [json] is set, and [write_json]
    writes a section's fields plus that registry's snapshot as a
-   "telemetry" block to [file]. *)
+   "telemetry" block to [file]. The block keeps only the instruments a
+   fixed DEEPMC_BENCH_SEED determines: timings ([*_ns]) and the pool's
+   scheduling counts differ run to run, so regenerating an artifact on
+   an unchanged tree would rewrite it. *)
 let with_telemetry ~json f =
   if json then begin
     Obs.Metrics.reset ();
@@ -49,10 +52,17 @@ let with_telemetry ~json f =
   end;
   Fun.protect ~finally:(fun () -> if json then Obs.set_enabled false) f
 
+let seed_determined (name, _) =
+  let base = List.hd (String.split_on_char '{' name) in
+  not
+    (String.ends_with ~suffix:"_ns" base
+    || List.mem base
+         [ "pool.steals"; "pool.worker_claims"; "pool.parks";
+           "pool.queue_depth"; "shadow.lock_contention" ])
+
 let write_json file fields =
-  let j =
-    J.Obj (fields @ [ ("telemetry", J.of_metrics (Obs.Metrics.snapshot ())) ])
-  in
+  let telemetry = List.filter seed_determined (Obs.Metrics.snapshot ()) in
+  let j = J.Obj (fields @ [ ("telemetry", J.of_metrics telemetry) ]) in
   let oc = open_out file in
   Fmt.pf (Format.formatter_of_out_channel oc) "%a@." J.pp j;
   close_out oc;

@@ -83,7 +83,7 @@ let clients_term =
            executing the entry on its own heap under one checker (default \
            1: single-domain).")
 
-let load file =
+let parse file =
   try Ok (Nvmir.Parser.parse_file file) with
   | Nvmir.Parser.Parse_error (m, line) ->
     Error (`Msg (Fmt.str "%s:%d: %s" file line m))
@@ -98,6 +98,8 @@ let validated prog =
          (Fmt.str "invalid program:@ %a"
             Fmt.(list ~sep:(any "@ ") Nvmir.Prog.pp_error)
             errs))
+
+let load file = Result.bind (parse file) validated
 
 (* Analysis roots must name defined functions: an undefined root has no
    paths, so its "0 warnings" would mean nothing was checked. *)
@@ -313,7 +315,6 @@ let check_cmd =
         run_connected ~sock ~file ~model ~config ~json
     | None ->
     let* prog = load file in
-    let* prog = validated prog in
     Option.iter Pool.set_default_size domains;
     obs_setup ~metrics_json ~trace_out;
     let driver =
@@ -421,7 +422,6 @@ let check_mixed_cmd =
   let run file map_file =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     let* map = parse_map map_file in
     let* roots = defined_roots prog (List.map fst map) in
     let model_of root =
@@ -460,7 +460,6 @@ let fix_cmd =
   let run model file out =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     let fixed, outcomes, remaining =
       Deepmc.Autofix.fix_until_clean ~model prog
     in
@@ -494,7 +493,6 @@ let dsg_cmd =
   let run file func =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     let dsg = Dsa.Dsg.build prog in
     let funcs =
       match func with
@@ -525,7 +523,6 @@ let cfg_cmd =
   let run file func callgraph =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     if callgraph then begin
       print_string
         (Graphs.Dot.of_callgraph (Graphs.Callgraph.of_prog prog) prog);
@@ -558,7 +555,6 @@ let trace_cmd =
   let run file root =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     let* roots =
       match root with
       | None -> Ok None
@@ -641,6 +637,19 @@ let corpus_cmd =
     (Cmd.info "corpus" ~doc)
     Term.(term_result (const run $ name_term $ corpus_json_term))
 
+(* The crash and recovery commands' one recorded run of [entry], once
+   it and the [recovery] entry (when given) are defined; a run that
+   fails is a CLI error naming the entry. *)
+let recorded ~entry ?recovery prog =
+  let undefined f = Nvmir.Prog.find_func prog f = None in
+  let error what f = Error (`Msg (Fmt.str "%s %s not defined" what f)) in
+  match recovery with
+  | _ when undefined entry -> error "entry" entry
+  | Some r when undefined r -> error "recovery entry" r
+  | _ ->
+    Deepmc.Driver.run_entry (fun () -> Runtime.Crash_space.record ~entry prog)
+    |> Result.map_error (fun e -> `Msg (Fmt.str "entry %s: %s" entry e))
+
 (* The crash and recovery commands' shared arguments. *)
 let entry_req =
   Arg.(
@@ -680,50 +689,45 @@ let crash_explore_cmd =
       trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     obs_setup ~metrics_json ~trace_out;
-    match Nvmir.Prog.find_func prog entry with
-    | None -> Error (`Msg (Fmt.str "entry %s not defined" entry))
-    | Some _ ->
-      let r =
-        Deepmc.Crash_sweep.explore_program ?domains ~bound ~seed ~entry prog
-      in
-      let* recovery =
-        if not recover then Ok None
-        else if Nvmir.Prog.find_func prog "recover" = None then
-          Error (`Msg "--recover: no `recover' function defined")
-        else
-          Ok (Some (Recover.verify ~entry ~bound ~seed prog))
-      in
-      (match (json, recovery) with
-      | true, None ->
-        Fmt.pr "%a@." Deepmc.Json_report.pp
-          (Deepmc.Json_report.of_crash_space r)
-      | true, Some rv ->
-        Fmt.pr "%a@." Deepmc.Json_report.pp
-          (Deepmc.Json_report.Obj
-             [
-               ("crash_space", Deepmc.Json_report.of_crash_space r);
-               ("recovery", Deepmc.Json_report.of_recovery rv);
-             ])
-      | false, None -> Fmt.pr "%a@." Runtime.Crash_space.pp_report r
-      | false, Some rv ->
-        Fmt.pr "%a@.%a@." Runtime.Crash_space.pp_report r Recover.pp_report
-          rv);
-      obs_write ~metrics_json ~trace_out;
-      let recovery_warnings =
-        match recovery with
-        | Some rv -> List.length rv.Recover.warnings
-        | None -> 0
-      in
-      if r.Runtime.Crash_space.inconsistent > 0 then
-        Error
-          (`Msg
-             (Fmt.str "%d inconsistent crash image(s)"
-                r.Runtime.Crash_space.inconsistent))
-      else if recovery_warnings > 0 then
-        Error (`Msg (Fmt.str "%d recovery warning(s)" recovery_warnings))
-      else Ok ()
+    let recovery = if recover then Some "recover" else None in
+    let* recording = recorded ~entry ?recovery prog in
+    let r =
+      Deepmc.Crash_sweep.explore_recording ?domains ~bound ~seed recording
+    in
+    let recovery =
+      Option.map
+        (fun recovery_entry ->
+          Recover.verify_recording ~recovery_entry ~bound ~seed prog recording)
+        recovery
+    in
+    let module J = Deepmc.Json_report in
+    (match recovery with
+    | None when json -> Fmt.pr "%a@." J.pp (J.of_crash_space r)
+    | Some rv when json ->
+      Fmt.pr "%a@." J.pp
+        (J.Obj
+           [
+             ("crash_space", J.of_crash_space r);
+             ("recovery", J.of_recovery rv);
+           ])
+    | _ ->
+      Fmt.pr "%a@." Runtime.Crash_space.pp_report r;
+      Option.iter (Fmt.pr "%a@." Recover.pp_report) recovery);
+    obs_write ~metrics_json ~trace_out;
+    let recovery_warnings =
+      Option.fold ~none:0
+        ~some:(fun rv -> List.length rv.Recover.warnings)
+        recovery
+    in
+    if r.Runtime.Crash_space.inconsistent > 0 then
+      Error
+        (`Msg
+           (Fmt.str "%d inconsistent crash image(s)"
+              r.Runtime.Crash_space.inconsistent))
+    else if recovery_warnings > 0 then
+      Error (`Msg (Fmt.str "%d recovery warning(s)" recovery_warnings))
+    else Ok ()
   in
   let doc =
     "Enumerate the durable images reachable at every crash point (any \
@@ -754,19 +758,11 @@ let recover_cmd =
       metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     obs_setup ~metrics_json ~trace_out;
-    let* () =
-      if Nvmir.Prog.find_func prog entry = None then
-        Error (`Msg (Fmt.str "entry %s not defined" entry))
-      else if Nvmir.Prog.find_func prog recovery_entry = None then
-        Error
-          (`Msg (Fmt.str "recovery entry %s not defined" recovery_entry))
-      else Ok ()
-    in
+    let* recording = recorded ~entry ~recovery:recovery_entry prog in
     let r =
-      Recover.verify ~entry ~recovery_entry ~bound ~seed
-        ~corrupt:(not no_corrupt) ~model prog
+      Recover.verify_recording ~recovery_entry ~bound ~seed
+        ~corrupt:(not no_corrupt) ~model prog recording
     in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp (Deepmc.Json_report.of_recovery r)
@@ -794,7 +790,7 @@ let fmt_cmd =
   in
   let run file in_place =
     let ( let* ) = Result.bind in
-    let* prog = load file in
+    let* prog = parse file in
     let text = Fmt.str "%a@." Nvmir.Prog.pp prog in
     if in_place then begin
       let oc = open_out file in
@@ -1038,7 +1034,7 @@ let fuzz_cmd =
                   (String.concat ", "
                      (List.map fst Workloads.Fuzz_targets.all)))))
       | None, Some file ->
-        let* prog = load file in
+        let* prog = parse file in
         Ok (Filename.basename file, prog)
       | Some _, Some _ -> Error (`Msg "choose a FILE or --workload, not both")
       | None, None -> Error (`Msg "a FILE or --workload is required")
@@ -1156,7 +1152,6 @@ let explain_cmd =
       recovery_entry seed json html metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    let* prog = validated prog in
     obs_setup ~metrics_json ~trace_out;
     Analysis.Witness.set_enabled true;
     let driver = Deepmc.Driver.make model in

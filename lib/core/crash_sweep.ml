@@ -4,12 +4,15 @@
    is an independent read of it, which is exactly the shape [Pool.map]
    wants. *)
 
-let explore_program ?domains ?bound ?seed ?oracle ?(entry = "main")
-    ?(args = []) prog =
-  let recording = Runtime.Crash_space.record ~entry ~args prog in
+let explore_recording ?domains ?bound ?seed ?oracle recording =
   let crash_points = Runtime.Crash_space.count_points recording in
   Pool.map ?domains (Pool.default ())
     (fun task ->
       Runtime.Crash_space.explore_task ?bound ?seed ?oracle ~task recording)
     (Runtime.Crash_space.tasks ~crash_points)
   |> Runtime.Crash_space.summarize ~crash_points
+
+let explore_program ?domains ?bound ?seed ?oracle ?(entry = "main")
+    ?(args = []) prog =
+  explore_recording ?domains ?bound ?seed ?oracle
+    (Runtime.Crash_space.record ~entry ~args prog)

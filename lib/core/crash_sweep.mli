@@ -1,8 +1,17 @@
-(** Crash-image exploration of whole programs: runs each program once
-    into a {!Runtime.Crash_space.recording} and fans its tasks (one per
-    crash point plus exit) out over the shared {!Pool}. Domains share
-    only the immutable recording. This is the only program-level crash
-    explorer; with [~domains:1] it runs sequentially. *)
+(** Crash-image exploration of whole programs: fans the tasks of a
+    {!Runtime.Crash_space.recording} (one per crash point plus exit)
+    out over the shared {!Pool}, whose domains share only that
+    immutable recording. With [~domains:1] it runs sequentially. *)
+
+val explore_recording :
+  ?domains:int ->
+  ?bound:int ->
+  ?seed:int ->
+  ?oracle:Runtime.Crash_space.oracle ->
+  Runtime.Crash_space.recording ->
+  Runtime.Crash_space.report
+(** Every crash point of a recorded run plus its exit, summarized;
+    [oracle] defaults to [Sequential]. *)
 
 val explore_program :
   ?domains:int ->
@@ -13,6 +22,5 @@ val explore_program :
   ?args:int list ->
   Nvmir.Prog.t ->
   Runtime.Crash_space.report
-(** Explore every crash point of one program plus its exit and
-    summarize them; [entry] defaults to ["main"] and [oracle] to
-    [Sequential]. *)
+(** {!explore_recording} of a fresh recording; [entry] defaults to
+    ["main"]. *)

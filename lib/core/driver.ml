@@ -6,8 +6,8 @@
      2. collects interprocedural traces,
      3. builds the DSG,
      4. applies the static checking rules,
-     5. (optionally) instruments and executes the program with the
-        runtime library attached,
+     5. (optionally) instruments and executes the program once with the
+        runtime library attached, recording the run for the crash tiers,
      6. performs the online checks,
    and merges the static and dynamic warnings into one report. *)
 
@@ -35,7 +35,9 @@ type report = {
   dynamic_warnings : Analysis.Warning.t list;
   warnings : Analysis.Warning.t list; (* merged, deduplicated *)
   crash_space : Runtime.Crash_space.report option;
+  crash_skipped : string option;
   recovery : Recover.report option;
+  recovery_skipped : string option;
   elapsed_static : float;
   elapsed_dynamic : float;
 }
@@ -46,68 +48,73 @@ type report = {
    (and Shadow.key rejects ids beyond its field width). *)
 let client_obj_id_stride = 1 lsl 20
 
-let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
-  match entry with
-  | None -> (Dynamic_skipped "no entry point", [])
-  | Some entry -> (
-    match Nvmir.Prog.find_func prog entry with
-    | None -> (Dynamic_skipped (Fmt.str "entry %s not defined" entry), [])
-    | Some _ when clients <= 1 -> (
-      let pmem = Runtime.Pmem.create () in
-      let checker = Runtime.Dynamic.create ~model:t.model () in
-      Runtime.Dynamic.attach checker pmem;
-      let interp = Runtime.Interp.create ~pmem prog in
-      try
-        ignore (Runtime.Interp.run ~entry ?args interp);
-        (Dynamic_ok (Runtime.Dynamic.summary checker),
-         Runtime.Dynamic.warnings checker)
-      with
-      | Runtime.Interp.Runtime_error (m, loc) ->
-        ( Dynamic_skipped
-            (Fmt.str "runtime error at %a: %s" Nvmir.Loc.pp loc m),
-          Runtime.Dynamic.warnings checker )
-      | Runtime.Interp.Out_of_fuel ->
-        (Dynamic_skipped "execution exceeded fuel budget",
-         Runtime.Dynamic.warnings checker))
-    | Some _ ->
-      (* N client domains execute the entry concurrently, each on its own
-         heap, observed by one checker through client-bound listeners.
-         The program and type env are read-only after parse, so sharing
-         them across domains is safe. *)
-      let checker = Runtime.Dynamic.create ~model:t.model () in
-      let failures =
-        Pool.map ~domains:clients ~chunk:1 (Pool.default ())
-          (fun c ->
-            let pmem =
-              Runtime.Pmem.create
-                ~first_obj_id:(c * client_obj_id_stride)
-                ~obj_id_limit:((c + 1) * client_obj_id_stride)
-                ()
-            in
-            Runtime.Dynamic.attach_client checker ~thread:c pmem;
-            let interp = Runtime.Interp.create ~pmem prog in
-            try
-              ignore (Runtime.Interp.run ~entry ?args interp);
-              None
-            with
-            | Runtime.Interp.Runtime_error (m, loc) ->
-              Some
-                (Fmt.str "client %d: runtime error at %a: %s" c Nvmir.Loc.pp
-                   loc m)
-            | Runtime.Interp.Out_of_fuel ->
-              Some (Fmt.str "client %d: execution exceeded fuel budget" c))
-          (List.init clients Fun.id)
-        |> List.filter_map Fun.id
-      in
-      let ws = Runtime.Dynamic.warnings checker in
-      (match failures with
-      | [] -> (Dynamic_ok (Runtime.Dynamic.summary checker), ws)
-      | first :: _ -> (Dynamic_skipped first, ws)))
+(* The one handler for a forward run that fails. *)
+let run_entry f =
+  try Ok (f ()) with
+  | Runtime.Interp.Runtime_error (m, loc) ->
+    Error (Fmt.str "runtime error at %a: %s" Nvmir.Loc.pp loc m)
+  | Runtime.Interp.Out_of_fuel -> Error "execution exceeded fuel budget"
 
-(* Analyze a program. [entry]/[args] drive the optional dynamic run. *)
-let analyze (t : t) ?roots ?entry ?args ?clients
+let run_on ~attach ~entry ?args prog pmem =
+  attach pmem;
+  let interp = Runtime.Interp.create ~pmem prog in
+  run_entry (fun () -> ignore (Runtime.Interp.run ~entry ?args interp))
+
+(* N client domains execute the entry concurrently, each on its own
+   heap, observed by one checker through client-bound listeners. The
+   program and type env are read-only after parse, so sharing them
+   across domains is safe. The first failing client's reason wins. *)
+let run_clients checker ~entry ?args ~clients prog =
+  Pool.map ~domains:clients ~chunk:1 (Pool.default ())
+    (fun c ->
+      Runtime.Pmem.create
+        ~first_obj_id:(c * client_obj_id_stride)
+        ~obj_id_limit:((c + 1) * client_obj_id_stride)
+        ()
+      |> run_on ~attach:(Runtime.Dynamic.attach_client checker ~thread:c)
+           ~entry ?args prog
+      |> Result.map_error (Fmt.str "client %d: %s" c))
+    (List.init clients Fun.id)
+  |> List.fold_left (fun acc r -> Result.bind acc (fun () -> r)) (Ok ())
+
+(* The forward execution of [entry], once per analysis: [recorded] (a
+   crash or recovery tier is on) with the dynamic checker riding on the
+   recording, plainly otherwise. A multi-client dynamic run executes on
+   its own and the crash tiers get a separate single-client recording.
+   Returns the dynamic outcome, its warnings (those stored before a
+   failed run stopped included) and the recording or the failure. *)
+let execute (t : t) ~entry ?args ~clients ~recorded prog =
+  let checker = Runtime.Dynamic.create ~model:t.model () in
+  let single = clients <= 1 in
+  let attach =
+    if t.run_dynamic && single then Runtime.Dynamic.attach checker else ignore
+  in
+  let recording =
+    if recorded then
+      Some
+        (run_entry (fun () ->
+             Runtime.Crash_space.record ~attach ~entry ?args prog))
+    else None
+  in
+  let run =
+    match recording with
+    | Some r when single -> Result.map ignore r
+    | _ when not t.run_dynamic -> Ok ()
+    | _ when single -> run_on ~attach ~entry ?args prog (Runtime.Pmem.create ())
+    | _ -> run_clients checker ~entry ?args ~clients prog
+  in
+  let dynamic =
+    match run with
+    | _ when not t.run_dynamic -> Dynamic_skipped "dynamic analysis disabled"
+    | Ok () -> Dynamic_ok (Runtime.Dynamic.summary checker)
+    | Error reason -> Dynamic_skipped reason
+  in
+  (dynamic, Runtime.Dynamic.warnings checker, recording)
+
+(* Analyze a program. [entry]/[args] drive the optional forward run. *)
+let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
     ?(explore_crash_images = false) ?crash_bound ?seed
-    ?(verify_recovery = false) ?recovery_entry prog : report =
+    ?(verify_recovery = false) ?(recovery_entry = "recover") prog : report =
   Log.info (fun m ->
       m "analyzing %d function(s) against the %a model (%a)"
         (List.length (Nvmir.Prog.funcs prog))
@@ -123,11 +130,19 @@ let analyze (t : t) ?roots ?entry ?args ?clients
         static.Analysis.Checker.trace_count static.Analysis.Checker.event_count
         (List.length static.Analysis.Checker.warnings)
         (Clock.span_s t0 t1 *. 1000.));
-  let dynamic, dyn_warnings =
-    if t.run_dynamic then
+  let defined f = Nvmir.Prog.find_func prog f <> None in
+  let verify_recovery = verify_recovery && defined recovery_entry in
+  let recorded = explore_crash_images || verify_recovery in
+  let dynamic, dyn_warnings, recording =
+    match entry with
+    | Some entry when (t.run_dynamic || recorded) && defined entry ->
       Obs.Span.with_ ~name:"dynamic-check" (fun () ->
-          run_dynamic_analysis t ?entry ?args ?clients prog)
-    else (Dynamic_skipped "dynamic analysis disabled", [])
+          execute t ~entry ?args ~clients ~recorded prog)
+    | _ when not t.run_dynamic ->
+      (Dynamic_skipped "dynamic analysis disabled", [], None)
+    | None -> (Dynamic_skipped "no entry point", [], None)
+    | Some entry ->
+      (Dynamic_skipped (Fmt.str "entry %s not defined" entry), [], None)
   in
   let t2 = Clock.now () in
   (match dynamic with
@@ -137,51 +152,36 @@ let analyze (t : t) ?roots ?entry ?args ?clients
           (List.length dyn_warnings)
           (Clock.span_s t1 t2 *. 1000.))
   | Dynamic_skipped reason -> Log.debug (fun m -> m "dynamic skipped: %s" reason));
+  (* A requested crash tier reads the one recording, or is skipped
+     with the forward run's failure as its reason. *)
+  let tier requested name pp f =
+    match (requested, recording) with
+    | true, Some (Ok r) ->
+      let report = f r in
+      Log.info (fun m -> m "%s: %a" name pp report);
+      (Some report, None)
+    | true, Some (Error reason) -> (None, Some reason)
+    | _ -> (None, None)
+  in
   (* The recovery tier: every reachable crash image, corrupted under
      the media model, run through the program's recovery entry. Its
      warnings join the merged stream like the dynamic tier's. *)
-  let recovery =
-    match (verify_recovery, entry) with
-    | false, _ | _, None -> None
-    | true, Some entry ->
-      let rentry = Option.value recovery_entry ~default:"recover" in
-      if
-        Nvmir.Prog.find_func prog entry = None
-        || Nvmir.Prog.find_func prog rentry = None
-      then None
-      else begin
-        let r =
-          Obs.Span.with_ ~name:"recover-verify" (fun () ->
-              Recover.verify ~entry ?args ~recovery_entry:rentry
-                ?bound:crash_bound ?seed ~model:t.model prog)
-        in
-        Log.info (fun m -> m "recovery: %a" Recover.pp_report r);
-        Some r
-      end
-  in
-  let recovery_warnings =
-    match recovery with Some r -> r.Recover.warnings | None -> []
+  let recovery, recovery_skipped =
+    tier verify_recovery "recovery" Recover.pp_report
+      (Recover.verify_recording ~recovery_entry ?bound:crash_bound ?seed
+         ~model:t.model prog)
   in
   let warnings =
     Analysis.Warning.dedup
-      (static.Analysis.Checker.warnings @ dyn_warnings @ recovery_warnings)
+      (static.Analysis.Checker.warnings @ dyn_warnings
+      @ Option.fold ~none:[] ~some:(fun r -> r.Recover.warnings) recovery)
     |> Analysis.Warning.sort
   in
-  let crash_space =
-    match (explore_crash_images, entry) with
-    | false, _ | _, None -> None
-    | true, Some entry ->
-      if Nvmir.Prog.find_func prog entry = None then None
-      else begin
-        let r =
-          Obs.Span.with_ ~name:"crash-explore" (fun () ->
-              Crash_sweep.explore_program ?bound:crash_bound ?seed ~entry
-                ?args prog)
-        in
-        Log.info (fun m ->
-            m "crash space: %a" Runtime.Crash_space.pp_report r);
-        Some r
-      end
+  let crash_space, crash_skipped =
+    tier explore_crash_images "crash space" Runtime.Crash_space.pp_report
+      (fun r ->
+        Obs.Span.with_ ~name:"crash-explore" (fun () ->
+            Crash_sweep.explore_recording ?bound:crash_bound ?seed r))
   in
   {
     model = t.model;
@@ -190,7 +190,9 @@ let analyze (t : t) ?roots ?entry ?args ?clients
     dynamic_warnings = dyn_warnings;
     warnings;
     crash_space;
+    crash_skipped;
     recovery;
+    recovery_skipped;
     elapsed_static = Clock.span_s t0 t1;
     elapsed_dynamic = Clock.span_s t1 t2;
   }
@@ -225,14 +227,17 @@ let pp_report ppf r =
     | Dynamic_ok s -> Runtime.Dynamic.pp_summary ppf s
     | Dynamic_skipped reason -> Fmt.pf ppf "skipped (%s)" reason
   in
+  let pp_skipped name ppf =
+    Option.iter (Fmt.pf ppf "@ %s: skipped (%s)" name)
+  in
   let pp_crash_space ppf = function
-    | None -> ()
+    | None -> pp_skipped "crash space" ppf r.crash_skipped
     | Some cs ->
       Fmt.pf ppf "@ crash space: %a" Report.pp_crash_score
         (Report.crash_score cs)
   in
   let pp_recovery ppf = function
-    | None -> ()
+    | None -> pp_skipped "recovery" ppf r.recovery_skipped
     | Some (rv : Recover.report) ->
       Fmt.pf ppf
         "@ recovery: %d image(s), %d corruption(s): %d restored, %d \

@@ -248,6 +248,11 @@ let of_metric_value = function
 let of_metrics samples =
   Obj (List.map (fun (name, v) -> (name, of_metric_value v)) samples)
 
+(* A tier that was not requested is null; one skipped names why. *)
+let skipped = function
+  | Some reason -> Obj [ ("skipped", String reason) ]
+  | None -> Null
+
 let of_report (r : Driver.report) =
   Obj
     [
@@ -277,11 +282,11 @@ let of_report (r : Driver.report) =
       ( "crash_space",
         match r.Driver.crash_space with
         | Some cs -> of_crash_space cs
-        | None -> Null );
+        | None -> skipped r.Driver.crash_skipped );
       ( "recovery",
         match r.Driver.recovery with
         | Some rv -> of_recovery rv
-        | None -> Null );
+        | None -> skipped r.Driver.recovery_skipped );
       ("metrics", of_metrics (Obs.Metrics.snapshot ()));
     ]
 

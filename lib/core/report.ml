@@ -77,26 +77,6 @@ let pp_expectation ppf e =
     e.file e.line e.description pp_location_kind e.location_kind
     (if e.validated then "" else ", benign")
 
-let pp_score ppf s =
-  Fmt.pf ppf
-    "@[<v>validated/warnings: %d/%d@ matched: %d, missed: %d, unexpected: %d%a%a@]"
-    (validated_count s) (warning_count s) (List.length s.matched)
-    (List.length s.missed)
-    (List.length s.unexpected)
-    Fmt.(
-      if s.missed = [] then nop
-      else
-        any "@ missed:@ "
-        ++ list ~sep:(any "@ ") (fun ppf e -> Fmt.pf ppf "  %a" pp_expectation e))
-    s.missed
-    Fmt.(
-      if s.unexpected = [] then nop
-      else
-        any "@ unexpected:@ "
-        ++ list ~sep:(any "@ ") (fun ppf w ->
-               Fmt.pf ppf "  %a" Analysis.Warning.pp w))
-    s.unexpected
-
 (* Crash-space exploration condensed for scoring/reporting: the four
    numbers that say how thoroughly the image space was covered and
    whether anything inconsistent survives in it. *)

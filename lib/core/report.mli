@@ -49,7 +49,6 @@ val false_positive_count : score -> int
 val recall : score -> float
 val pp_location_kind : location_kind Fmt.t
 val pp_expectation : expectation Fmt.t
-val pp_score : score Fmt.t
 
 (** {1 Crash-space scoring} *)
 

@@ -6,8 +6,6 @@
 (* A cursor: function name, block label, and index within the block. *)
 type cursor = { in_func : string; in_block : string; index : int }
 
-let pp_cursor ppf c = Fmt.pf ppf "%s/%s[%d]" c.in_func c.in_block c.index
-
 (* Find the first instruction whose location matches [loc] and satisfies
    [pred] (kind filters disambiguate warnings on unannotated code, where
    many instructions share [Loc.none]). *)

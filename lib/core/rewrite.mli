@@ -4,8 +4,6 @@
 
 type cursor = { in_func : string; in_block : string; index : int }
 
-val pp_cursor : cursor Fmt.t
-
 val find_at_loc :
   ?pred:(Nvmir.Instr.t -> bool) ->
   Nvmir.Prog.t ->

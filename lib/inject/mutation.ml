@@ -57,8 +57,6 @@ let operator_name = function
 let operator_of_string s =
   List.find_opt (fun o -> String.equal (operator_name o) s) all_operators
 
-let pp_operator ppf o = Fmt.string ppf (operator_name o)
-
 type tier = Static_tier | Dynamic_tier | Recovery_tier
 
 let tier_name = function

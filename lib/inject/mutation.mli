@@ -26,7 +26,6 @@ type operator =
 val all_operators : operator list
 val operator_name : operator -> string
 val operator_of_string : string -> operator option
-val pp_operator : operator Fmt.t
 
 (** The detector tier expected to catch the operator's mutants: every
     class except strand splitting is in the static rules' scope, and

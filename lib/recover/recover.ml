@@ -246,8 +246,8 @@ let warnings_of ~model ~recovery_entry ~fn heap_name checks =
 (* ------------------------------------------------------------------ *)
 (* Driver *)
 
-let verify ?entry ?args ?(recovery_entry = "recover") ?bound
-    ?(seed = 1) ?(corrupt = true) ?(model = Analysis.Model.Strict) prog =
+let verify_recording ?(recovery_entry = "recover") ?bound ?(seed = 1)
+    ?(corrupt = true) ?(model = Analysis.Model.Strict) prog recording =
   Obs.Span.with_ ~name:"recover-verify" ~args:[ ("entry", recovery_entry) ]
   @@ fun () ->
   let fn =
@@ -257,42 +257,28 @@ let verify ?entry ?args ?(recovery_entry = "recover") ?bound
       invalid_arg
         (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
   in
-  let recording = Crash_space.record ?entry ?args prog in
   let crash_points = Crash_space.count_points recording in
-  let counter = ref 0 in
-  let heap_names = Hashtbl.create 8 in
-  let rev_checks, sampled =
-    List.fold_left
-      (fun (acc, sampled) task ->
+  let counter = ref 0 and sampled = ref false in
+  let checks =
+    List.concat_map
+      (fun task ->
         let from, images, s =
           Crash_space.task_images ?bound ~seed ~task recording
         in
-        List.iter
-          (fun id ->
-            match Pmem.obj_name from id with
-            | Some n -> Hashtbl.replace heap_names id n
-            | None -> ())
-          (Pmem.live_objects from);
-        let acc =
-          List.fold_left
-            (fun acc ci ->
-              incr counter;
-              let seed =
-                if corrupt then Some (seed + (137 * !counter)) else None
-              in
-              check_image ~recovery_entry ~fn ~seed prog ci ~from
-              :: acc)
-            acc images
-        in
-        (acc, sampled || s))
-      ([], false)
+        sampled := !sampled || s;
+        List.map
+          (fun ci ->
+            incr counter;
+            let seed =
+              if corrupt then Some (seed + (137 * !counter)) else None
+            in
+            check_image ~recovery_entry ~fn ~seed prog ci ~from)
+          images)
       (Crash_space.tasks ~crash_points)
   in
-  let checks = List.rev rev_checks in
   let heap_name id =
-    match Hashtbl.find_opt heap_names id with
-    | Some n -> n
-    | None -> Fmt.str "o%d" id
+    Option.value (Crash_space.obj_name recording id)
+      ~default:(Fmt.str "o%d" id)
   in
   let count p = List.length (List.filter p checks) in
   {
@@ -307,16 +293,18 @@ let verify ?entry ?args ?(recovery_entry = "recover") ?bound
     silent_accepts = count (fun c -> c.verdict = Silent_accept);
     crashes = count (fun c -> c.verdict = Crashed);
     non_idempotent = count (fun c -> not c.idempotent);
-    sampled;
+    sampled = !sampled;
     warnings = warnings_of ~model ~recovery_entry ~fn heap_name checks;
   }
+
+let verify ?entry ?args ?recovery_entry ?bound ?seed ?corrupt ?model prog =
+  verify_recording ?recovery_entry ?bound ?seed ?corrupt ?model prog
+    (Crash_space.record ?entry ?args prog)
 
 let consistent r = r.warnings = []
 
 (* ------------------------------------------------------------------ *)
 (* Printing *)
-
-let pp_verdict ppf v = Fmt.string ppf (verdict_name v)
 
 let pp_report ppf r =
   Fmt.pf ppf

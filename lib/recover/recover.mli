@@ -3,7 +3,7 @@
     The static and dynamic tiers check the {e forward} path — that a
     program's stores become durable in the right order. This module
     checks the {e backward} path: for every durable image a crash can
-    leave ({!Runtime.Crash_space.crash_images}), optionally corrupted
+    leave ({!Runtime.Crash_space.task_images}), optionally corrupted
     under the media model ({!Runtime.Pmem.corrupt_image}), the
     program's recovery entry is reconstituted onto the image and
     executed, and its behaviour is classified.
@@ -55,6 +55,25 @@ type report = {
   warnings : Analysis.Warning.t list;  (** deduplicated, sorted *)
 }
 
+val verify_recording :
+  ?recovery_entry:string ->
+  ?bound:int ->
+  ?seed:int ->
+  ?corrupt:bool ->
+  ?model:Analysis.Model.t ->
+  Nvmir.Prog.t ->
+  Runtime.Crash_space.recording ->
+  report
+(** Run [recovery_entry] (default ["recover"]) over every distinct
+    durable image of every crash task of the program's recorded run.
+    [corrupt] (default [true]) applies the seeded
+    media-corruption model to each image first. The recovery function
+    receives references to the first [k] persistent objects of the
+    restored heap, one per parameter, in id order; its return value is
+    the accept (zero) / flag (nonzero) signal.
+
+    @raise Invalid_argument when [recovery_entry] is not defined. *)
+
 val verify :
   ?entry:string ->
   ?args:int list ->
@@ -65,19 +84,11 @@ val verify :
   ?model:Analysis.Model.t ->
   Nvmir.Prog.t ->
   report
-(** Run [recovery_entry] (default ["recover"]) over every distinct
-    durable image of every crash task of [entry] (default the
-    program's main). [corrupt] (default [true]) applies the seeded
-    media-corruption model to each image first. The recovery function
-    receives references to the first [k] persistent objects of the
-    restored heap, one per parameter, in id order; its return value is
-    the accept (zero) / flag (nonzero) signal.
-
-    @raise Invalid_argument when [recovery_entry] is not defined. *)
+(** {!verify_recording} of a fresh recording of [entry] (default the
+    program's main). *)
 
 val consistent : report -> bool
 (** No warnings: every image was either restored or flagged, all reads
     of corrupt slots were CRC-guarded, and recovery is idempotent. *)
 
-val pp_verdict : verdict Fmt.t
 val pp_report : report Fmt.t

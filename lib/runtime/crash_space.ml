@@ -153,7 +153,7 @@ let m_executions =
   Obs.Metrics.counter "crash.executions"
     ~desc:"program executions recorded for the crash and recovery tiers"
 
-let record ?(config = Config.default) ?entry ?args prog =
+let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
   let pmem = Pmem.create ~config () in
   Pmem.start_journal pmem;
   let events = ref 0 and writes = ref 0 and hash = ref 0 in
@@ -214,6 +214,7 @@ let record ?(config = Config.default) ?entry ?args prog =
     }
   in
   Pmem.add_listener pmem listener;
+  attach pmem;
   if Obs.enabled () then Obs.Metrics.incr m_executions;
   ignore (Interp.run ?entry ?args (Interp.create ~pmem prog));
   settle (!events + 1);
@@ -249,6 +250,9 @@ let record ?(config = Config.default) ?entry ?args prog =
   }
 
 let count_points r = r.crash_points
+
+let obj_name r id =
+  Option.bind (Array.find_opt (fun o -> o.id = id) r.objects) (fun o -> o.name)
 
 let tasks ~crash_points =
   List.init crash_points (fun i -> Point (i + 1)) @ [ Exit ]
@@ -429,9 +433,6 @@ let task_images ?(bound = default_bound) ?(seed = 1) ~task r =
           { ci_task = task; ci_persisted = persist; ci_image = img } :: !images)
   in
   (heap, List.rev !images, pt.sampled)
-
-let crash_images ?entry ?args ?bound ?seed ~task prog =
-  task_images ?bound ?seed ~task (record ?entry ?args prog)
 
 let summarize ~crash_points (points : point_result list) : report =
   let images_enumerated =

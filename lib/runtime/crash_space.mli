@@ -12,8 +12,8 @@
     never lost; the full subset is drawn second, so at [bound = 1] only
     the empty subset is explored.
 
-    [Deepmc.Crash_sweep.explore_program] drives {!explore_task} over
-    every task of a program. *)
+    [Deepmc.Crash_sweep.explore_recording] drives {!explore_task} over
+    every task of a recording. *)
 
 (** How an image is judged consistent. *)
 type oracle =
@@ -66,9 +66,14 @@ type recording
     domain. *)
 
 val record :
-  ?config:Config.t -> ?entry:string -> ?args:int list -> Nvmir.Prog.t ->
+  ?config:Config.t ->
+  ?attach:(Pmem.t -> unit) ->
+  ?entry:string ->
+  ?args:int list ->
+  Nvmir.Prog.t ->
   recording
-(** Run the program once ([entry] defaults to [main]). With eviction
+(** Run the program once ([entry] defaults to [main]), with the
+    caller's listeners [attach]ed to its heap first. With eviction
     modeling on, the recording holds the evictions this run's seeded
     draws made. Counted by the [crash.executions] metric.
     @raise Interp.Runtime_error and the interpreter's other failures. *)
@@ -76,6 +81,9 @@ val record :
 val count_points : recording -> int
 (** How many [Point] tasks a program has: the persistent-memory events
     (write, flush, fence, tx begin/end) of the recorded run. *)
+
+val obj_name : recording -> int -> string option
+(** The name a recorded persistent object was allocated with. *)
 
 val tasks : crash_points:int -> task list
 (** [Point 1 .. Point crash_points] followed by {!Exit}. *)
@@ -118,16 +126,6 @@ val task_images :
     objects as the crash left them ({!Pmem.crashed}); it is what
     {!Pmem.corrupt_image} seeds from and {!Pmem.restore} copies object
     metadata from. *)
-
-val crash_images :
-  ?entry:string ->
-  ?args:int list ->
-  ?bound:int ->
-  ?seed:int ->
-  task:task ->
-  Nvmir.Prog.t ->
-  Pmem.t * crash_image list * bool
-(** {!task_images} of a fresh {!record}ing of the program. *)
 
 val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
 (** Reads of a materialized image, as an {!Invariant} oracle sees them:

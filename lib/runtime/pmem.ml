@@ -616,11 +616,6 @@ type corruption = {
   c_now : Value.t;
 }
 
-let pp_corruption ppf c =
-  Fmt.pf ppf "%s obj%d.%d: %a -> %a"
-    (corruption_kind_name c.c_kind)
-    c.c_addr.obj_id c.c_addr.slot Value.pp c.c_was Value.pp c.c_now
-
 (* One LCG bit-stream per image, fully determined by the seed. *)
 let corrupt_image t ~seed image =
   let rng = ref ((seed lxor 0x2545F49) land 0x3FFFFFFF) in

@@ -220,8 +220,6 @@ type corruption = {
   c_now : Value.t;
 }
 
-val pp_corruption : corruption Fmt.t
-
 val corrupt_image :
   t -> seed:int -> (int, Value.t array) Hashtbl.t -> corruption list
 (** Mutates a {!materialize}d image in place: every in-flight line of

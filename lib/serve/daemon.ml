@@ -132,20 +132,22 @@ let handle_crash_explore t ?id req =
       | [] ->
         if Nvmir.Prog.find_func prog entry = None then
           Error (Fmt.str "entry %s not defined" entry)
-        else begin
-          let payload, level =
-            Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
-                let r =
-                  Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry prog
-                in
-                Deepmc.Json_report.of_crash_space r)
+        else
+          let* payload, level =
+            Deepmc.Driver.run_entry (fun () ->
+                Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
+                    let r =
+                      Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry
+                        prog
+                    in
+                    Deepmc.Json_report.of_crash_space r))
+            |> Result.map_error (Fmt.str "entry %s: %s" entry)
           in
           Ok
             [
               ("cache", Protocol.String (Cache.cache_level_name level));
               ("crash_space", payload);
-            ]
-        end)
+            ])
   in
   match r with
   | Error msg -> Protocol.error_response ?id msg

@@ -49,7 +49,9 @@ let crash_test ?entry invariant prog =
 (* The prefix image of [task]: what survives when nothing in flight
    reached NVM, read slot by slot. *)
 let prefix_image ~task ~entry prog =
-  let _, images, _ = Runtime.Crash_space.crash_images ~entry ~task prog in
+  let _, images, _ =
+    Runtime.Crash_space.(task_images ~task (record ~entry prog))
+  in
   match images with
   | ci :: _ -> fun obj_id slot ->
     Runtime.Value.to_int

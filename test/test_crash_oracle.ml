@@ -3,7 +3,7 @@
    fixed), every example program and random straight-line programs, at
    bounds 1, 2, 8 and 256 and with eviction modeling off and on, both
    must produce the same [point_result] (counts, sampling, witnesses in
-   order) and the same [crash_images] lists and crashed heaps. *)
+   order) and the same [task_images] lists and crashed heaps. *)
 
 let tc = Alcotest.test_case
 

@@ -70,7 +70,9 @@ let test_prefix_subset () =
   let prefix_violations =
     List.filter
       (fun task ->
-        let heap, _, _ = Runtime.Crash_space.crash_images ~task prog in
+        let heap, _, _ =
+          Runtime.Crash_space.(task_images ~task (record prog))
+        in
         Result.is_error
           (invariant
              (Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap))))
@@ -121,7 +123,7 @@ let test_synth_pairs () =
       in
       let buggy = make 100 and fixed = make 0 in
       let at_exit, _, _ =
-        Runtime.Crash_space.crash_images ~task:Runtime.Crash_space.Exit buggy
+        Runtime.Crash_space.(task_images ~task:Exit (record buggy))
       in
       if Runtime.Pmem.volatile_slot_count at_exit > 0 then begin
         let r = explore ~bound:64 buggy in
@@ -289,7 +291,7 @@ let test_materialize_empty_is_snapshot () =
     snap
 
 (* The prefix image is the first image of every task, at any bound:
-   [crash_images] starts with the empty persisted-subset, and that image
+   [task_images] starts with the empty persisted-subset, and that image
    is exactly [Pmem.durable_snapshot] of the crashed heap — so sampling
    never loses it. Swept over every corpus program with a runnable entry
    and three synth programs. *)
@@ -320,13 +322,16 @@ let test_prefix_image_first () =
   check Alcotest.bool "corpus programs covered" true (List.length corpus >= 20);
   List.iter
     (fun (name, entry, args, prog) ->
-      let all_tasks = tasks ~entry ~args prog in
+      let r = Runtime.Crash_space.record ~entry ~args prog in
+      let all_tasks =
+        Runtime.Crash_space.(tasks ~crash_points:(count_points r))
+      in
       List.iter
         (fun bound ->
           List.iter
             (fun task ->
               let heap, images, _ =
-                Runtime.Crash_space.crash_images ~entry ~args ~bound ~task prog
+                Runtime.Crash_space.task_images ~bound ~task r
               in
               let where =
                 Fmt.str "%s, bound %d, %a" name bound Runtime.Crash_space.pp_task

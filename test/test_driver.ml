@@ -107,6 +107,117 @@ entry:
            b.Explain.b_evidence)
        (Explain.build report))
 
+(* With a crash or recovery tier on, the dynamic checker rides on the
+   one recorded execution both tiers read. Every tier's report must
+   equal the tier run on its own: a plain dynamic run,
+   [Crash_sweep.explore_program] and [Recover.verify], each executing
+   the program afresh. Compared as JSON, witnesses on, over every
+   corpus program and both recovery-corpus programs. *)
+let test_driver_one_execution_equals_separate_tiers () =
+  let module T = Corpus.Types in
+  let module J = Deepmc.Json_report in
+  Analysis.Witness.set_enabled true;
+  Fun.protect ~finally:(fun () -> Analysis.Witness.set_enabled false)
+  @@ fun () ->
+  let json what name a b =
+    check Alcotest.string (name ^ ": " ^ what) (J.to_string a) (J.to_string b)
+  in
+  let warnings ws = J.List (List.map J.of_warning ws) in
+  let bound = 64 and seed = 5 in
+  let recovered = ref 0 in
+  List.iter
+    (fun (p : T.program) ->
+      let prog = T.parse p and model = T.model p and name = p.T.name in
+      let entry = p.T.entry and args = p.T.entry_args in
+      let r =
+        Deepmc.Driver.analyze (Deepmc.Driver.make model) ~roots:p.T.roots
+          ~entry ~args ~clients:1 ~explore_crash_images:true
+          ~crash_bound:bound ~seed ~verify_recovery:true prog
+      in
+      let pmem = Runtime.Pmem.create () in
+      let checker = Runtime.Dynamic.create ~model () in
+      Runtime.Dynamic.attach checker pmem;
+      ignore (Runtime.Interp.run ~entry ~args (Runtime.Interp.create ~pmem prog));
+      (match r.Deepmc.Driver.dynamic with
+      | Deepmc.Driver.Dynamic_ok s ->
+        json "dynamic summary" name (J.of_dynamic_summary s)
+          (J.of_dynamic_summary (Runtime.Dynamic.summary checker))
+      | Deepmc.Driver.Dynamic_skipped why -> Alcotest.fail (name ^ ": " ^ why));
+      let dynamic = Runtime.Dynamic.warnings checker in
+      json "dynamic warnings" name (warnings r.Deepmc.Driver.dynamic_warnings)
+        (warnings dynamic);
+      let crash =
+        Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry ~args prog
+      in
+      json "crash space" name
+        (J.of_crash_space (Option.get r.Deepmc.Driver.crash_space))
+        (J.of_crash_space crash);
+      let recovery =
+        Option.map
+          (fun _ ->
+            Recover.verify ~entry ~args ~recovery_entry:"recover" ~bound ~seed
+              ~model prog)
+          (Nvmir.Prog.find_func prog "recover")
+      in
+      json "recovery" name
+        (Option.fold ~none:J.Null ~some:J.of_recovery r.Deepmc.Driver.recovery)
+        (Option.fold ~none:J.Null ~some:J.of_recovery recovery);
+      if recovery <> None then incr recovered;
+      json "merged warnings" name (warnings r.Deepmc.Driver.warnings)
+        (warnings
+           (Analysis.Warning.sort
+              (Analysis.Warning.dedup
+                 (r.Deepmc.Driver.static.Analysis.Checker.warnings @ dynamic
+                 @ Option.fold ~none:[]
+                     ~some:(fun (rv : Recover.report) -> rv.Recover.warnings)
+                     recovery)))))
+    (Corpus.Registry.all @ Corpus.Recovery.programs);
+  check Alcotest.int "both recovery-corpus programs ran recovery" 2 !recovered
+
+(* A forward run that fails skips the crash and recovery tiers with the
+   run's failure as their reason, the dynamic tier's reason, and keeps
+   the dynamic warnings stored before the failure. *)
+let test_driver_failed_run_skips_crash_tiers () =
+  let prog =
+    Nvmir.Parser.parse
+      {|
+struct s { f: int, g: int }
+func main() {
+entry:
+  p = alloc pmem s
+  epoch_begin
+  store p->f, 1
+  epoch_end
+  store q->f, 1
+  ret
+}
+func recover() -> int {
+entry:
+  ret 0
+}
+|}
+  in
+  let d = Deepmc.Driver.make Analysis.Model.Epoch in
+  let report =
+    Deepmc.Driver.analyze d ~entry:"main" ~explore_crash_images:true
+      ~verify_recovery:true prog
+  in
+  let reason =
+    match report.Deepmc.Driver.dynamic with
+    | Deepmc.Driver.Dynamic_skipped why -> why
+    | Deepmc.Driver.Dynamic_ok _ -> Alcotest.fail "expected runtime failure"
+  in
+  let some = Alcotest.(option string) in
+  check some "crash tier skipped with the run's reason" (Some reason)
+    report.Deepmc.Driver.crash_skipped;
+  check some "recovery tier skipped with the run's reason" (Some reason)
+    report.Deepmc.Driver.recovery_skipped;
+  check Alcotest.bool "no crash or recovery report" true
+    (report.Deepmc.Driver.crash_space = None
+    && report.Deepmc.Driver.recovery = None);
+  check Alcotest.bool "dynamic warnings kept" true
+    (report.Deepmc.Driver.dynamic_warnings <> [])
+
 (* ------------------------------------------------------------------ *)
 (* Report scoring *)
 
@@ -235,6 +346,10 @@ let suite =
       test_driver_runtime_error_reported;
     tc "driver: failed run keeps dynamic warnings" `Quick
       test_driver_failed_run_keeps_dynamic_warnings;
+    tc "driver: one execution = tiers run separately" `Quick
+      test_driver_one_execution_equals_separate_tiers;
+    tc "driver: failed run skips crash tiers" `Quick
+      test_driver_failed_run_skips_crash_tiers;
     tc "report: scoring" `Quick test_report_scoring;
     tc "baseline: annotation-driven" `Quick test_baseline_needs_annotations;
     tc "baseline: misses model-specific bugs" `Quick

@@ -68,8 +68,8 @@ let test_buggy_btree_split_commits_item () =
     let prog = Corpus.Types.parse p in
     (* the prefix image at exit: nothing in flight reached NVM *)
     let pmem, images, _ =
-      Runtime.Crash_space.crash_images ~entry:"btree_driver_split"
-        ~task:Runtime.Crash_space.Exit prog
+      Runtime.Crash_space.(
+        task_images ~task:Exit (record ~entry:"btree_driver_split" prog))
     in
     let read =
       match images with

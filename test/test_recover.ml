@@ -13,16 +13,17 @@ module Crash_space = Runtime.Crash_space
 let guarded () = Corpus.Types.parse Corpus.Recovery.guarded
 let unguarded () = Corpus.Types.parse Corpus.Recovery.unguarded
 
-(* every crash task of [prog], so properties sweep the whole image
-   space rather than one hand-picked point *)
-let tasks prog =
-  Crash_space.tasks
-    ~crash_points:(Crash_space.count_points (Crash_space.record prog))
+(* the images of every crash task of [prog], so properties sweep the
+   whole image space rather than one hand-picked point *)
+let task_images ~seed prog =
+  let r = Crash_space.record prog in
+  List.map
+    (fun task -> Crash_space.task_images ~seed ~task r)
+    (Crash_space.tasks ~crash_points:(Crash_space.count_points r))
 
 let corrupted_images ~seed prog =
   List.concat_map
-    (fun task ->
-      let pmem, images, _ = Crash_space.crash_images ~seed ~task prog in
+    (fun (pmem, images, _) ->
       List.map
         (fun (ci : Crash_space.crash_image) ->
           let cs = Pmem.corrupt_image pmem ~seed ci.Crash_space.ci_image in
@@ -33,7 +34,7 @@ let corrupted_images ~seed prog =
           in
           (heap, cs))
         images)
-    (tasks prog)
+    (task_images ~seed prog)
 
 (* Axiom 1: a CRC-guarded read never reports "valid" over a corrupted
    slot — even when handed the checksum of the corrupted contents (the
@@ -65,8 +66,7 @@ let prop_uncorrupted_always_validates =
     (fun seed ->
       let prog = guarded () in
       List.for_all
-        (fun task ->
-          let pmem, images, _ = Crash_space.crash_images ~seed ~task prog in
+        (fun (pmem, images, _) ->
           List.for_all
             (fun (ci : Crash_space.crash_image) ->
               let heap =
@@ -84,7 +84,7 @@ let prop_uncorrupted_always_validates =
                                ~nslots:(Pmem.obj_size heap obj_id))))
                 (Pmem.live_objects heap))
             images)
-        (tasks prog))
+        (task_images ~seed prog))
 
 (* Axiom 3: the executor is a pure function of (program, seed) — same
    seed, byte-identical report; and the verdict partition always sums
