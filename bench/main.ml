@@ -349,7 +349,7 @@ let figure11 () =
       | Some f ->
         let alone = Nvmir.Prog.create () in
         Nvmir.Prog.add_func alone f;
-        List.iter show (Analysis.Trace.collect dsg alone)
+        List.iter show (Analysis.Trace.collect dsg alone ~roots:[ name ])
     in
     Fmt.pr "-- callee trace (nvm_free_blk):@.";
     intra_of "nvm_free_blk";

@@ -1189,10 +1189,11 @@ let explain_cmd =
       end
     in
     let bundles = Explain.build ?fuzz report in
+    let skipped = Explain.skipped ~entry report in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp
-        (Explain.to_json ~file ~model bundles)
-    else print_string (Explain.render ~file ~model ~prog bundles);
+        (Explain.to_json ~file ~model ~skipped bundles)
+    else print_string (Explain.render ~file ~model ~prog ~skipped bundles);
     obs_write ~metrics_json ~trace_out;
     Ok ()
   in

@@ -124,10 +124,15 @@ let check_root ctx plan root =
 let check_roots ?(config = Config.default) ?dsg ?roots ~model
     (prog : Nvmir.Prog.t) : per_root list * Dsa.Dsg.t =
   let dsg =
-    match dsg with Some d -> d | None -> Config.build_dsg config prog
+    match dsg with
+    | Some d -> d
+    | None ->
+      Obs.Span.with_ ~name:"dsa-build" (fun () -> Config.build_dsg config prog)
   in
   let ctx = { Rules.model; dsg; tenv = Nvmir.Prog.tenv prog } in
-  let plan = Trace.plan ~config dsg prog in
+  let plan =
+    Obs.Span.with_ ~name:"trace-plan" (fun () -> Trace.plan ~config dsg prog)
+  in
   (* freeze the union-find: walks on worker domains must not race on
      path compression *)
   Dsa.Arena.compress (Dsa.Dsg.arena dsg);

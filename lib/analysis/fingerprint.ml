@@ -58,8 +58,8 @@ let build dsg prog : table =
            (Nvmir.Func.content_hash f)
            (Dsa.Dsg.summary_hash dsg ~fname)))
     (Nvmir.Prog.funcs prog);
-  let cg = Graphs.Callgraph.of_prog prog in
-  let roots = Trace.default_roots prog in
+  let cg = Dsa.Dsg.callgraph dsg prog in
+  let roots = Graphs.Callgraph.analysis_roots cg in
   let keys = Hashtbl.create 8 in
   List.iter
     (fun r ->

@@ -13,7 +13,9 @@ type table
 
 val build : Dsa.Dsg.t -> Nvmir.Prog.t -> table
 (** Fingerprint every function of [prog] against [dsg] (which must be
-    the DSG of exactly this build) and key every default root. *)
+    the DSG of exactly this build) and key every default root. The
+    closures and roots come from the call graph [dsg] keeps
+    ({!Dsa.Dsg.callgraph}). *)
 
 val roots : table -> string list
 (** {!Trace.default_roots} order — the cold run's enumeration order. *)

@@ -70,19 +70,31 @@ let events_of_instr dsg ~fname (i : Nvmir.Instr.t) : Event.t list =
    crosses it, and its abstract addresses are hash-consed through a
    program-wide pool, so the structurally-equal addresses a hot block
    contributes collapse to one allocation each. Calls are split out of
-   the block's events, each with its call site's return mark. *)
+   the block's events, each with its call site's return mark and, once
+   every table is built, with its expansion when that is the same on
+   every unrolling pass — for each callee off the call cycles — so the
+   walks look no callee up by name. *)
 
-type item =
-  | Ev of Event.t
-  | Call of { callee : string; call : Event.t; ret : Event.t }
+type item = Ev of Event.t | Call of call
+
+and call = {
+  callee : string;
+  call : Event.t;
+  ret : Event.t;
+  mutable fixed : callee option; (* set by [plan], read-only after *)
+}
 
 (* [dst] is the target block's index, -1 when no block has its label *)
-type edge = { dst : int; back : bool }
-type exit = Exit_ret | Goto of edge | Branch of edge * edge
-type node = { items : item list; exit : exit }
+and edge = { dst : int; back : bool }
+
+and exit = Exit_ret | Goto of edge | Branch of edge * edge
+and node = { items : item list; exit : exit }
 
 (* [nodes.(0)] is the entry block *)
-type fn = { nodes : node array; has_path : bool }
+and fn = { nodes : node array; has_path : bool }
+
+(* How a call site expands its callee. *)
+and callee = Bare | Walk of fn | Table of t list
 
 let intern_event pool (e : Event.t) : Event.t =
   let intern a =
@@ -102,15 +114,20 @@ let intern_event pool (e : Event.t) : Event.t =
 
 let node_table dsg pool (f : Nvmir.Func.t) =
   let fname = Nvmir.Func.name f in
-  let index = Hashtbl.create 16 in
-  List.iteri
-    (fun i (b : Nvmir.Func.block) ->
-      if not (Hashtbl.mem index b.label) then Hashtbl.add index b.label i)
-    f.blocks;
-  let cfg = Graphs.Cfg.of_func f in
-  let loops = Graphs.Loops.compute cfg in
+  (* the label index and the back edges, built on the first branch: a
+     function whose blocks all return needs neither *)
+  let graph =
+    lazy
+      (let index = Hashtbl.create (List.length f.blocks) in
+       List.iteri
+         (fun i (b : Nvmir.Func.block) ->
+           if not (Hashtbl.mem index b.label) then Hashtbl.add index b.label i)
+         f.blocks;
+       (index, Graphs.Loops.compute (Graphs.Cfg.of_func f)))
+  in
   let node (b : Nvmir.Func.block) =
     let edge target =
+      let index, loops = Lazy.force graph in
       {
         dst = Option.value ~default:(-1) (Hashtbl.find_opt index target);
         back = Graphs.Loops.is_back_edge loops ~source:b.label ~target;
@@ -124,6 +141,7 @@ let node_table dsg pool (f : Nvmir.Func.t) =
             callee;
             call = e;
             ret = Event.make ~fname ~loc:e.loc (Event.Ret_mark callee);
+            fixed = None;
           }
       | _ -> Ev (intern_event pool e)
     in
@@ -145,12 +163,9 @@ let node_table dsg pool (f : Nvmir.Func.t) =
 (* ------------------------------------------------------------------ *)
 (* The walker. *)
 
-(* How a call site expands its callee. *)
-type callee = Bare | Walk of fn | Table of t list
-
 type 'a walker = {
   step : 'a -> Event.t -> 'a;
-  resolve : string -> callee;
+  resolve : call -> callee;
   fanout : int;  (* callee traces per call site *)
   loop_bound : int;
   on_visit : int -> unit;
@@ -173,7 +188,7 @@ and items w inner fn edges pending i its st n leaf =
     let after st n =
       items w inner fn edges pending i rest (w.step st c.ret) n leaf
     in
-    match w.resolve c.callee with
+    match w.resolve c with
     | Bare -> items w inner fn edges pending i rest (w.step st c.call) n leaf
     | Walk _ when w.fanout <= 0 -> true
     | Walk callee ->
@@ -279,52 +294,58 @@ type plan = {
   config : Config.t;
   fns : (string, fn) Hashtbl.t;
   cg : Graphs.Callgraph.t;
-  pass1 : string -> callee;
-  own : (string, string -> callee) Hashtbl.t;  (* cyclic functions *)
+  pass1 : call -> callee;
+  own : (string, call -> callee) Hashtbl.t;  (* cyclic functions *)
   roots : string list;  (* the default roots *)
 }
 
-(* Functions in recursive SCCs (singleton SCCs only count when
-   self-calling). *)
-let cyclic_funcs cg =
-  List.concat_map
-    (fun scc ->
-      match scc with
-      | [ f ] when not (List.mem f (Graphs.Callgraph.callees cg f)) -> []
-      | fs -> fs)
-    (Graphs.Callgraph.sccs cg)
-
-let resolve_roots cg prog =
-  match Graphs.Callgraph.roots cg with
-  | [] -> Nvmir.Prog.func_names prog
-  | rs -> rs
-
 (* The roots a rootless [stream] enumerates, in that same order — the
    serve cache keys its per-root entries off this. *)
-let default_roots prog = resolve_roots (Graphs.Callgraph.of_prog prog) prog
+let default_roots prog =
+  Graphs.Callgraph.analysis_roots (Graphs.Callgraph.of_prog prog)
 
 let plan ?(config = Config.default) dsg prog =
   let pool : (Dsa.Aaddr.t, Dsa.Aaddr.t) Hashtbl.t = Hashtbl.create 256 in
   let fns = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let fn = { nodes = node_table dsg pool f; has_path = false } in
-      Hashtbl.replace fns (Nvmir.Func.name f)
-        { fn with has_path = count_paths config fn 1 > 0 })
-    (Nvmir.Prog.funcs prog);
-  let cg = Graphs.Callgraph.of_prog prog in
-  let cyclic = cyclic_funcs cg in
+  let built =
+    List.map
+      (fun f ->
+        let fn = { nodes = node_table dsg pool f; has_path = false } in
+        let fn = { fn with has_path = count_paths config fn 1 > 0 } in
+        Hashtbl.replace fns (Nvmir.Func.name f) fn;
+        fn)
+      (Nvmir.Prog.funcs prog)
+  in
+  let cg = Dsa.Dsg.callgraph dsg prog in
+  let cyclic = Graphs.Callgraph.cyclic cg in
   let is_cyclic = Hashtbl.create 8 in
   List.iter (fun f -> Hashtbl.replace is_cyclic f ()) cyclic;
-  let acyclic name =
-    match Hashtbl.find_opt fns name with
-    | Some fn when fn.has_path -> Walk fn
-    | Some _ | None -> Bare
-  in
-  let reading find name =
-    if Hashtbl.mem is_cyclic name then
-      match find name with Some (_ :: _ as ts) -> Table ts | Some [] | None -> Bare
-    else acyclic name
+  (* a callee off the call cycles expands the same way on every pass *)
+  List.iter
+    (fun fn ->
+      Array.iter
+        (fun node ->
+          List.iter
+            (function
+              | Call c when cyclic = [] || not (Hashtbl.mem is_cyclic c.callee)
+                ->
+                c.fixed <-
+                  Some
+                    (match Hashtbl.find_opt fns c.callee with
+                    | Some fn when fn.has_path -> Walk fn
+                    | Some _ | None -> Bare)
+              | Call _ | Ev _ -> ())
+            node.items)
+        fn.nodes)
+    built;
+  (* a cyclic callee reads the trace table [find] has for it *)
+  let reading find c =
+    match c.fixed with
+    | Some x -> x
+    | None -> (
+      match find c.callee with
+      | Some (_ :: _ as ts) -> Table ts
+      | Some [] | None -> Bare)
   in
   let pass1_tables = Hashtbl.create 8 in
   let pass1 = reading (Hashtbl.find_opt pass1_tables) in
@@ -348,14 +369,16 @@ let plan ?(config = Config.default) dsg prog =
       (fun rev _ -> acc := List.rev rev :: !acc);
     Hashtbl.replace tables fname (List.rev !acc)
   in
-  List.iter
-    (fun f -> if Hashtbl.mem is_cyclic f then walk pass1_tables f)
-    (Graphs.Callgraph.postorder cg);
-  let last = Hashtbl.copy pass1_tables in
-  for _ = 2 to config.recursion_bound do
-    List.iter (walk last) cyclic
-  done;
-  { config; fns; cg; pass1; own; roots = resolve_roots cg prog }
+  if cyclic <> [] then begin
+    List.iter
+      (fun f -> if Hashtbl.mem is_cyclic f then walk pass1_tables f)
+      (Graphs.Callgraph.postorder cg);
+    let last = Hashtbl.copy pass1_tables in
+    for _ = 2 to config.recursion_bound do
+      List.iter (walk last) cyclic
+    done
+  end;
+  { config; fns; cg; pass1; own; roots = Graphs.Callgraph.analysis_roots cg }
 
 let roots p = p.roots
 

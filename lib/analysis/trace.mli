@@ -23,6 +23,12 @@ type plan
     (compress the arena first — see {!Dsa.Arena.compress}). *)
 
 val plan : ?config:Config.t -> Dsa.Dsg.t -> Nvmir.Prog.t -> plan
+(** [plan dsg prog] walks [prog]'s functions, resolving places in
+    [dsg]. When [dsg] was built from [prog] itself the plan reads the
+    DSG's call graph ({!Dsa.Dsg.callgraph}) rather than building its
+    own; [prog] may also hold only some of [dsg]'s functions, whose
+    calls of the others then stay bare marks. The same holds for
+    {!stream} and {!collect}. *)
 
 val roots : plan -> string list
 (** {!default_roots} of the planned program. *)

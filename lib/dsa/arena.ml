@@ -3,8 +3,8 @@
    Each node abstracts one (set of) runtime object(s). Nodes are merged
    Steensgaard-style when the analysis discovers they may be the same
    object (assignments, call-boundary parameter binding). Merging unions
-   attribute flags, alloc sites, mod/ref field sets, and recursively
-   unifies points-to edges.
+   attribute flags and mod/ref field sets, and recursively unifies
+   points-to edges.
 
    Field edges are keyed by field name ([Some f]) or by the anonymous
    key [None] when field sensitivity is disabled — the ablation switch
@@ -20,22 +20,45 @@ type node = {
   mutable persistent : bool; (* allocated from / proven to be in NVM *)
   mutable heap : bool; (* created at an allocation site *)
   mutable unknown : bool; (* synthesized for unresolved pointers *)
-  mutable alloc_sites : (string * Nvmir.Loc.t) list;
   mutable edges : (field_key * int) list; (* points-to, per field *)
   mutable mod_fields : field_key list; (* fields written through this node *)
   mutable ref_fields : field_key list; (* fields read through this node *)
   mutable names : string list; (* variables known to point here, for dumps *)
 }
 
-type t = { nodes : (int, node) Hashtbl.t; mutable len : int }
+(* Nodes live in a growable array indexed by id: ids are dense (0 ..
+   [len - 1], in creation order), so [node] is one bounds check and a
+   load. Slots past [len] hold [placeholder]. *)
+type t = { mutable nodes : node array; mutable len : int }
 
-let create () = { nodes = Hashtbl.create 64; len = 0 }
+let placeholder =
+  {
+    id = -1;
+    parent = -1;
+    rank = 0;
+    ty = None;
+    persistent = false;
+    heap = false;
+    unknown = false;
+    edges = [];
+    mod_fields = [];
+    ref_fields = [];
+    names = [];
+  }
 
-let node t id = Hashtbl.find t.nodes id
+let create () = { nodes = Array.make 64 placeholder; len = 0 }
+
+let node t id =
+  if id < 0 || id >= t.len then raise Not_found else Array.unsafe_get t.nodes id
 
 let fresh t ?ty ?(persistent = false) ?(heap = false) ?(unknown = false) () =
   let id = t.len in
-  let n =
+  if id = Array.length t.nodes then begin
+    let grown = Array.make (2 * id) placeholder in
+    Array.blit t.nodes 0 grown 0 id;
+    t.nodes <- grown
+  end;
+  t.nodes.(id) <-
     {
       id;
       parent = id;
@@ -44,15 +67,12 @@ let fresh t ?ty ?(persistent = false) ?(heap = false) ?(unknown = false) () =
       persistent;
       heap;
       unknown;
-      alloc_sites = [];
       edges = [];
       mod_fields = [];
       ref_fields = [];
       names = [];
-    }
-  in
-  Hashtbl.replace t.nodes id n;
-  t.len <- t.len + 1;
+    };
+  t.len <- id + 1;
   id
 
 (* The write is guarded so that after [compress] a fully-compressed
@@ -93,7 +113,6 @@ let rec unify t a b =
     winner.persistent <- winner.persistent || loser.persistent;
     winner.heap <- winner.heap || loser.heap;
     winner.unknown <- winner.unknown && loser.unknown;
-    winner.alloc_sites <- union_list winner.alloc_sites loser.alloc_sites;
     winner.mod_fields <- union_list winner.mod_fields loser.mod_fields;
     winner.ref_fields <- union_list winner.ref_fields loser.ref_fields;
     winner.names <- union_list winner.names loser.names;
@@ -134,11 +153,6 @@ let add_ref t id key =
 let add_name t id name =
   let n = canonical t id in
   if not (List.mem name n.names) then n.names <- name :: n.names
-
-let add_alloc_site t id site =
-  let n = canonical t id in
-  if not (List.mem site n.alloc_sites) then
-    n.alloc_sites <- site :: n.alloc_sites
 
 let canonical_ids t =
   let rec collect acc i =

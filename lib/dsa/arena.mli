@@ -1,7 +1,7 @@
 (** Node arena with union-find for the Data Structure Graph. Nodes are
     merged Steensgaard-style when the analysis discovers they may be the
-    same object; merging unions attribute flags, alloc sites, mod/ref
-    field sets, and recursively unifies points-to edges. *)
+    same object; merging unions attribute flags and mod/ref field sets,
+    and recursively unifies points-to edges. *)
 
 type field_key = string option
 (** [Some f] when field-sensitive; [None] is the anonymous key used when
@@ -15,7 +15,6 @@ type node = {
   mutable persistent : bool;
   mutable heap : bool;  (** created at an allocation site *)
   mutable unknown : bool;  (** synthesized for unresolved pointers *)
-  mutable alloc_sites : (string * Nvmir.Loc.t) list;
   mutable edges : (field_key * int) list;  (** points-to, per field *)
   mutable mod_fields : field_key list;
   mutable ref_fields : field_key list;
@@ -58,7 +57,6 @@ val is_persistent : t -> int -> bool
 val add_mod : t -> int -> field_key -> unit
 val add_ref : t -> int -> field_key -> unit
 val add_name : t -> int -> string -> unit
-val add_alloc_site : t -> int -> string * Nvmir.Loc.t -> unit
 val canonical_ids : t -> int list
 val size : t -> int
 val pp_field_key : field_key Fmt.t

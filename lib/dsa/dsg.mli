@@ -28,6 +28,12 @@ val field_sensitive : t -> bool
 val offset_sensitive : t -> bool
 val arena : t -> Arena.t
 
+val callgraph : t -> Nvmir.Prog.t -> Graphs.Callgraph.t
+(** [callgraph t prog] is [prog]'s call graph: the one the build
+    traversed when [prog] is (physically) the program [t] was built
+    from, so later whole-program passes (trace planning, fingerprints)
+    do not build their own, and a fresh one for any other program. *)
+
 val resolve : t -> fname:string -> Nvmir.Place.t -> Aaddr.t
 (** Resolve a place to an abstract address, creating conservative
     unknown nodes for unresolved pointer hops. *)
@@ -62,9 +68,3 @@ val summary_hash : t -> fname:string -> Nvmir.Chash.t
     Nonzero binding offsets are digested too: they change how the
     function's places resolve, so a warm hit across an offset change
     would be stale. *)
-
-(** {1 Phases} — exposed for tests; [build] runs them in order *)
-
-val local_phase : t -> unit
-val bottom_up_phase : t -> unit
-val top_down_phase : t -> unit

@@ -291,15 +291,39 @@ let pp_bundle ppf (i, b) =
     Fmt.(list ~sep:cut pp_evidence)
     b.b_evidence
 
-let render ~file ~model ~prog bundles : string =
+(* The tiers the run asked for and could not run, in static..recover
+   order: the dynamic tier when it was given an entry, the crash and
+   recovery tiers when requested. A failed forward run skips all three
+   with its reason. *)
+let skipped ~entry (report : Deepmc.Driver.report) =
+  List.concat
+    [
+      (match (entry, report.Deepmc.Driver.dynamic) with
+      | Some _, Deepmc.Driver.Dynamic_skipped reason -> [ ("dynamic", reason) ]
+      | _ -> []);
+      Option.fold ~none:[]
+        ~some:(fun r -> [ ("crash space", r) ])
+        report.Deepmc.Driver.crash_skipped;
+      Option.fold ~none:[]
+        ~some:(fun r -> [ ("recovery", r) ])
+        report.Deepmc.Driver.recovery_skipped;
+    ]
+
+let render ~file ~model ~prog ~skipped bundles : string =
   let nev = List.fold_left (fun n b -> n + List.length b.b_evidence) 0 bundles in
   let header =
-    Fmt.str "explain %s (%s model): %d witness(es) in %d evidence bundle(s)"
+    Fmt.str "explain %s (%s model): %d witness(es) in %d evidence bundle(s)%s"
       file
       (Analysis.Model.to_string model)
       nev (List.length bundles)
+      (String.concat ""
+         (List.map
+            (fun (tier, reason) -> Fmt.str "\n%s: skipped (%s)" tier reason)
+            skipped))
   in
-  if bundles = [] then header ^ "\nno warnings: nothing to explain\n"
+  if bundles = [] && skipped = [] then
+    header ^ "\nno warnings: nothing to explain\n"
+  else if bundles = [] then header ^ "\nno warnings from the tiers that ran\n"
   else
     Fmt.str "%s@.@.%a@.@.annotated listing:@.%s" header
       Fmt.(
@@ -310,7 +334,7 @@ let render ~file ~model ~prog bundles : string =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let to_json ~file ~model bundles : Deepmc.Json_report.json =
+let to_json ~file ~model ~skipped bundles : Deepmc.Json_report.json =
   let open Deepmc.Json_report in
   let of_evidence e =
     Obj
@@ -342,8 +366,20 @@ let to_json ~file ~model bundles : Deepmc.Json_report.json =
         ])
   in
   Obj
-    [
-      ("file", String file);
-      ("model", String (Analysis.Model.to_string model));
-      ("bundles", List (List.map of_bundle bundles));
-    ]
+    ([
+       ("file", String file);
+       ("model", String (Analysis.Model.to_string model));
+     ]
+    @ (match skipped with
+      | [] -> []
+      | _ ->
+        [
+          ( "skipped",
+            Obj
+              (List.map
+                 (fun (tier, reason) ->
+                   let key = String.map (function ' ' -> '_' | c -> c) tier in
+                   (key, String reason))
+                 skipped) );
+        ])
+    @ [ ("bundles", List (List.map of_bundle bundles)) ])

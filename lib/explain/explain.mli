@@ -37,12 +37,21 @@ val build : ?fuzz:Fuzz.Campaign.outcome -> Deepmc.Driver.report -> bundle list
 val annotate_listing : Nvmir.Prog.t -> bundle list -> string
 (** The canonical IR listing with per-line [;; #N:role] event markers. *)
 
+val skipped :
+  entry:string option -> Deepmc.Driver.report -> (string * string) list
+(** The tiers the run asked for and could not run, each with its reason,
+    in static..recover order: the dynamic tier when [entry] was given,
+    the crash and recovery tiers when requested. *)
+
 val render :
   file:string -> model:Analysis.Model.t -> prog:Nvmir.Prog.t ->
-  bundle list -> string
-(** Human-readable explain output: bundle blocks plus the annotated
-    listing. *)
+  skipped:(string * string) list -> bundle list -> string
+(** Human-readable explain output: a [tier: skipped (reason)] line per
+    {!skipped} tier, then the bundle blocks and the annotated listing. *)
 
 val to_json :
-  file:string -> model:Analysis.Model.t -> bundle list ->
-  Deepmc.Json_report.json
+  file:string -> model:Analysis.Model.t -> skipped:(string * string) list ->
+  bundle list -> Deepmc.Json_report.json
+(** [{"file", "model", "bundles"}], plus a ["skipped"] object mapping
+    each {!skipped} tier to its reason when there is one, keyed as in
+    {!Deepmc.Json_report} ([dynamic], [crash_space], [recovery]). *)

@@ -12,7 +12,8 @@ type t = {
 
 let of_func (func : Nvmir.Func.t) =
   let entry = (Nvmir.Func.entry_block func).label in
-  let succs = Hashtbl.create 16 and preds = Hashtbl.create 16 in
+  let n = List.length func.blocks in
+  let succs = Hashtbl.create n and preds = Hashtbl.create n in
   List.iter
     (fun (b : Nvmir.Func.block) ->
       Hashtbl.replace succs b.label (Nvmir.Func.successors b);

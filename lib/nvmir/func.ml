@@ -62,17 +62,15 @@ let pp ppf t =
     Fmt.(list ~sep:(any "@ ") pp_block)
     t.blocks
 
-(* Functions called (directly) by this function. *)
+(* Functions called (directly) by this function, sorted, each once. *)
 let callees t =
-  List.concat_map
-    (fun b ->
-      List.filter_map
-        (fun (i : Instr.t) ->
-          match i.kind with
-          | Instr.Call { callee; _ } -> Some callee
-          | _ -> None)
-        b.instrs)
-    t.blocks
+  List.fold_left
+    (fun acc b ->
+      List.fold_left
+        (fun acc (i : Instr.t) ->
+          match i.kind with Instr.Call { callee; _ } -> callee :: acc | _ -> acc)
+        acc b.instrs)
+    [] t.blocks
   |> List.sort_uniq String.compare
 
 let iter_instrs f t =

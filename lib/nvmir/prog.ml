@@ -6,41 +6,61 @@
    every straight-line block sequence. Analyses assume a validated
    program. *)
 
+(* Declaration order, for stable output. Adding conses onto the newest
+   end, so building a program is linear; reading reverses the list once
+   and keeps the result until the next addition. *)
+type 'a ordered = {
+  mutable newest_first : 'a list;
+  mutable in_order : 'a list option;
+}
+
+let ordered () = { newest_first = []; in_order = Some [] }
+
+let append o x =
+  o.newest_first <- x :: o.newest_first;
+  o.in_order <- None
+
+let in_order o =
+  match o.in_order with
+  | Some l -> l
+  | None ->
+    let l = List.rev o.newest_first in
+    o.in_order <- Some l;
+    l
+
 type t = {
   tenv : Ty.env;
   funcs : (string, Func.t) Hashtbl.t;
-  mutable order : string list; (* declaration order, for stable output *)
-  mutable struct_order : Ty.struct_def list;
+  order : Func.t ordered;
+  struct_order : Ty.struct_def ordered;
 }
 
 let create () =
   {
     tenv = Ty.env_create ();
     funcs = Hashtbl.create 16;
-    order = [];
-    struct_order = [];
+    order = ordered ();
+    struct_order = ordered ();
   }
 
 let tenv t = t.tenv
 
 let add_struct t sd =
   Ty.env_add t.tenv sd;
-  t.struct_order <- t.struct_order @ [ sd ]
+  append t.struct_order sd
 
-let structs t = t.struct_order
+let structs t = in_order t.struct_order
 
 let add_func t (f : Func.t) =
   let name = Func.name f in
   if Hashtbl.mem t.funcs name then
     invalid_arg ("Prog.add_func: duplicate function " ^ name);
   Hashtbl.replace t.funcs name f;
-  t.order <- t.order @ [ name ]
+  append t.order f
 
 let find_func t name = Hashtbl.find_opt t.funcs name
-
-let funcs t = List.filter_map (Hashtbl.find_opt t.funcs) t.order
-
-let func_names t = t.order
+let funcs t = in_order t.order
+let func_names t = List.map Func.name (funcs t)
 
 type error = { in_func : string option; message : string }
 
@@ -143,7 +163,7 @@ let pp ppf t =
     | [] -> ()
     | sds -> Fmt.pf ppf "%a@ @ " Fmt.(list ~sep:(any "@ @ ") Ty.pp_struct) sds
   in
-  Fmt.pf ppf "@[<v>%a%a@]" pp_structs t.struct_order
+  Fmt.pf ppf "@[<v>%a%a@]" pp_structs (structs t)
     Fmt.(list ~sep:(any "@ @ ") Func.pp)
     (funcs t)
 
@@ -160,7 +180,7 @@ let digest t =
   let h =
     List.fold_left
       (fun h sd -> Chash.add_string h (Fmt.str "%a" Ty.pp_struct sd))
-      Chash.empty t.struct_order
+      Chash.empty (structs t)
   in
   List.fold_left
     (fun h (name, fh) -> Chash.combine (Chash.add_string h name) fh)

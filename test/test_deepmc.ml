@@ -37,4 +37,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
       ("explain", Test_explain.suite);
+      ("identity", Test_identity.suite);
     ]

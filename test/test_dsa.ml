@@ -336,6 +336,46 @@ let test_dsg_pointer_arith_ablated () =
   check Alcotest.bool "laundered pointer not persistent" false
     (Dsa.Dsg.is_persistent_place dsg ~fname:"f" (Nvmir.Place.field "q" "f"))
 
+(* An element offset rides down a chain of calls: [g]'s parameter is
+   widened by [main]'s argument only after [g]'s own call to [h] was
+   applied bottom-up, so it is the top-down phase that carries the
+   offset on to [h]. *)
+let offset_chain_src =
+  {|
+struct s { f: int, g: int }
+func h(b: ptr s) {
+entry:
+  store b->f, 1
+  persist exact b->f
+  ret
+}
+func g(a: ptr s) {
+entry:
+  call h(a)
+  ret
+}
+func main() {
+entry:
+  p = alloc pmem s
+  q = p + 4
+  call g(q)
+  store p->f, 2
+  persist exact p->f
+  ret
+}
+|}
+
+let test_dsg_offset_call_chain () =
+  let dsg = Dsa.Dsg.build (Nvmir.Parser.parse offset_chain_src) in
+  let at fname v =
+    Fmt.str "%a" Dsa.Aaddr.pp
+      (Dsa.Dsg.resolve dsg ~fname (Nvmir.Place.field v "f"))
+  in
+  (* [g]'s parameter holds offset 0 (its entry binding) and 4 *)
+  check Alcotest.string "g's parameter is widened" "n1+0+k*4.f" (at "g" "a");
+  check Alcotest.string "so is h's, one call further down" "n1+0+k*4.f"
+    (at "h" "b")
+
 let test_dsg_may_alias () =
   let dsg = Dsa.Dsg.build (nvm_lock_prog ()) in
   check Alcotest.bool "same field aliases" true
@@ -385,6 +425,7 @@ let suite =
       test_dsg_pointer_arith_resolved;
     tc "dsg: pointer arithmetic ablated" `Quick
       test_dsg_pointer_arith_ablated;
+    tc "dsg: offsets widen down a call chain" `Quick test_dsg_offset_call_chain;
     tc "dsg: may_alias" `Quick test_dsg_may_alias;
     tc "dsg: per-function view" `Quick test_dsg_function_view;
   ]

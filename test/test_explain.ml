@@ -76,6 +76,47 @@ let test_disabled_capture_attaches_nothing () =
   check Alcotest.int "no bundles without witnesses" 0
     (List.length (Explain.build report))
 
+(* An entry that fails at runtime skips the dynamic, crash and recovery
+   tiers; explain says so instead of reporting a clean program. Without
+   an entry, the dynamic tier was never asked for and is not listed. *)
+let test_skipped_tiers () =
+  let prog =
+    Nvmir.Parser.parse
+      {|
+struct s { v: int }
+func main() {
+entry:
+  q = null
+  store q->v, 1  @ null.c:5
+  ret
+}
+|}
+  in
+  let driver = Deepmc.Driver.make Analysis.Model.Strict in
+  let report =
+    Deepmc.Driver.analyze driver ~entry:"main" ~explore_crash_images:true
+      ~verify_recovery:true ~recovery_entry:"main" prog
+  in
+  let skipped = Explain.skipped ~entry:(Some "main") report in
+  check
+    Alcotest.(list string)
+    "skipped tiers"
+    [ "dynamic"; "crash space"; "recovery" ]
+    (List.map fst skipped);
+  let text =
+    Explain.render ~file:"null" ~model:Analysis.Model.Strict ~prog ~skipped
+      (Explain.build report)
+  in
+  check Alcotest.bool "rendered with the reason" true
+    (List.mem
+       ("crash space: skipped (" ^ List.assoc "crash space" skipped ^ ")")
+       (String.split_on_char '\n' text));
+  check
+    Alcotest.(list string)
+    "no entry, no dynamic tier asked for" []
+    (List.map fst
+       (Explain.skipped ~entry:None (Deepmc.Driver.analyze driver prog)))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -83,4 +124,5 @@ let suite =
       test_cross_tier_correlation;
     tc "disabled capture attaches no witnesses" `Quick
       test_disabled_capture_attaches_nothing;
+    tc "failed run: skipped tiers are named" `Quick test_skipped_tiers;
   ]

@@ -162,6 +162,111 @@ let prop_postorder_callees_first =
                 (Graphs.Callgraph.callees cg name))
         (Nvmir.Prog.funcs prog))
 
+(* ------------------------------------------------------------------ *)
+(* The numbered call graph against the string-keyed reference
+   ([Ref_graphs]). *)
+
+let agrees_with_reference what prog =
+  let cg = Graphs.Callgraph.of_prog prog in
+  let strings = Alcotest.(list string) in
+  let label s = Fmt.str "%s: %s" what s in
+  check strings (label "postorder") (Ref_graphs.postorder prog)
+    (Graphs.Callgraph.postorder cg);
+  check Alcotest.(list (list string)) (label "sccs") (Ref_graphs.sccs prog)
+    (Graphs.Callgraph.sccs cg);
+  check strings (label "roots") (Ref_graphs.roots prog)
+    (Graphs.Callgraph.roots cg);
+  check strings (label "cyclic") (Ref_graphs.cyclic prog)
+    (Graphs.Callgraph.cyclic cg);
+  let ref_callers = Ref_graphs.callers prog in
+  let ref_recursive = Ref_graphs.is_recursive prog in
+  let funcs = Nvmir.Prog.funcs prog in
+  List.iter
+    (fun name ->
+      check strings (label ("callers of " ^ name)) (ref_callers name)
+        (Graphs.Callgraph.callers cg name);
+      check Alcotest.bool (label ("is_recursive " ^ name))
+        (ref_recursive name)
+        (Graphs.Callgraph.is_recursive cg name))
+    (Nvmir.Prog.func_names prog @ List.concat_map Nvmir.Func.callees funcs)
+
+let test_reference_corpus () =
+  List.iter
+    (fun (p : Corpus.Types.program) ->
+      agrees_with_reference p.name (Corpus.Types.parse p);
+      Option.iter
+        (agrees_with_reference (p.name ^ " (fixed)"))
+        (Corpus.Types.parse_fixed p))
+    (Corpus.Registry.all @ Corpus.Recovery.programs);
+  agrees_with_reference "call_prog" (call_prog ());
+  List.iter
+    (fun (what, src) -> agrees_with_reference what (Nvmir.Parser.parse src))
+    [
+      ("recursion", Test_trace.recursion_src);
+      ("cyclic", Test_rules_oracle.cyclic_src);
+      ("offset chain", Test_dsa.offset_chain_src);
+    ]
+
+let test_reference_synth () =
+  List.iter
+    (fun (seed, nfuncs, ptr_arith) ->
+      let cfg =
+        { Corpus.Synth.default_config with seed; nfuncs; ptr_arith;
+          buggy_fraction_pct = 25 }
+      in
+      agrees_with_reference
+        (Fmt.str "synth seed %d n %d" seed nfuncs)
+        (fst (Corpus.Synth.generate cfg)))
+    [ (1, 6, false); (2, 40, true); (3, 400, false); (4, 400, true) ]
+
+(* Random programs whose call graphs have self calls, cycles, calls to
+   functions declared later or not at all, and functions nothing calls. *)
+let random_prog_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 9 in
+    let* funcs =
+      list_repeat n
+        (let* blocks = int_range 1 4 in
+         list_repeat blocks
+           (pair
+              (list_size (int_bound 3)
+                 (oneof
+                    [
+                      map (Fmt.str "f%d") (int_bound 9);
+                      map (Fmt.str "ext%d") (int_bound 2);
+                    ]))
+              (triple (int_bound 3) (int_bound (blocks - 1))
+                 (int_bound (blocks - 1)))))
+    in
+    return
+      (String.concat "\n"
+         (List.mapi
+            (fun i blocks ->
+              let nb = List.length blocks in
+              Fmt.str "func f%d() {\n%s}" i
+                (String.concat ""
+                   (List.mapi
+                      (fun b (calls, (kind, t, e)) ->
+                        Fmt.str "b%d:\n%s  %s\n" b
+                          (String.concat ""
+                             (List.map (Fmt.str "  call %s()\n") calls))
+                          (match kind with
+                          | 0 -> "ret"
+                          | 1 -> Fmt.str "br b%d" t
+                          | _ when b + 1 < nb ->
+                            Fmt.str "br c, b%d, b%d" (b + 1) e
+                          | _ -> Fmt.str "br c, b%d, b%d" t e))
+                      blocks)))
+            funcs)))
+
+let prop_reference_random =
+  QCheck.Test.make ~name:"call graph = reference (random)"
+    ~count:200
+    (QCheck.make ~print:Fun.id random_prog_gen)
+    (fun src ->
+      agrees_with_reference "random" (Nvmir.Parser.parse src);
+      true)
+
 let suite =
   [
     tc "cfg: edges" `Quick test_cfg_edges;
@@ -173,4 +278,7 @@ let suite =
     tc "callgraph: SCCs and recursion" `Quick test_callgraph_sccs;
     QCheck_alcotest.to_alcotest prop_rpo_covers_reachable;
     QCheck_alcotest.to_alcotest prop_postorder_callees_first;
+    tc "reference: corpus and recursive programs" `Quick test_reference_corpus;
+    tc "reference: synth programs" `Quick test_reference_synth;
+    QCheck_alcotest.to_alcotest prop_reference_random;
   ]

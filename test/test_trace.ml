@@ -326,6 +326,29 @@ let test_roots_selection () =
   check Alcotest.int "one root" 1 (List.length per_root);
   check Alcotest.string "requested root" "callee" (fst (List.hd per_root))
 
+(* A program holding some of a DSG's functions: the plan walks that
+   program's call graph, so its roots are its own and a call of a
+   function it lacks stays a bare mark, even when that function is on
+   a call cycle of the DSG's program. *)
+let test_sub_program () =
+  let prog = Nvmir.Parser.parse recursion_src in
+  let dsg = Dsa.Dsg.build prog in
+  let only name =
+    let alone = Nvmir.Prog.create () in
+    Option.iter (Nvmir.Prog.add_func alone) (Nvmir.Prog.find_func prog name);
+    Analysis.Trace.collect dsg alone
+  in
+  (match only "main" with
+  | [ ("main", [ t ]) ] ->
+    check (Alcotest.list Alcotest.string) "call mark bare" [] (kinds t);
+    check Alcotest.int "one mark" 1 (List.length t)
+  | _ -> Alcotest.fail "expected one trace from main");
+  match only "rec_f" with
+  | [ ("rec_f", ts) ] ->
+    check Alcotest.bool "persistent writes kept" true
+      (List.exists (fun t -> List.mem "W" (kinds t)) ts)
+  | _ -> Alcotest.fail "expected rec_f as the only root"
+
 let prop_traces_end_balanced =
   QCheck.Test.make ~name:"traces have balanced tx markers" ~count:20
     QCheck.(map abs int)
@@ -363,5 +386,6 @@ let suite =
     tc "expansion fanout" `Quick test_expansion_fanout;
     tc "max-paths cap at call sites" `Quick test_max_paths_at_call_sites;
     tc "explicit roots" `Quick test_roots_selection;
+    tc "program with some of the DSG's functions" `Quick test_sub_program;
     QCheck_alcotest.to_alcotest prop_traces_end_balanced;
   ]
