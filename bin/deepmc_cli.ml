@@ -689,6 +689,7 @@ let crash_explore_cmd =
       trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
+    Option.iter Pool.set_default_size domains;
     obs_setup ~metrics_json ~trace_out;
     let recovery = if recover then Some "recover" else None in
     let* recording = recorded ~entry ?recovery prog in

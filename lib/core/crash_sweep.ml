@@ -1,18 +1,31 @@
 (* Parallel crash-image exploration. [Runtime.Crash_space] is kept free
    of any core dependency, so the domain fan-out lives here: the
-   program runs once into an immutable recording, and each crash point
-   is an independent read of it, which is exactly the shape [Pool.map]
-   wants. *)
+   program runs once into an immutable recording, and its tasks are
+   split into one contiguous range per domain. Each range is swept in
+   order, so it rebuilds its crashed heap once and carries it forward;
+   results depend only on their task, so any split gives the same
+   report. *)
 
-let explore_recording ?domains ?bound ?seed ?oracle recording =
-  let crash_points = Runtime.Crash_space.count_points recording in
-  Pool.map ?domains (Pool.default ())
-    (fun task ->
-      Runtime.Crash_space.explore_task ?bound ?seed ?oracle ~task recording)
-    (Runtime.Crash_space.tasks ~crash_points)
-  |> Runtime.Crash_space.summarize ~crash_points
+module Crash_space = Runtime.Crash_space
+
+let explore_recording ?domains ?(bound = Crash_space.default_bound)
+    ?(seed = 1) ?(oracle = Crash_space.Sequential) recording =
+  let crash_points = Crash_space.count_points recording in
+  let tasks = Array.of_list (Crash_space.tasks ~crash_points) in
+  let n = Array.length tasks in
+  let pool = Pool.default () in
+  let ranges =
+    max 1 (min n (Option.value domains ~default:(Pool.size pool)))
+  in
+  List.init ranges (fun i ->
+      let lo = i * n / ranges and hi = (i + 1) * n / ranges in
+      Array.to_list (Array.sub tasks lo (hi - lo)))
+  |> Pool.map ?domains ~chunk:1 pool
+       (Crash_space.explore_tasks ~bound ~seed ~oracle recording)
+  |> List.concat
+  |> Crash_space.summarize ~crash_points
 
 let explore_program ?domains ?bound ?seed ?oracle ?(entry = "main")
     ?(args = []) prog =
   explore_recording ?domains ?bound ?seed ?oracle
-    (Runtime.Crash_space.record ~entry ~args prog)
+    (Crash_space.record ~entry ~args prog)

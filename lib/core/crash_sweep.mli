@@ -1,7 +1,10 @@
-(** Crash-image exploration of whole programs: fans the tasks of a
+(** Crash-image exploration of whole programs: splits the tasks of a
     {!Runtime.Crash_space.recording} (one per crash point plus exit)
-    out over the shared {!Pool}, whose domains share only that
-    immutable recording. With [~domains:1] it runs sequentially. *)
+    into [domains] contiguous ranges (default: the shared {!Pool}'s
+    size), and sweeps each range in order
+    ({!Runtime.Crash_space.explore_tasks}) on the pool, whose domains
+    share only that immutable recording. With [~domains:1] it is one
+    sweep on the calling domain; every split gives the same report. *)
 
 val explore_recording :
   ?domains:int ->

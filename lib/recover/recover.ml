@@ -246,7 +246,8 @@ let warnings_of ~model ~recovery_entry ~fn heap_name checks =
 (* ------------------------------------------------------------------ *)
 (* Driver *)
 
-let verify_recording ?(recovery_entry = "recover") ?bound ?(seed = 1)
+let verify_recording ?(recovery_entry = "recover")
+    ?(bound = Crash_space.default_bound) ?(seed = 1)
     ?(corrupt = true) ?(model = Analysis.Model.Strict) prog recording =
   Obs.Span.with_ ~name:"recover-verify" ~args:[ ("entry", recovery_entry) ]
   @@ fun () ->
@@ -258,24 +259,19 @@ let verify_recording ?(recovery_entry = "recover") ?bound ?(seed = 1)
         (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
   in
   let crash_points = Crash_space.count_points recording in
-  let counter = ref 0 and sampled = ref false in
-  let checks =
-    List.concat_map
-      (fun task ->
-        let from, images, s =
-          Crash_space.task_images ?bound ~seed ~task recording
-        in
-        sampled := !sampled || s;
-        List.map
-          (fun ci ->
-            incr counter;
-            let seed =
-              if corrupt then Some (seed + (137 * !counter)) else None
-            in
-            check_image ~recovery_entry ~fn ~seed prog ci ~from)
-          images)
-      (Crash_space.tasks ~crash_points)
-  in
+  let counter = ref 0 and sampled = ref false and checks = ref [] in
+  Crash_space.iter_images ~bound ~seed recording
+    (Crash_space.tasks ~crash_points)
+    (fun from images s ->
+      sampled := !sampled || s;
+      List.iter
+        (fun ci ->
+          incr counter;
+          let seed = if corrupt then Some (seed + (137 * !counter)) else None in
+          let check = check_image ~recovery_entry ~fn ~seed prog ci ~from in
+          checks := check :: !checks)
+        images);
+  let checks = List.rev !checks in
   let heap_name id =
     Option.value (Crash_space.obj_name recording id)
       ~default:(Fmt.str "o%d" id)

@@ -3,7 +3,7 @@
     The static and dynamic tiers check the {e forward} path — that a
     program's stores become durable in the right order. This module
     checks the {e backward} path: for every durable image a crash can
-    leave ({!Runtime.Crash_space.task_images}), optionally corrupted
+    leave ({!Runtime.Crash_space.iter_images}), optionally corrupted
     under the media model ({!Runtime.Pmem.corrupt_image}), the
     program's recovery entry is reconstituted onto the image and
     executed, and its behaviour is classified.

@@ -11,40 +11,53 @@
 
    The program runs once. [record] journals the heap through that run
    and keeps, per persistent slot, the timeline of its cached, fenced,
-   line and rollback state, indexed by event; every task reads this one
-   immutable recording, so tasks fan out across domains freely. The
-   interpreter is deterministic, so the recording is exactly the heap
-   each crash point would have left, eviction included.
+   line and rollback state, indexed by event, and per event the slots
+   whose view changed there. The interpreter is deterministic, so the
+   recording is exactly the heap each crash point would have left,
+   eviction included. It is immutable, so sweeps run on any domain.
 
-   At every crash point (and at program exit, where still-volatile lines
-   are simply lost) one walk, [walk]:
+   Crash points are swept in order. A sweep over an ascending list of
+   tasks rebuilds the slot views of its first point once, from the
+   timelines, and then carries them forward: stepping to the next point
+   applies that point's changes. Beside the views it carries, per line,
+   the number of non-Clean slots (so the in-flight lines, in (object,
+   line) order, are always at hand) and the additive hash of the prefix
+   image. No point rebuilds or rescans the heap.
 
-   - rebuilds the crashed heap from the recording and takes the
-     candidate lines from [Pmem.inflight_lines];
-   - materializes each persisted-subset via [Pmem.materialize], with
-     open transactions rolled back;
-   - prunes by persistence equivalence — many subsets collapse to the
-     same durable state (flushing clean data, overlapping lines), and
-     the pruning ratio is reported. Images are keyed by an additive
-     per-slot hash and compared exactly on every hash hit;
-   - enumerates exhaustively when 2^candidates fits the [bound], and
-     otherwise draws a deterministic sample that always starts with the
-     empty subset (and, when the bound is at least 2, the full one).
+   At every point (and at program exit, where still-volatile lines are
+   simply lost):
 
-   The empty subset is the prefix image — exactly [Pmem.durable_snapshot]
-   of the crashed heap, what survives when nothing in flight persisted —
-   and it is always the first image walked, so the prefix image is never
-   lost under sampling.
+   - the candidate lines are the in-flight lines;
+   - a slot's image value depends only on whether its own line
+     persisted: the rollback value if an open transaction logged the
+     slot, else the cached value if the line persisted, else the fenced
+     one. A line is effective when some slot in it changes value when
+     the line persists, and two subsets leave the same image exactly
+     when they agree on the effective lines. Persistence-equivalence
+     pruning is that projection (flushing clean data, or lines a
+     transaction rolls back, collapse), and an image's hash is the
+     prefix hash plus the deltas of its persisted lines;
+   - subsets are enumerated exhaustively when 2^candidates fits the
+     [bound], and otherwise drawn as a deterministic sample that always
+     starts with the empty subset (and, when the bound is at least 2,
+     the full one).
 
-   [explore_task] judges each distinct image against an [oracle]: a user
-   invariant over the materialized heap, or the built-in [Sequential]
-   oracle that accepts an image iff it equals some program-order prefix
-   of the recorded write sequence (the states strict persistency allows)
-   and, at exit, iff no write is left volatile. Point k's writes are a
-   prefix of the run's writes, so the prefix images are hashed once per
-   program: an image is a prefix image iff some prefix no longer than
-   point k's has its hash and the same contents. [task_images] hands the
-   same images to the recovery tier. *)
+   The empty subset is the prefix image, exactly [Pmem.durable_snapshot]
+   of the crashed heap (what survives when nothing in flight persisted),
+   and it is always the first image walked, so sampling never loses it.
+
+   [explore_tasks] judges each distinct image against an [oracle]: a
+   user invariant over the materialized image, or the built-in
+   [Sequential] oracle that accepts an image iff it equals some
+   program-order prefix of the recorded write sequence (the states
+   strict persistency allows) and, at exit, iff every effective line
+   persisted (no write left volatile). Point k's writes are a prefix of
+   the run's writes, so the prefix images are hashed once per program:
+   an image is a prefix image iff some prefix no longer than point k's
+   has its hash and the same contents, compared slot by slot through the
+   views. Only images a consumer reads are materialized: the Invariant
+   oracle's, and those [iter_images] hands the recovery tier together
+   with a crashed heap carried along with the views. *)
 
 type oracle =
   | Sequential
@@ -93,10 +106,17 @@ type robj = {
   slots : timeline array;
 }
 
+(* A slot whose view changed at a point: its object's index in
+   [objects], the slot, and the new view. *)
+type change = { c_obj : int; c_slot : int; c_view : Pmem.slot_view }
+
 type recording = {
   config : Config.t;
   crash_points : int;
-  objects : robj array; (* the persistent objects, by id *)
+  objects : robj array;
+      (* the persistent objects in allocation order, which is id order,
+         so [born] never decreases along the array *)
+  changes : change array array; (* per point, 0 .. crash_points + 1 *)
   writes_upto : int array; (* writes among events 1..k, for k = 0..crash_points *)
   write_point : int array; (* the event of the j-th write; 0 for j = 0 *)
   prefixes : (int, int list) Hashtbl.t;
@@ -130,25 +150,6 @@ let slot_hash obj_id slot (v : Value.t) =
   | Vbool b -> mix (mix at 2) (Bool.to_int b)
   | Vref { obj; off } -> mix (mix (mix at 3) obj) off
 
-let image_hash (img : (int, Value.t array) Hashtbl.t) =
-  Hashtbl.fold
-    (fun id arr h ->
-      let h = ref h in
-      Array.iteri (fun slot v -> h := !h + slot_hash id slot v) arr;
-      !h)
-    img 0
-
-let images_equal a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun id arr ok ->
-         ok
-         &&
-         match Hashtbl.find_opt b id with
-         | Some arr' -> Array.for_all2 Value.equal arr arr'
-         | None -> false)
-       a true
-
 let m_executions =
   Obs.Metrics.counter "crash.executions"
     ~desc:"program executions recorded for the crash and recovery tiers"
@@ -157,25 +158,32 @@ let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
   let pmem = Pmem.create ~config () in
   Pmem.start_journal pmem;
   let events = ref 0 and writes = ref 0 and hash = ref 0 in
-  let building = Hashtbl.create 16 in (* persistent id -> born, timelines *)
+  (* persistent id -> index (allocation order), born, timelines *)
+  let building = Hashtbl.create 16 in
   let upto = ref [ 0 ] and write_points = ref [ 0 ] in
+  let changes = ref [ [||] ] in (* per point, newest first *)
   let prefixes = Hashtbl.create 64 in
   Hashtbl.replace prefixes 0 [ 0 ];
   let history (a : Pmem.addr) =
-    Option.map snd (Hashtbl.find_opt building a.obj_id)
+    Option.map (fun (_, _, h) -> h) (Hashtbl.find_opt building a.obj_id)
   in
   (* Log the current view of every slot touched since the last event
-     as of point [at]. *)
+     as of point [at], in its timeline and in the point's changes. *)
   let settle at =
+    let changed = ref [] in
     List.iter
       (fun (a : Pmem.addr) ->
-        match history a with
-        | Some h -> (
+        match Hashtbl.find_opt building a.obj_id with
+        | Some (c_obj, _, h) -> (
           match h.(a.slot) with
           | (at', _) :: _ when at' = at -> ()
-          | l -> h.(a.slot) <- (at, Pmem.slot_view pmem a) :: l)
+          | l ->
+            let c_view = Pmem.slot_view pmem a in
+            h.(a.slot) <- (at, c_view) :: l;
+            changed := { c_obj; c_slot = a.slot; c_view } :: !changed)
         | None -> ())
-      (Pmem.take_journal pmem)
+      (Pmem.take_journal pmem);
+    changes := Array.of_list !changed :: !changes
   in
   let event () =
     incr events;
@@ -193,7 +201,8 @@ let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
       Pmem.on_alloc =
         (fun ~obj_id ~persistent ~size ->
           if persistent then
-            Hashtbl.replace building obj_id (!events + 1, Array.make size []));
+            Hashtbl.replace building obj_id
+              (Hashtbl.length building, !events + 1, Array.make size []));
       on_write =
         (fun a _ ->
           let old = cached a in
@@ -220,7 +229,7 @@ let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
   settle (!events + 1);
   let objects =
     Hashtbl.fold
-      (fun id (born, h) acc ->
+      (fun id (index, born, h) acc ->
         let slots =
           Array.map
             (fun l ->
@@ -228,22 +237,24 @@ let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
               { ats = Array.map fst l; views = Array.map snd l })
             h
         in
-        {
-          id;
-          born;
-          ty = Pmem.obj_ty pmem id;
-          name = Pmem.obj_name pmem id;
-          slots;
-        }
+        ( index,
+          {
+            id;
+            born;
+            ty = Pmem.obj_ty pmem id;
+            name = Pmem.obj_name pmem id;
+            slots;
+          } )
         :: acc)
       building []
-    |> List.sort (fun a b -> Int.compare a.id b.id)
-    |> Array.of_list
+    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+    |> List.map snd |> Array.of_list
   in
   {
     config;
     crash_points = !events;
     objects;
+    changes = Array.of_list (List.rev !changes);
     writes_upto = Array.of_list (List.rev !upto);
     write_point = Array.of_list (List.rev !write_points);
     prefixes;
@@ -259,30 +270,156 @@ let tasks ~crash_points =
 
 let point_of r = function Point k -> k | Exit -> r.crash_points + 1
 
-(* The heap a crash at point [k] leaves. *)
-let heap_at r k =
-  Array.to_list r.objects
-  |> List.filter (fun o -> o.born <= k)
-  |> List.map (fun o ->
-         (o.id, o.ty, o.name, Array.map (fun tl -> view_at tl k) o.slots))
-  |> Pmem.crashed ~config:r.config
+(* ------------------------------------------------------------------ *)
+(* The sweep state: the crashed heap at point [at], as slot views plus
+   what enumeration reads of them. *)
 
-(* Whether [img], an image of point [k], is the prefix image of the
-   first [j] writes: each slot holds its value as of the j-th write's
-   event, over the objects live at [k]. *)
-let is_prefix_image r ~k img j =
-  let at = r.write_point.(j) in
-  Array.for_all
-    (fun o ->
-      o.born > k
-      ||
-      let arr = Hashtbl.find img o.id in
-      let rec same s =
-        s >= Array.length arr
-        || (Value.equal arr.(s) (view_at o.slots.(s) at).cached && same (s + 1))
-      in
-      same 0)
-    r.objects
+module Lines = Set.Make (struct
+  type t = int * int (* object index, line *)
+
+  let compare (o, l) (o', l') =
+    match Int.compare o o' with 0 -> Int.compare l l' | c -> c
+end)
+
+type cursor = {
+  r : recording;
+  width : int; (* slots per cache line *)
+  mutable at : int;
+  mutable live : int; (* objects.(0 .. live - 1) are live at [at] *)
+  views : Pmem.slot_view array array; (* per object, per slot *)
+  busy : int array array; (* per object, per line: its non-Clean slots *)
+  mutable inflight : Lines.t; (* the lines with a non-Clean slot *)
+  mutable base : int; (* the hash of the prefix image *)
+  mutable touched : (int * int) list;
+      (* the slots some event has changed by [at], as (object index,
+         slot); every other slot is null in every image and prefix *)
+  marks : bool array array;
+      (* per object, per line: persisted in the image being read; all
+         false between reads *)
+  heap : Pmem.t option; (* the same crashed heap, for image consumers *)
+}
+
+(* A slot's value in the prefix image: its undo value if an open
+   transaction logged it, its fenced value otherwise. *)
+let prefix_value (v : Pmem.slot_view) =
+  match v.rollback with Some u -> u | None -> v.fenced
+
+let add_to_heap c i =
+  let o = c.r.objects.(i) in
+  Option.iter
+    (fun heap -> Pmem.add_crashed heap (o.id, o.ty, o.name, c.views.(i)))
+    c.heap
+
+(* The state at point [at], rebuilt from the timelines: once per sweep. *)
+let start r ~heap at =
+  let width = r.config.Config.cacheline_slots in
+  let views =
+    Array.map (fun o -> Array.map (fun tl -> view_at tl at) o.slots) r.objects
+  in
+  let lines i = (Array.length views.(i) + width - 1) / width in
+  let busy = Array.mapi (fun i _ -> Array.make (lines i) 0) views in
+  let inflight = ref Lines.empty and base = ref 0 and touched = ref [] in
+  Array.iteri
+    (fun i vs ->
+      let id = r.objects.(i).id in
+      Array.iteri
+        (fun s (v : Pmem.slot_view) ->
+          if v != initial then touched := (i, s) :: !touched;
+          base := !base + slot_hash id s (prefix_value v);
+          if v.state <> Clean then begin
+            busy.(i).(s / width) <- busy.(i).(s / width) + 1;
+            inflight := Lines.add (i, s / width) !inflight
+          end)
+        vs)
+    views;
+  let live = ref 0 in
+  while !live < Array.length r.objects && r.objects.(!live).born <= at do
+    incr live
+  done;
+  let c =
+    {
+      r;
+      width;
+      at;
+      live = !live;
+      views;
+      busy;
+      inflight = !inflight;
+      base = !base;
+      touched = !touched;
+      marks = Array.mapi (fun i _ -> Array.make (lines i) false) views;
+      heap = (if heap then Some (Pmem.crashed ~config:r.config []) else None);
+    }
+  in
+  for i = 0 to c.live - 1 do
+    add_to_heap c i
+  done;
+  c
+
+let apply c { c_obj = i; c_slot = s; c_view = v } =
+  let old = c.views.(i).(s) and id = c.r.objects.(i).id and l = s / c.width in
+  c.base <-
+    c.base - slot_hash id s (prefix_value old) + slot_hash id s (prefix_value v);
+  let busy = c.busy.(i) in
+  if old.state <> Clean then begin
+    busy.(l) <- busy.(l) - 1;
+    if busy.(l) = 0 then c.inflight <- Lines.remove (i, l) c.inflight
+  end;
+  if v.state <> Clean then begin
+    if busy.(l) = 0 then c.inflight <- Lines.add (i, l) c.inflight;
+    busy.(l) <- busy.(l) + 1
+  end;
+  (* recorded views are never the shared [initial] record *)
+  if old == initial then c.touched <- (i, s) :: c.touched;
+  c.views.(i).(s) <- v;
+  Option.iter
+    (fun heap -> Pmem.set_crashed_slot heap { Pmem.obj_id = id; slot = s } v)
+    c.heap
+
+(* Step to point [k], applying every change on the way. *)
+let seek c k =
+  if k < c.at then invalid_arg "Crash_space: a sweep's tasks must ascend";
+  while c.at < k do
+    c.at <- c.at + 1;
+    while
+      c.live < Array.length c.r.objects && c.r.objects.(c.live).born <= c.at
+    do
+      add_to_heap c c.live;
+      c.live <- c.live + 1
+    done;
+    Array.iter (apply c) c.r.changes.(c.at)
+  done
+
+(* Mark or unmark the candidate lines a subset persists. *)
+let mark c cands sub on =
+  Array.iteri (fun n (i, l) -> if sub.(n) then c.marks.(i).(l) <- on) cands
+
+(* A slot's value in the image whose persisted lines are marked. *)
+let image_value c i s =
+  let v = c.views.(i).(s) in
+  match v.rollback with
+  | Some u -> u
+  | None -> if c.marks.(i).(s / c.width) then v.cached else v.fenced
+
+(* Whether the marked image is the prefix image of the first [j]
+   writes: each live slot holds its value as of the j-th write's event.
+   Slots no event has changed are null in both. *)
+let is_prefix_image c j =
+  let at = c.r.write_point.(j) in
+  List.for_all
+    (fun (i, s) ->
+      Value.equal (image_value c i s)
+        (view_at c.r.objects.(i).slots.(s) at).cached)
+    c.touched
+
+(* The marked image, materialized over the live objects. *)
+let materialize c =
+  let img = Hashtbl.create (max 1 c.live) in
+  for i = 0 to c.live - 1 do
+    Hashtbl.replace img c.r.objects.(i).id
+      (Array.init (Array.length c.views.(i)) (image_value c i))
+  done;
+  img
 
 (* Subsets of [ncand] candidate lines as bool arrays: exhaustive while
    2^ncand fits the bound, otherwise a deterministic LCG sample whose
@@ -309,46 +446,89 @@ let enumerate ~bound ~seed ncand =
       true )
   end
 
-(* The one distinct-image walk: rebuild the heap of [task], seed the
-   sampler per task, enumerate persisted-subsets of the in-flight lines,
-   materialize and hash each, and call [on_image] once per distinct
-   durable image, in enumeration order. Returns the crashed heap and the
-   task's counts (with no witnesses). *)
-let walk r ~bound ~seed ~task on_image =
-  let heap = heap_at r (point_of r task) in
-  let candidates = Pmem.inflight_lines heap in
-  let ncand = List.length candidates in
+(* A distinct image of the current point: the candidate lines, which
+   of them are effective (change a slot's value when they persist),
+   the subset that persisted, and the image's hash. *)
+type image = {
+  cands : (int * int) array;
+  effective : bool array;
+  sub : bool array;
+  hash : int;
+}
+
+let persisted c { cands; sub; _ } =
+  List.filteri (fun n _ -> sub.(n)) (Array.to_list cands)
+  |> List.map (fun (i, l) -> (c.r.objects.(i).id, l))
+
+(* The one distinct-image walk of the current point: seed the sampler
+   per task, enumerate persisted-subsets of the in-flight lines, and
+   call [on_image] once per distinct durable image, in enumeration
+   order: the first subset with each projection onto the effective
+   lines. [on_image] may read the image by marking it. Returns the
+   point's counts (with no witnesses). *)
+let walk c ~bound ~seed ~task on_image =
+  let cands = Array.of_list (Lines.elements c.inflight) in
+  let ncand = Array.length cands in
+  let delta = Array.make ncand 0 and effective = Array.make ncand false in
+  Array.iteri
+    (fun n (i, l) ->
+      let id = c.r.objects.(i).id and vs = c.views.(i) in
+      for s = l * c.width to min (Array.length vs) ((l + 1) * c.width) - 1 do
+        let v = vs.(s) in
+        if Option.is_none v.rollback && not (Value.equal v.cached v.fenced)
+        then begin
+          effective.(n) <- true;
+          delta.(n) <-
+            delta.(n) + slot_hash id s v.cached - slot_hash id s v.fenced
+        end
+      done)
+    cands;
   let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
   let subs, sampled = enumerate ~bound ~seed ncand in
-  let complete =
-    (* the image with every in-flight line persisted *)
-    lazy
-      (let img = Pmem.materialize heap ~persist:candidates in
-       (image_hash img, img))
-  in
-  let seen = Hashtbl.create 64 in (* hash -> the distinct images with it *)
-  let distinct = ref 0 in
+  let seen = Hashtbl.create 16 in (* effective projections walked *)
+  let key = Bytes.create ncand in
   List.iter
     (fun sub ->
-      let persist = List.filteri (fun i _ -> sub.(i)) candidates in
-      let img = Pmem.materialize heap ~persist in
-      let h = image_hash img in
-      let same = Option.value ~default:[] (Hashtbl.find_opt seen h) in
-      if not (List.exists (images_equal img) same) then begin
-        Hashtbl.replace seen h (img :: same);
-        incr distinct;
-        on_image ~complete ~persist img h
+      let hash = ref c.base in
+      for n = 0 to ncand - 1 do
+        let on = sub.(n) && effective.(n) in
+        Bytes.set key n (if on then '1' else '0');
+        if on then hash := !hash + delta.(n)
+      done;
+      let k = Bytes.to_string key in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.replace seen k ();
+        on_image { cands; effective; sub; hash = !hash }
       end)
     subs;
-  ( heap,
-    {
-      task;
-      candidate_lines = ncand;
-      subsets_enumerated = List.length subs;
-      distinct_images = !distinct;
-      sampled;
-      witnesses = [];
-    } )
+  {
+    task;
+    candidate_lines = ncand;
+    subsets_enumerated = List.length subs;
+    distinct_images = Hashtbl.length seen;
+    sampled;
+    witnesses = [];
+  }
+
+(* Sweep [tasks], which must ascend, calling [f] at each with the state
+   at its point. One span per sweep, naming its first and last point. *)
+let sweep r ~heap tasks f =
+  match tasks with
+  | [] -> []
+  | first :: rest ->
+    let args =
+      if not (Obs.enabled ()) then []
+      else
+        let last = List.fold_left (fun _ t -> t) first rest in
+        [ ("points", Fmt.str "%d-%d" (point_of r first) (point_of r last)) ]
+    in
+    Obs.Span.with_ ~name:"crash-sweep" ~args (fun () ->
+        let c = start r ~heap (point_of r first) in
+        List.map
+          (fun task ->
+            seek c (point_of r task);
+            f c task)
+          tasks)
 
 let m_enumerated =
   Obs.Metrics.counter "crash.images_enumerated"
@@ -371,51 +551,66 @@ let reader img { Pmem.obj_id; slot } =
   | Some arr when slot >= 0 && slot < Array.length arr -> arr.(slot)
   | _ -> Value.Vnull
 
-let verdict r oracle ~task ~complete img h =
+(* Read the image with its persisted lines marked. *)
+let reading c img f =
+  mark c img.cands img.sub true;
+  let x = f () in
+  mark c img.cands img.sub false;
+  x
+
+let verdict c oracle ~task img =
   match oracle with
-  | Invariant f -> f (reader img)
+  | Invariant f -> f (reader (reading c img (fun () -> materialize c)))
   | Sequential -> (
     match task with
     | Point k ->
-      let w = r.writes_upto.(k) in
+      let w = c.r.writes_upto.(k) in
+      let js =
+        List.filter (fun j -> j <= w)
+          (Option.value ~default:[] (Hashtbl.find_opt c.r.prefixes img.hash))
+      in
       if
-        List.exists
-          (fun j -> j <= w && is_prefix_image r ~k img j)
-          (Option.value ~default:[] (Hashtbl.find_opt r.prefixes h))
+        js <> []
+        && reading c img (fun () -> List.exists (is_prefix_image c) js)
       then Ok ()
       else
         Error
           "durable image matches no program-order prefix of the write \
            sequence"
     | Exit ->
-      let ch, cimg = Lazy.force complete in
-      if h = ch && images_equal img cimg then Ok ()
+      (* the complete write-back is the one image persisting every
+         effective line *)
+      if Array.for_all2 (fun e s -> s || not e) img.effective img.sub then
+        Ok ()
       else Error "writes still volatile at program exit are lost")
+
+let explore_tasks ~bound ~seed ~oracle r tasks =
+  sweep r ~heap:false tasks (fun c task ->
+      let witnesses = ref [] in
+      let pt =
+        walk c ~bound ~seed ~task (fun img ->
+            match verdict c oracle ~task img with
+            | Ok () -> ()
+            | Error d ->
+              witnesses :=
+                { w_task = task; w_persisted = persisted c img; w_detail = d }
+                :: !witnesses)
+      in
+      if Obs.enabled () then begin
+        Obs.Metrics.incr m_points;
+        Obs.Metrics.add m_enumerated pt.subsets_enumerated;
+        Obs.Metrics.add m_pruned (pt.subsets_enumerated - pt.distinct_images);
+        if pt.sampled then Obs.Metrics.incr m_sampled
+      end;
+      { pt with witnesses = List.rev !witnesses })
 
 let explore_task ?(bound = default_bound) ?(seed = 1) ?(oracle = Sequential)
     ~task r : point_result =
-  Obs.Span.with_ ~name:"crash-point" (fun () ->
-  let witnesses = ref [] in
-  let _, pt =
-    walk r ~bound ~seed ~task (fun ~complete ~persist img h ->
-        match verdict r oracle ~task ~complete img h with
-        | Ok () -> ()
-        | Error d ->
-          witnesses :=
-            { w_task = task; w_persisted = persist; w_detail = d }
-            :: !witnesses)
-  in
-  if Obs.enabled () then begin
-    Obs.Metrics.incr m_points;
-    Obs.Metrics.add m_enumerated pt.subsets_enumerated;
-    Obs.Metrics.add m_pruned (pt.subsets_enumerated - pt.distinct_images);
-    if pt.sampled then Obs.Metrics.incr m_sampled
-  end;
-  { pt with witnesses = List.rev !witnesses })
+  List.hd (explore_tasks ~bound ~seed ~oracle r [ task ])
 
 (* ------------------------------------------------------------------ *)
 (* Image enumeration for the recovery tier: the same walk as
-   [explore_task], returning the crashed pmem and the distinct
+   [explore_tasks], handing over the crashed heap and the distinct
    materialized images instead of judging them against an oracle. The
    recovery executor corrupts and restores each image separately. *)
 
@@ -425,14 +620,27 @@ type crash_image = {
   ci_image : (int, Value.t array) Hashtbl.t;
 }
 
+let iter_images ~bound ~seed r tasks f =
+  ignore
+    (sweep r ~heap:true tasks (fun c task ->
+         let images = ref [] in
+         let pt =
+           walk c ~bound ~seed ~task (fun img ->
+               images :=
+                 {
+                   ci_task = task;
+                   ci_persisted = persisted c img;
+                   ci_image = reading c img (fun () -> materialize c);
+                 }
+                 :: !images)
+         in
+         f (Option.get c.heap) (List.rev !images) pt.sampled))
+
 let task_images ?(bound = default_bound) ?(seed = 1) ~task r =
-  let images = ref [] in
-  let heap, pt =
-    walk r ~bound ~seed ~task (fun ~complete:_ ~persist img _ ->
-        images :=
-          { ci_task = task; ci_persisted = persist; ci_image = img } :: !images)
-  in
-  (heap, List.rev !images, pt.sampled)
+  let result = ref None in
+  iter_images ~bound ~seed r [ task ] (fun heap images sampled ->
+      result := Some (heap, images, sampled));
+  Option.get !result
 
 let summarize ~crash_points (points : point_result list) : report =
   let images_enumerated =

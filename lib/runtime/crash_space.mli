@@ -5,15 +5,18 @@
     reachable under the cache-line write-back model: at a crash, any
     subset of the in-flight lines ([Dirty], or [Flushed] but not yet
     fenced) may have reached NVM, with open transactions rolled back.
-    Images are pruned by persistence-equivalence hashing and the subset
-    space is capped by a bound — exhaustive below it, deterministic
-    sampling above it. A sample always starts with the empty subset, so
+    Crash points are swept in order, carrying one crashed heap forward
+    from each to the next. Two subsets leave the same image exactly
+    when they agree on the effective lines (those with a slot whose
+    value changes when the line persists), so images are pruned by
+    that projection, and the subset space is capped by a bound —
+    exhaustive below it, deterministic sampling above it. A sample always starts with the empty subset, so
     the prefix image ({!Pmem.durable_snapshot} of the crashed heap) is
     never lost; the full subset is drawn second, so at [bound = 1] only
     the empty subset is explored.
 
-    [Deepmc.Crash_sweep.explore_recording] drives {!explore_task} over
-    every task of a recording. *)
+    [Deepmc.Crash_sweep.explore_recording] sweeps every task of a
+    recording with {!explore_tasks}, one contiguous range per domain. *)
 
 (** How an image is judged consistent. *)
 type oracle =
@@ -61,9 +64,9 @@ val default_bound : int
 type recording
 (** One execution of a program, recorded: per persistent slot, the
     timeline of its cached, fenced, line and rollback state across the
-    persistent-memory events, plus the write sequence's prefix-image
-    hashes. Immutable once built, so tasks may read it from any
-    domain. *)
+    persistent-memory events, per event the slots whose state changed
+    there, and the write sequence's prefix-image hashes. Immutable once
+    built, so sweeps may read it from any domain. *)
 
 val record :
   ?config:Config.t ->
@@ -88,6 +91,24 @@ val obj_name : recording -> int -> string option
 val tasks : crash_points:int -> task list
 (** [Point 1 .. Point crash_points] followed by {!Exit}. *)
 
+val explore_tasks :
+  bound:int ->
+  seed:int ->
+  oracle:oracle ->
+  recording ->
+  task list ->
+  point_result list
+(** Sweep the given tasks of a recorded run, which must ascend, in
+    order: the crashed state of the first is rebuilt once from the
+    recording and carried forward to the others, so a contiguous range
+    costs one rebuild plus its points' changes and images. Each result depends only
+    on its task (the sampler is seeded per task), so callers may split
+    the tasks into ranges, sweep them on any domains and {!summarize}
+    the concatenation. Invariant oracles read the image through the
+    function they are passed; the first image judged is always the
+    prefix image.
+    @raise Invalid_argument if the tasks do not ascend. *)
+
 val explore_task :
   ?bound:int ->
   ?seed:int ->
@@ -95,11 +116,8 @@ val explore_task :
   task:task ->
   recording ->
   point_result
-(** Explore one crash point of a recorded run. Pure per-task, so
-    callers may fan tasks out across domains and {!summarize} the
-    results. Invariant oracles read the image through the function
-    they are passed; the first image judged is always the prefix
-    image. *)
+(** {!explore_tasks} of one task; [bound] defaults to {!default_bound},
+    [seed] to 1 and [oracle] to [Sequential]. *)
 
 (** {1 Image enumeration} — the recovery tier's entry point. *)
 
@@ -112,20 +130,31 @@ type crash_image = {
   ci_image : (int, Value.t array) Hashtbl.t;
 }
 
+val iter_images :
+  bound:int ->
+  seed:int ->
+  recording ->
+  task list ->
+  (Pmem.t -> crash_image list -> bool -> unit) ->
+  unit
+(** The same sweep as {!explore_tasks}, handing each task's crashed
+    heap, its distinct durable images (the same enumeration, pruning
+    and bound) and whether its subset space was sampled to the callback,
+    task by task. The first image has [ci_persisted = []] and equals
+    {!Pmem.durable_snapshot} of the heap. The heap holds the persistent
+    objects as the crash left them ({!Pmem.crashed}); it is what
+    {!Pmem.corrupt_image} seeds from and {!Pmem.restore} copies object
+    metadata from. It is carried on to the next task once the callback
+    returns, so the callback must not keep it.
+    @raise Invalid_argument if the tasks do not ascend. *)
+
 val task_images :
   ?bound:int ->
   ?seed:int ->
   task:task ->
   recording ->
   Pmem.t * crash_image list * bool
-(** The crashed heap of a recorded run at [task], the distinct durable
-    images it can leave (the same walk as {!explore_task}: one
-    enumeration, pruning and bound), and whether the subset space was
-    sampled. The first image has [ci_persisted = []] and equals
-    {!Pmem.durable_snapshot} of the heap. The heap holds the persistent
-    objects as the crash left them ({!Pmem.crashed}); it is what
-    {!Pmem.corrupt_image} seeds from and {!Pmem.restore} copies object
-    metadata from. *)
+(** {!iter_images} of one task, with {!explore_task}'s defaults. *)
 
 val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
 (** Reads of a materialized image, as an {!Invariant} oracle sees them:

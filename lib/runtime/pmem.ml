@@ -465,37 +465,55 @@ let slot_view t ({ obj_id; slot } as a) =
    values become the undo log of one open transaction: materialization
    and durable reads resolve each slot to its innermost log entry, so
    one merged log is indistinguishable from the nest it came from. *)
+let set_undo t undo =
+  if undo = [] then t.tx_stack <- []
+  else begin
+    t.tx_stack <- [ { tx_id = 0; undo } ];
+    t.next_tx <- 1
+  end
+
+let undo_of t = match t.tx_stack with [ tx ] -> tx.undo | _ -> []
+
+let add_crashed t (id, ty, name, views) =
+  let size = Array.length views in
+  Hashtbl.replace t.objects id
+    {
+      id;
+      ty;
+      persistent = true;
+      name;
+      cache = Array.map (fun v -> v.cached) views;
+      nvm = Array.map (fun v -> v.fenced) views;
+      state = Array.map (fun v -> v.state) views;
+      corrupt = Array.make size false;
+    };
+  if id >= t.next_id then t.next_id <- id + 1;
+  let undo = ref (undo_of t) in
+  Array.iteri
+    (fun slot v ->
+      Option.iter
+        (fun u_value -> undo := { u_obj = id; u_slot = slot; u_value } :: !undo)
+        v.rollback)
+    views;
+  set_undo t !undo
+
 let crashed ?(config = Config.default) objects =
   let t = create ~config () in
-  let undo = ref [] in
-  List.iter
-    (fun (id, ty, name, views) ->
-      let size = Array.length views in
-      Hashtbl.replace t.objects id
-        {
-          id;
-          ty;
-          persistent = true;
-          name;
-          cache = Array.map (fun v -> v.cached) views;
-          nvm = Array.map (fun v -> v.fenced) views;
-          state = Array.map (fun v -> v.state) views;
-          corrupt = Array.make size false;
-        };
-      Array.iteri
-        (fun slot v ->
-          Option.iter
-            (fun u_value ->
-              undo := { u_obj = id; u_slot = slot; u_value } :: !undo)
-            v.rollback)
-        views;
-      if id >= t.next_id then t.next_id <- id + 1)
-    objects;
-  if !undo <> [] then begin
-    t.tx_stack <- [ { tx_id = 0; undo = !undo } ];
-    t.next_tx <- 1
-  end;
+  List.iter (add_crashed t) objects;
   t
+
+let set_crashed_slot t { obj_id; slot } v =
+  let o = obj t obj_id in
+  o.cache.(slot) <- v.cached;
+  o.nvm.(slot) <- v.fenced;
+  o.state.(slot) <- v.state;
+  let undo =
+    List.filter (fun u -> u.u_obj <> obj_id || u.u_slot <> slot) (undo_of t)
+  in
+  set_undo t
+    (match v.rollback with
+    | Some u_value -> { u_obj = obj_id; u_slot = slot; u_value } :: undo
+    | None -> undo)
 
 (* Snapshot of the whole durable state: obj id -> values. *)
 let durable_snapshot t =

@@ -158,6 +158,16 @@ val crashed :
     {!corrupt_image}) match those of any heap whose persistent slots
     have these views; the rollback values form one open transaction. *)
 
+val add_crashed :
+  t -> int * Nvmir.Ty.t * string option * slot_view array -> unit
+(** Adds one more object to a {!crashed} heap, as if it had been in the
+    list. *)
+
+val set_crashed_slot : t -> addr -> slot_view -> unit
+(** Puts one slot of a {!crashed} heap into a new view, undo-log entry
+    included, so a heap can be carried from one crash point to the
+    next. *)
+
 (** {2 Change journal}
 
     With journaling on, a heap lists every slot whose {!slot_view} may

@@ -3,7 +3,11 @@
    fixed), every example program and random straight-line programs, at
    bounds 1, 2, 8 and 256 and with eviction modeling off and on, both
    must produce the same [point_result] (counts, sampling, witnesses in
-   order) and the same [task_images] lists and crashed heaps. *)
+   order) and the same crash-image lists and crashed heaps. The
+   explorer's results are taken from sweeps started at each single
+   point, from one sweep over the whole run, and from
+   [Crash_sweep.explore_recording] on one and two domains, so a range's
+   rebuilt start must agree with the heap a sweep carries forward. *)
 
 let tc = Alcotest.test_case
 
@@ -55,35 +59,79 @@ let agree ~config ~entry ~args prog =
     let points = Crash_space.count_points r in
     if points <> Ref_crash.count_points ~config ~entry ~args prog then
       Alcotest.fail "crash-point counts differ";
+    let tasks = Crash_space.tasks ~crash_points:points in
     let mismatches = ref [] in
+    let where bound task fmt =
+      Fmt.kstr
+        (fun s -> mismatches := s :: !mismatches)
+        ("bound %d, %a: " ^^ fmt) bound Crash_space.pp_task task
+    in
+    (* [results] against the reference's, task by task *)
+    let compare_tasks bound what results expected =
+      if List.length results <> List.length expected then
+        where bound Crash_space.Exit "%s: %d results for %d tasks" what
+          (List.length results) (List.length expected)
+      else
+        List.iteri
+          (fun n (got, want) ->
+            if got <> want then where bound (List.nth tasks n) "%s differs" what)
+          (List.combine results expected)
+    in
     List.iter
       (fun bound ->
         List.iter
-          (fun task ->
-            let where fmt =
-              Fmt.kstr
-                (fun s -> mismatches := s :: !mismatches)
-                ("bound %d, %a: " ^^ fmt) bound Crash_space.pp_task task
+          (fun (oname, oracle) ->
+            let expected =
+              List.map
+                (fun task ->
+                  Ref_crash.explore_task ~config ~entry ~args ~bound ~oracle
+                    ~task prog)
+                tasks
+            in
+            let explored domains =
+              (Deepmc.Crash_sweep.explore_recording ~domains ~bound ~oracle r)
+                .Crash_space.points
             in
             List.iter
-              (fun (oname, oracle) ->
-                if
-                  Crash_space.explore_task ~bound ~oracle ~task r
-                  <> Ref_crash.explore_task ~config ~entry ~args ~bound ~oracle
-                       ~task prog
-                then where "%s point_result differs" oname)
+              (fun (sweep, results) ->
+                compare_tasks bound
+                  (Fmt.str "%s point_result (%s)" oname sweep)
+                  results expected)
               [
-                ("sequential", Crash_space.Sequential);
-                ("invariant", Crash_space.Invariant invariant);
-              ];
-            let heap, images, sampled = Crash_space.task_images ~bound ~task r in
-            let rheap, rimages, rsampled =
-              Ref_crash.crash_images ~config ~entry ~args ~bound ~task prog
-            in
-            if image_rows images <> image_rows rimages || sampled <> rsampled
-            then where "crash images differ";
-            if heap_rows heap <> heap_rows rheap then where "crashed heaps differ")
-          (Crash_space.tasks ~crash_points:points))
+                ( "sweep from the point",
+                  List.map
+                    (fun task -> Crash_space.explore_task ~bound ~oracle ~task r)
+                    tasks );
+                ( "whole-run sweep",
+                  Crash_space.explore_tasks ~bound ~seed:1 ~oracle r tasks );
+                ("1 domain", explored 1);
+                ("2 domains", explored 2);
+              ])
+          [
+            ("sequential", Crash_space.Sequential);
+            ("invariant", Crash_space.Invariant invariant);
+          ];
+        (* The recovery tier's images and crashed heaps, from a sweep
+           started at each point and from one whole-run sweep (whose
+           heap is carried forward, so it is read inside the
+           callback). *)
+        let rows (heap, images, sampled) =
+          (heap_rows heap, image_rows images, sampled)
+        in
+        let expected =
+          List.map
+            (fun task ->
+              rows (Ref_crash.crash_images ~config ~entry ~args ~bound ~task prog))
+            tasks
+        in
+        compare_tasks bound "crash images (sweep from the point)"
+          (List.map (fun task -> rows (Crash_space.task_images ~bound ~task r)) tasks)
+          expected;
+        let whole = ref [] in
+        Crash_space.iter_images ~bound ~seed:1 r tasks (fun heap images sampled ->
+            whole := rows (heap, images, sampled) :: !whole);
+        compare_tasks bound "crash images (whole-run sweep)" (List.rev !whole)
+          expected)
       bounds;
     Some (List.rev !mismatches)
 
@@ -246,6 +294,44 @@ let prop_straight_line =
           | Some (m :: _) -> QCheck.Test.fail_report m)
         configs)
 
+(* The corpus-wide crash totals of the benchmark's corpus pass: every
+   program of the corpus and the recovery corpus from its entry, at
+   bound 256 and seed 1, as [Driver.analyze] explores it. Any change to
+   enumeration, pruning or the oracle moves one of these numbers. *)
+let expected_inconsistent =
+  [
+    ("btree_map", 0); ("rbtree_map", 0); ("pminvaders", 0); ("hashmap", 0);
+    ("hashmap_atomic", 0); ("obj_pmemlog", 0); ("obj_pmemlog_simple", 0);
+    ("nvm_region", 0); ("nvm_heap", 0); ("nvm_locks", 0); ("pmfs_journal", 0);
+    ("pmfs_symlink", 0); ("pmfs_xip", 0); ("pmfs_file", 0); ("pmfs_super", 0);
+    ("phlog_base", 1); ("chhash", 0); ("chash", 0); ("journal_recover_crc", 0);
+    ("journal_recover", 0);
+  ]
+
+let test_corpus_totals () =
+  let reports =
+    List.map
+      (fun (p : Corpus.Types.program) ->
+        ( p.Corpus.Types.name,
+          Deepmc.Crash_sweep.explore_program ~bound:256 ~seed:1
+            ~entry:p.Corpus.Types.entry ~args:p.Corpus.Types.entry_args
+            (Corpus.Types.parse p) ))
+      (Corpus.Registry.all @ Corpus.Recovery.programs)
+  in
+  let sum f = List.fold_left (fun n (_, r) -> n + f r) 0 reports in
+  Alcotest.(check int) "programs" 20 (List.length reports);
+  Alcotest.(check int) "crash points" 253
+    (sum (fun r -> r.Crash_space.crash_points));
+  Alcotest.(check int) "tasks (points + exits)" 273
+    (sum (fun r -> List.length r.Crash_space.points));
+  Alcotest.(check int) "subsets enumerated" 409
+    (sum (fun r -> r.Crash_space.images_enumerated));
+  Alcotest.(check int) "distinct images" 387
+    (sum (fun r -> r.Crash_space.images_distinct));
+  Alcotest.(check (list (pair string int)))
+    "inconsistent images per program" expected_inconsistent
+    (List.map (fun (name, r) -> (name, r.Crash_space.inconsistent)) reports)
+
 let suite =
   [
     tc "corpus programs: recorded explorer = reference" `Quick test_corpus;
@@ -253,4 +339,5 @@ let suite =
     tc "a later prefix image is not reached" `Quick
       test_later_prefix_is_not_reached;
     QCheck_alcotest.to_alcotest prop_straight_line;
+    tc "corpus crash totals at bound 256" `Quick test_corpus_totals;
   ]
