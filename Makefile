@@ -1,7 +1,7 @@
 # Developer entry points. The benches write their JSON artifacts into
 # the directory they run from, so bench-json runs from the repo root.
 
-.PHONY: all build test verify recall-gate recover-gate fuzz bench-json bench-pairs stats-drift trace clean
+.PHONY: all build test verify recall-gate recover-gate fuzz bench-json bench-drift bench-pairs stats-drift trace clean
 
 all: build
 
@@ -114,6 +114,27 @@ stats-drift:
 	@diff -u _artifacts/stats.pinned _artifacts/stats.current \
 	  && echo "stats-drift: instrument catalog matches the cram pin" \
 	  || { echo "stats-drift: catalog drifted from test/cram/obs.t" >&2; exit 1; }
+
+# Benchmark-artifact drift gate: regenerate the seed-determined
+# artifacts (the inject, recover and fuzz matrices at
+# DEEPMC_BENCH_SEED=1) into _artifacts/bench-drift, leaving the working
+# tree alone, and diff them against the committed files. Figure 12's
+# BENCH_dynamic.json holds timings, so it is left out.
+DRIFT := _artifacts/bench-drift
+
+bench-drift:
+	dune build bench/main.exe
+	@rm -rf $(DRIFT) && mkdir -p $(DRIFT)
+	@cd $(DRIFT) && for s in recall recover fuzz; do \
+	  DEEPMC_BENCH_SEED=1 ../../_build/default/bench/main.exe $$s --json \
+	    > /dev/null || exit 1; \
+	done
+	@status=0; for f in BENCH_inject.json BENCH_recover.json BENCH_fuzz.json; do \
+	  diff -u $$f $(DRIFT)/$$f || status=1; \
+	done; \
+	if [ $$status -eq 0 ]; then \
+	  echo "bench-drift: inject, recover and fuzz artifacts match the committed files"; \
+	else echo "bench-drift: artifacts drifted from the committed files" >&2; exit 1; fi
 
 # Telemetry artifacts for one corpus-slice check: a Chrome trace (open
 # _artifacts/trace.json in chrome://tracing or Perfetto) and the

@@ -2,7 +2,7 @@
    of any core dependency, so the domain fan-out lives here: the
    program runs once into an immutable recording, and its tasks are
    split into one contiguous range per domain. Each range is swept in
-   order, so it rebuilds its crashed heap once and carries it forward;
+   order, so it rebuilds its crashed state once and carries it forward;
    results depend only on their task, so any split gives the same
    report. *)
 

@@ -16,8 +16,9 @@
       volatile. A crash after B's fence recovers B's durable effects
       built on data that never reached NVM. Reported as
       [Strand_dependence] at the read site, post-validated on the crash
-      image ([materialize ~persist:[]]) so re-reads of already-durable
-      or identical data are killed as false positives.
+      image (the source slot's [durable_value]: listeners fire only on
+      persistent, in-bounds slots) so re-reads of already-durable or
+      identical data are killed as false positives.
 
    Both detectors reuse existing rule ids: they refine where and when
    the rules fire, not the taxonomy. *)
@@ -164,13 +165,7 @@ let check_candidates t =
   in
   List.iter
     (fun c ->
-      let image = Runtime.Pmem.materialize t.pmem ~persist:[] in
-      let image_val =
-        match Hashtbl.find_opt image c.src.Runtime.Pmem.obj_id with
-        | Some slots when c.src.Runtime.Pmem.slot < Array.length slots ->
-          slots.(c.src.Runtime.Pmem.slot)
-        | _ -> Runtime.Value.Vnull
-      in
+      let image_val = Runtime.Pmem.durable_value t.pmem c.src in
       let durable_derived =
         List.exists
           (fun d ->

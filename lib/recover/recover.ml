@@ -1,6 +1,7 @@
 (* Recovery-path verification. For every durable image a crash can
-   leave, reconstitute a post-crash heap (optionally media-corrupted),
-   run the program's recovery entry on it, and classify the outcome.
+   leave, take the post-crash heap the sweep builds (optionally
+   media-corrupted), run the program's recovery entry on it, and
+   classify the outcome.
    See recover.mli for the three rules this reports. *)
 
 module Crash_space = Runtime.Crash_space
@@ -108,16 +109,9 @@ let run_recovery ~recovery_entry ~args heap prog =
   in
   (outcome, Interp.corrupt_reads interp)
 
-let check_image ~recovery_entry ~fn ~seed prog
-    (ci : Crash_space.crash_image) ~from =
+let check_image ~recovery_entry ~fn ~seed prog (ci : Crash_space.crash_image) =
   let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
-  let corruptions =
-    match seed with
-    | Some seed -> Pmem.corrupt_image from ~seed ci.Crash_space.ci_image
-    | None -> []
-  in
-  let corrupt = List.map (fun c -> c.Pmem.c_addr) corruptions in
-  let heap = Pmem.restore ~from ~image:ci.Crash_space.ci_image ~corrupt () in
+  let heap, corruptions = ci.Crash_space.ci_restore seed in
   let args = recovery_args heap fn in
   let outcome, corrupt_reads = run_recovery ~recovery_entry ~args heap prog in
   let residual_corrupt = Pmem.corrupt_slot_count heap in
@@ -262,13 +256,13 @@ let verify_recording ?(recovery_entry = "recover")
   let counter = ref 0 and sampled = ref false and checks = ref [] in
   Crash_space.iter_images ~bound ~seed recording
     (Crash_space.tasks ~crash_points)
-    (fun from images s ->
+    (fun images s ->
       sampled := !sampled || s;
       List.iter
         (fun ci ->
           incr counter;
           let seed = if corrupt then Some (seed + (137 * !counter)) else None in
-          let check = check_image ~recovery_entry ~fn ~seed prog ci ~from in
+          let check = check_image ~recovery_entry ~fn ~seed prog ci in
           checks := check :: !checks)
         images);
   let checks = List.rev !checks in

@@ -3,10 +3,11 @@
     The static and dynamic tiers check the {e forward} path — that a
     program's stores become durable in the right order. This module
     checks the {e backward} path: for every durable image a crash can
-    leave ({!Runtime.Crash_space.iter_images}), optionally corrupted
-    under the media model ({!Runtime.Pmem.corrupt_image}), the
-    program's recovery entry is reconstituted onto the image and
-    executed, and its behaviour is classified.
+    leave ({!Runtime.Crash_space.iter_images}), the crash sweep builds
+    the post-crash heap a restart would see, optionally corrupted under
+    its media model ({!Runtime.Crash_space.crash_image}); the program's
+    recovery entry runs on that heap, and its behaviour is
+    classified.
 
     Three rules fall out, all invisible to the static tier:
 

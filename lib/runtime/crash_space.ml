@@ -43,8 +43,9 @@
      the full one).
 
    The empty subset is the prefix image, exactly [Pmem.durable_snapshot]
-   of the crashed heap (what survives when nothing in flight persisted),
-   and it is always the first image walked, so sampling never loses it.
+   of the heap the run left at the point (what survives when nothing in
+   flight persisted), and it is always the first image walked, so
+   sampling never loses it.
 
    [explore_tasks] judges each distinct image against an [oracle]: a
    user invariant over the materialized image, or the built-in
@@ -56,8 +57,11 @@
    an image is a prefix image iff some prefix no longer than point k's
    has its hash and the same contents, compared slot by slot through the
    views. Only images a consumer reads are materialized: the Invariant
-   oracle's, and those [iter_images] hands the recovery tier together
-   with a crashed heap carried along with the views. *)
+   oracle's, and those [iter_images] hands the recovery tier. Each of
+   those is built straight from the views into the heap a restart would
+   see ([Pmem.restore]), after the media model, which lives here too,
+   has damaged the carried in-flight lines. The views are the one
+   crashed state a sweep keeps. *)
 
 type oracle =
   | Sequential
@@ -271,8 +275,8 @@ let tasks ~crash_points =
 let point_of r = function Point k -> k | Exit -> r.crash_points + 1
 
 (* ------------------------------------------------------------------ *)
-(* The sweep state: the crashed heap at point [at], as slot views plus
-   what enumeration reads of them. *)
+(* The sweep state: the crashed state at point [at], as slot views
+   plus what enumeration reads of them. *)
 
 module Lines = Set.Make (struct
   type t = int * int (* object index, line *)
@@ -296,7 +300,6 @@ type cursor = {
   marks : bool array array;
       (* per object, per line: persisted in the image being read; all
          false between reads *)
-  heap : Pmem.t option; (* the same crashed heap, for image consumers *)
 }
 
 (* A slot's value in the prefix image: its undo value if an open
@@ -304,14 +307,8 @@ type cursor = {
 let prefix_value (v : Pmem.slot_view) =
   match v.rollback with Some u -> u | None -> v.fenced
 
-let add_to_heap c i =
-  let o = c.r.objects.(i) in
-  Option.iter
-    (fun heap -> Pmem.add_crashed heap (o.id, o.ty, o.name, c.views.(i)))
-    c.heap
-
 (* The state at point [at], rebuilt from the timelines: once per sweep. *)
-let start r ~heap at =
+let start r at =
   let width = r.config.Config.cacheline_slots in
   let views =
     Array.map (fun o -> Array.map (fun tl -> view_at tl at) o.slots) r.objects
@@ -336,25 +333,18 @@ let start r ~heap at =
   while !live < Array.length r.objects && r.objects.(!live).born <= at do
     incr live
   done;
-  let c =
-    {
-      r;
-      width;
-      at;
-      live = !live;
-      views;
-      busy;
-      inflight = !inflight;
-      base = !base;
-      touched = !touched;
-      marks = Array.mapi (fun i _ -> Array.make (lines i) false) views;
-      heap = (if heap then Some (Pmem.crashed ~config:r.config []) else None);
-    }
-  in
-  for i = 0 to c.live - 1 do
-    add_to_heap c i
-  done;
-  c
+  {
+    r;
+    width;
+    at;
+    live = !live;
+    views;
+    busy;
+    inflight = !inflight;
+    base = !base;
+    touched = !touched;
+    marks = Array.mapi (fun i _ -> Array.make (lines i) false) views;
+  }
 
 let apply c { c_obj = i; c_slot = s; c_view = v } =
   let old = c.views.(i).(s) and id = c.r.objects.(i).id and l = s / c.width in
@@ -371,10 +361,7 @@ let apply c { c_obj = i; c_slot = s; c_view = v } =
   end;
   (* recorded views are never the shared [initial] record *)
   if old == initial then c.touched <- (i, s) :: c.touched;
-  c.views.(i).(s) <- v;
-  Option.iter
-    (fun heap -> Pmem.set_crashed_slot heap { Pmem.obj_id = id; slot = s } v)
-    c.heap
+  c.views.(i).(s) <- v
 
 (* Step to point [k], applying every change on the way. *)
 let seek c k =
@@ -384,7 +371,6 @@ let seek c k =
     while
       c.live < Array.length c.r.objects && c.r.objects.(c.live).born <= c.at
     do
-      add_to_heap c c.live;
       c.live <- c.live + 1
     done;
     Array.iter (apply c) c.r.changes.(c.at)
@@ -412,14 +398,10 @@ let is_prefix_image c j =
         (view_at c.r.objects.(i).slots.(s) at).cached)
     c.touched
 
-(* The marked image, materialized over the live objects. *)
-let materialize c =
-  let img = Hashtbl.create (max 1 c.live) in
-  for i = 0 to c.live - 1 do
-    Hashtbl.replace img c.r.objects.(i).id
-      (Array.init (Array.length c.views.(i)) (image_value c i))
-  done;
-  img
+(* The marked image's slot values, per live object. *)
+let image_values c =
+  Array.init c.live (fun i ->
+      Array.init (Array.length c.views.(i)) (image_value c i))
 
 (* Subsets of [ncand] candidate lines as bool arrays: exhaustive while
    2^ncand fits the bound, otherwise a deterministic LCG sample whose
@@ -512,7 +494,7 @@ let walk c ~bound ~seed ~task on_image =
 
 (* Sweep [tasks], which must ascend, calling [f] at each with the state
    at its point. One span per sweep, naming its first and last point. *)
-let sweep r ~heap tasks f =
+let sweep r tasks f =
   match tasks with
   | [] -> []
   | first :: rest ->
@@ -523,7 +505,7 @@ let sweep r ~heap tasks f =
         [ ("points", Fmt.str "%d-%d" (point_of r first) (point_of r last)) ]
     in
     Obs.Span.with_ ~name:"crash-sweep" ~args (fun () ->
-        let c = start r ~heap (point_of r first) in
+        let c = start r (point_of r first) in
         List.map
           (fun task ->
             seek c (point_of r task);
@@ -560,7 +542,11 @@ let reading c img f =
 
 let verdict c oracle ~task img =
   match oracle with
-  | Invariant f -> f (reader (reading c img (fun () -> materialize c)))
+  | Invariant f ->
+    let values = reading c img (fun () -> image_values c) in
+    let img = Hashtbl.create (max 1 c.live) in
+    Array.iteri (fun i vs -> Hashtbl.replace img c.r.objects.(i).id vs) values;
+    f (reader img)
   | Sequential -> (
     match task with
     | Point k ->
@@ -585,7 +571,7 @@ let verdict c oracle ~task img =
       else Error "writes still volatile at program exit are lost")
 
 let explore_tasks ~bound ~seed ~oracle r tasks =
-  sweep r ~heap:false tasks (fun c task ->
+  sweep r tasks (fun c task ->
       let witnesses = ref [] in
       let pt =
         walk c ~bound ~seed ~task (fun img ->
@@ -610,19 +596,93 @@ let explore_task ?(bound = default_bound) ?(seed = 1) ?(oracle = Sequential)
 
 (* ------------------------------------------------------------------ *)
 (* Image enumeration for the recovery tier: the same walk as
-   [explore_tasks], handing over the crashed heap and the distinct
-   materialized images instead of judging them against an oracle. The
-   recovery executor corrupts and restores each image separately. *)
+   [explore_tasks], handing over each distinct image as the heap a
+   restart would see instead of judging it against an oracle. *)
+
+(* The media model: a line in flight at the crash was mid-write-back,
+   so besides persisting or not it may be damaged. Each in-flight line,
+   in (object, line) order, suffers one kind drawn from an LCG seeded
+   per image: torn (each slot lands its fenced or its cached value),
+   bit flip (one slot perturbed) or stale (the whole line reverts to
+   its fenced values). [values] is the image, per live object; it is
+   changed in place, and the slots whose value changed are returned in
+   line order. *)
+let corrupt c values ~seed =
+  let rng = ref ((seed lxor 0x2545F49) land 0x3FFFFFFF) in
+  let next () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+    !rng
+  in
+  let flip_value r (v : Value.t) : Value.t =
+    match v with
+    | Vint n -> Vint (n lxor (1 lsl (r mod 30)))
+    | Vbool b -> Vbool (not b)
+    | Vref _ -> Vnull (* a torn pointer reads as garbage *)
+    | Vnull -> Vint (1 lsl (r mod 30))
+  in
+  List.concat_map
+    (fun (i, l) ->
+      let arr = values.(i) and vs = c.views.(i) and obj_id = c.r.objects.(i).id in
+      let lo = l * c.width in
+      let hi = min (Array.length arr) (lo + c.width) in
+      let c_kind : Pmem.corruption_kind =
+        match next () mod 3 with
+        | 0 -> Torn_line
+        | 1 -> Bit_flip
+        | _ -> Stale_line
+      in
+      let corrupt_slot s c_now =
+        let c_was = arr.(s) in
+        if Value.equal c_was c_now then None
+        else begin
+          arr.(s) <- c_now;
+          Some { Pmem.c_addr = { obj_id; slot = s }; c_kind; c_was; c_now }
+        end
+      in
+      let slots = List.init (hi - lo) (fun d -> lo + d) in
+      match c_kind with
+      | Torn_line ->
+        List.filter_map
+          (fun s ->
+            let v = vs.(s) in
+            corrupt_slot s (if next () land 1 = 0 then v.fenced else v.cached))
+          slots
+      | Bit_flip ->
+        let s = lo + (next () mod max 1 (hi - lo)) in
+        Option.to_list (corrupt_slot s (flip_value (next ()) arr.(s)))
+      | Stale_line ->
+        List.filter_map (fun s -> corrupt_slot s vs.(s).fenced) slots)
+    (Lines.elements c.inflight)
 
 type crash_image = {
   ci_task : task;
   ci_persisted : (int * int) list;
-  ci_image : (int, Value.t array) Hashtbl.t;
+  ci_restore : int option -> Pmem.t * Pmem.corruption list;
 }
+
+(* The image as a post-crash heap, built afresh from the views on each
+   call; only while the sweep is still at the image's point. *)
+let restore c img =
+  let at = c.at in
+  fun media_seed ->
+    if c.at <> at then
+      invalid_arg "Crash_space: the sweep has moved past this image";
+    let values = reading c img (fun () -> image_values c) in
+    let corruptions =
+      match media_seed with Some seed -> corrupt c values ~seed | None -> []
+    in
+    let objects =
+      List.init c.live (fun i ->
+          let o = c.r.objects.(i) in
+          (o.id, o.ty, o.name, values.(i)))
+    in
+    ( Pmem.restore ~config:c.r.config objects
+        ~corrupt:(List.map (fun (x : Pmem.corruption) -> x.c_addr) corruptions),
+      corruptions )
 
 let iter_images ~bound ~seed r tasks f =
   ignore
-    (sweep r ~heap:true tasks (fun c task ->
+    (sweep r tasks (fun c task ->
          let images = ref [] in
          let pt =
            walk c ~bound ~seed ~task (fun img ->
@@ -630,16 +690,16 @@ let iter_images ~bound ~seed r tasks f =
                  {
                    ci_task = task;
                    ci_persisted = persisted c img;
-                   ci_image = reading c img (fun () -> materialize c);
+                   ci_restore = restore c img;
                  }
                  :: !images)
          in
-         f (Option.get c.heap) (List.rev !images) pt.sampled))
+         f (List.rev !images) pt.sampled))
 
 let task_images ?(bound = default_bound) ?(seed = 1) ~task r =
   let result = ref None in
-  iter_images ~bound ~seed r [ task ] (fun heap images sampled ->
-      result := Some (heap, images, sampled));
+  iter_images ~bound ~seed r [ task ] (fun images sampled ->
+      result := Some (images, sampled));
   Option.get !result
 
 let summarize ~crash_points (points : point_result list) : report =

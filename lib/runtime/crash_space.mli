@@ -5,15 +5,18 @@
     reachable under the cache-line write-back model: at a crash, any
     subset of the in-flight lines ([Dirty], or [Flushed] but not yet
     fenced) may have reached NVM, with open transactions rolled back.
-    Crash points are swept in order, carrying one crashed heap forward
-    from each to the next. Two subsets leave the same image exactly
-    when they agree on the effective lines (those with a slot whose
-    value changes when the line persists), so images are pruned by
-    that projection, and the subset space is capped by a bound —
-    exhaustive below it, deterministic sampling above it. A sample always starts with the empty subset, so
-    the prefix image ({!Pmem.durable_snapshot} of the crashed heap) is
-    never lost; the full subset is drawn second, so at [bound = 1] only
-    the empty subset is explored.
+    Crash points are swept in order, carrying one crashed state (the
+    slot views) forward from each to the next. Two subsets leave the
+    same image exactly when they agree on the effective lines (those
+    with a slot whose value changes when the line persists), so images
+    are pruned by that projection, and the subset space is capped by a
+    bound — exhaustive below it, deterministic sampling above it. A
+    sample always starts with the empty subset, so the prefix image
+    (what survives when nothing in flight persisted) is never lost;
+    the full subset is drawn second, so at [bound = 1] only the empty
+    subset is explored. The media model of the recovery tier damages
+    these images too ({!crash_image}), so this is the one module that
+    knows a crash image.
 
     [Deepmc.Crash_sweep.explore_recording] sweeps every task of a
     recording with {!explore_tasks}, one contiguous range per domain. *)
@@ -122,12 +125,24 @@ val explore_task :
 (** {1 Image enumeration} — the recovery tier's entry point. *)
 
 (** One distinct durable image of a crash task: which in-flight lines
-    reached NVM, and the materialized per-object slot arrays (transaction
-    rollback applied). *)
+    reached NVM, and the image as the heap a restart would see. *)
 type crash_image = {
   ci_task : task;
   ci_persisted : (int * int) list;
-  ci_image : (int, Value.t array) Hashtbl.t;
+  ci_restore : int option -> Pmem.t * Pmem.corruption list;
+      (** [ci_restore media_seed] builds a fresh post-crash heap from the
+          sweep's slot views: the live persistent objects with their
+          recorded ids, types and names, every slot durable and clean
+          with its image value (transaction rollback applied). With
+          [Some seed], the media model first damages every line in
+          flight at the crash, with one corruption kind drawn per line
+          from an LCG seeded by [seed]: torn (each slot lands its fenced
+          or its cached value), bit flip (one slot perturbed) or stale
+          (the line reverts to its fenced values). The slots whose value
+          changed are flagged corrupt on the heap and returned, in
+          (object, line) order. Valid only while the sweep is at the
+          image's task.
+          @raise Invalid_argument once the sweep has moved on. *)
 }
 
 val iter_images :
@@ -135,17 +150,14 @@ val iter_images :
   seed:int ->
   recording ->
   task list ->
-  (Pmem.t -> crash_image list -> bool -> unit) ->
+  (crash_image list -> bool -> unit) ->
   unit
-(** The same sweep as {!explore_tasks}, handing each task's crashed
-    heap, its distinct durable images (the same enumeration, pruning
-    and bound) and whether its subset space was sampled to the callback,
-    task by task. The first image has [ci_persisted = []] and equals
-    {!Pmem.durable_snapshot} of the heap. The heap holds the persistent
-    objects as the crash left them ({!Pmem.crashed}); it is what
-    {!Pmem.corrupt_image} seeds from and {!Pmem.restore} copies object
-    metadata from. It is carried on to the next task once the callback
-    returns, so the callback must not keep it.
+(** The same sweep as {!explore_tasks}, handing each task's distinct
+    durable images (the same enumeration, pruning and bound) and whether
+    its subset space was sampled to the callback, task by task. The
+    first image has [ci_persisted = []]: it is the prefix image. The
+    sweep moves on to the next task once the callback returns, so the
+    images must be restored inside it.
     @raise Invalid_argument if the tasks do not ascend. *)
 
 val task_images :
@@ -153,8 +165,9 @@ val task_images :
   ?seed:int ->
   task:task ->
   recording ->
-  Pmem.t * crash_image list * bool
-(** {!iter_images} of one task, with {!explore_task}'s defaults. *)
+  crash_image list * bool
+(** {!iter_images} of one task, with {!explore_task}'s defaults. The
+    sweep ends at the task, so its images stay restorable. *)
 
 val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
 (** Reads of a materialized image, as an {!Invariant} oracle sees them:

@@ -275,7 +275,14 @@ and exec_instr t frame (i : Nvmir.Instr.t) =
     | Some b -> hook b i.loc
     | None -> ()));
   let loc = i.loc in
-  match i.kind with
+  (* The heap rejects a slot outside its object, a reference to no
+     object and a commit outside a transaction with [Invalid_argument];
+     in the interpreted program each is a runtime error here. *)
+  try exec_kind t frame loc i.kind
+  with Invalid_argument m -> raise (Runtime_error (m, loc))
+
+and exec_kind t frame loc (kind : Nvmir.Instr.kind) =
+  match kind with
   | Nvmir.Instr.Store { dst; src } ->
     let addr, _ = resolve t frame loc dst in
     Pmem.write t.pmem ~loc addr (eval_operand frame loc src)

@@ -43,7 +43,8 @@ val steps : t -> int
 val corrupt_reads : t -> (Pmem.addr * Nvmir.Loc.t) list
 (** Unguarded reads (a load, or a pointer deref during place
     resolution) that hit media-corrupt slots, in execution order (empty
-    unless the heap was {!Pmem.restore}d from a corrupted image). Such a
+    unless the heap is a post-crash heap with corrupt flags,
+    {!Pmem.restore}). Such a
     read is recorded, never raised, so silently-accepting recovery code
     runs to completion — the very bug the recovery tier classifies. CRC
     primitives ({!Nvmir.Instr.Crc_of}/[Crc_check]) are guarded reads
@@ -51,7 +52,9 @@ val corrupt_reads : t -> (Pmem.addr * Nvmir.Loc.t) list
 
 val run : ?entry:string -> ?args:int list -> t -> Value.t
 (** Execute [entry] (default ["main"]) with integer arguments.
-    @raise Runtime_error on ill-formed executions.
+    @raise Runtime_error on ill-formed executions, an index outside its
+    object and a reference to no object included, at the
+    instruction's location.
     @raise Out_of_fuel when the step budget is exhausted.
     @raise Invalid_argument when [entry] is undefined. *)
 

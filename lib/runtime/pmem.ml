@@ -461,60 +461,6 @@ let slot_view t ({ obj_id; slot } as a) =
     rollback = rollback_value t a;
   }
 
-(* A heap of persistent objects in the given per-slot states. Rollback
-   values become the undo log of one open transaction: materialization
-   and durable reads resolve each slot to its innermost log entry, so
-   one merged log is indistinguishable from the nest it came from. *)
-let set_undo t undo =
-  if undo = [] then t.tx_stack <- []
-  else begin
-    t.tx_stack <- [ { tx_id = 0; undo } ];
-    t.next_tx <- 1
-  end
-
-let undo_of t = match t.tx_stack with [ tx ] -> tx.undo | _ -> []
-
-let add_crashed t (id, ty, name, views) =
-  let size = Array.length views in
-  Hashtbl.replace t.objects id
-    {
-      id;
-      ty;
-      persistent = true;
-      name;
-      cache = Array.map (fun v -> v.cached) views;
-      nvm = Array.map (fun v -> v.fenced) views;
-      state = Array.map (fun v -> v.state) views;
-      corrupt = Array.make size false;
-    };
-  if id >= t.next_id then t.next_id <- id + 1;
-  let undo = ref (undo_of t) in
-  Array.iteri
-    (fun slot v ->
-      Option.iter
-        (fun u_value -> undo := { u_obj = id; u_slot = slot; u_value } :: !undo)
-        v.rollback)
-    views;
-  set_undo t !undo
-
-let crashed ?(config = Config.default) objects =
-  let t = create ~config () in
-  List.iter (add_crashed t) objects;
-  t
-
-let set_crashed_slot t { obj_id; slot } v =
-  let o = obj t obj_id in
-  o.cache.(slot) <- v.cached;
-  o.nvm.(slot) <- v.fenced;
-  o.state.(slot) <- v.state;
-  let undo =
-    List.filter (fun u -> u.u_obj <> obj_id || u.u_slot <> slot) (undo_of t)
-  in
-  set_undo t
-    (match v.rollback with
-    | Some u_value -> { u_obj = obj_id; u_slot = slot; u_value } :: undo
-    | None -> undo)
-
 (* Snapshot of the whole durable state: obj id -> values. *)
 let durable_snapshot t =
   let snap = Hashtbl.create (Hashtbl.length t.objects) in
@@ -524,63 +470,6 @@ let durable_snapshot t =
         Hashtbl.replace snap id
           (Array.init (Array.length o.nvm) (fun slot ->
                durable_value t { obj_id = id; slot })))
-    t.objects;
-  snap
-
-(* ------------------------------------------------------------------ *)
-(* Crash-image enumeration support ([Crash_space]): which cache lines
-   are still in flight, and what durable image results when an arbitrary
-   subset of them reaches NVM. Lines are (obj_id, line index) pairs;
-   line width comes from the configuration. *)
-
-let inflight_lines t =
-  let w = t.config.Config.cacheline_slots in
-  List.concat_map
-    (fun id ->
-      let o = obj t id in
-      let size = Array.length o.state in
-      let rec any s hi = s < hi && (o.state.(s) <> Clean || any (s + 1) hi) in
-      let rec from line =
-        let lo = line * w in
-        if lo >= size then []
-        else if any lo (min size (lo + w)) then (id, line) :: from (line + 1)
-        else from (line + 1)
-      in
-      if o.persistent then from 0 else [])
-    (live_objects t)
-
-(* The durable image if exactly the [persist] lines were written back
-   before the crash: chosen lines carry their cached slots, everything
-   else keeps its fenced value, and recovery rolls open transactions
-   back via their undo logs (outermost first, so the innermost snapshot
-   wins — the same resolution order as [durable_value]). The empty
-   subset reproduces [durable_snapshot] exactly. *)
-let materialize t ~persist =
-  let snap = Hashtbl.create (Hashtbl.length t.objects) in
-  Hashtbl.iter
-    (fun id o ->
-      if o.persistent then begin
-        let arr = Array.copy o.nvm in
-        List.iter
-          (fun (obj_id, line) ->
-            if obj_id = id then begin
-              let lo = line * t.config.Config.cacheline_slots in
-              let hi =
-                min (Array.length o.cache) (lo + t.config.Config.cacheline_slots)
-              in
-              for s = lo to hi - 1 do
-                arr.(s) <- o.cache.(s)
-              done
-            end)
-          persist;
-        List.iter
-          (fun tx ->
-            List.iter
-              (fun u -> if u.u_obj = id then arr.(u.u_slot) <- u.u_value)
-              tx.undo)
-          (List.rev t.tx_stack);
-        Hashtbl.replace snap id arr
-      end)
     t.objects;
   snap
 
@@ -604,16 +493,14 @@ let volatile_slot_count t =
 (* ------------------------------------------------------------------ *)
 (* Media corruption (recovery-tier model).
 
-   A crash image enumerated by [Crash_space] says which in-flight lines
-   reached NVM, but media may additionally tear or flip the bytes of any
-   line that was in flight: the device was mid-write-back when power
-   failed. [corrupt_image] applies that adversarial model to a
-   materialized image, deterministically from a seed; [restore] then
-   reconstitutes a fresh heap from the (possibly corrupted) image with
-   per-slot corrupt flags set, so recovery code runs against exactly the
-   state a real restart would see. CRC primitives implement the
-   verified-storage axiom: a matching CRC over uncorrupted slots proves
-   the data is the data that was written. *)
+   A crash image says which in-flight lines reached NVM, but media may
+   additionally tear or flip the bytes of any line that was in flight:
+   the device was mid-write-back when power failed. [Crash_space]
+   applies that model to its images and builds each post-crash heap
+   with [restore], per-slot corrupt flags set, so recovery code runs
+   against exactly the state a real restart would see. CRC primitives
+   implement the verified-storage axiom: a matching CRC over
+   uncorrupted slots proves the data is the data that was written. *)
 
 type corruption_kind =
   | Torn_line  (** each slot independently landed old or new *)
@@ -634,81 +521,27 @@ type corruption = {
   c_now : Value.t;
 }
 
-(* One LCG bit-stream per image, fully determined by the seed. *)
-let corrupt_image t ~seed image =
-  let rng = ref ((seed lxor 0x2545F49) land 0x3FFFFFFF) in
-  let next () =
-    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-    !rng
-  in
-  let flip_value r v =
-    match (v : Value.t) with
-    | Value.Vint n -> Value.Vint (n lxor (1 lsl (r mod 30)))
-    | Value.Vbool b -> Value.Vbool (not b)
-    | Value.Vref _ -> Value.Vnull (* a torn pointer reads as garbage *)
-    | Value.Vnull -> Value.Vint (1 lsl (r mod 30))
-  in
-  List.concat_map
-    (fun (obj_id, line) ->
-      match Hashtbl.find_opt image obj_id with
-      | None -> []
-      | Some arr ->
-        let o = obj t obj_id in
-        let lo = line * t.config.Config.cacheline_slots in
-        let hi = min (Array.length arr) (lo + t.config.Config.cacheline_slots) in
-        let kind =
-          match next () mod 3 with
-          | 0 -> Torn_line
-          | 1 -> Bit_flip
-          | _ -> Stale_line
-        in
-        let corrupt_slot s now =
-          let was = arr.(s) in
-          if Value.equal was now then None
-          else begin
-            arr.(s) <- now;
-            Some { c_addr = { obj_id; slot = s }; c_kind = kind;
-                   c_was = was; c_now = now }
-          end
-        in
-        let slots = List.init (hi - lo) (fun d -> lo + d) in
-        (match kind with
-        | Torn_line ->
-          List.filter_map
-            (fun s ->
-              let v = if next () land 1 = 0 then o.nvm.(s) else o.cache.(s) in
-              corrupt_slot s v)
-            slots
-        | Bit_flip ->
-          let s = lo + (next () mod max 1 (hi - lo)) in
-          Option.to_list (corrupt_slot s (flip_value (next ()) arr.(s)))
-        | Stale_line -> List.filter_map (fun s -> corrupt_slot s o.nvm.(s)) slots))
-    (inflight_lines t)
-
-(* Reconstitute a post-crash heap from a materialized (and possibly
-   corrupted) image: values are durable and clean, corrupt flags mark
-   the slots [corrupt_image] changed. [from] supplies object metadata
-   (types, names); only the image's objects — the persistent ones — are
-   restored, so recovery allocates its volatile state afresh. *)
-let restore ~from ~image ~corrupt () =
-  let t = create ~config:from.config () in
-  Hashtbl.iter
-    (fun id arr ->
-      let o = obj from id in
-      let size = Array.length arr in
+(* A post-crash heap: the given persistent objects, every slot durable
+   and clean with its value, the [corrupt] slots flagged. Recovery
+   allocates its volatile state afresh. *)
+let restore ~config objects ~corrupt =
+  let t = create ~config () in
+  List.iter
+    (fun (id, ty, name, values) ->
+      let size = Array.length values in
       Hashtbl.replace t.objects id
         {
           id;
-          ty = o.ty;
+          ty;
           persistent = true;
-          name = o.name;
-          cache = Array.copy arr;
-          nvm = Array.copy arr;
+          name;
+          cache = values;
+          nvm = Array.copy values;
           state = Array.make size Clean;
           corrupt = Array.make size false;
         };
       if id >= t.next_id then t.next_id <- id + 1)
-    image;
+    objects;
   List.iter
     (fun { obj_id; slot } ->
       match Hashtbl.find_opt t.objects obj_id with

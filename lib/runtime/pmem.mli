@@ -148,26 +148,6 @@ type slot_view = {
 
 val slot_view : t -> addr -> slot_view
 
-val crashed :
-  ?config:Config.t ->
-  (int * Nvmir.Ty.t * string option * slot_view array) list ->
-  t
-(** [crashed objs] is a heap holding exactly the persistent objects
-    [(id, ty, name, slots)] in the given slot states. Its crash
-    semantics ({!durable_value}, {!inflight_lines}, {!materialize},
-    {!corrupt_image}) match those of any heap whose persistent slots
-    have these views; the rollback values form one open transaction. *)
-
-val add_crashed :
-  t -> int * Nvmir.Ty.t * string option * slot_view array -> unit
-(** Adds one more object to a {!crashed} heap, as if it had been in the
-    list. *)
-
-val set_crashed_slot : t -> addr -> slot_view -> unit
-(** Puts one slot of a {!crashed} heap into a new view, undo-log entry
-    included, so a heap can be carried from one crash point to the
-    next. *)
-
 (** {2 Change journal}
 
     With journaling on, a heap lists every slot whose {!slot_view} may
@@ -183,23 +163,6 @@ val take_journal : t -> addr list
 val durable_snapshot : t -> (int, Value.t array) Hashtbl.t
 (** Durable view of every persistent object. *)
 
-(** {2 Crash-image enumeration}
-
-    Lines are [(obj_id, line index)] pairs at the configured cache-line
-    width. At a crash, any subset of the in-flight lines may have
-    reached NVM; {!Crash_space} enumerates those images. *)
-
-val inflight_lines : t -> (int * int) list
-(** Lines with at least one [Dirty] or [Flushed] (written back but not
-    yet fenced) slot, sorted: every line whose persistence at a crash is
-    undetermined. *)
-
-val materialize : t -> persist:(int * int) list -> (int, Value.t array) Hashtbl.t
-(** The durable image if exactly the [persist] lines were written back
-    before the crash: chosen lines carry their cached slots, everything
-    else keeps its fenced value, and open transactions are rolled back.
-    [materialize t ~persist:[]] equals {!durable_snapshot}. *)
-
 val volatile_slot_count : t -> int
 (** Slots whose cached value differs from the durable view; zero means a
     crash loses nothing. *)
@@ -208,11 +171,12 @@ val volatile_slot_count : t -> int
 
     A crash image says which in-flight lines reached NVM; the media
     model adds that any line {e in flight} at the crash may additionally
-    have been torn mid-write-back. {!corrupt_image} applies that model
-    to a materialized image deterministically from a seed, {!restore}
-    reconstitutes a post-crash heap (values clean and durable, corrupt
-    flags set), and the CRC primitives implement the verified-storage
-    CRC-validates-data axiom recovery code uses to detect the damage. *)
+    have been torn mid-write-back. The model itself lives beside the
+    crash sweep ({!Crash_space.iter_images}), the one module that knows
+    a crash image; this module keeps its vocabulary, the post-crash heap
+    it builds ({!restore}), the corrupt flags, and the CRC primitives
+    that implement the verified-storage CRC-validates-data axiom
+    recovery code uses to detect the damage. *)
 
 type corruption_kind =
   | Torn_line  (** each slot independently landed old or new *)
@@ -230,23 +194,16 @@ type corruption = {
   c_now : Value.t;
 }
 
-val corrupt_image :
-  t -> seed:int -> (int, Value.t array) Hashtbl.t -> corruption list
-(** Mutates a {!materialize}d image in place: every in-flight line of
-    [t] suffers one seeded corruption kind (torn / bit flip / stale).
-    Returns the slots whose image value actually changed, in line
-    order. Deterministic for a fixed heap and seed. *)
-
 val restore :
-  from:t ->
-  image:(int, Value.t array) Hashtbl.t ->
+  config:Config.t ->
+  (int * Nvmir.Ty.t * string option * Value.t array) list ->
   corrupt:addr list ->
-  unit ->
   t
-(** A fresh heap holding exactly the image: every object durable and
-    [Clean], with the [corrupt] slots flagged. [from] supplies the
-    configuration and object metadata (types, names); volatile objects
-    are not restored. *)
+(** [restore ~config objects ~corrupt] is a post-crash heap holding
+    exactly the persistent objects [(id, ty, name, values)]: every slot
+    durable and [Clean] with its value, the [corrupt] slots flagged.
+    The value arrays become the objects' cached views, so the caller
+    must not reuse them. *)
 
 val is_corrupt : t -> addr -> bool
 

@@ -1,10 +1,12 @@
 (* A naive reference for crash-image exploration, the oracle the
    recorded explorer ([Runtime.Crash_space]) is checked against: every
    task re-executes the program up to its crash point, every image is
-   rendered to a string, and the Sequential oracle re-renders every
-   program-order prefix of the write sequence at every crash point. No
-   recording, no hashing. Results use [Crash_space]'s own types so the
-   two can be compared with [=]. *)
+   materialized as a table and rendered to a string, and the Sequential
+   oracle re-renders every program-order prefix of the write sequence
+   at every crash point. No recording, no hashing. The recovery tier's
+   images take the same table through a media-model pass that rescans
+   the heap for in-flight lines, and then into a restored heap. Results
+   use [Crash_space]'s own types so the two can be compared. *)
 
 module Crash_space = Runtime.Crash_space
 module Pmem = Runtime.Pmem
@@ -118,6 +120,107 @@ let inflight_lines heap =
     (Pmem.live_objects heap)
   |> List.sort_uniq compare
 
+(* The durable image if exactly the [persist] lines were written back
+   before the crash: a slot takes its innermost undo value if an open
+   transaction logged it, else its cached value if its line persisted,
+   else its fenced value. Only persistent objects appear. *)
+let materialize heap ~persist =
+  let w = (Pmem.config heap).Runtime.Config.cacheline_slots in
+  let img = Hashtbl.create 8 in
+  List.iter
+    (fun obj_id ->
+      if Pmem.is_persistent heap obj_id then
+        Hashtbl.replace img obj_id
+          (Array.init (Pmem.obj_size heap obj_id) (fun slot ->
+               let v = Pmem.slot_view heap { Pmem.obj_id; slot } in
+               match v.Pmem.rollback with
+               | Some u -> u
+               | None ->
+                 if List.mem (obj_id, slot / w) persist then v.Pmem.cached
+                 else v.Pmem.fenced)))
+    (Pmem.live_objects heap);
+  img
+
+(* The media model as a pass over a materialized image: every in-flight
+   line of [heap] suffers one seeded corruption kind, in line order.
+   Mutates [image]; returns the slots whose value changed. *)
+let corrupt_image heap ~seed image =
+  let w = (Pmem.config heap).Runtime.Config.cacheline_slots in
+  let rng = ref ((seed lxor 0x2545F49) land 0x3FFFFFFF) in
+  let next () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+    !rng
+  in
+  let flip_value r (v : Value.t) : Value.t =
+    match v with
+    | Vint n -> Vint (n lxor (1 lsl (r mod 30)))
+    | Vbool b -> Vbool (not b)
+    | Vref _ -> Vnull
+    | Vnull -> Vint (1 lsl (r mod 30))
+  in
+  List.concat_map
+    (fun (obj_id, line) ->
+      match Hashtbl.find_opt image obj_id with
+      | None -> []
+      | Some arr ->
+        let view s = Pmem.slot_view heap { Pmem.obj_id; slot = s } in
+        let lo = line * w in
+        let hi = min (Array.length arr) (lo + w) in
+        let kind : Pmem.corruption_kind =
+          match next () mod 3 with
+          | 0 -> Torn_line
+          | 1 -> Bit_flip
+          | _ -> Stale_line
+        in
+        let corrupt_slot s now =
+          let was = arr.(s) in
+          if Value.equal was now then None
+          else begin
+            arr.(s) <- now;
+            Some
+              { Pmem.c_addr = { obj_id; slot = s }; c_kind = kind; c_was = was;
+                c_now = now }
+          end
+        in
+        let slots = List.init (hi - lo) (fun d -> lo + d) in
+        (match kind with
+        | Torn_line ->
+          List.filter_map
+            (fun s ->
+              let v =
+                if next () land 1 = 0 then (view s).Pmem.fenced
+                else (view s).Pmem.cached
+              in
+              corrupt_slot s v)
+            slots
+        | Bit_flip ->
+          let s = lo + (next () mod max 1 (hi - lo)) in
+          Option.to_list (corrupt_slot s (flip_value (next ()) arr.(s)))
+        | Stale_line ->
+          List.filter_map (fun s -> corrupt_slot s (view s).Pmem.fenced) slots))
+    (inflight_lines heap)
+
+(* The post-crash heap of a materialized image: a copy of the image,
+   corrupted when a seed is given, with the heap's types and names. *)
+let restore heap image media_seed =
+  let image = Hashtbl.copy image in
+  Hashtbl.filter_map_inplace (fun _ arr -> Some (Array.copy arr)) image;
+  let corruptions =
+    match media_seed with
+    | Some seed -> corrupt_image heap ~seed image
+    | None -> []
+  in
+  let objects =
+    Hashtbl.fold
+      (fun id arr acc ->
+        (id, Pmem.obj_ty heap id, Pmem.obj_name heap id, arr) :: acc)
+      image []
+    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+  in
+  ( Pmem.restore ~config:(Pmem.config heap) objects
+      ~corrupt:(List.map (fun (c : Pmem.corruption) -> c.Pmem.c_addr) corruptions),
+    corruptions )
+
 let walk ?config ?entry ?args ~bound ~seed ~task prog on_image =
   let heap, writes, _ = run_to ?config ?entry ?args ~task prog in
   let candidates = inflight_lines heap in
@@ -126,7 +229,7 @@ let walk ?config ?entry ?args ~bound ~seed ~task prog on_image =
     seed lxor (match task with Crash_space.Point k -> k * 7919 | Exit -> 104729)
   in
   let subs, sampled = enumerate ~bound ~seed ncand in
-  let image persist = Pmem.materialize heap ~persist in
+  let image persist = materialize heap ~persist in
   let prefixes = lazy (prefix_digests heap writes) in
   let complete = lazy (digest (image candidates)) in
   let seen = Hashtbl.create 64 in
@@ -186,8 +289,14 @@ let crash_images ?config ?entry ?args ?(bound = Crash_space.default_bound)
   let heap, pt =
     walk ?config ?entry ?args ~bound ~seed ~task prog
       (fun ~prefixes:_ ~complete:_ ~persist img _ ->
-        images :=
-          { Crash_space.ci_task = task; ci_persisted = persist; ci_image = img }
-          :: !images)
+        images := (persist, img) :: !images)
   in
-  (heap, List.rev !images, pt.Crash_space.sampled)
+  ( List.rev_map
+      (fun (persist, img) ->
+        {
+          Crash_space.ci_task = task;
+          ci_persisted = persist;
+          ci_restore = restore heap img;
+        })
+      !images,
+    pt.Crash_space.sampled )

@@ -49,14 +49,14 @@ let crash_test ?entry invariant prog =
 (* The prefix image of [task]: what survives when nothing in flight
    reached NVM, read slot by slot. *)
 let prefix_image ~task ~entry prog =
-  let _, images, _ =
+  let images, _ =
     Runtime.Crash_space.(task_images ~task (record ~entry prog))
   in
   match images with
-  | ci :: _ -> fun obj_id slot ->
-    Runtime.Value.to_int
-      (Runtime.Crash_space.reader ci.Runtime.Crash_space.ci_image
-         { Runtime.Pmem.obj_id; slot })
+  | ci :: _ ->
+    let heap, _ = ci.Runtime.Crash_space.ci_restore None in
+    let read = Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap) in
+    fun obj_id slot -> Runtime.Value.to_int (read { Runtime.Pmem.obj_id; slot })
   | [] -> Alcotest.fail "a crash task has at least one image"
 
 let test_buggy_hashmap_has_window () =

@@ -3,7 +3,11 @@
    fixed), every example program and random straight-line programs, at
    bounds 1, 2, 8 and 256 and with eviction modeling off and on, both
    must produce the same [point_result] (counts, sampling, witnesses in
-   order) and the same crash-image lists and crashed heaps. The
+   order) and the same crash images, each restored as the recovery
+   tier's post-crash heap with no media seed and with three: its
+   durable contents, its objects with their types, names and corrupt
+   flags, and the corruption list must match the reference's
+   materialize-corrupt-restore path. The
    explorer's results are taken from sweeps started at each single
    point, from one sweep over the whole run, and from
    [Crash_sweep.explore_recording] on one and two domains, so a range's
@@ -26,17 +30,36 @@ let bindings img =
   Hashtbl.fold (fun id arr acc -> (id, Array.to_list arr) :: acc) img []
   |> List.sort compare
 
+(* The media seeds each image is restored under: none, and three. *)
+let media_seeds = [ None; Some 1; Some 138; Some 2024 ]
+
+(* What the recovery tier reads of a restored heap. *)
+let heap_rows heap =
+  let objects =
+    List.map
+      (fun obj_id ->
+        ( obj_id,
+          Pmem.is_persistent heap obj_id,
+          Pmem.obj_ty heap obj_id,
+          Pmem.obj_name heap obj_id,
+          List.init (Pmem.obj_size heap obj_id) (fun slot ->
+              Pmem.is_corrupt heap { Pmem.obj_id; slot }) ))
+      (Pmem.live_objects heap)
+  in
+  (bindings (Pmem.durable_snapshot heap), objects, Pmem.corrupt_slot_count heap)
+
+(* Each image restored under every media seed, read at once. *)
 let image_rows images =
   List.map
     (fun (ci : Crash_space.crash_image) ->
-      (ci.Crash_space.ci_task, ci.ci_persisted, bindings ci.ci_image))
+      ( ci.Crash_space.ci_task,
+        ci.ci_persisted,
+        List.map
+          (fun seed ->
+            let heap, corruptions = ci.ci_restore seed in
+            (heap_rows heap, corruptions))
+          media_seeds ))
     images
-
-(* What a crashed heap exposes to the recovery tier. *)
-let heap_rows heap =
-  ( bindings (Pmem.durable_snapshot heap),
-    Pmem.inflight_lines heap,
-    Pmem.volatile_slot_count heap )
 
 (* An invariant that depends on image contents, so the Invariant path is
    compared too: slot 0 of object 0 may not be durable ahead of slot 1. *)
@@ -111,13 +134,11 @@ let agree ~config ~entry ~args prog =
             ("sequential", Crash_space.Sequential);
             ("invariant", Crash_space.Invariant invariant);
           ];
-        (* The recovery tier's images and crashed heaps, from a sweep
-           started at each point and from one whole-run sweep (whose
-           heap is carried forward, so it is read inside the
-           callback). *)
-        let rows (heap, images, sampled) =
-          (heap_rows heap, image_rows images, sampled)
-        in
+        (* The recovery tier's images as restored heaps, with and
+           without media corruption, from a sweep started at each point
+           and from one whole-run sweep (which moves on, so its images
+           are restored inside the callback). *)
+        let rows (images, sampled) = (image_rows images, sampled) in
         let expected =
           List.map
             (fun task ->
@@ -128,8 +149,8 @@ let agree ~config ~entry ~args prog =
           (List.map (fun task -> rows (Crash_space.task_images ~bound ~task r)) tasks)
           expected;
         let whole = ref [] in
-        Crash_space.iter_images ~bound ~seed:1 r tasks (fun heap images sampled ->
-            whole := rows (heap, images, sampled) :: !whole);
+        Crash_space.iter_images ~bound ~seed:1 r tasks (fun images sampled ->
+            whole := rows (images, sampled) :: !whole);
         compare_tasks bound "crash images (whole-run sweep)" (List.rev !whole)
           expected)
       bounds;

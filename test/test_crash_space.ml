@@ -70,9 +70,7 @@ let test_prefix_subset () =
   let prefix_violations =
     List.filter
       (fun task ->
-        let heap, _, _ =
-          Runtime.Crash_space.(task_images ~task (record prog))
-        in
+        let heap, _, _ = Ref_crash.run_to ~task prog in
         Result.is_error
           (invariant
              (Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap))))
@@ -122,9 +120,7 @@ let test_synth_pairs () =
         fst (Corpus.Synth.generate cfg)
       in
       let buggy = make 100 and fixed = make 0 in
-      let at_exit, _, _ =
-        Runtime.Crash_space.(task_images ~task:Exit (record buggy))
-      in
+      let at_exit, _, _ = Ref_crash.run_to ~task:Exit buggy in
       if Runtime.Pmem.volatile_slot_count at_exit > 0 then begin
         let r = explore ~bound:64 buggy in
         check Alcotest.bool
@@ -266,14 +262,15 @@ let test_parallel_matches_sequential () =
   check Alcotest.int "inconsistent" seq.Runtime.Crash_space.inconsistent
     par.Runtime.Crash_space.inconsistent
 
-(* materialize with no lines persisted is the durable snapshot. *)
+(* The reference's materialize with no lines persisted is the durable
+   snapshot. *)
 let test_materialize_empty_is_snapshot () =
   let prog = Nvmir.Parser.parse buggy_hashmap_src in
   let pmem = Runtime.Pmem.create () in
   let interp = Runtime.Interp.create ~pmem prog in
   ignore (Runtime.Interp.run ~entry:"main" interp);
   let snap = Runtime.Pmem.durable_snapshot pmem in
-  let img = Runtime.Pmem.materialize pmem ~persist:[] in
+  let img = Ref_crash.materialize pmem ~persist:[] in
   Hashtbl.iter
     (fun id arr ->
       let arr' =
@@ -292,9 +289,10 @@ let test_materialize_empty_is_snapshot () =
 
 (* The prefix image is the first image of every task, at any bound:
    [task_images] starts with the empty persisted-subset, and that image
-   is exactly [Pmem.durable_snapshot] of the crashed heap — so sampling
-   never loses it. Swept over every corpus program with a runnable entry
-   and three synth programs. *)
+   restores to exactly [Pmem.durable_snapshot] of the crashed heap (the
+   reference re-executes to the task) — so sampling never loses it.
+   Swept over every corpus program with a runnable entry and three
+   synth programs. *)
 let test_prefix_image_first () =
   let bindings img =
     Hashtbl.fold (fun id arr acc -> (id, Array.to_list arr) :: acc) img []
@@ -326,11 +324,18 @@ let test_prefix_image_first () =
       let all_tasks =
         Runtime.Crash_space.(tasks ~crash_points:(count_points r))
       in
+      let crashed =
+        List.map
+          (fun task ->
+            let heap, _, _ = Ref_crash.run_to ~entry ~args ~task prog in
+            (task, bindings (Runtime.Pmem.durable_snapshot heap)))
+          all_tasks
+      in
       List.iter
         (fun bound ->
           List.iter
             (fun task ->
-              let heap, images, _ =
+              let images, _ =
                 Runtime.Crash_space.task_images ~bound ~task r
               in
               let where =
@@ -342,13 +347,34 @@ let test_prefix_image_first () =
               | ci :: _ ->
                 check Alcotest.bool (where ^ ": nothing persisted") true
                   (ci.Runtime.Crash_space.ci_persisted = []);
+                let heap, _ = ci.Runtime.Crash_space.ci_restore None in
                 check Alcotest.bool (where ^ ": equals the durable snapshot")
                   true
-                  (bindings ci.Runtime.Crash_space.ci_image
-                  = bindings (Runtime.Pmem.durable_snapshot heap)))
+                  (bindings (Runtime.Pmem.durable_snapshot heap)
+                  = List.assoc task crashed))
             all_tasks)
         [ 1; 2; 8; 256 ])
     (corpus @ synth)
+
+(* A recovery image is built from the sweep's views, so once the sweep
+   has moved on to a later task it refuses to restore a stale image
+   instead of reading another point's state. *)
+let test_stale_image_refused () =
+  let r = Runtime.Crash_space.record (Nvmir.Parser.parse buggy_hashmap_src) in
+  let first = ref None in
+  Runtime.Crash_space.(
+    iter_images ~bound:default_bound ~seed:1 r
+      (tasks ~crash_points:(count_points r)))
+    (fun images _ ->
+      List.iter
+        (fun (ci : Runtime.Crash_space.crash_image) ->
+          ignore (ci.Runtime.Crash_space.ci_restore (Some 1));
+          if Option.is_none !first then first := Some ci)
+        images);
+  check Alcotest.bool "an image of the first point is refused" true
+    (match (Option.get !first).Runtime.Crash_space.ci_restore None with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let suite =
   [
@@ -367,4 +393,6 @@ let suite =
     tc "materialize [] = durable snapshot" `Quick
       test_materialize_empty_is_snapshot;
     tc "prefix image is first at any bound" `Quick test_prefix_image_first;
+    tc "a recovery image is refused once the sweep moves on" `Quick
+      test_stale_image_refused;
   ]

@@ -67,15 +67,19 @@ let test_buggy_btree_split_commits_item () =
   | Some p ->
     let prog = Corpus.Types.parse p in
     (* the prefix image at exit: nothing in flight reached NVM *)
-    let pmem, images, _ =
-      Runtime.Crash_space.(
-        task_images ~task:Exit (record ~entry:"btree_driver_split" prog))
+    let entry = "btree_driver_split" in
+    let images, _ =
+      Runtime.Crash_space.(task_images ~task:Exit (record ~entry prog))
     in
     let read =
       match images with
-      | ci :: _ -> Runtime.Crash_space.reader ci.Runtime.Crash_space.ci_image
+      | ci :: _ ->
+        let heap, _ = ci.Runtime.Crash_space.ci_restore None in
+        Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap)
       | [] -> Alcotest.fail "exit has at least one image"
     in
+    (* the heap the run left, for what it cached *)
+    let pmem, _, _ = Ref_crash.run_to ~entry ~task:Exit prog in
     (* node = obj 0: n slot 0, items slots 1..8; driver stored n=4 and
        the split wrote items[3] (slot 4); m = obj 1 with n logged *)
     check Alcotest.int "logged write committed" 5 (durable read 1 0);

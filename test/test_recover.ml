@@ -1,5 +1,5 @@
 (* The recovery tier (lib/recover) and its media-corruption model
-   (Runtime.Pmem): the CRC-validates-data axioms as QCheck properties
+   (Runtime.Crash_space, over Runtime.Pmem's corrupt flags and CRCs): the CRC-validates-data axioms as QCheck properties
    over the crash-image space of the recovery corpus, determinism of
    the executor's verdicts, and the pinned verdict/warning shape of the
    guarded and unguarded bases. *)
@@ -23,16 +23,9 @@ let task_images ~seed prog =
 
 let corrupted_images ~seed prog =
   List.concat_map
-    (fun (pmem, images, _) ->
+    (fun (images, _) ->
       List.map
-        (fun (ci : Crash_space.crash_image) ->
-          let cs = Pmem.corrupt_image pmem ~seed ci.Crash_space.ci_image in
-          let heap =
-            Pmem.restore ~from:pmem ~image:ci.Crash_space.ci_image
-              ~corrupt:(List.map (fun (c : Pmem.corruption) -> c.Pmem.c_addr) cs)
-              ()
-          in
-          (heap, cs))
+        (fun (ci : Crash_space.crash_image) -> ci.Crash_space.ci_restore (Some seed))
         images)
     (task_images ~seed prog)
 
@@ -66,13 +59,10 @@ let prop_uncorrupted_always_validates =
     (fun seed ->
       let prog = guarded () in
       List.for_all
-        (fun (pmem, images, _) ->
+        (fun (images, _) ->
           List.for_all
             (fun (ci : Crash_space.crash_image) ->
-              let heap =
-                Pmem.restore ~from:pmem ~image:ci.Crash_space.ci_image
-                  ~corrupt:[] ()
-              in
+              let heap, _ = ci.Crash_space.ci_restore None in
               List.for_all
                 (fun obj_id ->
                   (not (Pmem.is_persistent heap obj_id))
