@@ -901,6 +901,13 @@ let catalog =
         "Running recovery a second time over an already-recovered image \
          must leave persistent state unchanged (recovery is a fix-point).";
     };
+    {
+      id = Warning.Recovery_crash;
+      models = Model.all;
+      statement =
+        "Recovery must return on every crash image: a runtime error or \
+         running out of fuel leaves the restart with no recovered state.";
+    };
   ]
 
 let applicable_rules model =

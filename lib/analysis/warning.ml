@@ -22,6 +22,7 @@ type rule_id =
   | Unguarded_recovery_read
   | Silent_corruption_accept
   | Non_idempotent_recovery
+  | Recovery_crash
 
 let all_rules =
   [
@@ -38,6 +39,7 @@ let all_rules =
     Unguarded_recovery_read;
     Silent_corruption_accept;
     Non_idempotent_recovery;
+    Recovery_crash;
   ]
 
 let rule_name = function
@@ -54,6 +56,7 @@ let rule_name = function
   | Unguarded_recovery_read -> "unguarded-recovery-read"
   | Silent_corruption_accept -> "silent-corruption-accept"
   | Non_idempotent_recovery -> "non-idempotent-recovery"
+  | Recovery_crash -> "recovery-crash"
 
 (* Table 1 row descriptions. *)
 let rule_description = function
@@ -73,12 +76,13 @@ let rule_description = function
   | Silent_corruption_accept ->
     "Recovery accepts a corrupt image without flagging it"
   | Non_idempotent_recovery -> "Recovery is not idempotent"
+  | Recovery_crash -> "Recovery dies on a crash image"
 
 let category_of_rule = function
   | Multiple_writes_at_once | Unflushed_write | Missing_persist_barrier
   | Missing_barrier_nested_tx | Semantic_mismatch | Strand_dependence
   | Unguarded_recovery_read | Silent_corruption_accept
-  | Non_idempotent_recovery -> Model_violation
+  | Non_idempotent_recovery | Recovery_crash -> Model_violation
   | Multiple_flushes | Flush_unmodified | Persist_same_object_in_tx
   | Durable_tx_no_writes -> Performance
 

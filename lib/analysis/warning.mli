@@ -22,6 +22,7 @@ type rule_id =
   | Unguarded_recovery_read
   | Silent_corruption_accept
   | Non_idempotent_recovery
+  | Recovery_crash
 
 val all_rules : rule_id list
 

@@ -2,7 +2,7 @@
    leave, take the post-crash heap the sweep builds (optionally
    media-corrupted), run the program's recovery entry on it, and
    classify the outcome.
-   See recover.mli for the three rules this reports. *)
+   See recover.mli for the four rules this reports. *)
 
 module Crash_space = Runtime.Crash_space
 module Pmem = Runtime.Pmem
@@ -25,6 +25,7 @@ type image_check = {
   corrupt_reads : (Pmem.addr * Nvmir.Loc.t) list;
   residual_corrupt : int;
   idempotent : bool;
+  failure : (string * Nvmir.Loc.t) option;
 }
 
 type report = {
@@ -60,6 +61,10 @@ let m_latency =
 let m_verdicts =
   Obs.Metrics.counter "recover.verdicts"
     ~desc:"recovery outcomes by verdict class"
+
+let m_executions =
+  Obs.Metrics.counter "recover.executions"
+    ~desc:"recovery-entry runs (a second run only when the first wrote)"
 
 (* ------------------------------------------------------------------ *)
 (* One image *)
@@ -101,11 +106,13 @@ let snapshots_equal a b =
        a b
 
 let run_recovery ~recovery_entry ~args heap prog =
+  if Obs.enabled () then Obs.Metrics.incr m_executions;
   let interp = Interp.create ~pmem:heap prog in
   let outcome =
     match Interp.run_values ~entry:recovery_entry ~args interp with
     | v -> Ok v
-    | exception (Interp.Runtime_error _ | Interp.Out_of_fuel) -> Error ()
+    | exception Interp.Runtime_error (m, loc) -> Error (m, loc)
+    | exception Interp.Out_of_fuel -> Error ("out of fuel", Nvmir.Loc.none)
   in
   (outcome, Interp.corrupt_reads interp)
 
@@ -113,25 +120,33 @@ let check_image ~recovery_entry ~fn ~seed prog (ci : Crash_space.crash_image) =
   let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
   let heap, corruptions = ci.Crash_space.ci_restore seed in
   let args = recovery_args heap fn in
+  let objects = Pmem.object_count heap in
+  Pmem.start_journal heap;
   let outcome, corrupt_reads = run_recovery ~recovery_entry ~args heap prog in
   let residual_corrupt = Pmem.corrupt_slot_count heap in
-  let verdict, idempotent =
+  let verdict, idempotent, failure =
     match outcome with
-    | Error () -> (Crashed, true) (* idempotence is moot: run 1 died *)
+    | Error failure ->
+      (Crashed, true, Some failure) (* idempotence is moot: run 1 died *)
     | Ok v ->
       let flagged = Value.truthy v in
-      let s1 = persistent_snapshot heap in
+      (* A run that wrote no persistent slot and allocated nothing left
+         the heap as it found it: a second run would repeat it. *)
       let idempotent =
+        (List.is_empty (Pmem.take_journal heap)
+        && Pmem.object_count heap = objects)
+        ||
+        let s1 = persistent_snapshot heap in
         match run_recovery ~recovery_entry ~args heap prog with
         | Ok _, _ -> snapshots_equal s1 (persistent_snapshot heap)
-        | Error (), _ -> false (* a re-run must not crash either *)
+        | Error _, _ -> false (* a re-run must not crash either *)
       in
       let verdict =
         if flagged then Flagged
         else if residual_corrupt > 0 then Silent_accept
         else Restored
       in
-      (verdict, idempotent)
+      (verdict, idempotent, None)
   in
   if Obs.enabled () then begin
     Obs.Metrics.incr m_images;
@@ -148,6 +163,7 @@ let check_image ~recovery_entry ~fn ~seed prog (ci : Crash_space.crash_image) =
     corrupt_reads;
     residual_corrupt;
     idempotent;
+    failure;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -234,8 +250,32 @@ let warnings_of ~model ~recovery_entry ~fn heap_name checks =
       ]
     | None -> []
   in
+  (* One warning per failing instruction (the report location when
+     recovery ran out of fuel), with the first image's error and the
+     number of images that died there. *)
+  let crashes =
+    let failed =
+      List.filter_map
+        (fun c ->
+          Option.map
+            (fun (m, loc) ->
+              ((if Nvmir.Loc.is_none loc then loc0 else loc), m, c))
+            c.failure)
+        checks
+    in
+    List.map
+      (fun loc ->
+        let here =
+          List.filter (fun (l, _, _) -> Nvmir.Loc.equal l loc) failed
+        in
+        let _, m, c = List.hd here in
+        w ~ctx:c Analysis.Warning.Recovery_crash loc
+          (Fmt.str "recovery dies on %d crash image(s): %s" (List.length here)
+             m))
+      (List.sort_uniq Nvmir.Loc.compare (List.map (fun (l, _, _) -> l) failed))
+  in
   Analysis.Warning.sort
-    (Analysis.Warning.dedup (unguarded @ silent @ non_idem))
+    (Analysis.Warning.dedup (unguarded @ silent @ non_idem @ crashes))
 
 (* ------------------------------------------------------------------ *)
 (* Driver *)

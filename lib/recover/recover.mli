@@ -9,7 +9,7 @@
     recovery entry runs on that heap, and its behaviour is
     classified.
 
-    Three rules fall out, all invisible to the static tier:
+    Four rules fall out, all invisible to the static tier:
 
     - [unguarded-recovery-read]: recovery read a corrupt slot through a
       plain load instead of a CRC-guarded path;
@@ -18,7 +18,11 @@
     - [non-idempotent-recovery]: running recovery a second time over
       the already-recovered heap changed persistent state (recovery
       must be a fix-point, since a crash {e during} recovery reruns
-      it). *)
+      it). A first run that writes no persistent slot and allocates no
+      object leaves the heap as it found it, so the second run would
+      repeat it exactly; it is skipped and the image is idempotent;
+    - [recovery-crash]: recovery died with a runtime error or ran out
+      of fuel; reported at the failing instruction. *)
 
 (** How one recovery execution ended. *)
 type verdict =
@@ -39,6 +43,9 @@ type image_check = {
       (** unguarded reads of corrupt slots during the first run *)
   residual_corrupt : int;  (** corrupt slots left when recovery returned *)
   idempotent : bool;  (** second run left persistent state unchanged *)
+  failure : (string * Nvmir.Loc.t) option;
+      (** why a [Crashed] first run died, and where ([Nvmir.Loc.none]
+          when it ran out of fuel) *)
 }
 
 type report = {
@@ -89,7 +96,8 @@ val verify :
     program's main). *)
 
 val consistent : report -> bool
-(** No warnings: every image was either restored or flagged, all reads
-    of corrupt slots were CRC-guarded, and recovery is idempotent. *)
+(** No warnings: every image was either restored or flagged (none
+    crashed recovery), all reads of corrupt slots were CRC-guarded, and
+    recovery is idempotent. *)
 
 val pp_report : report Fmt.t

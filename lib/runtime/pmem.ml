@@ -169,6 +169,8 @@ let is_persistent t id = (obj t id).persistent
 let obj_ty t id = (obj t id).ty
 let obj_name t id = (obj t id).name
 
+let object_count t = Hashtbl.length t.objects
+
 let live_objects t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.objects [] |> List.sort Int.compare
 

@@ -79,6 +79,10 @@ val obj_ty : t -> int -> Nvmir.Ty.t
 val obj_name : t -> int -> string option
 val live_objects : t -> int list
 
+val object_count : t -> int
+(** The number of live objects; objects are never freed, so it changes
+    only by allocation. *)
+
 (** {1 Memory operations} *)
 
 val write : t -> ?loc:Nvmir.Loc.t -> addr -> Value.t -> unit

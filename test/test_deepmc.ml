@@ -5,6 +5,7 @@ let () =
     [
       ("nvmir", Test_nvmir.suite);
       ("parser", Test_parser.suite);
+      ("parse-oracle", Test_parser_oracle.suite);
       ("graphs", Test_graphs.suite);
       ("dsa", Test_dsa.suite);
       ("trace", Test_trace.suite);

@@ -66,11 +66,11 @@ entry:
 
 let test_lexer_save_restore () =
   let lx = Nvmir.Lexer.create "alpha beta gamma" in
-  let tok1, _ = Nvmir.Lexer.next lx in
+  let tok1 = Nvmir.Lexer.next lx in
   let snap = Nvmir.Lexer.save lx in
-  let tok2, _ = Nvmir.Lexer.next lx in
+  let tok2 = Nvmir.Lexer.next lx in
   Nvmir.Lexer.restore lx snap;
-  let tok2', _ = Nvmir.Lexer.next lx in
+  let tok2' = Nvmir.Lexer.next lx in
   check Alcotest.bool "first token" true (tok1 = Nvmir.Lexer.IDENT "alpha");
   check Alcotest.bool "replay after restore" true (tok2 = tok2');
   check Alcotest.bool "second token" true (tok2 = Nvmir.Lexer.IDENT "beta")

@@ -196,6 +196,65 @@ let test_parse_int_literal_range () =
     | _ -> Alcotest.fail "unexpected instruction shape")
   | None -> Alcotest.fail "missing"
 
+let parse_error src =
+  match Nvmir.Parser.parse src with
+  | exception Nvmir.Parser.Parse_error (m, line) -> (m, line)
+  | _ -> Alcotest.fail ("should not parse: " ^ src)
+
+(* A repeated struct or function name is a parse error at the line of
+   the repeat, not an [Invalid_argument] from [Prog] or [Ty]. *)
+let test_parse_duplicates () =
+  let pair = Alcotest.(pair string int) in
+  check pair "function"
+    ("duplicate function main", 5)
+    (parse_error "func main() {\nentry:\n  ret\n}\nfunc main() {\nentry:\n  ret\n}");
+  check pair "struct"
+    ("duplicate struct s", 2)
+    (parse_error "struct s { a: int }\nstruct s {\n  b: int\n}");
+  (* the definition is read first: an error inside it comes first *)
+  check pair "error inside the repeat"
+    ("expected an operand, got ','", 6)
+    (parse_error
+       "func main() {\nentry:\n  ret\n}\nfunc main() {\nentry: store p, ,\n}")
+
+(* A malformed '@' annotation is reported at its own line; every
+   spelling [Loc.of_string] accepts still parses. *)
+let test_parse_loc_spellings () =
+  check Alcotest.(pair string int) "missing ':'"
+    ("Loc.of_string: missing ':' in nocolon", 3)
+    (parse_error "func f(p: ptr int) {\nentry:\n  store p, 1 @ nocolon\n  ret\n}");
+  List.iter
+    (fun word ->
+      let m, line =
+        parse_error ("func f() {\nentry:\n\n  ret @ " ^ word ^ "\n}")
+      in
+      check Alcotest.string ("message for " ^ word)
+        ("Loc.of_string: bad line in " ^ word) m;
+      check Alcotest.int ("line for " ^ word) 4 line)
+    [ "a.c:-1"; "a.c:"; "a.c:1x" ];
+  List.iter
+    (fun (word, file, line) ->
+      let prog =
+        parses ("func f() {\nentry:\n  fence @ " ^ word ^ "\n  ret\n}")
+      in
+      match Nvmir.Prog.find_func prog "f" with
+      | Some f ->
+        let i = List.hd (Nvmir.Func.entry_block f).Nvmir.Func.instrs in
+        check Alcotest.string ("file of " ^ word) file
+          (Nvmir.Loc.file i.Nvmir.Instr.loc);
+        check Alcotest.int ("line of " ^ word) line
+          (Nvmir.Loc.line i.Nvmir.Instr.loc)
+      | None -> Alcotest.fail "missing")
+    [
+      ("a.c:+5", "a.c", 5);
+      ("a.c:0x1F", "a.c", 31);
+      ("a.c:1_000", "a.c", 1000);
+      ("a:b.c:7", "a:b.c", 7);
+      ("a.c:007", "a.c", 7);
+      ("a.c:0", "a.c", 0);
+      (":3", "", 3);
+    ]
+
 (* Pretty-print then re-parse: the structural content survives. *)
 let roundtrip_structurally_equal (p1 : Nvmir.Prog.t) =
   let text = Fmt.str "%a" Nvmir.Prog.pp p1 in
@@ -279,6 +338,37 @@ let mutate_text st s =
   let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
   go (1 + Random.State.int st 4) s
 
+(* [s] with one of its top-level definitions repeated: the lines from
+   a "func " or "struct " line up to the next one are copied to the
+   start of a random definition, or to the end. Byte edits almost never
+   repeat a whole name, so this is how hostile input reaches the
+   duplicate-definition path. *)
+let repeat_definition st s =
+  let lines = Array.of_list (String.split_on_char '\n' s) in
+  let n = Array.length lines in
+  let starts =
+    List.filter
+      (fun i ->
+        String.starts_with ~prefix:"func " lines.(i)
+        || String.starts_with ~prefix:"struct " lines.(i))
+      (List.init n Fun.id)
+  in
+  match starts with
+  | [] -> s
+  | _ ->
+    let k = Random.State.int st (List.length starts) in
+    let first = List.nth starts k in
+    let stop = Option.value (List.nth_opt starts (k + 1)) ~default:n in
+    let def = Array.to_list (Array.sub lines first (stop - first)) in
+    let at =
+      match Random.State.int st (List.length starts + 1) with
+      | j when j < List.length starts -> List.nth starts j
+      | _ -> n
+    in
+    let before = Array.to_list (Array.sub lines 0 at)
+    and after = Array.to_list (Array.sub lines at (n - at)) in
+    String.concat "\n" (before @ def @ after)
+
 (* Random bytes, or one of [seeds] after [mutate_text]. *)
 let hostile_text seeds =
   QCheck.make ~print:(Printf.sprintf "%S")
@@ -290,6 +380,19 @@ let hostile_text seeds =
             let seed = List.nth seeds (int_bound (List.length seeds - 1) st) in
             mutate_text st seed);
         ])
+
+(* [hostile_text] over programs, or one of [seeds] with a definition
+   repeated (and then, half the time, byte-edited). *)
+let hostile_program seeds =
+  let repeated =
+    QCheck.Gen.(
+      fun st ->
+        let seed = List.nth seeds (int_bound (List.length seeds - 1) st) in
+        let s = repeat_definition st seed in
+        if Random.State.bool st then mutate_text st s else s)
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (QCheck.Gen.oneof [ QCheck.gen (hostile_text seeds); repeated ])
 
 let example_sources =
   Sys.readdir Test_crash_oracle.examples_dir
@@ -303,7 +406,7 @@ let example_sources =
 
 let prop_parse_raises_only_parse_error =
   QCheck.Test.make ~name:"hostile text raises only Parse_error" ~count:1000
-    (hostile_text example_sources)
+    (hostile_program example_sources)
     (fun src ->
       match Nvmir.Parser.parse src with
       | _ -> true
@@ -324,6 +427,8 @@ let suite =
     tc "parse: malformed inputs rejected" `Quick test_parse_errors;
     tc "parse: out-of-range integer literal" `Quick
       test_parse_int_literal_range;
+    tc "parse: duplicate definitions" `Quick test_parse_duplicates;
+    tc "parse: location spellings" `Quick test_parse_loc_spellings;
     tc "roundtrip: whole corpus" `Quick test_roundtrip_corpus;
     QCheck_alcotest.to_alcotest prop_roundtrip_synth;
     QCheck_alcotest.to_alcotest prop_synth_validates;

@@ -129,6 +129,72 @@ let test_no_corrupt_mode () =
   check Alcotest.int "no corruption injected" 0 r.Recover.corruptions_injected;
   check Alcotest.bool "clean without corruption" true (Recover.consistent r)
 
+(* A one-object program whose recovery entry is [body]: main writes
+   and persists the counter, so every crash image has an object. *)
+let counter_prog body =
+  Nvmir.Parser.parse
+    ("struct c { n: int }\nfunc main() {\nentry:\n  p = alloc pmem c\n\
+     \  store p->n, 1 @ cnt.c:5\n  persist object p @ cnt.c:6\n  ret\n}\n\
+     func recover(p: ptr c) -> int {\nentry:\n" ^ body ^ "}\n")
+
+(* The report and the number of recovery-entry executions it took. *)
+let verify_counting prog =
+  Obs.Metrics.reset ();
+  Obs.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () -> Recover.verify ~seed:1 ~corrupt:false prog)
+  in
+  let runs =
+    Option.fold ~none:0 ~some:Obs.Metrics.int_of_value
+      (Obs.Metrics.find (Obs.Metrics.snapshot ()) "recover.executions")
+  in
+  Obs.Metrics.reset ();
+  (r, runs)
+
+(* A recovery that writes a fresh value on each run still runs twice
+   per image and is still caught. *)
+let test_fresh_write_non_idempotent () =
+  let r, runs =
+    verify_counting
+      (counter_prog
+         "  x = load p->n @ cnt.c:11\n  y = x + 1\n  store p->n, y @ cnt.c:13\n  ret 0\n")
+  in
+  check Alcotest.int "every image non-idempotent" r.Recover.images_checked
+    r.Recover.non_idempotent;
+  check Alcotest.int "two runs per image" (2 * r.Recover.images_checked) runs;
+  check Alcotest.bool "inconsistent" false (Recover.consistent r)
+
+(* A read-only recovery leaves the heap as it found it: idempotent after
+   one run per image. *)
+let test_read_only_one_run () =
+  let r, runs =
+    verify_counting (counter_prog "  x = load p->n @ cnt.c:11\n  ret 0\n")
+  in
+  check Alcotest.bool "some images" true (r.Recover.images_checked > 0);
+  check Alcotest.int "idempotent" 0 r.Recover.non_idempotent;
+  check Alcotest.int "one run per image" r.Recover.images_checked runs;
+  check Alcotest.bool "consistent" true (Recover.consistent r)
+
+(* A recovery that dies is a recovery-crash warning at the failing
+   instruction, and the report is not consistent. *)
+let test_crash_warns () =
+  let r, _ =
+    verify_counting
+      (counter_prog "  x = load p->n @ cnt.c:11\n  y = x / 0 @ cnt.c:12\n  ret 0\n")
+  in
+  check Alcotest.int "every image crashed" r.Recover.images_checked
+    r.Recover.crashes;
+  check Alcotest.bool "inconsistent" false (Recover.consistent r);
+  match r.Recover.warnings with
+  | [ w ] ->
+    check Alcotest.string "rule" "recovery-crash"
+      (Analysis.Warning.rule_name w.Analysis.Warning.rule);
+    check Alcotest.string "at the failing instruction" "cnt.c:12"
+      (Nvmir.Loc.to_string w.Analysis.Warning.loc)
+  | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_guard_rejects_every_corruption;
@@ -138,4 +204,8 @@ let suite =
     tc "unguarded recovery base is flagged" `Quick test_unguarded_flagged;
     tc "corrupt:false is a restart-consistency check" `Quick
       test_no_corrupt_mode;
+    tc "fresh write per run is non-idempotent" `Quick
+      test_fresh_write_non_idempotent;
+    tc "read-only recovery runs once per image" `Quick test_read_only_one_run;
+    tc "crashing recovery warns" `Quick test_crash_warns;
   ]
