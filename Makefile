@@ -12,21 +12,22 @@ test:
 	dune runtest
 
 # The one command a PR must pass: full build plus the unit, property,
-# differential and cram suites, the fuzzer's guided-vs-random
-# acceptance over the false-negative corpus, and the injection recall
-# gate.
+# differential and cram suites, the instrument-catalog and artifact
+# drift gates (the latter runs the inject, recover and fuzz matrices
+# once, so the fuzzer's guided-vs-random acceptance over the
+# false-negative corpus must match the committed BENCH_fuzz.json), and
+# the recall and recovery gates over those regenerated matrices.
 verify:
-	dune build && dune runtest && $(MAKE) fuzz && $(MAKE) recall-gate && $(MAKE) recover-gate
+	dune build && dune runtest && $(MAKE) stats-drift bench-drift recall-gate recover-gate
 
 # The recall gate: the seed-1 injection campaign must report a closed
 # pointer-arith blind spot (0 since the offset lattice) and static-tier
 # recall at or above the 209-mutant bar of the pre-offset population.
-recall-gate:
-	dune build bench/main.exe
-	DEEPMC_BENCH_SEED=1 dune exec bench/main.exe -- recall --json > /dev/null
-	grep -q '"known_blind_spot": 0' BENCH_inject.json
-	@detected=$$(sed -n 's/.*"static_tier_detected": \([0-9]*\).*/\1/p' BENCH_inject.json); \
-	mutants=$$(sed -n 's/.*"static_tier_mutants": \([0-9]*\).*/\1/p' BENCH_inject.json); \
+# It reads the matrix bench-drift regenerates, not the committed file.
+recall-gate: bench-drift
+	grep -q '"known_blind_spot": 0' $(DRIFT)/BENCH_inject.json
+	@detected=$$(sed -n 's/.*"static_tier_detected": \([0-9]*\).*/\1/p' $(DRIFT)/BENCH_inject.json); \
+	mutants=$$(sed -n 's/.*"static_tier_mutants": \([0-9]*\).*/\1/p' $(DRIFT)/BENCH_inject.json); \
 	if [ "$$detected" -lt 209 ] || [ "$$detected" -lt "$$mutants" ]; then \
 	  echo "recall gate FAILED: $$detected/$$mutants (need >= 209 and full recall)"; exit 1; \
 	else \
@@ -35,12 +36,11 @@ recall-gate:
 
 # The recovery gate: the seed-1 corruption-operator campaign must
 # detect every mutant through the recovery executor, with the
-# CRC-guarded base verifying clean.
-recover-gate:
-	dune build bench/main.exe
-	DEEPMC_BENCH_SEED=1 dune exec bench/main.exe -- recover --json > /dev/null
-	grep -q '"all_detected": true' BENCH_recover.json
-	grep -q '"clean": true' BENCH_recover.json
+# CRC-guarded base verifying clean (again read from bench-drift's
+# regenerated matrix).
+recover-gate: bench-drift
+	grep -q '"all_detected": true' $(DRIFT)/BENCH_recover.json
+	grep -q '"clean": true' $(DRIFT)/BENCH_recover.json
 	@echo "recovery gate OK: all corruption mutants detected, guarded base clean"
 
 # Deterministic, CI-safe smoke of the interleaving fuzzer: seed-1

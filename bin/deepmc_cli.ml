@@ -75,13 +75,24 @@ let no_dynamic_term =
   Arg.(value & flag & info [ "no-dynamic" ] ~doc:"Skip the dynamic analysis.")
 
 let clients_term =
+  let parse s =
+    match Arg.(conv_parser int) s with
+    | Ok n when n < 1 ->
+      Error (`Msg (Fmt.str "%d is not a client count (N >= 1)" n))
+    | r -> r
+  in
   Arg.(
-    value & opt int 1
+    value
+    & opt (conv (parse, Fmt.int)) 1
     & info [ "clients" ] ~docv:"N"
         ~doc:
-          "Run the dynamic analysis from N concurrent client domains, each \
-           executing the entry on its own heap under one checker (default \
-           1: single-domain).")
+          "Run N clients on one shared heap as one execution under one \
+           checker: fuzz_setup, when the program defines it, runs once \
+           first and its result is every client's argument; client c \
+           enters fuzz_client_<c> when defined, the entry otherwise. The \
+           analysis runs the clients in client order, which is the \
+           fuzzer's schedule with no preemption; the fuzzer also explores \
+           their interleavings.")
 
 let parse file =
   try Ok (Nvmir.Parser.parse_file file) with
@@ -647,7 +658,10 @@ let recorded ~entry ?recovery prog =
   | _ when undefined entry -> error "entry" entry
   | Some r when undefined r -> error "recovery entry" r
   | _ ->
-    Deepmc.Driver.run_entry (fun () -> Runtime.Crash_space.record ~entry prog)
+    Deepmc.Driver.run_entry (fun () ->
+        Runtime.Crash_space.record (fun pmem ->
+            Runtime.Interp.create ~pmem prog
+            |> Runtime.Interp.run ~entry |> ignore))
     |> Result.map_error (fun e -> `Msg (Fmt.str "entry %s: %s" entry e))
 
 (* The crash and recovery commands' shared arguments. *)
@@ -1027,7 +1041,7 @@ let fuzz_cmd =
       match (workload, file) with
       | Some w, None -> (
         match Workloads.Fuzz_targets.find w with
-        | Some gen -> Ok (w, gen ~clients:(max clients 1) ~seed ())
+        | Some gen -> Ok (w, gen ~clients ~seed ())
         | None ->
           Error
             (`Msg

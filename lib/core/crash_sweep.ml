@@ -28,4 +28,6 @@ let explore_recording ?domains ?(bound = Crash_space.default_bound)
 let explore_program ?domains ?bound ?seed ?oracle ?(entry = "main")
     ?(args = []) prog =
   explore_recording ?domains ?bound ?seed ?oracle
-    (Crash_space.record ~entry ~args prog)
+    (Crash_space.record (fun pmem ->
+         Runtime.Interp.create ~pmem prog
+         |> Runtime.Interp.run ~entry ~args |> ignore))

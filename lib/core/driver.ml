@@ -42,66 +42,44 @@ type report = {
   elapsed_dynamic : float;
 }
 
-(* Disjoint per-client object-id ranges keep shadow-segment keys
-   distinct across client heaps; a client allocating a million objects
-   would overflow into the next range, which no workload here approaches
-   (and Shadow.key rejects ids beyond its field width). *)
-let client_obj_id_stride = 1 lsl 20
+(* A client's failure, when several clients run: [run_entry] reports it
+   under the client's number. *)
+exception Client_failed of int * exn
 
 (* The one handler for a forward run that fails. *)
-let run_entry f =
+let rec run_entry f =
   try Ok (f ()) with
   | Runtime.Interp.Runtime_error (m, loc) ->
     Error (Fmt.str "runtime error at %a: %s" Nvmir.Loc.pp loc m)
   | Runtime.Interp.Out_of_fuel -> Error "execution exceeded fuel budget"
+  | Client_failed (c, e) ->
+    Result.map_error (Fmt.str "client %d: %s" c) (run_entry (fun () -> raise e))
 
-let run_on ~attach ~entry ?args prog pmem =
-  attach pmem;
-  let interp = Runtime.Interp.create ~pmem prog in
-  run_entry (fun () -> ignore (Runtime.Interp.run ~entry ?args interp))
-
-(* N client domains execute the entry concurrently, each on its own
-   heap, observed by one checker through client-bound listeners. The
-   program and type env are read-only after parse, so sharing them
-   across domains is safe. The first failing client's reason wins. *)
-let run_clients checker ~entry ?args ~clients prog =
-  Pool.map ~domains:clients ~chunk:1 (Pool.default ())
-    (fun c ->
-      Runtime.Pmem.create
-        ~first_obj_id:(c * client_obj_id_stride)
-        ~obj_id_limit:((c + 1) * client_obj_id_stride)
-        ()
-      |> run_on ~attach:(Runtime.Dynamic.attach_client checker ~thread:c)
-           ~entry ?args prog
-      |> Result.map_error (Fmt.str "client %d: %s" c))
-    (List.init clients Fun.id)
-  |> List.fold_left (fun acc r -> Result.bind acc (fun () -> r)) (Ok ())
-
-(* The forward execution of [entry], once per analysis: [recorded] (a
-   crash or recovery tier is on) with the dynamic checker riding on the
-   recording, plainly otherwise. A multi-client dynamic run executes on
-   its own and the crash tiers get a separate single-client recording.
-   Returns the dynamic outcome, its warnings (those stored before a
-   failed run stopped included) and the recording or the failure. *)
-let execute (t : t) ~entry ?args ~clients ~recorded prog =
+(* The forward execution, once per analysis: the clients run in client
+   order on one heap under one checker, client [c] as its thread [c],
+   each with its own interpreter — the fuzzer's schedule with no
+   preemption. When a crash or recovery tier is on ([recorded]) that
+   run is the recording. Returns the dynamic outcome, its warnings
+   (those stored before a failed run stopped included) and the
+   recording or the failure. *)
+let execute (t : t) ~entry ?(args = []) ~clients ~recorded prog =
   let checker = Runtime.Dynamic.create ~model:t.model () in
-  let single = clients <= 1 in
-  let attach =
-    if t.run_dynamic && single then Runtime.Dynamic.attach checker else ignore
+  let run pmem =
+    if t.run_dynamic then Runtime.Dynamic.attach checker pmem;
+    let client = Runtime.Interp.clients ~pmem ~entry ~args prog in
+    for c = 0 to clients - 1 do
+      Runtime.Dynamic.set_thread checker c;
+      let entry, args = client c in
+      let interp = Runtime.Interp.create ~pmem prog in
+      try ignore (Runtime.Interp.run_values ~entry ~args interp)
+      with e when clients > 1 -> raise (Client_failed (c, e))
+    done
   in
-  let recording =
+  let recording, run =
     if recorded then
-      Some
-        (run_entry (fun () ->
-             Runtime.Crash_space.record ~attach ~entry ?args prog))
-    else None
-  in
-  let run =
-    match recording with
-    | Some r when single -> Result.map ignore r
-    | _ when not t.run_dynamic -> Ok ()
-    | _ when single -> run_on ~attach ~entry ?args prog (Runtime.Pmem.create ())
-    | _ -> run_clients checker ~entry ?args ~clients prog
+      let r = run_entry (fun () -> Runtime.Crash_space.record run) in
+      (Some r, Result.map ignore r)
+    else (None, run_entry (fun () -> run (Runtime.Pmem.create ())))
   in
   let dynamic =
     match run with

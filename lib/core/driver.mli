@@ -48,25 +48,25 @@ val analyze :
   Nvmir.Prog.t ->
   report
 (** [roots] selects static-analysis roots; [entry]/[args] drive the
-    forward run (skipped when absent). [clients] (default 1) executes
-    the entry from that many concurrent client domains, each on its own
-    heap, under one dynamic checker — warnings stay deterministically
-    ordered regardless of interleaving. [explore_crash_images] (default
-    false) additionally runs {!Crash_sweep.explore_recording} with the
-    sequential oracle, capped at [crash_bound] images per crash
-    point; [seed] makes its sampling reproducible. [verify_recovery]
+    forward run (skipped when absent). [clients] (default 1, at least 1)
+    runs that many clients in client order on one heap under one
+    dynamic checker, each with its own interpreter, following
+    {!Runtime.Interp.clients}: the fuzzer's schedule with no
+    preemption. With several clients a failure reads [client c: ...].
+    [explore_crash_images] (default false) additionally runs
+    {!Crash_sweep.explore_recording} with the sequential oracle, capped
+    at [crash_bound] images per crash point; [seed] makes its sampling
+    reproducible. [verify_recovery]
     (default false) additionally runs {!Recover.verify_recording} with
     the media-corruption model, using [recovery_entry] (default
     ["recover"]); its warnings join the merged stream. Both read the
-    one recorded run (a separate single-client one when [clients > 1]);
-    skipped silently when either entry is absent. *)
+    one recorded run, all clients included; skipped silently when either
+    entry is absent. *)
 
 val run_entry : (unit -> 'a) -> ('a, string) result
 (** The one handler for a forward run that fails: a runtime error or
-    fuel exhaustion becomes the reason {!analyze} reports. *)
-
-val client_obj_id_stride : int
-(** Object ids reserved per client heap in multi-client runs. *)
+    fuel exhaustion becomes the reason {!analyze} reports, prefixed
+    [client c: ] when one of several clients failed. *)
 
 val baseline_compile : Nvmir.Prog.t -> float
 (** The Table 9 baseline: a full front-end pass (emit, re-parse,

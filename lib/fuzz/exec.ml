@@ -10,11 +10,11 @@
    byte-identical across runs and across pool domain counts (campaigns
    parallelize across independent executions, never inside one).
 
-   Client entry points: if the program defines [fuzz_client_<c>] it is
-   client [c]'s entry; otherwise every client runs [entry]. If the
-   program defines [fuzz_setup], it runs first (unscheduled) and its
-   return value — typically a reference to a shared allocation — is
-   passed to every client entry. *)
+   Client entry points and arguments follow the program's client
+   conventions ([Interp.clients]), whose setup runs first, unscheduled
+   and attributed to client 0. Under the initial genome (no switch, no
+   probe) the clients run to completion in client order, which is the
+   driver's multi-client execution. *)
 
 let m_execs =
   Obs.Metrics.counter "fuzz.execs"
@@ -69,23 +69,8 @@ let run ~prog ~model ?(entry = "main") ?(entry_args = []) ~clients ~genome () =
   in
   (* setup phase: unscheduled, attributed to client 0 *)
   set_active 0;
-  let shared =
-    match Nvmir.Prog.find_func prog "fuzz_setup" with
-    | None -> None
-    | Some _ -> (
-      let si = Runtime.Interp.create ~fuel ~pmem prog in
-      match Runtime.Interp.run_values ~entry:"fuzz_setup" ~args:[] si with
-      | Runtime.Value.Vnull -> None
-      | v -> Some v)
-  in
-  let client_entry c =
-    let name = Fmt.str "fuzz_client_%d" c in
-    if Nvmir.Prog.find_func prog name <> None then name else entry
-  in
-  let client_args =
-    match shared with
-    | Some v -> [ v ]
-    | None -> List.map (fun n -> Runtime.Value.Vint n) entry_args
+  let client =
+    Runtime.Interp.clients ~fuel ~pmem ~entry ~args:entry_args prog
   in
   let next_runnable from =
     let rec go i n =
@@ -161,12 +146,10 @@ let run ~prog ~model ?(entry = "main") ?(entry_args = []) ~clients ~genome () =
             Detect.set_boundary det (Some b))
           ~pmem prog
       in
+      let entry, args = client c in
       state.(c) <-
         Not_started
-          (fun () ->
-            ignore
-              (Runtime.Interp.run_values ~entry:(client_entry c)
-                 ~args:client_args interp)))
+          (fun () -> ignore (Runtime.Interp.run_values ~entry ~args interp)))
     state;
   schedule_from 0;
   let warnings =

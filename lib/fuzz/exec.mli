@@ -3,9 +3,10 @@
     one shared heap, yielding to the scheduler at every persistence
     boundary. The same (program, genome) replays bit for bit.
 
-    Client entry points: [fuzz_client_<c>] if defined, else [entry];
-    [fuzz_setup] (if defined) runs first and its return value is passed
-    to every client entry. *)
+    Client entry points and arguments follow
+    {!Runtime.Interp.clients}, whose setup runs first, unscheduled.
+    Under {!Genome.initial} the clients run to completion in client
+    order: the driver's multi-client execution. *)
 
 type result = {
   fingerprint : string;  (** coverage digest, byte-stable *)

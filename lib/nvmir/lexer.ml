@@ -218,7 +218,11 @@ let scan t : token =
       | '<' -> OP Instr.Lt
       | '>' -> OP Instr.Gt
       | '@' ->
+        (* the location is on the annotation's line or missing *)
+        let line = t.line in
         skip_ws t;
+        if t.line <> line then
+          raise (Error ("empty location after '@'", line));
         at_loc t
       | _ -> raise (Error (Fmt.str "unexpected character %C" c, t.line)))
 

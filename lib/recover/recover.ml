@@ -329,7 +329,8 @@ let verify_recording ?(recovery_entry = "recover")
 
 let verify ?entry ?args ?recovery_entry ?bound ?seed ?corrupt ?model prog =
   verify_recording ?recovery_entry ?bound ?seed ?corrupt ?model prog
-    (Crash_space.record ?entry ?args prog)
+    (Crash_space.record (fun pmem ->
+         ignore (Interp.run ?entry ?args (Interp.create ~pmem prog))))
 
 let consistent r = r.warnings = []
 

@@ -9,10 +9,11 @@
    post-crash images is the standard ground-truth oracle for
    crash-consistency detectors (WITCHER, PMRace).
 
-   The program runs once. [record] journals the heap through that run
-   and keeps, per persistent slot, the timeline of its cached, fenced,
-   line and rollback state, indexed by event, and per event the slots
-   whose view changed there. The interpreter is deterministic, so the
+   The program runs once, driven by the caller on the heap [record]
+   hands it. [record] journals the heap through that run and keeps, per
+   persistent slot, the timeline of its cached, fenced, line and
+   rollback state, indexed by event, and per event the slots whose view
+   changed there. The interpreter is deterministic, so the
    recording is exactly the heap each crash point would have left,
    eviction included. It is immutable, so sweeps run on any domain.
 
@@ -158,7 +159,7 @@ let m_executions =
   Obs.Metrics.counter "crash.executions"
     ~desc:"program executions recorded for the crash and recovery tiers"
 
-let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
+let record ?(config = Config.default) run =
   let pmem = Pmem.create ~config () in
   Pmem.start_journal pmem;
   let events = ref 0 and writes = ref 0 and hash = ref 0 in
@@ -227,9 +228,8 @@ let record ?(config = Config.default) ?(attach = ignore) ?entry ?args prog =
     }
   in
   Pmem.add_listener pmem listener;
-  attach pmem;
   if Obs.enabled () then Obs.Metrics.incr m_executions;
-  ignore (Interp.run ?entry ?args (Interp.create ~pmem prog));
+  run pmem;
   settle (!events + 1);
   let objects =
     Hashtbl.fold

@@ -71,18 +71,13 @@ type recording
     there, and the write sequence's prefix-image hashes. Immutable once
     built, so sweeps may read it from any domain. *)
 
-val record :
-  ?config:Config.t ->
-  ?attach:(Pmem.t -> unit) ->
-  ?entry:string ->
-  ?args:int list ->
-  Nvmir.Prog.t ->
-  recording
-(** Run the program once ([entry] defaults to [main]), with the
-    caller's listeners [attach]ed to its heap first. With eviction
+val record : ?config:Config.t -> (Pmem.t -> unit) -> recording
+(** [record run] records the one execution [run] performs on the fresh
+    heap it is given, once the recorder listens to that heap, so
+    listeners [run] adds see each event after it. With eviction
     modeling on, the recording holds the evictions this run's seeded
     draws made. Counted by the [crash.executions] metric.
-    @raise Interp.Runtime_error and the interpreter's other failures. *)
+    @raise whatever [run] raises; no recording is returned then. *)
 
 val count_points : recording -> int
 (** How many [Point] tasks a program has: the persistent-memory events

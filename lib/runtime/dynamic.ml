@@ -27,8 +27,9 @@
    structures are the lock-striped shadow segment, the atomic barrier
    counter, and the atomic stored-warning counter that enforces the
    global cap. Warnings are aggregated (and deterministically sorted) at
-   summary time. The historical [set_thread]/[attach] interface remains
-   for single-domain interleaved replay. *)
+   summary time. The [set_thread]/[attach] interface serves clients
+   that share one heap on one domain: the driver's in-order clients and
+   the fuzzer's coroutines. *)
 
 type region = No_region | In_epoch | In_strand of int
 
@@ -372,49 +373,29 @@ let on_epoch_end t ts loc =
   flush_epoch_report t ts loc;
   ts.region <- No_region
 
-(* A listener whose events are all attributed to the client [state]:
-   safe to fire from that client's domain concurrently with other
-   clients' listeners. *)
-let bound_listener t (state : thread_state) : Pmem.listener =
+(* The checker's listener, with [state ()] the thread state an event is
+   attributed to. *)
+let listener_of t state : Pmem.listener =
   {
     Pmem.null_listener with
-    Pmem.on_write = (fun addr loc -> on_write t state addr loc);
-    on_read = (fun addr loc -> on_read t state addr loc);
+    Pmem.on_write = (fun addr loc -> on_write t (state ()) addr loc);
+    on_read = (fun addr loc -> on_read t (state ()) addr loc);
     on_flush =
       (fun ~obj_id ~first_slot ~nslots ~dirty loc ->
-        on_flush t state ~obj_id ~first_slot ~nslots ~dirty loc);
-    on_fence = (fun loc -> on_fence t state loc);
-    on_tx_begin = (fun _ -> state.tx_depth <- state.tx_depth + 1);
-    on_tx_end = (fun _ -> state.tx_depth <- max 0 (state.tx_depth - 1));
-    on_strand_begin = (fun n loc -> on_strand_begin t state n loc);
-    on_strand_end = (fun n loc -> on_strand_end t state n loc);
-    on_epoch_begin = (fun loc -> on_epoch_begin t state loc);
-    on_epoch_end = (fun loc -> on_epoch_end t state loc);
-  }
-
-(* The interleaved-replay listener: events go to whichever thread
-   [set_thread] last selected. Single-domain use only. *)
-let listener t : Pmem.listener =
-  {
-    Pmem.null_listener with
-    Pmem.on_write = (fun addr loc -> on_write t t.current addr loc);
-    on_read = (fun addr loc -> on_read t t.current addr loc);
-    on_flush =
-      (fun ~obj_id ~first_slot ~nslots ~dirty loc ->
-        on_flush t t.current ~obj_id ~first_slot ~nslots ~dirty loc);
-    on_fence = (fun loc -> on_fence t t.current loc);
+        on_flush t (state ()) ~obj_id ~first_slot ~nslots ~dirty loc);
+    on_fence = (fun loc -> on_fence t (state ()) loc);
     on_tx_begin =
       (fun _ ->
-        let ts = t.current in
+        let ts = state () in
         ts.tx_depth <- ts.tx_depth + 1);
     on_tx_end =
       (fun _ ->
-        let ts = t.current in
+        let ts = state () in
         ts.tx_depth <- max 0 (ts.tx_depth - 1));
-    on_strand_begin = (fun n loc -> on_strand_begin t t.current n loc);
-    on_strand_end = (fun n loc -> on_strand_end t t.current n loc);
-    on_epoch_begin = (fun loc -> on_epoch_begin t t.current loc);
-    on_epoch_end = (fun loc -> on_epoch_end t t.current loc);
+    on_strand_begin = (fun n loc -> on_strand_begin t (state ()) n loc);
+    on_strand_end = (fun n loc -> on_strand_end t (state ()) n loc);
+    on_epoch_begin = (fun loc -> on_epoch_begin t (state ()) loc);
+    on_epoch_end = (fun loc -> on_epoch_end t (state ()) loc);
   }
 
 (* Shadow-segment keys are (obj_id, slot), so two heaps handing out the
@@ -451,7 +432,7 @@ let register_range t pm =
 let attach t pm =
   register_range t pm;
   t.default_pmem <- Some pm;
-  Pmem.add_listener pm (listener t)
+  Pmem.add_listener pm (listener_of t (fun () -> t.current))
 
 (* Attach a client-bound listener: every event of [pm] is attributed to
    [thread], with no shared mutable attribution state — the heap may be
@@ -460,7 +441,7 @@ let attach_client t ~thread:id pm =
   register_range t pm;
   let ts = thread t id in
   ts.pmem <- Some pm;
-  Pmem.add_listener pm (bound_listener t ts)
+  Pmem.add_listener pm (listener_of t (fun () -> ts))
 
 type summary = {
   waw : int;

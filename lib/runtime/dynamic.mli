@@ -21,7 +21,8 @@ val create :
 val attach : t -> Pmem.t -> unit
 (** Register the checker as a listener; subsequent operations are
     monitored and attributed to the thread selected by {!set_thread}.
-    Single-domain (interleaved replay) use only.
+    Single-domain use only: clients sharing one heap, in order (the
+    driver) or interleaved (the fuzzer).
     @raise Invalid_argument if the heap's object-id window (see
     {!Pmem.id_range}) overlaps an already-attached heap's — overlapping
     windows would silently alias shadow-segment keys across clients. *)
@@ -35,8 +36,8 @@ val attach_client : t -> thread:int -> Pmem.t -> unit
     {!attach}. *)
 
 val set_thread : t -> int -> unit
-(** Interleaved multi-client replay switches the active thread before
-    each operation (only affects heaps attached with {!attach}). *)
+(** Clients sharing one heap switch the active thread before they run
+    (only affects heaps attached with {!attach}). *)
 
 val warnings : t -> Analysis.Warning.t list
 (** All stored warnings, sorted by (location, rule, message) — the same

@@ -362,3 +362,17 @@ let run_values ?(entry = "main") ?(args = []) t : Value.t =
 (* Run [entry] with integer arguments. *)
 let run ?(entry = "main") ?(args = []) t : Value.t =
   run_values ~entry ~args:(List.map (fun n -> Value.Vint n) args) t
+
+(* The one place the client conventions of a multi-client program are
+   read; setup runs here, once, before any client. *)
+let clients ?fuel ~pmem ~entry ~args prog =
+  let find = Nvmir.Prog.find_func prog in
+  let setup f = exec_func (create ?fuel ~pmem prog) f [] in
+  let args =
+    match Option.map setup (find "fuzz_setup") with
+    | None | Some Value.Vnull -> List.map (fun n -> Value.Vint n) args
+    | Some shared -> [ shared ]
+  in
+  fun c ->
+    let own = "fuzz_client_" ^ string_of_int c in
+    ((if find own = None then entry else own), args)

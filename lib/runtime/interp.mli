@@ -61,4 +61,18 @@ val run : ?entry:string -> ?args:int list -> t -> Value.t
 val run_values : ?entry:string -> ?args:Value.t list -> t -> Value.t
 (** [run] with pre-built argument values (references included), for
     callers that thread one shared allocation into several entry
-    points — the fuzzer's [fuzz_setup] convention. *)
+    points (see {!clients}). *)
+
+val clients :
+  ?fuel:int ->
+  pmem:Pmem.t ->
+  entry:string ->
+  args:int list ->
+  Nvmir.Prog.t ->
+  (int -> string * Value.t list)
+(** The client conventions, read once for all clients: [fuzz_setup],
+    when defined, runs first on [pmem] ([fuel] steps) and a non-null
+    result is every client's one argument, else they take [args]; the
+    result maps client [c] to [fuzz_client_<c>] when defined, else
+    [entry], and those arguments. The fuzzer and the driver read it.
+    @raise Runtime_error and {!Out_of_fuel} from [fuzz_setup]. *)

@@ -50,9 +50,10 @@ type t
 
 val create :
   ?config:Config.t -> ?first_obj_id:int -> ?obj_id_limit:int -> unit -> t
-(** [first_obj_id] offsets object-id allocation so heaps created for
-    concurrent clients never hand out the same id — shadow-segment keys
-    stay globally unique when one checker observes many heaps.
+(** [first_obj_id] offsets object-id allocation so the workload
+    harness's per-domain client heaps never hand out the same id —
+    shadow-segment keys stay globally unique when one checker observes
+    many heaps.
     [obj_id_limit] is the exclusive end of the heap's id window:
     {!alloc} raises [Invalid_argument] instead of spilling into the
     next client's range, and {!Dynamic.attach_client} uses the window

@@ -90,6 +90,10 @@ let run_interleaved ~label ~seed ~clients ~txs ~checked ~setup ~op =
   let elapsed_s = max 1e-9 (Deepmc.Clock.elapsed_s t0) in
   finish ~label ~txs ~clients ~checked ~checker ~pmems:[ pmem ] ~elapsed_s
 
+(* Object ids reserved per client heap: no workload here allocates a
+   million objects (and Shadow.key rejects ids beyond its width). *)
+let stride = 1 lsl 20
+
 (* Real client domains: each client owns a heap and a store instance and
    burns through its share of the transactions as one pool task, so the
    measured interval contains genuine multicore execution (on a 1-core
@@ -101,7 +105,6 @@ let run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op =
   let contexts =
     List.init clients (fun c ->
         let pmem =
-          let stride = Deepmc.Driver.client_obj_id_stride in
           Runtime.Pmem.create ~first_obj_id:(c * stride)
             ~obj_id_limit:((c + 1) * stride) ()
         in

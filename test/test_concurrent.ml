@@ -51,6 +51,9 @@ let apply pmem obj = function
   | Epoch_begin -> Runtime.Pmem.epoch_begin pmem ()
   | Epoch_end -> Runtime.Pmem.epoch_end pmem ()
 
+(* Object ids reserved per client heap. *)
+let stride = 1 lsl 20
+
 (* Execute the per-client streams under one checker; [parallel] selects
    pool domains vs a plain sequential loop over the same contexts. *)
 let run ~parallel ops_per_client =
@@ -60,10 +63,8 @@ let run ~parallel ops_per_client =
     List.mapi
       (fun c ops ->
         let pmem =
-          Runtime.Pmem.create
-            ~first_obj_id:(c * Deepmc.Driver.client_obj_id_stride)
-            ~obj_id_limit:((c + 1) * Deepmc.Driver.client_obj_id_stride)
-            ()
+          Runtime.Pmem.create ~first_obj_id:(c * stride)
+            ~obj_id_limit:((c + 1) * stride) ()
         in
         Runtime.Dynamic.attach_client checker ~thread:c pmem;
         let tenv = Nvmir.Ty.env_create () in
@@ -141,48 +142,187 @@ let test_warnings_aggregate_across_clients () =
     check Alcotest.bool "distinct heaps" true (m1 <> m2)
   | _ -> Alcotest.fail "expected exactly two warnings"
 
-(* Driver end-to-end: N client domains executing the entry report the
-   same deduplicated (rule, line) set as the single-domain run. *)
+(* Every corpus, recovery-corpus and example program, with the model,
+   entry and arguments the driver runs it with (an example under every
+   model). *)
+let driver_programs () =
+  let corpus =
+    List.map
+      (fun (p : Corpus.Types.program) ->
+        ( p.Corpus.Types.name,
+          Corpus.Types.model p,
+          p.Corpus.Types.entry,
+          p.Corpus.Types.entry_args,
+          Corpus.Types.parse p ))
+      (Corpus.Registry.all @ Corpus.Recovery.programs)
+  in
+  let examples =
+    List.mapi
+      (fun i src ->
+        let prog = Nvmir.Parser.parse src in
+        List.map
+          (fun model ->
+            let name = Fmt.str "example %d (%a)" i Analysis.Model.pp model in
+            (name, model, "main", [], prog))
+          Analysis.Model.all)
+      Test_parser.example_sources
+  in
+  corpus @ List.concat examples
+
+(* Driver end-to-end: three clients run the entry in client order on one
+   heap under one checker, so every program reports the one-client
+   run's warnings, word for word (the merged report and the dynamic
+   tier's, deduplicated, whose messages name object ids), and three
+   times each of its dynamic summary counts. *)
 let test_driver_clients_differential () =
-  let src =
-    {|
-struct s { f: int, g: int }
-func main() {
+  let render ws = Fmt.str "%a" Fmt.(list Analysis.Warning.pp) ws in
+  let dynamic (r : Deepmc.Driver.report) =
+    render
+      Analysis.Warning.(dedup (sort r.Deepmc.Driver.dynamic_warnings))
+  in
+  let counts (s : Runtime.Dynamic.summary) =
+    Runtime.Dynamic.
+      [ s.waw; s.raw; s.unflushed; s.redundant; s.tracked_cells;
+        s.warning_count; s.dropped ]
+  in
+  let programs = driver_programs () in
+  check Alcotest.bool "corpus, recovery corpus and examples" true
+    (List.length programs >= 20 + 6);
+  List.iter
+    (fun (name, model, entry, args, prog) ->
+      let driver = Deepmc.Driver.make model in
+      let run clients =
+        Deepmc.Driver.analyze driver ~entry ~args ~clients prog
+      in
+      let r1 = run 1 and r3 = run 3 in
+      check Alcotest.string (name ^ ": merged warnings")
+        (render r1.Deepmc.Driver.warnings) (render r3.Deepmc.Driver.warnings);
+      check Alcotest.string (name ^ ": dynamic warnings") (dynamic r1)
+        (dynamic r3);
+      match (r1.Deepmc.Driver.dynamic, r3.Deepmc.Driver.dynamic) with
+      | Deepmc.Driver.Dynamic_ok s1, Deepmc.Driver.Dynamic_ok s3 ->
+        check Alcotest.(list int) (name ^ ": summary counts x3")
+          (List.map (( * ) 3) (counts s1)) (counts s3)
+      | Deepmc.Driver.Dynamic_skipped reason, Deepmc.Driver.Dynamic_skipped r ->
+        check Alcotest.string (name ^ ": failure names client 0")
+          ("client 0: " ^ reason) r
+      | _ -> Alcotest.failf "%s: one run failed, the other did not" name)
+    programs
+
+(* A multi-client crash tier reads the one execution of all clients: two
+   runs of hashmap's main in order have twice its crash points, from
+   one recording. *)
+let test_driver_clients_one_recording () =
+  let prog =
+    Nvmir.Parser.parse_file
+      (Filename.concat Test_crash_oracle.examples_dir "hashmap.nvmir")
+  in
+  let points clients =
+    let r =
+      Deepmc.Driver.analyze
+        (Deepmc.Driver.make Analysis.Model.Strict)
+        ~entry:"main" ~clients ~explore_crash_images:true prog
+    in
+    match r.Deepmc.Driver.crash_space with
+    | Some cs -> cs.Runtime.Crash_space.crash_points
+    | None -> Alcotest.fail "crash tier skipped"
+  in
+  check Alcotest.int "one client" 6 (points 1);
+  Obs.Metrics.reset ();
+  Obs.set_enabled true;
+  let two =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () -> points 2)
+  in
+  let executions =
+    Option.fold ~none:0 ~some:Obs.Metrics.int_of_value
+      (Obs.Metrics.find (Obs.Metrics.snapshot ()) "crash.executions")
+  in
+  Obs.Metrics.reset ();
+  check Alcotest.int "two clients, in order" 12 two;
+  check Alcotest.int "one recorded execution" 1 executions
+
+(* The client conventions: [fuzz_setup] runs once and shares its
+   allocation, and each client enters its own [fuzz_client_<c>]. Client
+   1 reads the field client 0 stored and never flushed. *)
+let conventions_src =
+  {|
+struct cell { a: int, b: int }
+struct log { n: int }
+func fuzz_setup() -> ptr cell {
 entry:
-  p = alloc pmem s
+  l = alloc pmem log
   epoch_begin
-  store p->f, 1
-  flush exact p->f
+  store l->n, 1
+  flush exact l->n
   fence
-  flush exact p->f
-  fence
-  store p->g, 2
+  epoch_end
+  c = alloc pmem cell
+  ret c
+}
+func fuzz_client_0(c: ptr cell) {
+entry:
+  epoch_begin
+  store c->a, 7 @ conv.c:16
   epoch_end
   ret
 }
+func fuzz_client_1(c: ptr cell) {
+entry:
+  epoch_begin
+  x = load c->a @ conv.c:23
+  store c->b, x
+  flush exact c->b
+  fence
+  epoch_end
+  ret
+}
+func main() {
+entry:
+  ret
+}
 |}
+
+let test_driver_clients_conventions () =
+  let prog = Nvmir.Parser.parse conventions_src in
+  let model = Analysis.Model.Epoch in
+  let r =
+    Deepmc.Driver.analyze (Deepmc.Driver.make model) ~entry:"main" ~clients:2
+      prog
   in
-  let prog = Nvmir.Parser.parse src in
-  let driver = Deepmc.Driver.make Analysis.Model.Epoch in
-  let keys (r : Deepmc.Driver.report) =
-    List.sort_uniq compare
-      (List.map
-         (fun (w : Analysis.Warning.t) ->
-           (Analysis.Warning.rule_name w.Analysis.Warning.rule,
-            w.Analysis.Warning.loc.Nvmir.Loc.line))
-         r.Deepmc.Driver.warnings)
-  in
-  let r1 = Deepmc.Driver.analyze driver ~entry:"main" prog in
-  let r4 = Deepmc.Driver.analyze driver ~entry:"main" ~clients:4 prog in
-  (match r4.Deepmc.Driver.dynamic with
+  (match r.Deepmc.Driver.dynamic with
   | Deepmc.Driver.Dynamic_ok s ->
-    check Alcotest.bool "cells tracked in all client heaps" true
-      (s.Runtime.Dynamic.tracked_cells > 0)
+    (* setup's log slot once, then the cell field each client's own
+       entry writes *)
+    check Alcotest.int "one setup, both client entries" 3
+      s.Runtime.Dynamic.tracked_cells
   | Deepmc.Driver.Dynamic_skipped reason ->
     Alcotest.fail ("dynamic skipped: " ^ reason));
-  check
-    Alcotest.(list (pair string int))
-    "deduplicated warnings agree" (keys r1) (keys r4)
+  let keys ws =
+    List.sort_uniq compare
+      (List.map (Fmt.str "%a" Analysis.Warning.pp) ws)
+  in
+  let r_dyn = r.Deepmc.Driver.dynamic_warnings in
+  let driver = keys r_dyn in
+  let rule r =
+    List.exists
+      (fun (w : Analysis.Warning.t) -> w.Analysis.Warning.rule = r)
+      r_dyn
+  in
+  check Alcotest.bool "client 1 reads client 0's store: RAW race" true
+    (rule Analysis.Warning.Strand_dependence);
+  check Alcotest.bool "client 0's store unflushed at its epoch end" true
+    (rule Analysis.Warning.Unflushed_write);
+  let fuzz =
+    keys
+      (Fuzz.Exec.run ~prog ~model ~entry:"main" ~clients:2
+         ~genome:Fuzz.Genome.initial ())
+        .Fuzz.Exec.warnings
+  in
+  List.iter
+    (fun w ->
+      check Alcotest.bool ("also under the initial genome: " ^ w) true
+        (List.mem w fuzz))
+    driver
 
 (* ------------------------------------------------------------------ *)
 (* Property: for random seeds and client counts, the parallel checker
@@ -258,5 +398,8 @@ let suite =
     tc "warnings aggregate across clients" `Quick
       test_warnings_aggregate_across_clients;
     tc "driver --clients differential" `Quick test_driver_clients_differential;
+    tc "driver --clients one recording" `Quick
+      test_driver_clients_one_recording;
+    tc "driver --clients conventions" `Quick test_driver_clients_conventions;
     QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
   ]

@@ -50,7 +50,7 @@ let crash_test ?entry invariant prog =
    reached NVM, read slot by slot. *)
 let prefix_image ~task ~entry prog =
   let images, _ =
-    Runtime.Crash_space.(task_images ~task (record ~entry prog))
+    Runtime.Crash_space.task_images ~task (Test_crash_space.record ~entry prog)
   in
   match images with
   | ci :: _ ->

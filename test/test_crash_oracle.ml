@@ -72,7 +72,7 @@ let invariant read =
 (* [None] when the program cannot run to completion: the reference must
    then fail too. *)
 let agree ~config ~entry ~args prog =
-  match Crash_space.record ~config ~entry ~args prog with
+  match Test_crash_space.record ~config ~entry ~args prog with
   | exception e ->
     (match Ref_crash.count_points ~config ~entry ~args prog with
     | exception _ -> ()
@@ -234,7 +234,7 @@ entry:
 }
 |}
   in
-  let r = Crash_space.record prog in
+  let r = Test_crash_space.record prog in
   let pt = Crash_space.explore_task ~task:(Crash_space.Point 5) r in
   Alcotest.(check (list (list (pair int int))))
     "the y-only image is the one witness" [ [ (0, 1) ] ]

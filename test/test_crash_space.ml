@@ -13,12 +13,16 @@ let explore ?bound ?seed ?invariant ?entry ?args prog =
     ?oracle:(Option.map (fun f -> Runtime.Crash_space.Invariant f) invariant)
     prog
 
+(* One recorded run of [entry] (default [main]). *)
+let record ?config ?(entry = "main") ?(args = []) prog =
+  Runtime.Crash_space.record ?config (fun pmem ->
+      Runtime.Interp.create ~pmem prog
+      |> Runtime.Interp.run ~entry ~args |> ignore)
+
 (* Every task of a program: its crash points, then exit. *)
 let tasks ?entry ?args prog =
   Runtime.Crash_space.tasks
-    ~crash_points:
-      (Runtime.Crash_space.count_points
-         (Runtime.Crash_space.record ?entry ?args prog))
+    ~crash_points:(Runtime.Crash_space.count_points (record ?entry ?args prog))
 
 let buggy_hashmap_src =
   {|
@@ -320,7 +324,7 @@ let test_prefix_image_first () =
   check Alcotest.bool "corpus programs covered" true (List.length corpus >= 20);
   List.iter
     (fun (name, entry, args, prog) ->
-      let r = Runtime.Crash_space.record ~entry ~args prog in
+      let r = record ~entry ~args prog in
       let all_tasks =
         Runtime.Crash_space.(tasks ~crash_points:(count_points r))
       in
@@ -360,7 +364,7 @@ let test_prefix_image_first () =
    has moved on to a later task it refuses to restore a stale image
    instead of reading another point's state. *)
 let test_stale_image_refused () =
-  let r = Runtime.Crash_space.record (Nvmir.Parser.parse buggy_hashmap_src) in
+  let r = record (Nvmir.Parser.parse buggy_hashmap_src) in
   let first = ref None in
   Runtime.Crash_space.(
     iter_images ~bound:default_bound ~seed:1 r

@@ -69,7 +69,8 @@ let test_buggy_btree_split_commits_item () =
     (* the prefix image at exit: nothing in flight reached NVM *)
     let entry = "btree_driver_split" in
     let images, _ =
-      Runtime.Crash_space.(task_images ~task:Exit (record ~entry prog))
+      Runtime.Crash_space.task_images ~task:Exit
+        (Test_crash_space.record ~entry prog)
     in
     let read =
       match images with

@@ -1,10 +1,11 @@
 (* Differential suite: the NVMIR front end against the reference lexer
    and parser in [ref_parser.ml]. Both must build structurally identical
    programs, every location included, and raise the same parse errors,
-   except for the two errors the front end now reports better: a
+   except for the three errors the front end now reports better: a
    repeated definition (the reference lets [Prog] or [Ty] raise
-   [Invalid_argument]) and a malformed '@' annotation (the reference
-   reports it at line 0). *)
+   [Invalid_argument]), a malformed '@' annotation (the reference
+   reports it at line 0) and an '@' with nothing after it on its line
+   (the reference reads the next line's first word as its location). *)
 
 let tc = Alcotest.test_case
 
@@ -39,29 +40,51 @@ let drop_prefix ~prefix s =
     Some (String.sub s n (String.length s - n))
   else None
 
-(* What the front end must answer where the reference answered [r]: a
-   duplicate's [Invalid_argument] becomes a [Parse_error] with the
-   [Prog]/[Ty] prefix dropped, at a real line; a location error keeps
-   its message and moves off line 0; anything else is the same. *)
-let agrees r f =
+(* Whether line [line] of [src] has an '@' followed by nothing but
+   blanks or a comment. *)
+let dangling_at src line =
+  match List.nth_opt (String.split_on_char '\n' src) (line - 1) with
+  | None -> false
+  | Some l ->
+    let after i =
+      String.trim (String.sub l (i + 1) (String.length l - i - 1))
+    in
+    let blank rest =
+      rest = ""
+      || List.exists (fun prefix -> String.starts_with ~prefix rest)
+           [ "#"; ";"; "//" ]
+    in
+    List.exists
+      (fun i -> l.[i] = '@' && blank (after i))
+      (List.init (String.length l) Fun.id)
+
+(* What the front end must answer where the reference answered [r] on
+   [src]: a duplicate's [Invalid_argument] becomes a [Parse_error] with
+   the [Prog]/[Ty] prefix dropped, at a real line; a location error
+   keeps its message and moves off line 0; a dangling '@' is an empty
+   location at its own line, whatever the reference made of the next
+   one; anything else is the same. *)
+let agrees src r f =
   let moved_to_a_line m =
     match f with Error (m', line) -> String.equal m m' && line >= 1 | _ -> false
   in
-  match r with
-  | Raised m -> (
+  match (r, f) with
+  | _, Error ("empty location after '@'", line) when r <> f ->
+    dangling_at src line
+  | Raised m, _ -> (
     match
       ( drop_prefix ~prefix:"Prog.add_func: " m,
         drop_prefix ~prefix:"Ty.env_add: " m )
     with
     | Some m, _ | None, Some m -> moved_to_a_line m
     | None, None -> false)
-  | Error (m, 0) when String.starts_with ~prefix:"Loc.of_string: " m ->
+  | Error (m, 0), _ when String.starts_with ~prefix:"Loc.of_string: " m ->
     moved_to_a_line m
   | _ -> r = f
 
 let check_same ~what src =
   let r = reference src and f = fast src in
-  if not (agrees r f) then
+  if not (agrees src r f) then
     Alcotest.failf "%s: reference %a, front end %a" what pp_outcome r
       pp_outcome f
 
@@ -96,7 +119,7 @@ let test_synth () =
       (Fmt.str "%a" Nvmir.Prog.pp prog)
   done
 
-(* The two fixes, by name, at the lines they must report. *)
+(* The three fixes, by name, at the lines they must report. *)
 let test_named_fixes () =
   let cases =
     [
@@ -110,6 +133,13 @@ let test_named_fixes () =
          @ nocolon\n  ret\n}",
         Error ("Loc.of_string: missing ':' in nocolon", 0),
         Error ("Loc.of_string: missing ':' in nocolon", 4) );
+      ( "struct s { a: int }\nfunc f(p: ptr s) {\nentry:\n  store p->a, 1 \
+         @\n  ret\n}",
+        Error ("Loc.of_string: missing ':' in ret", 0),
+        Error ("empty location after '@'", 4) );
+      ( "func f() {\nentry:\n  fence @ # note\n  ret\n}",
+        Error ("Loc.of_string: missing ':' in ret", 0),
+        Error ("empty location after '@'", 3) );
     ]
   in
   List.iter
@@ -156,7 +186,7 @@ let prop_hostile =
     (Test_parser.hostile_program Test_parser.example_sources)
     (fun src ->
       let r = reference src and f = fast src in
-      agrees r f
+      agrees src r f
       || QCheck.Test.fail_reportf "reference %a, front end %a" pp_outcome r
            pp_outcome f)
 

@@ -16,7 +16,7 @@ let unguarded () = Corpus.Types.parse Corpus.Recovery.unguarded
 (* the images of every crash task of [prog], so properties sweep the
    whole image space rather than one hand-picked point *)
 let task_images ~seed prog =
-  let r = Crash_space.record prog in
+  let r = Test_crash_space.record prog in
   List.map
     (fun task -> Crash_space.task_images ~seed ~task r)
     (Crash_space.tasks ~crash_points:(Crash_space.count_points r))
