@@ -1,7 +1,7 @@
 # Developer entry points. The benches write their JSON artifacts into
 # the directory they run from, so bench-json runs from the repo root.
 
-.PHONY: all build test verify recall-gate recover-gate fuzz bench-json bench-drift bench-pairs stats-drift trace clean
+.PHONY: all build test verify recall-gate recover-gate fuzz bench-json bench-drift bench-pairs stats-drift size trace clean
 
 all: build
 
@@ -101,6 +101,14 @@ bench-pairs:
 	done
 	_build/default/bench/e2e/main.exe compare $(PAIRS)/base.jsonl \
 	  $(PAIRS)/change.jsonl
+
+# The two size numbers a simplicity change is judged by: the .ml/.mli
+# lines over lib/, bin/, bench/main.ml and examples/, and the optional
+# parameters the library interfaces declare (one per `?name:`).
+size:
+	@printf 'lines: '; find lib bin examples \( -name '*.ml' -o -name '*.mli' \) \
+	  -print0 | xargs -0 cat bench/main.ml | wc -l
+	@printf 'options: '; grep -ohE '\?[a-z_][a-z0-9_]*\s*:' lib/*/*.mli | wc -l
 
 # Instrument-catalog drift gate: regenerate `deepmc stats` and diff it
 # against the catalog pinned in test/cram/obs.t. A new or renamed

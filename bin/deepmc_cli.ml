@@ -219,9 +219,15 @@ let config_term =
   Term.(const make $ field_insensitive $ pmem_roots)
 
 let domains_term =
+  let parse s =
+    match Arg.(conv_parser int) s with
+    | Ok n when n < 1 ->
+      Error (`Msg (Fmt.str "%d is not a domain count (N >= 1)" n))
+    | r -> r
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (conv (parse, Fmt.int))) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Worker domains in the shared analysis pool (default: \
@@ -699,22 +705,22 @@ let crash_explore_cmd =
             "Additionally run the recovery entry (`recover') over every \
              enumerated image under the media-corruption model.")
   in
-  let run () file entry bound seed domains recover json metrics_json
-      trace_out =
+  let run () file entry bound seed recover json metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    Option.iter Pool.set_default_size domains;
     obs_setup ~metrics_json ~trace_out;
-    let recovery = if recover then Some "recover" else None in
-    let* recording = recorded ~entry ?recovery prog in
-    let r =
-      Deepmc.Crash_sweep.explore_recording ?domains ~bound ~seed recording
-    in
+    let recovery_entry = if recover then Some "recover" else None in
+    let* recording = recorded ~entry ?recovery:recovery_entry prog in
     let recovery =
       Option.map
         (fun recovery_entry ->
-          Recover.verify_recording ~recovery_entry ~bound ~seed prog recording)
-        recovery
+          Recover.start ~recovery_entry ~seed ~corrupt:true
+            ~model:Analysis.Model.Strict prog)
+        recovery_entry
+    in
+    let r, recovery =
+      Deepmc.Crash_sweep.sweep ~bound ~seed ~oracle:Runtime.Crash_space.Sequential
+        ?recovery recording
     in
     let module J = Deepmc.Json_report in
     (match recovery with
@@ -753,8 +759,8 @@ let crash_explore_cmd =
     Term.(
       term_result
         (const run $ setup_logs_term $ file_arg $ entry_req $ bound_term
-       $ seed_term $ domains_term $ recover_flag $ json_term
-       $ metrics_json_term $ trace_out_term))
+       $ seed_term $ recover_flag $ json_term $ metrics_json_term
+       $ trace_out_term))
 
 (* Recovery-path verification: for every durable image a crash can
    leave, apply the media-corruption model and execute the program's
@@ -775,9 +781,12 @@ let recover_cmd =
     let* prog = load file in
     obs_setup ~metrics_json ~trace_out;
     let* recording = recorded ~entry ~recovery:recovery_entry prog in
+    let recovery =
+      Recover.start ~recovery_entry ~seed ~corrupt:(not no_corrupt) ~model prog
+    in
     let r =
-      Recover.verify_recording ~recovery_entry ~bound ~seed
-        ~corrupt:(not no_corrupt) ~model prog recording
+      Deepmc.Crash_sweep.sweep ~bound ~seed ~recovery recording
+      |> snd |> Option.get
     in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp (Deepmc.Json_report.of_recovery r)

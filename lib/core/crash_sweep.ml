@@ -1,33 +1,25 @@
-(* Parallel crash-image exploration. [Runtime.Crash_space] is kept free
-   of any core dependency, so the domain fan-out lives here: the
-   program runs once into an immutable recording, and its tasks are
-   split into one contiguous range per domain. Each range is swept in
-   order, so it rebuilds its crashed state once and carries it forward;
-   results depend only on their task, so any split gives the same
-   report. *)
+(* One crash sweep per recording, feeding both crash tiers:
+   [Runtime.Crash_space] walks the images and judges them with the
+   crash oracle, and [Recover] checks each one from the same walk.
+   [Recover] knows nothing of the oracle, so the pairing lives here. *)
 
 module Crash_space = Runtime.Crash_space
 
-let explore_recording ?domains ?(bound = Crash_space.default_bound)
-    ?(seed = 1) ?(oracle = Crash_space.Sequential) recording =
-  let crash_points = Crash_space.count_points recording in
-  let tasks = Array.of_list (Crash_space.tasks ~crash_points) in
-  let n = Array.length tasks in
-  let pool = Pool.default () in
-  let ranges =
-    max 1 (min n (Option.value domains ~default:(Pool.size pool)))
+let sweep ~bound ~seed ?oracle ?recovery recording =
+  let go () =
+    let crash =
+      Crash_space.sweep ~bound ~seed ?oracle recording
+        (Option.fold ~none:ignore ~some:Recover.check_image recovery)
+    in
+    (crash, Option.map (fun run -> Recover.finish run recording crash) recovery)
   in
-  List.init ranges (fun i ->
-      let lo = i * n / ranges and hi = (i + 1) * n / ranges in
-      Array.to_list (Array.sub tasks lo (hi - lo)))
-  |> Pool.map ?domains ~chunk:1 pool
-       (Crash_space.explore_tasks ~bound ~seed ~oracle recording)
-  |> List.concat
-  |> Crash_space.summarize ~crash_points
+  if Option.is_some recovery then Obs.Span.with_ ~name:"recover-verify" go
+  else go ()
 
-let explore_program ?domains ?bound ?seed ?oracle ?(entry = "main")
-    ?(args = []) prog =
-  explore_recording ?domains ?bound ?seed ?oracle
-    (Crash_space.record (fun pmem ->
-         Runtime.Interp.create ~pmem prog
-         |> Runtime.Interp.run ~entry ~args |> ignore))
+let explore_program ?(bound = Crash_space.default_bound) ?(seed = 1)
+    ?(oracle = Crash_space.Sequential) ?(entry = "main") ?(args = []) prog =
+  fst
+    (sweep ~bound ~seed ~oracle
+       (Crash_space.record (fun pmem ->
+            Runtime.Interp.create ~pmem prog
+            |> Runtime.Interp.run ~entry ~args |> ignore)))

@@ -1,23 +1,22 @@
-(** Crash-image exploration of whole programs: splits the tasks of a
-    {!Runtime.Crash_space.recording} (one per crash point plus exit)
-    into [domains] contiguous ranges (default: the shared {!Pool}'s
-    size), and sweeps each range in order
-    ({!Runtime.Crash_space.explore_tasks}) on the pool, whose domains
-    share only that immutable recording. With [~domains:1] it is one
-    sweep on the calling domain; every split gives the same report. *)
+(** The crash tiers' one sweep per recording: the crash oracle and the
+    recovery tier read the same in-order walk
+    ({!Runtime.Crash_space.sweep}) on the calling domain. *)
 
-val explore_recording :
-  ?domains:int ->
-  ?bound:int ->
-  ?seed:int ->
+val sweep :
+  bound:int ->
+  seed:int ->
   ?oracle:Runtime.Crash_space.oracle ->
+  ?recovery:Recover.run ->
   Runtime.Crash_space.recording ->
-  Runtime.Crash_space.report
-(** Every crash point of a recorded run plus its exit, summarized;
-    [oracle] defaults to [Sequential]. *)
+  Runtime.Crash_space.report * Recover.report option
+(** Every crash point of a recorded run plus its exit, at most [bound]
+    images a point, sampled from [seed]. Each distinct image is judged
+    by [oracle] when one is given (the report has no witnesses
+    otherwise), then checked by [recovery] when one is given, whose
+    report comes back beside the crash report, inside a
+    [recover-verify] trace span. *)
 
 val explore_program :
-  ?domains:int ->
   ?bound:int ->
   ?seed:int ->
   ?oracle:Runtime.Crash_space.oracle ->
@@ -25,5 +24,7 @@ val explore_program :
   ?args:int list ->
   Nvmir.Prog.t ->
   Runtime.Crash_space.report
-(** {!explore_recording} of a fresh recording; [entry] defaults to
-    ["main"]. *)
+(** The crash report of a fresh recording of [entry] (default
+    ["main"]); [bound] defaults to
+    {!Runtime.Crash_space.default_bound}, [seed] to 1 and [oracle] to
+    [Sequential]. *)

@@ -91,7 +91,8 @@ let execute (t : t) ~entry ?(args = []) ~clients ~recorded prog =
 
 (* Analyze a program. [entry]/[args] drive the optional forward run. *)
 let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
-    ?(explore_crash_images = false) ?crash_bound ?seed
+    ?(explore_crash_images = false)
+    ?(crash_bound = Runtime.Crash_space.default_bound) ?(seed = 1)
     ?(verify_recovery = false) ?(recovery_entry = "recover") prog : report =
   Log.info (fun m ->
       m "analyzing %d function(s) against the %a model (%a)"
@@ -130,36 +131,46 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
           (List.length dyn_warnings)
           (Clock.span_s t1 t2 *. 1000.))
   | Dynamic_skipped reason -> Log.debug (fun m -> m "dynamic skipped: %s" reason));
-  (* A requested crash tier reads the one recording, or is skipped
-     with the forward run's failure as its reason. *)
-  let tier requested name pp f =
-    match (requested, recording) with
-    | true, Some (Ok r) ->
-      let report = f r in
-      Log.info (fun m -> m "%s: %a" name pp report);
-      (Some report, None)
-    | true, Some (Error reason) -> (None, Some reason)
-    | _ -> (None, None)
-  in
-  (* The recovery tier: every reachable crash image, corrupted under
-     the media model, run through the program's recovery entry. Its
+  (* The requested crash tiers read the one recording in one sweep, or
+     are skipped with the forward run's failure as their reason. The
+     recovery tier runs every reachable crash image, corrupted under
+     the media model, through the program's recovery entry; its
      warnings join the merged stream like the dynamic tier's. *)
-  let recovery, recovery_skipped =
-    tier verify_recovery "recovery" Recover.pp_report
-      (Recover.verify_recording ~recovery_entry ?bound:crash_bound ?seed
-         ~model:t.model prog)
+  let crash_space, recovery, skipped =
+    match recording with
+    | Some (Ok r) ->
+      let oracle =
+        if explore_crash_images then Some Runtime.Crash_space.Sequential
+        else None
+      in
+      let recovery =
+        if verify_recovery then
+          Some
+            (Recover.start ~recovery_entry ~seed ~corrupt:true ~model:t.model
+               prog)
+        else None
+      in
+      let crash, recovery =
+        Obs.Span.with_ ~name:"crash-explore" (fun () ->
+            Crash_sweep.sweep ~bound:crash_bound ~seed ?oracle ?recovery r)
+      in
+      let crash = if explore_crash_images then Some crash else None in
+      Option.iter
+        (fun c ->
+          Log.info (fun m -> m "crash space: %a" Runtime.Crash_space.pp_report c))
+        crash;
+      Option.iter
+        (fun rv -> Log.info (fun m -> m "recovery: %a" Recover.pp_report rv))
+        recovery;
+      (crash, recovery, None)
+    | Some (Error reason) -> (None, None, Some reason)
+    | None -> (None, None, None)
   in
   let warnings =
     Analysis.Warning.dedup
       (static.Analysis.Checker.warnings @ dyn_warnings
       @ Option.fold ~none:[] ~some:(fun r -> r.Recover.warnings) recovery)
     |> Analysis.Warning.sort
-  in
-  let crash_space, crash_skipped =
-    tier explore_crash_images "crash space" Runtime.Crash_space.pp_report
-      (fun r ->
-        Obs.Span.with_ ~name:"crash-explore" (fun () ->
-            Crash_sweep.explore_recording ?bound:crash_bound ?seed r))
   in
   {
     model = t.model;
@@ -168,9 +179,9 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
     dynamic_warnings = dyn_warnings;
     warnings;
     crash_space;
-    crash_skipped;
+    crash_skipped = (if explore_crash_images then skipped else None);
     recovery;
-    recovery_skipped;
+    recovery_skipped = (if verify_recovery then skipped else None);
     elapsed_static = Clock.span_s t0 t1;
     elapsed_dynamic = Clock.span_s t1 t2;
   }

@@ -1,9 +1,10 @@
 (** The DeepMC toolkit driver: the end-to-end pipeline of Figure 8.
     Given a program and the persistency-model flag, runs the static
     checker and, optionally, one execution with the dynamic checker,
-    recorded for crash-image exploration and recovery verification,
-    merging the warning streams into one report. This is the one place
-    that sequences the tiers on a program. *)
+    recorded for crash-image exploration and recovery verification
+    (one sweep of that recording feeds both), merging the warning
+    streams into one report. This is the one place that sequences the
+    tiers on a program. *)
 
 type t
 
@@ -53,15 +54,16 @@ val analyze :
     dynamic checker, each with its own interpreter, following
     {!Runtime.Interp.clients}: the fuzzer's schedule with no
     preemption. With several clients a failure reads [client c: ...].
-    [explore_crash_images] (default false) additionally runs
-    {!Crash_sweep.explore_recording} with the sequential oracle, capped
-    at [crash_bound] images per crash point; [seed] makes its sampling
-    reproducible. [verify_recovery]
-    (default false) additionally runs {!Recover.verify_recording} with
-    the media-corruption model, using [recovery_entry] (default
-    ["recover"]); its warnings join the merged stream. Both read the
-    one recorded run, all clients included; skipped silently when either
-    entry is absent. *)
+    [explore_crash_images] (default false) additionally judges every
+    reachable crash image with the sequential oracle, capped at
+    [crash_bound] (default {!Runtime.Crash_space.default_bound}) images
+    per crash point; [seed] (default 1) makes its sampling
+    reproducible. [verify_recovery] (default false) additionally runs
+    [recovery_entry] (default ["recover"]) over every image under the
+    media-corruption model ({!Recover.start}); its warnings join the
+    merged stream. Both tiers read the one recorded run, all clients
+    included, in one {!Crash_sweep.sweep}; each is skipped silently
+    when its entry is absent. *)
 
 val run_entry : (unit -> 'a) -> ('a, string) result
 (** The one handler for a forward run that fails: a runtime error or

@@ -116,7 +116,7 @@ let run_recovery ~recovery_entry ~args heap prog =
   in
   (outcome, Interp.corrupt_reads interp)
 
-let check_image ~recovery_entry ~fn ~seed prog (ci : Crash_space.crash_image) =
+let check_one ~recovery_entry ~fn ~seed prog (ci : Crash_space.crash_image) =
   let t0 = if Obs.enabled () then Obs.now_ns () else 0L in
   let heap, corruptions = ci.Crash_space.ci_restore seed in
   let args = recovery_args heap fn in
@@ -278,43 +278,56 @@ let warnings_of ~model ~recovery_entry ~fn heap_name checks =
     (Analysis.Warning.dedup (unguarded @ silent @ non_idem @ crashes))
 
 (* ------------------------------------------------------------------ *)
-(* Driver *)
+(* A verification: one check per image the sweep hands over *)
 
-let verify_recording ?(recovery_entry = "recover")
-    ?(bound = Crash_space.default_bound) ?(seed = 1)
-    ?(corrupt = true) ?(model = Analysis.Model.Strict) prog recording =
-  Obs.Span.with_ ~name:"recover-verify" ~args:[ ("entry", recovery_entry) ]
-  @@ fun () ->
-  let fn =
-    match Nvmir.Prog.find_func prog recovery_entry with
-    | Some fn -> fn
-    | None ->
-      invalid_arg
-        (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
+type run = {
+  prog : Nvmir.Prog.t;
+  fn : Nvmir.Func.t;
+  entry : string;
+  seed : int;
+  corrupt : bool;
+  model : Analysis.Model.t;
+  mutable checked : int;
+  mutable checks : image_check list; (* newest first *)
+}
+
+let start ~recovery_entry ~seed ~corrupt ~model prog =
+  match Nvmir.Prog.find_func prog recovery_entry with
+  | Some fn ->
+    {
+      prog;
+      fn;
+      entry = recovery_entry;
+      seed;
+      corrupt;
+      model;
+      checked = 0;
+      checks = [];
+    }
+  | None ->
+    invalid_arg (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
+
+(* The n-th image is damaged under media seed [seed + 137 * n]. *)
+let check_image run ci =
+  run.checked <- run.checked + 1;
+  let seed =
+    if run.corrupt then Some (run.seed + (137 * run.checked)) else None
   in
-  let crash_points = Crash_space.count_points recording in
-  let counter = ref 0 and sampled = ref false and checks = ref [] in
-  Crash_space.iter_images ~bound ~seed recording
-    (Crash_space.tasks ~crash_points)
-    (fun images s ->
-      sampled := !sampled || s;
-      List.iter
-        (fun ci ->
-          incr counter;
-          let seed = if corrupt then Some (seed + (137 * !counter)) else None in
-          let check = check_image ~recovery_entry ~fn ~seed prog ci in
-          checks := check :: !checks)
-        images);
-  let checks = List.rev !checks in
+  run.checks <-
+    check_one ~recovery_entry:run.entry ~fn:run.fn ~seed run.prog ci
+    :: run.checks
+
+let finish run recording (crash : Crash_space.report) =
+  let checks = List.rev run.checks in
   let heap_name id =
     Option.value (Crash_space.obj_name recording id)
       ~default:(Fmt.str "o%d" id)
   in
   let count p = List.length (List.filter p checks) in
   {
-    recovery_entry;
+    recovery_entry = run.entry;
     images = checks;
-    crash_points;
+    crash_points = crash.Crash_space.crash_points;
     images_checked = List.length checks;
     corruptions_injected =
       List.fold_left (fun n c -> n + List.length c.corruptions) 0 checks;
@@ -323,14 +336,24 @@ let verify_recording ?(recovery_entry = "recover")
     silent_accepts = count (fun c -> c.verdict = Silent_accept);
     crashes = count (fun c -> c.verdict = Crashed);
     non_idempotent = count (fun c -> not c.idempotent);
-    sampled = !sampled;
-    warnings = warnings_of ~model ~recovery_entry ~fn heap_name checks;
+    sampled =
+      List.exists (fun (p : Crash_space.point_result) -> p.sampled)
+        crash.Crash_space.points;
+    warnings =
+      warnings_of ~model:run.model ~recovery_entry:run.entry ~fn:run.fn
+        heap_name checks;
   }
 
-let verify ?entry ?args ?recovery_entry ?bound ?seed ?corrupt ?model prog =
-  verify_recording ?recovery_entry ?bound ?seed ?corrupt ?model prog
-    (Crash_space.record (fun pmem ->
-         ignore (Interp.run ?entry ?args (Interp.create ~pmem prog))))
+let verify ?entry ?args ?(recovery_entry = "recover")
+    ?(bound = Crash_space.default_bound) ?(seed = 1) ?(corrupt = true)
+    ?(model = Analysis.Model.Strict) prog =
+  let run = start ~recovery_entry ~seed ~corrupt ~model prog in
+  let recording =
+    Crash_space.record (fun pmem ->
+        ignore (Interp.run ?entry ?args (Interp.create ~pmem prog)))
+  in
+  finish run recording
+    (Crash_space.sweep ~bound ~seed recording (check_image run))
 
 let consistent r = r.warnings = []
 

@@ -3,8 +3,8 @@
     The static and dynamic tiers check the {e forward} path — that a
     program's stores become durable in the right order. This module
     checks the {e backward} path: for every durable image a crash can
-    leave ({!Runtime.Crash_space.iter_images}), the crash sweep builds
-    the post-crash heap a restart would see, optionally corrupted under
+    leave, the crash sweep ({!Runtime.Crash_space.sweep}) builds the
+    post-crash heap a restart would see, optionally corrupted under
     its media model ({!Runtime.Crash_space.crash_image}); the program's
     recovery entry runs on that heap, and its behaviour is
     classified.
@@ -63,24 +63,40 @@ type report = {
   warnings : Analysis.Warning.t list;  (** deduplicated, sorted *)
 }
 
-val verify_recording :
-  ?recovery_entry:string ->
-  ?bound:int ->
-  ?seed:int ->
-  ?corrupt:bool ->
-  ?model:Analysis.Model.t ->
+(** {1 A verification}
+
+    The module runs no sweep of its own: a {!run} checks the images a
+    sweep hands it, one by one, and {!finish} assembles the report.
+    [Deepmc.Crash_sweep.sweep] feeds it from the same walk that judges
+    the crash tier's images. *)
+
+type run
+(** A verification under way: the images checked so far. *)
+
+val start :
+  recovery_entry:string ->
+  seed:int ->
+  corrupt:bool ->
+  model:Analysis.Model.t ->
   Nvmir.Prog.t ->
-  Runtime.Crash_space.recording ->
-  report
-(** Run [recovery_entry] (default ["recover"]) over every distinct
-    durable image of every crash task of the program's recorded run.
-    [corrupt] (default [true]) applies the seeded
-    media-corruption model to each image first. The recovery function
+  run
+(** Verify [recovery_entry] of the program. The recovery function
     receives references to the first [k] persistent objects of the
     restored heap, one per parameter, in id order; its return value is
-    the accept (zero) / flag (nonzero) signal.
-
+    the accept (zero) / flag (nonzero) signal. [model] is the model its
+    warnings carry.
     @raise Invalid_argument when [recovery_entry] is not defined. *)
+
+val check_image : run -> Runtime.Crash_space.crash_image -> unit
+(** Restore the image, run recovery on it and keep the outcome. With
+    [corrupt], the [n]-th image checked (from 1) is first damaged by
+    the media model under seed [seed + 137 * n]. Call it from the
+    sweep's callback, while the image can still be restored. *)
+
+val finish :
+  run -> Runtime.Crash_space.recording -> Runtime.Crash_space.report -> report
+(** The report of the images checked, given the recording and the
+    sweep's report (its crash points and whether any was sampled). *)
 
 val verify :
   ?entry:string ->
@@ -92,8 +108,11 @@ val verify :
   ?model:Analysis.Model.t ->
   Nvmir.Prog.t ->
   report
-(** {!verify_recording} of a fresh recording of [entry] (default the
-    program's main). *)
+(** Every distinct durable image of every crash task of a fresh
+    recording of [entry] (default the program's main), checked by a
+    {!run} of [recovery_entry] (default ["recover"]) under one sweep;
+    [corrupt] defaults to [true], [seed] to 1 and [model] to strict.
+    @raise Invalid_argument when [recovery_entry] is not defined. *)
 
 val consistent : report -> bool
 (** No warnings: every image was either restored or flagged (none

@@ -17,13 +17,13 @@
    recording is exactly the heap each crash point would have left,
    eviction included. It is immutable, so sweeps run on any domain.
 
-   Crash points are swept in order. A sweep over an ascending list of
-   tasks rebuilds the slot views of its first point once, from the
-   timelines, and then carries them forward: stepping to the next point
-   applies that point's changes. Beside the views it carries, per line,
-   the number of non-Clean slots (so the in-flight lines, in (object,
-   line) order, are always at hand) and the additive hash of the prefix
-   image. No point rebuilds or rescans the heap.
+   Crash points are swept in order, by one sweep per recording. Its
+   cursor starts before the first event, where every slot is null and
+   no object is live, and walks the tasks in order: stepping to the
+   next point applies that point's changes. Beside the slot views it
+   carries, per line, the number of non-Clean slots (so the in-flight
+   lines, in (object, line) order, are always at hand) and the additive
+   hash of the prefix image. No point rebuilds or rescans the heap.
 
    At every point (and at program exit, where still-volatile lines are
    simply lost):
@@ -48,21 +48,22 @@
    flight persisted), and it is always the first image walked, so
    sampling never loses it.
 
-   [explore_tasks] judges each distinct image against an [oracle]: a
-   user invariant over the materialized image, or the built-in
-   [Sequential] oracle that accepts an image iff it equals some
-   program-order prefix of the recorded write sequence (the states
+   The sweep judges each distinct image against an [oracle], when one
+   is given: a user invariant over the materialized image, or the
+   built-in [Sequential] oracle that accepts an image iff it equals
+   some program-order prefix of the recorded write sequence (the states
    strict persistency allows) and, at exit, iff every effective line
    persisted (no write left volatile). Point k's writes are a prefix of
    the run's writes, so the prefix images are hashed once per program:
    an image is a prefix image iff some prefix no longer than point k's
    has its hash and the same contents, compared slot by slot through the
-   views. Only images a consumer reads are materialized: the Invariant
-   oracle's, and those [iter_images] hands the recovery tier. Each of
-   those is built straight from the views into the heap a restart would
-   see ([Pmem.restore]), after the media model, which lives here too,
-   has damaged the carried in-flight lines. The views are the one
-   crashed state a sweep keeps. *)
+   views. It then hands the image to a callback, which may restore it.
+   Only images a consumer reads are materialized: the Invariant
+   oracle's, and those the callback restores for the recovery tier.
+   Each of those is built straight from the views into the heap a
+   restart would see ([Pmem.restore]), after the media model, which
+   lives here too, has damaged the carried in-flight lines. The views
+   are the one crashed state a sweep keeps. *)
 
 type oracle =
   | Sequential
@@ -307,43 +308,24 @@ type cursor = {
 let prefix_value (v : Pmem.slot_view) =
   match v.rollback with Some u -> u | None -> v.fenced
 
-(* The state at point [at], rebuilt from the timelines: once per sweep. *)
-let start r at =
+(* The state before the first event: every slot null, no object live. *)
+let start r =
   let width = r.config.Config.cacheline_slots in
-  let views =
-    Array.map (fun o -> Array.map (fun tl -> view_at tl at) o.slots) r.objects
+  let per_line f =
+    Array.map (fun o -> Array.make ((Array.length o.slots + width - 1) / width) f)
+      r.objects
   in
-  let lines i = (Array.length views.(i) + width - 1) / width in
-  let busy = Array.mapi (fun i _ -> Array.make (lines i) 0) views in
-  let inflight = ref Lines.empty and base = ref 0 and touched = ref [] in
-  Array.iteri
-    (fun i vs ->
-      let id = r.objects.(i).id in
-      Array.iteri
-        (fun s (v : Pmem.slot_view) ->
-          if v != initial then touched := (i, s) :: !touched;
-          base := !base + slot_hash id s (prefix_value v);
-          if v.state <> Clean then begin
-            busy.(i).(s / width) <- busy.(i).(s / width) + 1;
-            inflight := Lines.add (i, s / width) !inflight
-          end)
-        vs)
-    views;
-  let live = ref 0 in
-  while !live < Array.length r.objects && r.objects.(!live).born <= at do
-    incr live
-  done;
   {
     r;
     width;
-    at;
-    live = !live;
-    views;
-    busy;
-    inflight = !inflight;
-    base = !base;
-    touched = !touched;
-    marks = Array.mapi (fun i _ -> Array.make (lines i) false) views;
+    at = 0;
+    live = 0;
+    views = Array.map (fun o -> Array.map (fun _ -> initial) o.slots) r.objects;
+    busy = per_line 0;
+    inflight = Lines.empty;
+    base = 0;
+    touched = [];
+    marks = per_line false;
   }
 
 let apply c { c_obj = i; c_slot = s; c_view = v } =
@@ -363,9 +345,8 @@ let apply c { c_obj = i; c_slot = s; c_view = v } =
   if old == initial then c.touched <- (i, s) :: c.touched;
   c.views.(i).(s) <- v
 
-(* Step to point [k], applying every change on the way. *)
+(* Step forward to point [k], applying every change on the way. *)
 let seek c k =
-  if k < c.at then invalid_arg "Crash_space: a sweep's tasks must ascend";
   while c.at < k do
     c.at <- c.at + 1;
     while
@@ -492,26 +473,6 @@ let walk c ~bound ~seed ~task on_image =
     witnesses = [];
   }
 
-(* Sweep [tasks], which must ascend, calling [f] at each with the state
-   at its point. One span per sweep, naming its first and last point. *)
-let sweep r tasks f =
-  match tasks with
-  | [] -> []
-  | first :: rest ->
-    let args =
-      if not (Obs.enabled ()) then []
-      else
-        let last = List.fold_left (fun _ t -> t) first rest in
-        [ ("points", Fmt.str "%d-%d" (point_of r first) (point_of r last)) ]
-    in
-    Obs.Span.with_ ~name:"crash-sweep" ~args (fun () ->
-        let c = start r (point_of r first) in
-        List.map
-          (fun task ->
-            seek c (point_of r task);
-            f c task)
-          tasks)
-
 let m_enumerated =
   Obs.Metrics.counter "crash.images_enumerated"
     ~desc:"write-back subsets enumerated across crash points"
@@ -570,34 +531,8 @@ let verdict c oracle ~task img =
         Ok ()
       else Error "writes still volatile at program exit are lost")
 
-let explore_tasks ~bound ~seed ~oracle r tasks =
-  sweep r tasks (fun c task ->
-      let witnesses = ref [] in
-      let pt =
-        walk c ~bound ~seed ~task (fun img ->
-            match verdict c oracle ~task img with
-            | Ok () -> ()
-            | Error d ->
-              witnesses :=
-                { w_task = task; w_persisted = persisted c img; w_detail = d }
-                :: !witnesses)
-      in
-      if Obs.enabled () then begin
-        Obs.Metrics.incr m_points;
-        Obs.Metrics.add m_enumerated pt.subsets_enumerated;
-        Obs.Metrics.add m_pruned (pt.subsets_enumerated - pt.distinct_images);
-        if pt.sampled then Obs.Metrics.incr m_sampled
-      end;
-      { pt with witnesses = List.rev !witnesses })
-
-let explore_task ?(bound = default_bound) ?(seed = 1) ?(oracle = Sequential)
-    ~task r : point_result =
-  List.hd (explore_tasks ~bound ~seed ~oracle r [ task ])
-
 (* ------------------------------------------------------------------ *)
-(* Image enumeration for the recovery tier: the same walk as
-   [explore_tasks], handing over each distinct image as the heap a
-   restart would see instead of judging it against an oracle. *)
+(* The images the sweep hands over, as the heap a restart would see. *)
 
 (* The media model: a line in flight at the crash was mid-write-back,
    so besides persisting or not it may be damaged. Each in-flight line,
@@ -680,28 +615,6 @@ let restore c img =
         ~corrupt:(List.map (fun (x : Pmem.corruption) -> x.c_addr) corruptions),
       corruptions )
 
-let iter_images ~bound ~seed r tasks f =
-  ignore
-    (sweep r tasks (fun c task ->
-         let images = ref [] in
-         let pt =
-           walk c ~bound ~seed ~task (fun img ->
-               images :=
-                 {
-                   ci_task = task;
-                   ci_persisted = persisted c img;
-                   ci_restore = restore c img;
-                 }
-                 :: !images)
-         in
-         f (List.rev !images) pt.sampled))
-
-let task_images ?(bound = default_bound) ?(seed = 1) ~task r =
-  let result = ref None in
-  iter_images ~bound ~seed r [ task ] (fun images sampled ->
-      result := Some (images, sampled));
-  Option.get !result
-
 let summarize ~crash_points (points : point_result list) : report =
   let images_enumerated =
     List.fold_left (fun a p -> a + p.subsets_enumerated) 0 points
@@ -718,6 +631,43 @@ let summarize ~crash_points (points : point_result list) : report =
     inconsistent = List.length witnesses;
     witnesses;
   }
+
+(* The one sweep: every task in order on one cursor, started before
+   the first event. Each distinct image is judged by [oracle], when one
+   is given, then handed to [f]. One span per sweep. *)
+let sweep ~bound ~seed ?oracle r f =
+  Obs.Span.with_ ~name:"crash-sweep" (fun () ->
+      let c = start r in
+      List.map
+        (fun task ->
+          seek c (point_of r task);
+          let witnesses = ref [] in
+          let pt =
+            walk c ~bound ~seed ~task (fun img ->
+                let ci =
+                  {
+                    ci_task = task;
+                    ci_persisted = persisted c img;
+                    ci_restore = restore c img;
+                  }
+                in
+                (match Option.map (fun o -> verdict c o ~task img) oracle with
+                | Some (Error w_detail) ->
+                  witnesses :=
+                    { w_task = task; w_persisted = ci.ci_persisted; w_detail }
+                    :: !witnesses
+                | Some (Ok ()) | None -> ());
+                f ci)
+          in
+          if Obs.enabled () then begin
+            Obs.Metrics.incr m_points;
+            Obs.Metrics.add m_enumerated pt.subsets_enumerated;
+            Obs.Metrics.add m_pruned (pt.subsets_enumerated - pt.distinct_images);
+            if pt.sampled then Obs.Metrics.incr m_sampled
+          end;
+          { pt with witnesses = List.rev !witnesses })
+        (tasks ~crash_points:r.crash_points))
+  |> summarize ~crash_points:r.crash_points
 
 let consistent r = r.inconsistent = 0
 

@@ -5,12 +5,13 @@
     reachable under the cache-line write-back model: at a crash, any
     subset of the in-flight lines ([Dirty], or [Flushed] but not yet
     fenced) may have reached NVM, with open transactions rolled back.
-    Crash points are swept in order, carrying one crashed state (the
-    slot views) forward from each to the next. Two subsets leave the
-    same image exactly when they agree on the effective lines (those
-    with a slot whose value changes when the line persists), so images
-    are pruned by that projection, and the subset space is capped by a
-    bound — exhaustive below it, deterministic sampling above it. A
+    One sweep per recording walks every crash point in order, carrying
+    one crashed state (the slot views) forward from each to the next.
+    Two subsets leave the same image exactly when they agree on the
+    effective lines (those with a slot whose value changes when the
+    line persists), so images are pruned by that projection, and the
+    subset space is capped by a bound — exhaustive below it,
+    deterministic sampling above it. A
     sample always starts with the empty subset, so the prefix image
     (what survives when nothing in flight persisted) is never lost;
     the full subset is drawn second, so at [bound = 1] only the empty
@@ -18,8 +19,9 @@
     these images too ({!crash_image}), so this is the one module that
     knows a crash image.
 
-    [Deepmc.Crash_sweep.explore_recording] sweeps every task of a
-    recording with {!explore_tasks}, one contiguous range per domain. *)
+    {!sweep} judges each image with the crash oracle and hands it to the
+    recovery tier in the same walk; [Deepmc.Crash_sweep.sweep] feeds
+    both tiers from it. *)
 
 (** How an image is judged consistent. *)
 type oracle =
@@ -89,35 +91,7 @@ val obj_name : recording -> int -> string option
 val tasks : crash_points:int -> task list
 (** [Point 1 .. Point crash_points] followed by {!Exit}. *)
 
-val explore_tasks :
-  bound:int ->
-  seed:int ->
-  oracle:oracle ->
-  recording ->
-  task list ->
-  point_result list
-(** Sweep the given tasks of a recorded run, which must ascend, in
-    order: the crashed state of the first is rebuilt once from the
-    recording and carried forward to the others, so a contiguous range
-    costs one rebuild plus its points' changes and images. Each result depends only
-    on its task (the sampler is seeded per task), so callers may split
-    the tasks into ranges, sweep them on any domains and {!summarize}
-    the concatenation. Invariant oracles read the image through the
-    function they are passed; the first image judged is always the
-    prefix image.
-    @raise Invalid_argument if the tasks do not ascend. *)
-
-val explore_task :
-  ?bound:int ->
-  ?seed:int ->
-  ?oracle:oracle ->
-  task:task ->
-  recording ->
-  point_result
-(** {!explore_tasks} of one task; [bound] defaults to {!default_bound},
-    [seed] to 1 and [oracle] to [Sequential]. *)
-
-(** {1 Image enumeration} — the recovery tier's entry point. *)
+(** {1 The sweep} *)
 
 (** One distinct durable image of a crash task: which in-flight lines
     reached NVM, and the image as the heap a restart would see. *)
@@ -140,35 +114,28 @@ type crash_image = {
           @raise Invalid_argument once the sweep has moved on. *)
 }
 
-val iter_images :
+val sweep :
   bound:int ->
   seed:int ->
+  ?oracle:oracle ->
   recording ->
-  task list ->
-  (crash_image list -> bool -> unit) ->
-  unit
-(** The same sweep as {!explore_tasks}, handing each task's distinct
-    durable images (the same enumeration, pruning and bound) and whether
-    its subset space was sampled to the callback, task by task. The
-    first image has [ci_persisted = []]: it is the prefix image. The
-    sweep moves on to the next task once the callback returns, so the
-    images must be restored inside it.
-    @raise Invalid_argument if the tasks do not ascend. *)
-
-val task_images :
-  ?bound:int ->
-  ?seed:int ->
-  task:task ->
-  recording ->
-  crash_image list * bool
-(** {!iter_images} of one task, with {!explore_task}'s defaults. The
-    sweep ends at the task, so its images stay restorable. *)
+  (crash_image -> unit) ->
+  report
+(** The one sweep of a recording: its {!tasks} in order, on one cursor
+    that starts before the first event (every slot null, no object
+    live) and applies each event's changes on the way. At each task it
+    enumerates the distinct durable images (at most [bound] subsets,
+    the sampler seeded per task from [seed]), judges each with
+    [oracle] when one is given (the report has no witnesses
+    otherwise), then hands it to the callback, which may restore it
+    before the sweep moves on. The first image of a task has
+    [ci_persisted = []]: it is the prefix image. Invariant oracles read
+    the image through the function they are passed. One [crash-sweep]
+    trace span per call. *)
 
 val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
 (** Reads of a materialized image, as an {!Invariant} oracle sees them:
     unknown addresses read as {!Value.Vnull}. *)
-
-val summarize : crash_points:int -> point_result list -> report
 
 val consistent : report -> bool
 val pruning_ratio : report -> float

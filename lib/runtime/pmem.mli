@@ -177,7 +177,7 @@ val volatile_slot_count : t -> int
     A crash image says which in-flight lines reached NVM; the media
     model adds that any line {e in flight} at the crash may additionally
     have been torn mid-write-back. The model itself lives beside the
-    crash sweep ({!Crash_space.iter_images}), the one module that knows
+    crash sweep ({!Crash_space.sweep}), the one module that knows
     a crash image; this module keeps its vocabulary, the post-crash heap
     it builds ({!restore}), the corrupt flags, and the CRC primitives
     that implement the verified-storage CRC-validates-data axiom

@@ -120,6 +120,19 @@ let request_key ~psig text =
   Nvmir.Chash.to_hex
     (Nvmir.Chash.add_string (Nvmir.Chash.of_string psig) text)
 
+(* Parse and validate a request's program, with the error text every
+   command reports. *)
+let parse ~file text =
+  match Nvmir.Parser.parse ~file text with
+  | exception Nvmir.Parser.Parse_error (msg, line) ->
+    Error (Fmt.str "parse error at line %d: %s" line msg)
+  | prog -> (
+    match Nvmir.Prog.validate prog with
+    | [] -> Ok prog
+    | errs ->
+      Error
+        (Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Nvmir.Prog.pp_error) errs))
+
 (* Check [text] under [params], reusing everything the caches allow.
    Returns [Error] on parse/validation failure (cached nothing). *)
 let check t ~name ~(params : params) ~text : (outcome, string) result =
@@ -132,93 +145,87 @@ let check t ~name ~(params : params) ~text : (outcome, string) result =
     Ok { summary; level = Hit; invalidated = []; stale = []; reused = [] }
   | None -> (
     Obs.Metrics.incr m_misses;
-    match Nvmir.Parser.parse ~file:name text with
-    | exception Nvmir.Parser.Parse_error (msg, line) ->
-      Error (Fmt.str "parse error at line %d: %s" line msg)
-    | prog -> (
-      match Nvmir.Prog.validate prog with
-      | _ :: _ as errs ->
-        Error
-          (Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Nvmir.Prog.pp_error) errs)
-      | [] ->
-        let dsg = Analysis.Config.build_dsg params.config prog in
-        let table = Analysis.Fingerprint.build dsg prog in
-        let roots = Analysis.Fingerprint.roots table in
-        let skey = name ^ "\x00" ^ psig in
-        let slot, invalidated =
-          match Hashtbl.find_opt t.slots skey with
-          | Some slot ->
-            let changed =
-              Analysis.Fingerprint.changed_functions ~old:slot.s_table table
-            in
-            slot.s_table <- table;
-            (slot, changed)
-          | None ->
-            let slot =
-              { s_table = table; s_entries = Hashtbl.create 8 }
-            in
-            if Hashtbl.length t.slots >= t.max_entries then
-              Hashtbl.reset t.slots;
-            Hashtbl.replace t.slots skey slot;
-            (slot, List.sort String.compare (Nvmir.Prog.func_names prog))
-        in
-        (* A root is stale when its cached entry is missing or was
-           computed under a different closure key. *)
-        let stale, reused =
-          List.partition
-            (fun r ->
-              match
-                (Hashtbl.find_opt slot.s_entries r,
-                 Analysis.Fingerprint.root_key table r)
-              with
-              | Some (k, _), Some k' -> not (Nvmir.Chash.equal k k')
-              | _ -> true)
-            roots
-        in
-        Obs.Metrics.set_max m_invalidated (List.length invalidated);
-        Obs.Metrics.add m_roots_reused (List.length reused);
-        let fresh, _ =
-          if stale = [] then ([], dsg)
-          else
-            Analysis.Checker.check_roots ~config:params.config ~dsg
-              ~roots:stale ~model:params.model prog
-        in
-        List.iter
-          (fun (pr : Analysis.Checker.per_root) ->
+    match parse ~file:name text with
+    | Error _ as e -> e
+    | Ok prog ->
+      let dsg = Analysis.Config.build_dsg params.config prog in
+      let table = Analysis.Fingerprint.build dsg prog in
+      let roots = Analysis.Fingerprint.roots table in
+      let skey = name ^ "\x00" ^ psig in
+      let slot, invalidated =
+        match Hashtbl.find_opt t.slots skey with
+        | Some slot ->
+          let changed =
+            Analysis.Fingerprint.changed_functions ~old:slot.s_table table
+          in
+          slot.s_table <- table;
+          (slot, changed)
+        | None ->
+          let slot =
+            { s_table = table; s_entries = Hashtbl.create 8 }
+          in
+          if Hashtbl.length t.slots >= t.max_entries then
+            Hashtbl.reset t.slots;
+          Hashtbl.replace t.slots skey slot;
+          (slot, List.sort String.compare (Nvmir.Prog.func_names prog))
+      in
+      (* A root is stale when its cached entry is missing or was
+         computed under a different closure key. *)
+      let stale, reused =
+        List.partition
+          (fun r ->
             match
-              Analysis.Fingerprint.root_key table
-                pr.Analysis.Checker.pr_root
+              (Hashtbl.find_opt slot.s_entries r,
+               Analysis.Fingerprint.root_key table r)
             with
-            | Some k ->
-              Hashtbl.replace slot.s_entries pr.Analysis.Checker.pr_root
-                (k, pr)
-            | None -> ())
-          fresh;
-        (* Merge in the cold run's root order: cross-root dedup keeps
-           first occurrences, so order is semantically visible. *)
-        let per_root =
-          List.filter_map
-            (fun r -> Option.map snd (Hashtbl.find_opt slot.s_entries r))
-            roots
-        in
-        let result =
-          Analysis.Checker.merge_roots ~model:params.model ~dsg per_root
-        in
-        let summary = summary_of_result result in
-        let level =
-          if reused = [] then Miss else if stale = [] then Hit else Partial
-        in
-        if Hashtbl.length t.requests >= t.max_entries then
-          Hashtbl.reset t.requests;
-        Hashtbl.replace t.requests rkey summary;
-        Ok
-          {
-            summary;
-            level;
-            invalidated;
-            stale;
-            reused;
-          }))
+            | Some (k, _), Some k' -> not (Nvmir.Chash.equal k k')
+            | _ -> true)
+          roots
+      in
+      Obs.Metrics.set_max m_invalidated (List.length invalidated);
+      Obs.Metrics.add m_roots_reused (List.length reused);
+      let fresh, _ =
+        if stale = [] then ([], dsg)
+        else
+          Analysis.Checker.check_roots ~config:params.config ~dsg
+            ~roots:stale ~model:params.model prog
+      in
+      List.iter
+        (fun (pr : Analysis.Checker.per_root) ->
+          match
+            Analysis.Fingerprint.root_key table
+              pr.Analysis.Checker.pr_root
+          with
+          | Some k ->
+            Hashtbl.replace slot.s_entries pr.Analysis.Checker.pr_root
+              (k, pr)
+          | None -> ())
+        fresh;
+      (* Merge in the cold run's root order: cross-root dedup keeps
+         first occurrences, so order is semantically visible. *)
+      let per_root =
+        List.filter_map
+          (fun r -> Option.map snd (Hashtbl.find_opt slot.s_entries r))
+          roots
+      in
+      let result =
+        Analysis.Checker.merge_roots ~model:params.model ~dsg per_root
+      in
+      let summary = summary_of_result result in
+      let level =
+        if reused = [] then Miss else if stale = [] then Hit else Partial
+      in
+      if Hashtbl.length t.requests >= t.max_entries then
+        Hashtbl.reset t.requests;
+      Hashtbl.replace t.requests rkey summary;
+      Ok
+        {
+          summary;
+          level;
+          invalidated;
+          stale;
+          reused;
+        })
 
 (* Raw request memo for the non-check commands (crash-explore,
    inject): byte-identical resubmissions replay the stored response

@@ -52,6 +52,10 @@ val create : ?max_request_entries:int -> unit -> t
     level-B table of per-program slots alike (default 4096); past it a
     table is dropped wholesale — sound, merely colder. *)
 
+val parse : file:string -> string -> (Nvmir.Prog.t, string) result
+(** Parse and validate a request's program: [Error] carries the parse
+    error or the validation errors as every command reports them. *)
+
 val check :
   t -> name:string -> params:params -> text:string -> (outcome, string) result
 (** Check [text] under [params], reusing everything the caches allow.

@@ -121,33 +121,24 @@ let handle_crash_explore t ?id req =
     let seed = Option.value ~default:1 (Protocol.int_member "seed" req) in
     let psig = Fmt.str "crash|%s|%d|%d" entry bound seed in
     let key = Cache.request_key ~psig text in
-    match Nvmir.Parser.parse ~file:"<request>" text with
-    | exception Nvmir.Parser.Parse_error (msg, line) ->
-      Error (Fmt.str "parse error at line %d: %s" line msg)
-    | prog -> (
-      match Nvmir.Prog.validate prog with
-      | _ :: _ as errs ->
-        Error
-          (Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Nvmir.Prog.pp_error) errs)
-      | [] ->
-        if Nvmir.Prog.find_func prog entry = None then
-          Error (Fmt.str "entry %s not defined" entry)
-        else
-          let* payload, level =
-            Deepmc.Driver.run_entry (fun () ->
-                Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
-                    let r =
-                      Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry
-                        prog
-                    in
-                    Deepmc.Json_report.of_crash_space r))
-            |> Result.map_error (Fmt.str "entry %s: %s" entry)
-          in
-          Ok
-            [
-              ("cache", Protocol.String (Cache.cache_level_name level));
-              ("crash_space", payload);
-            ])
+    let* prog = Cache.parse ~file:"<request>" text in
+    if Nvmir.Prog.find_func prog entry = None then
+      Error (Fmt.str "entry %s not defined" entry)
+    else
+      let* payload, level =
+        Deepmc.Driver.run_entry (fun () ->
+            Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
+                let r =
+                  Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry prog
+                in
+                Deepmc.Json_report.of_crash_space r))
+        |> Result.map_error (Fmt.str "entry %s: %s" entry)
+      in
+      Ok
+        [
+          ("cache", Protocol.String (Cache.cache_level_name level));
+          ("crash_space", payload);
+        ]
   in
   match r with
   | Error msg -> Protocol.error_response ?id msg
@@ -184,36 +175,28 @@ let handle_inject t ?id req =
         (List.map Inject.Mutation.operator_name operators)
     in
     let key = Cache.request_key ~psig text in
-    match Nvmir.Parser.parse ~file:base text with
-    | exception Nvmir.Parser.Parse_error (msg, line) ->
-      Error (Fmt.str "parse error at line %d: %s" line msg)
-    | prog -> (
-      match Nvmir.Prog.validate prog with
-      | _ :: _ as errs ->
-        Error
-          (Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Nvmir.Prog.pp_error) errs)
-      | [] ->
-        let payload, level =
-          Cache.memo_find t.inject_memo ~key ~compute:(fun () ->
-              let roots = Analysis.Trace.default_roots prog in
-              let mutants =
-                Inject.Mutation.mutate ~operators ~base ~model ~roots prog
-              in
-              Protocol.List
-                (List.map
-                   (fun (m : Inject.Mutation.mutant) ->
-                     Protocol.String m.Inject.Mutation.id)
-                   mutants))
-        in
-        let count =
-          match payload with Protocol.List l -> List.length l | _ -> 0
-        in
-        Ok
-          [
-            ("cache", Protocol.String (Cache.cache_level_name level));
-            ("mutants", payload);
-            ("mutant_count", Protocol.Int count);
-          ])
+    let* prog = Cache.parse ~file:base text in
+    let payload, level =
+      Cache.memo_find t.inject_memo ~key ~compute:(fun () ->
+          let roots = Analysis.Trace.default_roots prog in
+          let mutants =
+            Inject.Mutation.mutate ~operators ~base ~model ~roots prog
+          in
+          Protocol.List
+            (List.map
+               (fun (m : Inject.Mutation.mutant) ->
+                 Protocol.String m.Inject.Mutation.id)
+               mutants))
+    in
+    let count =
+      match payload with Protocol.List l -> List.length l | _ -> 0
+    in
+    Ok
+      [
+        ("cache", Protocol.String (Cache.cache_level_name level));
+        ("mutants", payload);
+        ("mutant_count", Protocol.Int count);
+      ]
   in
   match r with
   | Error msg -> Protocol.error_response ?id msg

@@ -49,15 +49,12 @@ let crash_test ?entry invariant prog =
 (* The prefix image of [task]: what survives when nothing in flight
    reached NVM, read slot by slot. *)
 let prefix_image ~task ~entry prog =
-  let images, _ =
-    Runtime.Crash_space.task_images ~task (Test_crash_space.record ~entry prog)
+  let read =
+    Runtime.Crash_space.reader
+      (Test_crash_space.prefix_snapshot ~task
+         (Test_crash_space.record ~entry prog))
   in
-  match images with
-  | ci :: _ ->
-    let heap, _ = ci.Runtime.Crash_space.ci_restore None in
-    let read = Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap) in
-    fun obj_id slot -> Runtime.Value.to_int (read { Runtime.Pmem.obj_id; slot })
-  | [] -> Alcotest.fail "a crash task has at least one image"
+  fun obj_id slot -> Runtime.Value.to_int (read { Runtime.Pmem.obj_id; slot })
 
 let test_buggy_hashmap_has_window () =
   let prog = Nvmir.Parser.parse (hashmap_src ~transactional:false) in

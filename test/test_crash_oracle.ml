@@ -1,17 +1,17 @@
 (* The recorded crash explorer against its naive reference
    ([Ref_crash]): for every task of every corpus program (buggy and
    fixed), every example program and random straight-line programs, at
-   bounds 1, 2, 8 and 256 and with eviction modeling off and on, both
-   must produce the same [point_result] (counts, sampling, witnesses in
-   order) and the same crash images, each restored as the recovery
-   tier's post-crash heap with no media seed and with three: its
-   durable contents, its objects with their types, names and corrupt
-   flags, and the corruption list must match the reference's
-   materialize-corrupt-restore path. The
-   explorer's results are taken from sweeps started at each single
-   point, from one sweep over the whole run, and from
-   [Crash_sweep.explore_recording] on one and two domains, so a range's
-   rebuilt start must agree with the heap a sweep carries forward. *)
+   bounds 1, 2, 8 and 256 and with eviction modeling off and on, the
+   whole-run sweep must produce the reference's [point_result] (counts,
+   sampling, witnesses in order) under the Sequential oracle, under an
+   Invariant and with no oracle (no witnesses), and the same crash
+   images, each restored as the recovery tier's post-crash heap with no
+   media seed and with three: its durable contents, its objects with
+   their types, names and corrupt flags, and the corruption list must
+   match the reference's materialize-corrupt-restore path. The sweep
+   starts before the first event and carries its crashed state forward,
+   so every task checks the state carried from all the points before
+   it. *)
 
 let tc = Alcotest.test_case
 
@@ -48,18 +48,15 @@ let heap_rows heap =
   in
   (bindings (Pmem.durable_snapshot heap), objects, Pmem.corrupt_slot_count heap)
 
-(* Each image restored under every media seed, read at once. *)
-let image_rows images =
-  List.map
-    (fun (ci : Crash_space.crash_image) ->
-      ( ci.Crash_space.ci_task,
-        ci.ci_persisted,
-        List.map
-          (fun seed ->
-            let heap, corruptions = ci.ci_restore seed in
-            (heap_rows heap, corruptions))
-          media_seeds ))
-    images
+(* An image restored under every media seed, read at once. *)
+let image_row (ci : Crash_space.crash_image) =
+  ( ci.Crash_space.ci_task,
+    ci.ci_persisted,
+    List.map
+      (fun seed ->
+        let heap, corruptions = ci.ci_restore seed in
+        (heap_rows heap, corruptions))
+      media_seeds )
 
 (* An invariant that depends on image contents, so the Invariant path is
    compared too: slot 0 of object 0 may not be durable ahead of slot 1. *)
@@ -102,57 +99,48 @@ let agree ~config ~entry ~args prog =
     in
     List.iter
       (fun bound ->
+        let expected_images =
+          List.map
+            (fun task ->
+              let images, sampled =
+                Ref_crash.crash_images ~config ~entry ~args ~bound ~task prog
+              in
+              (List.map image_row images, sampled))
+            tasks
+        in
         List.iter
           (fun (oname, oracle) ->
             let expected =
               List.map
                 (fun task ->
-                  Ref_crash.explore_task ~config ~entry ~args ~bound ~oracle
-                    ~task prog)
+                  let pt =
+                    Ref_crash.explore_task ~config ~entry ~args ~bound
+                      ?oracle ~task prog
+                  in
+                  if oracle = None then { pt with Crash_space.witnesses = [] }
+                  else pt)
                 tasks
             in
-            let explored domains =
-              (Deepmc.Crash_sweep.explore_recording ~domains ~bound ~oracle r)
-                .Crash_space.points
+            (* the sweep moves on, so its images are restored inside
+               the callback *)
+            let groups =
+              Test_crash_space.images_by_task ~bound ?oracle r image_row
             in
-            List.iter
-              (fun (sweep, results) ->
-                compare_tasks bound
-                  (Fmt.str "%s point_result (%s)" oname sweep)
-                  results expected)
-              [
-                ( "sweep from the point",
-                  List.map
-                    (fun task -> Crash_space.explore_task ~bound ~oracle ~task r)
-                    tasks );
-                ( "whole-run sweep",
-                  Crash_space.explore_tasks ~bound ~seed:1 ~oracle r tasks );
-                ("1 domain", explored 1);
-                ("2 domains", explored 2);
-              ])
+            compare_tasks bound
+              (Fmt.str "%s point_result" oname)
+              (List.map fst groups) expected;
+            compare_tasks bound
+              (Fmt.str "crash images (%s)" oname)
+              (List.map
+                 (fun ((pt : Crash_space.point_result), rows) ->
+                   (rows, pt.sampled))
+                 groups)
+              expected_images)
           [
-            ("sequential", Crash_space.Sequential);
-            ("invariant", Crash_space.Invariant invariant);
-          ];
-        (* The recovery tier's images as restored heaps, with and
-           without media corruption, from a sweep started at each point
-           and from one whole-run sweep (which moves on, so its images
-           are restored inside the callback). *)
-        let rows (images, sampled) = (image_rows images, sampled) in
-        let expected =
-          List.map
-            (fun task ->
-              rows (Ref_crash.crash_images ~config ~entry ~args ~bound ~task prog))
-            tasks
-        in
-        compare_tasks bound "crash images (sweep from the point)"
-          (List.map (fun task -> rows (Crash_space.task_images ~bound ~task r)) tasks)
-          expected;
-        let whole = ref [] in
-        Crash_space.iter_images ~bound ~seed:1 r tasks (fun images sampled ->
-            whole := rows (images, sampled) :: !whole);
-        compare_tasks bound "crash images (whole-run sweep)" (List.rev !whole)
-          expected)
+            ("sequential", Some Crash_space.Sequential);
+            ("invariant", Some (Crash_space.Invariant invariant));
+            ("no oracle", None);
+          ])
       bounds;
     Some (List.rev !mismatches)
 
@@ -166,51 +154,100 @@ let check_program name ~entry ~args prog =
           (List.length ms) m)
     configs
 
-let test_corpus () =
-  let programs =
-    List.concat_map
-      (fun (p : Corpus.Types.program) ->
-        let variant tag prog =
-          match Nvmir.Prog.find_func prog p.Corpus.Types.entry with
-          | Some _ -> [ (p.Corpus.Types.name ^ tag, p, prog) ]
-          | None -> []
-        in
-        variant "" (Corpus.Types.parse p)
-        @
-        match Corpus.Types.parse_fixed p with
-        | Some f -> variant " (fixed)" f
-        | None -> [])
-      (Corpus.Registry.all @ Corpus.Recovery.programs)
-  in
-  Alcotest.(check bool) "corpus programs covered" true (List.length programs >= 20);
-  List.iter
-    (fun (name, (p : Corpus.Types.program), prog) ->
-      check_program name ~entry:p.Corpus.Types.entry
-        ~args:p.Corpus.Types.entry_args prog)
-    programs
+(* Every corpus and recovery-corpus program, buggy and fixed, with a
+   defined entry: (name, entry, args, program). *)
+let corpus_programs () =
+  List.concat_map
+    (fun (p : Corpus.Types.program) ->
+      let variant tag prog =
+        match Nvmir.Prog.find_func prog p.Corpus.Types.entry with
+        | Some _ ->
+          [
+            ( p.Corpus.Types.name ^ tag,
+              p.Corpus.Types.entry,
+              p.Corpus.Types.entry_args,
+              prog );
+          ]
+        | None -> []
+      in
+      variant "" (Corpus.Types.parse p)
+      @
+      match Corpus.Types.parse_fixed p with
+      | Some f -> variant " (fixed)" f
+      | None -> [])
+    (Corpus.Registry.all @ Corpus.Recovery.programs)
 
 (* [dune runtest] runs from the test directory, [dune exec] from the
    root. *)
 let examples_dir =
   List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
 
-let test_examples () =
-  let files =
-    Sys.readdir examples_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".nvmir")
-    |> List.sort String.compare
-  in
-  Alcotest.(check bool) "example programs found" true (List.length files >= 6);
+(* Every example program with a [main], in the same shape. *)
+let example_programs () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".nvmir")
+  |> List.sort String.compare
+  |> List.filter_map (fun f ->
+         let prog =
+           Nvmir.Parser.parse
+             (In_channel.with_open_bin (Filename.concat examples_dir f)
+                In_channel.input_all)
+         in
+         Option.map (fun _ -> (f, "main", [], prog))
+           (Nvmir.Prog.find_func prog "main"))
+
+let test_corpus () =
+  let programs = corpus_programs () in
+  Alcotest.(check bool) "corpus programs covered" true (List.length programs >= 20);
   List.iter
-    (fun f ->
-      let src =
-        In_channel.with_open_bin (Filename.concat examples_dir f)
-          In_channel.input_all
-      in
-      let prog = Nvmir.Parser.parse src in
-      if Nvmir.Prog.find_func prog "main" <> None then
-        check_program f ~entry:"main" ~args:[] prog)
-    files
+    (fun (name, entry, args, prog) -> check_program name ~entry ~args prog)
+    programs
+
+let test_examples () =
+  let programs = example_programs () in
+  Alcotest.(check bool) "example programs found" true (List.length programs >= 6);
+  List.iter
+    (fun (name, entry, args, prog) -> check_program name ~entry ~args prog)
+    programs
+
+(* One sweep feeds both tiers as two would: the joint sweep's crash
+   report equals an oracle-only sweep's, and its recovery report a
+   recovery-only sweep's. A program with no [recover] runs its entry as
+   the recovery entry, so every image is restored and checked. *)
+let test_one_sweep_equals_two () =
+  List.iter
+    (fun (name, entry, args, prog) ->
+      match Test_crash_space.record ~entry ~args prog with
+      | exception _ -> ()
+      | r ->
+        let recovery_entry =
+          if Nvmir.Prog.find_func prog "recover" <> None then "recover"
+          else entry
+        in
+        let sweep ?oracle ~recover () =
+          Deepmc.Crash_sweep.sweep ~bound:Crash_space.default_bound ~seed:1
+            ?oracle
+            ?recovery:
+              (if recover then
+                 Some
+                   (Recover.start ~recovery_entry ~seed:1 ~corrupt:true
+                      ~model:Analysis.Model.Strict prog)
+               else None)
+            r
+        in
+        let crash, recovery =
+          sweep ~oracle:Crash_space.Sequential ~recover:true ()
+        in
+        let crash_only, none =
+          sweep ~oracle:Crash_space.Sequential ~recover:false ()
+        in
+        let _, recovery_only = sweep ~recover:true () in
+        Alcotest.(check bool) (name ^ ": crash report") true (crash = crash_only);
+        Alcotest.(check bool) (name ^ ": no recovery asked") true (none = None);
+        Alcotest.(check bool)
+          (name ^ ": recovery report") true
+          (Option.is_some recovery && recovery = recovery_only))
+    (corpus_programs () @ example_programs ())
 
 (* A prefix image only counts if the crash point has reached it: after
    [x=1 (durable); x=2; y=3], the image {x=1, y=3} persists y ahead of
@@ -235,7 +272,13 @@ entry:
 |}
   in
   let r = Test_crash_space.record prog in
-  let pt = Crash_space.explore_task ~task:(Crash_space.Point 5) r in
+  let pt =
+    List.find
+      (fun (pt : Crash_space.point_result) -> pt.task = Crash_space.Point 5)
+      (Crash_space.sweep ~bound:Crash_space.default_bound ~seed:1
+         ~oracle:Crash_space.Sequential r ignore)
+        .Crash_space.points
+  in
   Alcotest.(check (list (list (pair int int))))
     "the y-only image is the one witness" [ [ (0, 1) ] ]
     (List.map
@@ -357,6 +400,8 @@ let suite =
   [
     tc "corpus programs: recorded explorer = reference" `Quick test_corpus;
     tc "example programs: recorded explorer = reference" `Quick test_examples;
+    tc "one sweep feeds both tiers as two would" `Quick
+      test_one_sweep_equals_two;
     tc "a later prefix image is not reached" `Quick
       test_later_prefix_is_not_reached;
     QCheck_alcotest.to_alcotest prop_straight_line;

@@ -19,6 +19,44 @@ let record ?config ?(entry = "main") ?(args = []) prog =
       Runtime.Interp.create ~pmem prog
       |> Runtime.Interp.run ~entry ~args |> ignore)
 
+(* The whole-run sweep's images grouped by task: each task's result
+   (its counts, sampling and witnesses) with [f] of its images, applied
+   while the sweep is at the task, so [f] may restore them. Every task
+   has an image, the prefix image, so the groups and the report's
+   points line up. *)
+let images_by_task ?(bound = Runtime.Crash_space.default_bound) ?(seed = 1)
+    ?oracle r f =
+  let groups = ref [] in
+  let report =
+    Runtime.Crash_space.sweep ~bound ~seed ?oracle r
+      (fun (ci : Runtime.Crash_space.crash_image) ->
+        let x = f ci in
+        groups :=
+          match !groups with
+          | (task, xs) :: rest when task = ci.Runtime.Crash_space.ci_task ->
+            (task, x :: xs) :: rest
+          | gs -> (ci.Runtime.Crash_space.ci_task, [ x ]) :: gs)
+  in
+  List.map2
+    (fun (task, xs) (pt : Runtime.Crash_space.point_result) ->
+      assert (task = pt.Runtime.Crash_space.task);
+      (pt, List.rev xs))
+    (List.rev !groups) report.Runtime.Crash_space.points
+
+(* The durable contents of [task]'s prefix image (its first image,
+   nothing in flight persisted), from the whole-run sweep. *)
+let prefix_snapshot ~task r =
+  match
+    List.find
+      (fun ((pt : Runtime.Crash_space.point_result), _) ->
+        pt.Runtime.Crash_space.task = task)
+      (images_by_task r (fun ci ->
+           Runtime.Pmem.durable_snapshot
+             (fst (ci.Runtime.Crash_space.ci_restore None))))
+  with
+  | _, snapshot :: _ -> snapshot
+  | _, [] -> Alcotest.fail "a crash task has at least one image"
+
 (* Every task of a program: its crash points, then exit. *)
 let tasks ?entry ?args prog =
   Runtime.Crash_space.tasks
@@ -254,18 +292,6 @@ let test_deterministic () =
   check Alcotest.int "same verdicts" r1.Runtime.Crash_space.inconsistent
     r2.Runtime.Crash_space.inconsistent
 
-(* Parallel fan-out agrees with a run on the calling domain alone. *)
-let test_parallel_matches_sequential () =
-  let prog = Nvmir.Parser.parse buggy_hashmap_src in
-  let seq = Deepmc.Crash_sweep.explore_program ~domains:1 ~entry:"main" prog in
-  let par = Deepmc.Crash_sweep.explore_program ~domains:4 ~entry:"main" prog in
-  check Alcotest.int "crash points" seq.Runtime.Crash_space.crash_points
-    par.Runtime.Crash_space.crash_points;
-  check Alcotest.int "images" seq.Runtime.Crash_space.images_enumerated
-    par.Runtime.Crash_space.images_enumerated;
-  check Alcotest.int "inconsistent" seq.Runtime.Crash_space.inconsistent
-    par.Runtime.Crash_space.inconsistent
-
 (* The reference's materialize with no lines persisted is the durable
    snapshot. *)
 let test_materialize_empty_is_snapshot () =
@@ -292,7 +318,7 @@ let test_materialize_empty_is_snapshot () =
     snap
 
 (* The prefix image is the first image of every task, at any bound:
-   [task_images] starts with the empty persisted-subset, and that image
+   each task's images start with the empty persisted-subset, and that image
    restores to exactly [Pmem.durable_snapshot] of the crashed heap (the
    reference re-executes to the task) — so sampling never loses it.
    Swept over every corpus program with a runnable entry and three
@@ -338,25 +364,24 @@ let test_prefix_image_first () =
       List.iter
         (fun bound ->
           List.iter
-            (fun task ->
-              let images, _ =
-                Runtime.Crash_space.task_images ~bound ~task r
-              in
+            (fun ((pt : Runtime.Crash_space.point_result), images) ->
+              let task = pt.Runtime.Crash_space.task in
               let where =
                 Fmt.str "%s, bound %d, %a" name bound Runtime.Crash_space.pp_task
                   task
               in
               match images with
               | [] -> Alcotest.fail (where ^ ": no image")
-              | ci :: _ ->
+              | (persisted, heap) :: _ ->
                 check Alcotest.bool (where ^ ": nothing persisted") true
-                  (ci.Runtime.Crash_space.ci_persisted = []);
-                let heap, _ = ci.Runtime.Crash_space.ci_restore None in
+                  (persisted = []);
                 check Alcotest.bool (where ^ ": equals the durable snapshot")
                   true
                   (bindings (Runtime.Pmem.durable_snapshot heap)
                   = List.assoc task crashed))
-            all_tasks)
+            (images_by_task ~bound r (fun ci ->
+                 ( ci.Runtime.Crash_space.ci_persisted,
+                   fst (ci.Runtime.Crash_space.ci_restore None) ))))
         [ 1; 2; 8; 256 ])
     (corpus @ synth)
 
@@ -366,15 +391,11 @@ let test_prefix_image_first () =
 let test_stale_image_refused () =
   let r = record (Nvmir.Parser.parse buggy_hashmap_src) in
   let first = ref None in
-  Runtime.Crash_space.(
-    iter_images ~bound:default_bound ~seed:1 r
-      (tasks ~crash_points:(count_points r)))
-    (fun images _ ->
-      List.iter
-        (fun (ci : Runtime.Crash_space.crash_image) ->
-          ignore (ci.Runtime.Crash_space.ci_restore (Some 1));
-          if Option.is_none !first then first := Some ci)
-        images);
+  ignore
+    (Runtime.Crash_space.sweep ~bound:Runtime.Crash_space.default_bound
+       ~seed:1 r (fun ci ->
+         ignore (ci.Runtime.Crash_space.ci_restore (Some 1));
+         if Option.is_none !first then first := Some ci));
   check Alcotest.bool "an image of the first point is refused" true
     (match (Option.get !first).Runtime.Crash_space.ci_restore None with
     | exception Invalid_argument _ -> true
@@ -392,8 +413,6 @@ let suite =
       test_sampling_caps_enumeration;
     tc "lost write witnessed at exit (Fig. 9)" `Quick test_lost_write_at_exit;
     tc "exploration is deterministic" `Quick test_deterministic;
-    tc "parallel sweep matches sequential explore" `Quick
-      test_parallel_matches_sequential;
     tc "materialize [] = durable snapshot" `Quick
       test_materialize_empty_is_snapshot;
     tc "prefix image is first at any bound" `Quick test_prefix_image_first;

@@ -68,16 +68,10 @@ let test_buggy_btree_split_commits_item () =
     let prog = Corpus.Types.parse p in
     (* the prefix image at exit: nothing in flight reached NVM *)
     let entry = "btree_driver_split" in
-    let images, _ =
-      Runtime.Crash_space.task_images ~task:Exit
-        (Test_crash_space.record ~entry prog)
-    in
     let read =
-      match images with
-      | ci :: _ ->
-        let heap, _ = ci.Runtime.Crash_space.ci_restore None in
-        Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap)
-      | [] -> Alcotest.fail "exit has at least one image"
+      Runtime.Crash_space.reader
+        (Test_crash_space.prefix_snapshot ~task:Exit
+           (Test_crash_space.record ~entry prog))
     in
     (* the heap the run left, for what it cached *)
     let pmem, _, _ = Ref_crash.run_to ~entry ~task:Exit prog in

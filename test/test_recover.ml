@@ -13,21 +13,16 @@ module Crash_space = Runtime.Crash_space
 let guarded () = Corpus.Types.parse Corpus.Recovery.guarded
 let unguarded () = Corpus.Types.parse Corpus.Recovery.unguarded
 
-(* the images of every crash task of [prog], so properties sweep the
-   whole image space rather than one hand-picked point *)
-let task_images ~seed prog =
-  let r = Test_crash_space.record prog in
-  List.map
-    (fun task -> Crash_space.task_images ~seed ~task r)
-    (Crash_space.tasks ~crash_points:(Crash_space.count_points r))
+(* [f] of the images of every crash task of [prog], so properties
+   sweep the whole image space rather than one hand-picked point *)
+let task_images ~seed prog f =
+  List.map snd
+    (Test_crash_space.images_by_task ~seed (Test_crash_space.record prog) f)
 
 let corrupted_images ~seed prog =
-  List.concat_map
-    (fun (images, _) ->
-      List.map
-        (fun (ci : Crash_space.crash_image) -> ci.Crash_space.ci_restore (Some seed))
-        images)
-    (task_images ~seed prog)
+  List.concat
+    (task_images ~seed prog (fun (ci : Crash_space.crash_image) ->
+         ci.Crash_space.ci_restore (Some seed)))
 
 (* Axiom 1: a CRC-guarded read never reports "valid" over a corrupted
    slot — even when handed the checksum of the corrupted contents (the
@@ -59,22 +54,19 @@ let prop_uncorrupted_always_validates =
     (fun seed ->
       let prog = guarded () in
       List.for_all
-        (fun (images, _) ->
-          List.for_all
-            (fun (ci : Crash_space.crash_image) ->
-              let heap, _ = ci.Crash_space.ci_restore None in
-              List.for_all
-                (fun obj_id ->
-                  (not (Pmem.is_persistent heap obj_id))
-                  || Pmem.crc_check_range heap ~obj_id ~first_slot:0
-                       ~nslots:(Pmem.obj_size heap obj_id)
-                       ~crc:
-                         (Runtime.Value.Vint
-                            (Pmem.crc_of_range heap ~obj_id ~first_slot:0
-                               ~nslots:(Pmem.obj_size heap obj_id))))
-                (Pmem.live_objects heap))
-            images)
-        (task_images ~seed prog))
+        (List.for_all (fun heap ->
+             List.for_all
+               (fun obj_id ->
+                 (not (Pmem.is_persistent heap obj_id))
+                 || Pmem.crc_check_range heap ~obj_id ~first_slot:0
+                      ~nslots:(Pmem.obj_size heap obj_id)
+                      ~crc:
+                        (Runtime.Value.Vint
+                           (Pmem.crc_of_range heap ~obj_id ~first_slot:0
+                              ~nslots:(Pmem.obj_size heap obj_id))))
+               (Pmem.live_objects heap)))
+        (task_images ~seed prog (fun (ci : Crash_space.crash_image) ->
+             fst (ci.Crash_space.ci_restore None))))
 
 (* Axiom 3: the executor is a pure function of (program, seed) — same
    seed, byte-identical report; and the verdict partition always sums
