@@ -58,7 +58,7 @@ let seed_determined (name, _) =
     (String.ends_with ~suffix:"_ns" base
     || List.mem base
          [ "pool.steals"; "pool.worker_claims"; "pool.parks";
-           "pool.queue_depth"; "shadow.lock_contention" ])
+           "pool.queue_depth" ])
 
 let write_json file fields =
   let telemetry = List.filter seed_determined (Obs.Metrics.snapshot ()) in

@@ -71,6 +71,13 @@ let entry_term =
     & info [ "entry" ] ~docv:"FUNC"
         ~doc:"Entry point for the dynamic (online) analysis.")
 
+let args_term =
+  Arg.(
+    value
+    & opt (list int) []
+    & info [ "args" ] ~docv:"INT,..."
+        ~doc:"Integer arguments passed to the entry function.")
+
 let no_dynamic_term =
   Arg.(value & flag & info [ "no-dynamic" ] ~doc:"Skip the dynamic analysis.")
 
@@ -320,8 +327,8 @@ let check_cmd =
       & info [ "crash-bound" ] ~docv:"N"
           ~doc:"Maximum images per crash point for --explore-crash-images.")
   in
-  let run () model file entry clients no_dynamic config suppressions json
-      html domains stats explore crash_bound seed metrics_json trace_out
+  let run () model file entry args clients no_dynamic config suppressions
+      json html domains stats explore crash_bound seed metrics_json trace_out
       connect =
     let ( let* ) = Result.bind in
     match connect with
@@ -338,7 +345,7 @@ let check_cmd =
       Deepmc.Driver.make ~config ~run_dynamic:(not no_dynamic) model
     in
     let report =
-      Deepmc.Driver.analyze driver ?entry ~clients
+      Deepmc.Driver.analyze driver ?entry ~args ~clients
         ~explore_crash_images:explore ?crash_bound ~seed prog
     in
     if stats then begin
@@ -389,7 +396,7 @@ let check_cmd =
     Term.(
       term_result
         (const run $ setup_logs_term $ model_term $ file_arg $ entry_term
-       $ clients_term $ no_dynamic_term $ config_term
+       $ args_term $ clients_term $ no_dynamic_term $ config_term
        $ suppressions_term $ json_term $ html_term
        $ domains_term $ stats_term $ explore_term
        $ crash_bound_term $ seed_term $ metrics_json_term $ trace_out_term
@@ -1172,7 +1179,7 @@ let explain_cmd =
              and bundle its witnesses (requires --entry and a recovery \
              function).")
   in
-  let run () model file entry clients fuzz_budget crash recover
+  let run () model file entry args clients fuzz_budget crash recover
       recovery_entry seed json html metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
@@ -1180,7 +1187,7 @@ let explain_cmd =
     Analysis.Witness.set_enabled true;
     let driver = Deepmc.Driver.make model in
     let report =
-      Deepmc.Driver.analyze driver ?entry ~clients
+      Deepmc.Driver.analyze driver ?entry ~args ~clients
         ~explore_crash_images:crash ~verify_recovery:recover ~recovery_entry
         ~seed prog
     in
@@ -1202,7 +1209,7 @@ let explain_cmd =
               prog;
               model;
               entry;
-              entry_args = [];
+              entry_args = args;
               clients;
             }
           in
@@ -1231,7 +1238,7 @@ let explain_cmd =
     Term.(
       term_result
         (const run $ setup_logs_term $ model_term $ file_arg $ entry_term
-       $ clients_term $ fuzz_budget_term $ crash_term $ recover_term
+       $ args_term $ clients_term $ fuzz_budget_term $ crash_term $ recover_term
        $ recovery_entry_term $ seed_term $ json_term $ html_term
        $ metrics_json_term $ trace_out_term))
 

@@ -27,6 +27,15 @@ let entry_block t =
   | [] -> invalid_arg ("Func.entry_block: empty function " ^ t.fname)
   | b :: _ -> b
 
+let first_loc t =
+  match
+    List.find_opt
+      (fun (i : Instr.t) -> not (Loc.is_none i.Instr.loc))
+      (entry_block t).instrs
+  with
+  | Some i -> i.Instr.loc
+  | None -> t.floc
+
 let find_block t label =
   List.find_opt (fun b -> String.equal b.label label) t.blocks
 

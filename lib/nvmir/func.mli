@@ -26,6 +26,10 @@ val name : t -> string
 val entry_block : t -> block
 (** @raise Invalid_argument on an empty function. *)
 
+val first_loc : t -> Loc.t
+(** The location a report about the whole function names: the entry
+    block's first located instruction, [floc] when none is located. *)
+
 val find_block : t -> string -> block option
 val successors : block -> string list
 val pp_terminator : terminator Fmt.t

@@ -169,19 +169,6 @@ let check_one ~recovery_entry ~fn ~seed prog (ci : Crash_space.crash_image) =
 (* ------------------------------------------------------------------ *)
 (* Warnings *)
 
-(* Where whole-recovery defects (silent accept, non-idempotence) are
-   reported: the first located instruction of the recovery entry
-   block, or the function's own location. *)
-let report_loc (fn : Nvmir.Func.t) =
-  let entry = Nvmir.Func.entry_block fn in
-  match
-    List.find_opt
-      (fun (i : Nvmir.Instr.t) -> not (Nvmir.Loc.is_none i.Nvmir.Instr.loc))
-      entry.Nvmir.Func.instrs
-  with
-  | Some i -> i.Nvmir.Instr.loc
-  | None -> fn.Nvmir.Func.floc
-
 let task_name = function
   | Crash_space.Point k -> Fmt.str "point %d" k
   | Crash_space.Exit -> "exit"
@@ -214,7 +201,9 @@ let warnings_of ~model ~recovery_entry ~fn heap_name checks =
     Analysis.Warning.make ~origin:Analysis.Warning.Dynamic ?witness ~rule
       ~model ~loc ~fname:recovery_entry msg
   in
-  let loc0 = report_loc fn in
+  (* whole-recovery defects (silent accept, non-idempotence) are
+     reported at the recovery entry's first located instruction *)
+  let loc0 = Nvmir.Func.first_loc fn in
   let unguarded =
     List.concat_map
       (fun c ->

@@ -21,15 +21,16 @@
 
    Concurrency: all per-client state — the open region, the epoch write
    log, the transaction depth, the warning buffer, the race counters —
-   lives in [thread_state], one per client. A listener obtained through
-   {!attach_client} is bound to its client's state, so listeners firing
-   on different domains never touch each other's state; the only shared
-   structures are the lock-striped shadow segment, the atomic barrier
-   counter, and the atomic stored-warning counter that enforces the
-   global cap. Warnings are aggregated (and deterministically sorted) at
-   summary time. The [set_thread]/[attach] interface serves clients
-   that share one heap on one domain: the driver's in-order clients and
-   the fuzzer's coroutines. *)
+   lives in [thread_state], one per client, and every attached heap gets
+   its own shadow segment, held by that heap's listener. A listener
+   obtained through {!attach_client} is bound to its client's state and
+   its heap's segment, so listeners firing on different domains never
+   touch each other's state; the only shared structures are the atomic
+   barrier counter and the atomic stored-warning counter that enforces
+   the global cap. Warnings are aggregated (and deterministically
+   sorted) at summary time. The [set_thread]/[attach] interface serves
+   clients that share one heap on one domain: the driver's in-order
+   clients and the fuzzer's coroutines. *)
 
 type region = No_region | In_epoch | In_strand of int
 
@@ -58,7 +59,6 @@ type thread_state = {
 
 type t = {
   model : Analysis.Model.t;
-  shadow : Shadow.t;
   max_warnings : int;
   threads : (int, thread_state) Hashtbl.t;
   threads_lock : Mutex.t; (* guards [threads]; state creation only *)
@@ -66,11 +66,13 @@ type t = {
   fence_count : int Atomic.t; (* global persist-barrier counter *)
   stored : int Atomic.t; (* warnings stored across all threads *)
   mutable default_pmem : Pmem.t option;
-  ranges_lock : Mutex.t; (* guards [ranges] *)
+  ranges_lock : Mutex.t; (* guards [ranges] and [segments] *)
   mutable ranges : (int * int option) list;
-      (* object-id windows of every attached heap; overlapping windows
-         would silently alias shadow-segment keys across clients, so
-         attachment rejects them up front *)
+      (* object-id windows of every attached heap; warnings name objects
+         by id, so two clients' [obj5] would read as one object and
+         dedup into one warning: attachment rejects overlaps up front *)
+  mutable segments : Shadow.t list;
+      (* every attached heap's shadow segment, summed by [summary] *)
 }
 
 let fresh_thread id =
@@ -96,7 +98,6 @@ let create ?(max_warnings = 10_000) ~model () =
   Hashtbl.replace threads 0 t0;
   {
     model;
-    shadow = Shadow.create ();
     max_warnings;
     threads;
     threads_lock = Mutex.create ();
@@ -106,6 +107,7 @@ let create ?(max_warnings = 10_000) ~model () =
     default_pmem = None;
     ranges_lock = Mutex.create ();
     ranges = [];
+    segments = [];
   }
 
 let thread t id =
@@ -149,8 +151,6 @@ let warnings t =
              String.compare a.Analysis.Warning.message b.Analysis.Warning.message
            | c -> c)
          | c -> c)
-
-let shadow t = t.shadow
 
 (* The cap is global across threads: claim a stored slot with one
    fetch-and-add (O(1), where the old implementation recomputed
@@ -201,7 +201,7 @@ let m_raw_checks =
   Obs.Metrics.counter "dynamic.raw_checks"
     ~desc:"tracked reads checked for RAW conflicts"
 
-let on_write t ts addr loc =
+let on_write t sh ts addr loc =
   match strand_of_region ts with
   | None -> ()
   | Some strand ->
@@ -214,7 +214,7 @@ let on_write t ts addr loc =
       { Shadow.strand; fence_at = Atomic.get t.fence_count; loc }
     in
     let conflicts =
-      Shadow.record_write t.shadow ~obj_id:addr.Pmem.obj_id
+      Shadow.record_write sh ~obj_id:addr.Pmem.obj_id
         ~slot:addr.Pmem.slot ~begin_fence:ts.begin_fence access
     in
     List.iter
@@ -256,7 +256,7 @@ let on_write t ts addr loc =
                Nvmir.Loc.pp r.Shadow.loc))
       conflicts
 
-let on_read t ts addr loc =
+let on_read t sh ts addr loc =
   match strand_of_region ts with
   | None -> ()
   | Some strand -> (
@@ -265,7 +265,7 @@ let on_read t ts addr loc =
       { Shadow.strand; fence_at = Atomic.get t.fence_count; loc }
     in
     match
-      Shadow.record_read t.shadow ~obj_id:addr.Pmem.obj_id ~slot:addr.Pmem.slot
+      Shadow.record_read sh ~obj_id:addr.Pmem.obj_id ~slot:addr.Pmem.slot
         ~begin_fence:ts.begin_fence access
     with
     | Some (`Raw w) ->
@@ -291,7 +291,7 @@ let on_read t ts addr loc =
    whether the range was ever written inside a tracked region (multiple
    flushes / persist-same-in-tx) or never written at all (writing back
    unmodified data). *)
-let on_flush t ts ~obj_id ~first_slot ~nslots ~dirty loc =
+let on_flush t sh ts ~obj_id ~first_slot ~nslots ~dirty loc =
   match strand_of_region ts with
   | None -> ()
   | Some _ ->
@@ -299,7 +299,7 @@ let on_flush t ts ~obj_id ~first_slot ~nslots ~dirty loc =
       ts.redundant <- ts.redundant + 1;
       let rec ever i =
         i < nslots
-        && (Shadow.ever_written t.shadow ~obj_id ~slot:(first_slot + i)
+        && (Shadow.ever_written sh ~obj_id ~slot:(first_slot + i)
            || ever (i + 1))
       in
       if not (ever 0) then
@@ -373,16 +373,50 @@ let on_epoch_end t ts loc =
   flush_epoch_report t ts loc;
   ts.region <- No_region
 
-(* The checker's listener, with [state ()] the thread state an event is
-   attributed to. *)
-let listener_of t state : Pmem.listener =
+(* Warnings name a slot by object id, so two heaps handing out the same
+   object ids under one checker would make client A's [obj5] and client
+   B's read as one object, and the driver's dedup would fold their
+   warnings into one. Reject the overlap at attachment time instead.
+   Windows are [first, limit) with [None] = unbounded. A heap that
+   passes gets its own shadow segment. *)
+let register_range t pm =
+  let first, limit = Pmem.id_range pm in
+  let below a = function None -> true | Some lim -> a < lim in
+  let overlaps (first', limit') = below first limit' && below first' limit in
+  Mutex.lock t.ranges_lock;
+  let clash = List.find_opt overlaps t.ranges in
+  let sh = Shadow.create ~obj_size:(Pmem.obj_size pm) in
+  (match clash with
+  | None ->
+    t.ranges <- (first, limit) :: t.ranges;
+    t.segments <- sh :: t.segments
+  | Some _ -> ());
+  Mutex.unlock t.ranges_lock;
+  match clash with
+  | None -> sh
+  | Some (first', limit') ->
+    let pp_lim ppf = function
+      | None -> Fmt.string ppf "inf"
+      | Some l -> Fmt.int ppf l
+    in
+    invalid_arg
+      (Fmt.str
+         "Dynamic.attach: heap object-id window [%d, %a) overlaps an \
+          already-attached heap's [%d, %a); give each client heap a \
+          disjoint ?first_obj_id/?obj_id_limit window"
+         first pp_lim limit first' pp_lim limit')
+
+(* The checker's listener for heap [pm], once [register_range] accepts
+   it, with [state ()] the thread state an event is attributed to. *)
+let listener_of t pm state : Pmem.listener =
+  let sh = register_range t pm in
   {
     Pmem.null_listener with
-    Pmem.on_write = (fun addr loc -> on_write t (state ()) addr loc);
-    on_read = (fun addr loc -> on_read t (state ()) addr loc);
+    Pmem.on_write = (fun addr loc -> on_write t sh (state ()) addr loc);
+    on_read = (fun addr loc -> on_read t sh (state ()) addr loc);
     on_flush =
       (fun ~obj_id ~first_slot ~nslots ~dirty loc ->
-        on_flush t (state ()) ~obj_id ~first_slot ~nslots ~dirty loc);
+        on_flush t sh (state ()) ~obj_id ~first_slot ~nslots ~dirty loc);
     on_fence = (fun loc -> on_fence t (state ()) loc);
     on_tx_begin =
       (fun _ ->
@@ -398,50 +432,21 @@ let listener_of t state : Pmem.listener =
     on_epoch_end = (fun loc -> on_epoch_end t (state ()) loc);
   }
 
-(* Shadow-segment keys are (obj_id, slot), so two heaps handing out the
-   same object ids under one checker would silently merge their cells —
-   a write by client A could mask, or race with, client B's. Reject the
-   overlap at attachment time instead. Windows are [first, limit) with
-   [None] = unbounded. *)
-let register_range t pm =
-  let first, limit = Pmem.id_range pm in
-  let below a = function None -> true | Some lim -> a < lim in
-  let overlaps (first', limit') = below first limit' && below first' limit in
-  Mutex.lock t.ranges_lock;
-  let clash = List.find_opt overlaps t.ranges in
-  (match clash with
-  | None -> t.ranges <- (first, limit) :: t.ranges
-  | Some _ -> ());
-  Mutex.unlock t.ranges_lock;
-  match clash with
-  | None -> ()
-  | Some (first', limit') ->
-    let pp_lim ppf = function
-      | None -> Fmt.string ppf "inf"
-      | Some l -> Fmt.int ppf l
-    in
-    invalid_arg
-      (Fmt.str
-         "Dynamic.attach: heap object-id window [%d, %a) overlaps an \
-          already-attached heap's [%d, %a); give each client heap a \
-          disjoint ?first_obj_id/?obj_id_limit window"
-         first pp_lim limit first' pp_lim limit')
-
 (* Attach the checker to a heap; subsequent operations are monitored,
    attributed via [set_thread]. *)
 let attach t pm =
-  register_range t pm;
+  let l = listener_of t pm (fun () -> t.current) in
   t.default_pmem <- Some pm;
-  Pmem.add_listener pm (listener_of t (fun () -> t.current))
+  Pmem.add_listener pm l
 
 (* Attach a client-bound listener: every event of [pm] is attributed to
    [thread], with no shared mutable attribution state — the heap may be
    driven from its own domain. *)
 let attach_client t ~thread:id pm =
-  register_range t pm;
   let ts = thread t id in
+  let l = listener_of t pm (fun () -> ts) in
   ts.pmem <- Some pm;
-  Pmem.add_listener pm (listener_of t (fun () -> ts))
+  Pmem.add_listener pm l
 
 type summary = {
   waw : int;
@@ -455,6 +460,9 @@ type summary = {
 
 let summary t =
   let states = thread_states t in
+  Mutex.lock t.ranges_lock;
+  let segments = t.segments in
+  Mutex.unlock t.ranges_lock;
   let sum f = List.fold_left (fun acc ts -> acc + f ts) 0 states in
   let dropped = sum (fun ts -> ts.dropped) in
   {
@@ -462,7 +470,8 @@ let summary t =
     raw = sum (fun ts -> ts.raw);
     unflushed = sum (fun ts -> ts.unflushed);
     redundant = sum (fun ts -> ts.redundant);
-    tracked_cells = Shadow.tracked_cells t.shadow;
+    tracked_cells =
+      List.fold_left (fun acc sh -> acc + Shadow.tracked_cells sh) 0 segments;
     warning_count = sum (fun ts -> ts.warning_count) + dropped;
     dropped;
   }

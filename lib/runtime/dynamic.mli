@@ -7,9 +7,10 @@
 
     The checker is safe to drive from several domains at once when each
     domain's heap is attached with {!attach_client}: all per-client
-    state is private to that client, the shadow segment is lock-striped,
-    and warnings are aggregated (deterministically ordered) at summary
-    time. *)
+    state is private to that client, each attached heap has its own
+    shadow segment (which takes no locks: one heap is driven from one
+    domain), and warnings are aggregated (deterministically ordered) at
+    summary time. *)
 
 type t
 
@@ -24,14 +25,16 @@ val attach : t -> Pmem.t -> unit
     Single-domain use only: clients sharing one heap, in order (the
     driver) or interleaved (the fuzzer).
     @raise Invalid_argument if the heap's object-id window (see
-    {!Pmem.id_range}) overlaps an already-attached heap's — overlapping
-    windows would silently alias shadow-segment keys across clients. *)
+    {!Pmem.id_range}) overlaps an already-attached heap's — warnings
+    name objects by id, so two clients' [obj5] would dedup into one
+    warning. *)
 
 val attach_client : t -> thread:int -> Pmem.t -> unit
 (** Register a listener bound to client [thread]: every event of this
     heap is attributed to that client, with no shared attribution state,
     so the heap may be driven from its own domain concurrently with
-    other clients'.
+    other clients'. Each heap is driven from one domain at a time: its
+    shadow segment takes no locks.
     @raise Invalid_argument on an overlapping object-id window, as with
     {!attach}. *)
 
@@ -43,14 +46,12 @@ val warnings : t -> Analysis.Warning.t list
 (** All stored warnings, sorted by (location, rule, message) — the same
     order regardless of how client execution interleaved. *)
 
-val shadow : t -> Shadow.t
-
 type summary = {
   waw : int;
   raw : int;
   unflushed : int;  (** writes still volatile at an epoch boundary *)
   redundant : int;  (** flushes that wrote back nothing dirty *)
-  tracked_cells : int;
+  tracked_cells : int;  (** shadow cells, summed over attached heaps *)
   warning_count : int;
   dropped : int;
 }

@@ -229,8 +229,8 @@ let eval_binop loc op a b =
 let rec exec_func t (func : Nvmir.Func.t) (args : Value.t list) : Value.t =
   let frame = { func; vars = Hashtbl.create 16 } in
   (if List.length args <> List.length func.params then
-     error func.floc "%s expects %d argument(s), got %d" func.fname
-       (List.length func.params) (List.length args));
+     error (Nvmir.Func.first_loc func) "%s expects %d argument(s), got %d"
+       func.fname (List.length func.params) (List.length args));
   List.iter2
     (fun (p, _ty) v -> Hashtbl.replace frame.vars p v)
     func.params args;

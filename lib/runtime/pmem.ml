@@ -92,9 +92,26 @@ let fresh_stats () =
 type undo_entry = { u_obj : int; u_slot : int; u_value : Value.t }
 type tx = { tx_id : int; mutable undo : undo_entry list }
 
+(* The entry of an object table slot no object holds. *)
+let absent =
+  {
+    id = -1;
+    ty = Nvmir.Ty.Int;
+    persistent = false;
+    name = None;
+    cache = [||];
+    nvm = [||];
+    state = [||];
+    corrupt = [||];
+  }
+
 type t = {
   config : Config.t;
-  objects : (int, obj) Hashtbl.t;
+  mutable objects : obj array;
+      (* object [id] at [id - base], [absent] where none; ids are
+         dense from [base], so the table doubles as allocation grows *)
+  mutable base : int;
+  mutable count : int; (* objects held *)
   first_id : int;
   id_limit : int option; (* exclusive upper bound on object ids, if any *)
   mutable next_id : int;
@@ -125,7 +142,9 @@ let create ?(config = Config.default) ?(first_obj_id = 0) ?obj_id_limit () =
   | _ -> ());
   {
     config;
-    objects = Hashtbl.create 64;
+    objects = Array.make 16 absent;
+    base = first_obj_id;
+    count = 0;
     first_id = first_obj_id;
     id_limit = obj_id_limit;
     next_id = first_obj_id;
@@ -160,19 +179,39 @@ let take_journal t =
   j
 
 let obj t id =
-  match Hashtbl.find_opt t.objects id with
-  | Some o -> o
-  | None -> invalid_arg (Fmt.str "Pmem: unknown object %d" id)
+  let i = id - t.base in
+  if i >= 0 && i < Array.length t.objects then begin
+    let o = Array.unsafe_get t.objects i in
+    if o.id = id then o else invalid_arg (Fmt.str "Pmem: unknown object %d" id)
+  end
+  else invalid_arg (Fmt.str "Pmem: unknown object %d" id)
+
+(* Every object held, in id order. *)
+let iter_objects t f =
+  Array.iter (fun o -> if o != absent then f o) t.objects
+
+let add_object t (o : obj) =
+  let i = o.id - t.base in
+  let n = Array.length t.objects in
+  if i >= n then begin
+    let grown = Array.make (max (2 * n) (i + 1)) absent in
+    Array.blit t.objects 0 grown 0 n;
+    t.objects <- grown
+  end;
+  if t.objects.(i) == absent then t.count <- t.count + 1;
+  t.objects.(i) <- o
 
 let obj_size t id = Array.length (obj t id).cache
 let is_persistent t id = (obj t id).persistent
 let obj_ty t id = (obj t id).ty
 let obj_name t id = (obj t id).name
 
-let object_count t = Hashtbl.length t.objects
+let object_count t = t.count
 
 let live_objects t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.objects [] |> List.sort Int.compare
+  Array.fold_right
+    (fun o acc -> if o != absent then o.id :: acc else acc)
+    t.objects []
 
 let id_range t = (t.first_id, t.id_limit)
 
@@ -200,7 +239,7 @@ let alloc t ?name ~tenv ~persistent ty =
       corrupt = Array.make size false;
     }
   in
-  Hashtbl.replace t.objects id o;
+  add_object t o;
   notify t (fun l -> l.on_alloc ~obj_id:id ~persistent ~size);
   id
 
@@ -465,32 +504,26 @@ let slot_view t ({ obj_id; slot } as a) =
 
 (* Snapshot of the whole durable state: obj id -> values. *)
 let durable_snapshot t =
-  let snap = Hashtbl.create (Hashtbl.length t.objects) in
-  Hashtbl.iter
-    (fun id o ->
+  let snap = Hashtbl.create t.count in
+  iter_objects t (fun o ->
       if o.persistent then
-        Hashtbl.replace snap id
+        Hashtbl.replace snap o.id
           (Array.init (Array.length o.nvm) (fun slot ->
-               durable_value t { obj_id = id; slot })))
-    t.objects;
+               durable_value t { obj_id = o.id; slot })));
   snap
 
 (* How many slots are not yet durable (differ between cache and the
    durable view)? Zero means a crash right now loses nothing. *)
 let volatile_slot_count t =
-  Hashtbl.fold
-    (fun id o acc ->
-      if not o.persistent then acc
-      else begin
-        let n = ref acc in
+  let n = ref 0 in
+  iter_objects t (fun o ->
+      if o.persistent then
         Array.iteri
           (fun slot v ->
-            if not (Value.equal v (durable_value t { obj_id = id; slot })) then
-              incr n)
-          o.cache;
-        !n
-      end)
-    t.objects 0
+            if not (Value.equal v (durable_value t { obj_id = o.id; slot }))
+            then incr n)
+          o.cache);
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Media corruption (recovery-tier model).
@@ -525,13 +558,17 @@ type corruption = {
 
 (* A post-crash heap: the given persistent objects, every slot durable
    and clean with its value, the [corrupt] slots flagged. Recovery
-   allocates its volatile state afresh. *)
+   allocates its volatile state afresh. The object table starts at the
+   smallest restored id, so a heap whose ids start high (a client's id
+   window) costs no table entries below it. *)
 let restore ~config objects ~corrupt =
   let t = create ~config () in
+  if objects <> [] then
+    t.base <- List.fold_left (fun lo (id, _, _, _) -> min lo id) max_int objects;
   List.iter
     (fun (id, ty, name, values) ->
       let size = Array.length values in
-      Hashtbl.replace t.objects id
+      add_object t
         {
           id;
           ty;
@@ -546,10 +583,10 @@ let restore ~config objects ~corrupt =
     objects;
   List.iter
     (fun { obj_id; slot } ->
-      match Hashtbl.find_opt t.objects obj_id with
-      | Some o when slot >= 0 && slot < Array.length o.corrupt ->
+      match obj t obj_id with
+      | o when slot >= 0 && slot < Array.length o.corrupt ->
         o.corrupt.(slot) <- true
-      | _ -> ())
+      | _ | (exception Invalid_argument _) -> ())
     corrupt;
   t
 
@@ -558,10 +595,10 @@ let is_corrupt t { obj_id; slot } =
   slot >= 0 && slot < Array.length o.corrupt && o.corrupt.(slot)
 
 let corrupt_slot_count t =
-  Hashtbl.fold
-    (fun _ o acc ->
-      acc + Array.fold_left (fun n c -> if c then n + 1 else n) 0 o.corrupt)
-    t.objects 0
+  let n = ref 0 in
+  iter_objects t (fun o ->
+      Array.iter (fun c -> if c then incr n) o.corrupt);
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* CRC primitives. The checksum is a deterministic FNV-style fold over

@@ -52,8 +52,9 @@ val create :
   ?config:Config.t -> ?first_obj_id:int -> ?obj_id_limit:int -> unit -> t
 (** [first_obj_id] offsets object-id allocation so the workload
     harness's per-domain client heaps never hand out the same id —
-    shadow-segment keys stay globally unique when one checker observes
-    many heaps.
+    warnings name objects by id, so ids stay globally unique when one
+    checker observes many heaps. The heap's object table starts at
+    [first_obj_id].
     [obj_id_limit] is the exclusive end of the heap's id window:
     {!alloc} raises [Invalid_argument] instead of spilling into the
     next client's range, and {!Dynamic.attach_client} uses the window
@@ -79,6 +80,7 @@ val is_persistent : t -> int -> bool
 val obj_ty : t -> int -> Nvmir.Ty.t
 val obj_name : t -> int -> string option
 val live_objects : t -> int list
+(** Every object's id, ascending. *)
 
 val object_count : t -> int
 (** The number of live objects; objects are never freed, so it changes

@@ -1,8 +1,8 @@
 (* The shadow segment (§4.4): mirrors the persistent address space and
    records, per slot, the history of strand accesses — which strand last
    wrote it and which strands have read it since. DeepMC customizes
-   ThreadSanitizer with exactly this structure; here it is a hash table
-   keyed by concrete slot address, populated only for addresses touched
+   ThreadSanitizer with exactly this structure: a shadow that mirrors
+   the address space directly, populated only for addresses touched
    inside annotated regions, which is what keeps the tracking cheap.
 
    Ordering representation: persist barriers in the runtime are global
@@ -14,11 +14,19 @@
    iff they are by the same strand or b > f (a barrier intervened). No
    vector clocks are kept: the scalar form is the whole ordering.
 
-   Concurrency: the segment is sharded into lock-striped sub-tables so
-   listeners running on different client domains can record accesses
-   concurrently. A cell's whole read/write history lives in one shard,
-   so the conflict computation for an access happens atomically under
-   that shard's lock; the global counters are atomics. *)
+   Layout: one segment per heap. An object's history is per-slot arrays
+   (writer strand, writer fence, writer location, reads since the last
+   write) cut into pages of [page_size] slots; the page directory is
+   sized from the object's size, never from a slot index, and a page is
+   allocated when one of its slots is first touched, so a large object
+   touched in a few places costs a few pages. A writer fence of -1 marks
+   a slot never written (barrier counts are never negative, while strand
+   numbers come from the program). A one-entry cache remembers the last
+   object, which is the common case: a store touches one object many
+   times in a row.
+
+   Concurrency: none inside the segment. One heap is driven from one
+   domain, and its segment belongs to that heap's listener. *)
 
 type access = {
   strand : int;
@@ -31,33 +39,34 @@ type access = {
 let ordered_before (a : access) ~strand ~begin_fence =
   a.strand = strand || begin_fence > a.fence_at
 
-type cell = {
-  mutable last_write : access option;
-  mutable reads : access list; (* reads since the last write *)
+type page = {
+  w_strand : int array;
+  w_fence : int array; (* -1: never written *)
+  w_loc : Nvmir.Loc.t array;
+  reads : access list array; (* reads since the last write, newest first *)
 }
 
-(* Cells are keyed by an int encoding of (obj, slot) so lookups avoid
-   polymorphic hashing of tuples. The slot field is 30 bits wide; the
-   object id occupies the bits above it, which leaves 32 bits of object
-   ids on a 64-bit host. Out-of-range components are rejected instead of
-   silently aliasing another object's slots (which would fabricate
-   races). *)
-let slot_bits = 30
-let max_slot = (1 lsl slot_bits) - 1
-let max_obj_id = (1 lsl (Sys.int_size - 1 - slot_bits)) - 1
+let page_bits = 8
+let page_size = 1 lsl page_bits
 
-let key ~obj_id ~slot =
-  if slot < 0 || slot > max_slot then
-    invalid_arg (Fmt.str "Shadow.key: slot %d outside [0, %d]" slot max_slot);
-  if obj_id < 0 || obj_id > max_obj_id then
-    invalid_arg
-      (Fmt.str "Shadow.key: obj_id %d outside [0, %d]" obj_id max_obj_id);
-  (obj_id lsl slot_bits) lor slot
+(* The directory entry of a page no access has touched yet. *)
+let no_page = { w_strand = [||]; w_fence = [||]; w_loc = [||]; reads = [||] }
 
-type shard = {
-  lock : Mutex.t;
-  cells : (int, cell) Hashtbl.t;
+type obj = { id : int; size : int; pages : page array }
+
+module Objs = Hashtbl.Make (Int)
+
+type t = {
+  obj_size : int -> int;
+  objs : obj Objs.t;
+  mutable last : obj; (* the last object looked up *)
+  mutable cells : int; (* slots touched by a write or a read *)
 }
+
+let no_obj = { id = -1; size = 0; pages = [||] }
+
+let create ~obj_size =
+  { obj_size; objs = Objs.create 16; last = no_obj; cells = 0 }
 
 let m_writes =
   Obs.Metrics.counter "shadow.writes" ~desc:"shadow-segment write records"
@@ -65,50 +74,69 @@ let m_writes =
 let m_reads =
   Obs.Metrics.counter "shadow.reads" ~desc:"shadow-segment read records"
 
-let m_contention =
-  Obs.Metrics.counter "shadow.lock_contention"
-    ~desc:"shard-lock acquisitions that found the lock held"
-
-(* Telemetry-aware shard lock: a failed [try_lock] is exactly one
-   contended acquisition. Disabled, this is a plain [Mutex.lock]. *)
-let lock_shard (m : Mutex.t) =
-  if not (Obs.enabled ()) then Mutex.lock m
-  else if Mutex.try_lock m then ()
+let find t obj_id =
+  if t.last.id = obj_id then t.last
   else begin
-    Obs.Metrics.incr m_contention;
-    Mutex.lock m
+    let o =
+      match Objs.find_opt t.objs obj_id with
+      | Some o -> o
+      | None ->
+        let size = t.obj_size obj_id in
+        let o =
+          {
+            id = obj_id;
+            size;
+            pages = Array.make ((size + page_size - 1) lsr page_bits) no_page;
+          }
+        in
+        Objs.replace t.objs obj_id o;
+        o
+    in
+    t.last <- o;
+    o
   end
 
-type t = {
-  shards : shard array;
-  tracked_writes : int Atomic.t;
-  tracked_reads : int Atomic.t;
-}
+let check_slot (o : obj) slot =
+  if slot < 0 || slot >= o.size then
+    invalid_arg
+      (Fmt.str "Shadow: slot %d outside obj%d's %d slot(s)" slot o.id o.size)
 
-(* A power of two, so a stripe is picked by masking. *)
-let shard_count = 16
+(* The page holding [slot], allocated on first touch. *)
+let page o slot =
+  let n = slot lsr page_bits in
+  let p = Array.unsafe_get o.pages n in
+  if p != no_page then p
+  else begin
+    let len = min page_size (o.size - (n lsl page_bits)) in
+    let p =
+      {
+        w_strand = Array.make len 0;
+        w_fence = Array.make len (-1);
+        w_loc = Array.make len Nvmir.Loc.none;
+        reads = Array.make len [];
+      }
+    in
+    o.pages.(n) <- p;
+    p
+  end
 
-let create () =
-  {
-    shards =
-      Array.init shard_count (fun _ ->
-          { lock = Mutex.create (); cells = Hashtbl.create 64 });
-    tracked_writes = Atomic.make 0;
-    tracked_reads = Atomic.make 0;
-  }
+let writer p i =
+  { strand = p.w_strand.(i); fence_at = p.w_fence.(i); loc = p.w_loc.(i) }
 
-(* Mix the object id into the low bits so one object's slots — and
-   different objects — both spread across stripes. *)
-let shard_of t key =
-  t.shards.((key lxor (key lsr slot_bits)) land (shard_count - 1))
+(* The previous writer races with an access by [strand] in a region
+   begun at [begin_fence] unless it is ordered before it. *)
+let writer_races p i ~strand ~begin_fence =
+  let f = p.w_fence.(i) in
+  f >= 0 && p.w_strand.(i) <> strand && begin_fence <= f
 
-let cell_locked shard key =
-  match Hashtbl.find_opt shard.cells key with
-  | Some c -> c
-  | None ->
-    let c = { last_write = None; reads = [] } in
-    Hashtbl.replace shard.cells key c;
-    c
+(* RAW conflicts with the unordered [reads], in list order. *)
+let rec raws acc ~strand ~begin_fence = function
+  | [] -> List.rev acc
+  | r :: rest ->
+    let acc =
+      if ordered_before r ~strand ~begin_fence then acc else `Raw r :: acc
+    in
+    raws acc ~strand ~begin_fence rest
 
 (* Record a write; returns the conflicting accesses, if any: a WAW race
    with the previous writer and RAW races with readers not ordered
@@ -116,74 +144,46 @@ let cell_locked shard key =
    writing region began. *)
 let record_write t ~obj_id ~slot ~begin_fence (a : access) :
     [ `Waw of access | `Raw of access ] list =
-  let key = key ~obj_id ~slot in
-  let shard = shard_of t key in
-  Atomic.incr t.tracked_writes;
+  let o = find t obj_id in
+  check_slot o slot;
   Obs.Metrics.incr m_writes;
-  lock_shard shard.lock;
-  let c = cell_locked shard key in
-  let conflicts = ref [] in
-  (match c.last_write with
-  | Some w when not (ordered_before w ~strand:a.strand ~begin_fence) ->
-    conflicts := `Waw w :: !conflicts
-  | Some _ | None -> ());
-  List.iter
-    (fun r ->
-      if not (ordered_before r ~strand:a.strand ~begin_fence) then
-        conflicts := `Raw r :: !conflicts)
-    c.reads;
-  c.last_write <- Some a;
-  c.reads <- [];
-  Mutex.unlock shard.lock;
-  List.rev !conflicts
+  let p = page o slot in
+  let i = slot land (page_size - 1) in
+  let reads = p.reads.(i) in
+  if p.w_fence.(i) < 0 && reads = [] then t.cells <- t.cells + 1;
+  let strand = a.strand in
+  let raws = raws [] ~strand ~begin_fence reads in
+  let conflicts =
+    if writer_races p i ~strand ~begin_fence then `Waw (writer p i) :: raws
+    else raws
+  in
+  p.w_strand.(i) <- strand;
+  p.w_fence.(i) <- a.fence_at;
+  p.w_loc.(i) <- a.loc;
+  p.reads.(i) <- [];
+  conflicts
 
 (* Record a read; returns a RAW conflict when the read races with the
    previous write (the reader cannot know whether it observes pre- or
    post-persist data). *)
 let record_read t ~obj_id ~slot ~begin_fence (a : access) :
     [ `Raw of access ] option =
-  let key = key ~obj_id ~slot in
-  let shard = shard_of t key in
-  Atomic.incr t.tracked_reads;
+  let o = find t obj_id in
+  check_slot o slot;
   Obs.Metrics.incr m_reads;
-  lock_shard shard.lock;
-  let c = cell_locked shard key in
-  c.reads <- a :: c.reads;
-  let conflict =
-    match c.last_write with
-    | Some w when not (ordered_before w ~strand:a.strand ~begin_fence) ->
-      Some (`Raw w)
-    | Some _ | None -> None
-  in
-  Mutex.unlock shard.lock;
-  conflict
+  let p = page o slot in
+  let i = slot land (page_size - 1) in
+  let reads = p.reads.(i) in
+  if p.w_fence.(i) < 0 && reads = [] then t.cells <- t.cells + 1;
+  p.reads.(i) <- a :: reads;
+  if writer_races p i ~strand:a.strand ~begin_fence then
+    Some (`Raw (writer p i))
+  else None
 
-(* Has [record_write] ever been called on this slot? Read-created cells
-   have no [last_write], so the check is exact — it replaces the
-   separate ever-written table the checker used to keep. *)
 let ever_written t ~obj_id ~slot =
-  let key = key ~obj_id ~slot in
-  let shard = shard_of t key in
-  lock_shard shard.lock;
-  let r =
-    match Hashtbl.find_opt shard.cells key with
-    | Some c -> c.last_write <> None
-    | None -> false
-  in
-  Mutex.unlock shard.lock;
-  r
+  let o = find t obj_id in
+  check_slot o slot;
+  let p = Array.unsafe_get o.pages (slot lsr page_bits) in
+  p != no_page && p.w_fence.(slot land (page_size - 1)) >= 0
 
-let tracked_cells t =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = Hashtbl.length s.cells in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 t.shards
-
-let pp ppf t =
-  Fmt.pf ppf "shadow: %d cells in %d shard(s), %d writes, %d reads tracked"
-    (tracked_cells t) shard_count
-    (Atomic.get t.tracked_writes)
-    (Atomic.get t.tracked_reads)
+let tracked_cells t = t.cells

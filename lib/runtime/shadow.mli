@@ -1,16 +1,19 @@
-(** The shadow segment (§4.4): mirrors the persistent address space,
-    recording per-slot access history for happens-before WAW/RAW race
-    detection. Ordering uses a scalar barrier-count fast path (persist
-    barriers in the runtime are global synchronization points); see
-    DESIGN.md.
+(** The shadow segment (§4.4): mirrors one heap's persistent address
+    space, recording per-slot access history for happens-before WAW/RAW
+    race detection. Ordering uses a scalar barrier-count fast path
+    (persist barriers in the runtime are global synchronization points);
+    see DESIGN.md.
 
-    The segment is lock-striped: cells are sharded by slot key, each
-    shard guarded by its own mutex, so listeners on concurrent client
-    domains can record accesses without racing on checker state. *)
+    A segment belongs to one heap and is direct-mapped: each object's
+    history lives in per-slot arrays, sized from the object's size and
+    allocated in pages on first access. It takes no locks, because one
+    heap is driven from one domain ({!Dynamic.attach} and
+    {!Dynamic.attach_client} document that); a checker observing several
+    heaps keeps one segment per heap. *)
 
 type access = {
   strand : int;
-  fence_at : int;  (** global barrier count when the access executed *)
+  fence_at : int;  (** global barrier count when the access executed, >= 0 *)
   loc : Nvmir.Loc.t;
 }
 
@@ -18,20 +21,11 @@ val ordered_before : access -> strand:int -> begin_fence:int -> bool
 (** Is the previous access ordered before an access by [strand] whose
     region began at barrier count [begin_fence]? *)
 
-val key : obj_id:int -> slot:int -> int
-(** Int encoding of a slot address (avoids tuple hashing): the slot in
-    the low {!slot_bits} bits, the object id above them.
-    @raise Invalid_argument when either component is out of range —
-    silent truncation would alias another object and fabricate races. *)
-
-val slot_bits : int
-val max_slot : int
-val max_obj_id : int
-
 type t
 
-val create : unit -> t
-(** A segment of 16 lock stripes. *)
+val create : obj_size:(int -> int) -> t
+(** An empty segment for a heap whose object [id] has [obj_size id]
+    slots ({!Pmem.obj_size}). *)
 
 val record_write :
   t ->
@@ -40,9 +34,10 @@ val record_write :
   begin_fence:int ->
   access ->
   [ `Waw of access | `Raw of access ] list
-(** Record a write; returns the races it completes (WAW with the
-    previous writer, RAW with unordered readers). The conflict check and
-    history update are atomic with respect to the cell's shard. *)
+(** Record a write; returns the races it completes: WAW with the
+    previous writer first, then RAW with each unordered reader since
+    that write, newest read first.
+    @raise Invalid_argument when [slot] is outside the object. *)
 
 val record_read :
   t ->
@@ -51,9 +46,10 @@ val record_read :
   begin_fence:int ->
   access ->
   [ `Raw of access ] option
+(** @raise Invalid_argument when [slot] is outside the object. *)
 
 val ever_written : t -> obj_id:int -> slot:int -> bool
 (** Has {!record_write} ever been called on this slot? *)
 
 val tracked_cells : t -> int
-val pp : t Fmt.t
+(** Slots {!record_write} or {!record_read} has touched. *)

@@ -8,8 +8,9 @@
    - [Concurrent] (default, the paper's setup): each client gets its own
      heap + store instance and runs its share of the transactions on a
      pool domain, all observed by one checker through client-bound
-     listeners. Client heaps allocate from disjoint object-id ranges so
-     shadow-segment keys never collide across clients, which also makes
+     listeners. Client heaps allocate from disjoint object-id ranges, so
+     warnings, which name objects by id, never fold two clients'
+     objects into one; each heap has its own shadow segment, which makes
      the reported warnings independent of domain interleaving.
    - [Interleaved] the historical single-domain replay: one heap, one
      store, the active client switched before each transaction. Kept for
@@ -91,7 +92,8 @@ let run_interleaved ~label ~seed ~clients ~txs ~checked ~setup ~op =
   finish ~label ~txs ~clients ~checked ~checker ~pmems:[ pmem ] ~elapsed_s
 
 (* Object ids reserved per client heap: no workload here allocates a
-   million objects (and Shadow.key rejects ids beyond its width). *)
+   million objects, and each heap's object table starts at its window,
+   so the windows cost nothing. *)
 let stride = 1 lsl 20
 
 (* Real client domains: each client owns a heap and a store instance and

@@ -1,6 +1,6 @@
 (* Differential tests for the concurrent dynamic checker: N clients
-   driving their own heaps under one checker (bound listeners, sharded
-   shadow segment) must report exactly what a sequential execution of
+   driving their own heaps under one checker (bound listeners, one shadow
+   segment per heap) must report exactly what a sequential execution of
    the same per-client operation streams reports — same warnings, same
    summary — regardless of domain interleaving. *)
 
@@ -349,7 +349,8 @@ let prop_parallel_matches_sequential =
 (* ------------------------------------------------------------------ *)
 (* Overlapping client heap id windows must be rejected at attachment:
    two heaps handing out the same object ids under one checker would
-   silently alias shadow-segment keys (client A's cells masking B's). *)
+   make their warnings name the same objects (client A's obj5 and B's
+   dedup into one warning). *)
 
 let test_overlapping_heap_ranges_rejected () =
   let raises f =

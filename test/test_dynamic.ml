@@ -19,7 +19,7 @@ let test_shadow_ordering () =
     (ordered_before w ~strand:2 ~begin_fence:3)
 
 let test_shadow_waw_detection () =
-  let sh = Runtime.Shadow.create () in
+  let sh = Runtime.Shadow.create ~obj_size:(fun _ -> 2) in
   let a1 = { Runtime.Shadow.strand = 1; fence_at = 0; loc = Nvmir.Loc.none } in
   let a2 = { Runtime.Shadow.strand = 2; fence_at = 0; loc = Nvmir.Loc.none } in
   check Alcotest.int "first write clean" 0
@@ -32,7 +32,7 @@ let test_shadow_waw_detection () =
     (List.length (Runtime.Shadow.record_write sh ~obj_id:0 ~slot:1 ~begin_fence:1 a3))
 
 let test_shadow_raw_detection () =
-  let sh = Runtime.Shadow.create () in
+  let sh = Runtime.Shadow.create ~obj_size:(fun _ -> 2) in
   let w = { Runtime.Shadow.strand = 1; fence_at = 0; loc = Nvmir.Loc.none } in
   ignore (Runtime.Shadow.record_write sh ~obj_id:0 ~slot:0 ~begin_fence:0 w);
   let r = { Runtime.Shadow.strand = 2; fence_at = 0; loc = Nvmir.Loc.none } in
@@ -215,29 +215,126 @@ let test_dynamic_warning_cap () =
 
 (* Regression (bugfix): the slot encoding used to pack slot into 24 bits
    with no range check, so obj 0 slot 2^24 aliased obj 1 slot 0 and
-   fabricated races. The slot field is now wider and out-of-range
-   components are rejected. *)
+   fabricated races. The segment now keeps each object's slots apart,
+   sized from the object, and rejects a slot outside it. *)
 let test_shadow_key_range () =
-  let k1 = Runtime.Shadow.key ~obj_id:0 ~slot:(1 lsl 24) in
-  let k2 = Runtime.Shadow.key ~obj_id:1 ~slot:0 in
-  check Alcotest.bool "slot 2^24 does not alias obj 1" true (k1 <> k2);
+  let open Runtime.Shadow in
+  let big = 1 lsl 24 in
+  let sh = create ~obj_size:(function 0 -> big + 1 | _ -> 4) in
+  let a strand = { strand; fence_at = 0; loc = Nvmir.Loc.none } in
+  ignore (record_write sh ~obj_id:0 ~slot:big ~begin_fence:0 (a 1));
+  check Alcotest.bool "obj 1 slot 0 not written" false
+    (ever_written sh ~obj_id:1 ~slot:0);
+  check Alcotest.int "slot 2^24 does not alias obj 1" 0
+    (List.length (record_write sh ~obj_id:1 ~slot:0 ~begin_fence:0 (a 2)));
+  check Alcotest.int "two cells" 2 (tracked_cells sh);
   let raises f =
     match f () with
     | exception Invalid_argument _ -> true
     | _ -> false
   in
-  check Alcotest.bool "slot beyond field width rejected" true
-    (raises (fun () ->
-         Runtime.Shadow.key ~obj_id:0 ~slot:(Runtime.Shadow.max_slot + 1)));
   check Alcotest.bool "negative slot rejected" true
-    (raises (fun () -> Runtime.Shadow.key ~obj_id:0 ~slot:(-1)));
-  check Alcotest.bool "obj_id beyond field width rejected" true
+    (raises (fun () -> record_write sh ~obj_id:1 ~slot:(-1) ~begin_fence:0 (a 1)));
+  check Alcotest.bool "slot at the object's size rejected" true
+    (raises (fun () -> record_write sh ~obj_id:1 ~slot:4 ~begin_fence:0 (a 1)));
+  check Alcotest.bool "slot beyond the object's size rejected" true
     (raises (fun () ->
-         Runtime.Shadow.key ~obj_id:(Runtime.Shadow.max_obj_id + 1) ~slot:0));
-  check Alcotest.bool "max corner accepted" true
-    (Runtime.Shadow.key ~obj_id:Runtime.Shadow.max_obj_id
-       ~slot:Runtime.Shadow.max_slot
-    > 0)
+         record_read sh ~obj_id:0 ~slot:(big + 1) ~begin_fence:0 (a 1)));
+  check Alcotest.bool "out-of-range query rejected" true
+    (raises (fun () -> ever_written sh ~obj_id:1 ~slot:4));
+  check Alcotest.int "rejected accesses track nothing" 2 (tracked_cells sh)
+
+(* Differential against the lock-striped segment it replaced
+   ([Ref_shadow]): random streams of writes, reads, barriers and region
+   begins over objects in two id windows, one of them with a slot at
+   2^24, must give the same conflict lists (in order), the same
+   [ever_written] answers and the same [tracked_cells]. *)
+type shadow_op =
+  | W of int * int * int (* object, slot, strand *)
+  | R of int * int * int
+  | Fence
+  | Begin of int (* strand *)
+  | Written of int * int
+
+let big_slot = 1 lsl 24
+
+(* (id, size): three objects in window 0, two in window 2^20; obj 2
+   spans two pages *)
+let shadow_objs =
+  [ (0, big_slot + 2); (1, 3); (2, 300); (1 lsl 20, 5); ((1 lsl 20) + 1, 1) ]
+
+let gen_shadow_ops =
+  let open QCheck.Gen in
+  let addr =
+    oneofl shadow_objs >>= fun (id, size) ->
+    (if id = 0 then oneofl [ 0; 1; big_slot; big_slot + 1 ]
+     else int_bound (size - 1))
+    >|= fun slot -> (id, slot)
+  in
+  let strand = int_range (-2) 3 in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         (4, map2 (fun (o, s) st -> W (o, s, st)) addr strand);
+         (4, map2 (fun (o, s) st -> R (o, s, st)) addr strand);
+         (2, return Fence);
+         (2, map (fun st -> Begin st) strand);
+         (1, map (fun (o, s) -> Written (o, s)) addr);
+       ])
+
+let pp_shadow_op = function
+  | W (o, s, st) -> Fmt.str "W(%d,%d,%d)" o s st
+  | R (o, s, st) -> Fmt.str "R(%d,%d,%d)" o s st
+  | Fence -> "F"
+  | Begin st -> Fmt.str "B%d" st
+  | Written (o, s) -> Fmt.str "E(%d,%d)" o s
+
+let prop_shadow_matches_reference =
+  QCheck.Test.make ~name:"shadow: direct-mapped == lock-striped reference"
+    ~count:200
+    (QCheck.make ~print:(QCheck.Print.list pp_shadow_op) gen_shadow_ops)
+    (fun ops ->
+      let sh =
+        Runtime.Shadow.create ~obj_size:(fun id -> List.assoc id shadow_objs)
+      in
+      let rf = Ref_shadow.create () in
+      let fences = ref 0 and begins = Hashtbl.create 8 in
+      let begin_of st = Option.value ~default:0 (Hashtbl.find_opt begins st) in
+      List.iteri
+        (fun n op ->
+          let access strand =
+            {
+              Runtime.Shadow.strand;
+              fence_at = !fences;
+              loc = Nvmir.Loc.make ~file:"op" ~line:n;
+            }
+          in
+          let same what a b =
+            if a <> b then QCheck.Test.fail_reportf "op %d: %s differs" n what
+          in
+          match op with
+          | W (obj_id, slot, st) ->
+            let begin_fence = begin_of st in
+            same "write conflicts"
+              (Runtime.Shadow.record_write sh ~obj_id ~slot ~begin_fence
+                 (access st))
+              (Ref_shadow.record_write rf ~obj_id ~slot ~begin_fence
+                 (access st))
+          | R (obj_id, slot, st) ->
+            let begin_fence = begin_of st in
+            same "read conflict"
+              (Runtime.Shadow.record_read sh ~obj_id ~slot ~begin_fence
+                 (access st))
+              (Ref_shadow.record_read rf ~obj_id ~slot ~begin_fence
+                 (access st))
+          | Fence -> incr fences
+          | Begin st -> Hashtbl.replace begins st !fences
+          | Written (obj_id, slot) ->
+            same "ever_written"
+              (Runtime.Shadow.ever_written sh ~obj_id ~slot)
+              (Ref_shadow.ever_written rf ~obj_id ~slot))
+        ops;
+      Runtime.Shadow.tracked_cells sh = Ref_shadow.tracked_cells rf)
 
 (* Regression (bugfix): tx_depth used to be checker-global, so one
    client's open transaction misclassified another client's clean
@@ -332,6 +429,7 @@ let suite =
       test_dynamic_untracked_outside_regions;
     tc "dynamic: warning cap" `Quick test_dynamic_warning_cap;
     tc "shadow: key range validation" `Quick test_shadow_key_range;
+    QCheck_alcotest.to_alcotest prop_shadow_matches_reference;
     tc "dynamic: tx_depth is per-thread" `Quick
       test_dynamic_tx_depth_per_thread;
     tc "dynamic: warning count exact under cap" `Quick

@@ -88,7 +88,7 @@ let test_catalog_registration () =
     [
       "pool.steals"; "trace.paths_expanded"; "rules.fired";
       "rules.events_stepped"; "rules.events_reused";
-      "checker.warning_total"; "shadow.lock_contention"; "crash.points_explored";
+      "checker.warning_total"; "shadow.writes"; "crash.points_explored";
       "inject.blind_spot_fns";
     ];
   check Alcotest.bool "catalog sorted" true
