@@ -1,7 +1,7 @@
 # Developer entry points. The benches write their JSON artifacts into
 # the directory they run from, so bench-json runs from the repo root.
 
-.PHONY: all build test verify recall-gate recover-gate fuzz bench-json bench-drift bench-pairs stats-drift size trace clean
+.PHONY: all build test verify front-door recall-gate recover-gate fuzz bench-json bench-drift bench-pairs stats-drift size trace clean
 
 all: build
 
@@ -12,13 +12,32 @@ test:
 	dune runtest
 
 # The one command a PR must pass: full build plus the unit, property,
-# differential and cram suites, the instrument-catalog and artifact
-# drift gates (the latter runs the inject, recover and fuzz matrices
-# once, so the fuzzer's guided-vs-random acceptance over the
-# false-negative corpus must match the committed BENCH_fuzz.json), and
-# the recall and recovery gates over those regenerated matrices.
+# differential and cram suites, the front-door check, the
+# instrument-catalog and artifact drift gates (the latter runs the
+# inject, recover and fuzz matrices once, so the fuzzer's
+# guided-vs-random acceptance over the false-negative corpus must match
+# the committed BENCH_fuzz.json), and the recall and recovery gates
+# over those regenerated matrices.
 verify:
-	dune build && dune runtest && $(MAKE) stats-drift bench-drift recall-gate recover-gate
+	dune build && dune runtest && $(MAKE) front-door stats-drift bench-drift recall-gate recover-gate
+
+# One front door: Driver.analyze is the only code in lib/ and bin/ that
+# records a run and sweeps it for the crash tiers. Outside
+# lib/core/driver.ml and the two wrappers the benchmark calls
+# (lib/core/crash_sweep.ml and Recover.verify in lib/recover/recover.ml),
+# a call of Crash_space.record, Crash_space.sweep or Recover.start fails.
+FRONT_DOOR := (Crash_space\.(record|sweep)|Recover\.start)([^A-Za-z0-9_]|$$)
+
+front-door:
+	@hits=$$( { grep -rnE '$(FRONT_DOOR)' lib bin --include='*.ml' \
+	  | grep -vE '^lib/(core/driver|core/crash_sweep|recover/recover)\.ml:'; \
+	  awk -v re='$(FRONT_DOOR)' '/^let verify /{v=1; next} /^let /{v=0} \
+	    !v && $$0 ~ re {print FILENAME ":" FNR ": " $$0}' \
+	    lib/recover/recover.ml; } ); \
+	if [ -n "$$hits" ]; then \
+	  echo "front-door: record or sweep outside Driver.analyze:" >&2; \
+	  echo "$$hits" >&2; exit 1; \
+	else echo "front-door: Driver.analyze is the only recording and sweeping caller"; fi
 
 # The recall gate: the seed-1 injection campaign must report a closed
 # pointer-arith blind spot (0 since the offset lattice) and static-tier

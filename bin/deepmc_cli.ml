@@ -349,7 +349,7 @@ let check_cmd =
         ~explore_crash_images:explore ?crash_bound ~seed prog
     in
     if stats then begin
-      let s = report.Deepmc.Driver.static in
+      let s = Option.get report.Deepmc.Driver.static in
       let ps = Pool.stats (Pool.default ()) in
       Fmt.epr
         "traces: %d (%d events)@.peak live paths: %d@.static time: %.1f \
@@ -661,21 +661,21 @@ let corpus_cmd =
     (Cmd.info "corpus" ~doc)
     Term.(term_result (const run $ name_term $ corpus_json_term))
 
-(* The crash and recovery commands' one recorded run of [entry], once
-   it and the [recovery] entry (when given) are defined; a run that
-   fails is a CLI error naming the entry. *)
-let recorded ~entry ?recovery prog =
+(* The crash and recovery commands run the driver only once [entry]
+   and the [recovery] entry (when given) are defined. *)
+let defined ~entry ?recovery prog =
   let undefined f = Nvmir.Prog.find_func prog f = None in
   let error what f = Error (`Msg (Fmt.str "%s %s not defined" what f)) in
   match recovery with
   | _ when undefined entry -> error "entry" entry
   | Some r when undefined r -> error "recovery entry" r
-  | _ ->
-    Deepmc.Driver.run_entry (fun () ->
-        Runtime.Crash_space.record (fun pmem ->
-            Runtime.Interp.create ~pmem prog
-            |> Runtime.Interp.run ~entry |> ignore))
-    |> Result.map_error (fun e -> `Msg (Fmt.str "entry %s: %s" entry e))
+  | _ -> Ok ()
+
+(* A requested crash tier's report, or the forward run's failure, which
+   skipped it, as a CLI error naming the entry. *)
+let tier ~entry report skipped =
+  Option.to_result report
+    ~none:(`Msg (Fmt.str "entry %s: %a" entry Fmt.(option string) skipped))
 
 (* The crash and recovery commands' shared arguments. *)
 let entry_req =
@@ -712,23 +712,24 @@ let crash_explore_cmd =
             "Additionally run the recovery entry (`recover') over every \
              enumerated image under the media-corruption model.")
   in
-  let run () file entry bound seed recover json metrics_json trace_out =
+  let run () file entry args bound seed recover json metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
     obs_setup ~metrics_json ~trace_out;
-    let recovery_entry = if recover then Some "recover" else None in
-    let* recording = recorded ~entry ?recovery:recovery_entry prog in
-    let recovery =
-      Option.map
-        (fun recovery_entry ->
-          Recover.start ~recovery_entry ~seed ~corrupt:true
-            ~model:Analysis.Model.Strict prog)
-        recovery_entry
+    let* () =
+      defined ~entry ?recovery:(if recover then Some "recover" else None) prog
     in
-    let r, recovery =
-      Deepmc.Crash_sweep.sweep ~bound ~seed ~oracle:Runtime.Crash_space.Sequential
-        ?recovery recording
+    let report =
+      Deepmc.Driver.analyze
+        (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
+        ~roots:[] ~entry ~args ~explore_crash_images:true ~crash_bound:bound
+        ~seed ~verify_recovery:recover prog
     in
+    let* r =
+      tier ~entry report.Deepmc.Driver.crash_space
+        report.Deepmc.Driver.crash_skipped
+    in
+    let recovery = report.Deepmc.Driver.recovery in
     let module J = Deepmc.Json_report in
     (match recovery with
     | None when json -> Fmt.pr "%a@." J.pp (J.of_crash_space r)
@@ -743,11 +744,9 @@ let crash_explore_cmd =
       Fmt.pr "%a@." Runtime.Crash_space.pp_report r;
       Option.iter (Fmt.pr "%a@." Recover.pp_report) recovery);
     obs_write ~metrics_json ~trace_out;
-    let recovery_warnings =
-      Option.fold ~none:0
-        ~some:(fun rv -> List.length rv.Recover.warnings)
-        recovery
-    in
+    (* with the static and dynamic tiers off, the merged warnings are
+       the recovery tier's *)
+    let recovery_warnings = List.length report.Deepmc.Driver.warnings in
     if r.Runtime.Crash_space.inconsistent > 0 then
       Error
         (`Msg
@@ -765,8 +764,8 @@ let crash_explore_cmd =
   Cmd.v (Cmd.info "crash-explore" ~doc)
     Term.(
       term_result
-        (const run $ setup_logs_term $ file_arg $ entry_req $ bound_term
-       $ seed_term $ recover_flag $ json_term $ metrics_json_term
+        (const run $ setup_logs_term $ file_arg $ entry_req $ args_term
+       $ bound_term $ seed_term $ recover_flag $ json_term $ metrics_json_term
        $ trace_out_term))
 
 (* Recovery-path verification: for every durable image a crash can
@@ -782,18 +781,21 @@ let recover_cmd =
             "Skip media corruption: run recovery on the pristine crash \
              images only.")
   in
-  let run () model file entry recovery_entry bound seed no_corrupt json
+  let run () model file entry args recovery_entry bound seed no_corrupt json
       metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
     obs_setup ~metrics_json ~trace_out;
-    let* recording = recorded ~entry ~recovery:recovery_entry prog in
-    let recovery =
-      Recover.start ~recovery_entry ~seed ~corrupt:(not no_corrupt) ~model prog
+    let* () = defined ~entry ~recovery:recovery_entry prog in
+    let report =
+      Deepmc.Driver.analyze
+        (Deepmc.Driver.make ~run_dynamic:false model)
+        ~roots:[] ~entry ~args ~crash_bound:bound ~seed ~verify_recovery:true
+        ~recovery_entry ~corrupt:(not no_corrupt) prog
     in
-    let r =
-      Deepmc.Crash_sweep.sweep ~bound ~seed ~recovery recording
-      |> snd |> Option.get
+    let* r =
+      tier ~entry report.Deepmc.Driver.recovery
+        report.Deepmc.Driver.recovery_skipped
     in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp (Deepmc.Json_report.of_recovery r)
@@ -812,8 +814,8 @@ let recover_cmd =
     Term.(
       term_result
         (const run $ setup_logs_term $ model_term $ file_arg $ entry_req
-       $ recovery_entry_term $ bound_term $ seed_term $ no_corrupt_term
-       $ json_term $ metrics_json_term $ trace_out_term))
+       $ args_term $ recovery_entry_term $ bound_term $ seed_term
+       $ no_corrupt_term $ json_term $ metrics_json_term $ trace_out_term))
 
 let fmt_cmd =
   let in_place_term =

@@ -30,7 +30,7 @@ type dynamic_outcome =
 
 type report = {
   model : Analysis.Model.t;
-  static : Analysis.Checker.result;
+  static : Analysis.Checker.result option;
   dynamic : dynamic_outcome;
   dynamic_warnings : Analysis.Warning.t list;
   warnings : Analysis.Warning.t list; (* merged, deduplicated *)
@@ -41,6 +41,10 @@ type report = {
   elapsed_static : float;
   elapsed_dynamic : float;
 }
+
+let checker_warnings = function
+  | Some (s : Analysis.Checker.result) -> s.warnings
+  | None -> []
 
 (* A client's failure, when several clients run: [run_entry] reports it
    under the client's number. *)
@@ -93,22 +97,27 @@ let execute (t : t) ~entry ?(args = []) ~clients ~recorded prog =
 let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
     ?(explore_crash_images = false)
     ?(crash_bound = Runtime.Crash_space.default_bound) ?(seed = 1)
-    ?(verify_recovery = false) ?(recovery_entry = "recover") prog : report =
+    ?(verify_recovery = false) ?(recovery_entry = "recover") ?(corrupt = true)
+    prog : report =
   Log.info (fun m ->
       m "analyzing %d function(s) against the %a model (%a)"
         (List.length (Nvmir.Prog.funcs prog))
         Analysis.Model.pp t.model Analysis.Config.pp t.config);
   let t0 = Clock.now () in
   let static =
-    Obs.Span.with_ ~name:"static-check" (fun () ->
-        Analysis.Checker.check ~config:t.config ?roots ~model:t.model prog)
+    if roots = Some [] then None
+    else
+      let s =
+        Obs.Span.with_ ~name:"static-check" (fun () ->
+            Analysis.Checker.check ~config:t.config ?roots ~model:t.model prog)
+      in
+      Log.info (fun m ->
+          m "static: %d trace(s), %d event(s), %d warning(s) in %.1f ms"
+            s.trace_count s.event_count (List.length s.warnings)
+            (Clock.elapsed_s t0 *. 1000.));
+      Some s
   in
   let t1 = Clock.now () in
-  Log.info (fun m ->
-      m "static: %d trace(s), %d event(s), %d warning(s) in %.1f ms"
-        static.Analysis.Checker.trace_count static.Analysis.Checker.event_count
-        (List.length static.Analysis.Checker.warnings)
-        (Clock.span_s t0 t1 *. 1000.));
   let defined f = Nvmir.Prog.find_func prog f <> None in
   let verify_recovery = verify_recovery && defined recovery_entry in
   let recorded = explore_crash_images || verify_recovery in
@@ -132,10 +141,12 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
           (Clock.span_s t1 t2 *. 1000.))
   | Dynamic_skipped reason -> Log.debug (fun m -> m "dynamic skipped: %s" reason));
   (* The requested crash tiers read the one recording in one sweep, or
-     are skipped with the forward run's failure as their reason. The
-     recovery tier runs every reachable crash image, corrupted under
-     the media model, through the program's recovery entry; its
-     warnings join the merged stream like the dynamic tier's. *)
+     are skipped with the forward run's failure as their reason: the
+     oracle judges each image, and the recovery tier then runs it,
+     corrupted under the media model unless [corrupt] is off, through
+     the program's recovery entry. [Recover] knows nothing of the
+     oracle, so the pairing lives here. Recovery's warnings join the
+     merged stream like the dynamic tier's. *)
   let crash_space, recovery, skipped =
     match recording with
     | Some (Ok r) ->
@@ -145,14 +156,20 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
       in
       let recovery =
         if verify_recovery then
-          Some
-            (Recover.start ~recovery_entry ~seed ~corrupt:true ~model:t.model
-               prog)
+          Some (Recover.start ~recovery_entry ~seed ~corrupt ~model:t.model prog)
         else None
+      in
+      let sweep () =
+        let crash =
+          Runtime.Crash_space.sweep ~bound:crash_bound ~seed ?oracle r
+            (Option.fold ~none:ignore ~some:Recover.check_image recovery)
+        in
+        (crash, Option.map (fun run -> Recover.finish run r crash) recovery)
       in
       let crash, recovery =
         Obs.Span.with_ ~name:"crash-explore" (fun () ->
-            Crash_sweep.sweep ~bound:crash_bound ~seed ?oracle ?recovery r)
+            if verify_recovery then Obs.Span.with_ ~name:"recover-verify" sweep
+            else sweep ())
       in
       let crash = if explore_crash_images then Some crash else None in
       Option.iter
@@ -168,7 +185,7 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
   in
   let warnings =
     Analysis.Warning.dedup
-      (static.Analysis.Checker.warnings @ dyn_warnings
+      (checker_warnings static @ dyn_warnings
       @ Option.fold ~none:[] ~some:(fun r -> r.Recover.warnings) recovery)
     |> Analysis.Warning.sort
   in
@@ -200,6 +217,8 @@ let baseline_compile prog =
     (Nvmir.Prog.funcs reparsed);
   ignore (Graphs.Callgraph.of_prog reparsed);
   Clock.elapsed_s t0
+
+let static_warnings r = checker_warnings r.static
 
 let violations r =
   List.filter

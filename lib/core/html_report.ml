@@ -120,6 +120,7 @@ let render ?(title = "DeepMC report") prog (report : Driver.report) : string =
   let buf = Buffer.create 8192 in
   let violations = Driver.violations report in
   let perf = Driver.performance_bugs report in
+  let count f = Option.fold ~none:0 ~some:f report.Driver.static in
   Buffer.add_string buf
     (Fmt.str
        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>\
@@ -131,8 +132,8 @@ let render ?(title = "DeepMC report") prog (report : Driver.report) : string =
         %.1f ms (%d traces, %d events), dynamic %s.</p>\n"
        (escape (Analysis.Model.to_string report.Driver.model))
        (report.Driver.elapsed_static *. 1000.)
-       report.Driver.static.Analysis.Checker.trace_count
-       report.Driver.static.Analysis.Checker.event_count
+       (count (fun s -> s.Analysis.Checker.trace_count))
+       (count (fun s -> s.Analysis.Checker.event_count))
        (match report.Driver.dynamic with
        | Driver.Dynamic_ok s ->
          Fmt.str "ran (%s)" (escape (Fmt.str "%a" Runtime.Dynamic.pp_summary s))

@@ -254,6 +254,7 @@ let skipped = function
   | None -> Null
 
 let of_report (r : Driver.report) =
+  let count f = Int (Option.fold ~none:0 ~some:f r.Driver.static) in
   Obj
     [
       ("model", String (Analysis.Model.to_string r.Driver.model));
@@ -264,9 +265,8 @@ let of_report (r : Driver.report) =
             ("total", Int (List.length r.Driver.warnings));
             ("violations", Int (List.length (Driver.violations r)));
             ("performance", Int (List.length (Driver.performance_bugs r)));
-            ( "traces_analyzed",
-              Int r.Driver.static.Analysis.Checker.trace_count );
-            ("events_analyzed", Int r.Driver.static.Analysis.Checker.event_count);
+            ("traces_analyzed", count (fun s -> s.Analysis.Checker.trace_count));
+            ("events_analyzed", count (fun s -> s.Analysis.Checker.event_count));
             ("elapsed_static_ms", Float (r.Driver.elapsed_static *. 1000.));
             ("elapsed_dynamic_ms", Float (r.Driver.elapsed_dynamic *. 1000.));
           ] );

@@ -11,9 +11,9 @@ let find name = List.find_opt (fun p -> String.equal p.name name) all
 let by_framework fw = List.filter (fun p -> p.framework = fw) all
 
 (* Analyze one corpus program with the full pipeline and score it. *)
-let analyze ?run_dynamic ?config (p : program) =
+let analyze ?config (p : program) =
   let prog = parse p in
-  let driver = Deepmc.Driver.make ?config ?run_dynamic (model p) in
+  let driver = Deepmc.Driver.make ?config (model p) in
   let report =
     Deepmc.Driver.analyze driver ~roots:p.roots ~entry:p.entry
       ~args:p.entry_args prog

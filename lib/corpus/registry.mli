@@ -8,7 +8,6 @@ val find : string -> program option
 val by_framework : framework -> program list
 
 val analyze :
-  ?run_dynamic:bool ->
   ?config:Analysis.Config.t ->
   program ->
   Deepmc.Driver.report * Deepmc.Report.score

@@ -88,7 +88,7 @@ let build ?fuzz (report : Deepmc.Driver.report) : bundle list =
       [
         List.filter_map
           (evidence_of_warning ~tier:"static")
-          report.Deepmc.Driver.static.Analysis.Checker.warnings;
+          (Deepmc.Driver.static_warnings report);
         List.filter_map
           (evidence_of_warning ~tier:"dynamic")
           report.Deepmc.Driver.dynamic_warnings;

@@ -41,7 +41,7 @@ let make_base ~config ~bname ~model ~roots ~entry ~entry_args prog =
   {
     b with
     static_baseline =
-      List.map W.dedup_key r.Deepmc.Driver.static.Analysis.Checker.warnings;
+      List.map W.dedup_key (Deepmc.Driver.static_warnings r);
     dynamic_baseline =
       List.sort_uniq compare
         (List.map dynamic_key r.Deepmc.Driver.dynamic_warnings);
@@ -284,7 +284,7 @@ let run ?(operators = Mutation.all_operators) ?(seed = 1) ?(dynamic = true)
         let static_d =
           classify ~matches:Mutation.expect_matches truth
             (delta ~key:W.dedup_key b.static_baseline
-               r.Deepmc.Driver.static.Analysis.Checker.warnings)
+               (Deepmc.Driver.static_warnings r))
         in
         let dynamic_d =
           if not dynamic then not_applicable

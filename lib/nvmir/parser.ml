@@ -282,8 +282,10 @@ let parse_block st first_label : Func.block =
   in
   items []
 
-(* A function and the line of its name. *)
+(* A function, located at its [func] keyword (the token just read), and
+   the line of its name. *)
 let parse_func st : Func.t * int =
+  let func_line = line st in
   let fname = expect_ident st "function name" in
   let name_line = line st in
   expect st Lexer.LPAREN "'('";
@@ -326,7 +328,7 @@ let parse_func st : Func.t * int =
       params;
       ret_ty;
       blocks;
-      floc = Loc.make ~file:st.default_file ~line:0;
+      floc = Loc.make ~file:st.default_file ~line:func_line;
     },
     name_line )
 

@@ -65,10 +65,10 @@ type report = {
 
 (** {1 A verification}
 
-    The module runs no sweep of its own: a {!run} checks the images a
-    sweep hands it, one by one, and {!finish} assembles the report.
-    [Deepmc.Crash_sweep.sweep] feeds it from the same walk that judges
-    the crash tier's images. *)
+    A {!run} checks the images a sweep hands it, one by one, and
+    {!finish} assembles the report. [Deepmc.Driver.analyze] feeds it
+    from the same walk that judges the crash tier's images; only
+    {!verify}, kept for the benchmark and the tests, sweeps itself. *)
 
 type run
 (** A verification under way: the images checked so far. *)
@@ -112,6 +112,7 @@ val verify :
     recording of [entry] (default the program's main), checked by a
     {!run} of [recovery_entry] (default ["recover"]) under one sweep;
     [corrupt] defaults to [true], [seed] to 1 and [model] to strict.
+    The same report as [Deepmc.Driver.analyze ~verify_recovery:true].
     @raise Invalid_argument when [recovery_entry] is not defined. *)
 
 val consistent : report -> bool

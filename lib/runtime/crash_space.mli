@@ -20,8 +20,8 @@
     knows a crash image.
 
     {!sweep} judges each image with the crash oracle and hands it to the
-    recovery tier in the same walk; [Deepmc.Crash_sweep.sweep] feeds
-    both tiers from it. *)
+    recovery tier in the same walk; [Deepmc.Driver.analyze] feeds both
+    tiers from it. *)
 
 (** How an image is judged consistent. *)
 type oracle =

@@ -345,9 +345,6 @@ let flush_range t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
             ~dirty:!any_dirty loc)
   end
 
-let flush_obj t ?loc obj_id =
-  flush_range t ?loc ~obj_id ~first_slot:0 ~nslots:(obj_size t obj_id) ()
-
 let fence t ?(loc = Nvmir.Loc.none) () =
   List.iter
     (fun (obj_id, s) ->
@@ -368,10 +365,6 @@ let fence t ?(loc = Nvmir.Loc.none) () =
 
 let persist_range t ?loc ~obj_id ~first_slot ~nslots () =
   flush_range t ?loc ~obj_id ~first_slot ~nslots ();
-  fence t ?loc ()
-
-let persist_obj t ?loc obj_id =
-  flush_obj t ?loc obj_id;
   fence t ?loc ()
 
 (* Transactions: undo logging with durable commit. [tx_add] explicitly

@@ -100,16 +100,12 @@ val flush_range :
 (** Line-granular clwb: dirty slots of every touched line become
     Flushed. Flushing clean data still costs a write-back command. *)
 
-val flush_obj : t -> ?loc:Nvmir.Loc.t -> int -> unit
-
 val fence : t -> ?loc:Nvmir.Loc.t -> unit -> unit
 (** Drain: every Flushed slot becomes durable. *)
 
 val persist_range :
   t -> ?loc:Nvmir.Loc.t -> obj_id:int -> first_slot:int -> nslots:int ->
   unit -> unit
-
-val persist_obj : t -> ?loc:Nvmir.Loc.t -> int -> unit
 
 (** {1 Transactions} *)
 

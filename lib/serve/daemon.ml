@@ -12,7 +12,7 @@
 
 type t = {
   cache : Cache.t;
-  crash_memo : Protocol.json Cache.memo;
+  crash_memo : (Protocol.json, string) result Cache.memo;
   inject_memo : Protocol.json Cache.memo;
   mutable served : int;
 }
@@ -125,15 +125,21 @@ let handle_crash_explore t ?id req =
     if Nvmir.Prog.find_func prog entry = None then
       Error (Fmt.str "entry %s not defined" entry)
     else
-      let* payload, level =
-        Deepmc.Driver.run_entry (fun () ->
-            Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
-                let r =
-                  Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry prog
-                in
-                Deepmc.Json_report.of_crash_space r))
-        |> Result.map_error (Fmt.str "entry %s: %s" entry)
+      (* A run that fails is an error naming the entry, memoized too. *)
+      let payload, level =
+        Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
+            let r =
+              Deepmc.Driver.analyze
+                (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
+                ~roots:[] ~entry ~explore_crash_images:true ~crash_bound:bound
+                ~seed prog
+            in
+            Option.map Deepmc.Json_report.of_crash_space r.crash_space
+            |> Option.to_result
+                 ~none:(Fmt.str "entry %s: %a" entry Fmt.(option string)
+                          r.crash_skipped))
       in
+      let* payload = payload in
       Ok
         [
           ("cache", Protocol.String (Cache.cache_level_name level));

@@ -132,11 +132,21 @@ let test_dynamic_discovery_bugs_and_offset_lattice () =
           p.Corpus.Types.expectations
       in
       if dyn_expectations <> [] then begin
-        let _, offset_score = Corpus.Registry.analyze ~run_dynamic:false p in
-        let _, ablated_score =
-          Corpus.Registry.analyze
-            ~config:{ Analysis.Config.default with offset_sensitive = false }
-            ~run_dynamic:false p
+        let static_score config =
+          let r =
+            Deepmc.Driver.analyze
+              (Deepmc.Driver.make ~config ~run_dynamic:false
+                 (Corpus.Types.model p))
+              ~roots:p.Corpus.Types.roots ~entry:p.Corpus.Types.entry
+              ~args:p.Corpus.Types.entry_args (Corpus.Types.parse p)
+          in
+          Deepmc.Report.score (Corpus.Types.expectations p)
+            r.Deepmc.Driver.warnings
+        in
+        let offset_score = static_score Analysis.Config.default in
+        let ablated_score =
+          static_score
+            { Analysis.Config.default with offset_sensitive = false }
         in
         List.iter
           (fun ((e : Deepmc.Report.expectation), _) ->

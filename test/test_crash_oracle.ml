@@ -210,43 +210,41 @@ let test_examples () =
     (fun (name, entry, args, prog) -> check_program name ~entry ~args prog)
     programs
 
-(* One sweep feeds both tiers as two would: the joint sweep's crash
-   report equals an oracle-only sweep's, and its recovery report a
-   recovery-only sweep's. A program with no [recover] runs its entry as
-   the recovery entry, so every image is restored and checked. *)
+(* One sweep feeds both tiers as two would: the driver's joint sweep
+   gives the crash report of an oracle-only request and the recovery
+   report of a recovery-only one. A program with no [recover] runs its
+   entry as the recovery entry, so every image is restored and
+   checked. A program whose forward run fails has neither. *)
 let test_one_sweep_equals_two () =
   List.iter
     (fun (name, entry, args, prog) ->
-      match Test_crash_space.record ~entry ~args prog with
-      | exception _ -> ()
-      | r ->
-        let recovery_entry =
-          if Nvmir.Prog.find_func prog "recover" <> None then "recover"
-          else entry
-        in
-        let sweep ?oracle ~recover () =
-          Deepmc.Crash_sweep.sweep ~bound:Crash_space.default_bound ~seed:1
-            ?oracle
-            ?recovery:
-              (if recover then
-                 Some
-                   (Recover.start ~recovery_entry ~seed:1 ~corrupt:true
-                      ~model:Analysis.Model.Strict prog)
-               else None)
-            r
-        in
-        let crash, recovery =
-          sweep ~oracle:Crash_space.Sequential ~recover:true ()
-        in
-        let crash_only, none =
-          sweep ~oracle:Crash_space.Sequential ~recover:false ()
-        in
-        let _, recovery_only = sweep ~recover:true () in
-        Alcotest.(check bool) (name ^ ": crash report") true (crash = crash_only);
-        Alcotest.(check bool) (name ^ ": no recovery asked") true (none = None);
+      let recovery_entry =
+        if Nvmir.Prog.find_func prog "recover" <> None then "recover"
+        else entry
+      in
+      let analyze ~crash ~recover =
+        Deepmc.Driver.analyze
+          (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
+          ~roots:[] ~entry ~args ~explore_crash_images:crash
+          ~verify_recovery:recover ~recovery_entry prog
+      in
+      let joint = analyze ~crash:true ~recover:true in
+      if joint.Deepmc.Driver.crash_skipped = None then begin
+        let crash_only = analyze ~crash:true ~recover:false in
+        let recovery_only = analyze ~crash:false ~recover:true in
+        let crash = joint.Deepmc.Driver.crash_space
+        and recovery = joint.Deepmc.Driver.recovery in
+        Alcotest.(check bool)
+          (name ^ ": crash report") true
+          (Option.is_some crash && crash = crash_only.Deepmc.Driver.crash_space);
+        Alcotest.(check bool)
+          (name ^ ": no recovery asked") true
+          (crash_only.Deepmc.Driver.recovery = None);
         Alcotest.(check bool)
           (name ^ ": recovery report") true
-          (Option.is_some recovery && recovery = recovery_only))
+          (Option.is_some recovery
+          && recovery = recovery_only.Deepmc.Driver.recovery)
+      end)
     (corpus_programs () @ example_programs ())
 
 (* A prefix image only counts if the crash point has reached it: after

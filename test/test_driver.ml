@@ -107,12 +107,30 @@ entry:
            b.Explain.b_evidence)
        (Explain.build report))
 
+(* The begin spans [f] traces, with telemetry on only around it. *)
+let traced f =
+  Obs.Span.reset ();
+  Obs.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Obs.set_enabled false) f in
+  let names =
+    List.filter_map
+      (fun (e : Obs.Span.event) ->
+        if e.ev_ph = Obs.Span.Begin then Some e.ev_name else None)
+      (Obs.Span.events ())
+  in
+  Obs.Span.reset ();
+  Obs.Metrics.reset ();
+  (r, names)
+
 (* With a crash or recovery tier on, the dynamic checker rides on the
    one recorded execution both tiers read. Every tier's report must
    equal the tier run on its own: a plain dynamic run,
    [Crash_sweep.explore_program] and [Recover.verify], each executing
-   the program afresh. Compared as JSON, witnesses on, over every
-   corpus program and both recovery-corpus programs. *)
+   the program afresh. A request with no roots runs no static tier (no
+   report, no [dsa-build] span) and gives the same crash and recovery
+   reports; one with [~corrupt:false] gives [Recover.verify
+   ~corrupt:false]'s. Compared as JSON, witnesses on, over every corpus
+   program and both recovery-corpus programs. *)
 let test_driver_one_execution_equals_separate_tiers () =
   let module T = Corpus.Types in
   let module J = Deepmc.Json_report in
@@ -129,11 +147,15 @@ let test_driver_one_execution_equals_separate_tiers () =
     (fun (p : T.program) ->
       let prog = T.parse p and model = T.model p and name = p.T.name in
       let entry = p.T.entry and args = p.T.entry_args in
-      let r =
-        Deepmc.Driver.analyze (Deepmc.Driver.make model) ~roots:p.T.roots
-          ~entry ~args ~clients:1 ~explore_crash_images:true
-          ~crash_bound:bound ~seed ~verify_recovery:true prog
+      let analyze ?(run_dynamic = true) ?corrupt ~crash roots =
+        Deepmc.Driver.analyze
+          (Deepmc.Driver.make ~run_dynamic model)
+          ~roots ~entry ~args ~clients:1 ~explore_crash_images:crash
+          ~crash_bound:bound ~seed ~verify_recovery:true ?corrupt prog
       in
+      let r, spans = traced (fun () -> analyze ~crash:true p.T.roots) in
+      check Alcotest.bool (name ^ ": static tier traced") true
+        (List.mem "dsa-build" spans);
       let pmem = Runtime.Pmem.create () in
       let checker = Runtime.Dynamic.create ~model () in
       Runtime.Dynamic.attach checker pmem;
@@ -159,15 +181,36 @@ let test_driver_one_execution_equals_separate_tiers () =
               ~model prog)
           (Nvmir.Prog.find_func prog "recover")
       in
-      json "recovery" name
-        (Option.fold ~none:J.Null ~some:J.of_recovery r.Deepmc.Driver.recovery)
-        (Option.fold ~none:J.Null ~some:J.of_recovery recovery);
+      let of_recovery = Option.fold ~none:J.Null ~some:J.of_recovery in
+      json "recovery" name (of_recovery r.Deepmc.Driver.recovery)
+        (of_recovery recovery);
+      let no_static, spans = traced (fun () -> analyze ~crash:true []) in
+      check Alcotest.bool (name ^ ": no static report") true
+        (no_static.Deepmc.Driver.static = None);
+      check Alcotest.bool (name ^ ": no dsa-build span") false
+        (List.mem "dsa-build" spans);
+      json "crash space, no roots" name
+        (J.of_crash_space (Option.get r.Deepmc.Driver.crash_space))
+        (J.of_crash_space (Option.get no_static.Deepmc.Driver.crash_space));
+      json "recovery, no roots" name (of_recovery r.Deepmc.Driver.recovery)
+        (of_recovery no_static.Deepmc.Driver.recovery);
+      let pristine =
+        analyze ~run_dynamic:false ~corrupt:false ~crash:false []
+      in
+      json "recovery, no corruption" name
+        (of_recovery pristine.Deepmc.Driver.recovery)
+        (of_recovery
+           (Option.map
+              (fun _ ->
+                Recover.verify ~entry ~args ~recovery_entry:"recover" ~bound
+                  ~seed ~corrupt:false ~model prog)
+              (Nvmir.Prog.find_func prog "recover")));
       if recovery <> None then incr recovered;
       json "merged warnings" name (warnings r.Deepmc.Driver.warnings)
         (warnings
            (Analysis.Warning.sort
               (Analysis.Warning.dedup
-                 (r.Deepmc.Driver.static.Analysis.Checker.warnings @ dynamic
+                 (Deepmc.Driver.static_warnings r @ dynamic
                  @ Option.fold ~none:[]
                      ~some:(fun (rv : Recover.report) -> rv.Recover.warnings)
                      recovery)))))

@@ -1,11 +1,13 @@
 (* Differential suite: the NVMIR front end against the reference lexer
    and parser in [ref_parser.ml]. Both must build structurally identical
-   programs, every location included, and raise the same parse errors,
-   except for the three errors the front end now reports better: a
-   repeated definition (the reference lets [Prog] or [Ty] raise
-   [Invalid_argument]), a malformed '@' annotation (the reference
-   reports it at line 0) and an '@' with nothing after it on its line
-   (the reference reads the next line's first word as its location). *)
+   programs, every instruction location included, and raise the same
+   parse errors, except for four fixes: the three errors the front end
+   now reports better (a repeated definition, where the reference lets
+   [Prog] or [Ty] raise [Invalid_argument]; a malformed '@' annotation,
+   which the reference reports at line 0; an '@' with nothing after it
+   on its line, where the reference reads the next line's first word as
+   its location) and a function's own location ([floc]), which is the
+   line of its [func] keyword where the reference put line 0. *)
 
 let tc = Alcotest.test_case
 
@@ -58,12 +60,32 @@ let dangling_at src line =
       (fun i -> l.[i] = '@' && blank (after i))
       (List.init (String.length l) Fun.id)
 
+(* Whether line [line] of [src] holds the word [func]. *)
+let func_on_line src line =
+  line >= 1
+  &&
+  match List.nth_opt (String.split_on_char '\n' src) (line - 1) with
+  | None -> false
+  | Some l ->
+    List.exists
+      (fun i -> String.sub l i 4 = "func")
+      (List.init (max 0 (String.length l - 3)) Fun.id)
+
+(* The [floc] fix: the front end's function is the reference's, whose
+   [floc] is at line 0, moved to a line of [src] that holds [func]. *)
+let located_at_func src (r : Nvmir.Func.t) (f : Nvmir.Func.t) =
+  let at line (loc : Nvmir.Loc.t) = Nvmir.Loc.make ~file:loc.file ~line in
+  r.floc.line = 0
+  && r = { f with floc = at 0 f.floc }
+  && func_on_line src f.floc.line
+
 (* What the front end must answer where the reference answered [r] on
    [src]: a duplicate's [Invalid_argument] becomes a [Parse_error] with
    the [Prog]/[Ty] prefix dropped, at a real line; a location error
    keeps its message and moves off line 0; a dangling '@' is an empty
    location at its own line, whatever the reference made of the next
-   one; anything else is the same. *)
+   one; a program is the same with its functions at their [func] lines;
+   anything else is the same. *)
 let agrees src r f =
   let moved_to_a_line m =
     match f with Error (m', line) -> String.equal m m' && line >= 1 | _ -> false
@@ -80,6 +102,10 @@ let agrees src r f =
     | None, None -> false)
   | Error (m, 0), _ when String.starts_with ~prefix:"Loc.of_string: " m ->
     moved_to_a_line m
+  | Parsed (rs, rfs), Parsed (fs, ffs) ->
+    rs = fs
+    && List.length rfs = List.length ffs
+    && List.for_all2 (located_at_func src) rfs ffs
   | _ -> r = f
 
 let check_same ~what src =
@@ -119,7 +145,7 @@ let test_synth () =
       (Fmt.str "%a" Nvmir.Prog.pp prog)
   done
 
-(* The three fixes, by name, at the lines they must report. *)
+(* The four fixes, by name, at the lines they must report. *)
 let test_named_fixes () =
   let cases =
     [
@@ -146,7 +172,11 @@ let test_named_fixes () =
     (fun (src, r, f) ->
       Alcotest.(check bool) "reference outcome" true (reference src = r);
       Alcotest.(check bool) "front end outcome" true (fast src = f))
-    cases
+    cases;
+  let src = "struct s { a: int }\n\nfunc main() {\nentry:\n  ret\n}" in
+  let floc parse = (List.hd (Nvmir.Prog.funcs (parse src))).Nvmir.Func.floc in
+  Alcotest.(check int) "reference floc" 0 (floc Ref_parser.Parser.parse).line;
+  Alcotest.(check int) "front end floc at func" 3 (floc Nvmir.Parser.parse).line
 
 (* Every spelling of a location, where an annotation belongs and where
    it does not (so its spelling is printed in the error). *)

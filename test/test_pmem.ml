@@ -174,7 +174,8 @@ let test_volatile_slot_count () =
   Runtime.Pmem.write pmem (addr o 0) (vint 1);
   Runtime.Pmem.write pmem (addr o 1) (vint 2);
   check Alcotest.int "two volatile slots" 2 (Runtime.Pmem.volatile_slot_count pmem);
-  Runtime.Pmem.persist_obj pmem o;
+  Runtime.Pmem.persist_range pmem ~obj_id:o ~first_slot:0
+    ~nslots:(Runtime.Pmem.obj_size pmem o) ();
   check Alcotest.int "none after persist" 0 (Runtime.Pmem.volatile_slot_count pmem)
 
 (* ------------------------------------------------------------------ *)
