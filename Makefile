@@ -21,16 +21,20 @@ test:
 verify:
 	dune build && dune runtest && $(MAKE) front-door stats-drift bench-drift recall-gate recover-gate
 
-# One front door: Driver.analyze is the only code in lib/ and bin/ that
-# records a run and sweeps it for the crash tiers. Outside
-# lib/core/driver.ml and the two wrappers the benchmark calls
+# One front door: Driver.analyze is the only code in lib/, bin/ and
+# examples/ that records a run and sweeps it for the crash tiers.
+# Outside lib/core/driver.ml and the two wrappers the benchmark calls
 # (lib/core/crash_sweep.ml and Recover.verify in lib/recover/recover.ml),
-# a call of Crash_space.record, Crash_space.sweep or Recover.start fails.
+# a call of Crash_space.record, Crash_space.sweep or Recover.start
+# fails, and so does any call of Crash_sweep.explore_program, which only
+# the benchmark's per-layer split may use.
 FRONT_DOOR := (Crash_space\.(record|sweep)|Recover\.start)([^A-Za-z0-9_]|$$)
+BENCH_ONLY := Crash_sweep\.explore_program([^A-Za-z0-9_]|$$)
 
 front-door:
-	@hits=$$( { grep -rnE '$(FRONT_DOOR)' lib bin --include='*.ml' \
+	@hits=$$( { grep -rnE '$(FRONT_DOOR)' lib bin examples --include='*.ml' \
 	  | grep -vE '^lib/(core/driver|core/crash_sweep|recover/recover)\.ml:'; \
+	  grep -rnE '$(BENCH_ONLY)' lib bin examples --include='*.ml'; \
 	  awk -v re='$(FRONT_DOOR)' '/^let verify /{v=1; next} /^let /{v=0} \
 	    !v && $$0 ~ re {print FILENAME ":" FNR ": " $$0}' \
 	    lib/recover/recover.ml; } ); \

@@ -5,11 +5,6 @@
 
      dune exec examples/crash_consistency.exe *)
 
-(* Consistency invariant for the hashmap: if nbuckets is durable and
-   non-zero, the bucket array initialization must also be durable
-   (bucket 0 must hold the initialized marker, not the default 0...
-   we initialize buckets to 1 to make "initialized" observable). *)
-
 let buggy = {|
 struct hashmap { nbuckets: int, buckets: int[4], seed: int }
 
@@ -52,30 +47,55 @@ entry:
 }
 |}
 
-(* The hashmap object is the first persistent allocation: object id 0.
-   Slot 0 is nbuckets, slot 1 is buckets[0]. The explorer hands the
-   invariant a reader over one materialized durable image. *)
-let invariant read =
-  let v slot = Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot }) in
-  if v 0 <> 0 && v 1 = 0 then
-    Error
-      (Fmt.str "nbuckets=%d is durable but the bucket array is not initialized"
-         (v 0))
-  else Ok ()
+(* The consistency check, appended to each variant: if nbuckets is
+   durable and non-zero, the bucket array initialization must be
+   durable too (bucket 0 holds the initialized marker 1, not the
+   default 0). The recovery tier runs it on every crash image, with the
+   image's persistent objects as its parameters in allocation order (a
+   missing object is null); a true or nonzero return flags the image. *)
+let check =
+  {|
+func check(h: ptr hashmap) -> int {
+entry:
+  missing = h == null
+  br missing, ok, read
+read:
+  n = load h->nbuckets
+  b = load h->buckets[0]
+  published = n > 0
+  empty = b < 1
+  torn = published && empty
+  ret torn
+ok:
+  ret 0
+}
+|}
 
 let run label src =
-  let prog = Nvmir.Parser.parse src in
   let report =
-    Deepmc.Crash_sweep.explore_program ~oracle:(Invariant invariant) prog
+    Deepmc.Driver.analyze
+      (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
+      ~roots:[] ~entry:"main" ~verify_recovery:true ~recovery_entry:"check"
+      ~corrupt:false
+      (Nvmir.Parser.parse (src ^ check))
   in
-  Fmt.pr "@[<v 2>%-18s@ %a@]@." label Runtime.Crash_space.pp_report report
+  let r = Option.get report.recovery in
+  Fmt.pr "@[<v 2>%s@ crash points: %d (+ exit); images: %d; flagged: %d@]@."
+    label r.crash_points r.images_checked r.flagged;
+  List.iter
+    (fun (c : Recover.image_check) ->
+      if c.verdict = Flagged then
+        Fmt.pr "    at %a: persisted {%a}@." Runtime.Crash_space.pp_task c.task
+          Fmt.(list ~sep:(any ", ") Runtime.Crash_space.pp_line)
+          c.persisted)
+    r.images
 
 let () =
   Fmt.pr
     "Injecting a crash after every persistent-memory event and checking@.\
      every durable image a write-back order can leave (the first one per@.\
      point is the prefix image: only fenced data and committed@.\
-     transactions survive):@.@.";
+     transactions survive) with the program's own check function:@.@.";
   run "buggy hashmap:" buggy;
   run "fixed hashmap:" fixed;
   Fmt.pr

@@ -1,9 +1,9 @@
 (* A persistent queue done right and done wrong: the shipped
    pqueue.nvmir persists each element before publishing it via the tail
    index; the buggy variant publishes first. DeepMC's semantic-mismatch
-   rule flags neither (both persist every write) — it is the crash
-   oracle that separates them, which is why the paper pairs static rules
-   with runtime analysis.
+   rule flags neither (both persist every write) — it is the queue's
+   own check, run on every crash image, that separates them, which is
+   why the paper pairs static rules with runtime analysis.
 
      dune exec examples/pqueue_demo.exe *)
 
@@ -46,25 +46,57 @@ entry:
 }
 |}
 
-(* Invariant: every published slot (index < tail) holds a non-zero
-   element in the durable image. The demo enqueues 11/22/33, never 0. *)
-let invariant read =
-  let v slot = Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot }) in
-  let tail = v 0 in
-  let rec scan i =
-    if i >= tail then Ok ()
-    else if v (2 + i) = 0 then
-      Error (Fmt.str "slot %d is published (tail=%d) but empty" i tail)
-    else scan (i + 1)
-  in
-  scan 0
+(* The queue's consistency check, appended to each variant: every
+   published slot (index < tail) holds a non-zero element in the
+   durable image (the demo enqueues 11/22/33, never 0). The recovery
+   tier runs it on every crash image with the image's queue as its
+   parameter (null when the queue was never allocated); a nonzero
+   return flags the image. *)
+let check =
+  {|
+func check(q: ptr pqueue) -> int {
+entry:
+  missing = q == null
+  br missing, ok, read
+read:
+  t = load q->tail
+  i = 0
+  br scan
+scan:
+  done = i >= t
+  br done, ok, test
+test:
+  x = load q->buf[i]
+  empty = x < 1
+  br empty, flag, next
+next:
+  i = i + 1
+  br scan
+flag:
+  ret 1
+ok:
+  ret 0
+}
+|}
 
 let crash_test label src =
-  let prog = Nvmir.Parser.parse src in
   let report =
-    Deepmc.Crash_sweep.explore_program ~oracle:(Invariant invariant) prog
+    Deepmc.Driver.analyze
+      (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
+      ~roots:[] ~entry:"main" ~verify_recovery:true ~recovery_entry:"check"
+      ~corrupt:false
+      (Nvmir.Parser.parse (src ^ check))
   in
-  Fmt.pr "@[<v 2>%-18s@ %a@]@." label Runtime.Crash_space.pp_report report
+  let r = Option.get report.recovery in
+  Fmt.pr "@[<v 2>%s@ crash points: %d (+ exit); images: %d; flagged: %d@]@."
+    label r.crash_points r.images_checked r.flagged;
+  List.iter
+    (fun (c : Recover.image_check) ->
+      if c.verdict = Flagged then
+        Fmt.pr "    at %a: persisted {%a}@." Runtime.Crash_space.pp_task c.task
+          Fmt.(list ~sep:(any ", ") Runtime.Crash_space.pp_line)
+          c.persisted)
+    r.images
 
 let () =
   Fmt.pr "Static check of the correct queue:@.";
@@ -78,7 +110,7 @@ let () =
   Fmt.pr
     "@.All conservative semantic-mismatch warnings: the queue UPDATE spans@.\
      persist units on purpose (element before tail) — the Section 5.4 false-\
-     positive pattern. The crash oracle proves this instance safe, so we@.\
+     positive pattern. The crash images prove this instance safe, so we@.\
      record the verdicts in a suppression database:@.@.";
   let db = Deepmc.Suppress.create () in
   List.iter
@@ -89,10 +121,12 @@ let () =
   Fmt.pr "%s@." (Deepmc.Suppress.to_string db);
   Fmt.pr "after suppression: %d kept, %d suppressed@.@." (List.length kept)
     (List.length suppressed);
-  Fmt.pr "Crash images reachable after every persistent-memory event:@.";
+  Fmt.pr
+    "Crash images reachable after every persistent-memory event, judged by@.\
+     the queue's check function:@.";
   crash_test "correct queue:" correct_src;
   crash_test "buggy queue:" buggy_src;
   Fmt.pr
     "@.The buggy enqueue publishes the slot before persisting the element;@.\
-     the crash oracle finds the window the static rules cannot see (both@.\
+     its check finds the window the static rules cannot see (both@.\
      variants flush every write — only the ORDER differs).@."

@@ -142,18 +142,14 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
   | Dynamic_skipped reason -> Log.debug (fun m -> m "dynamic skipped: %s" reason));
   (* The requested crash tiers read the one recording in one sweep, or
      are skipped with the forward run's failure as their reason: the
-     oracle judges each image, and the recovery tier then runs it,
-     corrupted under the media model unless [corrupt] is off, through
-     the program's recovery entry. [Recover] knows nothing of the
-     oracle, so the pairing lives here. Recovery's warnings join the
-     merged stream like the dynamic tier's. *)
+     sequential oracle judges each image, and the recovery tier then
+     runs it, corrupted under the media model unless [corrupt] is off,
+     through the program's recovery entry. [Recover] knows nothing of
+     the oracle, so the pairing lives here. Recovery's warnings join
+     the merged stream like the dynamic tier's. *)
   let crash_space, recovery, skipped =
     match recording with
     | Some (Ok r) ->
-      let oracle =
-        if explore_crash_images then Some Runtime.Crash_space.Sequential
-        else None
-      in
       let recovery =
         if verify_recovery then
           Some (Recover.start ~recovery_entry ~seed ~corrupt ~model:t.model prog)
@@ -161,7 +157,7 @@ let analyze (t : t) ?roots ?entry ?args ?(clients = 1)
       in
       let sweep () =
         let crash =
-          Runtime.Crash_space.sweep ~bound:crash_bound ~seed ?oracle r
+          Runtime.Crash_space.sweep ~bound:crash_bound ~seed r
             (Option.fold ~none:ignore ~some:Recover.check_image recovery)
         in
         (crash, Option.map (fun run -> Recover.finish run r crash) recovery)
@@ -240,9 +236,12 @@ let pp_report ppf r =
   in
   let pp_crash_space ppf = function
     | None -> pp_skipped "crash space" ppf r.crash_skipped
-    | Some cs ->
-      Fmt.pf ppf "@ crash space: %a" Report.pp_crash_score
-        (Report.crash_score cs)
+    | Some (cs : Runtime.Crash_space.report) ->
+      Fmt.pf ppf
+        "@ crash space: %d crash point(s), %d image(s) (%d distinct), %d \
+         inconsistent"
+        cs.crash_points cs.images_enumerated cs.images_distinct
+        cs.inconsistent
   in
   let pp_recovery ppf = function
     | None -> pp_skipped "recovery" ppf r.recovery_skipped

@@ -76,25 +76,3 @@ let pp_expectation ppf e =
     (Analysis.Warning.rule_name e.rule)
     e.file e.line e.description pp_location_kind e.location_kind
     (if e.validated then "" else ", benign")
-
-(* Crash-space exploration condensed for scoring/reporting: the four
-   numbers that say how thoroughly the image space was covered and
-   whether anything inconsistent survives in it. *)
-type crash_score = {
-  crash_points : int;
-  images : int;
-  distinct : int;
-  inconsistent : int;
-}
-
-let crash_score (r : Runtime.Crash_space.report) : crash_score =
-  {
-    crash_points = r.Runtime.Crash_space.crash_points;
-    images = r.Runtime.Crash_space.images_enumerated;
-    distinct = r.Runtime.Crash_space.images_distinct;
-    inconsistent = r.Runtime.Crash_space.inconsistent;
-  }
-
-let pp_crash_score ppf s =
-  Fmt.pf ppf "%d crash point(s), %d image(s) (%d distinct), %d inconsistent"
-    s.crash_points s.images s.distinct s.inconsistent

@@ -49,15 +49,3 @@ val false_positive_count : score -> int
 val recall : score -> float
 val pp_location_kind : location_kind Fmt.t
 val pp_expectation : expectation Fmt.t
-
-(** {1 Crash-space scoring} *)
-
-type crash_score = {
-  crash_points : int;
-  images : int;  (** enumerated across all points *)
-  distinct : int;  (** after persistence-equivalence pruning *)
-  inconsistent : int;
-}
-
-val crash_score : Runtime.Crash_space.report -> crash_score
-val pp_crash_score : crash_score Fmt.t

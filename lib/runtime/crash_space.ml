@@ -48,26 +48,21 @@
    flight persisted), and it is always the first image walked, so
    sampling never loses it.
 
-   The sweep judges each distinct image against an [oracle], when one
-   is given: a user invariant over the materialized image, or the
-   built-in [Sequential] oracle that accepts an image iff it equals
-   some program-order prefix of the recorded write sequence (the states
-   strict persistency allows) and, at exit, iff every effective line
-   persisted (no write left volatile). Point k's writes are a prefix of
-   the run's writes, so the prefix images are hashed once per program:
-   an image is a prefix image iff some prefix no longer than point k's
-   has its hash and the same contents, compared slot by slot through the
-   views. It then hands the image to a callback, which may restore it.
-   Only images a consumer reads are materialized: the Invariant
-   oracle's, and those the callback restores for the recovery tier.
-   Each of those is built straight from the views into the heap a
-   restart would see ([Pmem.restore]), after the media model, which
-   lives here too, has damaged the carried in-flight lines. The views
-   are the one crashed state a sweep keeps. *)
-
-type oracle =
-  | Sequential
-  | Invariant of ((Pmem.addr -> Value.t) -> (unit, string) result)
+   The sweep judges each distinct image with the one crash oracle, the
+   sequential one: it accepts an image iff it equals some program-order
+   prefix of the recorded write sequence (the states strict
+   persistency allows) and, at exit, iff every effective line persisted
+   (no write left volatile). Point k's writes are a prefix of the run's
+   writes, so the prefix images are hashed once per program: an image
+   is a prefix image iff some prefix no longer than point k's has its
+   hash and the same contents, compared slot by slot through the views.
+   A user property is an NVMIR function the recovery tier runs on each
+   image, not a second oracle. The sweep then hands the image
+   to a callback, which may restore it. Only the images the callback
+   restores are materialized, each built straight from the views into
+   the heap a restart would see ([Pmem.restore]), after the media
+   model, which lives here too, has damaged the carried in-flight
+   lines. The views are the one crashed state a sweep keeps. *)
 
 type task = Point of int | Exit
 
@@ -488,12 +483,6 @@ let m_sampled =
 let m_points =
   Obs.Metrics.counter "crash.points_explored" ~desc:"crash points explored"
 
-(* Reads of a materialized image; unknown addresses read as [Vnull]. *)
-let reader img { Pmem.obj_id; slot } =
-  match Hashtbl.find_opt img obj_id with
-  | Some arr when slot >= 0 && slot < Array.length arr -> arr.(slot)
-  | _ -> Value.Vnull
-
 (* Read the image with its persisted lines marked. *)
 let reading c img f =
   mark c img.cands img.sub true;
@@ -501,35 +490,25 @@ let reading c img f =
   mark c img.cands img.sub false;
   x
 
-let verdict c oracle ~task img =
-  match oracle with
-  | Invariant f ->
-    let values = reading c img (fun () -> image_values c) in
-    let img = Hashtbl.create (max 1 c.live) in
-    Array.iteri (fun i vs -> Hashtbl.replace img c.r.objects.(i).id vs) values;
-    f (reader img)
-  | Sequential -> (
-    match task with
-    | Point k ->
-      let w = c.r.writes_upto.(k) in
-      let js =
-        List.filter (fun j -> j <= w)
-          (Option.value ~default:[] (Hashtbl.find_opt c.r.prefixes img.hash))
-      in
-      if
-        js <> []
-        && reading c img (fun () -> List.exists (is_prefix_image c) js)
-      then Ok ()
-      else
-        Error
-          "durable image matches no program-order prefix of the write \
-           sequence"
-    | Exit ->
-      (* the complete write-back is the one image persisting every
-         effective line *)
-      if Array.for_all2 (fun e s -> s || not e) img.effective img.sub then
-        Ok ()
-      else Error "writes still volatile at program exit are lost")
+(* The sequential oracle: [Error] says why the image is inconsistent. *)
+let verdict c ~task img =
+  match task with
+  | Point k ->
+    let w = c.r.writes_upto.(k) in
+    let js =
+      List.filter (fun j -> j <= w)
+        (Option.value ~default:[] (Hashtbl.find_opt c.r.prefixes img.hash))
+    in
+    if js <> [] && reading c img (fun () -> List.exists (is_prefix_image c) js)
+    then Ok ()
+    else
+      Error
+        "durable image matches no program-order prefix of the write sequence"
+  | Exit ->
+    (* the complete write-back is the one image persisting every
+       effective line *)
+    if Array.for_all2 (fun e s -> s || not e) img.effective img.sub then Ok ()
+    else Error "writes still volatile at program exit are lost"
 
 (* ------------------------------------------------------------------ *)
 (* The images the sweep hands over, as the heap a restart would see. *)
@@ -633,9 +612,9 @@ let summarize ~crash_points (points : point_result list) : report =
   }
 
 (* The one sweep: every task in order on one cursor, started before
-   the first event. Each distinct image is judged by [oracle], when one
-   is given, then handed to [f]. One span per sweep. *)
-let sweep ~bound ~seed ?oracle r f =
+   the first event. Each distinct image is judged by the sequential
+   oracle, then handed to [f]. One span per sweep. *)
+let sweep ~bound ~seed r f =
   Obs.Span.with_ ~name:"crash-sweep" (fun () ->
       let c = start r in
       List.map
@@ -651,12 +630,12 @@ let sweep ~bound ~seed ?oracle r f =
                     ci_restore = restore c img;
                   }
                 in
-                (match Option.map (fun o -> verdict c o ~task img) oracle with
-                | Some (Error w_detail) ->
+                (match verdict c ~task img with
+                | Error w_detail ->
                   witnesses :=
                     { w_task = task; w_persisted = ci.ci_persisted; w_detail }
                     :: !witnesses
-                | Some (Ok ()) | None -> ());
+                | Ok () -> ());
                 f ci)
           in
           if Obs.enabled () then begin

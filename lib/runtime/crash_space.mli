@@ -19,20 +19,15 @@
     these images too ({!crash_image}), so this is the one module that
     knows a crash image.
 
-    {!sweep} judges each image with the crash oracle and hands it to the
+    {!sweep} judges each image with the one crash oracle, the
+    sequential one: at a crash point the image must match some
+    program-order prefix of the persistent write sequence (the states
+    strict persistency allows); at {!Exit} it must equal the full
+    write-back (no write left volatile). It hands each image to the
     recovery tier in the same walk; [Deepmc.Driver.analyze] feeds both
-    tiers from it. *)
-
-(** How an image is judged consistent. *)
-type oracle =
-  | Sequential
-      (** At a crash point, the image must match some program-order
-          prefix of the persistent write sequence (the states strict
-          persistency allows); at {!Exit} the image must equal the full
-          write-back (no write left volatile). *)
-  | Invariant of ((Pmem.addr -> Value.t) -> (unit, string) result)
-      (** A user predicate over the materialized durable image. Unknown
-          addresses read as {!Value.Vnull}. *)
+    tiers from it. A user property is an NVMIR function the recovery
+    tier runs on every image (a nonzero return flags it), not a second
+    oracle. *)
 
 (** A unit of exploration: crash after the k-th persistent event, or
     program exit (where still-volatile lines are simply lost). *)
@@ -115,27 +110,16 @@ type crash_image = {
 }
 
 val sweep :
-  bound:int ->
-  seed:int ->
-  ?oracle:oracle ->
-  recording ->
-  (crash_image -> unit) ->
-  report
+  bound:int -> seed:int -> recording -> (crash_image -> unit) -> report
 (** The one sweep of a recording: its {!tasks} in order, on one cursor
     that starts before the first event (every slot null, no object
     live) and applies each event's changes on the way. At each task it
     enumerates the distinct durable images (at most [bound] subsets,
-    the sampler seeded per task from [seed]), judges each with
-    [oracle] when one is given (the report has no witnesses
-    otherwise), then hands it to the callback, which may restore it
-    before the sweep moves on. The first image of a task has
-    [ci_persisted = []]: it is the prefix image. Invariant oracles read
-    the image through the function they are passed. One [crash-sweep]
+    the sampler seeded per task from [seed]), judges each with the
+    sequential oracle, then hands it to the callback, which may restore
+    it before the sweep moves on. The first image of a task has
+    [ci_persisted = []]: it is the prefix image. One [crash-sweep]
     trace span per call. *)
-
-val reader : (int, Value.t array) Hashtbl.t -> Pmem.addr -> Value.t
-(** Reads of a materialized image, as an {!Invariant} oracle sees them:
-    unknown addresses read as {!Value.Vnull}. *)
 
 val consistent : report -> bool
 val pruning_ratio : report -> float

@@ -102,19 +102,42 @@ type slot = {
     (string, Nvmir.Chash.t * Analysis.Checker.per_root) Hashtbl.t;
 }
 
+(* The one bounded memo: every table of the cache is dropped wholesale
+   once it holds [memo_bound] entries — sound, merely colder. *)
+let memo_bound = 4096
+
+let remember tbl key v =
+  if Hashtbl.length tbl >= memo_bound then Hashtbl.reset tbl;
+  Hashtbl.replace tbl key v
+
+(* Raw request memo: byte-identical resubmissions replay the stored
+   value. Level A is one, and so are the daemon's crash-explore and
+   inject requests, which have no per-root structure to reuse below
+   it. A failed computation is not stored. *)
+type 'a memo = (string, 'a) Hashtbl.t
+
+let memo_create () : 'a memo = Hashtbl.create 16
+
+let memo_find (m : 'a memo) ~key ~compute =
+  Obs.Metrics.incr m_requests;
+  match Hashtbl.find_opt m key with
+  | Some v ->
+    Obs.Metrics.incr m_hits;
+    Ok (v, Hit)
+  | None ->
+    Obs.Metrics.incr m_misses;
+    Result.map
+      (fun v ->
+        remember m key v;
+        (v, Miss))
+      (compute ())
+
 type t = {
-  requests : (string, summary) Hashtbl.t;
-      (* level A: text+params digest -> stored summary *)
+  requests : outcome memo; (* level A: text+params digest -> outcome *)
   slots : (string, slot) Hashtbl.t; (* level B: name+params -> slot *)
-  max_entries : int; (* bound on each level; reset wholesale past it *)
 }
 
-let create ?(max_request_entries = 4096) () =
-  {
-    requests = Hashtbl.create 64;
-    slots = Hashtbl.create 16;
-    max_entries = max_request_entries;
-  }
+let create () = { requests = memo_create (); slots = Hashtbl.create 16 }
 
 let request_key ~psig text =
   Nvmir.Chash.to_hex
@@ -133,117 +156,87 @@ let parse ~file text =
       Error
         (Fmt.str "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Nvmir.Prog.pp_error) errs))
 
+(* Level B: re-check a changed text, replaying every root whose
+   closure key is unchanged. *)
+let recheck t ~name ~(params : params) ~psig text =
+  match parse ~file:name text with
+  | Error _ as e -> e
+  | Ok prog ->
+    let dsg = Analysis.Config.build_dsg params.config prog in
+    let table = Analysis.Fingerprint.build dsg prog in
+    let roots = Analysis.Fingerprint.roots table in
+    let skey = name ^ "\x00" ^ psig in
+    let slot, invalidated =
+      match Hashtbl.find_opt t.slots skey with
+      | Some slot ->
+        let changed =
+          Analysis.Fingerprint.changed_functions ~old:slot.s_table table
+        in
+        slot.s_table <- table;
+        (slot, changed)
+      | None ->
+        let slot = { s_table = table; s_entries = Hashtbl.create 8 } in
+        remember t.slots skey slot;
+        (slot, List.sort String.compare (Nvmir.Prog.func_names prog))
+    in
+    (* A root is stale when its cached entry is missing or was
+       computed under a different closure key. *)
+    let stale, reused =
+      List.partition
+        (fun r ->
+          match
+            (Hashtbl.find_opt slot.s_entries r,
+             Analysis.Fingerprint.root_key table r)
+          with
+          | Some (k, _), Some k' -> not (Nvmir.Chash.equal k k')
+          | _ -> true)
+        roots
+    in
+    Obs.Metrics.set_max m_invalidated (List.length invalidated);
+    Obs.Metrics.add m_roots_reused (List.length reused);
+    let fresh, _ =
+      if stale = [] then ([], dsg)
+      else
+        Analysis.Checker.check_roots ~config:params.config ~dsg
+          ~roots:stale ~model:params.model prog
+    in
+    List.iter
+      (fun (pr : Analysis.Checker.per_root) ->
+        match
+          Analysis.Fingerprint.root_key table
+            pr.Analysis.Checker.pr_root
+        with
+        | Some k ->
+          Hashtbl.replace slot.s_entries pr.Analysis.Checker.pr_root
+            (k, pr)
+        | None -> ())
+      fresh;
+    (* Merge in the cold run's root order: cross-root dedup keeps
+       first occurrences, so order is semantically visible. *)
+    let per_root =
+      List.filter_map
+        (fun r -> Option.map snd (Hashtbl.find_opt slot.s_entries r))
+        roots
+    in
+    let result =
+      Analysis.Checker.merge_roots ~model:params.model ~dsg per_root
+    in
+    let summary = summary_of_result result in
+    let level =
+      if reused = [] then Miss else if stale = [] then Hit else Partial
+    in
+    Ok { summary; level; invalidated; stale; reused }
+
 (* Check [text] under [params], reusing everything the caches allow.
    Returns [Error] on parse/validation failure (cached nothing). *)
 let check t ~name ~(params : params) ~text : (outcome, string) result =
-  Obs.Metrics.incr m_requests;
   let psig = params_sig params in
-  let rkey = request_key ~psig text in
-  match Hashtbl.find_opt t.requests rkey with
-  | Some summary ->
-    Obs.Metrics.incr m_hits;
-    Ok { summary; level = Hit; invalidated = []; stale = []; reused = [] }
-  | None -> (
-    Obs.Metrics.incr m_misses;
-    match parse ~file:name text with
-    | Error _ as e -> e
-    | Ok prog ->
-      let dsg = Analysis.Config.build_dsg params.config prog in
-      let table = Analysis.Fingerprint.build dsg prog in
-      let roots = Analysis.Fingerprint.roots table in
-      let skey = name ^ "\x00" ^ psig in
-      let slot, invalidated =
-        match Hashtbl.find_opt t.slots skey with
-        | Some slot ->
-          let changed =
-            Analysis.Fingerprint.changed_functions ~old:slot.s_table table
-          in
-          slot.s_table <- table;
-          (slot, changed)
-        | None ->
-          let slot =
-            { s_table = table; s_entries = Hashtbl.create 8 }
-          in
-          if Hashtbl.length t.slots >= t.max_entries then
-            Hashtbl.reset t.slots;
-          Hashtbl.replace t.slots skey slot;
-          (slot, List.sort String.compare (Nvmir.Prog.func_names prog))
-      in
-      (* A root is stale when its cached entry is missing or was
-         computed under a different closure key. *)
-      let stale, reused =
-        List.partition
-          (fun r ->
-            match
-              (Hashtbl.find_opt slot.s_entries r,
-               Analysis.Fingerprint.root_key table r)
-            with
-            | Some (k, _), Some k' -> not (Nvmir.Chash.equal k k')
-            | _ -> true)
-          roots
-      in
-      Obs.Metrics.set_max m_invalidated (List.length invalidated);
-      Obs.Metrics.add m_roots_reused (List.length reused);
-      let fresh, _ =
-        if stale = [] then ([], dsg)
-        else
-          Analysis.Checker.check_roots ~config:params.config ~dsg
-            ~roots:stale ~model:params.model prog
-      in
-      List.iter
-        (fun (pr : Analysis.Checker.per_root) ->
-          match
-            Analysis.Fingerprint.root_key table
-              pr.Analysis.Checker.pr_root
-          with
-          | Some k ->
-            Hashtbl.replace slot.s_entries pr.Analysis.Checker.pr_root
-              (k, pr)
-          | None -> ())
-        fresh;
-      (* Merge in the cold run's root order: cross-root dedup keeps
-         first occurrences, so order is semantically visible. *)
-      let per_root =
-        List.filter_map
-          (fun r -> Option.map snd (Hashtbl.find_opt slot.s_entries r))
-          roots
-      in
-      let result =
-        Analysis.Checker.merge_roots ~model:params.model ~dsg per_root
-      in
-      let summary = summary_of_result result in
-      let level =
-        if reused = [] then Miss else if stale = [] then Hit else Partial
-      in
-      if Hashtbl.length t.requests >= t.max_entries then
-        Hashtbl.reset t.requests;
-      Hashtbl.replace t.requests rkey summary;
-      Ok
-        {
-          summary;
-          level;
-          invalidated;
-          stale;
-          reused;
-        })
-
-(* Raw request memo for the non-check commands (crash-explore,
-   inject): byte-identical resubmissions replay the stored response
-   payload; there is no per-root structure to reuse below that. *)
-type 'a memo = (string, 'a) Hashtbl.t
-
-let memo_create () : 'a memo = Hashtbl.create 16
-
-let memo_find (m : 'a memo) ~key ~compute : 'a * cache_level =
-  Obs.Metrics.incr m_requests;
-  match Hashtbl.find_opt m key with
-  | Some v ->
-    Obs.Metrics.incr m_hits;
-    (v, Hit)
-  | None ->
-    Obs.Metrics.incr m_misses;
-    let v = compute () in
-    Hashtbl.replace m key v;
-    (v, Miss)
+  match
+    memo_find t.requests ~key:(request_key ~psig text) ~compute:(fun () ->
+        recheck t ~name ~params ~psig text)
+  with
+  | Ok (o, Hit) ->
+    Ok { o with level = Hit; invalidated = []; stale = []; reused = [] }
+  | r -> Result.map fst r
 
 let observe_latency ns = Obs.Metrics.observe m_latency ns

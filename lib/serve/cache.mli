@@ -47,10 +47,12 @@ type outcome = {
 
 type t
 
-val create : ?max_request_entries:int -> unit -> t
-(** [max_request_entries] bounds the level-A table of summaries and the
-    level-B table of per-program slots alike (default 4096); past it a
-    table is dropped wholesale — sound, merely colder. *)
+val create : unit -> t
+
+val memo_bound : int
+(** 4096: the bound on every table of the cache, the level-A memo, the
+    level-B table of per-program slots and each {!memo} alike; past it
+    a table is dropped wholesale — sound, merely colder. *)
 
 val parse : file:string -> string -> (Nvmir.Prog.t, string) result
 (** Parse and validate a request's program: [Error] carries the parse
@@ -63,14 +65,22 @@ val check :
     so successive versions share one incremental slot. [Error] on
     parse/validation failure; nothing is cached in that case. *)
 
-(** {1 Raw request memo} — for commands with no per-root structure
-    (crash-explore, inject): byte-identical resubmission replays the
-    stored payload. *)
+(** {1 Raw request memo} — level A, and the commands with no per-root
+    structure (crash-explore, inject): byte-identical resubmission
+    replays the stored payload. *)
 
 type 'a memo
 
 val memo_create : unit -> 'a memo
-val memo_find : 'a memo -> key:string -> compute:(unit -> 'a) -> 'a * cache_level
+
+val memo_find :
+  'a memo ->
+  key:string ->
+  compute:(unit -> ('a, 'e) result) ->
+  ('a * cache_level, 'e) result
+(** The value stored under [key] ([Hit]), or [compute]'s, stored when it
+    is [Ok] ([Miss]); an [Error] is returned and not stored. Bounded by
+    {!memo_bound}. *)
 
 val request_key : psig:string -> string -> string
 (** Digest of parameters + raw text: the level-A/memo key. *)

@@ -12,7 +12,7 @@
 
 type t = {
   cache : Cache.t;
-  crash_memo : (Protocol.json, string) result Cache.memo;
+  crash_memo : Protocol.json Cache.memo;
   inject_memo : Protocol.json Cache.memo;
   mutable served : int;
 }
@@ -38,25 +38,27 @@ let parse_model j =
     | Some m -> Ok m
     | None -> Error (Fmt.str "unknown model %S" s))
 
-let parse_pmem_roots j =
-  match Protocol.member "pmem_roots" j with
+(* An optional list field, [Ok []] when absent, each entry read by
+   [each]. *)
+let list_member name j ~each =
+  match Protocol.member name j with
   | None -> Ok []
   | Some (Protocol.List items) ->
     List.fold_right
       (fun item acc ->
         Result.bind acc (fun acc ->
-            match item with
-            | Protocol.String s -> (
-              match String.index_opt s ':' with
-              | Some i ->
-                Ok
-                  ((String.sub s 0 i,
-                    String.sub s (i + 1) (String.length s - i - 1))
-                  :: acc)
-              | None -> Error (Fmt.str "pmem_roots entry %S: expected FUNC:VAR" s))
-            | _ -> Error "pmem_roots entries must be strings"))
+            Result.map (fun x -> x :: acc) (each item)))
       items (Ok [])
-  | Some _ -> Error "pmem_roots must be a list"
+  | Some _ -> Error (Fmt.str "%s must be a list" name)
+
+let parse_pmem_roots =
+  list_member "pmem_roots" ~each:(function
+    | Protocol.String s -> (
+      match String.index_opt s ':' with
+      | Some i ->
+        Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+      | None -> Error (Fmt.str "pmem_roots entry %S: expected FUNC:VAR" s))
+    | _ -> Error "pmem_roots entries must be strings")
 
 let required_program j =
   match Protocol.string_member "program" j with
@@ -119,27 +121,35 @@ let handle_crash_explore t ?id req =
         (Protocol.int_member "bound" req)
     in
     let seed = Option.value ~default:1 (Protocol.int_member "seed" req) in
-    let psig = Fmt.str "crash|%s|%d|%d" entry bound seed in
+    let* args =
+      list_member "args" req ~each:(function
+        | Protocol.Int n -> Ok n
+        | _ -> Error "args entries must be integers")
+    in
+    let psig =
+      Fmt.str "crash|%s|%d|%d|%a" entry bound seed
+        Fmt.(list ~sep:(any ",") int)
+        args
+    in
     let key = Cache.request_key ~psig text in
     let* prog = Cache.parse ~file:"<request>" text in
     if Nvmir.Prog.find_func prog entry = None then
       Error (Fmt.str "entry %s not defined" entry)
     else
-      (* A run that fails is an error naming the entry, memoized too. *)
-      let payload, level =
+      (* A run that fails is an error naming the entry. *)
+      let* payload, level =
         Cache.memo_find t.crash_memo ~key ~compute:(fun () ->
             let r =
               Deepmc.Driver.analyze
                 (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
-                ~roots:[] ~entry ~explore_crash_images:true ~crash_bound:bound
-                ~seed prog
+                ~roots:[] ~entry ~args ~explore_crash_images:true
+                ~crash_bound:bound ~seed prog
             in
             Option.map Deepmc.Json_report.of_crash_space r.crash_space
             |> Option.to_result
                  ~none:(Fmt.str "entry %s: %a" entry Fmt.(option string)
                           r.crash_skipped))
       in
-      let* payload = payload in
       Ok
         [
           ("cache", Protocol.String (Cache.cache_level_name level));
@@ -159,20 +169,15 @@ let handle_inject t ?id req =
       Option.value ~default:"<request>" (Protocol.string_member "name" req)
     in
     let* operators =
-      match Protocol.member "operators" req with
-      | None -> Ok Inject.Mutation.all_operators
-      | Some (Protocol.List items) ->
-        List.fold_right
-          (fun item acc ->
-            Result.bind acc (fun acc ->
-                match item with
-                | Protocol.String s -> (
-                  match Inject.Mutation.operator_of_string s with
-                  | Some op -> Ok (op :: acc)
-                  | None -> Error (Fmt.str "unknown operator %S" s))
-                | _ -> Error "operators entries must be strings"))
-          items (Ok [])
-      | Some _ -> Error "operators must be a list"
+      if Protocol.member "operators" req = None then
+        Ok Inject.Mutation.all_operators
+      else
+        list_member "operators" req ~each:(function
+          | Protocol.String s ->
+            Option.to_result
+              ~none:(Fmt.str "unknown operator %S" s)
+              (Inject.Mutation.operator_of_string s)
+          | _ -> Error "operators entries must be strings")
     in
     let psig =
       Fmt.str "inject|%s|%s|%a" base
@@ -182,17 +187,18 @@ let handle_inject t ?id req =
     in
     let key = Cache.request_key ~psig text in
     let* prog = Cache.parse ~file:base text in
-    let payload, level =
+    let* payload, level =
       Cache.memo_find t.inject_memo ~key ~compute:(fun () ->
           let roots = Analysis.Trace.default_roots prog in
           let mutants =
             Inject.Mutation.mutate ~operators ~base ~model ~roots prog
           in
-          Protocol.List
-            (List.map
-               (fun (m : Inject.Mutation.mutant) ->
-                 Protocol.String m.Inject.Mutation.id)
-               mutants))
+          Ok
+            (Protocol.List
+               (List.map
+                  (fun (m : Inject.Mutation.mutant) ->
+                    Protocol.String m.Inject.Mutation.id)
+                  mutants)))
     in
     let count =
       match payload with Protocol.List l -> List.length l | _ -> 0

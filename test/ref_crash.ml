@@ -1,7 +1,7 @@
 (* A naive reference for crash-image exploration, the oracle the
    recorded explorer ([Runtime.Crash_space]) is checked against: every
    task re-executes the program up to its crash point, every image is
-   materialized as a table and rendered to a string, and the Sequential
+   materialized as a table and rendered to a string, and the sequential
    oracle re-renders every program-order prefix of the write sequence
    at every crash point. No recording, no hashing. The recovery tier's
    images take the same table through a media-model pass that rescans
@@ -253,28 +253,24 @@ let walk ?config ?entry ?args ~bound ~seed ~task prog on_image =
       witnesses = [];
     } )
 
-let verdict oracle ~task ~prefixes ~complete img dg =
-  match (oracle : Crash_space.oracle) with
-  | Invariant f -> f (Crash_space.reader img)
-  | Sequential -> (
-    match task with
-    | Crash_space.Point _ ->
-      if Hashtbl.mem (Lazy.force prefixes) dg then Ok ()
-      else
-        Error
-          "durable image matches no program-order prefix of the write \
-           sequence"
-    | Exit ->
-      if String.equal dg (Lazy.force complete) then Ok ()
-      else Error "writes still volatile at program exit are lost")
+let verdict ~task ~prefixes ~complete dg =
+  match task with
+  | Crash_space.Point _ ->
+    if Hashtbl.mem (Lazy.force prefixes) dg then Ok ()
+    else
+      Error
+        "durable image matches no program-order prefix of the write sequence"
+  | Exit ->
+    if String.equal dg (Lazy.force complete) then Ok ()
+    else Error "writes still volatile at program exit are lost"
 
 let explore_task ?config ?entry ?args ?(bound = Crash_space.default_bound)
-    ?(seed = 1) ?(oracle = Crash_space.Sequential) ~task prog =
+    ?(seed = 1) ~task prog =
   let witnesses = ref [] in
   let _, pt =
     walk ?config ?entry ?args ~bound ~seed ~task prog
-      (fun ~prefixes ~complete ~persist img dg ->
-        match verdict oracle ~task ~prefixes ~complete img dg with
+      (fun ~prefixes ~complete ~persist _ dg ->
+        match verdict ~task ~prefixes ~complete dg with
         | Ok () -> ()
         | Error d ->
           witnesses :=

@@ -3,9 +3,8 @@
    fixed), every example program and random straight-line programs, at
    bounds 1, 2, 8 and 256 and with eviction modeling off and on, the
    whole-run sweep must produce the reference's [point_result] (counts,
-   sampling, witnesses in order) under the Sequential oracle, under an
-   Invariant and with no oracle (no witnesses), and the same crash
-   images, each restored as the recovery tier's post-crash heap with no
+   sampling, witnesses in order) under the sequential oracle, and the
+   same crash images, each restored as the recovery tier's post-crash heap with no
    media seed and with three: its durable contents, its objects with
    their types, names and corrupt flags, and the corruption list must
    match the reference's materialize-corrupt-restore path. The sweep
@@ -58,14 +57,6 @@ let image_row (ci : Crash_space.crash_image) =
         (heap_rows heap, corruptions))
       media_seeds )
 
-(* An invariant that depends on image contents, so the Invariant path is
-   compared too: slot 0 of object 0 may not be durable ahead of slot 1. *)
-let invariant read =
-  let v slot = read { Pmem.obj_id = 0; slot } in
-  if v 0 <> Runtime.Value.Vnull && v 1 = Runtime.Value.Vnull then
-    Error "slot 0 durable before slot 1"
-  else Ok ()
-
 (* [None] when the program cannot run to completion: the reference must
    then fail too. *)
 let agree ~config ~entry ~args prog =
@@ -108,39 +99,21 @@ let agree ~config ~entry ~args prog =
               (List.map image_row images, sampled))
             tasks
         in
-        List.iter
-          (fun (oname, oracle) ->
-            let expected =
-              List.map
-                (fun task ->
-                  let pt =
-                    Ref_crash.explore_task ~config ~entry ~args ~bound
-                      ?oracle ~task prog
-                  in
-                  if oracle = None then { pt with Crash_space.witnesses = [] }
-                  else pt)
-                tasks
-            in
-            (* the sweep moves on, so its images are restored inside
-               the callback *)
-            let groups =
-              Test_crash_space.images_by_task ~bound ?oracle r image_row
-            in
-            compare_tasks bound
-              (Fmt.str "%s point_result" oname)
-              (List.map fst groups) expected;
-            compare_tasks bound
-              (Fmt.str "crash images (%s)" oname)
-              (List.map
-                 (fun ((pt : Crash_space.point_result), rows) ->
-                   (rows, pt.sampled))
-                 groups)
-              expected_images)
-          [
-            ("sequential", Some Crash_space.Sequential);
-            ("invariant", Some (Crash_space.Invariant invariant));
-            ("no oracle", None);
-          ])
+        let expected =
+          List.map
+            (fun task ->
+              Ref_crash.explore_task ~config ~entry ~args ~bound ~task prog)
+            tasks
+        in
+        (* the sweep moves on, so its images are restored inside the
+           callback *)
+        let groups = Test_crash_space.images_by_task ~bound r image_row in
+        compare_tasks bound "point_result" (List.map fst groups) expected;
+        compare_tasks bound "crash images"
+          (List.map
+             (fun ((pt : Crash_space.point_result), rows) -> (rows, pt.sampled))
+             groups)
+          expected_images)
       bounds;
     Some (List.rev !mismatches)
 
@@ -273,8 +246,7 @@ entry:
   let pt =
     List.find
       (fun (pt : Crash_space.point_result) -> pt.task = Crash_space.Point 5)
-      (Crash_space.sweep ~bound:Crash_space.default_bound ~seed:1
-         ~oracle:Crash_space.Sequential r ignore)
+      (Crash_space.sweep ~bound:Crash_space.default_bound ~seed:1 r ignore)
         .Crash_space.points
   in
   Alcotest.(check (list (list (pair int int))))

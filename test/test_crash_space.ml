@@ -8,10 +8,36 @@
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
-let explore ?bound ?seed ?invariant ?entry ?args prog =
-  Deepmc.Crash_sweep.explore_program ?bound ?seed ?entry ?args
-    ?oracle:(Option.map (fun f -> Runtime.Crash_space.Invariant f) invariant)
-    prog
+let explore = Deepmc.Crash_sweep.explore_program
+
+(* A user property is an NVMIR function, [check], appended to the
+   program text: the recovery tier runs it on every distinct crash
+   image with corruption off, its parameters bound to the image's
+   persistent objects in id order (null when missing), and a true or
+   nonzero return flags the image. *)
+let check_images ?bound ?(entry = "main") ?(args = []) src =
+  let report =
+    Deepmc.Driver.analyze
+      (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
+      ~roots:[] ~entry ~args ?crash_bound:bound ~verify_recovery:true
+      ~recovery_entry:"check" ~corrupt:false (Nvmir.Parser.parse src)
+  in
+  match report.Deepmc.Driver.recovery with
+  | Some r -> r
+  | None -> Alcotest.fail "the check ran on no crash image"
+
+(* The images [check] flagged, as (task, persisted lines). *)
+let flagged (r : Recover.report) =
+  List.filter_map
+    (fun (c : Recover.image_check) ->
+      if c.verdict = Recover.Flagged then Some (c.task, c.persisted) else None)
+    r.Recover.images
+
+(* A value of a durable snapshot; unknown addresses read as null. *)
+let durable_value snapshot { Runtime.Pmem.obj_id; slot } =
+  match Hashtbl.find_opt snapshot obj_id with
+  | Some arr when slot >= 0 && slot < Array.length arr -> arr.(slot)
+  | _ -> Runtime.Value.Vnull
 
 (* One recorded run of [entry] (default [main]). *)
 let record ?config ?(entry = "main") ?(args = []) prog =
@@ -24,11 +50,11 @@ let record ?config ?(entry = "main") ?(args = []) prog =
    while the sweep is at the task, so [f] may restore them. Every task
    has an image, the prefix image, so the groups and the report's
    points line up. *)
-let images_by_task ?(bound = Runtime.Crash_space.default_bound) ?(seed = 1)
-    ?oracle r f =
+let images_by_task ?(bound = Runtime.Crash_space.default_bound) ?(seed = 1) r
+    f =
   let groups = ref [] in
   let report =
-    Runtime.Crash_space.sweep ~bound ~seed ?oracle r
+    Runtime.Crash_space.sweep ~bound ~seed r
       (fun (ci : Runtime.Crash_space.crash_image) ->
         let x = f ci in
         groups :=
@@ -92,55 +118,69 @@ entry:
 }
 |}
 
-(* invariant: if nbuckets is durable, bucket0 must be initialized —
-   phrased over a value lookup so the same predicate reads the prefix
-   image ([Pmem.durable_snapshot]) and every materialized image. *)
-let invariant read =
+(* The hashmap property: if nbuckets is durable, the bucket [bucket]
+   names must be initialized (an unwritten slot reads as null, which
+   the orderings compare as 0). *)
+let hashmap_check ~bucket =
+  Fmt.str
+    {|
+func check(h: ptr hashmap) -> int {
+entry:
+  missing = h == null
+  br missing, ok, read
+read:
+  n = load h->nbuckets
+  b = load h->%s
+  published = n > 0
+  empty = b < 1
+  torn = published && empty
+  ret torn
+ok:
+  ret 0
+}
+|}
+    bucket
+
+let with_check src = src ^ hashmap_check ~bucket:"bucket0"
+
+(* The same property over a durable snapshot of the first object. *)
+let torn snapshot =
   let v slot =
-    Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot })
+    Runtime.Value.to_int (durable_value snapshot { Runtime.Pmem.obj_id = 0; slot })
   in
-  if v 0 <> 0 && v 1 = 0 then Error "nbuckets durable before buckets"
-  else Ok ()
+  v 0 <> 0 && v 1 = 0
 
 (* Prefix-image violations are a subset of crash-space violations: the
    empty persisted-subset IS the prefix image, so every task whose
-   crashed heap's durable snapshot breaks the invariant must carry a
-   crash-space witness with an empty persisted set. *)
+   crashed heap's durable snapshot breaks the property must have its
+   image with an empty persisted set flagged. *)
 let test_prefix_subset () =
   let prog = Nvmir.Parser.parse buggy_hashmap_src in
-  let space = explore ~invariant prog in
+  let flagged = flagged (check_images (with_check buggy_hashmap_src)) in
   let prefix_violations =
     List.filter
       (fun task ->
         let heap, _, _ = Ref_crash.run_to ~task prog in
-        Result.is_error
-          (invariant
-             (Runtime.Crash_space.reader (Runtime.Pmem.durable_snapshot heap))))
+        torn (Runtime.Pmem.durable_snapshot heap))
       (tasks prog)
   in
   check Alcotest.bool "prefix image flags the bug" true (prefix_violations <> []);
   List.iter
     (fun task ->
       check Alcotest.bool
-        (Fmt.str "%a: empty-subset witness present" Runtime.Crash_space.pp_task
+        (Fmt.str "%a: empty-subset image flagged" Runtime.Crash_space.pp_task
            task)
         true
-        (List.exists
-           (fun (w : Runtime.Crash_space.witness) ->
-             w.Runtime.Crash_space.w_task = task
-             && w.Runtime.Crash_space.w_persisted = [])
-           space.Runtime.Crash_space.witnesses))
+        (List.mem (task, []) flagged))
     prefix_violations
 
 let test_fixed_clean_at_any_bound () =
-  let prog = Nvmir.Parser.parse fixed_hashmap_src in
   List.iter
     (fun bound ->
-      let r = explore ~bound ~invariant prog in
-      check Alcotest.bool
+      let r = check_images ~bound (with_check fixed_hashmap_src) in
+      check Alcotest.int
         (Fmt.str "fixed hashmap clean at bound %d" bound)
-        true
-        (Runtime.Crash_space.consistent r))
+        0 r.Recover.flagged)
     [ 1; 2; 8; 64; 512 ]
 
 (* Synth buggy/fixed pairs, differentially: whenever the prefix image's
@@ -179,31 +219,24 @@ let test_synth_pairs () =
         [ 8; 256 ])
     [ 1; 2; 3 ]
 
-(* The corpus hashmap's fixed variant under the dependency invariant:
+(* The corpus hashmap's fixed variant under the dependency property:
    no reachable image may show nbuckets without buckets[0]. *)
 let test_corpus_hashmap_fixed () =
   match Corpus.Registry.find "hashmap" with
   | None -> Alcotest.fail "hashmap corpus program missing"
   | Some p ->
     let fixed =
-      match Corpus.Types.parse_fixed p with
+      match p.Corpus.Types.fixed_source with
       | Some f -> f
       | None -> Alcotest.fail "hashmap has no fixed variant"
     in
-    let invariant read =
-      let v slot =
-        Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 0; slot })
-      in
-      if v 0 <> 0 && v 1 = 0 then Error "half-initialized map" else Ok ()
-    in
     let r =
-      explore ~entry:p.Corpus.Types.entry ~args:p.Corpus.Types.entry_args
-        ~invariant fixed
+      check_images ~entry:p.Corpus.Types.entry ~args:p.Corpus.Types.entry_args
+        (fixed ^ hashmap_check ~bucket:"buckets[0]")
     in
-    check Alcotest.bool "fixed corpus hashmap image-space consistent" true
-      (Runtime.Crash_space.consistent r);
-    check Alcotest.bool "crash points exercised" true
-      (r.Runtime.Crash_space.crash_points > 0)
+    check Alcotest.int "fixed corpus hashmap image-space consistent" 0
+      r.Recover.flagged;
+    check Alcotest.bool "crash points exercised" true (r.Recover.crash_points > 0)
 
 (* Above the bound the explorer samples: the subset count must equal the
    bound exactly, with the sampled flag set. Five persistent objects

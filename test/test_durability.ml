@@ -1,4 +1,4 @@
-(* Durability end-to-end: crash invariants over corpus fixed variants,
+(* Durability end-to-end: crash checks over corpus fixed variants,
    native crash-recovery of the log store at every injection point, and
    mutation robustness of the checker (dropping durability operations
    from correct programs never hides bugs and usually introduces
@@ -8,53 +8,77 @@ let tc = Alcotest.test_case
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
-(* Corpus fixed variants under the crash oracle *)
+(* Corpus fixed variants under their checks *)
 
-let crash_fixed name ~entry ~invariant =
+(* The fixed variant's text with [check] appended. *)
+let fixed_with name check =
   match Corpus.Registry.find name with
   | None -> Alcotest.fail ("missing corpus program " ^ name)
-  | Some p -> (
-    match Corpus.Types.parse_fixed p with
-    | None -> Alcotest.fail (name ^ " has no fixed variant")
-    | Some fixed ->
-      Deepmc.Crash_sweep.explore_program ~entry
-        ~oracle:(Runtime.Crash_space.Invariant invariant) fixed)
+  | Some { Corpus.Types.fixed_source = Some fixed; _ } -> fixed ^ check
+  | Some _ -> Alcotest.fail (name ^ " has no fixed variant")
 
-(* One slot of a durable image, through the image oracle's reader. *)
-let durable read obj_id slot =
-  Runtime.Value.to_int (read { Runtime.Pmem.obj_id; slot })
+(* obj_pmemlog fixed: len and tail commit transactionally after the
+   header flush is fenced. Property: tail is only durable when len is
+   (tail set => header written first). The log is the first persistent
+   object: slot 0 = len, slot 1 = tail. *)
+let fixed_pmemlog () =
+  fixed_with "obj_pmemlog"
+    {|
+func check(log: ptr plog) -> int {
+entry:
+  missing = log == null
+  br missing, ok, read
+read:
+  len = load log->len
+  tail = load log->tail
+  appended = tail > 0
+  headless = len < 1
+  torn = appended && headless
+  ret torn
+ok:
+  ret 0
+}
+|}
+
+(* btree fixed: the split is fully logged, so at any crash point the
+   durable state is all-or-nothing for the transaction's two writes
+   (node.items[3] = 0 is indistinguishable from 'old', so check the
+   companion write instead: if m.n is durable as 5, the tx committed,
+   which also covers the item). The check's parameters are the first
+   two persistent objects: node (n at slot 0) and m (n at slot 0). *)
+let fixed_btree () =
+  fixed_with "btree_map"
+    {|
+func check(node: ptr tree_map_node, m: ptr tree_map_node) -> int {
+entry:
+  missing = m == null
+  br missing, ok, read
+read:
+  n = load m->n
+  below = n < 0
+  above = n > 0
+  set = below || above
+  other = n != 5
+  torn = set && other
+  ret torn
+ok:
+  ret 0
+}
+|}
 
 let test_fixed_pmemlog_atomic () =
-  (* obj_pmemlog fixed: len and tail commit transactionally after the
-     header flush is fenced. Invariant: tail is only durable when len
-     is (tail set => header written first). Object 0 is the log:
-     slot 0 = len, slot 1 = tail. *)
-  let invariant read =
-    if durable read 0 1 <> 0 && durable read 0 0 = 0 then
-      Error "tail durable before the header"
-    else Ok ()
+  let report =
+    Test_crash_space.check_images ~entry:"pmemlog_driver" (fixed_pmemlog ())
   in
-  let report = crash_fixed "obj_pmemlog" ~entry:"pmemlog_driver" ~invariant in
-  check Alcotest.bool "no inconsistent crash point" true
-    (Runtime.Crash_space.consistent report);
+  check Alcotest.int "no inconsistent crash image" 0 report.Recover.flagged;
   check Alcotest.bool "crash points exercised" true
-    (report.Runtime.Crash_space.crash_points > 3)
+    (report.Recover.crash_points > 3)
 
 let test_fixed_btree_split_atomic () =
-  (* btree fixed: the split is fully logged, so at any crash point the
-     durable state is all-or-nothing for the transaction's two writes
-     (node.items[3] = 0 is indistinguishable from 'old', so check the
-     companion write instead: if m.n is durable as 5, the tx committed,
-     which also covers the item). Object layout: node = obj 0
-     (n at slot 0), m = obj 1 (n at slot 0). *)
-  let invariant read =
-    let m_n = durable read 1 0 in
-    if m_n <> 0 && m_n <> 5 then Error (Fmt.str "torn tx value %d" m_n)
-    else Ok ()
+  let report =
+    Test_crash_space.check_images ~entry:"btree_driver_all" (fixed_btree ())
   in
-  let report = crash_fixed "btree_map" ~entry:"btree_driver_all" ~invariant in
-  check Alcotest.bool "transactional split is atomic" true
-    (Runtime.Crash_space.consistent report)
+  check Alcotest.int "transactional split is atomic" 0 report.Recover.flagged
 
 let test_buggy_btree_split_commits_item () =
   (* Figure 2's split stores an item it never TX_ADDs. That is the
@@ -69,7 +93,7 @@ let test_buggy_btree_split_commits_item () =
     (* the prefix image at exit: nothing in flight reached NVM *)
     let entry = "btree_driver_split" in
     let read =
-      Runtime.Crash_space.reader
+      Test_crash_space.durable_value
         (Test_crash_space.prefix_snapshot ~task:Exit
            (Test_crash_space.record ~entry prog))
     in
@@ -77,7 +101,8 @@ let test_buggy_btree_split_commits_item () =
     let pmem, _, _ = Ref_crash.run_to ~entry ~task:Exit prog in
     (* node = obj 0: n slot 0, items slots 1..8; driver stored n=4 and
        the split wrote items[3] (slot 4); m = obj 1 with n logged *)
-    check Alcotest.int "logged write committed" 5 (durable read 1 0);
+    check Alcotest.int "logged write committed" 5
+      (Runtime.Value.to_int (read { Runtime.Pmem.obj_id = 1; slot = 0 }));
     let item = { Runtime.Pmem.obj_id = 0; slot = 4 } in
     let cached = Runtime.Pmem.cached_value pmem item in
     check Alcotest.bool "the split wrote the item" true

@@ -167,15 +167,29 @@ let cache_run cache ~name ~params text =
   | Ok o -> o
   | Error e -> Alcotest.fail ("check failed: " ^ e)
 
-(* The level-B slot table obeys [max_request_entries] as level A does:
-   with room for one slot, checking B drops A's slot, so an edit of A
-   is a cold miss — and still byte-identical to a cold check. *)
+(* The level-B slot table obeys [memo_bound] as level A does: once as
+   many other programs have taken a slot after A, A's slot is dropped,
+   so an edit of A is a cold miss — and still byte-identical to a cold
+   check. *)
 let test_slot_table_bounded () =
-  let cache = Serve.Cache.create ~max_request_entries:1 () in
+  let cache = Serve.Cache.create () in
   let params = Serve.Cache.default_params Analysis.Model.Strict in
   let run ~name text = cache_run cache ~name ~params text in
   ignore (run ~name:"a.nvmir" (warn_src 1));
-  ignore (run ~name:"b.nvmir" (warn_src 5));
+  for i = 1 to Serve.Cache.memo_bound do
+    ignore
+      (run ~name:(Fmt.str "b%d.nvmir" i)
+         (Fmt.str
+            {|struct r { a: int }
+func main() {
+entry:
+  p = alloc pmem r
+  store p->a, %d
+  ret
+}
+|}
+            i))
+  done;
   let o = run ~name:"a.nvmir" (warn_src 2) in
   check Alcotest.string "A's slot was dropped" "miss"
     (Serve.Cache.cache_level_name o.Serve.Cache.level);
@@ -222,20 +236,50 @@ let test_cache_key_covers_config () =
 (* ------------------------------------------------------------------ *)
 (* Raw request memo (crash-explore / inject requests) *)
 
+let memo_find m key =
+  match Serve.Cache.memo_find m ~key ~compute:(fun () -> Ok ("payload " ^ key)) with
+  | Ok (v, level) -> (v, Serve.Cache.cache_level_name level)
+  | Error () -> Alcotest.fail "the computation cannot fail"
+
 let test_memo_replays () =
   let m = Serve.Cache.memo_create () in
   let computed = ref 0 in
   let compute () =
     incr computed;
-    "payload"
+    Ok "payload"
   in
-  let v1, l1 = Serve.Cache.memo_find m ~key:"k" ~compute in
-  let v2, l2 = Serve.Cache.memo_find m ~key:"k" ~compute in
+  let find () =
+    match Serve.Cache.memo_find m ~key:"k" ~compute with
+    | Ok (v, l) -> (v, Serve.Cache.cache_level_name l)
+    | Error () -> Alcotest.fail "the computation cannot fail"
+  in
+  let v1, l1 = find () in
+  let v2, l2 = find () in
   check Alcotest.string "first value" "payload" v1;
   check Alcotest.string "replayed value" "payload" v2;
-  check Alcotest.string "first is a miss" "miss" (Serve.Cache.cache_level_name l1);
-  check Alcotest.string "second is a hit" "hit" (Serve.Cache.cache_level_name l2);
-  check Alcotest.int "computed exactly once" 1 !computed
+  check Alcotest.string "first is a miss" "miss" l1;
+  check Alcotest.string "second is a hit" "hit" l2;
+  check Alcotest.int "computed exactly once" 1 !computed;
+  let failing () = Error "no" in
+  check Alcotest.bool "a failure is returned" true
+    (Serve.Cache.memo_find m ~key:"e" ~compute:failing = Error "no");
+  check Alcotest.bool "and not stored" true
+    (Serve.Cache.memo_find m ~key:"e" ~compute:failing = Error "no")
+
+(* The memo holds at most [memo_bound] entries: one more drops the
+   table wholesale, so an early key misses again while a late one,
+   stored after the drop, still hits. *)
+let test_memo_bounded () =
+  let m = Serve.Cache.memo_create () in
+  ignore (memo_find m "early");
+  check Alcotest.string "early key replays" "hit" (snd (memo_find m "early"));
+  for i = 1 to Serve.Cache.memo_bound do
+    ignore (memo_find m (string_of_int i))
+  done;
+  check Alcotest.string "early key misses past the bound" "miss"
+    (snd (memo_find m "early"));
+  check Alcotest.string "a key stored after the drop hits" "hit"
+    (snd (memo_find m (string_of_int Serve.Cache.memo_bound)))
 
 (* ------------------------------------------------------------------ *)
 (* Worker parking: between requests a resident daemon's workers sit in
@@ -378,6 +422,7 @@ let suite =
       `Quick test_edit_invalidates_dependents;
     tc "cache: raw memo replays byte-identical payloads" `Quick
       test_memo_replays;
+    tc "cache: the memo is bounded" `Quick test_memo_bounded;
     tc "cache: level-B slots are bounded" `Quick test_slot_table_bounded;
     tc "cache: key covers every Config field" `Quick
       test_cache_key_covers_config;
