@@ -11,9 +11,24 @@
 
    The durable view ([durable_value]) reflects only fenced data, plus
    undo-log rollback for transactions that have not committed — the
-   prefix image [Crash_space] walks first at every crash point. *)
+   prefix image [Crash_space] walks first at every crash point. Undo-log
+   membership and rollback read per-slot log stamps ([log_state]), and
+   a heap's one listener is the composition of every [add_listener]. *)
 
 type slot_state = Clean | Dirty | Flushed
+
+(* An object's undo-log state, allocated at its first logged slot. *)
+type log_state = {
+  stamps : int array;
+      (* serial of the innermost open transaction whose log holds the
+         slot, or -1 when none does *)
+  undo : Value.t array; (* that log entry's undo value *)
+  mutable lo : int; (* commit scratch: the logged range of the object *)
+  mutable hi : int;
+  mutable mark : int; (* serial of the committing transaction, or -1 *)
+}
+
+let no_log = { stamps = [||]; undo = [||]; lo = 0; hi = 0; mark = -1 }
 
 type obj = {
   id : int;
@@ -26,6 +41,7 @@ type obj = {
   corrupt : bool array;
       (* media-corruption flags: set only on heaps reconstituted from a
          corrupted crash image ([restore]); a store heals its slot *)
+  mutable log : log_state; (* [no_log] until a slot is logged *)
 }
 
 (* Concrete slot address. *)
@@ -89,8 +105,16 @@ let fresh_stats () =
     nvm_writes = 0;
   }
 
-type undo_entry = { u_obj : int; u_slot : int; u_value : Value.t }
-type tx = { tx_id : int; mutable undo : undo_entry list }
+(* One undo-log entry; the entry's own undo value sits in its object's
+   [log.undo] while it is the slot's innermost entry. *)
+type entry = {
+  e_obj : obj;
+  e_slot : int;
+  e_prev : int; (* the stamp the entry overwrote *)
+  e_prev_undo : Value.t; (* and the undo value *)
+}
+
+type tx = { serial : int; mutable entries : entry list (* newest first *) }
 
 (* The entry of an object table slot no object holds. *)
 let absent =
@@ -103,6 +127,7 @@ let absent =
     nvm = [||];
     state = [||];
     corrupt = [||];
+    log = no_log;
   }
 
 type t = {
@@ -115,9 +140,9 @@ type t = {
   first_id : int;
   id_limit : int option; (* exclusive upper bound on object ids, if any *)
   mutable next_id : int;
-  mutable listeners : listener list;
+  mutable listener : listener;
   stats : stats;
-  mutable tx_stack : tx list;
+  mutable tx_stack : tx list; (* innermost first *)
   mutable next_tx : int;
   mutable rng : int; (* deterministic LCG state for eviction modeling *)
   mutable in_commit : bool;
@@ -148,7 +173,7 @@ let create ?(config = Config.default) ?(first_obj_id = 0) ?obj_id_limit () =
     first_id = first_obj_id;
     id_limit = obj_id_limit;
     next_id = first_obj_id;
-    listeners = [];
+    listener = null_listener;
     stats = fresh_stats ();
     tx_stack = [];
     next_tx = 0;
@@ -161,9 +186,35 @@ let create ?(config = Config.default) ?(first_obj_id = 0) ?obj_id_limit () =
 
 let stats t = t.stats
 let config t = t.config
-let add_listener t l = t.listeners <- l :: t.listeners
-let remove_listeners t = t.listeners <- []
-let notify t f = List.iter f t.listeners
+
+(* [f] then [r] on every event. *)
+let compose f r =
+  if r == null_listener then f
+  else
+    {
+      on_alloc =
+        (fun ~obj_id ~persistent ~size ->
+          f.on_alloc ~obj_id ~persistent ~size;
+          r.on_alloc ~obj_id ~persistent ~size);
+      on_write = (fun a l -> f.on_write a l; r.on_write a l);
+      on_read = (fun a l -> f.on_read a l; r.on_read a l);
+      on_flush =
+        (fun ~obj_id ~first_slot ~nslots ~dirty l ->
+          f.on_flush ~obj_id ~first_slot ~nslots ~dirty l;
+          r.on_flush ~obj_id ~first_slot ~nslots ~dirty l);
+      on_fence = (fun l -> f.on_fence l; r.on_fence l);
+      on_tx_begin = (fun l -> f.on_tx_begin l; r.on_tx_begin l);
+      on_tx_end = (fun l -> f.on_tx_end l; r.on_tx_end l);
+      on_epoch_begin = (fun l -> f.on_epoch_begin l; r.on_epoch_begin l);
+      on_epoch_end = (fun l -> f.on_epoch_end l; r.on_epoch_end l);
+      on_strand_begin =
+        (fun n l -> f.on_strand_begin n l; r.on_strand_begin n l);
+      on_strand_end = (fun n l -> f.on_strand_end n l; r.on_strand_end n l);
+    }
+
+(* The listener added last sees each event first. *)
+let add_listener t l = t.listener <- compose l t.listener
+let remove_listeners t = t.listener <- null_listener
 let charge t c = t.stats.cycles <- t.stats.cycles + c
 
 let touch t obj_id slot =
@@ -237,10 +288,11 @@ let alloc t ?name ~tenv ~persistent ty =
       nvm = Array.make size Value.Vnull;
       state = Array.make size Clean;
       corrupt = Array.make size false;
+      log = no_log;
     }
   in
   add_object t o;
-  notify t (fun l -> l.on_alloc ~obj_id:id ~persistent ~size);
+  t.listener.on_alloc ~obj_id:id ~persistent ~size;
   id
 
 (* Deterministic LCG used only for optional eviction modeling. *)
@@ -271,20 +323,48 @@ let maybe_evict t (o : obj) =
     evict_line t o (next_rand t mod nlines)
   end
 
-let write t ?(loc = Nvmir.Loc.none) { obj_id; slot } v =
+(* Transactions: undo logging with durable commit. [tx_add] explicitly
+   snapshots an object range (the TX_ADD of PMDK); writes inside a
+   transaction are also auto-logged on first touch so rollback is always
+   possible. Commit flushes everything the transaction touched, fences,
+   then folds the log into the parent transaction. *)
+
+let log_of (o : obj) =
+  let n = Array.length o.cache in
+  if o.log == no_log then
+    o.log <-
+      { stamps = Array.make n (-1); undo = Array.make n Value.Vnull;
+        lo = 0; hi = 0; mark = -1 };
+  o.log
+
+(* Log [slot] of [o] in [tx] unless it already is; true when it logs. An
+   enclosing transaction's entry for the slot stays in the log under
+   the new one, which keeps the stamp and undo value it overwrote. *)
+let log_slot tx (o : obj) slot =
+  let l = log_of o in
+  let prev = l.stamps.(slot) in
+  prev <> tx.serial
+  && begin
+    tx.entries <-
+      { e_obj = o; e_slot = slot; e_prev = prev; e_prev_undo = l.undo.(slot) }
+      :: tx.entries;
+    l.stamps.(slot) <- tx.serial;
+    l.undo.(slot) <- o.nvm.(slot);
+    true
+  end
+
+(* [a] is bound whole, not as a record pattern: a pattern parameter after
+   [?loc] makes each call build a curried closure, and the listener gets
+   the caller's record. *)
+let write t ?(loc = Nvmir.Loc.none) a v =
+  let { obj_id; slot } = a in
   let o = obj t obj_id in
   if slot < 0 || slot >= Array.length o.cache then
     invalid_arg (Fmt.str "Pmem.write: slot %d out of bounds for obj%d" slot obj_id);
   (* undo-log: first write to a slot inside a transaction snapshots the
      durable value, so a crash before commit rolls back *)
   (match t.tx_stack with
-  | tx :: _ when o.persistent ->
-    if
-      not
-        (List.exists
-           (fun u -> u.u_obj = obj_id && u.u_slot = slot)
-           tx.undo)
-    then tx.undo <- { u_obj = obj_id; u_slot = slot; u_value = o.nvm.(slot) } :: tx.undo
+  | tx :: _ when o.persistent -> ignore (log_slot tx o slot)
   | _ -> ());
   o.cache.(slot) <- v;
   o.corrupt.(slot) <- false;
@@ -295,17 +375,18 @@ let write t ?(loc = Nvmir.Loc.none) { obj_id; slot } v =
   t.stats.stores <- t.stats.stores + 1;
   charge t t.config.Config.cost.Config.store_cost;
   if o.persistent then begin
-    notify t (fun l -> l.on_write { obj_id; slot } loc);
+    t.listener.on_write a loc;
     maybe_evict t o
   end
 
-let read t ?(loc = Nvmir.Loc.none) { obj_id; slot } =
+let read t ?(loc = Nvmir.Loc.none) a =
+  let { obj_id; slot } = a in
   let o = obj t obj_id in
   if slot < 0 || slot >= Array.length o.cache then
     invalid_arg (Fmt.str "Pmem.read: slot %d out of bounds for obj%d" slot obj_id);
   t.stats.loads <- t.stats.loads + 1;
   charge t t.config.Config.cost.Config.load_cost;
-  if o.persistent then notify t (fun l -> l.on_read { obj_id; slot } loc);
+  if o.persistent then t.listener.on_read a loc;
   o.cache.(slot)
 
 (* Flush a slot range (line-granular): Dirty slots of every touched
@@ -317,13 +398,13 @@ let flush_range t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
   if not o.persistent then ()
   else begin
     let size = Array.length o.cache in
-    let first_slot = max 0 first_slot in
-    let last = min (size - 1) (first_slot + max 1 nslots - 1) in
+    let first_slot = Int.max 0 first_slot in
+    let last = Int.min (size - 1) (first_slot + Int.max 1 nslots - 1) in
     let first_line = line_of t first_slot and last_line = line_of t last in
     let any_dirty = ref false in
     for line = first_line to last_line do
       let lo = line * t.config.Config.cacheline_slots in
-      let hi = min size (lo + t.config.Config.cacheline_slots) in
+      let hi = Int.min size (lo + t.config.Config.cacheline_slots) in
       for s = lo to hi - 1 do
         if o.state.(s) = Dirty then begin
           o.state.(s) <- Flushed;
@@ -339,46 +420,42 @@ let flush_range t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
     if (not !any_dirty) && not t.in_commit then
       t.stats.redundant_flushes <- t.stats.redundant_flushes + 1;
     if not t.in_commit then
-      notify t (fun l ->
-          l.on_flush ~obj_id ~first_slot
-            ~nslots:(last - first_slot + 1)
-            ~dirty:!any_dirty loc)
+      t.listener.on_flush ~obj_id ~first_slot
+        ~nslots:(last - first_slot + 1)
+        ~dirty:!any_dirty loc
   end
 
+let rec drain t = function
+  | [] -> ()
+  | (obj_id, s) :: rest ->
+    let o = obj t obj_id in
+    (* a slot may have been re-dirtied since the flush; only drain
+       slots still in Flushed state *)
+    if o.state.(s) = Flushed then begin
+      o.nvm.(s) <- o.cache.(s);
+      o.state.(s) <- Clean;
+      touch t obj_id s;
+      t.stats.nvm_writes <- t.stats.nvm_writes + 1
+    end;
+    drain t rest
+
 let fence t ?(loc = Nvmir.Loc.none) () =
-  List.iter
-    (fun (obj_id, s) ->
-      let o = obj t obj_id in
-      (* a slot may have been re-dirtied since the flush; only drain
-         slots still in Flushed state *)
-      if o.state.(s) = Flushed then begin
-        o.nvm.(s) <- o.cache.(s);
-        o.state.(s) <- Clean;
-        touch t obj_id s;
-        t.stats.nvm_writes <- t.stats.nvm_writes + 1
-      end)
-    t.pending_drain;
+  drain t t.pending_drain;
   t.pending_drain <- [];
   t.stats.fences <- t.stats.fences + 1;
   charge t t.config.Config.cost.Config.fence_cost;
-  notify t (fun l -> l.on_fence loc)
+  t.listener.on_fence loc
 
 let persist_range t ?loc ~obj_id ~first_slot ~nslots () =
   flush_range t ?loc ~obj_id ~first_slot ~nslots ();
   fence t ?loc ()
 
-(* Transactions: undo logging with durable commit. [tx_add] explicitly
-   snapshots an object range (the TX_ADD of PMDK); writes inside a
-   transaction are also auto-logged on first touch so rollback is always
-   possible. Commit flushes everything the transaction touched, fences,
-   then truncates the log. *)
 let tx_begin t ?(loc = Nvmir.Loc.none) () =
-  let tx = { tx_id = t.next_tx; undo = [] } in
+  t.tx_stack <- { serial = t.next_tx; entries = [] } :: t.tx_stack;
   t.next_tx <- t.next_tx + 1;
-  t.tx_stack <- tx :: t.tx_stack;
   t.stats.txs <- t.stats.txs + 1;
   charge t t.config.Config.cost.Config.tx_overhead;
-  notify t (fun l -> l.on_tx_begin loc)
+  t.listener.on_tx_begin loc
 
 let tx_add t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
   ignore loc;
@@ -386,72 +463,87 @@ let tx_add t ?(loc = Nvmir.Loc.none) ~obj_id ~first_slot ~nslots () =
   | [] -> invalid_arg "Pmem.tx_add: no open transaction"
   | tx :: _ ->
     let o = obj t obj_id in
-    let last = min (Array.length o.cache - 1) (first_slot + max 1 nslots - 1) in
+    let last =
+      Int.min (Array.length o.cache - 1) (first_slot + Int.max 1 nslots - 1)
+    in
     for s = first_slot to last do
-      if not (List.exists (fun u -> u.u_obj = obj_id && u.u_slot = s) tx.undo)
-      then begin
-        tx.undo <- { u_obj = obj_id; u_slot = s; u_value = o.nvm.(s) } :: tx.undo;
-        touch t obj_id s
-      end
+      if log_slot tx o s then touch t obj_id s
     done;
     t.stats.log_copies <- t.stats.log_copies + 1;
     charge t t.config.Config.cost.Config.log_cost
+
+(* A commit's flush ranges, one per object: the first pass widens each
+   logged object's [lo..hi] to the entries' slots (marking the object
+   with the committing serial), the second flushes each marked object
+   once. *)
+let rec commit_ranges serial = function
+  | [] -> ()
+  | e :: more ->
+    let l = e.e_obj.log in
+    if l.mark <> serial then begin
+      l.mark <- serial;
+      l.lo <- e.e_slot;
+      l.hi <- e.e_slot
+    end
+    else begin
+      l.lo <- Int.min l.lo e.e_slot;
+      l.hi <- Int.max l.hi e.e_slot
+    end;
+    commit_ranges serial more
+
+let rec commit_flushes t loc serial = function
+  | [] -> ()
+  | { e_obj = o; _ } :: more ->
+    if o.log.mark = serial then begin
+      o.log.mark <- -1;
+      flush_range t ~loc ~obj_id:o.id ~first_slot:o.log.lo
+        ~nslots:(o.log.hi - o.log.lo + 1) ()
+    end;
+    commit_flushes t loc serial more
 
 let tx_end t ?(loc = Nvmir.Loc.none) () =
   match t.tx_stack with
   | [] -> invalid_arg "Pmem.tx_end: no open transaction"
   | tx :: rest ->
     (* commit: make every logged slot durable *)
-    let by_obj = Hashtbl.create 8 in
-    List.iter
-      (fun u ->
-        let old = Option.value ~default:[] (Hashtbl.find_opt by_obj u.u_obj) in
-        Hashtbl.replace by_obj u.u_obj (u.u_slot :: old))
-      tx.undo;
+    commit_ranges tx.serial tx.entries;
     t.in_commit <- true;
-    Hashtbl.iter
-      (fun obj_id slots ->
-        let lo = List.fold_left min max_int slots
-        and hi = List.fold_left max 0 slots in
-        flush_range t ~loc ~obj_id ~first_slot:lo ~nslots:(hi - lo + 1) ())
-      by_obj;
+    commit_flushes t loc tx.serial tx.entries;
     t.in_commit <- false;
     fence t ~loc ();
     charge t t.config.Config.cost.Config.tx_overhead;
     t.tx_stack <- rest;
     (* closing the log changes which rollback each logged slot takes *)
-    if t.journaling then List.iter (fun u -> touch t u.u_obj u.u_slot) tx.undo;
-    (* a nested transaction's log folds into its parent so an aborted
-       outer transaction can still roll everything back *)
+    if t.journaling then
+      List.iter (fun e -> touch t e.e_obj.id e.e_slot) tx.entries;
+    (* a top-level commit closes every entry; a nested one folds its log
+       into the parent's, so an aborted outer transaction can still roll
+       everything back: an entry the parent already has (its overwritten
+       stamp is the parent's) gives the slot back to the parent's entry,
+       any other becomes the parent's *)
     (match rest with
-    | parent :: _ ->
+    | [] -> List.iter (fun e -> e.e_obj.log.stamps.(e.e_slot) <- -1) tx.entries
+    | p :: _ ->
       List.iter
-        (fun u ->
-          if
-            not
-              (List.exists
-                 (fun p -> p.u_obj = u.u_obj && p.u_slot = u.u_slot)
-                 parent.undo)
-          then parent.undo <- u :: parent.undo)
-        tx.undo
-    | [] -> ());
-    notify t (fun l -> l.on_tx_end loc)
+        (fun e ->
+          let l = e.e_obj.log in
+          if e.e_prev = p.serial then l.undo.(e.e_slot) <- e.e_prev_undo
+          else p.entries <- e :: p.entries;
+          l.stamps.(e.e_slot) <- p.serial)
+        tx.entries);
+    t.listener.on_tx_end loc
 
 let in_tx t = t.tx_stack <> []
 
 (* Annotations: epoch and strand markers are visible to listeners but do
    not change memory state by themselves. *)
-let epoch_begin t ?(loc = Nvmir.Loc.none) () =
-  notify t (fun l -> l.on_epoch_begin loc)
-
-let epoch_end t ?(loc = Nvmir.Loc.none) () =
-  notify t (fun l -> l.on_epoch_end loc)
+let epoch_begin t ?(loc = Nvmir.Loc.none) () = t.listener.on_epoch_begin loc
+let epoch_end t ?(loc = Nvmir.Loc.none) () = t.listener.on_epoch_end loc
 
 let strand_begin t ?(loc = Nvmir.Loc.none) n =
-  notify t (fun l -> l.on_strand_begin n loc)
+  t.listener.on_strand_begin n loc
 
-let strand_end t ?(loc = Nvmir.Loc.none) n =
-  notify t (fun l -> l.on_strand_end n loc)
+let strand_end t ?(loc = Nvmir.Loc.none) n = t.listener.on_strand_end n loc
 
 (* ------------------------------------------------------------------ *)
 (* Crash semantics *)
@@ -459,13 +551,8 @@ let strand_end t ?(loc = Nvmir.Loc.none) n =
 (* The undo value recovery restores a slot to: the innermost open
    transaction's log entry for it, if any. *)
 let rollback_value t { obj_id; slot } =
-  List.find_map
-    (fun tx ->
-      List.find_map
-        (fun u ->
-          if u.u_obj = obj_id && u.u_slot = slot then Some u.u_value else None)
-        tx.undo)
-    t.tx_stack
+  let l = (obj t obj_id).log in
+  if l != no_log && l.stamps.(slot) >= 0 then Some l.undo.(slot) else None
 
 (* The value a slot would hold after a crash right now: the durable
    (fenced) value, with open transactions rolled back via their undo
@@ -571,6 +658,7 @@ let restore ~config objects ~corrupt =
           nvm = Array.copy values;
           state = Array.make size Clean;
           corrupt = Array.make size false;
+          log = no_log;
         };
       if id >= t.next_id then t.next_id <- id + 1)
     objects;

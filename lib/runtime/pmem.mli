@@ -6,7 +6,15 @@
 
     The durable view ({!durable_value}) reflects only fenced data, with
     open transactions rolled back — the prefix image {!Crash_space}
-    walks first at every crash point. *)
+    walks first at every crash point.
+
+    Undo-log membership and rollback are O(1): an object logged into
+    gets per-slot log stamps (the serial of the innermost open
+    transaction whose log holds the slot) at its first logged slot, so
+    a transaction of n stores costs O(n). A heap has one listener, the
+    composition of every {!add_listener} call, so an event is one
+    indirect call and a store, load, flush or fence without [?loc]
+    allocates nothing. *)
 
 type slot_state = Clean | Dirty | Flushed
 
@@ -67,6 +75,9 @@ val id_range : t -> int * int option
 val stats : t -> stats
 val config : t -> Config.t
 val add_listener : t -> listener -> unit
+(** Composes [l] before the heap's listener: the newest listener sees
+    each event first. *)
+
 val remove_listeners : t -> unit
 
 (** {1 Objects} *)

@@ -4,10 +4,10 @@
     report throughput. *)
 
 (** How the clients execute. [Concurrent] (the default, and the paper's
-    setup) gives each client its own heap + store instance, driven on a
-    pool domain, all observed by one checker through client-bound
-    listeners; client heaps use disjoint object-id ranges so warnings
-    are interleaving-independent. [Interleaved] is the historical
+    setup) gives each client its own heap + store instance, built and
+    driven on a pool domain, all observed by one checker through
+    client-bound listeners; client heaps use disjoint object-id ranges
+    so warnings are interleaving-independent. [Interleaved] is the historical
     single-domain replay (one heap, active client switched per
     transaction). *)
 type execution = Interleaved | Concurrent
@@ -46,8 +46,10 @@ val measure :
     randomized choice the clients make (client [c] draws from the
     purpose-split stream [Gen.stream seed (Client c)]), so a run is
     reproducible end to end from the one value. In [Concurrent]
-    mode [setup] runs once per client (each on its own heap) and [op]
-    must not share mutable state across clients. *)
+    mode [setup] runs once per client, on its own heap and on the
+    client's pool domain, before the clock starts ([elapsed_s] covers
+    the transactions only); neither [setup] nor [op] may share mutable
+    state across clients. *)
 
 type comparison = {
   baseline : result;

@@ -18,7 +18,10 @@ let create ?(nrecords = 4096) pmem =
   in
   { pmem; records; nrecords }
 
-let loc line = Nvmir.Loc.make ~file:"txstore.ml" ~line
+(* Static source locations, built once as an instrumented binary's are,
+   so an operation allocates none. *)
+let locs = Array.init 46 (fun line -> Nvmir.Loc.make ~file:"txstore.ml" ~line)
+let loc line = locs.(line)
 
 let slot_of t key field = (key mod t.nrecords * record_slots) + field
 

@@ -229,6 +229,55 @@ let test_harness_modes_agree () =
   check Alcotest.int "no unflushed writes either way"
     si.Runtime.Dynamic.unflushed sc.Runtime.Dynamic.unflushed
 
+(* Client set-up runs on the client domains: a checked concurrent run
+   gives the same checker summary and the same Pmem counts on pools of 1
+   and 2 domains, and both equal what serial set-up on the submitting
+   domain read (pinned). *)
+let test_harness_pool_size_invariant () =
+  let run (label, setup, op) =
+    let r =
+      Workloads.Harness.measure ~label ~repeats:1
+        ~execution:Workloads.Harness.Concurrent ~clients:2 ~txs:2000
+        ~checked:true ~setup ~op ()
+    in
+    match r.Workloads.Harness.dynamic with
+    | None -> Alcotest.fail "dynamic summary missing"
+    | Some d ->
+      ( label,
+        [ d.Runtime.Dynamic.waw; d.raw; d.unflushed; d.redundant;
+          d.tracked_cells; d.warning_count; d.dropped;
+          r.Workloads.Harness.stores; r.loads; r.flushes; r.fences ] )
+  in
+  let memslap =
+    let label, m = List.hd Workloads.Memslap.mixes in
+    (label, Workloads.Memslap.setup, Workloads.Memslap.run_op m)
+  and ycsb =
+    let label, m = List.hd Workloads.Ycsb.mixes in
+    (label, Workloads.Ycsb.setup, Workloads.Ycsb.run_op m)
+  in
+  let sweep domains =
+    Pool.set_default_size domains;
+    [ run memslap; run ycsb ]
+  in
+  let saved = Pool.default_size () in
+  let one, two =
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_size saved)
+      (fun () -> (sweep 1, sweep 2))
+  in
+  (* waw, raw, unflushed, redundant, tracked cells, warnings, dropped;
+     stores, loads, flushes, fences *)
+  let pinned =
+    [
+      ( "memcached-1 (50u/50r)",
+        [ 0; 0; 0; 0; 5002; 0; 0; 6056; 8645; 3028; 3028 ] );
+      ("ycsb-a (50u/50r)", [ 0; 0; 0; 0; 16384; 0; 0; 17397; 987; 5109; 5109 ]);
+    ]
+  in
+  let counts = Alcotest.(list (pair string (list int))) in
+  check counts "1 domain" pinned one;
+  check counts "2 domains" pinned two
+
 let test_mixes_well_formed () =
   let weights_positive mix =
     List.for_all (fun (_, w) -> w > 0) mix
@@ -271,5 +320,7 @@ let suite =
     tc "harness: concurrent per-client heaps" `Quick
       test_harness_concurrent_per_client_heaps;
     tc "harness: execution modes agree" `Quick test_harness_modes_agree;
+    tc "harness: pool size does not move counts" `Quick
+      test_harness_pool_size_invariant;
     tc "benchmark mixes well-formed" `Quick test_mixes_well_formed;
   ]
