@@ -27,9 +27,12 @@ verify:
 # (lib/core/crash_sweep.ml and Recover.verify in lib/recover/recover.ml),
 # a call of Crash_space.record, Crash_space.sweep or Recover.start
 # fails, and so does any call of Crash_sweep.explore_program, which only
-# the benchmark's per-layer split may use.
+# the benchmark's per-layer split may use. The CLI builds one analysis
+# request for check, explain, crash-explore and recover, so bin/ holds
+# one Driver.analyze call; a second fails.
 FRONT_DOOR := (Crash_space\.(record|sweep)|Recover\.start)([^A-Za-z0-9_]|$$)
 BENCH_ONLY := Crash_sweep\.explore_program([^A-Za-z0-9_]|$$)
+ANALYZE := Driver\.analyze([^A-Za-z0-9_]|$$)
 
 front-door:
 	@hits=$$( { grep -rnE '$(FRONT_DOOR)' lib bin examples --include='*.ml' \
@@ -42,6 +45,11 @@ front-door:
 	  echo "front-door: record or sweep outside Driver.analyze:" >&2; \
 	  echo "$$hits" >&2; exit 1; \
 	else echo "front-door: Driver.analyze is the only recording and sweeping caller"; fi
+	@calls=$$(grep -rnoE '$(ANALYZE)' bin --include='*.ml'); \
+	if [ $$(printf '%s' "$$calls" | grep -c .) -gt 1 ]; then \
+	  echo "front-door: more than one Driver.analyze call in bin/:" >&2; \
+	  echo "$$calls" >&2; exit 1; \
+	else echo "front-door: bin/ makes one Driver.analyze call"; fi
 
 # The recall gate: the seed-1 injection campaign must report a closed
 # pointer-arith blind spot (0 since the offset lattice) and static-tier

@@ -370,14 +370,24 @@ let bar pct =
   let n = max 0 (min 60 (int_of_float (pct *. 2.))) in
   String.make n '#'
 
+(* Each series sizes the shared pool to its client count, capped at the
+   host's cores (as bench/e2e does), so its clients run on that many
+   domains and Redis's 50 never ask for more domains than the host has.
+   Returns the size used. *)
+let series_pool clients =
+  let domains = min clients (Domain.recommended_domain_count ()) in
+  Pool.set_default_size domains;
+  domains
+
 (* Client-domain scaling of the pool-driven harness: the same workload
-   and transaction count at 1 client vs N. On a single-core host the
-   pool degrades to sequential in-submitter execution and the speedup
-   stays ~1x; the measurement is recorded either way. *)
+   and transaction count at 1 client vs N. On a one-domain pool the
+   clients run one after another on the submitter and the speedup stays
+   ~1x; the measurement is recorded either way. *)
 let figure12_scaling ~seed =
   let mix = List.hd Workloads.Memslap.mixes in
   let label, _ = mix in
   let clients = 4 in
+  let domains = series_pool clients in
   let run n =
     (Workloads.Memslap.comparison ~seed ~clients:n ~txs mix)
       .Workloads.Harness.baseline
@@ -385,7 +395,7 @@ let figure12_scaling ~seed =
   in
   let tps1 = run 1 in
   let tpsn = run clients in
-  (label, clients, tps1, tpsn, tpsn /. tps1)
+  (label, clients, domains, tps1, tpsn, tpsn /. tps1)
 
 (* Each mix runs [figure12_runs] times, baseline and checked: the
    median run (by overhead) is reported, with the runs' min and max
@@ -407,37 +417,36 @@ let spread compare_once =
 let figure12 ?(json = false) () =
   let seed = bench_seed ~default:Workloads.Harness.default_seed in
   section "Figure 12: throughput impact of the dynamic analysis";
-  Fmt.pr "execution: concurrent client domains on the shared pool (%d)@."
-    (Pool.default_size ());
+  Fmt.pr
+    "execution: concurrent client domains on the shared pool, sized per \
+     series to min(clients, %d cores)@."
+    (Domain.recommended_domain_count ());
   Fmt.pr
     "each mix runs %d times; the overhead is the median run's, [min .. max] \
      beside it@."
     figure12_runs;
+  let run app clients comparison mixes =
+    let domains = series_pool clients in
+    ( app, clients, domains,
+      List.map (fun m -> spread (fun () -> comparison ~clients m)) mixes )
+  in
   let series =
     [
-      ( "Memcached", 4,
-        List.map
-          (fun m ->
-            spread (fun () ->
-                Workloads.Memslap.comparison ~seed ~clients:4 ~txs m))
-          Workloads.Memslap.mixes );
-      ( "Redis", 50,
-        List.map
-          (fun m ->
-            spread (fun () ->
-                Workloads.Redis_bench.comparison ~seed ~clients:50 ~txs m))
-          Workloads.Redis_bench.mixes );
-      ( "NStore", 4,
-        List.map
-          (fun m ->
-            spread (fun () ->
-                Workloads.Ycsb.comparison ~seed ~clients:4 ~txs m))
-          Workloads.Ycsb.mixes );
+      run "Memcached" 4
+        (fun ~clients -> Workloads.Memslap.comparison ~seed ~clients ~txs)
+        Workloads.Memslap.mixes;
+      run "Redis" 50
+        (fun ~clients -> Workloads.Redis_bench.comparison ~seed ~clients ~txs)
+        Workloads.Redis_bench.mixes;
+      run "NStore" 4
+        (fun ~clients -> Workloads.Ycsb.comparison ~seed ~clients ~txs)
+        Workloads.Ycsb.mixes;
     ]
   in
   List.iter
-    (fun (app, _clients, spreads) ->
-      Fmt.pr "@.%s (%d transactions per mix):@." app txs;
+    (fun (app, clients, domains, spreads) ->
+      Fmt.pr "@.%s (%d transactions per mix, %d clients on %d domain(s)):@."
+        app txs clients domains;
       List.iter
         (fun (c, lo, hi) ->
           Fmt.pr "  %a [%.1f%% .. %.1f%%]@." Workloads.Harness.pp_comparison c
@@ -461,19 +470,21 @@ let figure12 ?(json = false) () =
         "  measured overhead band: %.1f%% .. %.1f%% (paper: %.1f%% .. %.1f%%)@."
         (max 0. lo) hi plo phi)
     series;
-  let scale_mix, scale_clients, tps1, tpsn, speedup = figure12_scaling ~seed in
+  let scale_mix, scale_clients, scale_domains, tps1, tpsn, speedup =
+    figure12_scaling ~seed
+  in
   Fmt.pr "@.client-domain scaling (%s, %d tx baseline, no checker):@."
     scale_mix txs;
   Fmt.pr "  1 client:  %10.0f tx/s@." tps1;
   Fmt.pr "  %d clients: %10.0f tx/s (%.2fx)@." scale_clients tpsn speedup;
-  if Pool.recommended_size () = 1 then
+  if scale_domains = 1 then
     Fmt.pr
-      "  (single-core host: the pool runs client tasks sequentially, so \
-       ~1x is expected here)@.";
+      "  (one-domain pool: the clients run one after another, so ~1x is \
+       expected here)@.";
   if json then begin
     let overheads =
       List.concat_map
-        (fun (_, _, spreads) ->
+        (fun (_, _, _, spreads) ->
           List.map (fun (c, _, _) -> c.Workloads.Harness.overhead_pct) spreads)
         series
     in
@@ -485,13 +496,14 @@ let figure12 ?(json = false) () =
         ]
     in
     let tps x = J.Int (Float.to_int (Float.round x)) in
-    let mix app (c, lo, hi) =
+    let mix app domains (c, lo, hi) =
       let b = c.Workloads.Harness.baseline in
       J.Obj
         [
           ("app", J.String app);
           ("label", J.String b.Workloads.Harness.label);
           ("clients", J.Int b.Workloads.Harness.clients);
+          ("domains", J.Int domains);
           ("baseline_tps", tps b.Workloads.Harness.throughput);
           ( "checked_tps",
             tps c.Workloads.Harness.with_checker.Workloads.Harness.throughput );
@@ -510,11 +522,14 @@ let figure12 ?(json = false) () =
       [
         ("txs", J.Int txs);
         ("runs_per_mix", J.Int figure12_runs);
-        ("pool_domains", J.Int (Pool.default_size ()));
+        (* the largest pool a series ran on *)
+        ( "pool_domains",
+          J.Int (List.fold_left (fun m (_, _, d, _) -> max m d) 1 series) );
         ( "mixes",
           J.List
             (List.concat_map
-               (fun (app, _, spreads) -> List.map (mix app) spreads)
+               (fun (app, _, domains, spreads) ->
+                 List.map (mix app domains) spreads)
                series) );
         ("overhead_band_pct", band ~floor:0. overheads);
         ( "paper_band_pct",
@@ -526,6 +541,7 @@ let figure12 ?(json = false) () =
               ("mix", J.String scale_mix);
               ("txs", J.Int txs);
               ("clients", J.Int scale_clients);
+              ("domains", J.Int scale_domains);
               ("baseline_tps", J.List [ tps tps1; tps tpsn ]);
               ("speedup", J.Float speedup);
             ] );

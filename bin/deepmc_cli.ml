@@ -6,11 +6,15 @@
    when an entry point is given, the instrumented execution with the
    dynamic checker, then prints the warnings.
 
-     deepmc check prog.nvmir --strict [--entry main] [--json] [--html r.html]
+   check, explain, crash-explore and recover take the same analysis
+   flags and run them as one request; each fixes its own tiers and output.
+
+     deepmc check prog.nvmir --strict [--entry main] [--crash] [--recover]
+     deepmc explain prog.nvmir [--entry main] [--crash] [--recover] [--fuzz N]
+     deepmc crash-explore prog.nvmir [--bound 256] [--recover] [--json]
+     deepmc recover prog.nvmir [--recovery-entry recover] [--no-corrupt]
      deepmc check-mixed prog.nvmir --model-map models.txt
      deepmc fix prog.nvmir --strict [-o fixed.nvmir]
-     deepmc crash-explore prog.nvmir [--bound 256] [--recover] [--json]
-     deepmc recover prog.nvmir [--recovery-entry recover] [--json]
      deepmc fuzz prog.nvmir | --workload memslap [--budget N] [--random]
      deepmc fmt prog.nvmir [-i]
      deepmc dsg prog.nvmir --function nvm_lock
@@ -64,19 +68,17 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"NVM program in textual IR (.nvmir).")
 
-let entry_term =
+(* Each command keeps its own default: check and explain run no entry
+   unless given one, crash-explore and recover run main, and fuzz falls
+   back to main itself. *)
+let entry_term default =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some string) default
     & info [ "entry" ] ~docv:"FUNC"
-        ~doc:"Entry point for the dynamic (online) analysis.")
-
-let args_term =
-  Arg.(
-    value
-    & opt (list int) []
-    & info [ "args" ] ~docv:"INT,..."
-        ~doc:"Integer arguments passed to the entry function.")
+        ~doc:
+          "Entry point of the program's run, which the dynamic, crash and \
+           recovery tiers (and the fuzzer) execute.")
 
 let no_dynamic_term =
   Arg.(value & flag & info [ "no-dynamic" ] ~doc:"Skip the dynamic analysis.")
@@ -139,9 +141,6 @@ let suppressions_term =
 let json_term =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
 
-(* Telemetry surface: either flag switches the Obs registry/tracer on
-   for the whole run; the files are written at the end, before the
-   warning count decides the exit code. *)
 let metrics_json_term =
   Arg.(
     value
@@ -159,21 +158,6 @@ let trace_out_term =
         ~doc:
           "Enable telemetry and write a Chrome trace_event file here \
            (open in chrome://tracing or Perfetto; one track per domain).")
-
-let obs_setup ~metrics_json ~trace_out =
-  if metrics_json <> None || trace_out <> None then Obs.set_enabled true
-
-let obs_write ~metrics_json ~trace_out =
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      let ppf = Format.formatter_of_out_channel oc in
-      Fmt.pf ppf "%a@." Deepmc.Json_report.pp
-        (Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ()));
-      Format.pp_print_flush ppf ();
-      close_out oc)
-    metrics_json;
-  Option.iter Obs.Span.write_file trace_out
 
 (* One seed for every randomized path (crash-image sampling, generator
    workloads, the bug injector): any run is reproducible from it. *)
@@ -240,6 +224,160 @@ let domains_term =
           "Worker domains in the shared analysis pool (default: \
            available cores - 1, capped at 8).")
 
+(* A command's run settings: -v, the pool size (for the commands that
+   take --domains) and the telemetry files, either of which switches the
+   Obs registry and tracer on for the whole run. *)
+type telemetry = {
+  domains : int option;
+  metrics_json : string option;
+  trace_out : string option;
+}
+
+let telemetry_term ~pool =
+  let make () domains metrics_json trace_out =
+    { domains; metrics_json; trace_out }
+  in
+  Term.(
+    const make $ setup_logs_term
+    $ (if pool then domains_term else const None)
+    $ metrics_json_term $ trace_out_term)
+
+(* Runs [f] under [t]; the telemetry files are written after it, before
+   its result decides the exit code. *)
+let instrumented t f =
+  Option.iter Pool.set_default_size t.domains;
+  if t.metrics_json <> None || t.trace_out <> None then Obs.set_enabled true;
+  let result = f () in
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      let ppf = Format.formatter_of_out_channel oc in
+      Fmt.pf ppf "%a@." Deepmc.Json_report.pp
+        (Deepmc.Json_report.of_metrics (Obs.Metrics.snapshot ()));
+      Format.pp_print_flush ppf ();
+      close_out oc)
+    t.metrics_json;
+  Option.iter Obs.Span.write_file t.trace_out;
+  result
+
+(* One analysis request, parsed by one term for check, explain,
+   crash-explore and recover: the model and analysis config, the
+   forward run (entry, arguments, clients), the tiers that run, and the
+   seed of the crash sampling and the media model. Without the static
+   tier the dynamic tier is off too, and the flags only those two tiers
+   read (--field-insensitive, --pmem-root, --no-dynamic) are not
+   offered. *)
+type request = {
+  model : Analysis.Model.t;
+  config : Analysis.Config.t;
+  entry : string option;
+  args : int list;
+  clients : int;
+  static : bool;
+  dynamic : bool;
+  crash : bool;
+  bound : int;
+  recover : bool;
+  recovery_entry : string;
+  corrupt : bool;
+  seed : int;
+}
+
+let request_term ~static ~entry =
+  let args =
+    Arg.(
+      value
+      & opt (list int) []
+      & info [ "args" ] ~docv:"INT,..."
+          ~doc:"Integer arguments passed to the entry function.")
+  in
+  let crash =
+    Arg.(
+      value & flag
+      & info [ "crash"; "explore-crash-images" ]
+          ~doc:
+            "Enumerate the reachable crash images at every crash point of \
+             the entry's run and check each against the strict-order \
+             write-sequence oracle (requires --entry).")
+  in
+  let bound =
+    Arg.(
+      value
+      & opt int Runtime.Crash_space.default_bound
+      & info [ "bound"; "crash-bound" ] ~docv:"N"
+          ~doc:
+            "Maximum images per crash point: exhaustive below, sampled \
+             above.")
+  in
+  let recover =
+    Arg.(
+      value & flag
+      & info [ "recover" ]
+          ~doc:
+            "Run the recovery entry over every crash image of the entry's \
+             run, under the media-corruption model unless --no-corrupt \
+             (requires --entry and a recovery function).")
+  in
+  let recovery_entry =
+    Arg.(
+      value & opt string "recover"
+      & info [ "recovery-entry" ] ~docv:"FUNC"
+          ~doc:"Recovery function to execute on each image.")
+  in
+  let no_corrupt =
+    Arg.(
+      value & flag
+      & info [ "no-corrupt" ]
+          ~doc:
+            "Skip media corruption: run recovery on the pristine crash \
+             images only.")
+  in
+  let make model config entry args clients no_dynamic crash bound recover
+      recovery_entry no_corrupt seed =
+    { model; config; entry; args; clients; static;
+      dynamic = static && not no_dynamic; crash; bound; recover;
+      recovery_entry; corrupt = not no_corrupt; seed }
+  in
+  Term.(
+    const make $ model_term
+    $ (if static then config_term else const Analysis.Config.default)
+    $ entry_term entry $ args $ clients_term
+    $ (if static then no_dynamic_term else const true)
+    $ crash $ bound $ recover $ recovery_entry $ no_corrupt $ seed_term)
+
+let write_html ~file prog report path =
+  Deepmc.Html_report.write ~title:(Filename.basename file) prog report path
+
+(* The CLI's one analysis call. A request without the static tier
+   (crash-explore, recover) exists for the tiers that read the forward
+   run, so its entries must be defined and a run that fails is an error
+   naming the entry; check and explain show such a skip in their
+   report. *)
+let analyze r prog =
+  let undefined f = Nvmir.Prog.find_func prog f = None in
+  let fail fmt = Fmt.kstr (fun m -> Error (`Msg m)) fmt in
+  let entry = Option.value r.entry ~default:"" in
+  if (not r.static) && undefined entry then fail "entry %s not defined" entry
+  else if (not r.static) && r.recover && undefined r.recovery_entry then
+    fail "recovery entry %s not defined" r.recovery_entry
+  else
+    let report =
+      Deepmc.Driver.analyze
+        (Deepmc.Driver.make ~config:r.config ~run_dynamic:r.dynamic r.model)
+        ?roots:(if r.static then None else Some [])
+        ?entry:r.entry ~args:r.args ~clients:r.clients
+        ~explore_crash_images:r.crash ~crash_bound:r.bound ~seed:r.seed
+        ~verify_recovery:r.recover ~recovery_entry:r.recovery_entry
+        ~corrupt:r.corrupt prog
+    in
+    match
+      ( report.Deepmc.Driver.crash_skipped,
+        report.Deepmc.Driver.recovery_skipped )
+    with
+    | (Some reason, _ | None, Some reason) when not r.static ->
+      fail "entry %s: %s" entry reason
+    | _ -> Ok report
+
 let stats_term =
   Arg.(
     value & flag
@@ -259,7 +397,37 @@ let connect_term =
         ~doc:
           "Send the check to a resident analyzer daemon ($(b,deepmc serve \
            --socket) SOCK) instead of analyzing in-process. Static analysis \
-           only; incompatible with --entry.")
+           only: the options the daemon does not honour (the run, crash and \
+           recovery options, --seed, --domains, --suppressions, --html, \
+           --stats and the telemetry files) are rejected.")
+
+(* The daemon runs the static tier under the request's model and config
+   and prints its own reply, so --connect refuses, by name, every other
+   option at a value that would change a local check. *)
+let connected_options r t ~suppressions ~html ~stats =
+  let dropped =
+    [
+      (r.entry <> None, "--entry");
+      (r.args <> [], "--args");
+      (r.clients <> 1, "--clients");
+      (r.crash, "--explore-crash-images");
+      (r.bound <> Runtime.Crash_space.default_bound, "--crash-bound");
+      (r.recover, "--recover");
+      (r.recovery_entry <> "recover", "--recovery-entry");
+      (not r.corrupt, "--no-corrupt");
+      (r.seed <> 1, "--seed");
+      (t.domains <> None, "--domains");
+      (suppressions <> None, "--suppressions");
+      (html <> None, "--html");
+      (stats, "--stats");
+      (t.metrics_json <> None, "--metrics-json");
+      (t.trace_out <> None, "--trace-out");
+    ]
+  in
+  match List.find_opt fst dropped with
+  | Some (_, flag) ->
+    Error (`Msg (Fmt.str "--connect serves static checks only; drop %s" flag))
+  | None -> Ok ()
 
 let run_connected ~sock ~file ~model ~config ~json =
   let ( let* ) = Result.bind in
@@ -277,13 +445,13 @@ let run_connected ~sock ~file ~model ~config ~json =
       (fun m -> `Msg m)
       (Serve.Client.check ~sock ~name:file ~model ~config ~text ())
   in
+  let warnings =
+    match Serve.Protocol.member "warnings" resp with
+    | Some (Serve.Protocol.List ws) -> ws
+    | _ -> []
+  in
   if json then Fmt.pr "%a@." Deepmc.Json_report.pp resp
   else begin
-    let warnings =
-      match Serve.Protocol.member "warnings" resp with
-      | Some (Serve.Protocol.List ws) -> ws
-      | _ -> []
-    in
     List.iter
       (fun w ->
         let s key =
@@ -303,51 +471,20 @@ let run_connected ~sock ~file ~model ~config ~json =
       (Option.value ~default:0
          (Serve.Protocol.int_member "functions_invalidated" resp))
   end;
-  let nwarnings =
-    match Serve.Protocol.member "warnings" resp with
-    | Some (Serve.Protocol.List ws) -> List.length ws
-    | _ -> 0
-  in
-  if nwarnings = 0 then Ok ()
-  else Error (`Msg (Fmt.str "%d warning(s)" nwarnings))
+  if warnings = [] then Ok ()
+  else Error (`Msg (Fmt.str "%d warning(s)" (List.length warnings)))
 
 let check_cmd =
-  let explore_term =
-    Arg.(
-      value & flag
-      & info [ "explore-crash-images" ]
-          ~doc:
-            "Additionally enumerate reachable crash images at every crash \
-             point (requires --entry).")
-  in
-  let crash_bound_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "crash-bound" ] ~docv:"N"
-          ~doc:"Maximum images per crash point for --explore-crash-images.")
-  in
-  let run () model file entry args clients no_dynamic config suppressions
-      json html domains stats explore crash_bound seed metrics_json trace_out
-      connect =
+  let run r file suppressions json html stats t connect =
     let ( let* ) = Result.bind in
     match connect with
     | Some sock ->
-      if entry <> None then
-        Error (`Msg "--connect serves static checks only; drop --entry")
-      else
-        run_connected ~sock ~file ~model ~config ~json
+      let* () = connected_options r t ~suppressions ~html ~stats in
+      run_connected ~sock ~file ~model:r.model ~config:r.config ~json
     | None ->
     let* prog = load file in
-    Option.iter Pool.set_default_size domains;
-    obs_setup ~metrics_json ~trace_out;
-    let driver =
-      Deepmc.Driver.make ~config ~run_dynamic:(not no_dynamic) model
-    in
-    let report =
-      Deepmc.Driver.analyze driver ?entry ~args ~clients
-        ~explore_crash_images:explore ?crash_bound ~seed prog
-    in
+    instrumented t @@ fun () ->
+    let* report = analyze r prog in
     if stats then begin
       let s = Option.get report.Deepmc.Driver.static in
       let ps = Pool.stats (Pool.default ()) in
@@ -379,15 +516,10 @@ let check_cmd =
         with Deepmc.Suppress.Parse_error (m, line) ->
           Error (`Msg (Fmt.str "%s:%d: %s" path line m)))
     in
-    Option.iter
-      (fun path ->
-        Deepmc.Html_report.write ~title:(Filename.basename file) prog report
-          path)
-      html;
+    Option.iter (write_html ~file prog report) html;
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp (Deepmc.Json_report.of_report report)
     else Fmt.pr "%a@." Deepmc.Driver.pp_report report;
-    obs_write ~metrics_json ~trace_out;
     if warnings = [] then Ok ()
     else Error (`Msg (Fmt.str "%d warning(s)" (List.length warnings)))
   in
@@ -395,12 +527,9 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       term_result
-        (const run $ setup_logs_term $ model_term $ file_arg $ entry_term
-       $ args_term $ clients_term $ no_dynamic_term $ config_term
-       $ suppressions_term $ json_term $ html_term
-       $ domains_term $ stats_term $ explore_term
-       $ crash_bound_term $ seed_term $ metrics_json_term $ trace_out_term
-       $ connect_term))
+        (const run $ request_term ~static:true ~entry:None $ file_arg
+       $ suppressions_term $ json_term $ html_term $ stats_term
+       $ telemetry_term ~pool:true $ connect_term))
 
 (* Mixed-model checking: a map file with one "function model" pair per
    line assigns each analysis root its intended persistency model. *)
@@ -607,9 +736,6 @@ let corpus_cmd =
       & opt (some string) None
       & info [ "name" ] ~docv:"NAME" ~doc:"Only this corpus program.")
   in
-  let corpus_json_term =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit results as JSON.")
-  in
   let run name json =
     let programs =
       match name with
@@ -659,163 +785,77 @@ let corpus_cmd =
   let doc = "Analyze the bundled corpus of buggy NVM programs." in
   Cmd.v
     (Cmd.info "corpus" ~doc)
-    Term.(term_result (const run $ name_term $ corpus_json_term))
+    Term.(term_result (const run $ name_term $ json_term))
 
-(* The crash and recovery commands run the driver only once [entry]
-   and the [recovery] entry (when given) are defined. *)
-let defined ~entry ?recovery prog =
-  let undefined f = Nvmir.Prog.find_func prog f = None in
-  let error what f = Error (`Msg (Fmt.str "%s %s not defined" what f)) in
-  match recovery with
-  | _ when undefined entry -> error "entry" entry
-  | Some r when undefined r -> error "recovery entry" r
-  | _ -> Ok ()
-
-(* A requested crash tier's report, or the forward run's failure, which
-   skipped it, as a CLI error naming the entry. *)
-let tier ~entry report skipped =
-  Option.to_result report
-    ~none:(`Msg (Fmt.str "entry %s: %a" entry Fmt.(option string) skipped))
-
-(* The crash and recovery commands' shared arguments. *)
-let entry_req =
-  Arg.(
-    value
-    & opt string "main"
-    & info [ "entry" ] ~docv:"FUNC"
-        ~doc:"Forward entry point whose crash images are enumerated.")
-
-let bound_term =
-  Arg.(
-    value
-    & opt int Runtime.Crash_space.default_bound
-    & info [ "bound" ] ~docv:"N"
-        ~doc:"Maximum images per crash point: exhaustive below, sampled above.")
-
-let recovery_entry_term =
-  Arg.(
-    value
-    & opt string "recover"
-    & info [ "recovery-entry" ] ~docv:"FUNC"
-        ~doc:"Recovery function to execute on each image.")
+(* crash-explore and recover: a request without the static and dynamic
+   tiers, printing the crash report, the recovery report, or both.
+   An inconsistent image fails the run first, then a recovery warning
+   (with the static and dynamic tiers off, the merged warnings are the
+   recovery tier's). *)
+let crash_tiers_cmd name ~doc ~fix =
+  let run r file json t =
+    let ( let* ) = Result.bind in
+    let* prog = load file in
+    instrumented t @@ fun () ->
+    let* report = analyze r prog in
+    let crash = report.Deepmc.Driver.crash_space
+    and recovery = report.Deepmc.Driver.recovery in
+    let module J = Deepmc.Json_report in
+    (if json then
+       let fields =
+         Option.to_list
+           (Option.map (fun c -> ("crash_space", J.of_crash_space c)) crash)
+         @ Option.to_list
+             (Option.map (fun rv -> ("recovery", J.of_recovery rv)) recovery)
+       in
+       Fmt.pr "%a@." J.pp
+         (match fields with [ (_, one) ] -> one | _ -> J.Obj fields)
+     else begin
+       Option.iter (Fmt.pr "%a@." Runtime.Crash_space.pp_report) crash;
+       Option.iter (Fmt.pr "%a@." Recover.pp_report) recovery
+     end);
+    let inconsistent =
+      Option.fold ~none:0
+        ~some:(fun c -> c.Runtime.Crash_space.inconsistent)
+        crash
+    in
+    let recovery_warnings = List.length report.Deepmc.Driver.warnings in
+    if inconsistent > 0 then
+      Error (`Msg (Fmt.str "%d inconsistent crash image(s)" inconsistent))
+    else if recovery_warnings > 0 then
+      Error (`Msg (Fmt.str "%d recovery warning(s)" recovery_warnings))
+    else Ok ()
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      term_result
+        (const run
+        $ (const fix $ request_term ~static:false ~entry:(Some "main"))
+        $ file_arg $ json_term $ telemetry_term ~pool:false))
 
 (* Reachable-image exploration: at every crash point (and at exit)
    enumerate the durable images any write-back order could leave
    behind, starting with the prefix image in which nothing in flight
    persisted. *)
 let crash_explore_cmd =
-  let recover_flag =
-    Arg.(
-      value & flag
-      & info [ "recover" ]
-          ~doc:
-            "Additionally run the recovery entry (`recover') over every \
-             enumerated image under the media-corruption model.")
-  in
-  let run () file entry args bound seed recover json metrics_json trace_out =
-    let ( let* ) = Result.bind in
-    let* prog = load file in
-    obs_setup ~metrics_json ~trace_out;
-    let* () =
-      defined ~entry ?recovery:(if recover then Some "recover" else None) prog
-    in
-    let report =
-      Deepmc.Driver.analyze
-        (Deepmc.Driver.make ~run_dynamic:false Analysis.Model.Strict)
-        ~roots:[] ~entry ~args ~explore_crash_images:true ~crash_bound:bound
-        ~seed ~verify_recovery:recover prog
-    in
-    let* r =
-      tier ~entry report.Deepmc.Driver.crash_space
-        report.Deepmc.Driver.crash_skipped
-    in
-    let recovery = report.Deepmc.Driver.recovery in
-    let module J = Deepmc.Json_report in
-    (match recovery with
-    | None when json -> Fmt.pr "%a@." J.pp (J.of_crash_space r)
-    | Some rv when json ->
-      Fmt.pr "%a@." J.pp
-        (J.Obj
-           [
-             ("crash_space", J.of_crash_space r);
-             ("recovery", J.of_recovery rv);
-           ])
-    | _ ->
-      Fmt.pr "%a@." Runtime.Crash_space.pp_report r;
-      Option.iter (Fmt.pr "%a@." Recover.pp_report) recovery);
-    obs_write ~metrics_json ~trace_out;
-    (* with the static and dynamic tiers off, the merged warnings are
-       the recovery tier's *)
-    let recovery_warnings = List.length report.Deepmc.Driver.warnings in
-    if r.Runtime.Crash_space.inconsistent > 0 then
-      Error
-        (`Msg
-           (Fmt.str "%d inconsistent crash image(s)"
-              r.Runtime.Crash_space.inconsistent))
-    else if recovery_warnings > 0 then
-      Error (`Msg (Fmt.str "%d recovery warning(s)" recovery_warnings))
-    else Ok ()
-  in
-  let doc =
-    "Enumerate the durable images reachable at every crash point (any \
-     subset of in-flight cache lines persisted) and check each against \
-     the strict-order write-sequence oracle."
-  in
-  Cmd.v (Cmd.info "crash-explore" ~doc)
-    Term.(
-      term_result
-        (const run $ setup_logs_term $ file_arg $ entry_req $ args_term
-       $ bound_term $ seed_term $ recover_flag $ json_term $ metrics_json_term
-       $ trace_out_term))
+  crash_tiers_cmd "crash-explore"
+    ~doc:
+      "Enumerate the durable images reachable at every crash point (any \
+       subset of in-flight cache lines persisted) and check each against \
+       the strict-order write-sequence oracle."
+    ~fix:(fun r -> { r with crash = true })
 
 (* Recovery-path verification: for every durable image a crash can
    leave, apply the media-corruption model and execute the program's
    recovery entry on the reconstituted heap, classifying each outcome
    and reporting the recovery-tier rules. *)
 let recover_cmd =
-  let no_corrupt_term =
-    Arg.(
-      value & flag
-      & info [ "no-corrupt" ]
-          ~doc:
-            "Skip media corruption: run recovery on the pristine crash \
-             images only.")
-  in
-  let run () model file entry args recovery_entry bound seed no_corrupt json
-      metrics_json trace_out =
-    let ( let* ) = Result.bind in
-    let* prog = load file in
-    obs_setup ~metrics_json ~trace_out;
-    let* () = defined ~entry ~recovery:recovery_entry prog in
-    let report =
-      Deepmc.Driver.analyze
-        (Deepmc.Driver.make ~run_dynamic:false model)
-        ~roots:[] ~entry ~args ~crash_bound:bound ~seed ~verify_recovery:true
-        ~recovery_entry ~corrupt:(not no_corrupt) prog
-    in
-    let* r =
-      tier ~entry report.Deepmc.Driver.recovery
-        report.Deepmc.Driver.recovery_skipped
-    in
-    if json then
-      Fmt.pr "%a@." Deepmc.Json_report.pp (Deepmc.Json_report.of_recovery r)
-    else Fmt.pr "%a@." Recover.pp_report r;
-    obs_write ~metrics_json ~trace_out;
-    (match r.Recover.warnings with
-    | [] -> Ok ()
-    | ws -> Error (`Msg (Fmt.str "%d recovery warning(s)" (List.length ws))))
-  in
-  let doc =
-    "Verify the recovery path: run the recovery entry over every durable \
-     image a crash can leave, with media corruption injected, and report \
-     unguarded reads, silent accepts and non-idempotence."
-  in
-  Cmd.v (Cmd.info "recover" ~doc)
-    Term.(
-      term_result
-        (const run $ setup_logs_term $ model_term $ file_arg $ entry_req
-       $ args_term $ recovery_entry_term $ bound_term $ seed_term
-       $ no_corrupt_term $ json_term $ metrics_json_term $ trace_out_term))
+  crash_tiers_cmd "recover"
+    ~doc:
+      "Verify the recovery path: run the recovery entry over every durable \
+       image a crash can leave, with media corruption injected, and report \
+       unguarded reads, silent accepts and non-idempotence."
+    ~fix:(fun r -> { r with recover = true })
 
 let fmt_cmd =
   let in_place_term =
@@ -899,11 +939,10 @@ let inject_cmd =
              admission and static scoring), reproducing the historical \
              pointer-arithmetic blind spot.")
   in
-  let run () framework name synth operators no_dynamic no_crash crash_bound
-      save_fn ablate_offsets seed domains json metrics_json trace_out =
+  let run framework name synth operators no_dynamic no_crash crash_bound
+      save_fn ablate_offsets seed json t =
     let ( let* ) = Result.bind in
-    Option.iter Pool.set_default_size domains;
-    obs_setup ~metrics_json ~trace_out;
+    instrumented t @@ fun () ->
     let* framework =
       match framework with
       | None -> Ok None
@@ -965,7 +1004,6 @@ let inject_cmd =
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp (Inject.Evaluate.to_json summary)
     else Fmt.pr "%a" Inject.Evaluate.pp_summary summary;
-    obs_write ~metrics_json ~trace_out;
     Ok ()
   in
   let doc =
@@ -975,10 +1013,10 @@ let inject_cmd =
   Cmd.v (Cmd.info "inject" ~doc)
     Term.(
       term_result
-        (const run $ setup_logs_term $ framework_term $ name_term $ synth_term
+        (const run $ framework_term $ name_term $ synth_term
        $ operator_term $ no_dynamic_term $ no_crash_term $ crash_bound_term
-       $ save_fn_term $ ablate_offsets_term $ seed_term $ domains_term
-       $ json_term $ metrics_json_term $ trace_out_term))
+       $ save_fn_term $ ablate_offsets_term $ seed_term $ json_term
+       $ telemetry_term ~pool:true))
 
 let rules_cmd =
   let run () =
@@ -1008,8 +1046,8 @@ let stats_cmd =
   in
   let doc =
     "Print the telemetry instrument catalog (name, kind, description). \
-     Values are collected per run with --metrics-json on check, \
-     crash-explore and inject."
+     Values are collected per run with --metrics-json on check, explain, \
+     crash-explore, recover, inject, fuzz and serve."
   in
   Cmd.v (Cmd.info "stats" ~doc) Term.(term_result (const run $ const ()))
 
@@ -1052,8 +1090,7 @@ let fuzz_cmd =
              operation mix and key distribution over one shared region, \
              one fuzz_client_* per client.")
   in
-  let run () model file workload entry clients budget random seed domains json
-      metrics_json trace_out =
+  let run model file workload entry clients budget random seed json t =
     let ( let* ) = Result.bind in
     let* name, prog =
       match (workload, file) with
@@ -1073,8 +1110,7 @@ let fuzz_cmd =
       | None, None -> Error (`Msg "a FILE or --workload is required")
     in
     let* prog = validated prog in
-    Option.iter Pool.set_default_size domains;
-    obs_setup ~metrics_json ~trace_out;
+    instrumented t @@ fun () ->
     let entry = Option.value entry ~default:"main" in
     let* () =
       if Nvmir.Prog.find_func prog entry <> None then Ok ()
@@ -1091,7 +1127,7 @@ let fuzz_cmd =
       }
     in
     let mode = if random then Fuzz.Campaign.Random else Fuzz.Campaign.Guided in
-    let o = Fuzz.Campaign.run ~seed ~budget ?domains ~mode target in
+    let o = Fuzz.Campaign.run ~seed ~budget ?domains:t.domains ~mode target in
     let new_warnings = Fuzz.Campaign.new_warnings o in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp
@@ -1135,7 +1171,6 @@ let fuzz_cmd =
         Fmt.pr "%d warning(s) the fixed schedule misses:@." (List.length ws);
         List.iter (fun w -> Fmt.pr "  %a@." Analysis.Warning.pp w) ws
     end;
-    obs_write ~metrics_json ~trace_out;
     Ok ()
   in
   let doc =
@@ -1146,10 +1181,9 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       term_result
-        (const run $ setup_logs_term $ model_term $ fuzz_file_arg
-       $ workload_term $ entry_term $ clients_term $ budget_term
-       $ random_term $ seed_term $ domains_term $ json_term
-       $ metrics_json_term $ trace_out_term))
+        (const run $ model_term $ fuzz_file_arg
+       $ workload_term $ entry_term None $ clients_term $ budget_term
+       $ random_term $ seed_term $ json_term $ telemetry_term ~pool:true))
 
 (* Warning provenance: the same pipeline as `check` with witness
    capture switched on, the tiers read before the driver's cross-tier
@@ -1164,44 +1198,17 @@ let explain_cmd =
             "Additionally run an N-execution fuzz campaign over the entry \
              and fold its witnesses into the bundles (0: off).")
   in
-  let crash_term =
-    Arg.(
-      value & flag
-      & info [ "crash" ]
-          ~doc:
-            "Additionally enumerate reachable crash images and bundle the \
-             inconsistent ones (requires --entry).")
-  in
-  let recover_term =
-    Arg.(
-      value & flag
-      & info [ "recover" ]
-          ~doc:
-            "Additionally verify the recovery path over the crash images \
-             and bundle its witnesses (requires --entry and a recovery \
-             function).")
-  in
-  let run () model file entry args clients fuzz_budget crash recover
-      recovery_entry seed json html metrics_json trace_out =
+  let run r file fuzz_budget json html t =
     let ( let* ) = Result.bind in
     let* prog = load file in
-    obs_setup ~metrics_json ~trace_out;
+    instrumented t @@ fun () ->
     Analysis.Witness.set_enabled true;
-    let driver = Deepmc.Driver.make model in
-    let report =
-      Deepmc.Driver.analyze driver ?entry ~args ~clients
-        ~explore_crash_images:crash ~verify_recovery:recover ~recovery_entry
-        ~seed prog
-    in
-    Option.iter
-      (fun path ->
-        Deepmc.Html_report.write ~title:(Filename.basename file) prog report
-          path)
-      html;
+    let* report = analyze r prog in
+    Option.iter (write_html ~file prog report) html;
     let* fuzz =
       if fuzz_budget <= 0 then Ok None
       else begin
-        let entry = Option.value entry ~default:"main" in
+        let entry = Option.value r.entry ~default:"main" in
         if Nvmir.Prog.find_func prog entry = None then
           Error (`Msg (Fmt.str "--fuzz: entry %s not defined" entry))
         else
@@ -1209,25 +1216,25 @@ let explain_cmd =
             {
               Fuzz.Campaign.tname = Filename.basename file;
               prog;
-              model;
+              model = r.model;
               entry;
-              entry_args = args;
-              clients;
+              entry_args = r.args;
+              clients = r.clients;
             }
           in
           Ok
             (Some
-               (Fuzz.Campaign.run ~seed ~budget:fuzz_budget
+               (Fuzz.Campaign.run ~seed:r.seed ~budget:fuzz_budget
                   ~mode:Fuzz.Campaign.Guided target))
       end
     in
     let bundles = Explain.build ?fuzz report in
-    let skipped = Explain.skipped ~entry report in
+    let skipped = Explain.skipped ~entry:r.entry report in
+    let model = r.model in
     if json then
       Fmt.pr "%a@." Deepmc.Json_report.pp
         (Explain.to_json ~file ~model ~skipped bundles)
     else print_string (Explain.render ~file ~model ~prog ~skipped bundles);
-    obs_write ~metrics_json ~trace_out;
     Ok ()
   in
   let doc =
@@ -1239,10 +1246,8 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
       term_result
-        (const run $ setup_logs_term $ model_term $ file_arg $ entry_term
-       $ args_term $ clients_term $ fuzz_budget_term $ crash_term $ recover_term
-       $ recovery_entry_term $ seed_term $ json_term $ html_term
-       $ metrics_json_term $ trace_out_term))
+        (const run $ request_term ~static:true ~entry:None $ file_arg
+       $ fuzz_budget_term $ json_term $ html_term $ telemetry_term ~pool:false))
 
 (* The resident analyzer: keeps the cross-run caches warm and answers
    check/crash-explore/inject requests over a socket (or stdio), or
@@ -1291,36 +1296,31 @@ let serve_cmd =
       & info [ "max-requests" ] ~docv:"N"
           ~doc:"Exit after N requests (watch re-checks included).")
   in
-  let run () model socket stdio watch once interval max_requests config
-      domains metrics_json trace_out =
-    Option.iter Pool.set_default_size domains;
-    obs_setup ~metrics_json ~trace_out;
+  let run model socket stdio watch once interval max_requests config
+      telemetry =
+    instrumented telemetry @@ fun () ->
     let t = Serve.Daemon.create () in
-    let r =
-      match (socket, stdio, watch) with
-      | (Some _, false, None | None, true, None)
-        when config <> Analysis.Config.default ->
-        Error
-          (`Msg
-             "--field-insensitive and --pmem-root apply to --watch only; \
-              socket and stdio clients set them per request")
-      | None, true, None ->
-        Serve.Daemon.serve_stdio ?max_requests t;
-        Ok ()
-      | Some path, false, None ->
-        Serve.Daemon.serve_socket ?max_requests t ~path;
-        Ok ()
-      | None, false, Some dir ->
-        let params = Serve.Cache.default_params ~config model in
-        Serve.Daemon.serve_watch ?max_requests ~interval_ms:interval ~once t
-          ~dir ~params;
-        Ok ()
-      | None, false, None ->
-        Error (`Msg "choose one of --socket PATH, --stdio, --watch DIR")
-      | _ -> Error (`Msg "choose exactly one of --socket, --stdio, --watch")
-    in
-    obs_write ~metrics_json ~trace_out;
-    r
+    match (socket, stdio, watch) with
+    | (Some _, false, None | None, true, None)
+      when config <> Analysis.Config.default ->
+      Error
+        (`Msg
+           "--field-insensitive and --pmem-root apply to --watch only; \
+            socket and stdio clients set them per request")
+    | None, true, None ->
+      Serve.Daemon.serve_stdio ?max_requests t;
+      Ok ()
+    | Some path, false, None ->
+      Serve.Daemon.serve_socket ?max_requests t ~path;
+      Ok ()
+    | None, false, Some dir ->
+      let params = Serve.Cache.default_params ~config model in
+      Serve.Daemon.serve_watch ?max_requests ~interval_ms:interval ~once t
+        ~dir ~params;
+      Ok ()
+    | None, false, None ->
+      Error (`Msg "choose one of --socket PATH, --stdio, --watch DIR")
+    | _ -> Error (`Msg "choose exactly one of --socket, --stdio, --watch")
   in
   let doc =
     "Run the resident incremental analyzer: a long-lived daemon that keeps \
@@ -1330,10 +1330,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       term_result
-        (const run $ setup_logs_term $ model_term $ socket_term $ stdio_term
+        (const run $ model_term $ socket_term $ stdio_term
        $ watch_term $ once_term $ interval_term $ max_requests_term
-       $ config_term $ domains_term
-       $ metrics_json_term $ trace_out_term))
+       $ config_term $ telemetry_term ~pool:true))
 
 let main_cmd =
   let doc = "detect deep memory persistency bugs in NVM programs" in

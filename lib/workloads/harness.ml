@@ -3,22 +3,17 @@
    clients against a store built on the NVM runtime, with or without
    the dynamic checker attached, and reports throughput.
 
-   Two execution modes:
+   Each client gets its own heap + store instance, built on the
+   client's pool domain, and runs its share of the transactions there,
+   all observed by one checker through client-bound listeners (the
+   paper's setup). The set-up runs before the clock starts, so
+   [elapsed_s] covers the transactions only. Client heaps allocate from
+   disjoint object-id ranges, so warnings, which name objects by id,
+   never fold two clients' objects into one; each heap has its own
+   shadow segment, which makes the reported warnings independent of
+   domain interleaving. *)
 
-   - [Concurrent] (default, the paper's setup): each client gets its own
-     heap + store instance, built on the client's pool domain, and runs
-     its share of the transactions there, all observed by one checker
-     through client-bound listeners. The set-up runs before the clock
-     starts, so [elapsed_s] covers the transactions only. Client heaps
-     allocate from disjoint object-id ranges, so warnings, which name
-     objects by id, never fold two clients' objects into one; each heap
-     has its own shadow segment, which makes the reported warnings
-     independent of domain interleaving.
-   - [Interleaved] the historical single-domain replay: one heap, one
-     store, the active client switched before each transaction. Kept for
-     differential tests and single-core determinism. *)
-
-type execution = Interleaved | Concurrent
+type execution = Concurrent
 
 type result = {
   label : string;
@@ -70,29 +65,6 @@ let default_seed = 0xC0FFEE
 
 let model = Analysis.Model.Epoch
 
-let run_interleaved ~label ~seed ~clients ~txs ~checked ~setup ~op =
-  let pmem = Runtime.Pmem.create () in
-  let checker =
-    if checked then begin
-      let c = Runtime.Dynamic.create ~model () in
-      Runtime.Dynamic.attach c pmem;
-      Some c
-    end
-    else None
-  in
-  let store = setup pmem in
-  let rng = Gen.rng seed in
-  let t0 = Deepmc.Clock.now () in
-  for i = 0 to txs - 1 do
-    let client = i mod clients in
-    (match checker with
-    | Some c -> Runtime.Dynamic.set_thread c client
-    | None -> ());
-    op store rng ~client
-  done;
-  let elapsed_s = max 1e-9 (Deepmc.Clock.elapsed_s t0) in
-  finish ~label ~txs ~clients ~checked ~checker ~pmems:[ pmem ] ~elapsed_s
-
 (* Object ids reserved per client heap: no workload here allocates a
    million objects, and each heap's object table starts at its window,
    so the windows cost nothing. *)
@@ -141,19 +113,13 @@ let run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op =
   let pmems = List.map (fun (_, pm, _, _) -> pm) contexts in
   finish ~label ~txs ~clients ~checked ~checker ~pmems ~elapsed_s
 
-let run_once ~execution ~label ~seed ~clients ~txs ~checked ~setup ~op =
-  match execution with
-  | Interleaved ->
-    run_interleaved ~label ~seed ~clients ~txs ~checked ~setup ~op
-  | Concurrent -> run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op
-
 (* Best of [repeats] runs: wall-clock noise (GC pauses, scheduler) only
    ever slows a run down, so the fastest run is the cleanest signal. *)
-let measure ~label ?(repeats = 3) ?(execution = Concurrent)
-    ?(seed = default_seed) ~clients ~txs ~checked ~setup ~op () =
+let measure ~label ?(repeats = 3) ?execution:_ ?(seed = default_seed)
+    ~clients ~txs ~checked ~setup ~op () =
   let runs =
     List.init (max 1 repeats) (fun _ ->
-        run_once ~execution ~label ~seed ~clients ~txs ~checked ~setup ~op)
+        run_concurrent ~label ~seed ~clients ~txs ~checked ~setup ~op)
   in
   List.fold_left
     (fun best r -> if r.elapsed_s < best.elapsed_s then r else best)

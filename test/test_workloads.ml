@@ -200,35 +200,6 @@ let test_harness_concurrent_per_client_heaps () =
   check Alcotest.bool "stores counted across heaps" true
     (r.Workloads.Harness.stores > 0)
 
-(* The two execution modes agree on what the checker reports for a
-   deterministic, well-fenced workload (both race-free, both tracking
-   cells) even though Concurrent uses per-client heaps. *)
-let test_harness_modes_agree () =
-  let run execution =
-    let r =
-      Workloads.Harness.measure ~label:"t" ~execution ~clients:2 ~txs:120
-        ~checked:true ~repeats:1
-        ~setup:(fun pmem -> Workloads.Kvstore.create ~capacity:256 pmem)
-        ~op:(fun kv rng ~client ->
-          ignore
-            (Workloads.Kvstore.set kv
-               (Workloads.Gen.uniform rng ~keyspace:30)
-               client))
-        ()
-    in
-    match r.Workloads.Harness.dynamic with
-    | None -> Alcotest.fail "dynamic summary missing"
-    | Some s -> s
-  in
-  let si = run Workloads.Harness.Interleaved in
-  let sc = run Workloads.Harness.Concurrent in
-  check Alcotest.int "both race-free (waw)" si.Runtime.Dynamic.waw
-    sc.Runtime.Dynamic.waw;
-  check Alcotest.int "both race-free (raw)" si.Runtime.Dynamic.raw
-    sc.Runtime.Dynamic.raw;
-  check Alcotest.int "no unflushed writes either way"
-    si.Runtime.Dynamic.unflushed sc.Runtime.Dynamic.unflushed
-
 (* Client set-up runs on the client domains: a checked concurrent run
    gives the same checker summary and the same Pmem counts on pools of 1
    and 2 domains, and both equal what serial set-up on the submitting
@@ -319,7 +290,6 @@ let suite =
       test_harness_checked_run_attaches_dynamic;
     tc "harness: concurrent per-client heaps" `Quick
       test_harness_concurrent_per_client_heaps;
-    tc "harness: execution modes agree" `Quick test_harness_modes_agree;
     tc "harness: pool size does not move counts" `Quick
       test_harness_pool_size_invariant;
     tc "benchmark mixes well-formed" `Quick test_mixes_well_formed;
